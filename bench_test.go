@@ -31,7 +31,7 @@ func benchRounds(b *testing.B, nodes, workers int) {
 	for i := 0; i < b.N; i++ {
 		var c sim.MutualityCounters
 		eng.MutualityRound(i, tk, &c)
-		eng.TransitivityRun(setup, core.PolicyAggressive, benchSeed)
+		eng.TransitivityRunModel(setup, core.PolicyAggressive.Model(), benchSeed)
 	}
 }
 
@@ -52,7 +52,7 @@ func benchTransitivity(b *testing.B, nodes, workers int) {
 	eng := &sim.Engine{Pop: p, Parallelism: workers, Label: "bench"}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.TransitivityRun(setup, core.PolicyAggressive, benchSeed)
+		eng.TransitivityRunModel(setup, core.PolicyAggressive.Model(), benchSeed)
 	}
 }
 
@@ -74,7 +74,7 @@ func BenchmarkTransitivity100k(b *testing.B) {
 	eng := &sim.Engine{Pop: p, Parallelism: 0, Label: "bench"}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.TransitivityRun(setup, core.PolicyAggressive, benchSeed)
+		eng.TransitivityRunModel(setup, core.PolicyAggressive.Model(), benchSeed)
 	}
 }
 
@@ -104,12 +104,12 @@ func BenchmarkTransitivity10kPooled(b *testing.B) {
 	eng := &sim.Engine{Pop: p, Parallelism: 1, Label: "bench"}
 	ep := eng.TransitivityEpoch(setup)
 	defer ep.Release()
-	ep.Run(core.PolicyAggressive, benchSeed) // warm arenas and memo
+	ep.RunModel(core.PolicyAggressive.Model(), benchSeed) // warm arenas and memo
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ep.Reset()
-		ep.Run(core.PolicyAggressive, benchSeed)
+		ep.RunModel(core.PolicyAggressive.Model(), benchSeed)
 	}
 }
 
@@ -186,14 +186,14 @@ func BenchmarkFindAggressive(b *testing.B) {
 	view := p.TrustView()
 	memo := core.NewEdgeMemo(view, p.Config().Update.Norm, 1)
 	tk := setup.Universe.Tasks[0]
-	memo.Require(core.PolicyAggressive, []task.Task{tk})
+	memo.RequireModel(core.PolicyAggressive.Model(), []task.Task{tk})
 	trustor := p.Trustors[0]
 	var res core.SearchResult
-	s.FindViewInto(&res, view, memo, trustor, tk, core.PolicyAggressive) // warm the pool
+	s.FindViewModelInto(&res, view, memo, trustor, tk, core.PolicyAggressive.Model()) // warm the pool
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.FindViewInto(&res, view, memo, trustor, tk, core.PolicyAggressive)
+		s.FindViewModelInto(&res, view, memo, trustor, tk, core.PolicyAggressive.Model())
 	}
 	b.ReportMetric(float64(res.Inquired), "inquired")
 }
@@ -206,7 +206,7 @@ func BenchmarkFindAggressive(b *testing.B) {
 // siot-bench's serve-query-1k workload.
 func BenchmarkServeQuery1k(b *testing.B) {
 	eng, err := serve.New(serve.Config{
-		Nodes: 1000, Seed: benchSeed, Seeded: true, Policy: core.PolicyAggressive,
+		Nodes: 1000, Seed: benchSeed, Seeded: true, Model: core.PolicyAggressive.Model(),
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -237,7 +237,7 @@ func BenchmarkServeQuery1k(b *testing.B) {
 // keep acquiring consistent snapshots across concurrent swaps.
 func BenchmarkServeMixed10k(b *testing.B) {
 	eng, err := serve.New(serve.Config{
-		Nodes: 10000, Seed: benchSeed, Seeded: true, Policy: core.PolicyAggressive,
+		Nodes: 10000, Seed: benchSeed, Seeded: true, Model: core.PolicyAggressive.Model(),
 		EpochEvery: 512,
 	})
 	if err != nil {

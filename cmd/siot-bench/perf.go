@@ -146,7 +146,7 @@ func benchRoundsWorkload(nodes, workers int) (testing.BenchmarkResult, sim.Mutua
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			eng.MutualityRound(i, tk, &c)
-			eng.TransitivityRun(setup, core.PolicyAggressive, benchnet.Seed)
+			eng.TransitivityRunModel(setup, core.PolicyAggressive.Model(), benchnet.Seed)
 		}
 	})
 	return res, c
@@ -162,7 +162,7 @@ func benchTransitivityWorkload(nodes, workers int) (testing.BenchmarkResult, sim
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			st = eng.TransitivityRun(setup, core.PolicyAggressive, benchnet.Seed)
+			st = eng.TransitivityRunModel(setup, core.PolicyAggressive.Model(), benchnet.Seed)
 		}
 	})
 	return res, st
@@ -230,7 +230,7 @@ func benchTransitivity100kWorkload(workers int) (testing.BenchmarkResult, sim.Tr
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			st = eng.TransitivityRun(setup, core.PolicyAggressive, benchnet.Seed)
+			st = eng.TransitivityRunModel(setup, core.PolicyAggressive.Model(), benchnet.Seed)
 		}
 	})
 	return res, st
@@ -264,14 +264,14 @@ func benchFindWorkload(nodes int) (testing.BenchmarkResult, int) {
 	view := p.TrustView()
 	memo := core.NewEdgeMemo(view, p.Config().Update.Norm, 1)
 	tk := setup.Universe.Tasks[0]
-	memo.Require(core.PolicyAggressive, []task.Task{tk})
+	memo.RequireModel(core.PolicyAggressive.Model(), []task.Task{tk})
 	trustor := p.Trustors[0]
 	var out core.SearchResult
-	s.FindViewInto(&out, view, memo, trustor, tk, core.PolicyAggressive) // warm the pool
+	s.FindViewModelInto(&out, view, memo, trustor, tk, core.PolicyAggressive.Model()) // warm the pool
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			s.FindViewInto(&out, view, memo, trustor, tk, core.PolicyAggressive)
+			s.FindViewModelInto(&out, view, memo, trustor, tk, core.PolicyAggressive.Model())
 		}
 	})
 	return res, out.Inquired
@@ -283,7 +283,7 @@ func benchFindWorkload(nodes int) (testing.BenchmarkResult, int) {
 // epoch). The engine's own latency histogram supplies p50/p99 counters.
 func benchServeQueryWorkload(nodes int) (testing.BenchmarkResult, serve.Stats) {
 	eng, err := serve.New(serve.Config{
-		Nodes: nodes, Seed: benchnet.Seed, Seeded: true, Policy: core.PolicyAggressive,
+		Nodes: nodes, Seed: benchnet.Seed, Seeded: true, Model: core.PolicyAggressive.Model(),
 	})
 	if err != nil {
 		panic(err) // benchmark profiles are always resolvable
@@ -312,7 +312,7 @@ func benchServeQueryWorkload(nodes int) (testing.BenchmarkResult, serve.Stats) {
 // steady state.
 func benchServeMixedWorkload(nodes int) (testing.BenchmarkResult, serve.Stats) {
 	eng, err := serve.New(serve.Config{
-		Nodes: nodes, Seed: benchnet.Seed, Seeded: true, Policy: core.PolicyAggressive,
+		Nodes: nodes, Seed: benchnet.Seed, Seeded: true, Model: core.PolicyAggressive.Model(),
 		EpochEvery: 512,
 	})
 	if err != nil {
@@ -359,7 +359,7 @@ func benchServeIngestFsyncWorkload(nodes int) (testing.BenchmarkResult, serve.St
 	defer os.Remove(f.Name())
 	defer f.Close()
 	eng, err := serve.New(serve.Config{
-		Nodes: nodes, Seed: benchnet.Seed, Seeded: true, Policy: core.PolicyAggressive,
+		Nodes: nodes, Seed: benchnet.Seed, Seeded: true, Model: core.PolicyAggressive.Model(),
 		EpochEvery: 1 << 30, Journal: f, Fsync: serve.FsyncBatch,
 	})
 	if err != nil {
@@ -398,7 +398,7 @@ func benchSweep1MWorkload() (testing.BenchmarkResult, sim.TransitivityStats) {
 		for i := 0; i < b.N; i++ {
 			p, setup := benchnet.Populate(net)
 			eng := &sim.Engine{Pop: p, Parallelism: 0, Label: "perf"}
-			st = eng.TransitivityRun(setup, core.PolicyAggressive, benchnet.Seed)
+			st = eng.TransitivityRunModel(setup, core.PolicyAggressive.Model(), benchnet.Seed)
 		}
 	})
 	return res, st

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	siot-serve -addr 127.0.0.1:8476 -net facebook -seeded -journal trust.jsonl
-//	siot-serve -nodes 1000 -policy conservative -epoch-every 512 -fsync always
+//	siot-serve -nodes 1000 -model conservative -epoch-every 512 -fsync always
 //	siot-serve -net twitter -model hellinger-mf -journal trust.jsonl
 //	siot-serve -journal trust.jsonl -resume
 //	siot-serve -replay trust.jsonl
@@ -53,6 +53,7 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
+	"strings"
 	"syscall"
 	"time"
 
@@ -68,8 +69,7 @@ func main() {
 		nodes         = flag.Int("nodes", 0, "serve the canonical benchmark network at this node count instead of -net")
 		seed          = flag.Uint64("seed", 1, "world seed (network, roles, task universe, seeding)")
 		chars         = flag.Int("chars", 5, "task-characteristic alphabet size")
-		policyName    = flag.String("policy", "aggressive", "trust-transfer policy: traditional, conservative, aggressive")
-		modelName     = flag.String("model", "", "registered trust model for non-direct answers (supersedes -policy)")
+		modelName     = flag.String("model", "aggressive", "registered trust model for non-direct answers: "+strings.Join(core.ModelNames(), ", "))
 		seeded        = flag.Bool("seeded", true, "pre-seed experience records so queries are answerable from the start")
 		theta         = flag.Float64("theta", 0.3, "reverse-evaluation threshold installed on trustees")
 		epochEvery    = flag.Int("epoch-every", 256, "republish the epoch after this many applied events")
@@ -115,16 +115,7 @@ func main() {
 		return
 	}
 
-	var mdl core.TrustModel
-	if *modelName != "" {
-		mdl, err = core.ParseModel(*modelName)
-	} else {
-		var policy core.Policy
-		policy, err = core.ParsePolicy(*policyName)
-		if err == nil {
-			mdl = policy.Model()
-		}
-	}
+	mdl, err := core.ParseModel(*modelName)
 	if err != nil {
 		cliutil.Usage("siot-serve", err)
 	}

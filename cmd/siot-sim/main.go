@@ -1,13 +1,13 @@
 // Command siot-sim runs ad-hoc social-IoT trust simulations from flags: it
 // generates one of the evaluation networks, assigns roles, and plays
 // delegation rounds under a selectable combination of model features
-// (mutuality threshold, trust-transfer policy, delegation strategy),
+// (mutuality threshold, trust model, delegation strategy),
 // printing the resulting rates.
 //
 // Usage:
 //
 //	siot-sim -net facebook -rounds 40 -theta 0.3
-//	siot-sim -net twitter -mode transitivity -policy aggressive -chars 5
+//	siot-sim -net twitter -mode transitivity -model conservative -chars 5
 //	siot-sim -net twitter -mode transitivity -model hellinger-mf
 //	siot-sim -experiment model-matrix -model feature-weighted
 //	siot-sim -net gplus -mode netprofit -iters 1000 -strategy netprofit
@@ -49,8 +49,7 @@ func main() {
 		list       = flag.Bool("list", false, "list registered experiments and attack models, then exit")
 		rounds     = flag.Int("rounds", 40, "mutuality: delegation rounds")
 		theta      = flag.Float64("theta", 0.3, "mutuality: reverse-evaluation threshold")
-		policy     = flag.String("policy", "aggressive", "transitivity: traditional, conservative, aggressive")
-		modelName  = flag.String("model", "", "transitivity: registered trust model (supersedes -policy; see -list)")
+		modelName  = flag.String("model", "aggressive", "transitivity: registered trust model (see -list); given explicitly, also restricts -experiment model-matrix to it")
 		chars      = flag.Int("chars", 5, "transitivity: number of characteristics in the network")
 		iters      = flag.Int("iters", 1000, "netprofit: iterations")
 		strategy   = flag.String("strategy", "netprofit", "netprofit: successrate or netprofit")
@@ -81,10 +80,18 @@ func main() {
 	}
 
 	if *experiment != "" {
+		// The -model default picks the transitivity mode's model; only an
+		// explicit -model restricts the model matrix.
+		matrixModel := ""
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "model" {
+				matrixModel = *modelName
+			}
+		})
 		res, err := experiments.RunOpts(*experiment, experiments.Options{
 			Seed: *seed, Parallelism: *parallel,
 			Attack: *attack, Attackers: *attackers, Collude: *collude,
-			Model: *modelName,
+			Model: matrixModel,
 		})
 		if err != nil {
 			cliutil.Usage("siot-sim", err)
@@ -151,19 +158,7 @@ func main() {
 		}
 
 	case "transitivity":
-		// -model picks any registered trust model; -policy remains the
-		// legacy spelling for the three paper policies (whose adapters are
-		// bit-identical to the policy path).
-		var mdl core.TrustModel
-		if *modelName != "" {
-			mdl, err = core.ParseModel(*modelName)
-		} else {
-			var pol core.Policy
-			pol, err = core.ParsePolicy(*policy)
-			if err == nil {
-				mdl = pol.Model()
-			}
-		}
+		mdl, err := core.ParseModel(*modelName)
 		if err != nil {
 			cliutil.Usage("siot-sim", err)
 		}

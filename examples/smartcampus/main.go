@@ -42,10 +42,13 @@ func main() {
 	// The composite request: traffic monitoring = GPS + image.
 	traffic := task.Uniform(task.Type(len(setup.Universe.Tasks)), task.CharGPS, task.CharImage)
 
+	// Freeze the campus's trust records and search the snapshot.
 	requester := p.Trustors[0]
+	view := p.TrustView()
 	searcher := p.Searcher(setup.MaxDepth, setup.Omega1, setup.Omega2)
+	var res core.SearchResult
 	for _, policy := range []core.Policy{core.PolicyTraditional, core.PolicyConservative, core.PolicyAggressive} {
-		res := searcher.Find(requester, traffic, policy)
+		searcher.FindViewModelInto(&res, view, nil, requester, traffic, policy.Model())
 		fmt.Printf("\n%s transfer:\n", policy)
 		fmt.Printf("  potential trustees found: %d (interrogated %d nodes)\n",
 			len(res.Candidates), res.Inquired)

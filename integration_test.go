@@ -45,7 +45,7 @@ func TestIntegrationEdgeListToExperiment(t *testing.T) {
 	r := rng.New(9, "integration")
 	setup := sim.DefaultTransitivitySetup(5, r)
 	sim.SeedExperience(p, setup, 9)
-	st := sim.TransitivityRun(p, setup, siot.PolicyAggressive, 9)
+	st := sim.NewEngine(p, "integration").TransitivityRunModel(setup, siot.PolicyAggressive.Model(), 9)
 	if st.Requests == 0 {
 		t.Fatal("no requests over the loaded graph")
 	}
@@ -118,9 +118,10 @@ func TestIntegrationStorePersistenceAcrossSimulation(t *testing.T) {
 	net := socialgen.Generate(socialgen.Twitter(), 4)
 	p := sim.NewPopulation(net, sim.DefaultPopulationConfig(4))
 	tk := task.Uniform(1, task.CharCompute)
+	eng := sim.NewEngine(p, "integration")
 	var c sim.MutualityCounters
 	for round := 0; round < 10; round++ {
-		sim.MutualityRound(p, round, tk, &c)
+		eng.MutualityRound(round, tk, &c)
 	}
 	// Snapshot the first trustor's store and restore it.
 	x := p.Trustors[0]

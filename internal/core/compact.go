@@ -43,11 +43,11 @@ func searchCompact(tasks []task.Task, recs []CompactRecord, typ task.Type) (int,
 	})
 }
 
-// CharTWCompact is CharTW over compact records: the weighted-average
-// trustworthiness of one characteristic (the inner fraction of eq. 4),
-// bit-identical to the fat path — the floats come from the same Expectation
-// and the same task weights, resolved through tasks instead of an embedded
-// Task.
+// CharTWCompact is the weighted-average trustworthiness of one
+// characteristic over compact records — the inner fraction of eq. 4:
+// Σ_k w_j(τ_k)·TW(τ_k) / Σ_k w_j(τ_k) over records whose task contains the
+// characteristic, with task refs resolved through tasks. ok is false when no
+// record covers it.
 func CharTWCompact(tasks []task.Task, recs []CompactRecord, c task.Characteristic, n Normalizer) (float64, bool) {
 	num, den := 0.0, 0.0
 	for _, r := range recs {
@@ -62,35 +62,18 @@ func CharTWCompact(tasks []task.Task, recs []CompactRecord, c task.Characteristi
 	return num / den, true
 }
 
-// InferFromCompact is InferFromRecords over compact records (eq. 4):
-// inferred trustworthiness of t from experienced tasks sharing its
-// characteristics, every characteristic covered or ok=false.
+// InferFromCompact is eq. 4 over compact records: the inferred
+// trustworthiness of t from experienced tasks sharing its characteristics,
+// every characteristic covered or ok=false.
 func InferFromCompact(tasks []task.Task, recs []CompactRecord, t task.Task, n Normalizer) (float64, bool) {
 	total := 0.0
-	for _, c := range t.Characteristics() {
+	weights := t.Weights()
+	for i, c := range t.Characteristics() {
 		est, ok := CharTWCompact(tasks, recs, c, n)
 		if !ok {
 			return 0, false
 		}
-		total += t.Weight(c) * est
+		total += weights[i] * est
 	}
 	return total, true
-}
-
-// hopTWCompact is Searcher.hopTW over compact records: one hop under
-// traditional or conservative rules, reading the frozen arena.
-func (s *Searcher) hopTWCompact(tasks []task.Task, recs []CompactRecord, t task.Task, p Policy) (float64, bool) {
-	if len(recs) == 0 {
-		return 0, false
-	}
-	if p == PolicyTraditional {
-		typ := t.Type()
-		for _, r := range recs {
-			if tasks[r.Ref].Type() == typ {
-				return r.TW(s.Norm), true
-			}
-		}
-		return 0, false
-	}
-	return InferFromCompact(tasks, recs, t, s.Norm)
 }

@@ -56,7 +56,7 @@ func TestCompactMatchesFatReference(t *testing.T) {
 		task.CharGPS, task.CharImage, task.CharCompute, task.CharStorage, task.CharAudio,
 	}
 	norm := UnitNormalizer()
-	s := &Searcher{Norm: norm}
+	s := &mapSearcher{Norm: norm}
 	for seed := uint64(1); seed <= 8; seed++ {
 		for size := 0; size <= 5; size++ {
 			f := buildCompactFixture(seed, size)
@@ -77,7 +77,7 @@ func TestCompactMatchesFatReference(t *testing.T) {
 				}
 				for _, p := range []Policy{PolicyTraditional, PolicyConservative} {
 					fatV, fatOK := s.hopTW(f.fat, tk, p)
-					cmpV, cmpOK := s.hopTWCompact(f.tasks, f.compact, tk, p)
+					cmpV, cmpOK := p.Model().HopTW(HopContext{Tasks: f.tasks, Norm: norm}, f.compact, tk)
 					if fatV != cmpV || fatOK != cmpOK {
 						t.Fatalf("seed %d size %d: hopTW(task %d, %s) compact (%v, %v) != fat (%v, %v)",
 							seed, size, tk.Type(), p, cmpV, cmpOK, fatV, fatOK)

@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
-	"slices"
 	"sort"
 	"sync"
 
@@ -13,14 +11,13 @@ import (
 // This file is the trust-model zoo: the paper's three §4.3 policies are one
 // point in the design space the related work maps out (Hellinger-based
 // matrix-factorization trust, feature-weighted trust quantification, ...).
-// TrustModel abstracts the per-hop evaluation those policies share, so an
-// alternative model plugs into the same frozen-view search, EdgeMemo
-// pre-pass, sharded sweeps, serving layer, and attack suite — with the three
-// Policy constants implemented as adapters whose behavior is bit-identical
-// to the pre-interface dispatch.
+// TrustModel abstracts the per-hop evaluation those policies share, so every
+// model — the three Policy constants included, as adapters — plugs into the
+// same frozen-view search, EdgeMemo pre-pass, sharded sweeps, serving layer,
+// and attack suite.
 
 // CombineRule selects how path values accumulate along a recommendation
-// chain in the generic model search.
+// chain.
 type CombineRule uint8
 
 const (
@@ -41,7 +38,7 @@ func (r CombineRule) String() string {
 }
 
 // ModelSpec is a model's combine/threshold descriptor: everything the
-// generic search needs to drive the model besides its per-hop value.
+// search needs to drive the model besides its per-hop value.
 type ModelSpec struct {
 	// Combine selects the path-accumulation rule.
 	Combine CombineRule
@@ -51,11 +48,21 @@ type ModelSpec struct {
 	// "without any restriction" rule.
 	OmegaGated bool
 	// PerCharacteristic marks models evaluated one characteristic at a
-	// time along independent paths (the aggressive policy, eqs. 12–17).
-	// Only the aggressive adapter sets it; the generic single-path search
-	// does not support it.
+	// time along independent paths (the aggressive policy, eqs. 12–17):
+	// each characteristic's hops are the model's HopTW on that
+	// characteristic's unit task, and the task-weighted sum of the
+	// per-characteristic path values (eq. 17) is the candidate's value.
 	PerCharacteristic bool
 }
+
+// unitType is the task type of characteristic c's unit task: negative, so it
+// never collides with a real task type.
+func unitType(c task.Characteristic) task.Type { return task.Type(-1 - int(c)) }
+
+// unitTask is the one-characteristic task a PerCharacteristic model is
+// evaluated on: c alone at weight 1. The aggressive adapter's HopTW on it is
+// CharTWCompact bit for bit (eq. 4 with one term: 0 + 1·x = x).
+func unitTask(c task.Characteristic) task.Task { return task.Uniform(unitType(c), c) }
 
 // HopContext carries the frozen-epoch resolution state a hop evaluation
 // needs: the catalog snapshot the records' task refs resolve against and
@@ -103,11 +110,8 @@ type EpochTrainable interface {
 }
 
 // policyModel adapts one of the paper's §4.3 policies to the TrustModel
-// interface. The adapters exist so every dispatch site (sweeps, serving,
-// experiments) can speak TrustModel while the three policies keep their
-// exact legacy search paths: FindViewModelInto routes adapters back to
-// FindViewInto, and EdgeMemo.RequireModel routes them to Require, so the
-// refactor is invisible in every golden byte.
+// interface; the Spec carries everything that tells the three apart besides
+// the hop evaluation.
 type policyModel struct{ p Policy }
 
 func (pm policyModel) Name() string { return pm.p.String() }
@@ -123,11 +127,11 @@ func (pm policyModel) Spec() ModelSpec {
 	}
 }
 
-// HopTW mirrors Searcher.hopTWCompact for the single-path policies. The
-// aggressive policy is searched per characteristic, not through this
-// single-hop lens; as a hop value it uses the full-coverage inference of
-// eq. 4 (the task-weighted combination of its per-characteristic values
-// over one edge's records).
+// HopTW is the exact-type record trustworthiness for the traditional
+// baseline (eq. 5) and the full-coverage inference of eq. 4 otherwise
+// (conservative, eqs. 8–10). The aggressive policy is searched on unit tasks,
+// where eq. 4 reduces to one characteristic's weighted average; as a
+// single-edge lens over a whole task it is the same full-coverage inference.
 func (pm policyModel) HopTW(ctx HopContext, recs []CompactRecord, t task.Task) (float64, bool) {
 	if len(recs) == 0 {
 		return 0, false
@@ -159,16 +163,6 @@ func (p Policy) Model() TrustModel {
 	return policyModels[p]
 }
 
-// modelPolicy recovers the Policy behind an adapter, false for every other
-// model. Dispatch sites use it to route adapters onto the legacy
-// policy-specific paths.
-func modelPolicy(m TrustModel) (Policy, bool) {
-	if pm, ok := m.(policyModel); ok {
-		return pm.p, true
-	}
-	return 0, false
-}
-
 // modelRegistry maps registered model names to instances. Registration
 // happens in init functions; lookups after init are read-only.
 var modelRegistry = struct {
@@ -192,9 +186,9 @@ func RegisterModel(m TrustModel) {
 	modelRegistry.byName[name] = m
 }
 
-// ParseModel resolves a registered model name — the superset of ParsePolicy:
-// the three policy names resolve to their adapters, and every additional
-// registered model resolves by its name.
+// ParseModel resolves a registered model name: the three policy names
+// resolve to their adapters, and every additional registered model resolves
+// by its name.
 func ParseModel(s string) (TrustModel, error) {
 	modelRegistry.mu.RLock()
 	m, ok := modelRegistry.byName[s]
@@ -217,158 +211,8 @@ func ModelNames() []string {
 	return names
 }
 
-// IsPolicyModel reports whether m is one of the three paper-policy
-// adapters (callers that must persist a Policy-compatible header or follow
-// a legacy code path key off this).
-func IsPolicyModel(m TrustModel) bool {
-	_, ok := modelPolicy(m)
-	return ok
-}
-
 func init() {
 	for _, pm := range policyModels {
 		RegisterModel(pm)
 	}
-}
-
-// FindModel is Find dispatching through a TrustModel. The three policy
-// adapters run the legacy map-based live-store search; every other model
-// reads trained or evidence-local state that only exists on a frozen view,
-// so non-adapter models must be searched with FindViewModel and panic here.
-func (s *Searcher) FindModel(trustor AgentID, t task.Task, m TrustModel) SearchResult {
-	if p, ok := modelPolicy(m); ok {
-		return s.Find(trustor, t, p)
-	}
-	panic(fmt.Sprintf("core: model %q requires a frozen view (use FindViewModel)", m.Name()))
-}
-
-// FindViewModel is FindView dispatching through a TrustModel.
-func (s *Searcher) FindViewModel(view *TrustView, memo *EdgeMemo, trustor AgentID, t task.Task, m TrustModel) SearchResult {
-	var res SearchResult
-	s.FindViewModelInto(&res, view, memo, trustor, t, m)
-	return res
-}
-
-// FindViewModelInto is FindViewModel writing into res, reusing its
-// capacity. Policy adapters take the exact legacy FindViewInto path
-// (bit-identical to pre-interface dispatch); other models run the generic
-// single-path search driven by their ModelSpec. A PerCharacteristic model
-// other than the aggressive adapter is not supported by the generic search
-// and panics.
-func (s *Searcher) FindViewModelInto(res *SearchResult, view *TrustView, memo *EdgeMemo, trustor AgentID, t task.Task, m TrustModel) {
-	if p, ok := modelPolicy(m); ok {
-		s.FindViewInto(res, view, memo, trustor, t, p)
-		return
-	}
-	spec := m.Spec()
-	if spec.PerCharacteristic {
-		panic(fmt.Sprintf("core: per-characteristic model %q is not supported by the generic search", m.Name()))
-	}
-	st := acquireDense(view.NumAgents())
-	s.findModelView(res, view, memo, trustor, t, m, spec, st)
-	densePool.Put(st)
-}
-
-// modelHopSource resolves, once per search, how hops are evaluated for a
-// model over a view: the memoized per-edge table when RequireModel built
-// one for this exact task, else the trained scorer for EpochTrainable
-// models, else the model's evidence-local HopTW.
-type modelHopSource struct {
-	vals   []float64
-	scorer EdgeScorer
-	model  TrustModel
-	ctx    HopContext
-}
-
-func resolveModelHops(view *TrustView, memo *EdgeMemo, m TrustModel, t task.Task, norm Normalizer) modelHopSource {
-	src := modelHopSource{model: m, ctx: HopContext{Tasks: view.tasks, Norm: norm}}
-	if memo != nil {
-		src.vals = memo.modelTable(m, t)
-		if src.vals != nil {
-			return src
-		}
-		src.scorer = memo.modelScorer[m.Name()]
-	}
-	if src.scorer == nil {
-		if _, trainable := m.(EpochTrainable); trainable {
-			panic(fmt.Sprintf("core: model %q is epoch-trainable but untrained (call EdgeMemo.RequireModel first)", m.Name()))
-		}
-	}
-	return src
-}
-
-func (src *modelHopSource) hop(view *TrustView, e int32, t task.Task) (float64, bool) {
-	if src.vals != nil {
-		v := src.vals[e]
-		return v, !math.IsNaN(v)
-	}
-	if src.scorer != nil {
-		return src.scorer.EdgeTW(view, e, t)
-	}
-	return src.model.HopTW(src.ctx, view.EdgeRecords(e), t)
-}
-
-// findModelView is findSerialView generalized over a ModelSpec: the same
-// dense BFS, with the combine rule and ω gating read from the model's
-// descriptor instead of the Policy switch.
-func (s *Searcher) findModelView(res *SearchResult, view *TrustView, memo *EdgeMemo, trustor AgentID, t task.Task, m TrustModel, spec ModelSpec, st *denseState) {
-	src := resolveModelHops(view, memo, m, t, s.Norm)
-	st.inqCur = st.nextStamp()
-	st.inqCount = 0
-	st.bestCur = st.nextStamp()
-	st.candIDs = st.candIDs[:0]
-	adjOff, adjTo := view.adjOff, view.adjTo
-	cur, nxt := &st.fr[0], &st.fr[1]
-	cur.reset(st.nextStamp())
-	cur.add(trustor, 1)
-	for depth := 1; depth <= s.MaxDepth && len(cur.ids) > 0; depth++ {
-		nxt.reset(st.nextStamp())
-		relay := depth < s.MaxDepth
-		for _, u := range cur.ids {
-			uval := cur.val[u]
-			base := adjOff[u]
-			for k, v := range adjTo[base:adjOff[u+1]] {
-				if v == trustor {
-					continue
-				}
-				hop, ok := src.hop(view, base+int32(k), t)
-				if !ok {
-					continue
-				}
-				st.markInquired(v)
-				var val float64
-				if spec.Combine == CombineProduct {
-					val = uval * hop
-				} else {
-					val = CombinePair(uval, hop)
-				}
-				passTrustee := hop > 0
-				passRecommender := hop > 0
-				if spec.OmegaGated {
-					passTrustee = hop >= s.Omega2
-					passRecommender = hop >= s.Omega1
-				}
-				if passTrustee && s.isCandidate(v) {
-					if st.bestStamp[v] != st.bestCur {
-						st.bestStamp[v] = st.bestCur
-						st.bestVal[v] = val
-						st.candIDs = append(st.candIDs, v)
-					} else if val > st.bestVal[v] {
-						st.bestVal[v] = val
-					}
-				}
-				if relay && passRecommender {
-					nxt.add(v, val)
-				}
-			}
-		}
-		cur, nxt = nxt, cur
-		slices.Sort(cur.ids)
-	}
-	res.Candidates = res.Candidates[:0]
-	for _, v := range st.candIDs {
-		res.Candidates = append(res.Candidates, Candidate{ID: v, TW: st.bestVal[v]})
-	}
-	SortCandidates(res.Candidates)
-	res.Inquired = st.inqCount
 }

@@ -7,11 +7,13 @@ import (
 	"siot/internal/task"
 )
 
-// TestPolicyAdapterMatchesLegacyHop pins the adapter half of the TrustModel
-// refactor: each policy's adapter evaluates HopTW bit-identical to the
-// legacy dispatch it wraps — hopTWCompact for the single-path policies and
-// the eq. 4 full-coverage inference for the aggressive policy — over the
-// same randomized fixtures as TestCompactMatchesFatReference.
+// TestPolicyAdapterMatchesLegacyHop pins the adapters against the fat-record
+// reference the search oracle evaluates hops with: each single-path
+// adapter's HopTW equals the oracle's hopTW, and the aggressive adapter's
+// HopTW on a characteristic's unit task equals that characteristic's
+// weighted average bit for bit — the identity that lets the aggressive
+// policy's per-characteristic tables come from its HopTW — over the same
+// randomized fixtures as TestCompactMatchesFatReference.
 func TestPolicyAdapterMatchesLegacyHop(t *testing.T) {
 	probes := []task.Task{
 		task.Uniform(1, task.CharGPS),
@@ -19,15 +21,18 @@ func TestPolicyAdapterMatchesLegacyHop(t *testing.T) {
 		task.MustNew(8, map[task.Characteristic]float64{task.CharImage: 0.9, task.CharStorage: 0.1}),
 		task.Uniform(9, task.CharAudio), // uncovered
 	}
+	chars := []task.Characteristic{
+		task.CharGPS, task.CharImage, task.CharCompute, task.CharStorage, task.CharAudio,
+	}
 	norm := UnitNormalizer()
-	s := &Searcher{Norm: norm}
+	s := &mapSearcher{Norm: norm}
 	for seed := uint64(1); seed <= 8; seed++ {
 		for size := 0; size <= 5; size++ {
 			f := buildCompactFixture(seed, size)
 			ctx := HopContext{Tasks: f.tasks, Norm: norm}
 			for _, tk := range probes {
 				for _, p := range []Policy{PolicyTraditional, PolicyConservative} {
-					legacyV, legacyOK := s.hopTWCompact(f.tasks, f.compact, tk, p)
+					legacyV, legacyOK := s.hopTW(f.fat, tk, p)
 					gotV, gotOK := p.Model().HopTW(ctx, f.compact, tk)
 					if gotV != legacyV || gotOK != legacyOK {
 						t.Fatalf("seed %d size %d: %s adapter HopTW(task %d) = (%v, %v), legacy (%v, %v)",
@@ -43,6 +48,14 @@ func TestPolicyAdapterMatchesLegacyHop(t *testing.T) {
 				if gotV != legacyV || gotOK != legacyOK {
 					t.Fatalf("seed %d size %d: aggressive adapter HopTW(task %d) = (%v, %v), InferFromCompact (%v, %v)",
 						seed, size, tk.Type(), gotV, gotOK, legacyV, legacyOK)
+				}
+			}
+			for _, c := range chars {
+				wantV, wantOK := CharTWCompact(f.tasks, f.compact, c, norm)
+				gotV, gotOK := PolicyAggressive.Model().HopTW(ctx, f.compact, unitTask(c))
+				if gotV != wantV || gotOK != wantOK {
+					t.Fatalf("seed %d size %d: aggressive adapter HopTW(unit task %d) = (%v, %v), CharTWCompact (%v, %v)",
+						seed, size, c, gotV, gotOK, wantV, wantOK)
 				}
 			}
 		}
@@ -105,15 +118,6 @@ func TestModelSpecs(t *testing.T) {
 		}
 		if m.Spec() != spec {
 			t.Fatalf("model %s spec = %+v, want %+v", name, m.Spec(), spec)
-		}
-	}
-	if !IsPolicyModel(PolicyConservative.Model()) {
-		t.Fatal("conservative adapter not recognized as a policy model")
-	}
-	for _, name := range []string{"hellinger-mf", "feature-weighted"} {
-		m, _ := ParseModel(name)
-		if IsPolicyModel(m) {
-			t.Fatalf("model %s wrongly recognized as a policy adapter", name)
 		}
 	}
 	if _, ok := mustParseModel(t, "hellinger-mf").(EpochTrainable); !ok {

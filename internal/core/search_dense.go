@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -8,17 +9,17 @@ import (
 	"siot/internal/task"
 )
 
-// This file is the frozen-epoch counterpart of the map-based search in
-// transit.go: the same BFS, rewritten over dense generation-stamped arrays
-// indexed by agent slot and fed by a TrustView (and optionally an EdgeMemo).
-// transit.go's map path remains the reference implementation — the
-// equivalence tests in sim assert byte-identical SearchResults between the
-// two on randomized populations.
+// This file is the transitivity search: one BFS over a frozen TrustView's
+// dense generation-stamped arrays, indexed by agent slot, driven by a
+// TrustModel's ModelSpec and fed by an EdgeMemo (or, without one, by the
+// model's per-edge evaluation). The package tests pin it byte for byte
+// against a map-based reference search over live stores (oracle_test.go).
 
-// frontSet is one BFS frontier as a dense value array plus the ordered ID
-// list that replaces sorting map keys: IDs are appended on first discovery
-// and sorted once per depth, so iteration order matches the legacy
-// appendSortedIDs order exactly.
+// frontSet is one stamped agent set with a max-merged value per member — a
+// BFS frontier or a best-value candidate layer — plus the ordered ID list
+// that replaces sorting map keys: IDs are appended on first discovery (and
+// frontiers sorted once per depth), so iteration order matches the
+// reference search's sorted-key order exactly.
 type frontSet struct {
 	stamp []uint32
 	val   []float64
@@ -38,7 +39,7 @@ func (f *frontSet) reset(stamp uint32) {
 	f.ids = f.ids[:0]
 }
 
-// add inserts or max-merges (v, val), mirroring the map path's
+// add inserts or max-merges (v, val), mirroring the reference search's
 // "if cur, seen := m[v]; !seen || val > cur" update.
 func (f *frontSet) add(v AgentID, val float64) {
 	if f.stamp[v] != f.cur {
@@ -50,65 +51,58 @@ func (f *frontSet) add(v AgentID, val float64) {
 	}
 }
 
-// denseState is the pooled scratch state of one FindView call. Membership of
-// every set (inquired, best, frontiers, per-characteristic bests) is encoded
-// as a generation stamp, so "clearing" a set is a counter increment instead
-// of an O(n) wipe, and a warmed pool entry serves any number of searches
-// without allocating.
+// has reports whether v is in the set.
+func (f *frontSet) has(v AgentID) bool { return f.stamp[v] == f.cur }
+
+// denseState is the pooled scratch state of one search. Membership of every
+// set (inquired, frontiers, candidate layers) is encoded as a generation
+// stamp, so "clearing" a set is a counter increment instead of an O(n) wipe,
+// and a warmed pool entry serves any number of searches without allocating.
 type denseState struct {
 	stamp    uint32
 	inqStamp []uint32
 	inqCur   uint32
-	inqCount int
-
-	bestStamp []uint32
-	bestVal   []float64
-	bestCur   uint32
-	candIDs   []AgentID
 
 	fr [2]frontSet
 
-	// Aggressive policy: one best-value layer per task characteristic, plus
-	// the discovery list of characteristic 0 (a node unreached by the first
-	// characteristic can never satisfy the full-coverage rule of eq. 12).
-	charStamp [][]uint32
-	charVal   [][]float64
-	charCur   []uint32
-	char0IDs  []AgentID
+	// layers holds the best path value per candidate: one layer per task
+	// characteristic for a per-characteristic model, layers[0] alone for a
+	// single-path one.
+	layers []frontSet
 
 	n int
 }
 
 var densePool = sync.Pool{New: func() any { return &denseState{} }}
 
-// stampHeadroom bounds the stamps one FindView call can consume: two
-// singleton sets plus, per characteristic layer, a best set and one frontier
-// set per depth. 1<<16 covers any plausible depth × alphabet product.
+// stampHeadroom bounds the stamps one search can consume: the inquired set
+// plus, per characteristic layer, a best set and one frontier set per
+// depth. 1<<16 covers any plausible depth × alphabet product.
 const stampHeadroom = 1 << 16
 
-// acquireDense returns a pooled state sized for n agent slots with enough
-// stamp headroom that the counter cannot wrap mid-search.
-func acquireDense(n int) *denseState {
+// acquireDense returns a pooled state sized for n agent slots with at least
+// k candidate layers and enough stamp headroom that the counter cannot wrap
+// mid-search.
+func acquireDense(n, k int) *denseState {
 	st := densePool.Get().(*denseState)
+	for len(st.layers) < k {
+		st.layers = append(st.layers, frontSet{})
+	}
 	if st.n < n {
 		st.inqStamp = append(st.inqStamp, make([]uint32, n-st.n)...)
-		st.bestStamp = append(st.bestStamp, make([]uint32, n-st.n)...)
-		st.bestVal = append(st.bestVal, make([]float64, n-st.n)...)
-		st.fr[0].ensure(n)
-		st.fr[1].ensure(n)
-		for i := range st.charStamp {
-			st.charStamp[i] = append(st.charStamp[i], make([]uint32, n-st.n)...)
-			st.charVal[i] = append(st.charVal[i], make([]float64, n-st.n)...)
-		}
 		st.n = n
+	}
+	st.fr[0].ensure(n)
+	st.fr[1].ensure(n)
+	for i := range st.layers {
+		st.layers[i].ensure(n)
 	}
 	if st.stamp > math.MaxUint32-stampHeadroom {
 		clear(st.inqStamp)
-		clear(st.bestStamp)
 		clear(st.fr[0].stamp)
 		clear(st.fr[1].stamp)
-		for i := range st.charStamp {
-			clear(st.charStamp[i])
+		for i := range st.layers {
+			clear(st.layers[i].stamp)
 		}
 		st.stamp = 0
 	}
@@ -122,62 +116,138 @@ func (st *denseState) nextStamp() uint32 {
 	return st.stamp
 }
 
-// ensureChars grows the per-characteristic layers to hold k characteristics.
-func (st *denseState) ensureChars(k int) {
-	for len(st.charStamp) < k {
-		st.charStamp = append(st.charStamp, make([]uint32, st.n))
-		st.charVal = append(st.charVal, make([]float64, st.n))
-	}
-	if len(st.charCur) < k {
-		st.charCur = append(st.charCur, make([]uint32, k-len(st.charCur))...)
-	}
+// anyPositive is the ungated hop threshold: hop >= anyPositive is exactly
+// hop > 0 (no float64 lies strictly between 0 and it), the traditional
+// baseline's "without any restriction" rule.
+const anyPositive = math.SmallestNonzeroFloat64
+
+// hopSource evaluates hops no memo table covers: through the trained
+// scorer for EpochTrainable models, else through the model's evidence-local
+// HopTW over the edge's records.
+type hopSource struct {
+	scorer EdgeScorer
+	model  TrustModel
+	ctx    HopContext
+	t      task.Task
 }
 
-// markInquired counts v once per search.
-func (st *denseState) markInquired(v AgentID) {
-	if st.inqStamp[v] != st.inqCur {
-		st.inqStamp[v] = st.inqCur
-		st.inqCount++
+// newHopSource resolves a model's per-edge evaluation from its share of a
+// memo (nil without one). An EpochTrainable model without a trained scorer
+// panics: silently falling back to the untrained lens would let two code
+// paths disagree about the same edge.
+func newHopSource(mm *modelMemo, m TrustModel, ctx HopContext, t task.Task) hopSource {
+	src := hopSource{model: m, ctx: ctx, t: t}
+	if _, trainable := m.(EpochTrainable); trainable {
+		if mm != nil {
+			src.scorer = mm.scorer
+		}
+		if src.scorer == nil {
+			panic(fmt.Sprintf("core: model %q is epoch-trainable but untrained (call EdgeMemo.RequireModel first)", m.Name()))
+		}
 	}
+	return src
 }
 
-// FindView is Find over a frozen TrustView: the same search semantics and
-// bit-identical results, reading captured CSR memory instead of live locked
-// stores. memo may be nil, in which case hop values are computed from the
-// view's record arena per hop (lock-free but unmemoized); with a Required
-// EdgeMemo every hop is a single array lookup.
+func (src *hopSource) hop(view *TrustView, e int32) (float64, bool) {
+	return src.hopRecs(view, e, view.EdgeRecords(e))
+}
+
+// hopRecs is hop with edge e's records already sliced out of the view.
+func (src *hopSource) hopRecs(view *TrustView, e int32, recs []CompactRecord) (float64, bool) {
+	if src.scorer != nil {
+		return src.scorer.EdgeTW(view, e, src.t)
+	}
+	return src.model.HopTW(src.ctx, recs, src.t)
+}
+
+// FindViewModelInto discovers potential trustees for the trustor's task over
+// a frozen view, writing into res and reusing res.Candidates' capacity so a
+// caller that recycles results allocates nothing after warmup.
 //
-// FindView is safe for concurrent use: the view and memo are read-only and
-// each call draws its scratch state from a pool.
-func (s *Searcher) FindView(view *TrustView, memo *EdgeMemo, trustor AgentID, t task.Task, p Policy) SearchResult {
-	var res SearchResult
-	s.FindViewInto(&res, view, memo, trustor, t, p)
-	return res
-}
-
-// FindViewInto is FindView writing into res, reusing res.Candidates'
-// capacity so a caller that recycles results allocates nothing after
-// warmup.
-func (s *Searcher) FindViewInto(res *SearchResult, view *TrustView, memo *EdgeMemo, trustor AgentID, t task.Task, p Policy) {
-	st := acquireDense(view.NumAgents())
-	switch p {
-	case PolicyAggressive:
-		s.findAggressiveView(res, view, memo, trustor, t, st)
-	default:
-		s.findSerialView(res, view, memo.typeTable(p, t), trustor, t, p, st)
+// Each social hop (u → v) is admissible when the model admits u's captured
+// records about v for the task; the model's ModelSpec picks how path values
+// accumulate and whether ω1/ω2 gate relaying and candidacy. Path values
+// propagate best-first per depth (exact for hop values ≥ 0.5, where eq. 7 is
+// monotone; a safe approximation below). A PerCharacteristic model (the
+// aggressive policy, eqs. 12–17) spreads each task characteristic along its
+// own paths and combines the per-characteristic estimates with the task's
+// weights (eq. 17), requiring full coverage (eq. 12).
+//
+// With a memo on which RequireModel covered the task, every hop is a single
+// array lookup; otherwise hops are evaluated per edge (lock-free, slower,
+// bit-identical). FindViewModelInto is safe for concurrent use: the view and
+// memo are read-only and each call draws its scratch state from a pool.
+func (s *Searcher) FindViewModelInto(res *SearchResult, view *TrustView, memo *EdgeMemo, trustor AgentID, t task.Task, m TrustModel) {
+	spec := m.Spec()
+	product := spec.Combine == CombineProduct
+	relayMin, mintMin := anyPositive, anyPositive
+	if spec.OmegaGated {
+		relayMin, mintMin = s.Omega1, s.Omega2
 	}
+	mm := memo.model(m)
+	src := newHopSource(mm, m, HopContext{Tasks: view.tasks, Norm: s.Norm}, t)
+	chars := t.Characteristics()
+	layers := 1
+	if spec.PerCharacteristic {
+		layers = len(chars)
+	}
+	st := acquireDense(view.NumAgents(), layers)
+	st.inqCur = st.nextStamp()
+	res.Candidates = res.Candidates[:0]
+	res.Inquired = 0
+	if !spec.PerCharacteristic {
+		best := &st.layers[0]
+		res.Inquired = s.spread(st, view, mm.table(t), &src, trustor, product, relayMin, mintMin, best)
+		for _, v := range best.ids {
+			res.Candidates = append(res.Candidates, Candidate{ID: v, TW: best.val[v]})
+		}
+	} else {
+		// Every reachable node mints per characteristic; as in eq. 11, ω2
+		// applies to the task-level value, not to each characteristic.
+		for ci, c := range chars {
+			vals := mm.charTable(c)
+			if vals == nil {
+				src.t = unitTask(c)
+			}
+			res.Inquired += s.spread(st, view, vals, &src, trustor, product, relayMin, math.Inf(-1), &st.layers[ci])
+		}
+		// A node unreached by the first characteristic can never satisfy
+		// full coverage, so its layer's discovery list is the candidate pool.
+		weights := t.Weights()
+		for _, v := range st.layers[0].ids {
+			tw, ok := 0.0, true
+			for ci := range chars {
+				layer := &st.layers[ci]
+				if !layer.has(v) {
+					ok = false
+					break
+				}
+				tw += weights[ci] * layer.val[v]
+			}
+			if ok && tw >= mintMin {
+				res.Candidates = append(res.Candidates, Candidate{ID: v, TW: tw})
+			}
+		}
+	}
+	SortCandidates(res.Candidates)
 	densePool.Put(st)
 }
 
-// findSerialView runs the single-path policies (traditional, conservative)
-// over the view. vals, when non-nil, is the memoized per-edge hop table.
-func (s *Searcher) findSerialView(res *SearchResult, view *TrustView, vals []float64, trustor AgentID, t task.Task, p Policy, st *denseState) {
-	traditional := p == PolicyTraditional
-	st.inqCur = st.nextStamp()
-	st.inqCount = 0
-	st.bestCur = st.nextStamp()
-	st.candIDs = st.candIDs[:0]
-	adjOff, adjTo := view.adjOff, view.adjTo
+// spread runs one breadth-first propagation from trustor, at most MaxDepth
+// hops deep, into the candidate layer best. Hop values come from vals (a
+// memo table, NaN marking a blocked hop) or, without one, from src. Every
+// admissible hop marks its target inquired; a hop of at least mintMin mints
+// the target into best (max-merged over paths) when the candidate mask
+// admits it, and a hop of at least relayMin carries the path onward. It
+// returns how many nodes it newly marked inquired.
+func (s *Searcher) spread(st *denseState, view *TrustView, vals []float64, src *hopSource, trustor AgentID,
+	product bool, relayMin, mintMin float64, best *frontSet) int {
+	best.reset(st.nextStamp())
+	adjOff, adjTo, mask := view.adjOff, view.adjTo, s.CandidateMask
+	// The inquired set and the candidate layer are updated inline with
+	// their fields held in locals: this loop is the search's whole cost.
+	inqStamp, inqCur, inquired := st.inqStamp, st.inqCur, 0
+	bStamp, bVal, bCur := best.stamp, best.val, best.cur
 	cur, nxt := &st.fr[0], &st.fr[1]
 	cur.reset(st.nextStamp())
 	cur.add(trustor, 1)
@@ -186,6 +256,14 @@ func (s *Searcher) findSerialView(res *SearchResult, view *TrustView, vals []flo
 		relay := depth < s.MaxDepth
 		for _, u := range cur.ids {
 			uval := cur.val[u]
+			// miss carries the combine rule into the edge loop without a
+			// branch: uval·hop + miss·(1−hop) is eq. 7's CombinePair with
+			// miss = 1−uval and eq. 5's product with miss = 0 (adding +0 to
+			// a path value is exact).
+			miss := 0.0
+			if !product {
+				miss = 1 - uval
+			}
 			base := adjOff[u]
 			for k, v := range adjTo[base:adjOff[u+1]] {
 				if v == trustor {
@@ -197,28 +275,26 @@ func (s *Searcher) findSerialView(res *SearchResult, view *TrustView, vals []flo
 					hop = vals[int(base)+k]
 					ok = !math.IsNaN(hop)
 				} else {
-					hop, ok = s.hopTWCompact(view.tasks, view.EdgeRecords(base+int32(k)), t, p)
+					hop, ok = src.hop(view, base+int32(k))
 				}
 				if !ok {
 					continue
 				}
-				st.markInquired(v)
-				var val float64
-				if traditional {
-					val = uval * hop
-				} else {
-					val = CombinePair(uval, hop)
+				if inqStamp[v] != inqCur {
+					inqStamp[v] = inqCur
+					inquired++
 				}
-				if s.passTrustee(p, hop) && s.isCandidate(v) {
-					if st.bestStamp[v] != st.bestCur {
-						st.bestStamp[v] = st.bestCur
-						st.bestVal[v] = val
-						st.candIDs = append(st.candIDs, v)
-					} else if val > st.bestVal[v] {
-						st.bestVal[v] = val
+				val := uval*hop + miss*(1-hop)
+				if hop >= mintMin && (mask == nil || mask[v]) {
+					if bStamp[v] != bCur {
+						bStamp[v] = bCur
+						bVal[v] = val
+						best.ids = append(best.ids, v)
+					} else if val > bVal[v] {
+						bVal[v] = val
 					}
 				}
-				if relay && s.passRecommender(p, hop) {
+				if relay && hop >= relayMin {
 					nxt.add(v, val)
 				}
 			}
@@ -226,93 +302,5 @@ func (s *Searcher) findSerialView(res *SearchResult, view *TrustView, vals []flo
 		cur, nxt = nxt, cur
 		slices.Sort(cur.ids)
 	}
-	res.Candidates = res.Candidates[:0]
-	for _, v := range st.candIDs {
-		res.Candidates = append(res.Candidates, Candidate{ID: v, TW: st.bestVal[v]})
-	}
-	SortCandidates(res.Candidates)
-	res.Inquired = st.inqCount
-}
-
-// findAggressiveView runs the per-characteristic propagation (eqs. 12–17)
-// over the view, one stamped best-value layer per characteristic.
-func (s *Searcher) findAggressiveView(res *SearchResult, view *TrustView, memo *EdgeMemo, trustor AgentID, t task.Task, st *denseState) {
-	chars := t.Characteristics()
-	st.ensureChars(len(chars))
-	st.inqCur = st.nextStamp()
-	st.inqCount = 0
-	st.char0IDs = st.char0IDs[:0]
-	adjOff, adjTo := view.adjOff, view.adjTo
-	for ci, c := range chars {
-		vals := memo.charTable(c)
-		bStamp, bVal := st.charStamp[ci], st.charVal[ci]
-		bCur := st.nextStamp()
-		st.charCur[ci] = bCur
-		cur, nxt := &st.fr[0], &st.fr[1]
-		cur.reset(st.nextStamp())
-		cur.add(trustor, 1)
-		for depth := 1; depth <= s.MaxDepth && len(cur.ids) > 0; depth++ {
-			nxt.reset(st.nextStamp())
-			relay := depth < s.MaxDepth
-			for _, u := range cur.ids {
-				uval := cur.val[u]
-				base := adjOff[u]
-				for k, v := range adjTo[base:adjOff[u+1]] {
-					if v == trustor {
-						continue
-					}
-					var hop float64
-					var ok bool
-					if vals != nil {
-						hop = vals[int(base)+k]
-						ok = !math.IsNaN(hop)
-					} else {
-						hop, ok = CharTWCompact(view.tasks, view.EdgeRecords(base+int32(k)), c, s.Norm)
-					}
-					if !ok {
-						continue
-					}
-					st.markInquired(v)
-					val := CombinePair(uval, hop)
-					if s.isCandidate(v) {
-						if bStamp[v] != bCur {
-							bStamp[v] = bCur
-							bVal[v] = val
-							if ci == 0 {
-								st.char0IDs = append(st.char0IDs, v)
-							}
-						} else if val > bVal[v] {
-							bVal[v] = val
-						}
-					}
-					if relay && hop >= s.Omega1 {
-						nxt.add(v, val)
-					}
-				}
-			}
-			cur, nxt = nxt, cur
-			slices.Sort(cur.ids)
-		}
-	}
-	// Combine per-characteristic estimates with the task weights (eq. 17),
-	// requiring full coverage (eq. 12); ω2 applies to the task-level value
-	// (eq. 11). Iterating characteristic 0's discovery list visits exactly
-	// the keys the legacy path's perChar[0] map holds.
-	weights := t.Weights()
-	res.Candidates = res.Candidates[:0]
-	for _, v := range st.char0IDs {
-		tw, ok := 0.0, true
-		for ci := range chars {
-			if st.charStamp[ci][v] != st.charCur[ci] {
-				ok = false
-				break
-			}
-			tw += weights[ci] * st.charVal[ci][v]
-		}
-		if ok && tw >= s.Omega2 {
-			res.Candidates = append(res.Candidates, Candidate{ID: v, TW: tw})
-		}
-	}
-	SortCandidates(res.Candidates)
-	res.Inquired = st.inqCount
+	return inquired
 }

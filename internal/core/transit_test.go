@@ -135,8 +135,8 @@ func (f *fakeNet) record(holder, about AgentID, tk task.Task, tw float64) {
 	f.recs[key] = append(f.recs[key], Record{Task: tk, Exp: expFor(tw), Count: 1})
 }
 
-func (f *fakeNet) searcher(depth int, w1, w2 float64) *Searcher {
-	return &Searcher{
+func (f *fakeNet) searcher(depth int, w1, w2 float64) *mapSearcher {
+	return &mapSearcher{
 		Neighbors: func(a AgentID) []AgentID { return f.adj[a] },
 		Records:   func(h, a AgentID) []Record { return f.recs[[2]AgentID{h, a}] },
 		Norm:      identityNorm,

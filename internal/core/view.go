@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"siot/internal/task"
@@ -17,13 +18,12 @@ import (
 //
 // The search hot loop is pure — it only ever reads (holder, neighbor) record
 // slices — so capturing them once per sweep lets every BFS run over
-// contiguous memory with zero locks and zero per-hop copies, where the live
-// path takes an RWMutex RLock and copies records into a scratch buffer on
-// every hop. The arena is pointer-free (CompactRecord), so a multi-GB
+// contiguous memory with zero locks and zero per-hop copies, where reading
+// the live stores takes an RWMutex RLock and copies records on every hop. The arena is pointer-free (CompactRecord), so a multi-GB
 // million-node capture is a single GC-transparent allocation.
 //
 // A view is valid for as long as the underlying stores are not mutated: the
-// pure compute phases (TransitivityRun sweeps) qualify; mutuality rounds,
+// pure compute phases (transitivity sweeps) qualify; mutuality rounds,
 // which interleave reads with store updates, do not and keep reading live
 // stores. Concurrent readers are safe; the view is never written after
 // capture.
@@ -209,50 +209,44 @@ func (v *TrustView) Tasks() []task.Task { return v.tasks }
 var blocked = math.NaN()
 
 // EdgeMemo caches per-edge hop trustworthiness over a TrustView for one
-// sweep. A transitivity sweep fires one independent BFS per trustor over the
-// same frozen stores, so the hop value of edge (u, v) — which depends only
-// on the edge's records and the (task, policy) pair — is recomputed up to
-// N-trustors times on the live path. The memo computes each needed table
-// once, in a parallel pre-pass over the CSR edges, turning the BFS inner
-// loop into a single array lookup.
+// epoch. A transitivity sweep fires one independent BFS per trustor over the
+// same frozen stores, so the hop value of edge (u, v) — which depends only on
+// the edge's records, the model, and the task — would be recomputed up to
+// N-trustors times. The memo computes each needed table once, in a parallel
+// pre-pass over the CSR edges, turning the BFS inner loop into a single
+// array lookup.
 //
-// Tables are keyed by task type (traditional, conservative) or by
-// characteristic (aggressive; per-characteristic values are shared by every
-// task containing the characteristic). Require must be called before the
-// parallel search phase; afterwards all lookups are pure reads and safe for
-// concurrent use.
+// Tables are keyed by (model, task type) and remember the full task each
+// was built for, so a same-type task with different contents is never
+// served a stale table. A PerCharacteristic model's tables are keyed by
+// (model, characteristic) instead, each built from the model's HopTW on the
+// characteristic's unit task and shared by every task containing the
+// characteristic. RequireModel must be called before the parallel search
+// phase; afterwards all lookups are pure reads and safe for concurrent use.
 type EdgeMemo struct {
 	view    *TrustView
 	norm    Normalizer
 	workers int
 	pool    *ArenaPool // table source, nil when tables are allocated fresh
-	// tradVal[t][e] is the exact-type record trustworthiness of edge e
-	// (eq. 5's per-hop value); blocked when the edge has no record of t.
-	// The traditional hop depends on the task only through its type, so
-	// the type alone is a sound key.
-	tradVal map[task.Type][]float64
-	// consVal[t][e] is the conservative inferred hop value of edge e
-	// (eqs. 8–10); blocked when the edge's records do not cover the task.
-	// The inferred value depends on the task's full characteristic/weight
-	// set, not just its type, so consTask remembers which task each table
-	// was built for and typeTable declines to serve a same-type task with
-	// different contents (the search then computes hops from the arena —
-	// slower but correct).
-	consVal  map[task.Type][]float64
-	consTask map[task.Type]task.Task
-	// charVal[c][e] is CharTW of edge e for one characteristic (the inner
-	// fraction of eq. 4); blocked when no record covers the characteristic.
-	charVal map[task.Characteristic][]float64
-	// modelVal[name][t][e] is the hop value of edge e under a registered
-	// non-policy TrustModel, keyed like consVal by the full task each table
-	// was built for (modelTask); policy adapters use the legacy tables
-	// above. Lazily allocated — a policy-only sweep never creates them.
-	modelVal  map[string]map[task.Type][]float64
-	modelTask map[string]map[task.Type]task.Task
-	// modelScorer caches the per-epoch trained state of EpochTrainable
-	// models, keyed by model name: training runs once per (epoch, model)
-	// in RequireModel, and the scorer dies with the memo.
-	modelScorer map[string]EdgeScorer
+	// models holds each required model's tables and trained state, keyed by
+	// model name.
+	models map[string]*modelMemo
+}
+
+// modelMemo is one model's share of an EdgeMemo: its hop tables keyed by
+// task type (for a PerCharacteristic model, by the type of each
+// characteristic's unit task) and, for an EpochTrainable model, the scorer
+// trained once per epoch, which dies with the memo.
+type modelMemo struct {
+	tables map[task.Type]memoTable
+	scorer EdgeScorer
+}
+
+// memoTable is one built hop table: vals[e] is the hop value of edge e for
+// task t, blocked when the edge's evidence does not admit the hop.
+type memoTable struct {
+	t    task.Task
+	vals []float64
 }
 
 // NewEdgeMemo creates an empty memo over a view. workers bounds the
@@ -266,257 +260,164 @@ func NewEdgeMemo(view *TrustView, norm Normalizer, workers int) *EdgeMemo {
 // memo goes stale.
 func NewEdgeMemoPooled(view *TrustView, norm Normalizer, workers int, pool *ArenaPool) *EdgeMemo {
 	return &EdgeMemo{
-		view:     view,
-		norm:     norm,
-		workers:  workers,
-		pool:     pool,
-		tradVal:  make(map[task.Type][]float64),
-		consVal:  make(map[task.Type][]float64),
-		consTask: make(map[task.Type]task.Task),
-		charVal:  make(map[task.Characteristic][]float64),
+		view:    view,
+		norm:    norm,
+		workers: workers,
+		pool:    pool,
+		models:  make(map[string]*modelMemo),
 	}
 }
 
-// Release returns every built hop table to the memo's pool and empties the
-// memo. It must not run concurrently with searches; after Release the memo
-// is reusable (Require rebuilds tables on demand) but any table slice
-// previously handed out is invalid.
+// Release returns every built hop table to the memo's pool and drops every
+// trained scorer. It must not run concurrently with searches; after Release
+// the memo is reusable (RequireModel rebuilds on demand) but any table
+// slice previously handed out is invalid.
 func (m *EdgeMemo) Release() {
-	for t, vals := range m.tradVal {
-		m.pool.putTable(vals)
-		delete(m.tradVal, t)
-	}
-	for t, vals := range m.consVal {
-		m.pool.putTable(vals)
-		delete(m.consVal, t)
-		delete(m.consTask, t)
-	}
-	for c, vals := range m.charVal {
-		m.pool.putTable(vals)
-		delete(m.charVal, c)
-	}
-	for name, byType := range m.modelVal {
-		for t, vals := range byType {
-			m.pool.putTable(vals)
-			delete(byType, t)
+	for _, mm := range m.models {
+		for _, tb := range mm.tables {
+			m.pool.putTable(tb.vals)
 		}
-		delete(m.modelVal, name)
-		delete(m.modelTask, name)
-	}
-	for name := range m.modelScorer {
-		delete(m.modelScorer, name)
+		clear(mm.tables)
+		mm.scorer = nil
 	}
 }
 
 // Reset empties the memo and retargets it at a freshly captured view: every
-// table is released to the pool (so the next Require recomputes into the
-// same arenas) and subsequent lookups read the new view. Use after the
+// table is released to the pool (so the next RequireModel recomputes into
+// the same arenas) and subsequent lookups read the new view. Use after the
 // underlying stores mutated and the epoch re-captured.
 func (m *EdgeMemo) Reset(view *TrustView) {
 	m.Release()
 	m.view = view
 }
 
-// Require precomputes every table the given policy needs to search for the
-// given tasks: per-type tables for traditional and conservative, per-
-// characteristic tables for aggressive. It must not run concurrently with
-// searches; tables already present are reused (an epoch can Require for
-// several policies in turn and share the work where semantics overlap).
-// Requiring a task already covered is free, so a sharded sweep can Require
-// per shard without rebuilding.
-func (m *EdgeMemo) Require(p Policy, tasks []task.Task) {
-	cat := m.view.tasks
-	switch p {
-	case PolicyTraditional:
-		for _, t := range tasks {
-			if _, ok := m.tradVal[t.Type()]; ok {
-				continue
-			}
-			typ := t.Type()
-			m.tradVal[typ] = m.table(func(recs []CompactRecord) (float64, bool) {
-				for _, r := range recs {
-					if cat[r.Ref].Type() == typ {
-						return r.TW(m.norm), true
-					}
-				}
-				return 0, false
-			})
-		}
-	case PolicyConservative:
-		for _, t := range tasks {
-			if prev, ok := m.consTask[t.Type()]; ok && prev.Equal(t) {
-				continue
-			}
-			t := t
-			m.consVal[t.Type()] = m.table(func(recs []CompactRecord) (float64, bool) {
-				return InferFromCompact(cat, recs, t, m.norm)
-			})
-			m.consTask[t.Type()] = t
-		}
-	case PolicyAggressive:
-		for _, t := range tasks {
-			for _, c := range t.Characteristics() {
-				if _, ok := m.charVal[c]; ok {
-					continue
-				}
-				c := c
-				m.charVal[c] = m.table(func(recs []CompactRecord) (float64, bool) {
-					return CharTWCompact(cat, recs, c, m.norm)
-				})
-			}
-		}
-	}
-}
-
-// RequireModel is Require dispatching through a TrustModel: policy
-// adapters route to the legacy per-policy tables (bit-identical to the
-// pre-interface path), every other model gets per-type hop tables built
-// from its HopTW — or, for EpochTrainable models, from a scorer trained
-// once per epoch and cached on the memo. Like Require it must not run
-// concurrently with searches, and requiring covered tasks is free.
+// RequireModel precomputes every table the model needs to search for the
+// given tasks: one per task for a single-path model, one per characteristic
+// for a PerCharacteristic model. An EpochTrainable model is trained once per
+// epoch first and its tables filled from the trained scorer. It must not run
+// concurrently with searches; tables already present are reused, so
+// requiring covered tasks is free and a sharded sweep can require per shard
+// without rebuilding.
 func (m *EdgeMemo) RequireModel(mdl TrustModel, tasks []task.Task) {
-	if p, ok := modelPolicy(mdl); ok {
-		m.Require(p, tasks)
-		return
+	mm := m.models[mdl.Name()]
+	if mm == nil {
+		mm = &modelMemo{tables: make(map[task.Type]memoTable)}
+		m.models[mdl.Name()] = mm
 	}
-	name := mdl.Name()
-	scorer := m.trainModel(mdl)
-	if m.modelVal == nil {
-		m.modelVal = make(map[string]map[task.Type][]float64)
-		m.modelTask = make(map[string]map[task.Type]task.Task)
+	if tr, ok := mdl.(EpochTrainable); ok && mm.scorer == nil {
+		mm.scorer = tr.TrainEpoch(m.view, m.norm, m.workers)
 	}
-	byType := m.modelVal[name]
-	taskOf := m.modelTask[name]
-	if byType == nil {
-		byType = make(map[task.Type][]float64)
-		taskOf = make(map[task.Type]task.Task)
-		m.modelVal[name] = byType
-		m.modelTask[name] = taskOf
+	// want holds the task each table must end up built for: per
+	// characteristic its unit task, per task type the last task requested (a
+	// same-type task with different contents replaces the table).
+	var want []task.Task
+	add := func(t task.Task) {
+		for i := range want {
+			if want[i].Type() == t.Type() {
+				want[i] = t
+				return
+			}
+		}
+		want = append(want, t)
 	}
-	ctx := HopContext{Tasks: m.view.tasks, Norm: m.norm}
+	perChar := mdl.Spec().PerCharacteristic
 	for _, t := range tasks {
-		if prev, ok := taskOf[t.Type()]; ok && prev.Equal(t) {
+		if !perChar {
+			add(t)
 			continue
 		}
-		t := t
-		if old, ok := byType[t.Type()]; ok {
-			m.pool.putTable(old)
+		for _, c := range t.Characteristics() {
+			if mm.charTable(c) == nil {
+				add(unitTask(c))
+			}
 		}
-		if scorer != nil {
-			byType[t.Type()] = m.tableEdge(func(e int32) (float64, bool) {
-				return scorer.EdgeTW(m.view, e, t)
-			})
-		} else {
-			byType[t.Type()] = m.tableEdge(func(e int32) (float64, bool) {
-				return mdl.HopTW(ctx, m.view.EdgeRecords(e), t)
-			})
-		}
-		taskOf[t.Type()] = t
+	}
+	if missing := slices.DeleteFunc(want, func(t task.Task) bool { return mm.table(t) != nil }); len(missing) > 0 {
+		m.build(mm, mdl, missing)
 	}
 }
 
-// trainModel returns the per-epoch scorer of an EpochTrainable model,
-// training it on first use; nil for plain models. Not concurrent-safe —
-// callers go through RequireModel before the parallel search phase.
-func (m *EdgeMemo) trainModel(mdl TrustModel) EdgeScorer {
-	tr, ok := mdl.(EpochTrainable)
-	if !ok {
-		return nil
+// build fills mdl's tables for ts, distinct in type, in one parallel pass
+// over the edges: each edge's records are read once for every table, where
+// one pass per table would stream the whole record arena again each time.
+func (m *EdgeMemo) build(mm *modelMemo, mdl TrustModel, ts []task.Task) {
+	ctx := HopContext{Tasks: m.view.tasks, Norm: m.norm}
+	ne := m.view.NumEdges()
+	srcs := make([]hopSource, len(ts))
+	tabs := make([][]float64, len(ts))
+	for i, t := range ts {
+		if old, ok := mm.tables[t.Type()]; ok {
+			m.pool.putTable(old.vals)
+		}
+		srcs[i] = newHopSource(mm, mdl, ctx, t)
+		tabs[i] = m.pool.GetTable(ne)
 	}
-	if sc := m.modelScorer[mdl.Name()]; sc != nil {
-		return sc
+	m.parallelEdges(ne, func(lo, hi int) {
+		for e := lo; e < hi; e++ {
+			recs := m.view.EdgeRecords(int32(e))
+			for i := range srcs {
+				val, ok := srcs[i].hopRecs(m.view, int32(e), recs)
+				if !ok {
+					val = blocked
+				}
+				tabs[i][e] = val
+			}
+		}
+	})
+	for i, t := range ts {
+		mm.tables[t.Type()] = memoTable{t: t, vals: tabs[i]}
 	}
-	sc := tr.TrainEpoch(m.view, m.norm, m.workers)
-	if m.modelScorer == nil {
-		m.modelScorer = make(map[string]EdgeScorer)
-	}
-	m.modelScorer[mdl.Name()] = sc
-	return sc
 }
 
-// modelTable returns the per-edge hop table RequireModel built for
-// (mdl, t), or nil when absent or built for a same-type task with
-// different contents (the search then computes hops per edge — slower but
-// identical).
-func (m *EdgeMemo) modelTable(mdl TrustModel, t task.Task) []float64 {
+// model returns mdl's share of the memo, nil when RequireModel never ran
+// for it (or the memo itself is nil).
+func (m *EdgeMemo) model(mdl TrustModel) *modelMemo {
 	if m == nil {
 		return nil
 	}
-	byType := m.modelVal[mdl.Name()]
-	if byType == nil {
+	return m.models[mdl.Name()]
+}
+
+// table returns the hop table built for t, or nil when absent or built for
+// a same-type task with different contents (the search then evaluates hops
+// per edge — slower but identical).
+func (mm *modelMemo) table(t task.Task) []float64 {
+	if mm == nil {
 		return nil
 	}
-	if prev, ok := m.modelTask[mdl.Name()][t.Type()]; !ok || !prev.Equal(t) {
+	tb, ok := mm.tables[t.Type()]
+	if !ok || !tb.t.Equal(t) {
 		return nil
 	}
-	return byType[t.Type()]
+	return tb.vals
+}
+
+// charTable returns a PerCharacteristic model's hop table for
+// characteristic c, or nil when RequireModel has not built it.
+func (mm *modelMemo) charTable(c task.Characteristic) []float64 {
+	if mm == nil {
+		return nil
+	}
+	return mm.tables[unitType(c)].vals
 }
 
 // ModelEdgeTW scores one directed view edge through a model — the
 // single-edge lens probes and direct-edge queries use. It reads the memo
 // table when RequireModel built one for this exact task, else the trained
-// scorer, else the model's evidence-local HopTW over the edge's records.
-// An untrained EpochTrainable model panics: silently falling back to the
-// untrained lens would let two code paths disagree about the same edge.
+// scorer, else the model's evidence-local HopTW over the edge's records. An
+// untrained EpochTrainable model panics, as in the search.
 func (m *EdgeMemo) ModelEdgeTW(mdl TrustModel, e int32, t task.Task) (float64, bool) {
-	if vals := m.modelTable(mdl, t); vals != nil {
+	mm := m.model(mdl)
+	if vals := mm.table(t); vals != nil {
 		v := vals[e]
 		return v, !math.IsNaN(v)
 	}
-	if _, trainable := mdl.(EpochTrainable); trainable {
-		if sc := m.modelScorer[mdl.Name()]; sc != nil {
-			return sc.EdgeTW(m.view, e, t)
-		}
-		panic(fmt.Sprintf("core: ModelEdgeTW on untrained model %q (call RequireModel first)", mdl.Name()))
-	}
-	return mdl.HopTW(HopContext{Tasks: m.view.tasks, Norm: m.norm}, m.view.EdgeRecords(e), t)
+	src := newHopSource(mm, mdl, HopContext{Tasks: m.view.tasks, Norm: m.norm}, t)
+	return src.hop(m.view, e)
 }
 
-// typeTable returns the per-edge hop table for (t, p), or nil when Require
-// has not built it (the search then falls back to computing hops from the
-// arena records, which is still lock-free and bit-identical).
-func (m *EdgeMemo) typeTable(p Policy, t task.Task) []float64 {
-	if m == nil {
-		return nil
-	}
-	if p == PolicyTraditional {
-		return m.tradVal[t.Type()]
-	}
-	if prev, ok := m.consTask[t.Type()]; !ok || !prev.Equal(t) {
-		return nil
-	}
-	return m.consVal[t.Type()]
-}
-
-// charTable returns the per-edge CharTW table for c, or nil when absent.
-func (m *EdgeMemo) charTable(c task.Characteristic) []float64 {
-	if m == nil {
-		return nil
-	}
-	return m.charVal[c]
-}
-
-// table evaluates compute over every edge's records in parallel chunks.
-func (m *EdgeMemo) table(compute func(recs []CompactRecord) (float64, bool)) []float64 {
-	return m.tableEdge(func(e int32) (float64, bool) {
-		return compute(m.view.EdgeRecords(e))
-	})
-}
-
-// tableEdge is table for computations that need the edge index itself
-// (trained scorers) rather than just the edge's records.
-func (m *EdgeMemo) tableEdge(compute func(e int32) (float64, bool)) []float64 {
-	ne := m.view.NumEdges()
-	vals := m.pool.GetTable(ne)
-	fill := func(lo, hi int) {
-		for e := lo; e < hi; e++ {
-			val, ok := compute(int32(e))
-			if !ok {
-				val = blocked
-			}
-			vals[e] = val
-		}
-	}
+// parallelEdges runs fill over the edge range [0, ne) in parallel chunks.
+func (m *EdgeMemo) parallelEdges(ne int, fill func(lo, hi int)) {
 	workers := m.workers
 	if workers > ne/1024 {
 		// Below ~1k edges per worker the goroutine overhead dominates.
@@ -524,7 +425,7 @@ func (m *EdgeMemo) tableEdge(compute func(e int32) (float64, bool)) []float64 {
 	}
 	if workers <= 1 {
 		fill(0, ne)
-		return vals
+		return
 	}
 	var wg sync.WaitGroup
 	chunk := (ne + workers - 1) / workers
@@ -540,5 +441,4 @@ func (m *EdgeMemo) tableEdge(compute func(e int32) (float64, bool)) []float64 {
 		}(lo, hi)
 	}
 	wg.Wait()
-	return vals
 }

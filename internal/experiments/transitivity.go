@@ -79,7 +79,7 @@ func RunTransitivitySweep(cfg TransitivityConfig) TransitivityResult {
 				// arenas into the next repetition's capture.
 				ep := eng.TransitivityEpoch(setup)
 				for _, pol := range policies {
-					st := ep.Run(pol, repSeed)
+					st := ep.RunModel(pol.Model(), repSeed)
 					merge(agg[pol], st)
 				}
 				ep.Release()
@@ -259,7 +259,7 @@ func RunFig12(cfg Fig12Config) Fig12Result {
 	defer ep.Release()
 	res := Fig12Result{PerPolicy: map[core.Policy][]int{}}
 	for _, pol := range policies {
-		st := ep.Run(pol, cfg.Seed)
+		st := ep.RunModel(pol.Model(), cfg.Seed)
 		counts := append([]int(nil), st.InquiredPerTrustor...)
 		sort.Ints(counts)
 		res.PerPolicy[pol] = counts
@@ -375,7 +375,7 @@ func RunTable2(cfg Table2Config) Table2Result {
 			eng := sim.NewEngine(p, "table2")
 			ep := eng.TransitivityEpoch(setup)
 			for _, pol := range policies {
-				st := ep.Run(pol, repSeed)
+				st := ep.RunModel(pol.Model(), repSeed)
 				merge(agg[pol], st)
 			}
 			ep.Release()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"siot/internal/core"
@@ -58,7 +59,7 @@ func serveSession(t *testing.T, cfg Config, events int) ([]byte, Stats) {
 // refit per epoch from the journaled events alone).
 func TestJournalReplayModels(t *testing.T) {
 	for _, name := range core.ModelNames() {
-		if core.IsPolicyModel(mustModel(t, name)) {
+		if slices.Contains(v2Policies, name) {
 			continue // the adapters are TestJournalReplay's policies
 		}
 		t.Run(name, func(t *testing.T) {
@@ -125,7 +126,7 @@ func downgradeHeader(t *testing.T, journal []byte) []byte {
 // engine wrote — still replays bit-for-bit.
 func TestReplayV2Header(t *testing.T) {
 	journal, stats := serveSession(t, Config{
-		Net: "twitter", Seed: 7, Policy: core.PolicyConservative, Seeded: true,
+		Net: "twitter", Seed: 7, Model: core.PolicyConservative.Model(), Seeded: true,
 		EpochEvery: 8,
 	}, 120)
 	rs, err := Replay(bytes.NewReader(downgradeHeader(t, journal)))
@@ -142,7 +143,7 @@ func TestReplayV2Header(t *testing.T) {
 // continued journal replays end to end.
 func TestRecoverV2Header(t *testing.T) {
 	journal, stats := serveSession(t, Config{
-		Net: "twitter", Seed: 7, Policy: core.PolicyConservative, Seeded: true,
+		Net: "twitter", Seed: 7, Model: core.PolicyConservative.Model(), Seeded: true,
 		EpochEvery: 8,
 	}, 40)
 	f := faultfs.NewFile(downgradeHeader(t, journal))
@@ -174,9 +175,10 @@ func TestRecoverV2Header(t *testing.T) {
 }
 
 // TestReplayHeaderRejections pins the typed-error contract: an unknown
-// model name, an unknown version-2 policy, and an unrecognized header
-// version are each rejected up front with the matching sentinel — never
-// silently defaulted to some model.
+// model name, an unknown version-2 policy, a version-2 policy naming a zoo
+// model (version 2 predates the zoo), and an unrecognized header version
+// are each rejected up front with the matching sentinel — never silently
+// defaulted to some model.
 func TestReplayHeaderRejections(t *testing.T) {
 	journal, _ := serveSession(t, Config{
 		Net: "twitter", Seed: 7, Seeded: true, EpochEvery: 8,
@@ -191,6 +193,11 @@ func TestReplayHeaderRejections(t *testing.T) {
 			h.Version = prevJournalVersion
 			h.Model = ""
 			h.Policy = "galactic-consensus"
+		}, ErrJournalModel},
+		{"v2 policy naming a zoo model", func(h *headerLine) {
+			h.Version = prevJournalVersion
+			h.Model = ""
+			h.Policy = "feature-weighted"
 		}, ErrJournalModel},
 		{"future version", func(h *headerLine) { h.Version = journalVersion + 1 }, ErrJournalVersion},
 		{"prehistoric version", func(h *headerLine) { h.Version = 1 }, ErrJournalVersion},

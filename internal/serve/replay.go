@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 
 	"siot/internal/core"
 )
@@ -38,6 +39,13 @@ var ErrJournalVersion = errors.New("unsupported journal header version")
 // header is rejected up front instead. Match with errors.Is.
 var ErrJournalModel = errors.New("unknown trust model in journal header")
 
+// v2Policies are the names a version-2 header's policy field may hold:
+// version 2 predates the trust-model zoo, so only the paper's three
+// policies.
+var v2Policies = []string{
+	core.PolicyTraditional.String(), core.PolicyConservative.String(), core.PolicyAggressive.String(),
+}
+
 // replayHeader reads and validates the journal's first line, which must be
 // an intact header of a supported version, and returns the fully defaulted
 // config it pins. Shared by Replay and Recover. Version 2 headers (bare
@@ -52,22 +60,21 @@ func replayHeader(s *journalScanner) (Config, error) {
 		return Config{}, fmt.Errorf("journal starts with %q, want header", line.Kind)
 	}
 	h := *line.Header
-	var mdl core.TrustModel
+	name := h.Model
 	switch h.Version {
 	case prevJournalVersion:
-		policy, err := core.ParsePolicy(h.Policy)
-		if err != nil {
-			return Config{}, fmt.Errorf("%w: %v", ErrJournalModel, err)
+		if !slices.Contains(v2Policies, h.Policy) {
+			return Config{}, fmt.Errorf("%w: version-2 policy %q (want one of %v)", ErrJournalModel, h.Policy, v2Policies)
 		}
-		mdl = policy.Model()
+		name = h.Policy
 	case journalVersion:
-		mdl, err = core.ParseModel(h.Model)
-		if err != nil {
-			return Config{}, fmt.Errorf("%w: %v", ErrJournalModel, err)
-		}
 	default:
 		return Config{}, fmt.Errorf("%w: %d (want %d or %d)",
 			ErrJournalVersion, h.Version, prevJournalVersion, journalVersion)
+	}
+	mdl, err := core.ParseModel(name)
+	if err != nil {
+		return Config{}, fmt.Errorf("%w: %v", ErrJournalModel, err)
 	}
 	return Config{
 		Net: h.Net, Nodes: h.Nodes, Seed: h.Seed, Chars: h.Chars,

@@ -55,13 +55,9 @@ type Config struct {
 	// Chars is the task-characteristic alphabet size (default 5; the
 	// universe holds 2*Chars task types).
 	Chars int
-	// Policy is the legacy spelling of the trust-transfer method; it is
-	// consulted only when Model is nil (the zero config serves the
-	// traditional policy, exactly as before the trust-model zoo).
-	Policy core.Policy
 	// Model is the trust model used for non-direct answers — any registered
-	// core.TrustModel, including the three policy adapters. Takes precedence
-	// over Policy; the journal header records its name.
+	// core.TrustModel, including the three policy adapters; nil serves the
+	// traditional policy. The journal header records its name.
 	Model core.TrustModel
 	// Seeded pre-populates experience records (sim.SeedExperience), so the
 	// engine starts with answerable queries instead of a cold store.
@@ -112,7 +108,7 @@ func (c Config) withDefaults() Config {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.Model == nil {
-		c.Model = c.Policy.Model()
+		c.Model = core.PolicyTraditional.Model()
 	}
 	return c
 }
@@ -185,7 +181,7 @@ type Event struct {
 
 // TrustResult is one served trust value. Epoch identifies the snapshot it
 // was computed from; Direct reports whether the trustor's own experience
-// answered (otherwise the value came from the policy's transitive search).
+// answered (otherwise the value came from the model's transitive search).
 type TrustResult struct {
 	TW     float64
 	Found  bool
@@ -422,7 +418,7 @@ func (e *Engine) IngestCtx(ctx context.Context, ev Event) error {
 }
 
 // Trust answers trust(trustor, trustee, type) from the current epoch:
-// direct experience of the trustor when it exists, otherwise the policy's
+// direct experience of the trustor when it exists, otherwise the model's
 // transitive search over the frozen view. The whole answer is computed
 // under one epoch reference — no locks, no store access — and journaled
 // with the epoch id and exact result bits. In degraded mode the current
@@ -461,9 +457,7 @@ func (e *Engine) Trust(trustor, trustee core.AgentID, typeIdx int) (TrustResult,
 // shared verbatim by Engine.Trust and Replay — the replay contract is that
 // this function over the re-captured epoch reproduces the journaled bits.
 // The direct-experience channel reads the view's model-independent BestTW
-// (own experience needs no transfer method, and version-2 journals replay
-// byte-for-byte because the policy adapters route the transitive search
-// through the unchanged FindViewInto path); only non-direct answers go
+// (own experience needs no transfer method); only non-direct answers go
 // through the model.
 func answer(s *core.Searcher, view *core.RoundView, memo *core.EdgeMemo, sr *core.SearchResult, trustor, trustee core.AgentID, t task.Task, m core.TrustModel) TrustResult {
 	if edge, ok := view.EdgeIndex(trustor, trustee); ok {

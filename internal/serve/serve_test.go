@@ -48,7 +48,7 @@ func TestJournalReplay(t *testing.T) {
 		t.Run(policy.String(), func(t *testing.T) {
 			var buf bytes.Buffer
 			e, err := New(Config{
-				Net: "twitter", Seed: 7, Policy: policy, Seeded: true,
+				Net: "twitter", Seed: 7, Model: policy.Model(), Seeded: true,
 				EpochEvery: 8, Journal: &buf,
 			})
 			if err != nil {
@@ -196,7 +196,7 @@ func TestReplayDetectsBitRot(t *testing.T) {
 func TestServeQueryDuringSwap(t *testing.T) {
 	var buf bytes.Buffer
 	e, err := New(Config{
-		Net: "twitter", Seed: 9, Policy: core.PolicyConservative, Seeded: true,
+		Net: "twitter", Seed: 9, Model: core.PolicyConservative.Model(), Seeded: true,
 		EpochEvery: 1, BatchSize: 1, Journal: &buf,
 	})
 	if err != nil {

@@ -86,14 +86,15 @@ func TestArenaPoolNoStaleRecords(t *testing.T) {
 // the stores mutated, and that the memo's stale tables are not consulted.
 func TestEpochResetMatchesFreshEpoch(t *testing.T) {
 	p, setup := viewTestPopulation(t, 17, 5)
-	ep := newTransitivityEpoch(p, setup, 2)
-	ep.Run(core.PolicyAggressive, 7) // fill memo tables pre-mutation
+	eng := &Engine{Pop: p, Parallelism: 2}
+	ep := eng.TransitivityEpoch(setup)
+	ep.RunModel(core.PolicyAggressive.Model(), 7) // fill memo tables pre-mutation
 	mutateStores(p, setup.Universe.Tasks[1])
 	ep.Reset()
 	defer ep.Release()
 	for _, pol := range []core.Policy{core.PolicyTraditional, core.PolicyConservative, core.PolicyAggressive} {
-		want := TransitivityRun(p, setup, pol, 7)
-		got := ep.Run(pol, 7)
+		want := eng.TransitivityRunModel(setup, pol.Model(), 7)
+		got := ep.RunModel(pol.Model(), 7)
 		if want.Requests != got.Requests || want.Successes != got.Successes ||
 			want.Unavailable != got.Unavailable || want.PotentialTrustees != got.PotentialTrustees {
 			t.Fatalf("%s: reset epoch stats %+v, want %+v", pol, got, want)

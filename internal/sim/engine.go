@@ -390,35 +390,23 @@ func (e *Engine) NetProfitRun(iterations int, strategy Strategy, seed uint64) []
 	return series
 }
 
-// TransitivityRun is the engine counterpart of the package-level
-// TransitivityRun, sharding the per-trustor transitivity searches — the
-// dominant cost of the §5.5 experiments — over the worker pool. Unlike the
-// mutuality and net-profit rounds, the search phase is pure, so this path
-// is bit-identical to the legacy serial implementation for every
-// Parallelism value. Each call captures a fresh frozen-epoch snapshot
-// (TransitivityEpoch); callers running several policies over unchanged
-// stores should capture one epoch and Run it repeatedly.
-func (e *Engine) TransitivityRun(setup TransitivitySetup, policy core.Policy, seed uint64) TransitivityStats {
-	return transitivityRun(e.Pop, setup, policy, seed, e.workers())
-}
-
-// TransitivityRunModel is TransitivityRun dispatching through a TrustModel:
-// policy adapters reproduce TransitivityRun byte for byte, and registered
-// non-policy models (hellinger-mf, feature-weighted, ...) run the same
-// captured-epoch sweep through their own hop evaluation.
+// TransitivityRunModel has every trustor issue one random task request
+// resolved through the trust model. The trustor delegates to the candidate
+// with the highest transferred trustworthiness; the delegation succeeds with
+// probability equal to the trustee's true task capability. Only unilateral
+// evaluation is used, matching the paper ("we only consider unilateral
+// evaluation ... in order not to mix the performances of different
+// features").
+//
+// The per-trustor task sequence is derived from seed independently of the
+// model, so runs with the same seed compare the models on the same
+// workload, as the paper's figures do. The searches — the dominant cost of
+// the §5.5 experiments — are pure, so they shard over the worker pool with
+// bit-identical results at every Parallelism. Each call captures a fresh
+// frozen epoch; callers running several models over unchanged stores should
+// capture one TransitivityEpoch and RunModel it repeatedly.
 func (e *Engine) TransitivityRunModel(setup TransitivitySetup, m core.TrustModel, seed uint64) TransitivityStats {
 	ep := e.TransitivityEpoch(setup)
 	defer ep.Release()
 	return ep.RunModel(m, seed)
-}
-
-// transitivityRun captures a frozen epoch and plays one run on it: the
-// per-trustor task sequence is pre-drawn from the shared stream (matching
-// the legacy serial order), the searches fan out over the pool against the
-// snapshot, and counters and outcome draws merge in ascending trustor
-// order.
-func transitivityRun(p *Population, setup TransitivitySetup, policy core.Policy, seed uint64, workers int) TransitivityStats {
-	ep := newTransitivityEpoch(p, setup, workers)
-	defer ep.Release()
-	return ep.Run(policy, seed)
 }

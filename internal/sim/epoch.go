@@ -16,11 +16,10 @@ import (
 // the package goes through one refcounted epoch mechanism.
 //
 // The search phase of a transitivity run is pure — no store is written — so
-// a single capture serves any number of Run calls across policies and
-// seeds, and the per-characteristic memo tables built for one policy are
-// reused by the next. The epoch goes stale as soon as the stores mutate
-// (a mutuality round, a seeding pass, identity churn); Reset it after any
-// such phase.
+// a single capture serves any number of RunModel calls across models and
+// seeds, and the memo tables built for one run are reused by the next. The
+// epoch goes stale as soon as the stores mutate (a mutuality round, a
+// seeding pass, identity churn); Reset it after any such phase.
 type TransitivityEpoch struct {
 	p       *Population
 	setup   TransitivitySetup
@@ -32,18 +31,15 @@ type TransitivityEpoch struct {
 
 // epochArenas recycles trust-view arenas and memo tables across every
 // epoch in the process: repeated sweeps (benchmark repetitions, experiment
-// repeats, per-call Engine.TransitivityRun captures) reuse the same backing
-// memory instead of re-allocating ~2.3 MB per epoch at 1k nodes (~23 MB at
-// 10k, 10x that at 100k).
+// repeats, per-call Engine.TransitivityRunModel captures) reuse the same
+// backing memory instead of re-allocating ~2.3 MB per epoch at 1k nodes
+// (~23 MB at 10k, 10x that at 100k).
 var epochArenas = core.NewArenaPool()
 
 // TransitivityEpoch captures the engine population's stores for a sweep
 // under the given setup.
 func (e *Engine) TransitivityEpoch(setup TransitivitySetup) *TransitivityEpoch {
-	return newTransitivityEpoch(e.Pop, setup, e.workers())
-}
-
-func newTransitivityEpoch(p *Population, setup TransitivitySetup, workers int) *TransitivityEpoch {
+	p, workers := e.Pop, e.workers()
 	ep := &TransitivityEpoch{
 		p:       p,
 		setup:   setup,
@@ -66,7 +62,7 @@ func (ep *TransitivityEpoch) Handle() *EpochHandle { return &ep.handle }
 // published, and the memo rebinds to it — so a repeated capture–sweep loop
 // allocates nothing new at steady state. Use after the stores mutated (a
 // mutuality round, a seeding pass); the memo refills lazily on the next
-// Run.
+// RunModel.
 func (ep *TransitivityEpoch) Reset() {
 	view := ep.p.RoundView(ep.workers, epochArenas)
 	ep.handle.Publish(view) // retires the stale epoch
@@ -74,7 +70,7 @@ func (ep *TransitivityEpoch) Reset() {
 }
 
 // Release retires the epoch and returns the memo tables to the shared
-// pool. The epoch is dead afterwards — Run on a released epoch panics —
+// pool. The epoch is dead afterwards — RunModel on a released epoch panics —
 // and only the epoch's owner may call it, exactly once (the handle's
 // refcount turns a second release into a panic, not a silent arena
 // corruption). Callers that let an epoch go out of scope without Release
@@ -96,36 +92,27 @@ type findSummary struct {
 
 var resultPool = sync.Pool{New: func() any { return new(core.SearchResult) }}
 
-// defaultSweepShard is the trustor-shard width of Run: large enough that
-// the per-shard Require and merge overheads vanish, small enough that the
-// per-trustor scratch alive at any instant (task slice, result summaries,
-// pooled search states) stays bounded no matter how many trustors the
-// population has. At 1M nodes a monolithic sweep materializes ~400k task
+// defaultSweepShard is the trustor-shard width of RunModel: large enough
+// that the per-shard RequireModel and merge overheads vanish, small enough
+// that the per-trustor scratch alive at any instant (task slice, result
+// summaries, pooled search states) stays bounded no matter how many
+// trustors the population has. At 1M nodes a monolithic sweep materializes ~400k task
 // values and summaries at once; a 32k shard keeps the working set at a few
 // MB without touching the output.
 const defaultSweepShard = 32 * 1024
 
-// Run plays one transitivity run over the frozen epoch: identical semantics
-// and bit-identical statistics to the live-store path, with hop values
-// served from the memo tables. Safe to call repeatedly (the memo fills
-// lazily per policy and task set); not safe concurrently with itself.
-func (ep *TransitivityEpoch) Run(policy core.Policy, seed uint64) TransitivityStats {
-	return ep.SweepSharded(policy, seed, defaultSweepShard)
-}
-
-// RunModel is Run dispatching through a TrustModel: the three policy
-// adapters reproduce Run byte for byte (their names equal the policy
-// strings, so even the outcome stream keys identically), and registered
-// non-policy models ride the same sharded sweep with their hop tables
-// built by RequireModel.
+// RunModel plays one transitivity run of the model over the frozen epoch,
+// with hop values served from the memo tables. Safe to call repeatedly
+// across models and seeds (the memo fills lazily per model and task set);
+// not safe concurrently with itself.
 func (ep *TransitivityEpoch) RunModel(m core.TrustModel, seed uint64) TransitivityStats {
 	return ep.SweepShardedModel(m, seed, defaultSweepShard)
 }
 
-// SweepSharded is Run processing the trustors in consecutive shards of the
-// given width (<= 0 means one shard): per shard it draws the trustors'
-// tasks, tops up the memo, fans the searches out over the worker pool, and
-// merges the shard's stats — so only one shard's scratch is ever
+// SweepShardedModel is RunModel processing the trustors in consecutive
+// shards of the given width (<= 0 means one shard): per shard it draws the
+// trustors' tasks, tops up the memo, fans the searches out over the worker
+// pool, and merges the shard's stats — so only one shard's scratch is ever
 // materialized, streaming a million-trustor sweep through a bounded working
 // set.
 //
@@ -133,18 +120,14 @@ func (ep *TransitivityEpoch) RunModel(m core.TrustModel, seed uint64) Transitivi
 // shard width and worker count. The recipe: tasks are drawn from one
 // continuing stream in ascending trustor order regardless of shard cuts;
 // per-shard memo top-ups only add tables (memoized hops are bit-identical
-// to arena fallbacks, so table timing cannot show through); and the merge
-// consumes the outcome stream in the same ascending trustor order as the
-// monolithic loop (TestSweepShardedEquivalence pins all of this).
-func (ep *TransitivityEpoch) SweepSharded(policy core.Policy, seed uint64, shard int) TransitivityStats {
-	return ep.SweepShardedModel(policy.Model(), seed, shard)
-}
-
-// SweepShardedModel is SweepSharded dispatching through a TrustModel. The
-// outcome stream is keyed by the model's name — for policy adapters that
-// name IS the historical policy string, so the pre-interface draw sequence
-// (and every golden byte) is preserved; a new model gets its own
-// independent stream by construction.
+// to per-edge evaluation, so table timing cannot show through); and the
+// merge consumes the outcome stream in the same ascending trustor order as
+// the monolithic loop (TestSweepShardedEquivalence pins all of this).
+//
+// The outcome stream is keyed by the model's name — for the policy
+// adapters that name is the historical policy string, so every golden
+// byte's draw sequence is preserved; a new model gets its own independent
+// stream by construction.
 func (ep *TransitivityEpoch) SweepShardedModel(m core.TrustModel, seed uint64, shard int) TransitivityStats {
 	p := ep.p
 	if shard <= 0 {
@@ -154,7 +137,7 @@ func (ep *TransitivityEpoch) SweepShardedModel(m core.TrustModel, seed uint64, s
 	outcomeRng := rng.New(seed, "transitivity-outcomes", p.Net.Profile.Name, m.Name())
 	ref := ep.handle.Acquire()
 	if ref == nil {
-		panic("sim: Run on a released TransitivityEpoch")
+		panic("sim: RunModel on a released TransitivityEpoch")
 	}
 	defer ref.Release()
 	view := ref.View().TrustView
@@ -201,20 +184,4 @@ func (ep *TransitivityEpoch) SweepShardedModel(m core.TrustModel, seed uint64, s
 		}
 	}
 	return st
-}
-
-// SweepSharded captures a frozen epoch over the population and plays one
-// sharded transitivity run on it — the streaming entry point for one-shot
-// sweeps at scales where per-trustor scratch must stay bounded. Equivalent
-// to TransitivityRun for every shard width.
-func SweepSharded(p *Population, setup TransitivitySetup, policy core.Policy, seed uint64, workers, shard int) TransitivityStats {
-	return SweepShardedModel(p, setup, policy.Model(), seed, workers, shard)
-}
-
-// SweepShardedModel is SweepSharded dispatching through a TrustModel: the
-// one-shot streaming entry point for any registered model.
-func SweepShardedModel(p *Population, setup TransitivitySetup, m core.TrustModel, seed uint64, workers, shard int) TransitivityStats {
-	ep := newTransitivityEpoch(p, setup, workers)
-	defer ep.Release()
-	return ep.SweepShardedModel(m, seed, shard)
 }

@@ -272,32 +272,6 @@ func TestEpochHandleChurnKeepsViewAlive(t *testing.T) {
 	fresh.Release()
 }
 
-// TestMutualityRoundMatchesEngine is the retirement gate of the legacy
-// serial helper: the package-level MutualityRound must be bit-identical to
-// an Engine with the same label at any parallelism — counters and full
-// trust state.
-func TestMutualityRoundMatchesEngine(t *testing.T) {
-	net := smallNet(t)
-	tk := task.Uniform(2, task.CharGPS)
-	pa := NewPopulation(net, DefaultPopulationConfig(13))
-	var ca MutualityCounters
-	for round := 0; round < 8; round++ {
-		MutualityRound(pa, round, tk, &ca)
-	}
-	pb := NewPopulation(net, DefaultPopulationConfig(13))
-	eng := &Engine{Pop: pb, Parallelism: 8, Label: mutualityRoundLabel}
-	var cb MutualityCounters
-	for round := 0; round < 8; round++ {
-		eng.MutualityRound(round, tk, &cb)
-	}
-	if ca != cb {
-		t.Fatalf("counters diverge: serial %+v, engine %+v", ca, cb)
-	}
-	if populationDigest(pa) != populationDigest(pb) {
-		t.Fatal("trust state diverges between serial helper and engine")
-	}
-}
-
 // TestMutualityComputePhaseLockFree is the mutex-contention guard of the
 // snapshot-round refactor: with the view captured, the entire compute
 // phase — candidate scoring, recommendation gathering with forgery,

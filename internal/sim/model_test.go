@@ -32,13 +32,13 @@ func newModels(t *testing.T) []core.TrustModel {
 func TestSweepShardedModelDeterminism(t *testing.T) {
 	p, setup := viewTestPopulation(t, 23, 5)
 	for _, m := range newModels(t) {
-		want := SweepShardedModel(p, setup, m, 77, 1, 0)
+		want := sweepSharded(p, setup, m, 77, 1, 0)
 		if want.Requests == 0 {
 			t.Fatalf("%s: sweep made no requests — fixture too small to test", m.Name())
 		}
 		for _, shard := range []int{7, 64, len(p.Trustors) + 1} {
 			for _, workers := range []int{1, 4, 8} {
-				got := SweepShardedModel(p, setup, m, 77, workers, shard)
+				got := sweepSharded(p, setup, m, 77, workers, shard)
 				assertSameStats(t, fmt.Sprintf("%s shard=%d workers=%d", m.Name(), shard, workers), want, got)
 			}
 		}

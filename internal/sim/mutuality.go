@@ -1,9 +1,5 @@
 package sim
 
-import (
-	"siot/internal/task"
-)
-
 // MutualityCounters aggregates the Fig. 7 metrics.
 type MutualityCounters struct {
 	// Requests counts delegation requests issued by trustors.
@@ -37,29 +33,4 @@ func ratio(num, den int) float64 {
 		return 0
 	}
 	return float64(num) / float64(den)
-}
-
-// mutualityRoundLabel is the engine label the package-level MutualityRound
-// helper runs under; tests pinning helper ≡ engine equivalence construct
-// their reference engine with the same label.
-const mutualityRoundLabel = "serial"
-
-// MutualityRound plays one round of the Fig. 7 experiment: every trustor
-// requests task tk from its best-trusted trustee neighbor; each candidate
-// reverse-evaluates the trustor against θ (eq. 1); accepted delegations
-// execute, the trustor possibly abuses the granted resource, and the
-// trustee logs the usage for future reverse evaluations.
-//
-// This is a convenience wrapper over the engine round at parallelism 1 —
-// the former hand-rolled serial loop (sequential within-round visibility,
-// caller-supplied shared rand.Rand) is retired, so the helper now carries
-// the engine's simultaneous-request semantics and determinism contract:
-// round indexes the per-trustor random sub-streams and must advance every
-// call, and the result is bit-identical to an Engine at any parallelism
-// with label "serial" (TestMutualityRoundMatchesEngine). Callers that play
-// many rounds should hold an Engine instead and skip the per-call
-// neighbor-list precompute.
-func MutualityRound(p *Population, round int, tk task.Task, c *MutualityCounters) {
-	eng := Engine{Pop: p, Parallelism: 1, Label: mutualityRoundLabel}
-	eng.MutualityRound(round, tk, c)
 }

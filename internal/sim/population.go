@@ -282,27 +282,16 @@ func (p *Population) TrusteeNeighbors(id core.AgentID) []core.AgentID {
 	return p.trusteeTo[p.trusteeOff[id]:p.trusteeOff[id+1]]
 }
 
-// Searcher builds a transitivity searcher over the population's live trust
-// stores. Any node may relay recommendations, but only trustee-role agents
+// Searcher builds a transitivity searcher over the population's frozen
+// views. Any node may relay recommendations, but only trustee-role agents
 // may become potential trustees, matching the paper's role split.
 func (p *Population) Searcher(maxDepth int, omega1, omega2 float64) *core.Searcher {
 	return &core.Searcher{
-		Neighbors: p.Neighbors,
-		Records: func(holder, about core.AgentID) []core.Record {
-			return p.Agents[holder].Store.Records(about)
-		},
-		RecordsAppend: func(holder, about core.AgentID, buf []core.Record) []core.Record {
-			return p.Agents[holder].Store.AppendRecords(about, buf)
-		},
 		Norm:          p.cfg.Update.Norm,
 		MaxDepth:      maxDepth,
 		Omega1:        omega1,
 		Omega2:        omega2,
 		CandidateMask: p.candMask,
-		CandidateFilter: func(id core.AgentID) bool {
-			k := p.Agents[id].Kind
-			return k == agent.KindTrustee || k == agent.KindDishonestTrustee
-		},
 	}
 }
 

@@ -94,10 +94,11 @@ func TestTrusteeNeighbors(t *testing.T) {
 func TestMutualityRoundCounters(t *testing.T) {
 	net := smallNet(t)
 	p := NewPopulation(net, DefaultPopulationConfig(3))
+	eng := &Engine{Pop: p, Parallelism: 1}
 	tk := task.Uniform(1, task.CharGPS)
 	var c MutualityCounters
 	for round := 0; round < 10; round++ {
-		MutualityRound(p, round, tk, &c)
+		eng.MutualityRound(round, tk, &c)
 	}
 	if c.Requests == 0 {
 		t.Fatal("no requests issued")
@@ -125,11 +126,11 @@ func TestMutualityThetaReducesAbuse(t *testing.T) {
 	run := func(theta float64) MutualityCounters {
 		cfg := DefaultPopulationConfig(4)
 		cfg.Theta = theta
-		p := NewPopulation(net, cfg)
+		eng := &Engine{Pop: NewPopulation(net, cfg), Parallelism: 1}
 		tk := task.Uniform(1, task.CharGPS)
 		var c MutualityCounters
 		for round := 0; round < 40; round++ {
-			MutualityRound(p, round, tk, &c)
+			eng.MutualityRound(round, tk, &c)
 		}
 		return c
 	}
@@ -199,9 +200,10 @@ func TestTransitivityPolicyOrdering(t *testing.T) {
 	setup := DefaultTransitivitySetup(5, r)
 	SeedExperience(p, setup, 6)
 
-	trad := TransitivityRun(p, setup, core.PolicyTraditional, 6)
-	cons := TransitivityRun(p, setup, core.PolicyConservative, 6)
-	aggr := TransitivityRun(p, setup, core.PolicyAggressive, 6)
+	eng := &Engine{Pop: p, Parallelism: 1}
+	trad := eng.TransitivityRunModel(setup, core.PolicyTraditional.Model(), 6)
+	cons := eng.TransitivityRunModel(setup, core.PolicyConservative.Model(), 6)
+	aggr := eng.TransitivityRunModel(setup, core.PolicyAggressive.Model(), 6)
 
 	if cons.AvgPotentialTrustees() < trad.AvgPotentialTrustees() {
 		t.Fatalf("conservative found fewer trustees (%v) than traditional (%v)",

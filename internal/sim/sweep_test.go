@@ -25,6 +25,14 @@ func assertSameStats(t *testing.T, label string, want, got TransitivityStats) {
 	}
 }
 
+// sweepSharded captures a fresh epoch at the given worker count and plays
+// one sharded run of the model on it.
+func sweepSharded(p *Population, setup TransitivitySetup, m core.TrustModel, seed uint64, workers, shard int) TransitivityStats {
+	ep := (&Engine{Pop: p, Parallelism: workers}).TransitivityEpoch(setup)
+	defer ep.Release()
+	return ep.SweepShardedModel(m, seed, shard)
+}
+
 // TestSweepShardedEquivalence pins the streaming-sweep contract: the sharded
 // sweep is bit-identical to the monolithic run at every shard width (one
 // trustor per shard, a width that does not divide the trustor count, one
@@ -36,21 +44,22 @@ func TestSweepShardedEquivalence(t *testing.T) {
 		t.Fatalf("fixture too small: %d trustors", len(p.Trustors))
 	}
 	for _, pol := range []core.Policy{core.PolicyTraditional, core.PolicyConservative, core.PolicyAggressive} {
+		m := pol.Model()
 		// Reference: one shard, serial.
-		want := SweepSharded(p, setup, pol, 77, 1, 0)
+		want := sweepSharded(p, setup, m, 77, 1, 0)
 		for _, shard := range []int{1, 7, 64, len(p.Trustors) + 1} {
 			for _, workers := range []int{1, 8} {
-				got := SweepSharded(p, setup, pol, 77, workers, shard)
+				got := sweepSharded(p, setup, m, 77, workers, shard)
 				assertSameStats(t, fmt.Sprintf("%s shard=%d workers=%d", pol, shard, workers), want, got)
 			}
 		}
-		// The epoch entry points route through the same sharded
-		// implementation: Run (default width) and a reused epoch must match.
+		// RunModel (default width) and a reused epoch route through the
+		// same sharded implementation and must match.
 		eng := NewEngine(p, "sweep-test")
 		eng.Parallelism = 4
 		ep := eng.TransitivityEpoch(setup)
-		assertSameStats(t, fmt.Sprintf("%s epoch default-shard", pol), want, ep.Run(pol, 77))
-		assertSameStats(t, fmt.Sprintf("%s epoch shard=13", pol), want, ep.SweepSharded(pol, 77, 13))
+		assertSameStats(t, fmt.Sprintf("%s epoch default-shard", pol), want, ep.RunModel(m, 77))
+		assertSameStats(t, fmt.Sprintf("%s epoch shard=13", pol), want, ep.SweepShardedModel(m, 77, 13))
 		ep.Release()
 	}
 }

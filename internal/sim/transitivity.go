@@ -3,7 +3,6 @@ package sim
 import (
 	"math/rand/v2"
 
-	"siot/internal/core"
 	"siot/internal/task"
 )
 
@@ -78,25 +77,6 @@ func (s TransitivityStats) UnavailableRate() float64 { return ratio(s.Unavailabl
 // AvgPotentialTrustees is the mean candidate count per request.
 func (s TransitivityStats) AvgPotentialTrustees() float64 {
 	return ratio(s.PotentialTrustees, s.Requests)
-}
-
-// TransitivityRun has every trustor issue one random task request resolved
-// through the given trust-transfer policy. The trustor delegates to the
-// candidate with the highest transferred trustworthiness; the delegation
-// succeeds with probability equal to the trustee's true task capability.
-// Only unilateral evaluation is used, matching the paper ("we only consider
-// unilateral evaluation ... in order not to mix the performances of
-// different features").
-//
-// The per-trustor task sequence is derived from seed independently of the
-// policy, so runs with the same seed compare the three methods on the same
-// workload, as the paper's figures do.
-//
-// TransitivityRun is the serial entry point; it shares its implementation
-// with Engine.TransitivityRun, whose worker pool produces bit-identical
-// results at any parallelism.
-func TransitivityRun(p *Population, setup TransitivitySetup, policy core.Policy, seed uint64) TransitivityStats {
-	return transitivityRun(p, setup, policy, seed, 1)
 }
 
 func clamp01(v float64) float64 {

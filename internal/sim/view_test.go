@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"siot/internal/core"
-	"siot/internal/rng"
 	"siot/internal/socialgen"
 	"siot/internal/task"
 )
@@ -28,79 +27,27 @@ func viewTestPopulation(t *testing.T, seed uint64, numChars int) (*Population, T
 	return p, setup
 }
 
-// assertSameResult requires bit-identical SearchResults (exact float64
-// equality, same candidate order, same inquired count).
-func assertSameResult(t *testing.T, label string, want, got core.SearchResult) {
-	t.Helper()
-	if got.Inquired != want.Inquired {
-		t.Fatalf("%s: inquired %d, want %d", label, got.Inquired, want.Inquired)
-	}
-	if len(got.Candidates) != len(want.Candidates) {
-		t.Fatalf("%s: %d candidates, want %d", label, len(got.Candidates), len(want.Candidates))
-	}
-	for i := range want.Candidates {
-		if got.Candidates[i] != want.Candidates[i] {
-			t.Fatalf("%s: candidate %d = %+v, want %+v", label, i, got.Candidates[i], want.Candidates[i])
-		}
-	}
-}
-
-// TestFindViewEquivalence asserts that the frozen-epoch search — with and
-// without the edge memo — returns byte-identical SearchResults to the
-// legacy live-store path, for every policy, on randomized populations.
-func TestFindViewEquivalence(t *testing.T) {
-	policies := []core.Policy{core.PolicyTraditional, core.PolicyConservative, core.PolicyAggressive}
-	for _, seed := range []uint64{1, 7, 42} {
-		for _, numChars := range []int{4, 6} {
-			p, setup := viewTestPopulation(t, seed, numChars)
-			s := p.Searcher(setup.MaxDepth, setup.Omega1, setup.Omega2)
-			view := p.TrustView()
-			memo := core.NewEdgeMemo(view, p.Config().Update.Norm, 2)
-			taskRng := rng.New(seed, "view-test-tasks")
-			for _, pol := range policies {
-				tasks := make([]task.Task, len(p.Trustors))
-				for i := range tasks {
-					tasks[i] = setup.Universe.Random(taskRng)
-				}
-				memo.Require(pol, tasks)
-				for i, x := range p.Trustors {
-					want := s.Find(x, tasks[i], pol)
-					label := fmt.Sprintf("seed=%d chars=%d policy=%s trustor=%d", seed, numChars, pol, x)
-					assertSameResult(t, label+" (memo)", want, s.FindView(view, memo, x, tasks[i], pol))
-					assertSameResult(t, label+" (no memo)", want, s.FindView(view, nil, x, tasks[i], pol))
-				}
-			}
-		}
-	}
-}
-
 // TestTransitivityEpochReuseMatchesFreshCapture asserts that a shared
-// epoch reused across policies produces exactly the stats of per-call
+// epoch reused across models produces exactly the stats of per-call
 // captures (the searches are pure, so the snapshot cannot go stale between
-// runs). Per-search live-path equivalence is TestFindViewEquivalence's
-// job; stats-level continuity with the pre-snapshot engine is pinned by
-// the golden-figure snapshots, which were generated on the old path.
+// runs). Per-search equivalence with the reference oracle is core's
+// TestFindViewEquivalence; stats-level continuity is pinned by the
+// golden-figure snapshots.
 func TestTransitivityEpochReuseMatchesFreshCapture(t *testing.T) {
 	p, setup := viewTestPopulation(t, 11, 5)
 	eng := NewEngine(p, "epoch-test")
 	ep := eng.TransitivityEpoch(setup)
+	defer ep.Release()
 	for _, pol := range []core.Policy{core.PolicyTraditional, core.PolicyConservative, core.PolicyAggressive} {
-		want := TransitivityRun(p, setup, pol, 99)
-		got := ep.Run(pol, 99)
-		if want.Requests != got.Requests || want.Successes != got.Successes ||
-			want.Unavailable != got.Unavailable || want.PotentialTrustees != got.PotentialTrustees {
-			t.Fatalf("%s: epoch stats %+v, want %+v", pol, got, want)
-		}
-		for i := range want.InquiredPerTrustor {
-			if want.InquiredPerTrustor[i] != got.InquiredPerTrustor[i] {
-				t.Fatalf("%s: inquired[%d] = %d, want %d", pol, i, got.InquiredPerTrustor[i], want.InquiredPerTrustor[i])
-			}
-		}
+		want := eng.TransitivityRunModel(setup, pol.Model(), 99)
+		assertSameStats(t, pol.String(), want, ep.RunModel(pol.Model(), 99))
 	}
 }
 
 // TestFindViewZeroAlloc guards the pooled dense scratch state: a warm
-// FindViewInto with a recycled result must not allocate.
+// FindViewModelInto with a required memo and a recycled result must not
+// allocate, for every registered model — single-path, per-characteristic,
+// and epoch-trained alike.
 func TestFindViewZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool fakes misses under -race; allocation counts are meaningless")
@@ -111,15 +58,19 @@ func TestFindViewZeroAlloc(t *testing.T) {
 	memo := core.NewEdgeMemo(view, p.Config().Update.Norm, 1)
 	tk := setup.Universe.Tasks[0]
 	trustor := p.Trustors[0]
-	for _, pol := range []core.Policy{core.PolicyTraditional, core.PolicyConservative, core.PolicyAggressive} {
-		memo.Require(pol, []task.Task{tk})
+	for _, name := range core.ModelNames() {
+		m, err := core.ParseModel(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		memo.RequireModel(m, []task.Task{tk})
 		var res core.SearchResult
-		s.FindViewInto(&res, view, memo, trustor, tk, pol) // warm pool and result
+		s.FindViewModelInto(&res, view, memo, trustor, tk, m) // warm pool and result
 		allocs := testing.AllocsPerRun(50, func() {
-			s.FindViewInto(&res, view, memo, trustor, tk, pol)
+			s.FindViewModelInto(&res, view, memo, trustor, tk, m)
 		})
 		if allocs != 0 {
-			t.Errorf("%s: %.1f allocs/op after warmup, want 0", pol, allocs)
+			t.Errorf("%s: %.1f allocs/op after warmup, want 0", name, allocs)
 		}
 	}
 }

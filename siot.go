@@ -90,18 +90,20 @@ type Candidate = core.Candidate
 // ExpCandidate pairs a potential trustee with the full expectation.
 type ExpCandidate = core.ExpCandidate
 
-// Searcher performs trust-transitivity discovery over a social network.
+// Searcher holds the transitivity-search parameters (chain bound, ω
+// thresholds, candidate mask); Searcher.FindViewModelInto runs a trust
+// model's search over a frozen TrustView.
 type Searcher = core.Searcher
 
 // SearchResult is the outcome of a transitivity search.
 type SearchResult = core.SearchResult
 
 // TrustView is a frozen-epoch snapshot of per-edge trust records — the
-// lock-free read substrate of Searcher.FindView.
+// lock-free read substrate of Searcher.FindViewModelInto.
 type TrustView = core.TrustView
 
 // EdgeMemo caches per-edge hop trustworthiness over a TrustView for one
-// sweep.
+// epoch, one table per (model, task) that EdgeMemo.RequireModel builds.
 type EdgeMemo = core.EdgeMemo
 
 // RoundView extends TrustView to everything a delegation round reads:
@@ -155,7 +157,8 @@ type ArenaPool = core.ArenaPool
 // NewArenaPool returns an empty arena pool.
 func NewArenaPool() *ArenaPool { return core.NewArenaPool() }
 
-// Policy selects the trust-transfer method (§4.3).
+// Policy names one of the paper's three trust-transfer methods (§4.3);
+// Policy.Model returns its TrustModel adapter.
 type Policy = core.Policy
 
 // Trust-transfer policies.
