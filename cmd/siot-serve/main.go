@@ -21,6 +21,10 @@
 //	GET  /stats                              ingest/query/epoch/durability counters
 //	GET  /healthz                            liveness
 //
+// POST bodies are capped at 4 KiB (413 beyond) and decoded strictly (400
+// on unknown fields or trailing data); the server bounds header, read,
+// write and idle time per connection.
+//
 // Ingest acknowledgements are durability promises: a 202 means the event's
 // journal line has been fsynced per -fsync (so "batch", the default, groups
 // events into one fsync per applied batch). When the ingest queue stays
@@ -47,6 +51,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"net/http"
@@ -160,7 +165,7 @@ func main() {
 		}
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: newHandler(engine, *ingestTimeout)}
+	srv := newServer(*addr, newHandler(engine, *ingestTimeout))
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 	errc := make(chan error, 1)
@@ -190,6 +195,55 @@ func main() {
 			cliutil.Runtime("siot-serve", err)
 		}
 	}
+}
+
+// Bounds on what one client may cost the server. A slow client cannot pin
+// a connection past the read timeouts, an idle keep-alive connection is
+// closed after idleTimeout, and a response (an ingest ack waits for its
+// fsync) must be written within writeTimeout. An event's JSON is ~150
+// bytes, so maxBodyBytes leaves ample room and refuses anything larger with
+// 413.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 10 * time.Second
+	writeTimeout      = 30 * time.Second
+	idleTimeout       = 60 * time.Second
+	maxBodyBytes      = 4 << 10
+)
+
+// newServer wraps the handler in an http.Server with the bounds above.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
+// decodeBody strictly decodes a POST body into v: at most maxBodyBytes,
+// no field v does not declare, and nothing after the one JSON value. On
+// failure it returns the status to answer with — 413 for an oversized
+// body, 400 otherwise.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		if err = dec.Decode(&json.RawMessage{}); err == io.EOF {
+			return 0, nil
+		}
+		if err == nil {
+			err = errors.New("request body holds more than one JSON value")
+		}
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge, err
+	}
+	return http.StatusBadRequest, err
 }
 
 // trustResponse is the GET /trust payload. TWBits carries the exact float64
@@ -263,8 +317,8 @@ func newHandler(e *serve.Engine, ingestTimeout time.Duration) http.Handler {
 	})
 	mux.HandleFunc("POST /observe", func(w http.ResponseWriter, r *http.Request) {
 		var req observeRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, err)
+		if status, err := decodeBody(w, r, &req); err != nil {
+			httpError(w, status, err)
 			return
 		}
 		err := ingest(r, serve.Event{
@@ -281,8 +335,8 @@ func newHandler(e *serve.Engine, ingestTimeout time.Duration) http.Handler {
 	})
 	mux.HandleFunc("POST /recommend", func(w http.ResponseWriter, r *http.Request) {
 		var req recommendRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, err)
+		if status, err := decodeBody(w, r, &req); err != nil {
+			httpError(w, status, err)
 			return
 		}
 		err := ingest(r, serve.Event{

@@ -201,6 +201,7 @@ func TestStatsKeys(t *testing.T) {
 		"query_p50_ns", "query_p99_ns",
 		"queue_depth", "shed_total", "fsync_p99_ns",
 		"recovered_events", "epoch_staleness_ms", "degraded",
+		"republish_p50_ns", "republish_p99_ns", "epoch_rows_recaptured",
 	} {
 		if _, ok := raw[key]; !ok {
 			t.Errorf("/stats is missing key %q", key)
@@ -327,5 +328,60 @@ func TestTrustParamErrors(t *testing.T) {
 	}
 	if !strings.Contains(body["error"], "trustor") {
 		t.Fatalf("error body %q does not name the bad parameter", body["error"])
+	}
+}
+
+// TestIngestBodyBounds pins the POST body rules on both ingest endpoints:
+// a well-formed event is accepted, an oversized body is refused with 413,
+// and unknown fields, malformed JSON and trailing data with 400.
+func TestIngestBodyBounds(t *testing.T) {
+	srv, e, _ := startServer(t)
+	defer e.Close()
+	nb := int(firstNeighbor(e))
+	valid := map[string]string{
+		"/observe":   fmt.Sprintf(`{"trustor":0,"trustee":%d,"type":0,"success":true,"gain":0.5,"damage":0.1,"cost":0.1}`, nb),
+		"/recommend": fmt.Sprintf(`{"trustor":0,"trustee":%d,"type":1,"s":0.9,"g":0.7,"d":0.1,"c":0.1}`, nb),
+	}
+	for path, body := range valid {
+		for _, tc := range []struct {
+			name   string
+			body   string
+			status int
+		}{
+			{"valid", body, http.StatusAccepted},
+			{"oversized", `{"trustor":0,"pad":"` + strings.Repeat("x", maxBodyBytes) + `"}`, http.StatusRequestEntityTooLarge},
+			{"oversized whitespace", body + strings.Repeat(" ", maxBodyBytes), http.StatusRequestEntityTooLarge},
+			{"unknown field", strings.Replace(body, `"type"`, `"kind":3,"type"`, 1), http.StatusBadRequest},
+			{"malformed", body[:len(body)/2], http.StatusBadRequest},
+			{"trailing value", body + body, http.StatusBadRequest},
+			{"wrong type", strings.Replace(body, `"trustor":0`, `"trustor":"zero"`, 1), http.StatusBadRequest},
+		} {
+			resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != tc.status {
+				t.Errorf("POST %s %s: status %d, want %d", path, tc.name, resp.StatusCode, tc.status)
+			}
+		}
+	}
+}
+
+// TestServerBounds pins the per-connection time bounds of the listener.
+func TestServerBounds(t *testing.T) {
+	srv := newServer("127.0.0.1:0", http.NotFoundHandler())
+	for name, got := range map[string]time.Duration{
+		"ReadHeaderTimeout": srv.ReadHeaderTimeout,
+		"ReadTimeout":       srv.ReadTimeout,
+		"WriteTimeout":      srv.WriteTimeout,
+		"IdleTimeout":       srv.IdleTimeout,
+	} {
+		if got <= 0 {
+			t.Errorf("%s = %v, want a positive bound", name, got)
+		}
+	}
+	if srv.ReadHeaderTimeout > srv.ReadTimeout {
+		t.Errorf("ReadHeaderTimeout %v exceeds ReadTimeout %v", srv.ReadHeaderTimeout, srv.ReadTimeout)
 	}
 }

@@ -137,7 +137,7 @@ func TestCaptureArenaOverflow(t *testing.T) {
 	rv, err := CaptureRoundView(adjOff, adjTo, RoundSource{
 		CaptureSource: overflowSource(400_000_000),
 		Usage:         func(holder, about AgentID) UsageLog { panic("usage pass must not run") },
-	}, UnitNormalizer(), 1, nil)
+	}, UnitNormalizer(), 1, nil, nil)
 	if !errors.Is(err, ErrArenaOverflow) {
 		t.Fatalf("CaptureRoundView error = %v, want ErrArenaOverflow", err)
 	}

@@ -75,7 +75,8 @@ func (s *Store) Save(w io.Writer) error {
 }
 
 // LoadStore restores a store from a Save snapshot, attaching the given
-// update configuration.
+// update configuration. The restored store carries a fresh Version stamp,
+// never the saved store's.
 func LoadStore(r io.Reader, cfg UpdateConfig) (*Store, error) {
 	var snap snapshot
 	dec := json.NewDecoder(r)
@@ -116,5 +117,8 @@ func LoadStore(r io.Reader, cfg UpdateConfig) (*Store, error) {
 		}
 		s.usage[us.Trustor] = &UsageLog{Responsible: us.Responsible, Abusive: us.Abusive}
 	}
+	// A fresh stamp even for an empty snapshot: the loaded store replaces
+	// whatever held its place, so it must not pass for that store's state.
+	s.touch()
 	return s, nil
 }

@@ -3,7 +3,7 @@ package core
 import "sync"
 
 // ArenaPool recycles the large backing arenas of frozen-epoch snapshots —
-// TrustView record arenas and offsets, EdgeMemo hop tables — across
+// TrustView record arenas, offsets and row stamps, EdgeMemo hop tables — across
 // captures. A repeated sweep at 10k nodes otherwise allocates a fresh
 // ~23 MB arena per epoch (10x that at 100k); with a pool, a population of
 // fixed size reaches steady state after the first capture and every
@@ -27,6 +27,7 @@ type ArenaPool struct {
 	offs   shelf[int32]
 	recs   shelf[CompactRecord]
 	tables shelf[float64]
+	stamps shelf[uint64]
 }
 
 // arenaShelfSize bounds how many released slices of each kind a pool
@@ -129,6 +130,31 @@ func (p *ArenaPool) GetTable(n int) []float64 {
 		}
 	}
 	return make([]float64, n)
+}
+
+// getStamps returns a uint64 slice of length n for a view's per-row store
+// stamps, reusing a released one when large enough. Contents are
+// unspecified; the capture's counting pass overwrites every element.
+func (p *ArenaPool) getStamps(n int) []uint64 {
+	if p != nil {
+		p.mu.Lock()
+		s := p.stamps.get(n)
+		p.mu.Unlock()
+		if s != nil {
+			return s
+		}
+	}
+	return make([]uint64, n)
+}
+
+// putStamps releases a row-stamp array back to the pool.
+func (p *ArenaPool) putStamps(s []uint64) {
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	p.stamps.put(s)
+	p.mu.Unlock()
 }
 
 // putOffsets releases an offsets arena back to the pool.

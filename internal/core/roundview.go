@@ -41,34 +41,27 @@ type RoundSource struct {
 }
 
 // CaptureRoundView freezes a population's full round-read state: the
-// per-edge records via CaptureTrustView (two passes, byte-identical at
-// every worker count) and the per-edge usage counters in one more parallel
-// pass over the CSR rows. Arenas are drawn from pool when non-nil; release
+// per-edge records (CaptureTrustView's two checked passes, byte-identical at
+// every worker count) and the per-edge usage counters, filled in the same
+// pass as the records. Arenas are drawn from pool when non-nil; release
 // them with Release. The adjacency rows must be in ascending target order
 // (the population CSR is; EdgeIndex relies on it). A capture whose record
 // total overflows the arena offset space returns ErrArenaOverflow.
-func CaptureRoundView(adjOff []int32, adjTo []AgentID, src RoundSource, norm Normalizer, workers int, pool *ArenaPool) (*RoundView, error) {
-	ne := len(adjTo)
-	tv, err := CaptureTrustView(adjOff, adjTo, src.CaptureSource, workers, pool)
+//
+// prev, when non-nil, is the predecessor epoch: an unreleased view captured
+// from the same stores over the same adjacency with a Version source. Every
+// row whose store stamp still equals the one prev recorded is copied from
+// prev — records and usage counters alike — and only the other rows read
+// the stores, so a republish after a few writes costs a copy, not a
+// recapture. The result is byte-identical to a capture with prev nil; a
+// prev over another adjacency, without stamps, or without the usage
+// counters src reads is ignored.
+func CaptureRoundView(adjOff []int32, adjTo []AgentID, src RoundSource, norm Normalizer, workers int, pool *ArenaPool, prev *RoundView) (*RoundView, error) {
+	v, err := capture(adjOff, adjTo, src, prev, workers, pool)
 	if err != nil {
 		return nil, err
 	}
-	v := &RoundView{
-		TrustView: tv,
-		norm:      norm,
-		resp:      pool.GetOffsets(ne),
-		abus:      pool.GetOffsets(ne),
-	}
-	parallelRows(adjOff, workers, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			base := adjOff[u]
-			for k, w := range adjTo[base:adjOff[u+1]] {
-				l := src.Usage(AgentID(u), w)
-				e := int(base) + k
-				v.resp[e], v.abus[e] = int32(l.Responsible), int32(l.Abusive)
-			}
-		}
-	})
+	v.norm = norm
 	return v, nil
 }
 

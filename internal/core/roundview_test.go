@@ -21,15 +21,19 @@ type roundFixture struct {
 
 func buildRoundFixture(t *testing.T, seed uint64) *roundFixture {
 	t.Helper()
-	r := rand.New(rand.NewPCG(seed, 0xf1))
-	const n = 24
+	return newRoundFixture(rand.New(rand.NewPCG(seed, 0xf1)), 24, 3*24)
+}
+
+// newRoundFixture draws a fixture of n stores over up to links undirected
+// edges.
+func newRoundFixture(r *rand.Rand, n, links int) *roundFixture {
 	adj := make(map[AgentID][]AgentID)
 	addEdge := func(a, b AgentID) {
 		adj[a] = append(adj[a], b)
 		adj[b] = append(adj[b], a)
 	}
 	seen := map[[2]AgentID]bool{}
-	for k := 0; k < 3*n; k++ {
+	for k := 0; k < links; k++ {
 		a, b := AgentID(r.IntN(n)), AgentID(r.IntN(n))
 		if a == b {
 			continue
@@ -98,6 +102,9 @@ func (f *roundFixture) source() RoundSource {
 			Append: func(holder, about AgentID, buf []CompactRecord) []CompactRecord {
 				return f.stores[holder].AppendCompact(about, cat, buf)
 			},
+			Version: func(holder AgentID) uint64 {
+				return f.stores[holder].Version()
+			},
 		},
 		Usage: func(holder, about AgentID) UsageLog {
 			return f.stores[holder].Usage(about)
@@ -108,7 +115,7 @@ func (f *roundFixture) source() RoundSource {
 // mustRoundView is CaptureRoundView failing the test on error.
 func mustRoundView(t *testing.T, f *roundFixture, workers int, pool *ArenaPool) *RoundView {
 	t.Helper()
-	v, err := CaptureRoundView(f.adjOff, f.adjTo, f.source(), UnitNormalizer(), workers, pool)
+	v, err := CaptureRoundView(f.adjOff, f.adjTo, f.source(), UnitNormalizer(), workers, pool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,6 +69,7 @@ func (s *Store) SeedSorted(batch []SeedRecord) error {
 		s.seedGroup(batch[lo].Trustee, recs[lo:hi:hi])
 		lo = hi
 	}
+	s.touch()
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"siot/internal/task"
 )
@@ -63,7 +64,25 @@ type Store struct {
 	shards  [storeShards]storeShard
 	usageMu sync.RWMutex
 	usage   map[AgentID]*UsageLog
+	version atomic.Uint64 // stamp of the last mutation, 0 for a never-written store
 }
+
+// storeStamps mints the mutation stamps of every store in the process. One
+// shared counter means a stamp names one mutation of one store: a store that
+// replaces another, or is loaded afresh, can never repeat a stamp an earlier
+// capture recorded.
+var storeStamps atomic.Uint64
+
+// touch stamps a mutation. Every mutator calls it, so two equal Version
+// readings bracket an unchanged store.
+func (s *Store) touch() { s.version.Store(storeStamps.Add(1)) }
+
+// Version returns the store's mutation stamp: it changes on every Observe,
+// Seed, SeedSorted, ObserveUsage and Forget (and is fresh after LoadStore),
+// and no read moves it. A store never written reports 0 — and is empty, so
+// two such stores hold the same state. Frozen-epoch captures record it per
+// row to copy unchanged rows from their predecessor epoch.
+func (s *Store) Version() uint64 { return s.version.Load() }
 
 // NewStore creates an empty store for the given agent using cfg for all
 // updates. Shard and usage maps are allocated lazily on first write, so an
@@ -230,6 +249,7 @@ func (s *Store) Observe(trustee AgentID, t task.Task, o Outcome, ectx EnvContext
 	r := &recs[i]
 	r.Exp = Update(r.Exp, o, ectx, s.cfg)
 	r.Count++
+	s.touch()
 	return materialize(tasks, *r)
 }
 
@@ -258,6 +278,7 @@ func (s *Store) setRecord(trustee AgentID, r Record) {
 		}
 		sh.records[trustee] = slices.Insert(recs, i, cr)
 	}
+	s.touch()
 }
 
 // DirectTW returns the trustworthiness of trustee on the exact task type,
@@ -365,6 +386,7 @@ func (s *Store) ObserveUsage(trustor AgentID, abusive bool) {
 	} else {
 		l.Responsible++
 	}
+	s.touch()
 }
 
 // Forget erases everything the store knows about one agent: the experience
@@ -381,6 +403,7 @@ func (s *Store) Forget(about AgentID) {
 	storeLockTick()
 	s.usageMu.Lock()
 	delete(s.usage, about)
+	s.touch()
 	s.usageMu.Unlock()
 }
 

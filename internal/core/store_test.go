@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"io"
 	"math"
+	"strings"
 	"testing"
 
 	"siot/internal/task"
@@ -233,5 +236,88 @@ func TestStoreOwnerAndConfig(t *testing.T) {
 	s2 := NewStore(1, UpdateConfig{Betas: UniformBetas(0.1)})
 	if s2.Config().Norm == nil {
 		t.Fatal("nil normalizer not defaulted")
+	}
+}
+
+// TestStoreVersion pins the mutation stamp delta captures key on: every
+// mutator moves it to a stamp no store has carried, a loaded store never
+// carries its source's stamp, and no reader moves it.
+func TestStoreVersion(t *testing.T) {
+	gps := task.Uniform(1, task.CharGPS)
+	// filled returns a store holding a record and a usage log about agent 7.
+	filled := func() *Store {
+		s := newTestStore()
+		s.Seed(7, gps, Expectation{S: 0.8, G: 0.7, D: 0.1, C: 0.1})
+		s.ObserveUsage(7, false)
+		return s
+	}
+	seen := map[uint64]bool{}
+	for _, tc := range []struct {
+		name   string
+		mutate bool
+		op     func(t *testing.T, s *Store)
+	}{
+		{"Observe", true, func(_ *testing.T, s *Store) {
+			s.Observe(7, gps, Outcome{Success: true, Gain: 1}, PerfectEnv())
+		}},
+		{"Seed", true, func(_ *testing.T, s *Store) {
+			s.Seed(8, gps, Expectation{S: 0.5, G: 0.5, D: 0.5, C: 0.1})
+		}},
+		{"SeedSorted", true, func(t *testing.T, s *Store) {
+			if err := s.SeedSorted([]SeedRecord{{Trustee: 9, Task: gps, Exp: Expectation{S: 0.5}}}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"ObserveUsage", true, func(_ *testing.T, s *Store) { s.ObserveUsage(7, true) }},
+		{"Forget", true, func(_ *testing.T, s *Store) { s.Forget(7) }},
+		{"SeedSorted rejected", false, func(t *testing.T, s *Store) {
+			bad := []SeedRecord{{Trustee: 9, Task: gps}, {Trustee: 9, Task: gps}}
+			if err := s.SeedSorted(bad); err == nil {
+				t.Fatal("unsorted batch accepted")
+			}
+		}},
+		{"Record", false, func(_ *testing.T, s *Store) { s.Record(7, gps.Type()) }},
+		{"AppendCompact", false, func(_ *testing.T, s *Store) { s.AppendCompact(7, s.Catalog(), nil) }},
+		{"RecordCount", false, func(_ *testing.T, s *Store) { s.RecordCount(7) }},
+		{"Usage", false, func(_ *testing.T, s *Store) { s.Usage(7) }},
+		{"BestTW", false, func(_ *testing.T, s *Store) { s.BestTW(7, gps) }},
+		{"Save", false, func(t *testing.T, s *Store) {
+			if err := s.Save(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		s := filled()
+		before := s.Version()
+		if before == 0 {
+			t.Fatalf("%s: a written store reports version 0", tc.name)
+		}
+		tc.op(t, s)
+		after := s.Version()
+		switch {
+		case tc.mutate && (after == before || seen[after]):
+			t.Errorf("%s: version %d -> %d, want a stamp never seen before", tc.name, before, after)
+		case !tc.mutate && after != before:
+			t.Errorf("%s: reader moved version %d -> %d", tc.name, before, after)
+		}
+		seen[before], seen[after] = true, true
+	}
+
+	if v := newTestStore().Version(); v != 0 {
+		t.Fatalf("fresh store version = %d, want 0", v)
+	}
+	src := filled()
+	var buf bytes.Buffer
+	if err := src.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, snap := range []string{buf.String(), `{"version":1,"owner":0,"records":null,"usage":null}`} {
+		loaded, err := LoadStore(strings.NewReader(snap), DefaultUpdateConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := loaded.Version(); v == 0 || v == src.Version() || seen[v] {
+			t.Fatalf("LoadStore version = %d (source %d): want a fresh stamp", v, src.Version())
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"siot/internal/task"
 )
@@ -34,6 +35,11 @@ type TrustView struct {
 	recs   []CompactRecord // record arena, grouped by directed edge
 	tasks  []task.Task     // catalog snapshot resolving recs' refs (shared, immutable)
 	pool   *ArenaPool      // arena source, nil when the arenas were allocated fresh
+	// stamps[u] is row u's store stamp (Store.Version) at capture, nil when
+	// the source reports none; equal stamps in two views of one population
+	// mean row u's records and usage are the same in both.
+	stamps     []uint64
+	recaptured int // rows read from the stores rather than copied from a predecessor
 }
 
 // ErrArenaOverflow reports a capture whose total record count exceeds the
@@ -59,10 +65,14 @@ func checkedArenaLen(total int64) (int32, error) {
 // and Append must be safe for concurrent use across distinct holders and
 // observe a quiescent store — capture runs two passes, and a store mutated
 // between them is detected and rejected (panic), not silently misrecorded.
+// Version, when set, reports holder's store stamp (Store.Version); the view
+// records it per row, which is what lets a later capture or memo copy the
+// rows whose store did not change. A nil Version disables that reuse.
 type CaptureSource struct {
 	Catalog *task.Catalog
 	Count   func(holder, about AgentID) int
 	Append  func(holder, about AgentID, buf []CompactRecord) []CompactRecord
+	Version func(holder AgentID) uint64
 }
 
 // CaptureTrustView freezes the per-edge records of a population into a view.
@@ -81,57 +91,128 @@ type CaptureSource struct {
 // contract requires quiescent stores for the whole capture, and a mismatched
 // span would otherwise leak stale or short data into the arena.
 func CaptureTrustView(adjOff []int32, adjTo []AgentID, src CaptureSource, workers int, pool *ArenaPool) (*TrustView, error) {
-	ne := len(adjTo)
-	v := &TrustView{
+	v, err := capture(adjOff, adjTo, RoundSource{CaptureSource: src}, nil, workers, pool)
+	if err != nil {
+		return nil, err
+	}
+	return v.TrustView, nil
+}
+
+// capture is the one capture loop behind CaptureTrustView and
+// CaptureRoundView; src.Usage nil skips the usage arrays. Each row is either
+// clean — prev (nil for a full capture) holds it under the stamp its store
+// still carries, so its record counts, records and usage counters are copied
+// from prev — or read from the stores through the two checked passes.
+func capture(adjOff []int32, adjTo []AgentID, src RoundSource, prev *RoundView, workers int, pool *ArenaPool) (*RoundView, error) {
+	n, ne := len(adjOff)-1, len(adjTo)
+	v := &RoundView{TrustView: &TrustView{
 		adjOff: adjOff,
 		adjTo:  adjTo,
 		recOff: pool.GetOffsets(ne + 1),
 		tasks:  src.Catalog.Tasks(),
 		pool:   pool,
+	}}
+	tv := v.TrustView
+	if src.Usage != nil {
+		v.resp, v.abus = pool.GetOffsets(ne), pool.GetOffsets(ne)
 	}
-	// Pass 1: per-edge record counts, written one slot right so the prefix
-	// sum lands directly in recOff.
+	if src.Version != nil {
+		tv.stamps = pool.getStamps(n)
+	}
+	base := prev
+	if base != nil && (!tv.sameRows(base.TrustView) || v.resp != nil && base.resp == nil) {
+		base = nil // foreign, unstamped, or without the usage this capture needs
+	}
+	// Pass 1: row stamps and per-edge record counts, written one slot right
+	// so the prefix sum lands directly in recOff.
+	var recaptured atomic.Int64
 	parallelRows(adjOff, workers, func(lo, hi int) {
+		dirty := 0
 		for u := lo; u < hi; u++ {
-			base := adjOff[u]
-			for k, w := range adjTo[base:adjOff[u+1]] {
-				v.recOff[int(base)+k+1] = int32(src.Count(AgentID(u), w))
+			first, last := adjOff[u], adjOff[u+1]
+			if tv.stamps != nil {
+				tv.stamps[u] = src.Version(AgentID(u))
+			}
+			if base.clean(tv, u) {
+				for e := first; e < last; e++ {
+					tv.recOff[e+1] = base.recOff[e+1] - base.recOff[e]
+				}
+				continue
+			}
+			dirty++
+			for k, w := range adjTo[first:last] {
+				tv.recOff[int(first)+k+1] = int32(src.Count(AgentID(u), w))
 			}
 		}
+		recaptured.Add(int64(dirty))
 	})
+	tv.recaptured = int(recaptured.Load())
 	// Serial prefix sum in int64: per-edge counts are individually small but
 	// their total can overflow int32 at the million-node scale, and a
 	// wrapped offset corrupts every later span.
-	v.recOff[0] = 0
+	tv.recOff[0] = 0
 	total := int64(0)
 	for e := 0; e < ne; e++ {
-		total += int64(v.recOff[e+1])
+		total += int64(tv.recOff[e+1])
 		checked, err := checkedArenaLen(total)
 		if err != nil {
-			v.recOff, v.recs = nil, nil
+			tv.recOff, tv.recs = nil, nil
 			return nil, err
 		}
-		v.recOff[e+1] = checked
+		tv.recOff[e+1] = checked
 	}
-	// Pass 2: fill disjoint spans in place. Appending into a zero-length,
+	// Pass 2: fill disjoint spans in place. A clean row copies its spans
+	// from base in one piece. Otherwise appending into a zero-length,
 	// exact-capacity subslice writes directly into the arena; a span that
 	// comes back with a different length (or a reallocated base) means the
 	// store mutated between the passes.
-	v.recs = pool.GetRecords(int(v.recOff[ne]))
+	tv.recs = pool.GetRecords(int(tv.recOff[ne]))
 	parallelRows(adjOff, workers, func(lo, hi int) {
 		for u := lo; u < hi; u++ {
-			base := adjOff[u]
-			for k, w := range adjTo[base:adjOff[u+1]] {
-				e := int(base) + k
-				span, want := v.recOff[e], v.recOff[e+1]-v.recOff[e]
-				got := src.Append(AgentID(u), w, v.recs[span:span:span+want])
+			first, last := adjOff[u], adjOff[u+1]
+			if base.clean(tv, u) {
+				copy(tv.recs[tv.recOff[first]:tv.recOff[last]], base.recs[base.recOff[first]:base.recOff[last]])
+				if v.resp != nil {
+					copy(v.resp[first:last], base.resp[first:last])
+					copy(v.abus[first:last], base.abus[first:last])
+				}
+				continue
+			}
+			for k, w := range adjTo[first:last] {
+				e := int(first) + k
+				span, want := tv.recOff[e], tv.recOff[e+1]-tv.recOff[e]
+				got := src.Append(AgentID(u), w, tv.recs[span:span:span+want])
 				if int32(len(got)) != want {
 					panic("core: store mutated during CaptureTrustView")
+				}
+				if v.resp != nil {
+					l := src.Usage(AgentID(u), w)
+					v.resp[e], v.abus[e] = int32(l.Responsible), int32(l.Abusive)
 				}
 			}
 		}
 	})
 	return v, nil
+}
+
+// sameRows reports whether rows of v and o can be compared by stamp: both
+// carry stamps and share the adjacency (the same backing arrays, so the
+// same population).
+func (v *TrustView) sameRows(o *TrustView) bool {
+	return v.stamps != nil && o.stamps != nil &&
+		sameSlice(v.adjOff, o.adjOff) && sameSlice(v.adjTo, o.adjTo)
+}
+
+// sameSlice reports whether a and b are the same slice: one backing array,
+// one length.
+func sameSlice[E any](a, b []E) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// clean reports whether row u of a capture in progress (tv, its stamps
+// already taken) can be copied from predecessor base, nil for none.
+func (base *RoundView) clean(tv *TrustView, u int) bool {
+	return base != nil && tv.stamps[u] == base.stamps[u]
 }
 
 // parallelRows splits the CSR rows into one contiguous chunk per worker,
@@ -177,8 +258,14 @@ func parallelRows(adjOff []int32, workers int, fn func(lo, hi int)) {
 func (v *TrustView) Release() {
 	v.pool.putOffsets(v.recOff)
 	v.pool.putRecords(v.recs)
-	v.recOff, v.recs = nil, nil
+	v.pool.putStamps(v.stamps)
+	v.recOff, v.recs, v.stamps = nil, nil, nil
 }
+
+// RowsRecaptured returns how many CSR rows the capture read from the live
+// stores; the rest were copied from the predecessor epoch. A full capture
+// rereads every row.
+func (v *TrustView) RowsRecaptured() int { return v.recaptured }
 
 // NumAgents returns the number of dense agent slots.
 func (v *TrustView) NumAgents() int { return len(v.adjOff) - 1 }
@@ -299,6 +386,20 @@ func (m *EdgeMemo) Reset(view *TrustView) {
 // requiring covered tasks is free and a sharded sweep can require per shard
 // without rebuilding.
 func (m *EdgeMemo) RequireModel(mdl TrustModel, tasks []task.Task) {
+	m.RequireModelFrom(nil, mdl, tasks)
+}
+
+// RequireModelFrom is RequireModel reusing a predecessor epoch's memo: where
+// prev holds a table for the same model and an Equal task, every CSR row
+// whose store stamp is the same in both views is copied from it and only
+// the other rows are evaluated. The tables are bit-identical to a fresh
+// build — a hop value depends only on the edge's records (HopTW is
+// evidence-local) and catalog refs only grow. prev must be unreleased for
+// the call and built under the same normalizer; a nil prev, a prev over
+// another adjacency or a view without stamps, an EpochTrainable model (its
+// scorer is fitted to the whole epoch) and tables prev lacks all build in
+// full.
+func (m *EdgeMemo) RequireModelFrom(prev *EdgeMemo, mdl TrustModel, tasks []task.Task) {
 	mm := m.models[mdl.Name()]
 	if mm == nil {
 		mm = &modelMemo{tables: make(map[task.Type]memoTable)}
@@ -333,34 +434,76 @@ func (m *EdgeMemo) RequireModel(mdl TrustModel, tasks []task.Task) {
 		}
 	}
 	if missing := slices.DeleteFunc(want, func(t task.Task) bool { return mm.table(t) != nil }); len(missing) > 0 {
-		m.build(mm, mdl, missing)
+		m.build(mm, mdl, missing, prev)
 	}
 }
 
+// reusable returns prev's share of mdl when its tables may seed this memo's
+// clean rows, else nil.
+func (m *EdgeMemo) reusable(prev *EdgeMemo, mdl TrustModel) *modelMemo {
+	if prev == nil || !m.view.sameRows(prev.view) {
+		return nil
+	}
+	if _, trainable := mdl.(EpochTrainable); trainable {
+		return nil
+	}
+	return prev.model(mdl)
+}
+
 // build fills mdl's tables for ts, distinct in type, in one parallel pass
-// over the edges: each edge's records are read once for every table, where
-// one pass per table would stream the whole record arena again each time.
-func (m *EdgeMemo) build(mm *modelMemo, mdl TrustModel, ts []task.Task) {
-	ctx := HopContext{Tasks: m.view.tasks, Norm: m.norm}
-	ne := m.view.NumEdges()
+// over the CSR rows: each edge's records are read once for every table,
+// where one pass per table would stream the whole record arena again each
+// time. A row whose store stamp prev's view shares takes the values of
+// every table prev (nil for none) holds for mdl from it; only the rest
+// evaluate.
+func (m *EdgeMemo) build(mm *modelMemo, mdl TrustModel, ts []task.Task, prev *EdgeMemo) {
+	v := m.view
+	pm := m.reusable(prev, mdl)
+	ctx := HopContext{Tasks: v.tasks, Norm: m.norm}
+	ne := v.NumEdges()
 	srcs := make([]hopSource, len(ts))
 	tabs := make([][]float64, len(ts))
+	olds := make([][]float64, len(ts)) // prev's table per task, nil when it has none
+	allOld := pm != nil
 	for i, t := range ts {
 		if old, ok := mm.tables[t.Type()]; ok {
 			m.pool.putTable(old.vals)
 		}
 		srcs[i] = newHopSource(mm, mdl, ctx, t)
 		tabs[i] = m.pool.GetTable(ne)
+		olds[i] = pm.table(t)
+		allOld = allOld && olds[i] != nil
 	}
-	m.parallelEdges(ne, func(lo, hi int) {
-		for e := lo; e < hi; e++ {
-			recs := m.view.EdgeRecords(int32(e))
-			for i := range srcs {
-				val, ok := srcs[i].hopRecs(m.view, int32(e), recs)
-				if !ok {
-					val = blocked
+	var prevStamps []uint64
+	if pm != nil {
+		prevStamps = prev.view.stamps
+	}
+	parallelRows(v.adjOff, m.workers, func(lo, hi int) {
+		for u := lo; u < hi; u++ {
+			first, last := v.adjOff[u], v.adjOff[u+1]
+			clean := prevStamps != nil && v.stamps[u] == prevStamps[u]
+			if clean {
+				for i, old := range olds {
+					if old != nil {
+						copy(tabs[i][first:last], old[first:last])
+					}
 				}
-				tabs[i][e] = val
+				if allOld {
+					continue
+				}
+			}
+			for e := first; e < last; e++ {
+				recs := v.EdgeRecords(e)
+				for i := range srcs {
+					if clean && olds[i] != nil {
+						continue
+					}
+					val, ok := srcs[i].hopRecs(v, e, recs)
+					if !ok {
+						val = blocked
+					}
+					tabs[i][e] = val
+				}
 			}
 		}
 	})
@@ -414,31 +557,4 @@ func (m *EdgeMemo) ModelEdgeTW(mdl TrustModel, e int32, t task.Task) (float64, b
 	}
 	src := newHopSource(mm, mdl, HopContext{Tasks: m.view.tasks, Norm: m.norm}, t)
 	return src.hop(m.view, e)
-}
-
-// parallelEdges runs fill over the edge range [0, ne) in parallel chunks.
-func (m *EdgeMemo) parallelEdges(ne int, fill func(lo, hi int)) {
-	workers := m.workers
-	if workers > ne/1024 {
-		// Below ~1k edges per worker the goroutine overhead dominates.
-		workers = ne / 1024
-	}
-	if workers <= 1 {
-		fill(0, ne)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (ne + workers - 1) / workers
-	for lo := 0; lo < ne; lo += chunk {
-		hi := lo + chunk
-		if hi > ne {
-			hi = ne
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fill(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }

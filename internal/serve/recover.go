@@ -147,9 +147,8 @@ scan:
 	e.ingested.Store(stats.Events)
 	e.recovered = stats.Events
 	e.epochs.Store(nextEpoch)
-	if !e.captureAndPublish() {
-		return nil, stats, fmt.Errorf("serve: recover: journaling the recovery epoch: %w", e.journal.lastErr())
+	if err := e.start(); err != nil {
+		return nil, stats, fmt.Errorf("serve: recover: publishing the recovery epoch: %w", err)
 	}
-	go e.run()
 	return e, stats, nil
 }

@@ -506,3 +506,80 @@ func TestParseFsyncMode(t *testing.T) {
 		}
 	}
 }
+
+// TestCaptureFailureDegrades injects a capture failure through the engine's
+// capture seam: after start, the failed republish degrades the engine
+// instead of crashing it — ingest is refused with ErrDegraded (503 over
+// HTTP), queries keep answering from the last good epoch, and the journal
+// (which holds every acknowledged event) recovers into a healthy engine.
+// Before start, the same failure is returned to the caller.
+func TestCaptureFailureDegrades(t *testing.T) {
+	boom := fmt.Errorf("injected: %w", core.ErrArenaOverflow)
+	fail := func(*core.RoundView) (*core.RoundView, error) { return nil, boom }
+
+	f := faultfs.NewFile(nil)
+	cfg := crashCfg(f)
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// New captured before the writer started and the writer reads the seam
+	// only after receiving an event, so this write is ordered before it.
+	e.capture = fail
+	r := rand.New(rand.NewPCG(71, 72))
+	want, err := e.Trust(0, 5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustIngestN(t, e, r, cfg.EpochEvery) // the last one triggers the failing capture
+	deadline := time.Now().Add(10 * time.Second)
+	for !e.Stats().Degraded {
+		if time.Now().After(deadline) {
+			t.Fatal("engine never degraded after a failed capture")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := e.Ingest(randomEvent(e, r)); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("ingest after a failed capture returned %v, want ErrDegraded", err)
+	}
+	if st := e.Stats(); st.Epochs != 1 {
+		t.Fatalf("epochs = %d after the failed capture, want the initial one only", st.Epochs)
+	}
+	got, err := e.Trust(0, 5, 0)
+	if err != nil {
+		t.Fatalf("trust in degraded mode: %v", err)
+	}
+	if got != want {
+		t.Fatalf("degraded query = %+v, want the epoch-0 answer %+v", got, want)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatalf("close after a capture failure: %v (the journal itself is healthy)", err)
+	}
+
+	img := faultfs.NewFile(f.Bytes())
+	e2, rstats, err := Recover(img, crashCfg(img))
+	if err != nil {
+		t.Fatalf("recover after a capture failure: %v", err)
+	}
+	if rstats.Events != uint64(cfg.EpochEvery) {
+		t.Fatalf("recovered %d events, want the %d acknowledged", rstats.Events, cfg.EpochEvery)
+	}
+	mustIngestN(t, e2, r, 2*cfg.EpochEvery)
+	if err := e2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Replay(bytes.NewReader(img.Bytes())); err != nil {
+		t.Fatalf("replay across the capture failure: %v", err)
+	}
+
+	// Before the writer starts, the capture error reaches the caller.
+	w, err := buildWorld(cfg.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e3 := newEngine(cfg.withDefaults(), w)
+	e3.capture = fail
+	if err := e3.start(); !errors.Is(err, core.ErrArenaOverflow) {
+		t.Fatalf("start with a failing capture returned %v, want ErrArenaOverflow", err)
+	}
+}

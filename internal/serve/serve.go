@@ -197,11 +197,12 @@ var ErrClosed = errors.New("serve: engine closed")
 // with a Retry-After.
 var ErrOverloaded = errors.New("serve: ingest queue full")
 
-// ErrDegraded is returned by Ingest once a journal write or sync has failed:
-// the engine stops accepting events (their durability could not be
-// promised) but keeps answering queries from the last good epoch. The
-// condition is terminal for the process — restart with Recover.
-var ErrDegraded = errors.New("serve: journal failed; serving degraded from last good epoch")
+// ErrDegraded is returned by Ingest once a journal write or sync, or an
+// epoch capture, has failed: the engine stops accepting events (their
+// durability or visibility could not be promised) but keeps answering
+// queries from the last good epoch. The condition is terminal for the
+// process — restart with Recover.
+var ErrDegraded = errors.New("serve: engine degraded; serving from last good epoch")
 
 // queued is one in-flight ingest: the event plus the channel its durable
 // acknowledgement travels back on (buffered, so the writer never blocks on
@@ -240,17 +241,23 @@ type Engine struct {
 
 	journal *journal
 	results sync.Pool // *core.SearchResult
+	// capture freezes the stores into a round view, copying the rows prev
+	// (the current epoch, nil for the first) still holds. It is the
+	// population's RoundViewFrom; tests swap it to inject failures.
+	capture func(prev *core.RoundView) (*core.RoundView, error)
 
-	ingested    atomic.Uint64
-	applied     atomic.Uint64
-	queries     atomic.Uint64
-	epochs      atomic.Uint64 // published epochs; ids are epochs-1
-	shed        atomic.Uint64
-	recovered   uint64 // events re-applied by Recover, fixed at build time
-	degraded    atomic.Bool
-	lastEpochNs atomic.Int64 // wall-clock ns of the last publish (staleness)
-	lat         latencyHist  // query latency
-	fsyncLat    latencyHist  // journal fsync latency
+	ingested       atomic.Uint64
+	applied        atomic.Uint64
+	queries        atomic.Uint64
+	epochs         atomic.Uint64 // published epochs; ids are epochs-1
+	shed           atomic.Uint64
+	recovered      uint64 // events re-applied by Recover, fixed at build time
+	degraded       atomic.Bool
+	lastEpochNs    atomic.Int64 // wall-clock ns of the last publish (staleness)
+	rowsRecaptured atomic.Int64 // store rows the last published epoch read afresh
+	lat            latencyHist  // query latency
+	fsyncLat       latencyHist  // journal fsync latency
+	publishLat     latencyHist  // republish latency: capture + memo + epoch sync
 }
 
 // newEngine assembles an Engine around an already-built world without
@@ -267,6 +274,9 @@ func newEngine(cfg Config, w *world) *Engine {
 		results: sync.Pool{New: func() any { return new(core.SearchResult) }},
 	}
 	e.journal = newJournal(cfg.Journal, cfg.Fsync, &e.fsyncLat)
+	e.capture = func(prev *core.RoundView) (*core.RoundView, error) {
+		return w.pop.RoundViewFrom(prev, cfg.Workers, e.pool)
+	}
 	return e
 }
 
@@ -284,11 +294,20 @@ func New(cfg Config) (*Engine, error) {
 		Net:     cfg.Net, Nodes: cfg.Nodes, Seed: cfg.Seed, Chars: cfg.Chars,
 		Model: cfg.Model.Name(), Seeded: cfg.Seeded, Theta: cfg.Theta,
 	})
-	if !e.captureAndPublish() {
-		return nil, e.journal.lastErr()
+	if err := e.start(); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// start publishes the engine's first epoch and starts the writer goroutine.
+// A failed first capture or epoch sync is returned, and nothing runs.
+func (e *Engine) start() error {
+	if err := e.captureAndPublish(); err != nil {
+		return err
 	}
 	go e.run()
-	return e, nil
+	return nil
 }
 
 // NumAgents returns the number of agents in the served population.
@@ -325,6 +344,9 @@ func (e *Engine) Stats() Stats {
 		RecoveredEvents:  e.recovered,
 		EpochStalenessMs: staleness,
 		Degraded:         e.degraded.Load(),
+		RepublishP50Ns:   e.publishLat.quantile(0.50),
+		RepublishP99Ns:   e.publishLat.quantile(0.99),
+		RowsRecaptured:   e.rowsRecaptured.Load(),
 	}
 }
 
@@ -611,28 +633,49 @@ func (e *Engine) apply(ev Event) {
 }
 
 // captureAndPublish freezes the stores into a new epoch — round view plus a
-// Required memo — journals and durably syncs the epoch marker, and
+// Required memo, both copying from the current epoch every row no event
+// wrote since — journals and durably syncs the epoch marker, and
 // atomically swaps it in. The synced journal line precedes the publish, so
-// no query can ever reference an epoch id the disk has not seen; if the
-// sync fails the epoch is discarded, the engine degrades, and queries keep
-// answering from the previous epoch. Reports whether the epoch published.
-func (e *Engine) captureAndPublish() bool {
+// no query can ever reference an epoch id the disk has not seen. If the
+// capture or the sync fails the epoch is discarded, the engine degrades,
+// and queries keep answering from the previous epoch. The error reports
+// why nothing was published.
+//
+// The writer goroutine (or New and Recover, before it starts) is the only
+// publisher, so the epoch it acquires as the predecessor is the current one
+// and stays alive, arenas and memo alike, until the swap.
+func (e *Engine) captureAndPublish() error {
 	if e.degraded.Load() {
-		return false
+		return ErrDegraded
+	}
+	start := time.Now()
+	var (
+		prevView *core.RoundView
+		prevMemo *core.EdgeMemo
+	)
+	if cur := e.handle.Acquire(); cur != nil {
+		defer cur.Release()
+		prevView, prevMemo = cur.View(), cur.Attachment().(*epochPayload).memo
 	}
 	id := e.epochs.Load()
-	view := e.world.pop.RoundView(e.cfg.Workers, e.pool)
+	view, err := e.capture(prevView)
+	if err != nil {
+		e.degraded.Store(true)
+		return fmt.Errorf("serve: capturing epoch %d: %w", id, err)
+	}
 	memo := core.NewEdgeMemoPooled(view.TrustView, e.world.pop.Config().Update.Norm, e.cfg.Workers, e.pool)
-	memo.RequireModel(e.cfg.Model, e.TaskTypes())
+	memo.RequireModelFrom(prevMemo, e.cfg.Model, e.TaskTypes())
 	e.journal.epoch(epochLine{ID: id, Events: e.applied.Load()})
 	if err := e.journal.syncNow(); err != nil {
 		memo.Release()
 		view.Release()
 		e.degraded.Store(true)
-		return false
+		return err
 	}
+	e.publishLat.observe(time.Since(start).Nanoseconds())
+	e.rowsRecaptured.Store(int64(view.RowsRecaptured()))
 	e.handle.PublishWith(view, &epochPayload{id: id, memo: memo})
 	e.epochs.Store(id + 1)
 	e.lastEpochNs.Store(time.Now().UnixNano())
-	return true
+	return nil
 }

@@ -364,3 +364,63 @@ func TestLatencyHistQuantile(t *testing.T) {
 		t.Fatalf("p0 after negative sample = %d, want 0", got)
 	}
 }
+
+// TestRepublishCopiesCleanRows: a republish after a few events reads only
+// the rows those events wrote — an observation writes the trustor's and the
+// trustee's store, a recommendation the trustor's — and copies the rest
+// from the previous epoch; the republish timings reach Stats, and Replay,
+// which re-derives every epoch from a full capture, reproduces every value
+// the delta epochs served.
+func TestRepublishCopiesCleanRows(t *testing.T) {
+	var buf bytes.Buffer
+	const every = 4
+	e, err := New(Config{
+		Net: "twitter", Seed: 7, Model: core.PolicyAggressive.Model(), Seeded: true,
+		EpochEvery: every, BatchSize: every, Journal: &buf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Stats().RowsRecaptured; got != int64(e.NumAgents()) {
+		t.Fatalf("first epoch read %d rows, want all %d", got, e.NumAgents())
+	}
+	r := rand.New(rand.NewPCG(81, 82))
+	for round := 1; round <= 5; round++ {
+		written := map[core.AgentID]bool{}
+		for i := 0; i < every; i++ {
+			ev := randomEvent(e, r)
+			written[ev.Trustor] = true
+			if ev.Op == OpObserve {
+				written[ev.Trustee] = true
+			}
+			if err := e.Ingest(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for e.Stats().Epochs < uint64(round+1) {
+			if time.Now().After(deadline) {
+				t.Fatalf("epoch %d never published", round)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if got := e.Stats().RowsRecaptured; got != int64(len(written)) {
+			t.Fatalf("epoch %d read %d rows, want the %d the events wrote", round, got, len(written))
+		}
+		for q := 0; q < 50; q++ {
+			if _, err := e.Trust(core.AgentID(r.IntN(e.NumAgents())), core.AgentID(r.IntN(e.NumAgents())), r.IntN(len(e.TaskTypes()))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	st := e.Stats()
+	if st.RepublishP50Ns <= 0 || st.RepublishP99Ns < st.RepublishP50Ns {
+		t.Fatalf("republish quantiles p50=%d p99=%d", st.RepublishP50Ns, st.RepublishP99Ns)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Replay(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("replay of delta epochs: %v", err)
+	}
+}

@@ -83,4 +83,13 @@ type Stats struct {
 	// refused with ErrDegraded, queries still answer from the last good
 	// epoch, and the process should be restarted with -resume.
 	Degraded bool `json:"degraded"`
+	// RepublishP50Ns and RepublishP99Ns bound the epoch republish latency:
+	// capture, memo build and the epoch line's sync, per published epoch
+	// (exponential buckets: within 2x).
+	RepublishP50Ns int64 `json:"republish_p50_ns"`
+	RepublishP99Ns int64 `json:"republish_p99_ns"`
+	// RowsRecaptured is how many store rows the last published epoch read
+	// from the stores; the rest were copied from the epoch before it. The
+	// first epoch reads every row.
+	RowsRecaptured int64 `json:"epoch_rows_recaptured"`
 }

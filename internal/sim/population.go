@@ -309,7 +309,8 @@ func (p *Population) TrustView() *core.TrustView {
 
 // CaptureSource exposes the population's stores to the trust-view capture
 // (core.CaptureTrustView): the shared catalog, per-edge record counts for
-// the sizing pass, and in-place compact appends for the fill pass.
+// the sizing pass, in-place compact appends for the fill pass, and each
+// store's mutation stamp for predecessor reuse.
 func (p *Population) CaptureSource() core.CaptureSource {
 	cat := p.Catalog()
 	return core.CaptureSource{
@@ -319,6 +320,9 @@ func (p *Population) CaptureSource() core.CaptureSource {
 		},
 		Append: func(holder, about core.AgentID, buf []core.CompactRecord) []core.CompactRecord {
 			return p.Agents[holder].Store.AppendCompact(about, cat, buf)
+		},
+		Version: func(holder core.AgentID) uint64 {
+			return p.Agents[holder].Store.Version()
 		},
 	}
 }
@@ -353,11 +357,22 @@ func (p *Population) RoundSource() core.RoundSource {
 // reads — per-edge experience records and usage counters — over a worker
 // pool, drawing arenas from pool (workers <= 1 captures serially, a nil
 // pool allocates fresh). Byte-identical at every worker count. The engine
-// publishes one per round boundary through its EpochHandle.
+// publishes one per round boundary through its EpochHandle. A population
+// large enough to overflow the arena offset space panics with
+// ErrArenaOverflow; RoundViewFrom returns it instead.
 func (p *Population) RoundView(workers int, pool *core.ArenaPool) *core.RoundView {
-	v, err := core.CaptureRoundView(p.adjOff, p.adjTo, p.RoundSource(), p.cfg.Update.Norm, workers, pool)
+	v, err := p.RoundViewFrom(nil, workers, pool)
 	if err != nil {
 		panic(err)
 	}
 	return v
+}
+
+// RoundViewFrom is RoundView copying from a predecessor epoch: every row
+// whose store is unchanged since prev (an unreleased view of this
+// population, nil for a full capture) was captured is copied from it, and
+// only the rows written since are read from the stores — byte-identical to
+// a full capture (core.CaptureRoundView). Capture errors are returned.
+func (p *Population) RoundViewFrom(prev *core.RoundView, workers int, pool *core.ArenaPool) (*core.RoundView, error) {
+	return core.CaptureRoundView(p.adjOff, p.adjTo, p.RoundSource(), p.cfg.Update.Norm, workers, pool, prev)
 }

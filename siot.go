@@ -139,10 +139,12 @@ var ErrArenaOverflow = core.ErrArenaOverflow
 
 // CaptureRoundView freezes per-edge records and usage counters over a CSR
 // adjacency (rows ascending by target). Arenas come from pool when
-// non-nil; release the view exactly once. Captures overflowing the arena
-// offset space return ErrArenaOverflow.
-func CaptureRoundView(adjOff []int32, adjTo []AgentID, src RoundSource, norm Normalizer, workers int, pool *ArenaPool) (*RoundView, error) {
-	return core.CaptureRoundView(adjOff, adjTo, src, norm, workers, pool)
+// non-nil; release the view exactly once. A non-nil prev (an unreleased
+// earlier capture over the same adjacency) lends every row whose store
+// stamp is unchanged, byte-identical to a full capture. Captures
+// overflowing the arena offset space return ErrArenaOverflow.
+func CaptureRoundView(adjOff []int32, adjTo []AgentID, src RoundSource, norm Normalizer, workers int, pool *ArenaPool, prev *RoundView) (*RoundView, error) {
+	return core.CaptureRoundView(adjOff, adjTo, src, norm, workers, pool, prev)
 }
 
 // CountStoreLocks runs fn and reports how many trust-store lock
