@@ -6,6 +6,7 @@
 package siot_test
 
 import (
+	"os"
 	"testing"
 
 	"siot/internal/benchnet"
@@ -126,6 +127,32 @@ func BenchmarkSetup100k(b *testing.B) {
 	}
 }
 
+// BenchmarkSweep1M times the full million-node pipeline per op: the
+// sharded population build, the bulk experience-seeding pass, and one
+// frozen-epoch aggressive transitivity sweep on the streaming sharded path
+// (400k trustors through bounded per-shard scratch). The 1M-node / 6M-edge
+// network generates once, outside the timer; the per-op rebuild is what the
+// scale milestone budgets (populate+seed+sweep), so it stays inside. At
+// ~6 GB of heap it runs only when SIOT_SCALE1M is set, like
+// benchnet's TestScaleSmoke1M.
+func BenchmarkSweep1M(b *testing.B) {
+	if os.Getenv("SIOT_SCALE1M") == "" {
+		b.Skip("set SIOT_SCALE1M=1 to run the million-node sweep")
+	}
+	net := socialgen.Generate(benchnet.Net1M(), benchnet.Seed)
+	var st sim.TransitivityStats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, setup := benchnet.Populate(net)
+		eng := &sim.Engine{Pop: p, Parallelism: 0, Label: "bench"}
+		st = eng.TransitivityRunModel(setup, core.PolicyAggressive.Model(), benchSeed)
+	}
+	b.ReportMetric(float64(st.Requests), "requests")
+	b.ReportMetric(float64(st.PotentialTrustees), "potential_trustees")
+	b.ReportMetric(float64(st.Successes), "successes")
+}
+
 // benchSeedPass isolates the experience-seeding pass at the given scale and
 // worker count: each op re-builds a fresh population outside the timer and
 // times one SeedParallel over it.
@@ -153,18 +180,17 @@ func BenchmarkSeed10kSerial(b *testing.B) { benchSeedPass(b, 10000, 1) }
 // on a multi-core machine the wall-clock time should drop accordingly.
 func BenchmarkSeed10kParallel4(b *testing.B) { benchSeedPass(b, 10000, 4) }
 
-// benchCapture measures one pooled trust-view capture (the two-pass
-// parallel CaptureTrustView) at the given scale and worker count.
+// benchCapture measures one pooled epoch capture — the two-pass parallel
+// record capture plus the per-edge usage counters, as the engines run it
+// (Population.RoundView) — at the given scale and worker count.
 func benchCapture(b *testing.B, nodes, workers int) {
 	p, _ := benchnet.Population(nodes)
 	pool := core.NewArenaPool()
-	v := p.TrustViewParallel(workers, pool) // warm the pool
-	v.Release()
+	p.RoundView(workers, pool).Release() // warm the pool
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v := p.TrustViewParallel(workers, pool)
-		v.Release()
+		p.RoundView(workers, pool).Release()
 	}
 }
 
@@ -183,7 +209,7 @@ func BenchmarkCapture10kParallel4(b *testing.B) { benchCapture(b, 10000, 4) }
 func BenchmarkFindAggressive(b *testing.B) {
 	p, setup := benchnet.Population(1000)
 	s := p.Searcher(setup.MaxDepth, setup.Omega1, setup.Omega2)
-	view := p.TrustView()
+	view := p.RoundView(1, nil).TrustView
 	memo := core.NewEdgeMemo(view, p.Config().Update.Norm, 1)
 	tk := setup.Universe.Tasks[0]
 	memo.RequireModel(core.PolicyAggressive.Model(), []task.Task{tk})
@@ -202,8 +228,7 @@ func BenchmarkFindAggressive(b *testing.B) {
 // serve engine on the canonical 1k-node benchmark network. Read-only
 // steady state: the writer goroutine idles and every op is an epoch
 // Acquire → frozen-view answer → Release. The engine's own latency
-// histogram supplies the p50/p99 metrics mirrored into BENCH.json by
-// siot-bench's serve-query-1k workload.
+// histogram supplies the p50/p99 query-latency metrics reported here.
 func BenchmarkServeQuery1k(b *testing.B) {
 	eng, err := serve.New(serve.Config{
 		Nodes: 1000, Seed: benchSeed, Seeded: true, Model: core.PolicyAggressive.Model(),

@@ -6,35 +6,17 @@
 //
 // Usage:
 //
-//	siot-bench [-seed N] [-exp table1,fig7,...|all] [-csv DIR] [-charts] [-parallel P]
-//	siot-bench -json BENCH.json [-label NAME] [-scale1m]
-//	siot-bench -compare BENCH.json [-label NAME] [-scale1m]
+//	siot-bench [-seed N] [-exp table1,fig7,...|all] [-csv DIR] [-charts] [-parallel P] [-model NAME]
 //
-// With -json, siot-bench runs the machine-readable perf suite instead of
-// the experiments: it times the engine's standard workloads (delegation
-// rounds at 1k nodes, snapshot mutuality rounds at 100k nodes, frozen-epoch
-// transitivity sweeps at 1k, 10k, and 100k nodes, the pooled trust-view
-// capture, the bulk experience-seeding pass, the full 100k populate+seed
-// setup, a single warm search, and the serve engine's pure-query and mixed
-// read/write workloads with p50/p99 query-latency counters) and appends an
-// entry to the JSON history file, tracking the perf trajectory across PRs.
-// Every workload also records its peak heap footprint (heap_peak_bytes,
-// sampled from runtime.ReadMemStats); -scale1m adds the million-node
-// sweep-1m workload (1M nodes / 6M edges: populate, seed, sharded sweep).
-//
-// With -compare, the suite additionally diffs the fresh measurements
-// against the file's previous last entry and exits non-zero when any
-// benchmark regressed by more than 15% ns/op — BENCH.json becomes a
-// guarded perf trajectory. Baselines recorded on a differently sized
-// machine (the entries carry gomaxprocs/num_cpu) are reported but not
-// enforced.
+// Performance is measured elsewhere: the repeated, fingerprinted,
+// phase-resolved workloads live in benchmark/ (bash benchmark/run.sh), and
+// the per-path micro-benchmarks in the repository's go test benchmarks.
 //
 // Exit status follows the shared CLI convention: 2 for usage errors, 1 for
-// runtime failures (failed shape checks, perf regressions, I/O errors).
+// runtime failures (failed shape checks, I/O errors).
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -52,32 +34,11 @@ func main() {
 	csvDir := flag.String("csv", "", "directory to write per-experiment CSV files")
 	charts := flag.Bool("charts", true, "render ASCII charts for figure experiments")
 	parallel := flag.Int("parallel", 0, "simulation worker-pool width (0 = GOMAXPROCS, 1 = serial); outputs are identical at any width")
-	jsonPath := flag.String("json", "", "run the perf suite and append the results to this JSON history file (skips the experiments)")
-	label := flag.String("label", "local", "label recorded with the -json perf entry")
-	note := flag.String("note", "", "context note recorded with the -json perf entry (e.g. a deliberate workload change)")
-	compare := flag.String("compare", "", "run the perf suite against this JSON history file, appending the new entry and exiting non-zero on any >15% ns/op regression vs the previous last entry (implies -json)")
-	scale1m := flag.Bool("scale1m", false, "include the million-node sweep-1m workload in the -json/-compare perf suite (several minutes, ~6 GB of heap)")
 	modelName := flag.String("model", "", "restrict the model-matrix experiment to one registered trust model (empty = all)")
 	flag.Parse()
 
 	if err := cliutil.ValidateParallel(*parallel); err != nil {
 		cliutil.Usage("siot-bench", err)
-	}
-	if *compare != "" && *jsonPath != "" {
-		cliutil.Usage("siot-bench", errors.New("-json and -compare are mutually exclusive (both run the suite and append to their file; pick one history file)"))
-	}
-	if *compare != "" || *jsonPath != "" {
-		path, gate := *jsonPath, false
-		if *compare != "" {
-			path, gate = *compare, true
-		}
-		if err := runPerfSuite(path, *label, *note, gate, *scale1m); err != nil {
-			cliutil.Runtime("siot-bench", err)
-		}
-		return
-	}
-	if *scale1m {
-		cliutil.Usage("siot-bench", errors.New("-scale1m only applies to the -json/-compare perf suite"))
 	}
 
 	var names []string

@@ -44,7 +44,7 @@ func main() {
 
 	// Freeze the campus's trust records and search the snapshot.
 	requester := p.Trustors[0]
-	view := p.TrustView()
+	view := p.RoundView(1, nil).TrustView
 	searcher := p.Searcher(setup.MaxDepth, setup.Omega1, setup.Omega2)
 	var res core.SearchResult
 	for _, policy := range []core.Policy{core.PolicyTraditional, core.PolicyConservative, core.PolicyAggressive} {

@@ -1,7 +1,7 @@
 // Package benchnet builds the standard benchmark networks shared by the go
-// test benchmarks (bench_test.go) and the machine-readable perf suite of
-// cmd/siot-bench (-json): one canonical community-structured profile per
-// node count, with experience records seeded for the transitivity sweeps.
+// test benchmarks (bench_test.go) and the benchmark/ workloads: one
+// canonical community-structured profile per node count, with experience
+// records seeded for the transitivity sweeps.
 package benchnet
 
 import (
@@ -48,8 +48,8 @@ func Net100k() socialgen.Profile {
 // Net1M is the canonical million-node benchmark profile: 1M nodes and 6M
 // edges (average degree 12, within the ROADMAP's 5–10M-edge frontier band),
 // community-structured like every smaller profile. It generates on
-// socialgen's streaming path and is the network behind the sweep-1m
-// siot-bench workload and the CI scale-smoke job.
+// socialgen's streaming path and is the network behind BenchmarkSweep1M
+// and the CI scale-smoke job.
 func Net1M() socialgen.Profile {
 	return socialgen.Profile{
 		Name:  "bench1m",
@@ -83,8 +83,8 @@ func PopulationFor(profile socialgen.Profile) (*sim.Population, sim.Transitivity
 
 // Populate builds the seeded benchmark population over an already
 // generated network — the populate+seed half of PopulationFor, split out
-// so the setup benchmarks (BenchmarkSetup100k, the siot-bench setup
-// workloads) can time it without re-generating the network every op.
+// so the setup benchmarks (BenchmarkSetup100k, BenchmarkSweep1M) can time
+// it without re-generating the network every op.
 func Populate(net *socialgen.Network) (*sim.Population, sim.TransitivitySetup) {
 	p := sim.NewPopulation(net, sim.DefaultPopulationConfig(Seed))
 	setup := sim.DefaultTransitivitySetup(5, p.Rand("bench-rounds"))

@@ -9,7 +9,7 @@ import (
 
 // TestScaleSmoke1M is the CI scale gate for the million-node path: generate
 // the canonical 1M-node / 6M-edge network, populate it, and seed transitivity
-// experience — the full setup half of the sweep-1m workload — under whatever
+// experience — the full setup half of BenchmarkSweep1M — under whatever
 // memory budget the environment imposes (CI sets GOMEMLIMIT). It runs only
 // when SIOT_SCALE1M is set: at ~6 GB peak it has no place in the default
 // test sweep.

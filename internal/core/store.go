@@ -186,7 +186,7 @@ func (s *Store) AppendCompact(trustee AgentID, cat *task.Catalog, buf []CompactR
 
 // RecordCount returns how many records the store holds about trustee. It
 // is the counting pass of the parallel trust-view capture: together with
-// AppendCompact it lets CaptureTrustViewParallel size every arena span
+// AppendCompact it lets CaptureTrustView size every arena span
 // before filling it.
 func (s *Store) RecordCount(trustee AgentID) int {
 	sh := s.shard(trustee)

@@ -34,19 +34,19 @@ func assertSameView(t *testing.T, label string, want, got *core.TrustView) {
 	}
 }
 
-// TestCaptureParallelEquivalence pins the tentpole contract: the parallel
+// TestCaptureParallelEquivalence pins the capture contract: the parallel
 // two-pass capture is byte-identical to the serial reference capture at
 // every worker count, pooled or not.
 func TestCaptureParallelEquivalence(t *testing.T) {
 	for _, seed := range []uint64{5, 21} {
 		p, _ := viewTestPopulation(t, seed, 5)
-		want := p.TrustView() // serial reference
+		want := p.RoundView(1, nil).TrustView // serial reference
 		pool := core.NewArenaPool()
 		for _, workers := range []int{1, 4, 8} {
 			label := fmt.Sprintf("seed=%d workers=%d", seed, workers)
-			assertSameView(t, label+" unpooled", want, p.TrustViewParallel(workers, nil))
-			got := p.TrustViewParallel(workers, pool)
-			assertSameView(t, label+" pooled", want, got)
+			assertSameView(t, label+" unpooled", want, p.RoundView(workers, nil).TrustView)
+			got := p.RoundView(workers, pool)
+			assertSameView(t, label+" pooled", want, got.TrustView)
 			got.Release() // next worker count re-draws the same arenas
 		}
 	}
@@ -71,14 +71,14 @@ func mutateStores(p *Population, tk task.Task) {
 func TestArenaPoolNoStaleRecords(t *testing.T) {
 	p, setup := viewTestPopulation(t, 13, 5)
 	pool := core.NewArenaPool()
-	first := p.TrustViewParallel(4, pool)
+	first := p.RoundView(4, pool)
 	if first.NumEdges() == 0 {
 		t.Fatal("empty capture")
 	}
 	first.Release()
 	mutateStores(p, setup.Universe.Tasks[0])
-	got := p.TrustViewParallel(4, pool)
-	assertSameView(t, "post-mutation pooled capture", p.TrustView(), got)
+	got := p.RoundView(4, pool)
+	assertSameView(t, "post-mutation pooled capture", p.RoundView(1, nil).TrustView, got.TrustView)
 }
 
 // TestEpochResetMatchesFreshEpoch asserts that Reset — the arena-keeping
@@ -109,11 +109,11 @@ func TestEpochResetMatchesFreshEpoch(t *testing.T) {
 func TestEpochArenaReuse(t *testing.T) {
 	p, _ := viewTestPopulation(t, 29, 5)
 	pool := core.NewArenaPool()
-	v := p.TrustViewParallel(1, pool)
-	firstArena := &v.EdgeRecords(firstNonEmptyEdge(t, v))[0]
+	v := p.RoundView(1, pool)
+	firstArena := &v.EdgeRecords(firstNonEmptyEdge(t, v.TrustView))[0]
 	v.Release()
-	v2 := p.TrustViewParallel(1, pool)
-	secondArena := &v2.EdgeRecords(firstNonEmptyEdge(t, v2))[0]
+	v2 := p.RoundView(1, pool)
+	secondArena := &v2.EdgeRecords(firstNonEmptyEdge(t, v2.TrustView))[0]
 	if firstArena != secondArena {
 		t.Error("second pooled capture did not reuse the released record arena")
 	}
@@ -122,7 +122,7 @@ func TestEpochArenaReuse(t *testing.T) {
 		t.Skip("allocation counts are meaningless under -race")
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		v := p.TrustViewParallel(1, pool)
+		v := p.RoundView(1, pool)
 		v.Release()
 	})
 	// The view struct, capture-source closures, and pool bookkeeping still

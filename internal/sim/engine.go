@@ -323,12 +323,15 @@ type netProfitAction struct {
 	profit  float64
 }
 
-// NetProfitRun is the engine counterpart of the package-level NetProfitRun:
-// iterations of continuous task delegations under the given strategy, with
-// each iteration's trustors sharded over the worker pool. Trustee ground
-// truths are drawn once, serially, exactly as in the legacy path; the
+// NetProfitRun iterates continuous task delegations under the given
+// strategy and returns the average realized net profit of the trustors at
+// every iteration — one curve of Fig. 13. Each iteration's trustors are
+// sharded over the worker pool. Trustee ground truths are drawn once per
+// run, serially; trustor expectations start at the neutral prior and are
+// updated with the store's forgetting factors after every delegation, so
+// the curves show the learning dynamics of the two strategies. The
 // per-delegation success draws come from per-(iteration, trustor)
-// sub-streams. Returns the average realized net profit per iteration.
+// sub-streams, so the series is identical at every worker count.
 func (e *Engine) NetProfitRun(iterations int, strategy Strategy, seed uint64) []float64 {
 	e.init()
 	p := e.Pop

@@ -59,7 +59,7 @@ func TestHellingerTrainWorkerDeterminism(t *testing.T) {
 	}
 	trainable := m.(core.EpochTrainable)
 	norm := p.Config().Update.Norm
-	view := p.TrustView()
+	view := p.RoundView(1, nil).TrustView
 	probes := []task.Task{
 		setup.Universe.Tasks[0],
 		task.Uniform(99, task.CharGPS, task.CharCompute),

@@ -56,61 +56,6 @@ func (t trusteeTruth) outcome(success bool) core.Outcome {
 	return o
 }
 
-// NetProfitRun iterates continuous task delegations under the given
-// strategy and returns the average realized net profit of the trustors at
-// every iteration — one curve of Fig. 13.
-//
-// Trustee ground truths are drawn once per run; trustor expectations start
-// at the neutral prior and are updated with the store's forgetting factors
-// after every delegation, so the curves show the learning dynamics of the
-// two strategies.
-func NetProfitRun(p *Population, iterations int, strategy Strategy, seed uint64) []float64 {
-	r := rng.New(seed, "netprofit", p.Net.Profile.Name, strategy.String())
-	truths := drawTruths(p, r)
-	tk := task.Uniform(0, task.CharCompute) // one generic task type
-	series := make([]float64, iterations)
-
-	for it := 0; it < iterations; it++ {
-		var sum float64
-		active := 0
-		for _, x := range p.Trustors {
-			trustor := p.Agent(x)
-			nbrs := p.TrusteeNeighbors(x)
-			if len(nbrs) == 0 {
-				continue
-			}
-			cands := make([]core.ExpCandidate, 0, len(nbrs))
-			for _, y := range nbrs {
-				rec, ok := trustor.Store.Record(y, tk.Type())
-				exp := trustor.Store.Config().Init
-				if ok {
-					exp = rec.Exp
-				}
-				cands = append(cands, core.ExpCandidate{ID: y, Exp: exp})
-			}
-			var chosen core.ExpCandidate
-			var ok bool
-			if strategy == StrategySuccessRate {
-				chosen, ok = core.BestBySuccessRate(cands)
-			} else {
-				chosen, ok = core.BestByNetProfit(cands)
-			}
-			if !ok {
-				continue
-			}
-			truth := truths[chosen.ID]
-			success := r.Float64() < truth.S
-			sum += truth.realizedProfit(success)
-			active++
-			trustor.Store.Observe(chosen.ID, tk, truth.outcome(success), core.PerfectEnv())
-		}
-		if active > 0 {
-			series[it] = sum / float64(active)
-		}
-	}
-	return series
-}
-
 // NetProfitRunSelf iterates the eq. 23 strategy with, optionally, the
 // trustor itself as one of the candidates (eq. 24): "although the agent has
 // resource and capability to accomplish the task, he trusts and delegates

@@ -298,15 +298,6 @@ func (p *Population) Searcher(maxDepth int, omega1, omega2 float64) *core.Search
 // Catalog returns the task catalog shared by every store of the population.
 func (p *Population) Catalog() *task.Catalog { return p.cfg.Update.Catalog }
 
-// TrustView captures a frozen-epoch snapshot of every agent's store along
-// the social edges — the read substrate of the transitivity sweeps. The
-// snapshot shares the population's CSR adjacency and copies the current
-// per-edge records into a contiguous compact arena; it stays valid until the
-// next store mutation (delegation round, seeding pass, or identity churn).
-func (p *Population) TrustView() *core.TrustView {
-	return p.TrustViewParallel(1, nil)
-}
-
 // CaptureSource exposes the population's stores to the trust-view capture
 // (core.CaptureTrustView): the shared catalog, per-edge record counts for
 // the sizing pass, in-place compact appends for the fill pass, and each
@@ -325,20 +316,6 @@ func (p *Population) CaptureSource() core.CaptureSource {
 			return p.Agents[holder].Store.Version()
 		},
 	}
-}
-
-// TrustViewParallel is TrustView captured over a worker pool, drawing
-// arenas from pool (either may be degraded: workers <= 1 captures
-// serially, a nil pool allocates fresh). The result is byte-identical to
-// TrustView at every worker count. A population large enough to overflow
-// the arena offset space (~2.1 G records) panics with ErrArenaOverflow —
-// callers that want the error handle core.CaptureTrustView directly.
-func (p *Population) TrustViewParallel(workers int, pool *core.ArenaPool) *core.TrustView {
-	v, err := core.CaptureTrustView(p.adjOff, p.adjTo, p.CaptureSource(), workers, pool)
-	if err != nil {
-		panic(err)
-	}
-	return v
 }
 
 // RoundSource exposes the population's stores to a round-view capture: the

@@ -240,7 +240,7 @@ func TestNetProfitStrategies(t *testing.T) {
 	iters := 600
 	mean := func(strategy Strategy) float64 {
 		p := NewPopulation(net, DefaultPopulationConfig(8))
-		series := NetProfitRun(p, iters, strategy, 8)
+		series := NewEngine(p, "test").NetProfitRun(iters, strategy, 8)
 		var sum float64
 		for _, v := range series[iters/2:] { // converged half
 			sum += v
@@ -260,7 +260,7 @@ func TestNetProfitStrategies(t *testing.T) {
 func TestNetProfitSeriesLength(t *testing.T) {
 	net := smallNet(t)
 	p := NewPopulation(net, DefaultPopulationConfig(9))
-	series := NetProfitRun(p, 50, StrategyNetProfit, 9)
+	series := NewEngine(p, "test").NetProfitRun(50, StrategyNetProfit, 9)
 	if len(series) != 50 {
 		t.Fatalf("series length %d", len(series))
 	}

@@ -54,7 +54,7 @@ func TestFindViewZeroAlloc(t *testing.T) {
 	}
 	p, setup := viewTestPopulation(t, 3, 5)
 	s := p.Searcher(setup.MaxDepth, setup.Omega1, setup.Omega2)
-	view := p.TrustView()
+	view := p.RoundView(1, nil).TrustView
 	memo := core.NewEdgeMemo(view, p.Config().Update.Norm, 1)
 	tk := setup.Universe.Tasks[0]
 	trustor := p.Trustors[0]

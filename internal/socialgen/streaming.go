@@ -40,7 +40,7 @@ import (
 // switches to the streaming path. The paper profiles (a few hundred nodes)
 // and the historical 1k/10k benchmark networks stay on the calibrated
 // path, so their graphs — and everything pinned to them (golden figures,
-// BENCH.json trajectories) — are unchanged.
+// benchmark timings) — are unchanged.
 const streamingNodeThreshold = 20000
 
 // packEdge encodes the undirected pair {u, v} as a canonical sortable key.

@@ -33,7 +33,7 @@ type Catalog struct {
 // catalogSnap is one immutable catalog state. Readers load it once and index
 // freely; writers replace it wholesale.
 type catalogSnap struct {
-	tasks  []Task       // indexed by Ref
+	tasks  []Task         // indexed by Ref
 	byType map[Type][]Ref // interning buckets; several tasks may share a type
 }
 
