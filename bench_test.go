@@ -224,6 +224,37 @@ func BenchmarkFindAggressive(b *testing.B) {
 	b.ReportMetric(float64(res.Inquired), "inquired")
 }
 
+// BenchmarkTrustInto measures one warm aggressive point query on the same
+// epoch: trust(trustor, trustee) for a non-neighbour candidate of that
+// search, answered from the frontiers to depth MaxDepth−1 plus a last-hop
+// fold instead of the full candidate list. It must report 0 allocs/op
+// (guarded by sim's TestTrustIntoZeroAlloc).
+func BenchmarkTrustInto(b *testing.B) {
+	p, setup := benchnet.Population(1000)
+	s := p.Searcher(setup.MaxDepth, setup.Omega1, setup.Omega2)
+	view := p.RoundView(1, nil).TrustView
+	memo := core.NewEdgeMemo(view, p.Config().Update.Norm, 1)
+	tk := setup.Universe.Tasks[0]
+	memo.RequireModel(core.PolicyAggressive.Model(), []task.Task{tk})
+	trustor := p.Trustors[0]
+	var res core.SearchResult
+	s.FindViewModelInto(&res, view, memo, trustor, tk, core.PolicyAggressive.Model())
+	trustee := trustor
+	for _, c := range res.Candidates {
+		if _, adjacent := view.EdgeIndex(trustor, c.ID); !adjacent {
+			trustee = c.ID
+		}
+	}
+	if _, found := s.TrustInto(view, memo, trustor, trustee, tk, core.PolicyAggressive.Model()); !found { // also warms the pool
+		b.Fatal("no transitive candidate to query")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.TrustInto(view, memo, trustor, trustee, tk, core.PolicyAggressive.Model())
+	}
+}
+
 // BenchmarkServeQuery1k measures one trust query per op against a live
 // serve engine on the canonical 1k-node benchmark network. Read-only
 // steady state: the writer goroutine idles and every op is an epoch

@@ -2,13 +2,16 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -383,5 +386,33 @@ func TestServerBounds(t *testing.T) {
 	}
 	if srv.ReadHeaderTimeout > srv.ReadTimeout {
 		t.Errorf("ReadHeaderTimeout %v exceeds ReadTimeout %v", srv.ReadHeaderTimeout, srv.ReadTimeout)
+	}
+}
+
+// TestUnbuildableNetworkIsUsageError runs main in a child process of the
+// test binary (the arguments after "--" are siot-serve's): a -nodes count
+// socialgen cannot build must exit 2 with the profile error, not panic
+// (which would also exit 2, hence the stderr check).
+func TestUnbuildableNetworkIsUsageError(t *testing.T) {
+	if i := slices.Index(os.Args, "--"); i >= 0 {
+		os.Args = append([]string{"siot-serve"}, os.Args[i+1:]...)
+		main()
+		os.Exit(0) // main returned: the bad network was served
+	}
+	for _, nodes := range []string{"3", "1"} {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestUnbuildableNetworkIsUsageError$", "--",
+			"-nodes", nodes, "-addr", "127.0.0.1:0")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("-nodes %s: %v, want exit status 2; stderr:\n%s", nodes, err, stderr.String())
+		}
+		if msg := stderr.String(); !strings.Contains(msg, "invalid profile") || strings.Contains(msg, "panic") {
+			t.Fatalf("-nodes %s: stderr %q, want the profile error and no panic", nodes, msg)
+		}
 	}
 }

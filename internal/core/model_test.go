@@ -128,7 +128,7 @@ func TestModelSpecs(t *testing.T) {
 	}
 }
 
-func mustParseModel(t *testing.T, name string) TrustModel {
+func mustParseModel(t testing.TB, name string) TrustModel {
 	t.Helper()
 	m, err := ParseModel(name)
 	if err != nil {

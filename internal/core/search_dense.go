@@ -14,6 +14,9 @@ import (
 // TrustModel's ModelSpec and fed by an EdgeMemo (or, without one, by the
 // model's per-edge evaluation). The package tests pin it byte for byte
 // against a map-based reference search over live stores (oracle_test.go).
+// TrustInto answers a single (trustor, trustee) point query with the same
+// loop, pinned bit for bit to a scan of the full search's candidates
+// (trustinto_test.go).
 
 // frontSet is one stamped agent set with a max-merged value per member — a
 // BFS frontier or a best-value candidate layer — plus the ordered ID list
@@ -197,7 +200,7 @@ func (s *Searcher) FindViewModelInto(res *SearchResult, view *TrustView, memo *E
 	res.Inquired = 0
 	if !spec.PerCharacteristic {
 		best := &st.layers[0]
-		res.Inquired = s.spread(st, view, mm.table(t), &src, trustor, product, relayMin, mintMin, best)
+		res.Inquired, _ = s.spread(st, view, mm.table(t), &src, trustor, product, relayMin, mintMin, best, s.MaxDepth)
 		for _, v := range best.ids {
 			res.Candidates = append(res.Candidates, Candidate{ID: v, TW: best.val[v]})
 		}
@@ -209,7 +212,8 @@ func (s *Searcher) FindViewModelInto(res *SearchResult, view *TrustView, memo *E
 			if vals == nil {
 				src.t = unitTask(c)
 			}
-			res.Inquired += s.spread(st, view, vals, &src, trustor, product, relayMin, math.Inf(-1), &st.layers[ci])
+			inquired, _ := s.spread(st, view, vals, &src, trustor, product, relayMin, math.Inf(-1), &st.layers[ci], s.MaxDepth)
+			res.Inquired += inquired
 		}
 		// A node unreached by the first characteristic can never satisfy
 		// full coverage, so its layer's discovery list is the candidate pool.
@@ -233,15 +237,17 @@ func (s *Searcher) FindViewModelInto(res *SearchResult, view *TrustView, memo *E
 	densePool.Put(st)
 }
 
-// spread runs one breadth-first propagation from trustor, at most MaxDepth
-// hops deep, into the candidate layer best. Hop values come from vals (a
-// memo table, NaN marking a blocked hop) or, without one, from src. Every
-// admissible hop marks its target inquired; a hop of at least mintMin mints
-// the target into best (max-merged over paths) when the candidate mask
-// admits it, and a hop of at least relayMin carries the path onward. It
-// returns how many nodes it newly marked inquired.
+// spread runs one breadth-first propagation from trustor, at most limit
+// (≤ MaxDepth) hops deep, into the candidate layer best. Hop values come
+// from vals (a memo table, NaN marking a blocked hop) or, without one, from
+// src. Every admissible hop marks its target inquired; a hop of at least
+// mintMin mints the target into best (max-merged over paths) when the
+// candidate mask admits it, and a hop of at least relayMin carries the path
+// onward while the depth is below MaxDepth. It returns how many nodes it
+// newly marked inquired and its last frontier: the nodes a path of exactly
+// limit hops relays from, valid until st's next spread.
 func (s *Searcher) spread(st *denseState, view *TrustView, vals []float64, src *hopSource, trustor AgentID,
-	product bool, relayMin, mintMin float64, best *frontSet) int {
+	product bool, relayMin, mintMin float64, best *frontSet, limit int) (int, *frontSet) {
 	best.reset(st.nextStamp())
 	adjOff, adjTo, mask := view.adjOff, view.adjTo, s.CandidateMask
 	// The inquired set and the candidate layer are updated inline with
@@ -251,7 +257,7 @@ func (s *Searcher) spread(st *denseState, view *TrustView, vals []float64, src *
 	cur, nxt := &st.fr[0], &st.fr[1]
 	cur.reset(st.nextStamp())
 	cur.add(trustor, 1)
-	for depth := 1; depth <= s.MaxDepth && len(cur.ids) > 0; depth++ {
+	for depth := 1; depth <= limit && len(cur.ids) > 0; depth++ {
 		nxt.reset(st.nextStamp())
 		relay := depth < s.MaxDepth
 		for _, u := range cur.ids {
@@ -302,5 +308,93 @@ func (s *Searcher) spread(st *denseState, view *TrustView, vals []float64, src *
 		cur, nxt = nxt, cur
 		slices.Sort(cur.ids)
 	}
-	return inquired
+	return inquired, cur
+}
+
+// TrustInto answers one point query: the value trustee holds among
+// trustor's candidates for t under m, and whether it is one — bit for bit
+// what FindViewModelInto followed by a scan of its candidates for trustee
+// returns ((0, false) when absent), without minting, listing or sorting the
+// other candidates. A PerCharacteristic model takes one point value per
+// characteristic; the trustee is not found as soon as one characteristic
+// misses it (eq. 12 coverage), else the weighted sum (eq. 17) must pass ω2.
+// TrustInto shares FindViewModelInto's memo contract and its concurrency
+// safety.
+func (s *Searcher) TrustInto(view *TrustView, memo *EdgeMemo, trustor, trustee AgentID, t task.Task, m TrustModel) (float64, bool) {
+	if trustee == trustor || s.MaxDepth < 1 || (s.CandidateMask != nil && !s.CandidateMask[trustee]) {
+		return 0, false
+	}
+	spec := m.Spec()
+	product := spec.Combine == CombineProduct
+	relayMin, mintMin := anyPositive, anyPositive
+	if spec.OmegaGated {
+		relayMin, mintMin = s.Omega1, s.Omega2
+	}
+	mm := memo.model(m)
+	src := newHopSource(mm, m, HopContext{Tasks: view.tasks, Norm: s.Norm}, t)
+	st := acquireDense(view.NumAgents(), 1)
+	st.inqCur = st.nextStamp()
+	var tw float64
+	var found bool
+	if !spec.PerCharacteristic {
+		tw, found = s.point(st, view, mm.table(t), &src, trustor, trustee, product, relayMin, mintMin)
+	} else {
+		weights := t.Weights()
+		for ci, c := range t.Characteristics() {
+			vals := mm.charTable(c)
+			if vals == nil {
+				src.t = unitTask(c)
+			}
+			var v float64
+			if v, found = s.point(st, view, vals, &src, trustor, trustee, product, relayMin, math.Inf(-1)); !found {
+				break
+			}
+			tw += weights[ci] * v
+		}
+		found = found && tw >= mintMin
+	}
+	densePool.Put(st)
+	if !found {
+		return 0, false
+	}
+	return tw, true
+}
+
+// point is trustee's best path value over at most MaxDepth hops: spread's
+// candidate layer after MaxDepth−1 hops, max-merged with the last hop from
+// every node of the final frontier into trustee, under the same admission,
+// minting threshold and combine as spread's edge loop.
+func (s *Searcher) point(st *denseState, view *TrustView, vals []float64, src *hopSource, trustor, trustee AgentID,
+	product bool, relayMin, mintMin float64) (float64, bool) {
+	best := &st.layers[0]
+	_, front := s.spread(st, view, vals, src, trustor, product, relayMin, mintMin, best, s.MaxDepth-1)
+	val, found := 0.0, best.has(trustee)
+	if found {
+		val = best.val[trustee]
+	}
+	for _, u := range front.ids {
+		e, ok := view.EdgeIndex(u, trustee)
+		if !ok {
+			continue
+		}
+		var hop float64
+		if vals != nil {
+			hop = vals[e]
+			ok = !math.IsNaN(hop)
+		} else {
+			hop, ok = src.hop(view, e)
+		}
+		if !ok || !(hop >= mintMin) {
+			continue
+		}
+		uval := front.val[u]
+		miss := 0.0
+		if !product {
+			miss = 1 - uval
+		}
+		if v := uval*hop + miss*(1-hop); !found || v > val {
+			val, found = v, true
+		}
+	}
+	return val, found
 }

@@ -141,7 +141,6 @@ func Replay(r io.Reader) (ReplayStats, error) {
 		}
 	}()
 	norm := w.pop.Config().Update.Norm
-	var sr core.SearchResult
 	for {
 		line, err := s.next()
 		if err != nil {
@@ -185,7 +184,7 @@ func Replay(r io.Reader) (ReplayStats, error) {
 			if q.Type < 0 || q.Type >= len(w.setup.Universe.Tasks) {
 				return stats, fmt.Errorf("serve: replay: line %d: task type %d out of range", ln, q.Type)
 			}
-			res := answer(w.searcher, ep.view, ep.memo, &sr,
+			res := answer(w.searcher, ep.view, ep.memo,
 				core.AgentID(q.Trustor), core.AgentID(q.Trustee), w.setup.Universe.Tasks[q.Type], cfg.Model)
 			bits := fmt.Sprintf("%016x", math.Float64bits(res.TW))
 			if bits != q.TWBits || res.Found != q.Found || res.Direct != q.Direct {

@@ -26,7 +26,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -135,6 +134,9 @@ func buildWorld(cfg Config) (*world, error) {
 			return nil, fmt.Errorf("serve: %w", err)
 		}
 	}
+	if err := profile.Validate(); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
 	net := socialgen.Generate(profile, cfg.Seed)
 	pcfg := sim.DefaultPopulationConfig(cfg.Seed)
 	pcfg.Theta = cfg.Theta
@@ -240,7 +242,6 @@ type Engine struct {
 	closed atomic.Bool
 
 	journal *journal
-	results sync.Pool // *core.SearchResult
 	// capture freezes the stores into a round view, copying the rows prev
 	// (the current epoch, nil for the first) still holds. It is the
 	// population's RoundViewFrom; tests swap it to inject failures.
@@ -265,13 +266,12 @@ type Engine struct {
 // differ only in how they seed the journal and the counters.
 func newEngine(cfg Config, w *world) *Engine {
 	e := &Engine{
-		cfg:     cfg,
-		world:   w,
-		pool:    core.NewArenaPool(),
-		queue:   make(chan queued, cfg.QueueSize),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
-		results: sync.Pool{New: func() any { return new(core.SearchResult) }},
+		cfg:   cfg,
+		world: w,
+		pool:  core.NewArenaPool(),
+		queue: make(chan queued, cfg.QueueSize),
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
 	}
 	e.journal = newJournal(cfg.Journal, cfg.Fsync, &e.fsyncLat)
 	e.capture = func(prev *core.RoundView) (*core.RoundView, error) {
@@ -460,9 +460,7 @@ func (e *Engine) Trust(trustor, trustee core.AgentID, typeIdx int) (TrustResult,
 		return TrustResult{}, ErrClosed
 	}
 	pay := ref.Attachment().(*epochPayload)
-	sr := e.results.Get().(*core.SearchResult)
-	res := answer(e.world.searcher, ref.View(), pay.memo, sr, trustor, trustee, e.TaskTypes()[typeIdx], e.cfg.Model)
-	e.results.Put(sr)
+	res := answer(e.world.searcher, ref.View(), pay.memo, trustor, trustee, e.TaskTypes()[typeIdx], e.cfg.Model)
 	res.Epoch = pay.id
 	ref.Release()
 	e.lat.observe(time.Since(start).Nanoseconds())
@@ -480,20 +478,16 @@ func (e *Engine) Trust(trustor, trustee core.AgentID, typeIdx int) (TrustResult,
 // this function over the re-captured epoch reproduces the journaled bits.
 // The direct-experience channel reads the view's model-independent BestTW
 // (own experience needs no transfer method); only non-direct answers go
-// through the model.
-func answer(s *core.Searcher, view *core.RoundView, memo *core.EdgeMemo, sr *core.SearchResult, trustor, trustee core.AgentID, t task.Task, m core.TrustModel) TrustResult {
+// through the model, as one point query (Searcher.TrustInto) rather than a
+// listing of every candidate.
+func answer(s *core.Searcher, view *core.RoundView, memo *core.EdgeMemo, trustor, trustee core.AgentID, t task.Task, m core.TrustModel) TrustResult {
 	if edge, ok := view.EdgeIndex(trustor, trustee); ok {
 		if tw, ok := view.BestTW(edge, t); ok {
 			return TrustResult{TW: tw, Found: true, Direct: true}
 		}
 	}
-	s.FindViewModelInto(sr, view.TrustView, memo, trustor, t, m)
-	for _, c := range sr.Candidates {
-		if c.ID == trustee {
-			return TrustResult{TW: c.TW, Found: true}
-		}
-	}
-	return TrustResult{}
+	tw, found := s.TrustInto(view.TrustView, memo, trustor, trustee, t, m)
+	return TrustResult{TW: tw, Found: found}
 }
 
 // Close stops ingestion, drains and acknowledges the queue, retires the

@@ -74,3 +74,37 @@ func TestFindViewZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// TestTrustIntoZeroAlloc guards the point query the same way: a warm
+// TrustInto with a required memo must not allocate, for every registered
+// model.
+func TestTrustIntoZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool fakes misses under -race; allocation counts are meaningless")
+	}
+	p, setup := viewTestPopulation(t, 3, 5)
+	s := p.Searcher(setup.MaxDepth, setup.Omega1, setup.Omega2)
+	view := p.RoundView(1, nil).TrustView
+	memo := core.NewEdgeMemo(view, p.Config().Update.Norm, 1)
+	tk := setup.Universe.Tasks[0]
+	trustor := p.Trustors[0]
+	// A far candidate the mask admits, so no query returns before searching.
+	trustee := core.AgentID(view.NumAgents() - 1)
+	for trustee == trustor || !s.CandidateMask[trustee] {
+		trustee--
+	}
+	for _, name := range core.ModelNames() {
+		m, err := core.ParseModel(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		memo.RequireModel(m, []task.Task{tk})
+		s.TrustInto(view, memo, trustor, trustee, tk, m) // warm the pool
+		allocs := testing.AllocsPerRun(50, func() {
+			s.TrustInto(view, memo, trustor, trustee, tk, m)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %.1f allocs/op after warmup, want 0", name, allocs)
+		}
+	}
+}

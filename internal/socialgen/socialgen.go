@@ -26,6 +26,7 @@ package socialgen
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -143,6 +144,33 @@ func ProfileByName(name string) (Profile, error) {
 	return Profile{}, fmt.Errorf("socialgen: unknown network profile %q (want facebook, gplus, or twitter)", name)
 }
 
+// ErrProfile is wrapped by every error Validate returns.
+var ErrProfile = errors.New("socialgen: invalid profile")
+
+// Validate reports whether Generate can build the profile: at least two
+// nodes, no more edges than a simple graph on them holds, every planted
+// community seated with at least 3 members, and — on the streaming path —
+// enough edges for the connectivity spine.
+func (p Profile) Validate() error {
+	if p.Nodes < 2 {
+		return fmt.Errorf("%w: %q has %d nodes, want at least 2", ErrProfile, p.Name, p.Nodes)
+	}
+	if maxEdges := p.Nodes * (p.Nodes - 1) / 2; p.Edges > maxEdges {
+		return fmt.Errorf("%w: %q wants %d edges, max %d for %d nodes", ErrProfile, p.Name, p.Edges, maxEdges, p.Nodes)
+	}
+	k := max(p.Communities, 1)
+	if p.Nodes < 3*k {
+		return fmt.Errorf("%w: %q cannot seat %d communities of >= 3 in %d nodes", ErrProfile, p.Name, k, p.Nodes)
+	}
+	if p.Nodes >= streamingNodeThreshold {
+		if spine := spineEdges(p.Nodes, k, p.ChainCommunities); p.Edges < spine {
+			return fmt.Errorf("%w: streaming %q wants %d edges but its connectivity spine needs up to %d (%d nodes, %d communities); raise Edges or lower Communities/ChainCommunities",
+				ErrProfile, p.Name, p.Edges, spine, p.Nodes, k)
+		}
+	}
+	return nil
+}
+
 // Network is a generated (or loaded) social network: the graph plus the node
 // metadata the experiments need.
 type Network struct {
@@ -166,16 +194,15 @@ type Network struct {
 // sorted edge-key list with structural (never repaired) connectivity.
 // Smaller profiles — including the three calibrated paper networks — use
 // the rejection-and-refinement path below, unchanged.
+//
+// Generate panics with Validate's error on a profile it cannot build;
+// callers taking profiles from input call Validate first.
 func Generate(p Profile, seed uint64) *Network {
-	if p.Nodes < 2 {
-		panic(fmt.Sprintf("socialgen: profile %q has %d nodes", p.Name, p.Nodes))
+	if err := p.Validate(); err != nil {
+		panic(err)
 	}
 	if p.Nodes >= streamingNodeThreshold {
 		return generateStreaming(p, seed)
-	}
-	maxEdges := p.Nodes * (p.Nodes - 1) / 2
-	if p.Edges > maxEdges {
-		panic(fmt.Sprintf("socialgen: profile %q wants %d edges, max %d", p.Name, p.Edges, maxEdges))
 	}
 	r := rng.New(seed, "socialgen", p.Name)
 
@@ -192,10 +219,7 @@ func Generate(p Profile, seed uint64) *Network {
 	for n, c := range assign {
 		members[c] = append(members[c], graph.NodeID(n))
 	}
-	coreK := len(sizes) - p.ChainCommunities
-	if coreK < 1 {
-		coreK = len(sizes)
-	}
+	coreK := coreCommunities(len(sizes), p.ChainCommunities)
 	extended := overlapMembers(members, coreK, p, r)
 
 	g := graph.New(p.Nodes)

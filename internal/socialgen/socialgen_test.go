@@ -1,6 +1,7 @@
 package socialgen
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -154,6 +155,53 @@ func TestProfileByName(t *testing.T) {
 	}
 	if _, err := ProfileByName("myspace"); err == nil {
 		t.Fatal("unknown profile accepted")
+	}
+}
+
+// TestProfileValidate: every profile Generate cannot build is rejected by
+// Validate with an ErrProfile, and Generate panics with that same error
+// instead of failing deep inside placement; buildable profiles pass.
+func TestProfileValidate(t *testing.T) {
+	spine := largeTestProfile(streamingNodeThreshold, streamingNodeThreshold)
+	spine.Communities, spine.ChainCommunities = 250, 3
+	bad := []struct {
+		name string
+		p    Profile
+	}{
+		{"no nodes", Profile{Name: "bench0k", Nodes: 0, Edges: 0, Communities: 4}},
+		{"one node", Profile{Name: "bench0k", Nodes: 1, Edges: 8, Communities: 4}},
+		{"too many edges", Profile{Name: "bench0k", Nodes: 3, Edges: 24, Communities: 4}},
+		{"unseatable communities", Profile{Name: "tiny", Nodes: 10, Edges: 20, Communities: 4}},
+		{"streaming spine", spine},
+		{"streaming seating", largeTestProfile(streamingNodeThreshold, 4*streamingNodeThreshold)},
+	}
+	bad[5].p.Communities = streamingNodeThreshold/3 + 1
+	for _, tc := range bad {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.p.Validate()
+			if !errors.Is(err, ErrProfile) {
+				t.Fatalf("Validate() = %v, want an ErrProfile", err)
+			}
+			defer func() {
+				if got, _ := recover().(error); got == nil || got.Error() != err.Error() {
+					t.Fatalf("Generate panicked with %v, want %v", got, err)
+				}
+			}()
+			Generate(tc.p, 1)
+		})
+	}
+	for _, p := range append(Profiles(), largeTestProfile(streamingNodeThreshold, streamingNodeThreshold+50)) {
+		if err := p.Validate(); err != nil {
+			t.Errorf("%s: Validate() = %v, want nil", p.Name, err)
+		}
+	}
+	// The smallest buildable profile: one community of 3, a path.
+	tri := Profile{Name: "tri", Nodes: 3, Edges: 2}
+	if err := tri.Validate(); err != nil {
+		t.Fatalf("tri: Validate() = %v, want nil", err)
+	}
+	if g := Generate(tri, 1).Graph; g.NumNodes() != 3 || g.NumEdges() != 2 {
+		t.Fatalf("tri: generated %d nodes, %d edges", g.NumNodes(), g.NumEdges())
 	}
 }
 

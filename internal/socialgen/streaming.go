@@ -56,8 +56,28 @@ func unpackEdge(k uint64) (u, v graph.NodeID) {
 	return graph.NodeID(k >> 32), graph.NodeID(uint32(k))
 }
 
+// coreCommunities is how many of k communities form the core, the rest
+// being strung into the peripheral chain (all of them when the chain would
+// leave no core).
+func coreCommunities(k, chain int) int {
+	if coreK := k - chain; coreK >= 1 {
+		return coreK
+	}
+	return k
+}
+
+// spineEdges bounds the edges the streaming connectivity spine places
+// before any budget is spent: a spanning tree per community, bridges over
+// the core, two links per chain community. A profile without room for it
+// cannot meet the exact-count contract (the spine is never trimmed), so
+// Validate rejects it up front.
+func spineEdges(nodes, k, chain int) int {
+	coreK := coreCommunities(k, chain)
+	return nodes - k + max(coreK-1, 0) + 2*(k-coreK)
+}
+
 // generateStreaming builds a large synthetic network for the profile,
-// deterministically from seed.
+// deterministically from seed (Generate has validated it).
 func generateStreaming(p Profile, seed uint64) *Network {
 	r := rng.New(seed, "socialgen-stream", p.Name)
 
@@ -70,17 +90,7 @@ func generateStreaming(p Profile, seed uint64) *Network {
 		}
 		start[c+1] = start[c] + s
 	}
-	coreK := len(sizes) - p.ChainCommunities
-	if coreK < 1 {
-		coreK = len(sizes)
-	}
-	// The connectivity spine places up to this many edges before any budget
-	// is spent; a profile without room for it cannot meet the exact-count
-	// contract (the spine is never trimmed), so reject it up front.
-	spineEdges := p.Nodes - len(sizes) + max(coreK-1, 0) + 2*(len(sizes)-coreK)
-	if p.Edges < spineEdges {
-		panic(fmt.Sprintf("socialgen: streaming profile %q wants %d edges but its connectivity spine needs up to %d (%d nodes, %d communities); raise Edges or lower Communities/ChainCommunities", p.Name, p.Edges, spineEdges, p.Nodes, len(sizes)))
-	}
+	coreK := coreCommunities(len(sizes), p.ChainCommunities)
 
 	deg := make([]int32, p.Nodes)
 	// Degree budget: random attachment stops feeding nodes already far
@@ -221,13 +231,7 @@ func generateStreaming(p Profile, seed uint64) *Network {
 // largest-remainder apportionment instead of O(N·K) roulette sampling.
 // Every community gets at least 3 members; sizes are returned descending.
 func apportionSizes(p Profile) []int {
-	k := p.Communities
-	if k < 1 {
-		k = 1
-	}
-	if p.Nodes < 3*k {
-		panic(fmt.Sprintf("socialgen: profile %q cannot seat %d communities of >= 3 in %d nodes", p.Name, k, p.Nodes))
-	}
+	k := max(p.Communities, 1)
 	weights := make([]float64, k)
 	var total float64
 	for i := range weights {
