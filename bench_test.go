@@ -71,7 +71,7 @@ func BenchmarkTransitivity10k(b *testing.B) { benchTransitivity(b, 10000, 1) }
 // to end — the ROADMAP's scale milestone, generated on socialgen's
 // streaming path and captured with the parallel two-pass capture.
 func BenchmarkTransitivity100k(b *testing.B) {
-	p, setup := benchnet.Population100k()
+	p, setup := benchnet.PopulationFor(benchnet.Net100k())
 	eng := &sim.Engine{Pop: p, Parallelism: 0, Label: "bench"}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -86,7 +86,7 @@ func BenchmarkTransitivity100k(b *testing.B) {
 // handle instead of contending on live store shards, so rounds parallelize
 // as cleanly as the transitivity sweeps.
 func BenchmarkRounds100k(b *testing.B) {
-	p, _ := benchnet.Population100k()
+	p, _ := benchnet.PopulationFor(benchnet.Net100k())
 	eng := &sim.Engine{Pop: p, Parallelism: 0, Label: "bench"}
 	tk := task.Uniform(1, task.CharCompute)
 	b.ResetTimer()
@@ -210,7 +210,7 @@ func BenchmarkFindAggressive(b *testing.B) {
 	p, setup := benchnet.Population(1000)
 	s := p.Searcher(setup.MaxDepth, setup.Omega1, setup.Omega2)
 	view := p.RoundView(1, nil).TrustView
-	memo := core.NewEdgeMemo(view, p.Config().Update.Norm, 1)
+	memo := core.NewEdgeMemoPooled(view, p.Config().Update.Norm, 1, nil)
 	tk := setup.Universe.Tasks[0]
 	memo.RequireModel(core.PolicyAggressive.Model(), []task.Task{tk})
 	trustor := p.Trustors[0]
@@ -233,7 +233,7 @@ func BenchmarkTrustInto(b *testing.B) {
 	p, setup := benchnet.Population(1000)
 	s := p.Searcher(setup.MaxDepth, setup.Omega1, setup.Omega2)
 	view := p.RoundView(1, nil).TrustView
-	memo := core.NewEdgeMemo(view, p.Config().Update.Norm, 1)
+	memo := core.NewEdgeMemoPooled(view, p.Config().Update.Norm, 1, nil)
 	tk := setup.Universe.Tasks[0]
 	memo.RequireModel(core.PolicyAggressive.Model(), []task.Task{tk})
 	trustor := p.Trustors[0]

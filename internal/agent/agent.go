@@ -165,16 +165,6 @@ func (a *Agent) String() string {
 	return fmt.Sprintf("agent#%d(%s)", a.ID, a.Kind)
 }
 
-// AcceptsDelegation runs the reverse evaluation of eq. 1: the agent, as
-// potential trustee, accepts the trustor only if the reverse trustworthiness
-// from its usage logs clears θ.
-func (a *Agent) AcceptsDelegation(trustor core.AgentID) bool {
-	if a.Theta <= 0 {
-		return true
-	}
-	return a.Store.ReverseTW(trustor) >= a.Theta
-}
-
 // ActConfig tunes the outcome model of Act.
 type ActConfig struct {
 	// BaseCost is the normalized cost of a clean interaction.
@@ -230,15 +220,6 @@ func (a *Agent) DrainEnergy(cost float64) {
 	if a.Energy < 0 {
 		a.Energy = 0
 	}
-}
-
-// SelfExpectation returns the expectation a trustor holds about executing a
-// task itself (the self-delegation candidate of eq. 24): it knows its own
-// competence exactly, pays no delegation damage risk beyond failure, and
-// bears its own cost.
-func (a *Agent) SelfExpectation(t task.Task, selfCost float64) core.Expectation {
-	comp := a.Behavior.TaskCompetence(t)
-	return core.Expectation{S: comp, G: comp, D: 1 - comp, C: selfCost}
 }
 
 func clamp01(v float64) float64 {

@@ -68,34 +68,6 @@ func TestUsesAbusivelyRate(t *testing.T) {
 	}
 }
 
-func TestAcceptsDelegationThreshold(t *testing.T) {
-	a := New(1, KindTrustee, Behavior{}, core.DefaultUpdateConfig())
-	a.Theta = 0.6
-	// Unknown trustors are innocent until proven guilty.
-	if !a.AcceptsDelegation(9) {
-		t.Fatal("unknown trustor refused")
-	}
-	// A good usage history keeps acceptance.
-	for i := 0; i < 10; i++ {
-		a.Store.ObserveUsage(9, false)
-	}
-	if !a.AcceptsDelegation(9) {
-		t.Fatal("responsible trustor refused")
-	}
-	// Abusive history drops below threshold again.
-	for i := 0; i < 30; i++ {
-		a.Store.ObserveUsage(9, true)
-	}
-	if a.AcceptsDelegation(9) {
-		t.Fatal("abusive trustor accepted")
-	}
-	// Theta 0 accepts everyone (unilateral baseline).
-	a.Theta = 0
-	if !a.AcceptsDelegation(1234) {
-		t.Fatal("theta=0 refused a trustor")
-	}
-}
-
 func TestActSuccessRateTracksCompetenceAndEnv(t *testing.T) {
 	a := New(1, KindTrustee, Behavior{BaseCompetence: 0.8}, core.DefaultUpdateConfig())
 	tk := task.Uniform(1, task.CharGPS)
@@ -186,18 +158,6 @@ func TestEnergyDrains(t *testing.T) {
 	a.Act(tk, 1, DefaultActConfig(), r)
 	if a.Energy >= start {
 		t.Fatal("energy did not drain")
-	}
-}
-
-func TestSelfExpectation(t *testing.T) {
-	a := New(1, KindTrustor, Behavior{BaseCompetence: 0.7}, core.DefaultUpdateConfig())
-	tk := task.Uniform(1, task.CharGPS)
-	e := a.SelfExpectation(tk, 0.3)
-	if e.S != 0.7 || e.C != 0.3 {
-		t.Fatalf("self expectation = %+v", e)
-	}
-	if math.Abs(e.D-0.3) > 1e-12 {
-		t.Fatalf("self damage = %v", e.D)
 	}
 }
 

@@ -66,16 +66,6 @@ func Population(nodes int) (*sim.Population, sim.TransitivitySetup) {
 	return PopulationFor(Profile(nodes))
 }
 
-// Population100k builds the canonical 100k-node benchmark population.
-func Population100k() (*sim.Population, sim.TransitivitySetup) {
-	return PopulationFor(Net100k())
-}
-
-// Population1M builds the canonical million-node benchmark population.
-func Population1M() (*sim.Population, sim.TransitivitySetup) {
-	return PopulationFor(Net1M())
-}
-
 // PopulationFor builds the seeded benchmark population over any profile.
 func PopulationFor(profile socialgen.Profile) (*sim.Population, sim.TransitivitySetup) {
 	return Populate(socialgen.Generate(profile, Seed))

@@ -35,8 +35,7 @@ func materialize(tasks []task.Task, r CompactRecord) Record {
 }
 
 // searchCompact locates the record for typ in a sorted-by-type compact
-// record slice — the CompactRecord counterpart of searchRecord. tasks is the
-// catalog snapshot resolving the records' refs.
+// record slice. tasks is the catalog snapshot resolving the records' refs.
 func searchCompact(tasks []task.Task, recs []CompactRecord, typ task.Type) (int, bool) {
 	return slices.BinarySearchFunc(recs, typ, func(r CompactRecord, t task.Type) int {
 		return cmp.Compare(tasks[r.Ref].Type(), t)

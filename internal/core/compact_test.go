@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"siot/internal/task"
@@ -15,6 +17,14 @@ type compactFixture struct {
 	fat     []Record
 	compact []CompactRecord
 	tasks   []task.Task // catalog snapshot
+}
+
+// searchRecord is the fat-record oracle of searchCompact: it locates the
+// record for typ in a sorted-by-type record slice.
+func searchRecord(recs []Record, typ task.Type) (int, bool) {
+	return slices.BinarySearchFunc(recs, typ, func(r Record, t task.Type) int {
+		return cmp.Compare(r.Task.Type(), t)
+	})
 }
 
 func buildCompactFixture(seed uint64, nRecs int) *compactFixture {
@@ -106,10 +116,10 @@ func TestMaterializeRoundTrip(t *testing.T) {
 	}
 }
 
-// overflowSource is a synthetic CaptureSource whose per-edge record counts
+// overflowSource is a synthetic RoundSource whose per-edge record counts
 // sum past the int32 arena offset space without ever allocating records.
-func overflowSource(perEdge int) CaptureSource {
-	return CaptureSource{
+func overflowSource(perEdge int) RoundSource {
+	return RoundSource{
 		Catalog: task.NewCatalog(),
 		Count:   func(holder, about AgentID) int { return perEdge },
 		Append: func(holder, about AgentID, buf []CompactRecord) []CompactRecord {
@@ -127,17 +137,16 @@ func TestCaptureArenaOverflow(t *testing.T) {
 	// the total at 2.4e9 > MaxInt32.
 	adjOff := []int32{0, 2, 4, 6}
 	adjTo := []AgentID{1, 2, 0, 2, 0, 1}
-	v, err := CaptureTrustView(adjOff, adjTo, overflowSource(400_000_000), 1, nil)
+	v, err := CaptureRoundView(adjOff, adjTo, overflowSource(400_000_000), UnitNormalizer(), 1, nil, nil)
 	if !errors.Is(err, ErrArenaOverflow) {
-		t.Fatalf("CaptureTrustView error = %v, want ErrArenaOverflow", err)
+		t.Fatalf("record-only capture error = %v, want ErrArenaOverflow", err)
 	}
 	if v != nil {
 		t.Fatal("overflowing capture returned a non-nil view")
 	}
-	rv, err := CaptureRoundView(adjOff, adjTo, RoundSource{
-		CaptureSource: overflowSource(400_000_000),
-		Usage:         func(holder, about AgentID) UsageLog { panic("usage pass must not run") },
-	}, UnitNormalizer(), 1, nil, nil)
+	src := overflowSource(400_000_000)
+	src.Usage = func(holder, about AgentID) UsageLog { panic("usage pass must not run") }
+	rv, err := CaptureRoundView(adjOff, adjTo, src, UnitNormalizer(), 1, nil, nil)
 	if !errors.Is(err, ErrArenaOverflow) {
 		t.Fatalf("CaptureRoundView error = %v, want ErrArenaOverflow", err)
 	}
@@ -154,17 +163,13 @@ func TestCaptureBelowOverflowSucceeds(t *testing.T) {
 	ref := cat.Intern(tk)
 	adjOff := []int32{0, 1, 2}
 	adjTo := []AgentID{1, 0}
-	src := CaptureSource{
+	v := captureTrustView(t, adjOff, adjTo, RoundSource{
 		Catalog: cat,
 		Count:   func(holder, about AgentID) int { return 2 },
 		Append: func(holder, about AgentID, buf []CompactRecord) []CompactRecord {
 			return append(buf, CompactRecord{Ref: ref}, CompactRecord{Ref: ref, Count: 1})
 		},
-	}
-	v, err := CaptureTrustView(adjOff, adjTo, src, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, 1)
 	if got := len(v.EdgeRecords(0)); got != 2 {
 		t.Fatalf("edge 0 holds %d records, want 2", got)
 	}

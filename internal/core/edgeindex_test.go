@@ -11,17 +11,13 @@ import (
 // suffices.
 func edgeIndexView(t *testing.T, adjOff []int32, adjTo []AgentID) *TrustView {
 	t.Helper()
-	v, err := CaptureTrustView(adjOff, adjTo, CaptureSource{
+	return captureTrustView(t, adjOff, adjTo, RoundSource{
 		Catalog: task.NewCatalog(),
 		Count:   func(holder, about AgentID) int { return 0 },
 		Append: func(holder, about AgentID, buf []CompactRecord) []CompactRecord {
 			return buf
 		},
-	}, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return v
+	}, 1)
 }
 
 // TestEdgeIndexRowBoundaries: the binary search behind the serve path must

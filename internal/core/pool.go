@@ -104,7 +104,7 @@ func (p *ArenaPool) GetOffsets(n int) []int32 {
 
 // GetRecords returns a CompactRecord slice of length n, reusing a released
 // arena when one is large enough. Contents are unspecified; captures
-// overwrite every element (CaptureTrustView panics if a span stays short).
+// overwrite every element (a capture panics if a span stays short).
 func (p *ArenaPool) GetRecords(n int) []CompactRecord {
 	if p != nil {
 		p.mu.Lock()

@@ -31,38 +31,25 @@ type RoundView struct {
 	resp, abus []int32
 }
 
-// RoundSource is the store access a round-view capture needs: the record
-// counting and filling pass of a trust-view capture, plus the usage log one
-// agent keeps about another (Store.Usage). Usage must observe the same
-// quiescent stores as the record passes.
+// RoundSource is the store access a capture needs from the live stores.
+// Count reports how many records holder keeps about about, Append appends
+// exactly those records (compact, refs interned into Catalog) to buf, and
+// Catalog is the shared catalog those refs resolve against
+// (Store.RecordCount / Store.AppendCompact / the population catalog).
+// Usage reports the usage log holder keeps about about (Store.Usage); a
+// nil Usage skips the usage counters. Version, when set, reports holder's
+// store stamp (Store.Version); the view records it per row, which is what
+// lets a later capture or memo copy the rows whose store did not change. A
+// nil Version disables that reuse. Every function must be safe for
+// concurrent use across distinct holders and observe a quiescent store —
+// capture runs two passes, and a store mutated between them is detected
+// and rejected (panic), not silently misrecorded.
 type RoundSource struct {
-	CaptureSource
-	Usage func(holder, about AgentID) UsageLog
-}
-
-// CaptureRoundView freezes a population's full round-read state: the
-// per-edge records (CaptureTrustView's two checked passes, byte-identical at
-// every worker count) and the per-edge usage counters, filled in the same
-// pass as the records. Arenas are drawn from pool when non-nil; release
-// them with Release. The adjacency rows must be in ascending target order
-// (the population CSR is; EdgeIndex relies on it). A capture whose record
-// total overflows the arena offset space returns ErrArenaOverflow.
-//
-// prev, when non-nil, is the predecessor epoch: an unreleased view captured
-// from the same stores over the same adjacency with a Version source. Every
-// row whose store stamp still equals the one prev recorded is copied from
-// prev — records and usage counters alike — and only the other rows read
-// the stores, so a republish after a few writes costs a copy, not a
-// recapture. The result is byte-identical to a capture with prev nil; a
-// prev over another adjacency, without stamps, or without the usage
-// counters src reads is ignored.
-func CaptureRoundView(adjOff []int32, adjTo []AgentID, src RoundSource, norm Normalizer, workers int, pool *ArenaPool, prev *RoundView) (*RoundView, error) {
-	v, err := capture(adjOff, adjTo, src, prev, workers, pool)
-	if err != nil {
-		return nil, err
-	}
-	v.norm = norm
-	return v, nil
+	Catalog *task.Catalog
+	Count   func(holder, about AgentID) int
+	Append  func(holder, about AgentID, buf []CompactRecord) []CompactRecord
+	Version func(holder AgentID) uint64
+	Usage   func(holder, about AgentID) UsageLog
 }
 
 // Release returns the view's arenas — the embedded trust view's and the

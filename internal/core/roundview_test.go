@@ -94,17 +94,15 @@ func sortAgentIDs(s []AgentID) {
 func (f *roundFixture) source() RoundSource {
 	cat := f.stores[0].Catalog()
 	return RoundSource{
-		CaptureSource: CaptureSource{
-			Catalog: cat,
-			Count: func(holder, about AgentID) int {
-				return f.stores[holder].RecordCount(about)
-			},
-			Append: func(holder, about AgentID, buf []CompactRecord) []CompactRecord {
-				return f.stores[holder].AppendCompact(about, cat, buf)
-			},
-			Version: func(holder AgentID) uint64 {
-				return f.stores[holder].Version()
-			},
+		Catalog: cat,
+		Count: func(holder, about AgentID) int {
+			return f.stores[holder].RecordCount(about)
+		},
+		Append: func(holder, about AgentID, buf []CompactRecord) []CompactRecord {
+			return f.stores[holder].AppendCompact(about, cat, buf)
+		},
+		Version: func(holder AgentID) uint64 {
+			return f.stores[holder].Version()
 		},
 		Usage: func(holder, about AgentID) UsageLog {
 			return f.stores[holder].Usage(about)

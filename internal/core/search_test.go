@@ -22,11 +22,7 @@ func (f *roundFixture) searchProbes() []task.Task {
 // captureView freezes the fixture's stores into a TrustView.
 func (f *roundFixture) captureView(t *testing.T) *TrustView {
 	t.Helper()
-	v, err := CaptureTrustView(f.adjOff, f.adjTo, f.source().CaptureSource, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return v
+	return captureTrustView(t, f.adjOff, f.adjTo, f.source(), 2)
 }
 
 // searchers returns the reference oracle over the fixture's live stores and
@@ -95,7 +91,7 @@ func TestFindViewEquivalence(t *testing.T) {
 			oracle, s := f.searchers(pr.depth, pr.omega1, pr.omega2, mask)
 			for _, p := range policies {
 				m := p.Model()
-				memo := NewEdgeMemo(view, s.Norm, 2)
+				memo := NewEdgeMemoPooled(view, s.Norm, 2, nil)
 				memo.RequireModel(m, probes)
 				var got SearchResult
 				for x := 0; x < f.n; x++ {
@@ -137,7 +133,7 @@ func TestSearchDispatchFollowsSpec(t *testing.T) {
 		mask := randomMask(f.n, seed)
 		for _, pr := range searchParams {
 			_, s := f.searchers(pr.depth, pr.omega1, pr.omega2, mask)
-			memo := NewEdgeMemo(view, s.Norm, 1)
+			memo := NewEdgeMemoPooled(view, s.Norm, 1, nil)
 			memo.RequireModel(agg, probes)
 			memo.RequireModel(twin, probes)
 			var want, got SearchResult

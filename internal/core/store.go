@@ -105,13 +105,6 @@ func (s *Store) shard(trustee AgentID) *storeShard {
 	return &s.shards[uint32(trustee)%storeShards]
 }
 
-// searchRecord locates the record for typ in a sorted-by-type record slice.
-func searchRecord(recs []Record, typ task.Type) (int, bool) {
-	return slices.BinarySearchFunc(recs, typ, func(r Record, t task.Type) int {
-		return cmp.Compare(r.Task.Type(), t)
-	})
-}
-
 // Owner returns the agent this store belongs to.
 func (s *Store) Owner() AgentID { return s.owner }
 
@@ -186,7 +179,7 @@ func (s *Store) AppendCompact(trustee AgentID, cat *task.Catalog, buf []CompactR
 
 // RecordCount returns how many records the store holds about trustee. It
 // is the counting pass of the parallel trust-view capture: together with
-// AppendCompact it lets CaptureTrustView size every arena span
+// AppendCompact it lets CaptureRoundView size every arena span
 // before filling it.
 func (s *Store) RecordCount(trustee AgentID) int {
 	sh := s.shard(trustee)

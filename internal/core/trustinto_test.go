@@ -67,7 +67,7 @@ func TestTrustIntoMatchesScan(t *testing.T) {
 		view := f.captureView(t)
 		probes := f.searchProbes()
 		norm := f.stores[0].Config().Norm
-		memo := NewEdgeMemo(view, norm, 2)
+		memo := NewEdgeMemoPooled(view, norm, 2, nil)
 		for _, m := range models {
 			memo.RequireModel(m, probes)
 		}
@@ -121,14 +121,11 @@ func TestTrustIntoMatchesScan(t *testing.T) {
 // memo) choices.
 func FuzzTrustInto(f *testing.F) {
 	fx := newRoundFixture(rand.New(rand.NewPCG(7, 0xf1)), 16, 40)
-	view, err := CaptureTrustView(fx.adjOff, fx.adjTo, fx.source().CaptureSource, 1, nil)
-	if err != nil {
-		f.Fatal(err)
-	}
+	view := captureTrustView(f, fx.adjOff, fx.adjTo, fx.source(), 1)
 	probes := fx.searchProbes()
 	norm := fx.stores[0].Config().Norm
 	models := registeredModels(f)
-	memo := NewEdgeMemo(view, norm, 1)
+	memo := NewEdgeMemoPooled(view, norm, 1, nil)
 	for _, m := range models {
 		memo.RequireModel(m, probes)
 	}

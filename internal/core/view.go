@@ -57,55 +57,39 @@ func checkedArenaLen(total int64) (int32, error) {
 	return int32(total), nil
 }
 
-// CaptureSource is the record access a capture needs from the live stores:
-// Count reports how many records holder keeps about about, Append appends
-// exactly those records (compact, refs interned into Catalog) to buf, and
-// Catalog is the shared catalog those refs resolve against
-// (Store.RecordCount / Store.AppendCompact / the population catalog). Count
-// and Append must be safe for concurrent use across distinct holders and
-// observe a quiescent store — capture runs two passes, and a store mutated
-// between them is detected and rejected (panic), not silently misrecorded.
-// Version, when set, reports holder's store stamp (Store.Version); the view
-// records it per row, which is what lets a later capture or memo copy the
-// rows whose store did not change. A nil Version disables that reuse.
-type CaptureSource struct {
-	Catalog *task.Catalog
-	Count   func(holder, about AgentID) int
-	Append  func(holder, about AgentID, buf []CompactRecord) []CompactRecord
-	Version func(holder AgentID) uint64
-}
-
-// CaptureTrustView freezes the per-edge records of a population into a view.
-// adjOff/adjTo describe the CSR adjacency over dense agent IDs in
-// [0, len(adjOff)-1); the adjacency slices are borrowed, not copied, and
-// must stay immutable for the lifetime of the view. A first pass computes
-// per-edge record counts concurrently (prefix-summed into recOff), then
-// workers fill disjoint recs spans in place — byte-identical to a serial
-// capture at every worker count (workers <= 1 runs the same two passes
-// serially). Arenas are drawn from pool when non-nil (release them with
-// TrustView.Release).
+// CaptureRoundView freezes a population's full round-read state: the
+// per-edge records and the per-edge usage counters, filled in the same
+// pass as the records. adjOff/adjTo describe the CSR adjacency over dense
+// agent IDs in [0, len(adjOff)-1); the adjacency slices are borrowed, not
+// copied, and must stay immutable for the lifetime of the view, with rows
+// in ascending target order (the population CSR is; EdgeIndex relies on
+// it). A first pass computes per-edge record counts concurrently
+// (prefix-summed into the span offsets), then workers fill disjoint spans
+// in place — byte-identical to a serial capture at every worker count
+// (workers <= 1 runs the same two passes serially). Arenas are drawn from
+// pool when non-nil; release them with Release.
 //
-// Captures whose total record count overflows the int32 offset space return
+// A capture whose record total overflows the arena offset space returns
 // ErrArenaOverflow before any arena is filled. The capture panics if a
 // store's record count changes between the two passes: the frozen-epoch
-// contract requires quiescent stores for the whole capture, and a mismatched
-// span would otherwise leak stale or short data into the arena.
-func CaptureTrustView(adjOff []int32, adjTo []AgentID, src CaptureSource, workers int, pool *ArenaPool) (*TrustView, error) {
-	v, err := capture(adjOff, adjTo, RoundSource{CaptureSource: src}, nil, workers, pool)
-	if err != nil {
-		return nil, err
-	}
-	return v.TrustView, nil
-}
-
-// capture is the one capture loop behind CaptureTrustView and
-// CaptureRoundView; src.Usage nil skips the usage arrays. Each row is either
-// clean — prev (nil for a full capture) holds it under the stamp its store
-// still carries, so its record counts, records and usage counters are copied
-// from prev — or read from the stores through the two checked passes.
-func capture(adjOff []int32, adjTo []AgentID, src RoundSource, prev *RoundView, workers int, pool *ArenaPool) (*RoundView, error) {
+// contract requires quiescent stores for the whole capture, and a
+// mismatched span would otherwise leak stale or short data into the arena.
+//
+// prev, when non-nil, is the predecessor epoch: an unreleased view captured
+// from the same stores over the same adjacency with a Version source. Every
+// row whose store stamp still equals the one prev recorded is copied from
+// prev — records and usage counters alike — and only the other rows read
+// the stores, so a republish after a few writes costs a copy, not a
+// recapture. The result is byte-identical to a capture with prev nil; a
+// prev over another adjacency, without stamps, or without the usage
+// counters src reads is ignored.
+func CaptureRoundView(adjOff []int32, adjTo []AgentID, src RoundSource, norm Normalizer, workers int, pool *ArenaPool, prev *RoundView) (*RoundView, error) {
+	// Each row is either clean — prev holds it under the stamp its store
+	// still carries, so its record counts, records and usage counters are
+	// copied from prev — or read from the stores through the two checked
+	// passes. src.Usage nil skips the usage arrays.
 	n, ne := len(adjOff)-1, len(adjTo)
-	v := &RoundView{TrustView: &TrustView{
+	v := &RoundView{norm: norm, TrustView: &TrustView{
 		adjOff: adjOff,
 		adjTo:  adjTo,
 		recOff: pool.GetOffsets(ne + 1),
@@ -183,7 +167,7 @@ func capture(adjOff []int32, adjTo []AgentID, src RoundSource, prev *RoundView, 
 				span, want := tv.recOff[e], tv.recOff[e+1]-tv.recOff[e]
 				got := src.Append(AgentID(u), w, tv.recs[span:span:span+want])
 				if int32(len(got)) != want {
-					panic("core: store mutated during CaptureTrustView")
+					panic("core: store mutated during capture")
 				}
 				if v.resp != nil {
 					l := src.Usage(AgentID(u), w)
@@ -336,15 +320,10 @@ type memoTable struct {
 	vals []float64
 }
 
-// NewEdgeMemo creates an empty memo over a view. workers bounds the
-// pre-pass parallelism (values below 1 run serially).
-func NewEdgeMemo(view *TrustView, norm Normalizer, workers int) *EdgeMemo {
-	return NewEdgeMemoPooled(view, norm, workers, nil)
-}
-
-// NewEdgeMemoPooled is NewEdgeMemo drawing its hop tables from pool (nil
-// falls back to fresh allocation). Release the tables with Release when the
-// memo goes stale.
+// NewEdgeMemoPooled creates an empty memo over a view. workers bounds the
+// pre-pass parallelism (values below 1 run serially). Hop tables are drawn
+// from pool (nil falls back to fresh allocation); release them with
+// Release when the memo goes stale.
 func NewEdgeMemoPooled(view *TrustView, norm Normalizer, workers int, pool *ArenaPool) *EdgeMemo {
 	return &EdgeMemo{
 		view:    view,

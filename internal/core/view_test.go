@@ -8,6 +8,17 @@ import (
 	"siot/internal/task"
 )
 
+// captureTrustView captures src over the CSR adjacency without a pool and
+// returns the record half of the round view.
+func captureTrustView(t testing.TB, adjOff []int32, adjTo []AgentID, src RoundSource, workers int) *TrustView {
+	t.Helper()
+	v, err := CaptureRoundView(adjOff, adjTo, src, UnitNormalizer(), workers, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v.TrustView
+}
+
 // tinyView builds a 3-agent path graph 0—1—2 where agent 0 holds one record
 // about agent 1 for the given task.
 func tinyView(t *testing.T, tk task.Task) *TrustView {
@@ -18,7 +29,7 @@ func tinyView(t *testing.T, tk task.Task) *TrustView {
 	store := map[[2]AgentID][]CompactRecord{
 		{0, 1}: {{Ref: cat.Intern(tk), Exp: Expectation{S: 0.9, G: 0.9, D: 0.1}, Count: 1}},
 	}
-	v, err := CaptureTrustView(adjOff, adjTo, CaptureSource{
+	return captureTrustView(t, adjOff, adjTo, RoundSource{
 		Catalog: cat,
 		Count: func(holder, about AgentID) int {
 			return len(store[[2]AgentID{holder, about}])
@@ -26,11 +37,7 @@ func tinyView(t *testing.T, tk task.Task) *TrustView {
 		Append: func(holder, about AgentID, buf []CompactRecord) []CompactRecord {
 			return append(buf, store[[2]AgentID{holder, about}]...)
 		},
-	}, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return v
+	}, 1)
 }
 
 // TestEdgeMemoConservativeTaskGuard: the conservative table is only valid
@@ -42,7 +49,7 @@ func TestEdgeMemoConservativeTaskGuard(t *testing.T) {
 	taskA := task.Uniform(3, task.CharGPS)
 	taskB := task.Uniform(3, task.CharImage) // same type, different bag
 	view := tinyView(t, taskA)
-	memo := NewEdgeMemo(view, UnitNormalizer(), 1)
+	memo := NewEdgeMemoPooled(view, UnitNormalizer(), 1, nil)
 	cons := PolicyConservative.Model()
 
 	memo.RequireModel(cons, []task.Task{taskA})
@@ -77,7 +84,7 @@ func TestEdgeMemoLastSameTypeTaskWins(t *testing.T) {
 	taskA := task.Uniform(3, task.CharGPS)
 	taskB := task.Uniform(3, task.CharImage)
 	view := tinyView(t, taskA)
-	memo := NewEdgeMemo(view, UnitNormalizer(), 1)
+	memo := NewEdgeMemoPooled(view, UnitNormalizer(), 1, nil)
 	cons := PolicyConservative.Model()
 
 	memo.RequireModel(cons, []task.Task{taskA, taskB})
@@ -103,7 +110,7 @@ func TestEdgeMemoTraditionalTypeKey(t *testing.T) {
 	taskA := task.Uniform(3, task.CharGPS)
 	taskB := task.Uniform(3, task.CharImage)
 	view := tinyView(t, taskA)
-	memo := NewEdgeMemo(view, UnitNormalizer(), 1)
+	memo := NewEdgeMemoPooled(view, UnitNormalizer(), 1, nil)
 	trad := PolicyTraditional.Model()
 	memo.RequireModel(trad, []task.Task{taskA})
 	first := slices.Clone(memo.model(trad).table(taskA))
@@ -131,7 +138,7 @@ func TestEdgeMemoTraditionalTypeKey(t *testing.T) {
 func TestEdgeMemoCharacteristicKey(t *testing.T) {
 	rec := task.Uniform(1, task.CharGPS, task.CharImage)
 	view := tinyView(t, rec)
-	memo := NewEdgeMemo(view, UnitNormalizer(), 1)
+	memo := NewEdgeMemoPooled(view, UnitNormalizer(), 1, nil)
 	agg := PolicyAggressive.Model()
 	memo.RequireModel(agg, []task.Task{task.Uniform(3, task.CharGPS, task.CharImage)})
 	gps := memo.model(agg).charTable(task.CharGPS)

@@ -35,10 +35,6 @@ const Min Environment = 0.05
 // unchanged.
 const Perfect Environment = 1
 
-// Hostile reports whether the environment is in the hostile half of the
-// range.
-func (e Environment) Hostile() bool { return e < 0.5 }
-
 // Combine returns the effective environment of an interaction per the
 // Cannikin Law (Wooden Bucket Theory) used by the paper: the worst of the
 // trustor's, the trustee's, and every intermediate node's environment
@@ -182,25 +178,6 @@ func (s LightSchedule) At(i int) Environment {
 	}
 }
 
-// IsDark reports whether iteration i falls in the dark phase.
-func (s LightSchedule) IsDark(i int) bool {
-	return i >= s.LightLen && i < s.LightLen+s.DarkLen
-}
-
-// MeanEnvironment averages a schedule over [0, n) — a helper for reports and
-// for the ablation comparing Cannikin (min) combination against mean
-// combination.
-func MeanEnvironment(s Schedule, n int) Environment {
-	if n <= 0 {
-		return Perfect
-	}
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += float64(s.At(i))
-	}
-	return Environment(sum / float64(n)).Clamp()
-}
-
 // CombineMean is the ablation counterpart of Combine: it averages instead of
 // taking the minimum. Tests demonstrate that the minimum tracks hostile
 // bottlenecks that the mean washes out (the reason the paper invokes the
@@ -213,28 +190,6 @@ func CombineMean(trustor, trustee Environment, intermediates ...Environment) Env
 		n++
 	}
 	return Environment(sum / n)
-}
-
-// MinOf returns the minimum of a non-empty environment slice (clamped); it
-// returns Perfect for an empty slice.
-func MinOf(envs []Environment) Environment {
-	if len(envs) == 0 {
-		return Perfect
-	}
-	m := envs[0].Clamp()
-	for _, e := range envs[1:] {
-		if c := e.Clamp(); c < m {
-			m = c
-		}
-	}
-	return m
-}
-
-// Distance converts an environment to a "hostility" measure in [0, 1):
-// 0 for perfect, approaching 1 for maximally hostile. Used by agent models
-// whose failure probability grows with hostility.
-func (e Environment) Distance() float64 {
-	return 1 - float64(e.Clamp())
 }
 
 // Validate checks that e lies in (0, 1].

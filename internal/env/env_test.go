@@ -51,15 +51,6 @@ func TestRemoveCaps(t *testing.T) {
 	}
 }
 
-func TestHostile(t *testing.T) {
-	if Environment(0.6).Hostile() {
-		t.Fatal("0.6 reported hostile")
-	}
-	if !Environment(0.3).Hostile() {
-		t.Fatal("0.3 not reported hostile")
-	}
-}
-
 func TestConstantSchedule(t *testing.T) {
 	s := Constant(0.7)
 	for _, i := range []int{0, 5, 1000} {
@@ -110,13 +101,13 @@ func TestEmptyPhaseSchedule(t *testing.T) {
 
 func TestLightSchedule(t *testing.T) {
 	s := DefaultLightSchedule(30)
-	if s.At(0) != 1 || s.IsDark(0) {
+	if s.At(0) != 1 {
 		t.Fatal("initial light phase wrong")
 	}
-	if s.At(10) != 0.3 || !s.IsDark(10) {
+	if s.At(10) != 0.3 {
 		t.Fatal("dark phase wrong")
 	}
-	if s.At(20) != 1 || s.IsDark(20) {
+	if s.At(20) != 1 {
 		t.Fatal("final light phase wrong")
 	}
 }
@@ -127,18 +118,6 @@ func TestLightScheduleTinySpan(t *testing.T) {
 		t.Fatal("degenerate schedule")
 	}
 	_ = s.At(0)
-}
-
-func TestMeanEnvironment(t *testing.T) {
-	s := Fig15Schedule()
-	m := MeanEnvironment(s, 300)
-	want := (100*1 + 100*0.4 + 100*0.7) / 300.0
-	if math.Abs(float64(m)-want) > 1e-9 {
-		t.Fatalf("mean = %v, want %v", m, want)
-	}
-	if MeanEnvironment(s, 0) != Perfect {
-		t.Fatal("empty mean not perfect")
-	}
 }
 
 func TestCannikinVsMeanAblation(t *testing.T) {
@@ -152,24 +131,6 @@ func TestCannikinVsMeanAblation(t *testing.T) {
 	}
 	if meanE < 0.7 {
 		t.Fatalf("mean = %v, expected it to wash out the bottleneck", meanE)
-	}
-}
-
-func TestMinOf(t *testing.T) {
-	if MinOf(nil) != Perfect {
-		t.Fatal("empty MinOf not perfect")
-	}
-	if got := MinOf([]Environment{0.9, 0.2, 0.5}); got != 0.2 {
-		t.Fatalf("MinOf = %v", got)
-	}
-}
-
-func TestDistance(t *testing.T) {
-	if Environment(1).Distance() != 0 {
-		t.Fatal("perfect distance nonzero")
-	}
-	if d := Environment(0.3).Distance(); math.Abs(d-0.7) > 1e-12 {
-		t.Fatalf("distance = %v", d)
 	}
 }
 

@@ -96,29 +96,6 @@ func (g *Graph) Degeneracy() int {
 	return k
 }
 
-// MedianDegree returns the median node degree (lower median for even
-// counts).
-func (g *Graph) MedianDegree() int {
-	n := g.NumNodes()
-	if n == 0 {
-		return 0
-	}
-	// Counting sort over degrees (bounded by n-1).
-	counts := make([]int, n)
-	for u := 0; u < n; u++ {
-		counts[g.Degree(NodeID(u))]++
-	}
-	target := (n - 1) / 2
-	seen := 0
-	for d, c := range counts {
-		seen += c
-		if seen > target {
-			return d
-		}
-	}
-	return 0
-}
-
 // TriangleCount returns the number of triangles in the graph.
 func (g *Graph) TriangleCount() int {
 	count := 0

@@ -106,20 +106,6 @@ func TestDegeneracy(t *testing.T) {
 	}
 }
 
-func TestMedianDegree(t *testing.T) {
-	g := New(5)
-	_ = g.AddEdge(0, 1)
-	_ = g.AddEdge(0, 2)
-	_ = g.AddEdge(0, 3)
-	// Degrees: 3,1,1,1,0 → sorted 0,1,1,1,3 → median 1.
-	if got := g.MedianDegree(); got != 1 {
-		t.Fatalf("median degree = %d", got)
-	}
-	if New(0).MedianDegree() != 0 {
-		t.Fatal("empty median degree != 0")
-	}
-}
-
 func TestTriangleCount(t *testing.T) {
 	if got := complete(4).TriangleCount(); got != 4 {
 		t.Fatalf("K4 triangles = %d, want 4", got)

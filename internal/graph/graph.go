@@ -218,52 +218,6 @@ func (g *Graph) BFS(src NodeID) []int32 {
 	return dist
 }
 
-// ShortestPath returns one shortest path from src to dst (inclusive of both
-// endpoints) or nil if dst is unreachable.
-func (g *Graph) ShortestPath(src, dst NodeID) []NodeID {
-	if !g.valid(src) || !g.valid(dst) {
-		return nil
-	}
-	if src == dst {
-		return []NodeID{src}
-	}
-	parent := make([]NodeID, len(g.adj))
-	for i := range parent {
-		parent[i] = -1
-	}
-	parent[src] = src
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.adj[u] {
-			if parent[v] < 0 {
-				parent[v] = u
-				if v == dst {
-					// Reconstruct.
-					path := []NodeID{dst}
-					for p := u; ; p = parent[p] {
-						path = append(path, p)
-						if p == src {
-							break
-						}
-					}
-					reverse(path)
-					return path
-				}
-				queue = append(queue, v)
-			}
-		}
-	}
-	return nil
-}
-
-func reverse(s []NodeID) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
-}
-
 // ConnectedComponents returns the node sets of all connected components,
 // largest first.
 func (g *Graph) ConnectedComponents() [][]NodeID {
@@ -296,30 +250,6 @@ func (g *Graph) ConnectedComponents() [][]NodeID {
 		return comps[i][0] < comps[j][0]
 	})
 	return comps
-}
-
-// Subgraph returns the induced subgraph on nodes, together with the mapping
-// from new IDs (dense, in input order) back to original IDs.
-func (g *Graph) Subgraph(nodes []NodeID) (*Graph, []NodeID) {
-	idx := make(map[NodeID]NodeID, len(nodes))
-	orig := make([]NodeID, len(nodes))
-	for i, n := range nodes {
-		idx[n] = NodeID(i)
-		orig[i] = n
-	}
-	sub := New(len(nodes))
-	for i, n := range nodes {
-		if !g.valid(n) {
-			continue
-		}
-		for _, v := range g.adj[n] {
-			if j, ok := idx[v]; ok && NodeID(i) < j {
-				// Both endpoints are valid members of the subgraph.
-				_ = sub.AddEdge(NodeID(i), j)
-			}
-		}
-	}
-	return sub, orig
 }
 
 // ClusteringCoefficient returns the local clustering coefficient of u: the
@@ -393,16 +323,6 @@ func (g *Graph) Paths() PathStats {
 		st.AvgPathLength = float64(total) / float64(st.ReachablePairs)
 	}
 	return st
-}
-
-// DegreeHistogram returns a map from degree to the number of nodes with that
-// degree.
-func (g *Graph) DegreeHistogram() map[int]int {
-	h := make(map[int]int)
-	for u := range g.adj {
-		h[len(g.adj[u])]++
-	}
-	return h
 }
 
 // Validate checks internal invariants (sorted adjacency, symmetry, edge

@@ -161,33 +161,6 @@ func TestBFSDisconnected(t *testing.T) {
 	}
 }
 
-func TestShortestPath(t *testing.T) {
-	g := New(6)
-	// Two routes 0->5: 0-1-2-5 (3 hops) and 0-3-4-5 wait also 3; add shortcut 0-4.
-	edges := [][2]NodeID{{0, 1}, {1, 2}, {2, 5}, {0, 3}, {3, 4}, {4, 5}, {0, 4}}
-	for _, e := range edges {
-		_ = g.AddEdge(e[0], e[1])
-	}
-	p := g.ShortestPath(0, 5)
-	if len(p) != 3 || p[0] != 0 || p[2] != 5 {
-		t.Fatalf("shortest path = %v, want length-3 path 0..5", p)
-	}
-	if !g.HasEdge(p[0], p[1]) || !g.HasEdge(p[1], p[2]) {
-		t.Fatal("returned path has non-edges")
-	}
-	if got := g.ShortestPath(0, 0); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("trivial path = %v", got)
-	}
-}
-
-func TestShortestPathUnreachable(t *testing.T) {
-	g := New(3)
-	_ = g.AddEdge(0, 1)
-	if p := g.ShortestPath(0, 2); p != nil {
-		t.Fatalf("path to unreachable node: %v", p)
-	}
-}
-
 func TestConnectedComponents(t *testing.T) {
 	g := New(7)
 	_ = g.AddEdge(0, 1)
@@ -200,20 +173,6 @@ func TestConnectedComponents(t *testing.T) {
 	}
 	if len(comps[0]) != 3 {
 		t.Fatalf("largest component size = %d, want 3", len(comps[0]))
-	}
-}
-
-func TestSubgraph(t *testing.T) {
-	g := complete(5)
-	sub, orig := g.Subgraph([]NodeID{1, 3, 4})
-	if sub.NumNodes() != 3 || sub.NumEdges() != 3 {
-		t.Fatalf("subgraph %d nodes %d edges, want 3/3", sub.NumNodes(), sub.NumEdges())
-	}
-	if orig[0] != 1 || orig[1] != 3 || orig[2] != 4 {
-		t.Fatalf("orig mapping = %v", orig)
-	}
-	if err := sub.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -295,14 +254,6 @@ func TestClone(t *testing.T) {
 	}
 	if c.NumEdges() != g.NumEdges()-1 {
 		t.Fatal("clone edge counts wrong")
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	g := path(4)
-	h := g.DegreeHistogram()
-	if h[1] != 2 || h[2] != 2 {
-		t.Fatalf("histogram = %v", h)
 	}
 }
 

@@ -46,9 +46,6 @@ func (p *Population) installAttackers() {
 	sortIDs(p.Attackers)
 }
 
-// IsAttacker reports whether id belongs to the attack ring.
-func (p *Population) IsAttacker(id core.AgentID) bool { return p.attackers[id] }
-
 // AttackEnabled reports whether this population carries an attack scenario.
 func (p *Population) AttackEnabled() bool { return p.cfg.Attack.Enabled() && len(p.Attackers) > 0 }
 
@@ -64,50 +61,60 @@ func (p *Population) Forget(id core.AgentID) {
 	}
 }
 
-// attackContext builds the per-round hook context for the population's
-// attack model. The label folds in the engine phase (but deliberately NOT
-// the model name) so adversary streams never collide with engine or
+// attackContext builds the hook context of mutuality round `round` for
+// the population's attack model, ok=false when the population carries no
+// attack scenario. The label folds in the engine phase (but deliberately
+// NOT the model name) so adversary streams never collide with engine or
 // population streams while equivalent models stay bit-identical: a
 // Collusion ring of size 1 draws exactly what its underlying solo attack
 // would, and OnOff with Duty=1 draws exactly what the Honest null model
 // would (nothing).
-func (e *Engine) attackContext(label string, round int) adversary.Context {
+func (e *Engine) attackContext(round int) (adversary.Context, bool) {
 	p := e.Pop
+	if !p.AttackEnabled() {
+		return adversary.Context{}, false
+	}
 	return adversary.Context{
 		Seed:  p.cfg.Seed,
-		Label: "attack:" + label,
+		Label: "attack:" + e.mutualityLabel(),
 		Round: round,
 		Ring:  p.Attackers,
-	}
+	}, true
 }
 
-// recommendedTW gathers one-hop recommendations about candidate y on task
-// tk from the recommenders in nbrs — the trustor's social neighbors,
-// precomputed by Engine.init and including y itself (the self-claim
-// channel of service discovery). Each recommender reports what the frozen
-// view captured of its store — the z→y edge's records — except that
-// attackers may forge their report through the attack model's
+// edgeTW is an own-experience lens over a probe or round epoch: the
+// trustworthiness the source agent of directed edge e holds about the
+// edge's target on the task at hand, ok=false when it holds nothing. The
+// rounds and PerceivedTrust look through RoundView.BestTW,
+// PerceivedTrustModels through each model's EdgeMemo.ModelEdgeTW.
+type edgeTW func(e int32) (float64, bool)
+
+// recommendedTW gathers one-hop recommendations about candidate y from the
+// recommenders in nbrs — the trustor's social neighbors, precomputed by
+// Engine.init and including y itself (the self-claim channel of service
+// discovery). Each recommender reports its z→y edge through the lens tw,
+// except that attackers may forge their report through the attack model's
 // recommendation hook. A recommender without a social edge to y holds no
 // records about it (experience lives only along edges), so an EdgeIndex
 // miss contributes nothing, exactly like an empty live store. Returns the
 // mean report, or ok=false when nobody has anything to say. Reads only the
 // view: safe inside the engine's lock-free compute phase.
-func (e *Engine) recommendedTW(view *core.RoundView, ctx adversary.Context, nbrs []core.AgentID, y core.AgentID, tk task.Task) (float64, bool) {
+func (e *Engine) recommendedTW(view *core.RoundView, tw edgeTW, ctx adversary.Context, nbrs []core.AgentID, y core.AgentID) (float64, bool) {
 	p := e.Pop
 	model := p.cfg.Attack.Model
 	var sum float64
 	n := 0
 	for _, z := range nbrs {
 		if p.attackers[z] {
-			if tw, forged := model.ForgeRecommendation(ctx, z, y); forged {
-				sum += tw
+			if v, forged := model.ForgeRecommendation(ctx, z, y); forged {
+				sum += v
 				n++
 				continue
 			}
 		}
 		if edge, ok := view.EdgeIndex(z, y); ok {
-			if tw, ok := view.BestTW(edge, tk); ok {
-				sum += tw
+			if v, ok := tw(edge); ok {
+				sum += v
 				n++
 			}
 		}
@@ -153,45 +160,18 @@ func (e *Engine) applyChurn(ctx adversary.Context) {
 
 // PerceivedTrust measures how the trustors currently see their candidate
 // trustees on task tk — through the same lens the delegation rounds use:
-// own experience first, one-hop recommendations (attackers forging theirs)
-// for strangers, the neutral prior when nobody knows anything. It returns
-// the averages over honest trustee candidates and attacker candidates; the
-// difference is the trust gap the resilience metrics track. Read-only: it
-// publishes a probe epoch through the Rounds handle, reads the snapshot,
-// and retires it (the live stores are untouched, so the snapshot is exact).
+// own experience first (RoundView.BestTW), one-hop recommendations
+// (attackers forging theirs) for strangers, the neutral prior when nobody
+// knows anything. It returns the averages over honest trustee candidates
+// and attacker candidates; the difference is the trust gap the resilience
+// metrics track. Read-only: it publishes a probe epoch through the Rounds
+// handle, reads the snapshot, and retires it (the live stores are
+// untouched, so the snapshot is exact).
 func (e *Engine) PerceivedTrust(round int, tk task.Task) (honest, attacker float64) {
-	e.init()
-	p := e.Pop
-	var ctx adversary.Context
-	enabled := p.AttackEnabled()
-	if enabled {
-		ctx = e.attackContext(e.mutualityLabel(), round)
-	}
-	e.Rounds.Publish(p.RoundView(e.workers(), epochArenas))
-	ep := e.Rounds.Acquire()
-	view := ep.View()
-	var honestSum, attackerSum float64
-	honestN, attackerN := 0, 0
-	for i := range p.Trustors {
-		for k, y := range e.trusteeNbrs[i] {
-			tw := e.candidateTW(view, enabled, ctx, i, e.trusteeEdges[i][k], y, tk)
-			if p.attackers[y] {
-				attackerSum += tw
-				attackerN++
-			} else {
-				honestSum += tw
-				honestN++
-			}
-		}
-	}
-	ep.Release()
-	e.Rounds.Retire()
-	if honestN > 0 {
-		honest = honestSum / float64(honestN)
-	}
-	if attackerN > 0 {
-		attacker = attackerSum / float64(attackerN)
-	}
+	e.probe(func(view *core.RoundView) {
+		got := e.perceive(view, round, func(edge int32) (float64, bool) { return view.BestTW(edge, tk) })
+		honest, attacker = got.Honest, got.Attacker
+	})
 	return honest, attacker
 }
 
@@ -206,95 +186,63 @@ type Perceived struct {
 // PerceivedTrustModels is PerceivedTrust evaluated once per model in a
 // single probe epoch: one capture, one shared EdgeMemo (trainable models
 // fit on it exactly once), and every model scored over the same snapshot.
-// Unlike PerceivedTrust — whose own-experience lens is the rounds'
-// policy-agnostic RoundView.BestTW — each model here sees direct edges
-// and one-hop recommendations through its own single-edge lens
-// (EdgeMemo.ModelEdgeTW), so the cross-model resilience matrix compares
-// how each model's own arithmetic perceives the attack. Attack forgeries
-// are asserted numbers, identical under every model. Read-only, like
-// PerceivedTrust.
+// Each model sees direct edges and one-hop recommendations through its own
+// single-edge lens (EdgeMemo.ModelEdgeTW) rather than the rounds'
+// policy-agnostic RoundView.BestTW, so the cross-model resilience matrix
+// compares how each model's own arithmetic perceives the attack. Attack
+// forgeries are asserted numbers, identical under every model. Read-only,
+// like PerceivedTrust.
 func (e *Engine) PerceivedTrustModels(round int, tk task.Task, models []core.TrustModel) []Perceived {
-	e.init()
-	p := e.Pop
-	var ctx adversary.Context
-	enabled := p.AttackEnabled()
-	if enabled {
-		ctx = e.attackContext(e.mutualityLabel(), round)
-	}
-	e.Rounds.Publish(p.RoundView(e.workers(), epochArenas))
-	ep := e.Rounds.Acquire()
-	view := ep.View()
-	memo := core.NewEdgeMemoPooled(view.TrustView, p.cfg.Update.Norm, e.workers(), epochArenas)
-	probe := []task.Task{tk}
 	out := make([]Perceived, len(models))
-	for mi, m := range models {
-		memo.RequireModel(m, probe)
-		var honestSum, attackerSum float64
-		honestN, attackerN := 0, 0
-		for i := range p.Trustors {
-			for k, y := range e.trusteeNbrs[i] {
-				tw := e.candidateModelTW(view, memo, m, enabled, ctx, i, e.trusteeEdges[i][k], y, tk)
-				if p.attackers[y] {
-					attackerSum += tw
-					attackerN++
-				} else {
-					honestSum += tw
-					honestN++
-				}
-			}
+	e.probe(func(view *core.RoundView) {
+		memo := core.NewEdgeMemoPooled(view.TrustView, e.Pop.cfg.Update.Norm, e.workers(), epochArenas)
+		probe := []task.Task{tk}
+		for mi, m := range models {
+			memo.RequireModel(m, probe)
+			out[mi] = e.perceive(view, round, func(edge int32) (float64, bool) { return memo.ModelEdgeTW(m, edge, tk) })
 		}
-		if honestN > 0 {
-			out[mi].Honest = honestSum / float64(honestN)
-		}
-		if attackerN > 0 {
-			out[mi].Attacker = attackerSum / float64(attackerN)
-		}
-	}
-	memo.Release()
-	ep.Release()
-	e.Rounds.Retire()
+		memo.Release()
+	})
 	return out
 }
 
-// candidateModelTW is candidateTW through a model's single-edge lens:
-// direct experience via ModelEdgeTW, the recommendation channel (attackers
-// forging) for strangers, the neutral prior last.
-func (e *Engine) candidateModelTW(view *core.RoundView, memo *core.EdgeMemo, m core.TrustModel, attacked bool, ctx adversary.Context, i int, edge int32, y core.AgentID, tk task.Task) float64 {
-	if tw, ok := memo.ModelEdgeTW(m, edge, tk); ok {
-		return tw
-	}
-	if attacked {
-		if rec, ok := e.recommendedModelTW(view, memo, m, ctx, e.socialNbrs[i], y, tk); ok {
-			return rec
-		}
-	}
-	return 0.5
+// probe publishes a probe epoch of the population's current stores through
+// the Rounds handle, hands its view to fn, and retires it.
+func (e *Engine) probe(fn func(view *core.RoundView)) {
+	e.init()
+	e.Rounds.Publish(e.Pop.RoundView(e.workers(), epochArenas))
+	ep := e.Rounds.Acquire()
+	fn(ep.View())
+	ep.Release()
+	e.Rounds.Retire()
 }
 
-// recommendedModelTW is recommendedTW with each recommender's z→y report
-// read through the model's single-edge lens instead of RoundView.BestTW.
-func (e *Engine) recommendedModelTW(view *core.RoundView, memo *core.EdgeMemo, m core.TrustModel, ctx adversary.Context, nbrs []core.AgentID, y core.AgentID, tk task.Task) (float64, bool) {
+// perceive scores every trustor's candidate trustees on the view the way
+// mutuality round `round` would, own experience read through tw, and
+// averages the scores over honest and attacker candidates.
+func (e *Engine) perceive(view *core.RoundView, round int, tw edgeTW) Perceived {
 	p := e.Pop
-	model := p.cfg.Attack.Model
-	var sum float64
-	n := 0
-	for _, z := range nbrs {
-		if p.attackers[z] {
-			if tw, forged := model.ForgeRecommendation(ctx, z, y); forged {
-				sum += tw
-				n++
-				continue
-			}
-		}
-		if edge, ok := view.EdgeIndex(z, y); ok {
-			if tw, ok := memo.ModelEdgeTW(m, edge, tk); ok {
-				sum += tw
-				n++
+	ctx, attacked := e.attackContext(round)
+	var honestSum, attackerSum float64
+	honestN, attackerN := 0, 0
+	for i := range p.Trustors {
+		for k, y := range e.trusteeNbrs[i] {
+			v := e.candidateTW(view, tw, attacked, ctx, i, e.trusteeEdges[i][k], y)
+			if p.attackers[y] {
+				attackerSum += v
+				attackerN++
+			} else {
+				honestSum += v
+				honestN++
 			}
 		}
 	}
-	if n == 0 {
-		return 0, false
+	var out Perceived
+	if honestN > 0 {
+		out.Honest = honestSum / float64(honestN)
 	}
-	return sum / float64(n), true
+	if attackerN > 0 {
+		out.Attacker = attackerSum / float64(attackerN)
+	}
+	return out
 }

@@ -211,8 +211,8 @@ func TestAttackerInstallDeterministic(t *testing.T) {
 		if i > 0 && a.Attackers[i] <= a.Attackers[i-1] {
 			t.Fatalf("ring not sorted: %v", a.Attackers)
 		}
-		if !a.IsAttacker(a.Attackers[i]) {
-			t.Fatalf("IsAttacker(%d) = false", a.Attackers[i])
+		if !a.attackers[a.Attackers[i]] {
+			t.Fatalf("attacker %d missing from the ring set", a.Attackers[i])
 		}
 	}
 	// Population without an attack has no ring.

@@ -106,24 +106,24 @@ func (e *Engine) init() {
 }
 
 // mutualityLabel is the random-stream label of the engine's mutuality
-// rounds; PerceivedTrust must derive the very same label so its attack
-// context keys the same adversary sub-streams as the rounds themselves.
+// rounds. attackContext derives the adversary label from it, so the trust
+// probes key the same adversary sub-streams as the rounds themselves.
 func (e *Engine) mutualityLabel() string {
 	return "engine-mutuality:" + e.Label + ":" + e.Pop.Net.Profile.Name
 }
 
 // candidateTW scores candidate trustee y for the trustor at position i the
 // way a mutuality round does: direct experience first (edge is the
-// trustor→y edge in the view), the one-hop recommendation channel (attack
-// scenarios only, with attackers forging) for strangers, the neutral prior
-// when nobody knows anything. Reads only the frozen view.
-func (e *Engine) candidateTW(view *core.RoundView, attacked bool, ctx adversary.Context, i int, edge int32, y core.AgentID, tk task.Task) float64 {
-	tw, ok := view.BestTW(edge, tk)
-	if ok {
-		return tw
+// trustor→y edge in the view, read through the lens tw), the one-hop
+// recommendation channel (attack scenarios only, with attackers forging)
+// for strangers, the neutral prior when nobody knows anything. Reads only
+// the frozen view.
+func (e *Engine) candidateTW(view *core.RoundView, tw edgeTW, attacked bool, ctx adversary.Context, i int, edge int32, y core.AgentID) float64 {
+	if v, ok := tw(edge); ok {
+		return v
 	}
 	if attacked {
-		if rec, ok := e.recommendedTW(view, ctx, e.socialNbrs[i], y, tk); ok {
+		if rec, ok := e.recommendedTW(view, tw, ctx, e.socialNbrs[i], y); ok {
 			return rec
 		}
 	}
@@ -133,8 +133,7 @@ func (e *Engine) candidateTW(view *core.RoundView, attacked bool, ctx adversary.
 // acceptsDelegation is the reverse evaluation (eq. 1) of candidate trustee
 // y against requesting trustor x on the frozen view: y compares the
 // reverse trustworthiness implied by its captured usage log about x with
-// its threshold θ. The agent.AcceptsDelegation live-store equivalent, for
-// the compute phase. An absent y→x edge means an empty log (records and
+// its threshold θ. An absent y→x edge means an empty log (records and
 // logs live only along social edges), which scores the optimistic 1.
 func (e *Engine) acceptsDelegation(view *core.RoundView, y, x core.AgentID) bool {
 	theta := e.Pop.Agent(y).Theta
@@ -225,11 +224,7 @@ type mutualityAction struct {
 func (e *Engine) MutualityRound(round int, tk task.Task, c *MutualityCounters) {
 	e.init()
 	p := e.Pop
-	attacked := p.AttackEnabled()
-	var actx adversary.Context
-	if attacked {
-		actx = e.attackContext(e.mutualityLabel(), round)
-	}
+	actx, attacked := e.attackContext(round)
 	e.Rounds.Publish(p.RoundView(e.workers(), epochArenas))
 	ep := e.Rounds.Acquire()
 	acts := e.computeMutualityActs(ep.View(), attacked, actx, round, tk)
@@ -255,6 +250,7 @@ func (e *Engine) computeMutualityActs(view *core.RoundView, attacked bool, actx 
 	p := e.Pop
 	label := e.mutualityLabel()
 	actCfg := agent.DefaultActConfig()
+	tw := func(edge int32) (float64, bool) { return view.BestTW(edge, tk) }
 	return mapTrustors(p.Trustors, e.workers(), func(i int, x core.AgentID) mutualityAction {
 		nbrs := e.trusteeNbrs[i]
 		if len(nbrs) == 0 {
@@ -266,7 +262,7 @@ func (e *Engine) computeMutualityActs(view *core.RoundView, attacked bool, actx 
 		for k, y := range nbrs {
 			// Strangers are judged by one-hop recommendations, which
 			// attackers may forge (candidateTW).
-			cands = append(cands, core.Candidate{ID: y, TW: e.candidateTW(view, attacked, actx, i, e.trusteeEdges[i][k], y, tk)})
+			cands = append(cands, core.Candidate{ID: y, TW: e.candidateTW(view, tw, attacked, actx, i, e.trusteeEdges[i][k], y)})
 		}
 		chosen, ok := core.SelectMutual(cands, func(y core.AgentID) bool {
 			return e.acceptsDelegation(view, y, x)

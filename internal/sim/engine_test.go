@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -185,5 +186,56 @@ func TestEngineParallelSpeedup(t *testing.T) {
 	// stay robust on loaded CI machines.
 	if float64(parallel) > 0.75*float64(serial) {
 		t.Fatalf("parallel run not faster: serial %v, parallel %v", serial, parallel)
+	}
+}
+
+// TestAcceptsDelegationThreshold pins the reverse evaluation (eq. 1) the
+// compute phase runs on the frozen view: a trustee accepts a trustor whose
+// captured usage log clears θ, refuses an abusive one, gives a stranger
+// (no log, or no social edge at all) the benefit of the doubt, and accepts
+// everyone at θ = 0.
+func TestAcceptsDelegationThreshold(t *testing.T) {
+	p := NewPopulation(smallNet(t), DefaultPopulationConfig(5))
+	eng := NewEngine(p, "accepts")
+	y := core.AgentID(0)
+	nbrs := p.Neighbors(y)
+	if len(nbrs) == 0 {
+		t.Fatal("agent 0 has no social neighbors")
+	}
+	x := nbrs[0]
+	stranger := core.AgentID(-1)
+	for id := core.AgentID(1); int(id) < len(p.Agents); id++ {
+		if _, ok := slices.BinarySearch(nbrs, id); !ok {
+			stranger = id
+			break
+		}
+	}
+	if stranger < 0 {
+		t.Fatal("agent 0 neighbors everyone")
+	}
+	p.Agent(y).Theta = 0.6
+	accepts := func(x core.AgentID) bool {
+		view := p.RoundView(1, nil)
+		defer view.Release()
+		return eng.acceptsDelegation(view, y, x)
+	}
+	if !accepts(x) || !accepts(stranger) {
+		t.Fatal("trustor without a usage log refused")
+	}
+	for i := 0; i < 10; i++ {
+		p.Agent(y).Store.ObserveUsage(x, false)
+	}
+	if !accepts(x) {
+		t.Fatal("responsible trustor refused")
+	}
+	for i := 0; i < 30; i++ {
+		p.Agent(y).Store.ObserveUsage(x, true)
+	}
+	if accepts(x) {
+		t.Fatal("abusive trustor accepted")
+	}
+	p.Agent(y).Theta = 0
+	if !accepts(x) {
+		t.Fatal("theta=0 refused a trustor")
 	}
 }

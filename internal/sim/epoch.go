@@ -52,10 +52,6 @@ func (e *Engine) TransitivityEpoch(setup TransitivitySetup) *TransitivityEpoch {
 	return ep
 }
 
-// Handle exposes the epoch's publish seam: external readers may Acquire
-// the current snapshot and keep it alive across a Reset.
-func (ep *TransitivityEpoch) Handle() *EpochHandle { return &ep.handle }
-
 // Reset re-captures the epoch from the population's current stores: the
 // stale snapshot retires through the handle (readers still holding it keep
 // it alive; otherwise its arenas go back to the pool), a fresh capture is

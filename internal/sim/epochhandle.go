@@ -92,9 +92,6 @@ func (h *EpochHandle) Retire() {
 	}
 }
 
-// Current reports whether the handle holds a published epoch.
-func (h *EpochHandle) Current() bool { return h.cur.Load() != nil }
-
 // Acquire takes a reference on the current epoch, or returns nil when none
 // is published. The caller must Release the returned epoch exactly once;
 // the view it serves stays valid — arenas pinned, contents frozen — until

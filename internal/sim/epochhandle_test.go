@@ -17,12 +17,12 @@ func TestEpochHandleLifecycle(t *testing.T) {
 	net := smallNet(t)
 	p := NewPopulation(net, DefaultPopulationConfig(17))
 	var h EpochHandle
-	if h.Current() || h.Acquire() != nil {
+	if h.Acquire() != nil {
 		t.Fatal("empty handle claims a current epoch")
 	}
 	v1 := p.RoundView(1, nil)
 	h.Publish(v1)
-	if !h.Current() {
+	if h.cur.Load() == nil {
 		t.Fatal("published epoch not current")
 	}
 	ref := h.Acquire()
@@ -42,7 +42,7 @@ func TestEpochHandleLifecycle(t *testing.T) {
 	ref.Release()
 	ref2.Release()
 	h.Retire()
-	if h.Current() || h.Acquire() != nil {
+	if h.Acquire() != nil {
 		t.Fatal("retired handle still serves an epoch")
 	}
 	h.Retire() // idempotent on an empty handle
@@ -289,11 +289,7 @@ func TestMutualityComputePhaseLockFree(t *testing.T) {
 			tk := task.Uniform(1, task.CharCompute)
 			var c MutualityCounters
 			eng.MutualityRound(0, tk, &c) // init + some store state
-			attacked := p.AttackEnabled()
-			var actx adversary.Context
-			if attacked {
-				actx = eng.attackContext(eng.mutualityLabel(), 1)
-			}
+			actx, attacked := eng.attackContext(1)
 			view := p.RoundView(4, nil)
 			defer view.Release()
 			var acts []mutualityAction

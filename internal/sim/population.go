@@ -298,13 +298,14 @@ func (p *Population) Searcher(maxDepth int, omega1, omega2 float64) *core.Search
 // Catalog returns the task catalog shared by every store of the population.
 func (p *Population) Catalog() *task.Catalog { return p.cfg.Update.Catalog }
 
-// CaptureSource exposes the population's stores to the trust-view capture
-// (core.CaptureTrustView): the shared catalog, per-edge record counts for
-// the sizing pass, in-place compact appends for the fill pass, and each
-// store's mutation stamp for predecessor reuse.
-func (p *Population) CaptureSource() core.CaptureSource {
+// RoundSource exposes the population's stores to a round-view capture
+// (core.CaptureRoundView): the shared catalog, per-edge record counts for
+// the sizing pass, in-place compact appends for the fill pass, each
+// store's mutation stamp for predecessor reuse, and the per-edge usage logs
+// behind the reverse evaluation.
+func (p *Population) RoundSource() core.RoundSource {
 	cat := p.Catalog()
-	return core.CaptureSource{
+	return core.RoundSource{
 		Catalog: cat,
 		Count: func(holder, about core.AgentID) int {
 			return p.Agents[holder].Store.RecordCount(about)
@@ -315,15 +316,6 @@ func (p *Population) CaptureSource() core.CaptureSource {
 		Version: func(holder core.AgentID) uint64 {
 			return p.Agents[holder].Store.Version()
 		},
-	}
-}
-
-// RoundSource exposes the population's stores to a round-view capture: the
-// trust-view record passes plus the per-edge usage logs behind the reverse
-// evaluation.
-func (p *Population) RoundSource() core.RoundSource {
-	return core.RoundSource{
-		CaptureSource: p.CaptureSource(),
 		Usage: func(holder, about core.AgentID) core.UsageLog {
 			return p.Agents[holder].Store.Usage(about)
 		},

@@ -55,7 +55,7 @@ func TestFindViewZeroAlloc(t *testing.T) {
 	p, setup := viewTestPopulation(t, 3, 5)
 	s := p.Searcher(setup.MaxDepth, setup.Omega1, setup.Omega2)
 	view := p.RoundView(1, nil).TrustView
-	memo := core.NewEdgeMemo(view, p.Config().Update.Norm, 1)
+	memo := core.NewEdgeMemoPooled(view, p.Config().Update.Norm, 1, nil)
 	tk := setup.Universe.Tasks[0]
 	trustor := p.Trustors[0]
 	for _, name := range core.ModelNames() {
@@ -85,7 +85,7 @@ func TestTrustIntoZeroAlloc(t *testing.T) {
 	p, setup := viewTestPopulation(t, 3, 5)
 	s := p.Searcher(setup.MaxDepth, setup.Omega1, setup.Omega2)
 	view := p.RoundView(1, nil).TrustView
-	memo := core.NewEdgeMemo(view, p.Config().Update.Norm, 1)
+	memo := core.NewEdgeMemoPooled(view, p.Config().Update.Norm, 1, nil)
 	tk := setup.Universe.Tasks[0]
 	trustor := p.Trustors[0]
 	// A far candidate the mask admits, so no query returns before searching.

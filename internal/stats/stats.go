@@ -1,6 +1,5 @@
 // Package stats provides the small numeric helpers the experiment runners
-// and reports share: means, standard deviations, quantiles, moving
-// averages, and (x, y) series.
+// and reports share: means, quantiles, moving averages, and (x, y) series.
 package stats
 
 import (
@@ -19,21 +18,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// Std returns the population standard deviation, or 0 for fewer than two
-// samples.
-func Std(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)))
 }
 
 // MinMax returns the smallest and largest values; both 0 for an empty
@@ -96,21 +80,6 @@ func MovingAvg(xs []float64, w int) []float64 {
 			n = w
 		}
 		out[i] = sum / float64(n)
-	}
-	return out
-}
-
-// Downsample keeps every k-th element (k >= 1), always including the last.
-func Downsample(xs []float64, k int) []float64 {
-	if k <= 1 || len(xs) == 0 {
-		return append([]float64(nil), xs...)
-	}
-	var out []float64
-	for i := 0; i < len(xs); i += k {
-		out = append(out, xs[i])
-	}
-	if (len(xs)-1)%k != 0 {
-		out = append(out, xs[len(xs)-1])
 	}
 	return out
 }

@@ -15,16 +15,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestStd(t *testing.T) {
-	if Std([]float64{5}) != 0 {
-		t.Fatal("single-sample std not 0")
-	}
-	got := Std([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if math.Abs(got-2) > 1e-12 {
-		t.Fatalf("std = %v, want 2", got)
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	lo, hi := MinMax([]float64{3, -1, 7, 2})
 	if lo != -1 || hi != 7 {
@@ -76,22 +66,6 @@ func TestMovingAvg(t *testing.T) {
 	cp[0] = 99
 	if src[0] == 99 {
 		t.Fatal("window-1 shares storage")
-	}
-}
-
-func TestDownsample(t *testing.T) {
-	got := Downsample([]float64{0, 1, 2, 3, 4, 5, 6}, 3)
-	want := []float64{0, 3, 6}
-	if len(got) != len(want) {
-		t.Fatalf("downsample = %v", got)
-	}
-	// Last element always kept.
-	got = Downsample([]float64{0, 1, 2, 3}, 3)
-	if got[len(got)-1] != 3 {
-		t.Fatalf("last element dropped: %v", got)
-	}
-	if len(Downsample(nil, 3)) != 0 {
-		t.Fatal("empty downsample not empty")
 	}
 }
 

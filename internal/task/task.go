@@ -124,44 +124,6 @@ func (t Task) Equal(o Task) bool {
 // NumCharacteristics returns the number of characteristics in the task.
 func (t Task) NumCharacteristics() int { return len(t.chars) }
 
-// CoveredBy reports whether every characteristic of t appears in the union
-// of the given characteristic sets — the condition {a(τ″)} ⊆ {a(τ)} ∪ {a(τ′)}
-// behind conservative (eq. 8) and aggressive (eq. 12) transitivity.
-func (t Task) CoveredBy(sets ...[]Characteristic) bool {
-	union := make(map[Characteristic]bool)
-	for _, s := range sets {
-		for _, c := range s {
-			union[c] = true
-		}
-	}
-	for _, c := range t.chars {
-		if !union[c] {
-			return false
-		}
-	}
-	return true
-}
-
-// SharedCharacteristics returns the characteristics t has in common with
-// other.
-func (t Task) SharedCharacteristics(other Task) []Characteristic {
-	var out []Characteristic
-	i, j := 0, 0
-	for i < len(t.chars) && j < len(other.chars) {
-		switch {
-		case t.chars[i] < other.chars[j]:
-			i++
-		case t.chars[i] > other.chars[j]:
-			j++
-		default:
-			out = append(out, t.chars[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
 // String renders the task as "type#N{c0:w0 c1:w1 ...}".
 func (t Task) String() string {
 	var b strings.Builder

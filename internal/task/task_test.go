@@ -74,32 +74,6 @@ func TestCharacteristicsSorted(t *testing.T) {
 	}
 }
 
-func TestCoveredBy(t *testing.T) {
-	tk := Uniform(1, CharGPS, CharImage)
-	if !tk.CoveredBy([]Characteristic{CharGPS}, []Characteristic{CharImage, CharAudio}) {
-		t.Fatal("covered union reported uncovered")
-	}
-	if tk.CoveredBy([]Characteristic{CharGPS}) {
-		t.Fatal("partial cover reported covered")
-	}
-	if !tk.CoveredBy([]Characteristic{CharImage, CharGPS}) {
-		t.Fatal("single-set cover failed")
-	}
-}
-
-func TestSharedCharacteristics(t *testing.T) {
-	a := Uniform(1, CharGPS, CharImage, CharAudio)
-	b := Uniform(2, CharImage, CharAudio, CharCompute)
-	got := a.SharedCharacteristics(b)
-	if len(got) != 2 || got[0] != CharImage || got[1] != CharAudio {
-		t.Fatalf("shared = %v", got)
-	}
-	c := Uniform(3, CharStorage)
-	if len(a.SharedCharacteristics(c)) != 0 {
-		t.Fatal("disjoint tasks share characteristics")
-	}
-}
-
 func TestString(t *testing.T) {
 	tk := Uniform(7, CharGPS)
 	if got := tk.String(); got != "type#7{0:1.00}" {

@@ -100,9 +100,6 @@ func NewNetwork(cfg Config) *Network {
 // Config returns the network configuration.
 func (n *Network) Config() Config { return n.cfg }
 
-// Coordinator returns the coordinator device.
-func (n *Network) Coordinator() *Device { return n.coord }
-
 // AddDevice joins a new node device (not yet associated) at pos with the
 // given agent. The returned device's address is stable and unique.
 func (n *Network) AddDevice(role Role, pos Position, ag *agent.Agent) *Device {
