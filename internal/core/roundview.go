@@ -54,8 +54,7 @@ type RoundSource struct {
 
 // Release returns the view's arenas — the embedded trust view's and the
 // usage arrays — to the pool they were captured from and invalidates the
-// view. Only the capture's owner may call it, exactly once; the EpochHandle
-// refcount in the sim layer enforces this for the round path.
+// view. Only the capture's owner may call it, exactly once.
 func (v *RoundView) Release() {
 	pool := v.TrustView.pool
 	pool.putOffsets(v.resp)

@@ -66,10 +66,11 @@ func TestAnswerMatchesScan(t *testing.T) {
 					}
 					time.Sleep(time.Millisecond)
 				}
-				ref := e.handle.Acquire()
-				view, pay := ref.View(), ref.Attachment().(*epochPayload)
-				seen[pay.id] = true
-				memos := []*core.EdgeMemo{pay.memo}
+				ref := e.handle.acquire()
+				ep := ref.epoch()
+				view := ep.view
+				seen[ep.id] = true
+				memos := []*core.EdgeMemo{ep.memo}
 				if !trainable {
 					memos = append(memos, nil)
 				}
@@ -96,9 +97,9 @@ func TestAnswerMatchesScan(t *testing.T) {
 								want := answerScan(&s, view, memo, &sr, trustor, trustee, tk, m)
 								got := answer(&s, view, memo, trustor, trustee, tk, m)
 								if !sameAnswer(got, want) {
-									ref.Release()
+									ref.release()
 									t.Fatalf("epoch %d depth %d memo=%v trust(%d, %d, type %d) = %+v, scan %+v",
-										pay.id, depth, memo != nil, trustor, trustee, tk.Type(), got, want)
+										ep.id, depth, memo != nil, trustor, trustee, tk.Type(), got, want)
 								}
 								switch {
 								case want.Direct:
@@ -112,7 +113,7 @@ func TestAnswerMatchesScan(t *testing.T) {
 						}
 					}
 				}
-				ref.Release()
+				ref.release()
 			}
 			if len(seen) < 2 || counts["direct"] == 0 || counts["transitive"] == 0 || counts["not found"] == 0 {
 				t.Fatalf("session too narrow: %d epochs, answers %v", len(seen), counts)

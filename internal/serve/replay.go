@@ -18,15 +18,6 @@ type ReplayStats struct {
 	Queries uint64 `json:"queries"`
 }
 
-// replayEpoch is one re-captured epoch kept alive for the rest of the
-// replay: served queries may reference any past epoch (a query can straddle
-// a swap, and journal lines from concurrent queries interleave), so epochs
-// are only released when the journal ends.
-type replayEpoch struct {
-	view *core.RoundView
-	memo *core.EdgeMemo
-}
-
 // ErrJournalVersion is returned (wrapped) by Replay and Recover when the
 // journal header carries a version this build does not speak. Match with
 // errors.Is.
@@ -82,6 +73,15 @@ func replayHeader(s *journalScanner) (Config, error) {
 	}.withDefaults(), nil
 }
 
+// checkAgents rejects a journaled trustor/trustee pair outside the world's
+// agents: a line whose CRC verifies can still carry ids no engine served.
+func checkAgents(w *world, trustor, trustee int32) error {
+	if n := int32(len(w.pop.Agents)); trustor < 0 || trustor >= n || trustee < 0 || trustee >= n {
+		return fmt.Errorf("agent id out of range [0, %d): trustor %d, trustee %d", n, trustor, trustee)
+	}
+	return nil
+}
+
 // applyEventLine re-applies one journaled event to a world, enforcing the
 // dense-sequence contract. applied is the count of events already applied.
 func applyEventLine(w *world, ev *eventLine, applied uint64) error {
@@ -90,6 +90,9 @@ func applyEventLine(w *world, ev *eventLine, applied uint64) error {
 	}
 	if ev.Seq != applied+1 {
 		return fmt.Errorf("event seq %d, want %d", ev.Seq, applied+1)
+	}
+	if err := checkAgents(w, ev.Trustor, ev.Trustee); err != nil {
+		return err
 	}
 	if ev.Type < 0 || ev.Type >= len(w.setup.Universe.Tasks) {
 		return fmt.Errorf("task type %d out of range", ev.Type)
@@ -133,11 +136,13 @@ func Replay(r io.Reader) (ReplayStats, error) {
 
 	workers := runtime.GOMAXPROCS(0)
 	pool := core.NewArenaPool()
-	epochs := make(map[uint64]*replayEpoch)
+	// Served queries may cite any past epoch (a query can straddle a swap,
+	// and journal lines from concurrent queries interleave), so re-captured
+	// epochs live until the journal ends.
+	epochs := make(map[uint64]*epoch)
 	defer func() {
 		for _, ep := range epochs {
-			ep.memo.Release()
-			ep.view.Release()
+			ep.free()
 		}
 	}()
 	norm := w.pop.Config().Update.Norm
@@ -170,7 +175,7 @@ func Replay(r io.Reader) (ReplayStats, error) {
 			view := w.pop.RoundView(workers, pool)
 			memo := core.NewEdgeMemoPooled(view.TrustView, norm, workers, pool)
 			memo.RequireModel(cfg.Model, w.setup.Universe.Tasks)
-			epochs[ep.ID] = &replayEpoch{view: view, memo: memo}
+			epochs[ep.ID] = &epoch{id: ep.ID, view: view, memo: memo}
 			stats.Epochs++
 		case "query":
 			q := line.Query
@@ -183,6 +188,9 @@ func Replay(r io.Reader) (ReplayStats, error) {
 			}
 			if q.Type < 0 || q.Type >= len(w.setup.Universe.Tasks) {
 				return stats, fmt.Errorf("serve: replay: line %d: task type %d out of range", ln, q.Type)
+			}
+			if err := checkAgents(w, q.Trustor, q.Trustee); err != nil {
+				return stats, fmt.Errorf("serve: replay: line %d: %w", ln, err)
 			}
 			res := answer(w.searcher, ep.view, ep.memo,
 				core.AgentID(q.Trustor), core.AgentID(q.Trustee), w.setup.Universe.Tasks[q.Type], cfg.Model)

@@ -2,9 +2,9 @@
 // layer mounted on the frozen-epoch seam the simulation built. It ingests
 // observation/recommendation events concurrently into the sharded stores
 // through one batching writer goroutine, answers trust(trustor, trustee,
-// task) queries lock-free from the current sim.EpochHandle epoch (RoundView
-// + EdgeMemo, one Acquire/Release per request, so a query straddling a swap
-// keeps a consistent snapshot), re-captures and atomically publishes a fresh
+// task) queries lock-free from the current epoch (RoundView + EdgeMemo, one
+// acquire/release per request, so a query straddling a swap keeps a
+// consistent snapshot), re-captures and atomically publishes a fresh
 // epoch on a count- or time-triggered cadence, and appends every ingested
 // event and served value to an append-only trust-assertion journal that
 // Replay reproduces byte-for-byte.
@@ -214,18 +214,6 @@ type queued struct {
 	done chan error
 }
 
-// epochPayload rides each published epoch through the EpochHandle: the
-// epoch's id and its Required memo, released with the view by the handle's
-// refcount — one count covers view and memo, so a query straddling a swap
-// reads a consistent (view, memo) pair to the end.
-type epochPayload struct {
-	id   uint64
-	memo *core.EdgeMemo
-}
-
-// ReleaseEpoch implements sim.EpochAttachment.
-func (p *epochPayload) ReleaseEpoch() { p.memo.Release() }
-
 // Engine is the long-lived trust server. All methods are safe for
 // concurrent use; store writes are serialized through one writer goroutine
 // (the frozen-epoch capture requires quiescent stores), queries never touch
@@ -235,7 +223,7 @@ type Engine struct {
 	world *world
 	pool  *core.ArenaPool
 
-	handle sim.EpochHandle
+	handle epochHandle
 	queue  chan queued
 	stop   chan struct{}
 	done   chan struct{}
@@ -455,14 +443,14 @@ func (e *Engine) Trust(trustor, trustee core.AgentID, typeIdx int) (TrustResult,
 		return TrustResult{}, fmt.Errorf("serve: task type %d out of range [0, %d)", typeIdx, len(e.TaskTypes()))
 	}
 	start := time.Now()
-	ref := e.handle.Acquire()
+	ref := e.handle.acquire()
 	if ref == nil {
 		return TrustResult{}, ErrClosed
 	}
-	pay := ref.Attachment().(*epochPayload)
-	res := answer(e.world.searcher, ref.View(), pay.memo, trustor, trustee, e.TaskTypes()[typeIdx], e.cfg.Model)
-	res.Epoch = pay.id
-	ref.Release()
+	ep := ref.epoch()
+	res := answer(e.world.searcher, ep.view, ep.memo, trustor, trustee, e.TaskTypes()[typeIdx], e.cfg.Model)
+	res.Epoch = ep.id
+	ref.release()
 	e.lat.observe(time.Since(start).Nanoseconds())
 	e.queries.Add(1)
 	e.journal.query(queryLine{
@@ -552,7 +540,7 @@ func (e *Engine) run() {
 			if since > 0 {
 				e.captureAndPublish()
 			}
-			e.handle.Retire()
+			e.handle.retire()
 			return
 		}
 	}
@@ -647,9 +635,10 @@ func (e *Engine) captureAndPublish() error {
 		prevView *core.RoundView
 		prevMemo *core.EdgeMemo
 	)
-	if cur := e.handle.Acquire(); cur != nil {
-		defer cur.Release()
-		prevView, prevMemo = cur.View(), cur.Attachment().(*epochPayload).memo
+	if ref := e.handle.acquire(); ref != nil {
+		defer ref.release()
+		prev := ref.epoch()
+		prevView, prevMemo = prev.view, prev.memo
 	}
 	id := e.epochs.Load()
 	view, err := e.capture(prevView)
@@ -668,7 +657,7 @@ func (e *Engine) captureAndPublish() error {
 	}
 	e.publishLat.observe(time.Since(start).Nanoseconds())
 	e.rowsRecaptured.Store(int64(view.RowsRecaptured()))
-	e.handle.PublishWith(view, &epochPayload{id: id, memo: memo})
+	e.handle.publish(&epoch{id: id, view: view, memo: memo})
 	e.epochs.Store(id + 1)
 	e.lastEpochNs.Store(time.Now().UnixNano())
 	return nil

@@ -164,9 +164,9 @@ func (e *Engine) applyChurn(ctx adversary.Context) {
 // (attackers forging theirs) for strangers, the neutral prior when nobody
 // knows anything. It returns the averages over honest trustee candidates
 // and attacker candidates; the difference is the trust gap the resilience
-// metrics track. Read-only: it publishes a probe epoch through the Rounds
-// handle, reads the snapshot, and retires it (the live stores are
-// untouched, so the snapshot is exact).
+// metrics track. Read-only: it captures a probe epoch, reads the snapshot,
+// and releases it (the live stores are untouched, so the snapshot is
+// exact).
 func (e *Engine) PerceivedTrust(round int, tk task.Task) (honest, attacker float64) {
 	e.probe(func(view *core.RoundView) {
 		got := e.perceive(view, round, func(edge int32) (float64, bool) { return view.BestTW(edge, tk) })
@@ -206,15 +206,13 @@ func (e *Engine) PerceivedTrustModels(round int, tk task.Task, models []core.Tru
 	return out
 }
 
-// probe publishes a probe epoch of the population's current stores through
-// the Rounds handle, hands its view to fn, and retires it.
+// probe captures a probe epoch of the population's current stores, hands
+// its view to fn, and releases it.
 func (e *Engine) probe(fn func(view *core.RoundView)) {
 	e.init()
-	e.Rounds.Publish(e.Pop.RoundView(e.workers(), epochArenas))
-	ep := e.Rounds.Acquire()
-	fn(ep.View())
-	ep.Release()
-	e.Rounds.Retire()
+	view := e.Pop.RoundView(e.workers(), epochArenas)
+	fn(view)
+	view.Release()
 }
 
 // perceive scores every trustor's candidate trustees on the view the way

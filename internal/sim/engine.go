@@ -33,10 +33,10 @@ import (
 // The price is round semantics: within one round every trustor decides
 // against the state left by the previous round (simultaneous requests) —
 // which is precisely what lets the compute phase read a frozen snapshot.
-// Each round publishes a core.RoundView of the previous round's state
-// through the Rounds handle; the compute phase reads only that view (zero
-// store locks — TestMutualityComputePhaseLockFree) and the merge phase is
-// the only store writer.
+// Each round captures a core.RoundView of the previous round's state; the
+// compute phase reads only that view (zero store locks —
+// TestMutualityComputePhaseLockFree) and the merge phase is the only store
+// writer.
 type Engine struct {
 	Pop *Population
 	// Parallelism is the worker-pool width. 0 falls back to the population
@@ -45,12 +45,6 @@ type Engine struct {
 	// Label separates the engine's random streams from other phases run on
 	// the same population (e.g. one label per figure).
 	Label string
-	// Rounds is the epoch seam of the mutuality rounds: every round
-	// publishes its frozen snapshot here before the compute phase and
-	// retires it after the merge. External readers (a serving layer, an
-	// experiment probe) may Acquire the current epoch at any time and keep
-	// reading it safely across the swap.
-	Rounds EpochHandle
 
 	initOnce     sync.Once
 	trusteeNbrs  [][]core.AgentID // trustee-kind neighbors per trustor position
@@ -206,12 +200,9 @@ type mutualityAction struct {
 // every call.
 //
 // The round is the canonical epoch cycle: a core.RoundView of the previous
-// round's state is captured and published through the Rounds handle, the
-// compute phase fans out reading only that snapshot (no store locks), the
-// single-threaded merge writes the stores, and the epoch retires — stale
-// by construction once the merge ran. Readers holding an Acquire across
-// the swap keep their snapshot alive; the arenas recycle through the
-// shared epoch pool.
+// round's state is captured, the compute phase fans out reading only that
+// snapshot (no store locks), the view's arenas go back to the shared epoch
+// pool, and the single-threaded merge writes the stores.
 //
 // When the population carries an attack scenario (PopulationConfig.Attack),
 // three adversary hooks fire: trustors without direct experience of a
@@ -225,16 +216,14 @@ func (e *Engine) MutualityRound(round int, tk task.Task, c *MutualityCounters) {
 	e.init()
 	p := e.Pop
 	actx, attacked := e.attackContext(round)
-	e.Rounds.Publish(p.RoundView(e.workers(), epochArenas))
-	ep := e.Rounds.Acquire()
-	acts := e.computeMutualityActs(ep.View(), attacked, actx, round, tk)
-	ep.Release()
+	view := p.RoundView(e.workers(), epochArenas)
+	acts := e.computeMutualityActs(view, attacked, actx, round, tk)
+	view.Release()
 	if attacked {
 		// Pre-merge hook: active attackers rewrite their buffered outcomes.
 		e.applyAttack(actx, acts)
 	}
 	e.mergeMutualityActs(attacked, tk, acts, c)
-	e.Rounds.Retire() // the merge wrote the stores; the epoch is stale
 	if attacked {
 		// Post-merge hook: whitewashing attackers shed their identity.
 		e.applyChurn(actx)

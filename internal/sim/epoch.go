@@ -11,9 +11,8 @@ import (
 // TransitivityEpoch is one frozen-epoch read context for transitivity
 // sweeps: a round view captured from the population's live stores plus an
 // EdgeMemo of per-edge hop values, shared by every search run against it.
-// The snapshot is published through an EpochHandle — the same seam the
-// engine's mutuality rounds swap through — so every frozen read path in
-// the package goes through one refcounted epoch mechanism.
+// The epoch owns its view outright; Release hands it back to the shared
+// arena pool, after which the epoch is dead.
 //
 // The search phase of a transitivity run is pure — no store is written — so
 // a single capture serves any number of RunModel calls across models and
@@ -24,7 +23,7 @@ type TransitivityEpoch struct {
 	p       *Population
 	setup   TransitivitySetup
 	s       *core.Searcher
-	handle  EpochHandle
+	view    *core.RoundView // nil once released
 	memo    *core.EdgeMemo
 	workers int
 }
@@ -46,34 +45,42 @@ func (e *Engine) TransitivityEpoch(setup TransitivitySetup) *TransitivityEpoch {
 		s:       p.Searcher(setup.MaxDepth, setup.Omega1, setup.Omega2),
 		workers: workers,
 	}
-	view := p.RoundView(workers, epochArenas)
-	ep.handle.Publish(view)
-	ep.memo = core.NewEdgeMemoPooled(view.TrustView, p.cfg.Update.Norm, workers, epochArenas)
+	ep.view = p.RoundView(workers, epochArenas)
+	ep.memo = core.NewEdgeMemoPooled(ep.view.TrustView, p.cfg.Update.Norm, workers, epochArenas)
 	return ep
 }
 
-// Reset re-captures the epoch from the population's current stores: the
-// stale snapshot retires through the handle (readers still holding it keep
-// it alive; otherwise its arenas go back to the pool), a fresh capture is
-// published, and the memo rebinds to it — so a repeated capture–sweep loop
-// allocates nothing new at steady state. Use after the stores mutated (a
-// mutuality round, a seeding pass); the memo refills lazily on the next
-// RunModel.
+// Reset re-captures the epoch from the population's current stores: a
+// fresh capture replaces the stale view, whose arenas go back to the pool,
+// and the memo rebinds to it — so a repeated capture–sweep loop allocates
+// nothing new at steady state. Use after the stores mutated (a mutuality
+// round, a seeding pass); the memo refills lazily on the next RunModel.
 func (ep *TransitivityEpoch) Reset() {
-	view := ep.p.RoundView(ep.workers, epochArenas)
-	ep.handle.Publish(view) // retires the stale epoch
-	ep.memo.Reset(view.TrustView)
+	stale := ep.live("Reset")
+	ep.view = ep.p.RoundView(ep.workers, epochArenas)
+	stale.Release()
+	ep.memo.Reset(ep.view.TrustView)
 }
 
-// Release retires the epoch and returns the memo tables to the shared
-// pool. The epoch is dead afterwards — RunModel on a released epoch panics —
-// and only the epoch's owner may call it, exactly once (the handle's
-// refcount turns a second release into a panic, not a silent arena
-// corruption). Callers that let an epoch go out of scope without Release
-// merely forgo reuse; correctness is unaffected.
+// Release returns the view's arenas and the memo tables to the shared
+// pool. The epoch is dead afterwards: RunModel, Reset and a second Release
+// panic rather than read or free arenas a newer capture may already use.
+// Callers that let an epoch go out of scope without Release merely forgo
+// reuse; correctness is unaffected.
 func (ep *TransitivityEpoch) Release() {
+	view := ep.live("Release")
 	ep.memo.Release()
-	ep.handle.Retire()
+	view.Release()
+	ep.view = nil
+}
+
+// live returns the epoch's view, panicking with op's name once the epoch
+// is released.
+func (ep *TransitivityEpoch) live(op string) *core.RoundView {
+	if ep.view == nil {
+		panic("sim: " + op + " on a released TransitivityEpoch")
+	}
+	return ep.view
 }
 
 // findSummary is the per-trustor digest a transitivity run keeps: the full
@@ -131,12 +138,7 @@ func (ep *TransitivityEpoch) SweepShardedModel(m core.TrustModel, seed uint64, s
 	}
 	taskRng := rng.New(seed, "transitivity-tasks", p.Net.Profile.Name)
 	outcomeRng := rng.New(seed, "transitivity-outcomes", p.Net.Profile.Name, m.Name())
-	ref := ep.handle.Acquire()
-	if ref == nil {
-		panic("sim: RunModel on a released TransitivityEpoch")
-	}
-	defer ref.Release()
-	view := ref.View().TrustView
+	view := ep.live("RunModel").TrustView
 	var st TransitivityStats
 	st.InquiredPerTrustor = make([]int, 0, len(p.Trustors))
 	var tasks []task.Task

@@ -326,7 +326,7 @@ func (p *Population) RoundSource() core.RoundSource {
 // reads — per-edge experience records and usage counters — over a worker
 // pool, drawing arenas from pool (workers <= 1 captures serially, a nil
 // pool allocates fresh). Byte-identical at every worker count. The engine
-// publishes one per round boundary through its EpochHandle. A population
+// captures one per round boundary. A population
 // large enough to overflow the arena offset space panics with
 // ErrArenaOverflow; RoundViewFrom returns it instead.
 func (p *Population) RoundView(workers int, pool *core.ArenaPool) *core.RoundView {

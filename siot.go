@@ -109,8 +109,8 @@ type EdgeMemo = core.EdgeMemo
 // RoundView extends TrustView to everything a delegation round reads:
 // per-edge experience records plus the usage counters behind the reverse
 // evaluation (eq. 1). The simulation engine captures one per round
-// boundary and swaps it through an RCU-style epoch handle, keeping the
-// round's compute phase free of store locks.
+// boundary and the round's compute phase reads only it, free of store
+// locks.
 type RoundView = core.RoundView
 
 // RoundSource is the store access a RoundView capture needs: the
