@@ -32,7 +32,7 @@ func benchRounds(b *testing.B, nodes, workers int) {
 	for i := 0; i < b.N; i++ {
 		var c sim.MutualityCounters
 		eng.MutualityRound(i, tk, &c)
-		eng.TransitivityRunModel(setup, core.PolicyAggressive.Model(), benchSeed)
+		eng.TransitivityRunModel(setup, core.Aggressive, benchSeed)
 	}
 }
 
@@ -53,7 +53,7 @@ func benchTransitivity(b *testing.B, nodes, workers int) {
 	eng := &sim.Engine{Pop: p, Parallelism: workers, Label: "bench"}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.TransitivityRunModel(setup, core.PolicyAggressive.Model(), benchSeed)
+		eng.TransitivityRunModel(setup, core.Aggressive, benchSeed)
 	}
 }
 
@@ -75,7 +75,7 @@ func BenchmarkTransitivity100k(b *testing.B) {
 	eng := &sim.Engine{Pop: p, Parallelism: 0, Label: "bench"}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.TransitivityRunModel(setup, core.PolicyAggressive.Model(), benchSeed)
+		eng.TransitivityRunModel(setup, core.Aggressive, benchSeed)
 	}
 }
 
@@ -105,12 +105,12 @@ func BenchmarkTransitivity10kPooled(b *testing.B) {
 	eng := &sim.Engine{Pop: p, Parallelism: 1, Label: "bench"}
 	ep := eng.TransitivityEpoch(setup)
 	defer ep.Release()
-	ep.RunModel(core.PolicyAggressive.Model(), benchSeed) // warm arenas and memo
+	ep.RunModel(core.Aggressive, benchSeed) // warm arenas and memo
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ep.Reset()
-		ep.RunModel(core.PolicyAggressive.Model(), benchSeed)
+		ep.RunModel(core.Aggressive, benchSeed)
 	}
 }
 
@@ -146,7 +146,7 @@ func BenchmarkSweep1M(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p, setup := benchnet.Populate(net)
 		eng := &sim.Engine{Pop: p, Parallelism: 0, Label: "bench"}
-		st = eng.TransitivityRunModel(setup, core.PolicyAggressive.Model(), benchSeed)
+		st = eng.TransitivityRunModel(setup, core.Aggressive, benchSeed)
 	}
 	b.ReportMetric(float64(st.Requests), "requests")
 	b.ReportMetric(float64(st.PotentialTrustees), "potential_trustees")
@@ -155,7 +155,7 @@ func BenchmarkSweep1M(b *testing.B) {
 
 // benchSeedPass isolates the experience-seeding pass at the given scale and
 // worker count: each op re-builds a fresh population outside the timer and
-// times one SeedParallel over it.
+// times one SeedExperience over it.
 func benchSeedPass(b *testing.B, nodes, workers int) {
 	net := socialgen.Generate(benchnet.Profile(nodes), benchnet.Seed)
 	b.ResetTimer()
@@ -167,7 +167,7 @@ func benchSeedPass(b *testing.B, nodes, workers int) {
 		setup := sim.DefaultTransitivitySetup(5, p.Rand("bench-rounds"))
 		setup.MaxDepth = 3
 		b.StartTimer()
-		p.SeedParallel(setup, benchnet.Seed, workers)
+		sim.SeedExperience(p, setup, benchnet.Seed)
 	}
 }
 
@@ -212,14 +212,14 @@ func BenchmarkFindAggressive(b *testing.B) {
 	view := p.RoundView(1, nil).TrustView
 	memo := core.NewEdgeMemoPooled(view, p.Config().Update.Norm, 1, nil)
 	tk := setup.Universe.Tasks[0]
-	memo.RequireModel(core.PolicyAggressive.Model(), []task.Task{tk})
+	memo.RequireModel(core.Aggressive, []task.Task{tk})
 	trustor := p.Trustors[0]
 	var res core.SearchResult
-	s.FindViewModelInto(&res, view, memo, trustor, tk, core.PolicyAggressive.Model()) // warm the pool
+	s.FindViewModelInto(&res, view, memo, trustor, tk, core.Aggressive) // warm the pool
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.FindViewModelInto(&res, view, memo, trustor, tk, core.PolicyAggressive.Model())
+		s.FindViewModelInto(&res, view, memo, trustor, tk, core.Aggressive)
 	}
 	b.ReportMetric(float64(res.Inquired), "inquired")
 }
@@ -235,23 +235,23 @@ func BenchmarkTrustInto(b *testing.B) {
 	view := p.RoundView(1, nil).TrustView
 	memo := core.NewEdgeMemoPooled(view, p.Config().Update.Norm, 1, nil)
 	tk := setup.Universe.Tasks[0]
-	memo.RequireModel(core.PolicyAggressive.Model(), []task.Task{tk})
+	memo.RequireModel(core.Aggressive, []task.Task{tk})
 	trustor := p.Trustors[0]
 	var res core.SearchResult
-	s.FindViewModelInto(&res, view, memo, trustor, tk, core.PolicyAggressive.Model())
+	s.FindViewModelInto(&res, view, memo, trustor, tk, core.Aggressive)
 	trustee := trustor
 	for _, c := range res.Candidates {
 		if _, adjacent := view.EdgeIndex(trustor, c.ID); !adjacent {
 			trustee = c.ID
 		}
 	}
-	if _, found := s.TrustInto(view, memo, trustor, trustee, tk, core.PolicyAggressive.Model()); !found { // also warms the pool
+	if _, found := s.TrustInto(view, memo, trustor, trustee, tk, core.Aggressive); !found { // also warms the pool
 		b.Fatal("no transitive candidate to query")
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.TrustInto(view, memo, trustor, trustee, tk, core.PolicyAggressive.Model())
+		s.TrustInto(view, memo, trustor, trustee, tk, core.Aggressive)
 	}
 }
 
@@ -262,7 +262,7 @@ func BenchmarkTrustInto(b *testing.B) {
 // histogram supplies the p50/p99 query-latency metrics reported here.
 func BenchmarkServeQuery1k(b *testing.B) {
 	eng, err := serve.New(serve.Config{
-		Nodes: 1000, Seed: benchSeed, Seeded: true, Model: core.PolicyAggressive.Model(),
+		Nodes: 1000, Seed: benchSeed, Seeded: true, Model: core.Aggressive,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -293,7 +293,7 @@ func BenchmarkServeQuery1k(b *testing.B) {
 // keep acquiring consistent snapshots across concurrent swaps.
 func BenchmarkServeMixed10k(b *testing.B) {
 	eng, err := serve.New(serve.Config{
-		Nodes: 10000, Seed: benchSeed, Seeded: true, Model: core.PolicyAggressive.Model(),
+		Nodes: 10000, Seed: benchSeed, Seeded: true, Model: core.Aggressive,
 		EpochEvery: 512,
 	})
 	if err != nil {
@@ -381,9 +381,9 @@ func transitivitySweep(b *testing.B) experiments.TransitivityResult {
 }
 
 // cellOf finds one sweep cell.
-func cellOf(res experiments.TransitivityResult, network string, pol core.Policy, chars int) experiments.TransitivityCell {
+func cellOf(res experiments.TransitivityResult, network string, m core.TrustModel, chars int) experiments.TransitivityCell {
 	for _, c := range res.Cells {
-		if c.Network == network && c.Policy == pol && c.NumChars == chars {
+		if c.Network == network && c.Model == m.Name() && c.NumChars == chars {
 			return c
 		}
 	}
@@ -394,24 +394,24 @@ func cellOf(res experiments.TransitivityResult, network string, pol core.Policy,
 // the number of characteristics for the three trust-transfer methods.
 func BenchmarkFig9TransitivitySuccess(b *testing.B) {
 	res := transitivitySweep(b)
-	b.ReportMetric(cellOf(res, "facebook", core.PolicyAggressive, 4).Success, "fb_aggr_success")
-	b.ReportMetric(cellOf(res, "facebook", core.PolicyTraditional, 4).Success, "fb_trad_success")
+	b.ReportMetric(cellOf(res, "facebook", core.Aggressive, 4).Success, "fb_aggr_success")
+	b.ReportMetric(cellOf(res, "facebook", core.Traditional, 4).Success, "fb_trad_success")
 }
 
 // BenchmarkFig10TransitivityUnavailable regenerates Fig. 10: unavailable
 // rate for the same sweep.
 func BenchmarkFig10TransitivityUnavailable(b *testing.B) {
 	res := transitivitySweep(b)
-	b.ReportMetric(cellOf(res, "facebook", core.PolicyAggressive, 4).Unavailable, "fb_aggr_unavail")
-	b.ReportMetric(cellOf(res, "facebook", core.PolicyTraditional, 4).Unavailable, "fb_trad_unavail")
+	b.ReportMetric(cellOf(res, "facebook", core.Aggressive, 4).Unavailable, "fb_aggr_unavail")
+	b.ReportMetric(cellOf(res, "facebook", core.Traditional, 4).Unavailable, "fb_trad_unavail")
 }
 
 // BenchmarkFig11PotentialTrustees regenerates Fig. 11: the average number
 // of potential trustees found per method.
 func BenchmarkFig11PotentialTrustees(b *testing.B) {
 	res := transitivitySweep(b)
-	b.ReportMetric(cellOf(res, "facebook", core.PolicyAggressive, 4).AvgPotential, "fb_aggr_potential")
-	b.ReportMetric(cellOf(res, "facebook", core.PolicyTraditional, 4).AvgPotential, "fb_trad_potential")
+	b.ReportMetric(cellOf(res, "facebook", core.Aggressive, 4).AvgPotential, "fb_aggr_potential")
+	b.ReportMetric(cellOf(res, "facebook", core.Traditional, 4).AvgPotential, "fb_trad_potential")
 }
 
 // BenchmarkFig12SearchOverhead regenerates Fig. 12: the per-trustor count
@@ -422,14 +422,14 @@ func BenchmarkFig12SearchOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res = experiments.RunFig12(cfg)
 	}
-	total := func(p core.Policy) (sum float64) {
-		for _, v := range res.PerPolicy[p] {
+	total := func(m core.TrustModel) (sum float64) {
+		for _, v := range res.PerModel[m.Name()] {
 			sum += float64(v)
 		}
 		return sum
 	}
-	b.ReportMetric(total(core.PolicyAggressive), "aggr_inquired_total")
-	b.ReportMetric(total(core.PolicyTraditional), "trad_inquired_total")
+	b.ReportMetric(total(core.Aggressive), "aggr_inquired_total")
+	b.ReportMetric(total(core.Traditional), "trad_inquired_total")
 }
 
 // BenchmarkTable2RealProperties regenerates Table 2: the transitivity
@@ -442,10 +442,10 @@ func BenchmarkTable2RealProperties(b *testing.B) {
 		res = experiments.RunTable2(cfg)
 	}
 	for _, c := range res.Cells {
-		if c.Network == "facebook" && c.Policy == core.PolicyAggressive {
+		if c.Network == "facebook" && c.Model == core.Aggressive.Name() {
 			b.ReportMetric(c.Success, "fb_aggr_success")
 		}
-		if c.Network == "facebook" && c.Policy == core.PolicyTraditional {
+		if c.Network == "facebook" && c.Model == core.Traditional.Name() {
 			b.ReportMetric(c.Success, "fb_trad_success")
 		}
 	}

@@ -47,9 +47,9 @@ func main() {
 	view := p.RoundView(1, nil).TrustView
 	searcher := p.Searcher(setup.MaxDepth, setup.Omega1, setup.Omega2)
 	var res core.SearchResult
-	for _, policy := range []core.Policy{core.PolicyTraditional, core.PolicyConservative, core.PolicyAggressive} {
-		searcher.FindViewModelInto(&res, view, nil, requester, traffic, policy.Model())
-		fmt.Printf("\n%s transfer:\n", policy)
+	for _, model := range []core.TrustModel{core.Traditional, core.Conservative, core.Aggressive} {
+		searcher.FindViewModelInto(&res, view, nil, requester, traffic, model)
+		fmt.Printf("\n%s transfer:\n", model.Name())
 		fmt.Printf("  potential trustees found: %d (interrogated %d nodes)\n",
 			len(res.Candidates), res.Inquired)
 		if best, ok := res.Best(); ok {

@@ -45,7 +45,7 @@ func TestIntegrationEdgeListToExperiment(t *testing.T) {
 	r := rng.New(9, "integration")
 	setup := sim.DefaultTransitivitySetup(5, r)
 	sim.SeedExperience(p, setup, 9)
-	st := sim.NewEngine(p, "integration").TransitivityRunModel(setup, siot.PolicyAggressive.Model(), 9)
+	st := sim.NewEngine(p, "integration").TransitivityRunModel(setup, siot.Aggressive, 9)
 	if st.Requests == 0 {
 		t.Fatal("no requests over the loaded graph")
 	}

@@ -85,12 +85,12 @@ func TestCompactMatchesFatReference(t *testing.T) {
 					t.Fatalf("seed %d size %d: InferTW(task %d) compact (%v, %v) != fat (%v, %v)",
 						seed, size, tk.Type(), cmpV, cmpOK, fatV, fatOK)
 				}
-				for _, p := range []Policy{PolicyTraditional, PolicyConservative} {
-					fatV, fatOK := s.hopTW(f.fat, tk, p)
-					cmpV, cmpOK := p.Model().HopTW(HopContext{Tasks: f.tasks, Norm: norm}, f.compact, tk)
+				for _, m := range []TrustModel{Traditional, Conservative} {
+					fatV, fatOK := s.hopTW(f.fat, tk, m)
+					cmpV, cmpOK := m.HopTW(HopContext{Tasks: f.tasks, Norm: norm}, f.compact, tk)
 					if fatV != cmpV || fatOK != cmpOK {
 						t.Fatalf("seed %d size %d: hopTW(task %d, %s) compact (%v, %v) != fat (%v, %v)",
-							seed, size, tk.Type(), p, cmpV, cmpOK, fatV, fatOK)
+							seed, size, tk.Type(), m.Name(), cmpV, cmpOK, fatV, fatOK)
 					}
 				}
 				fatI, fatOK := searchRecord(f.fat, tk.Type())

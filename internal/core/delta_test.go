@@ -154,7 +154,7 @@ func TestDeltaCaptureMatchesFresh(t *testing.T) {
 				models = append(models, m)
 			}
 			calls := new(atomic.Int64)
-			counter := countingModel{PolicyConservative.Model(), calls}
+			counter := countingModel{Conservative, calls}
 			models = append(models, counter)
 
 			pool := NewArenaPool()

@@ -12,7 +12,7 @@ import (
 // point in the design space the related work maps out (Hellinger-based
 // matrix-factorization trust, feature-weighted trust quantification, ...).
 // TrustModel abstracts the per-hop evaluation those policies share, so every
-// model — the three Policy constants included, as adapters — plugs into the
+// model — Traditional, Conservative and Aggressive included — plugs into the
 // same frozen-view search, EdgeMemo pre-pass, sharded sweeps, serving layer,
 // and attack suite.
 
@@ -60,7 +60,7 @@ type ModelSpec struct {
 func unitType(c task.Characteristic) task.Type { return task.Type(-1 - int(c)) }
 
 // unitTask is the one-characteristic task a PerCharacteristic model is
-// evaluated on: c alone at weight 1. The aggressive adapter's HopTW on it is
+// evaluated on: c alone at weight 1. Aggressive's HopTW on it is
 // CharTWCompact bit for bit (eq. 4 with one term: 0 + 1·x = x).
 func unitTask(c task.Characteristic) task.Task { return task.Uniform(unitType(c), c) }
 
@@ -109,34 +109,44 @@ type EpochTrainable interface {
 	TrainEpoch(view *TrustView, norm Normalizer, workers int) EdgeScorer
 }
 
-// policyModel adapts one of the paper's §4.3 policies to the TrustModel
-// interface; the Spec carries everything that tells the three apart besides
-// the hop evaluation.
-type policyModel struct{ p Policy }
-
-func (pm policyModel) Name() string { return pm.p.String() }
-
-func (pm policyModel) Spec() ModelSpec {
-	switch pm.p {
-	case PolicyTraditional:
-		return ModelSpec{Combine: CombineProduct}
-	case PolicyConservative:
-		return ModelSpec{Combine: CombineMistrust, OmegaGated: true}
-	default:
-		return ModelSpec{Combine: CombineMistrust, OmegaGated: true, PerCharacteristic: true}
-	}
+// paperModel is one of the paper's §4.3 trust-transfer methods; the Spec
+// and the hop rule (exact-type records or eq. 4 inference) tell the three
+// apart.
+type paperModel struct {
+	name      string
+	spec      ModelSpec
+	exactType bool
 }
+
+// The paper's three trust-transfer methods (§4.3), registered under the
+// names its figures use.
+var (
+	// Traditional is the baseline of eq. 5: trustworthiness transfers only
+	// through records of the exact same task type, combined by product.
+	Traditional TrustModel = &paperModel{name: "traditional", spec: ModelSpec{Combine: CombineProduct}, exactType: true}
+	// Conservative (eqs. 8–11) transfers through a single path on which
+	// every hop's experience covers all characteristics of the task,
+	// combined by eq. 7.
+	Conservative TrustModel = &paperModel{name: "conservative", spec: ModelSpec{Combine: CombineMistrust, OmegaGated: true}}
+	// Aggressive (eqs. 12–17) assesses each characteristic along its own
+	// path and combines the per-characteristic estimates with the task's
+	// weights (eq. 17).
+	Aggressive TrustModel = &paperModel{name: "aggressive", spec: ModelSpec{Combine: CombineMistrust, OmegaGated: true, PerCharacteristic: true}}
+)
+
+func (m *paperModel) Name() string    { return m.name }
+func (m *paperModel) Spec() ModelSpec { return m.spec }
 
 // HopTW is the exact-type record trustworthiness for the traditional
 // baseline (eq. 5) and the full-coverage inference of eq. 4 otherwise
-// (conservative, eqs. 8–10). The aggressive policy is searched on unit tasks,
-// where eq. 4 reduces to one characteristic's weighted average; as a
+// (conservative, eqs. 8–10). The aggressive method is searched on unit
+// tasks, where eq. 4 reduces to one characteristic's weighted average; as a
 // single-edge lens over a whole task it is the same full-coverage inference.
-func (pm policyModel) HopTW(ctx HopContext, recs []CompactRecord, t task.Task) (float64, bool) {
+func (m *paperModel) HopTW(ctx HopContext, recs []CompactRecord, t task.Task) (float64, bool) {
 	if len(recs) == 0 {
 		return 0, false
 	}
-	if pm.p == PolicyTraditional {
+	if m.exactType {
 		typ := t.Type()
 		for _, r := range recs {
 			if ctx.Tasks[r.Ref].Type() == typ {
@@ -146,21 +156,6 @@ func (pm policyModel) HopTW(ctx HopContext, recs []CompactRecord, t task.Task) (
 		return 0, false
 	}
 	return InferFromCompact(ctx.Tasks, recs, t, ctx.Norm)
-}
-
-// policyModels holds the three adapters as pre-allocated interface values,
-// so Policy.Model never allocates on a hot path.
-var policyModels = [3]TrustModel{
-	policyModel{PolicyTraditional},
-	policyModel{PolicyConservative},
-	policyModel{PolicyAggressive},
-}
-
-// Model returns the TrustModel adapter for the policy. Adapter names equal
-// Policy.String, so model-keyed rng labels and registry lookups coincide
-// with the historical policy-keyed ones.
-func (p Policy) Model() TrustModel {
-	return policyModels[p]
 }
 
 // modelRegistry maps registered model names to instances. Registration
@@ -186,9 +181,8 @@ func RegisterModel(m TrustModel) {
 	modelRegistry.byName[name] = m
 }
 
-// ParseModel resolves a registered model name: the three policy names
-// resolve to their adapters, and every additional registered model resolves
-// by its name.
+// ParseModel resolves a registered model name, the paper's three methods
+// included.
 func ParseModel(s string) (TrustModel, error) {
 	modelRegistry.mu.RLock()
 	m, ok := modelRegistry.byName[s]
@@ -212,7 +206,7 @@ func ModelNames() []string {
 }
 
 func init() {
-	for _, pm := range policyModels {
-		RegisterModel(pm)
+	for _, m := range []TrustModel{Traditional, Conservative, Aggressive} {
+		RegisterModel(m)
 	}
 }

@@ -7,14 +7,14 @@ import (
 	"siot/internal/task"
 )
 
-// TestPolicyAdapterMatchesLegacyHop pins the adapters against the fat-record
-// reference the search oracle evaluates hops with: each single-path
-// adapter's HopTW equals the oracle's hopTW, and the aggressive adapter's
+// TestPaperModelsMatchLegacyHop pins the paper's three models against the
+// fat-record reference the search oracle evaluates hops with: each
+// single-path model's HopTW equals the oracle's hopTW, and Aggressive's
 // HopTW on a characteristic's unit task equals that characteristic's
 // weighted average bit for bit — the identity that lets the aggressive
-// policy's per-characteristic tables come from its HopTW — over the same
+// model's per-characteristic tables come from its HopTW — over the same
 // randomized fixtures as TestCompactMatchesFatReference.
-func TestPolicyAdapterMatchesLegacyHop(t *testing.T) {
+func TestPaperModelsMatchLegacyHop(t *testing.T) {
 	probes := []task.Task{
 		task.Uniform(1, task.CharGPS),
 		task.Uniform(7, task.CharGPS, task.CharCompute),
@@ -31,12 +31,12 @@ func TestPolicyAdapterMatchesLegacyHop(t *testing.T) {
 			f := buildCompactFixture(seed, size)
 			ctx := HopContext{Tasks: f.tasks, Norm: norm}
 			for _, tk := range probes {
-				for _, p := range []Policy{PolicyTraditional, PolicyConservative} {
-					legacyV, legacyOK := s.hopTW(f.fat, tk, p)
-					gotV, gotOK := p.Model().HopTW(ctx, f.compact, tk)
+				for _, m := range []TrustModel{Traditional, Conservative} {
+					legacyV, legacyOK := s.hopTW(f.fat, tk, m)
+					gotV, gotOK := m.HopTW(ctx, f.compact, tk)
 					if gotV != legacyV || gotOK != legacyOK {
-						t.Fatalf("seed %d size %d: %s adapter HopTW(task %d) = (%v, %v), legacy (%v, %v)",
-							seed, size, p, tk.Type(), gotV, gotOK, legacyV, legacyOK)
+						t.Fatalf("seed %d size %d: %s HopTW(task %d) = (%v, %v), legacy (%v, %v)",
+							seed, size, m.Name(), tk.Type(), gotV, gotOK, legacyV, legacyOK)
 					}
 				}
 				legacyV, legacyOK := InferFromCompact(f.tasks, f.compact, tk, norm)
@@ -44,17 +44,17 @@ func TestPolicyAdapterMatchesLegacyHop(t *testing.T) {
 					legacyOK = false // empty evidence never admits a hop
 					legacyV = 0
 				}
-				gotV, gotOK := PolicyAggressive.Model().HopTW(ctx, f.compact, tk)
+				gotV, gotOK := Aggressive.HopTW(ctx, f.compact, tk)
 				if gotV != legacyV || gotOK != legacyOK {
-					t.Fatalf("seed %d size %d: aggressive adapter HopTW(task %d) = (%v, %v), InferFromCompact (%v, %v)",
+					t.Fatalf("seed %d size %d: aggressive HopTW(task %d) = (%v, %v), InferFromCompact (%v, %v)",
 						seed, size, tk.Type(), gotV, gotOK, legacyV, legacyOK)
 				}
 			}
 			for _, c := range chars {
 				wantV, wantOK := CharTWCompact(f.tasks, f.compact, c, norm)
-				gotV, gotOK := PolicyAggressive.Model().HopTW(ctx, f.compact, unitTask(c))
+				gotV, gotOK := Aggressive.HopTW(ctx, f.compact, unitTask(c))
 				if gotV != wantV || gotOK != wantOK {
-					t.Fatalf("seed %d size %d: aggressive adapter HopTW(unit task %d) = (%v, %v), CharTWCompact (%v, %v)",
+					t.Fatalf("seed %d size %d: aggressive HopTW(unit task %d) = (%v, %v), CharTWCompact (%v, %v)",
 						seed, size, c, gotV, gotOK, wantV, wantOK)
 				}
 			}

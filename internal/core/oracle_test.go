@@ -9,7 +9,7 @@ import (
 
 // This file is the reference oracle of the transitivity search: the
 // original map-based BFS over live accessor callbacks and fat Records, one
-// hand-written path per policy. FindViewModelInto must reproduce it byte for
+// hand-written path per model. FindViewModelInto must reproduce it byte for
 // byte (TestFindViewEquivalence); the package's scenario tests drive it over
 // hand-built networks.
 
@@ -143,19 +143,20 @@ func releaseState(st *searchState) {
 	searchPool.Put(st)
 }
 
-// Find discovers potential trustees for the trustor's task under the given
-// policy. Each social hop (u → v) is admissible only if u's experience
-// records about v satisfy the policy for the task; admissible hops below
-// ω1 stop relaying and hops below ω2 do not mint candidates. Path values
-// propagate best-first per depth.
-func (s *mapSearcher) Find(trustor AgentID, t task.Task, p Policy) SearchResult {
+// Find discovers potential trustees for the trustor's task under one of
+// the paper's three models, with hop and combine rules of its own (the
+// model value only selects them). Each social hop (u → v) is admissible
+// only if u's experience records about v satisfy the model for the task;
+// admissible hops below ω1 stop relaying and hops below ω2 do not mint
+// candidates. Path values propagate best-first per depth.
+func (s *mapSearcher) Find(trustor AgentID, t task.Task, m TrustModel) SearchResult {
 	st := acquireState()
 	var res SearchResult
-	switch p {
-	case PolicyAggressive:
+	switch m {
+	case Aggressive:
 		res = s.findAggressive(trustor, t, st)
 	default:
-		res = s.findSerial(trustor, t, p, st)
+		res = s.findSerial(trustor, t, m, st)
 	}
 	releaseState(st)
 	return res
@@ -173,11 +174,11 @@ func (s *mapSearcher) records(holder, about AgentID, st *searchState) []Record {
 }
 
 // hopTW evaluates one hop under traditional or conservative rules.
-func (s *mapSearcher) hopTW(recs []Record, t task.Task, p Policy) (float64, bool) {
+func (s *mapSearcher) hopTW(recs []Record, t task.Task, m TrustModel) (float64, bool) {
 	if len(recs) == 0 {
 		return 0, false
 	}
-	if p == PolicyTraditional {
+	if m == Traditional {
 		for _, r := range recs {
 			if r.Task.Type() == t.Type() {
 				return r.TW(s.Norm), true
@@ -190,10 +191,10 @@ func (s *mapSearcher) hopTW(recs []Record, t task.Task, p Policy) (float64, bool
 	return InferFromRecords(recs, t, s.Norm)
 }
 
-// findSerial runs the single-path policies (traditional, conservative).
-func (s *mapSearcher) findSerial(trustor AgentID, t task.Task, p Policy, st *searchState) SearchResult {
+// findSerial runs the single-path models (traditional, conservative).
+func (s *mapSearcher) findSerial(trustor AgentID, t task.Task, m TrustModel, st *searchState) SearchResult {
 	combine := CombinePair
-	if p == PolicyTraditional {
+	if m == Traditional {
 		combine = func(a, b float64) float64 { return a * b }
 	}
 	frontier, next := st.frontier, st.next
@@ -206,18 +207,18 @@ func (s *mapSearcher) findSerial(trustor AgentID, t task.Task, p Policy, st *sea
 				if v == trustor {
 					continue
 				}
-				hop, ok := s.hopTW(s.records(u, v, st), t, p)
+				hop, ok := s.hopTW(s.records(u, v, st), t, m)
 				if !ok {
 					continue
 				}
 				st.inquired[v] = true
 				val := combine(uval, hop)
-				if s.passTrustee(p, hop) && s.isCandidate(v) {
+				if s.passTrustee(m, hop) && s.isCandidate(v) {
 					if cur, seen := st.best[v]; !seen || val > cur {
 						st.best[v] = val
 					}
 				}
-				if depth < s.MaxDepth && s.passRecommender(p, hop) {
+				if depth < s.MaxDepth && s.passRecommender(m, hop) {
 					if cur, seen := next[v]; !seen || val > cur {
 						next[v] = val
 					}
@@ -298,18 +299,18 @@ func (s *mapSearcher) findAggressive(trustor AgentID, t task.Task, st *searchSta
 	return result(totals, st.inquired)
 }
 
-// passRecommender applies ω1 per policy; the traditional baseline transfers
+// passRecommender applies ω1 per model; the traditional baseline transfers
 // through any positive trustworthiness, "without any restriction".
-func (s *mapSearcher) passRecommender(p Policy, hop float64) bool {
-	if p == PolicyTraditional {
+func (s *mapSearcher) passRecommender(m TrustModel, hop float64) bool {
+	if m == Traditional {
 		return hop > 0
 	}
 	return hop >= s.Omega1
 }
 
-// passTrustee applies ω2 per policy.
-func (s *mapSearcher) passTrustee(p Policy, hop float64) bool {
-	if p == PolicyTraditional {
+// passTrustee applies ω2 per model.
+func (s *mapSearcher) passTrustee(m TrustModel, hop float64) bool {
+	if m == Traditional {
 		return hop > 0
 	}
 	return hop >= s.Omega2

@@ -9,7 +9,7 @@ import "sync"
 // fixed size reaches steady state after the first capture and every
 // subsequent epoch reuses the same memory.
 //
-// The pool is capacity-keyed: Get hands out the smallest retained slice
+// The pool is capacity-keyed: a take hands out the smallest retained slice
 // whose capacity covers the request, so one pool can serve epochs of mixed
 // sizes without unbounded growth (each kind keeps at most a small shelf of
 // released slices; when the shelf is full, the smallest slice is evicted in
@@ -18,7 +18,7 @@ import "sync"
 // captures) free of conditionals.
 //
 // All methods are safe for concurrent use. Ownership is strict: a slice
-// obtained from a Get is owned by the caller until it is released exactly
+// obtained from a take is owned by the caller until it is released exactly
 // once, after which the caller must not touch it again (the next capture
 // will overwrite it). TrustView.Release and EdgeMemo.Release enforce this
 // for the epoch path.
@@ -87,102 +87,46 @@ func (s *shelf[E]) put(it []E) {
 	}
 }
 
-// GetOffsets returns an int32 slice of length n, reusing a released arena
-// when one is large enough. Contents are unspecified; the capture passes
-// overwrite every element.
-func (p *ArenaPool) GetOffsets(n int) []int32 {
+// take returns a slice of length n from p's shelf for element type E,
+// reusing a released arena when one is large enough; a nil pool always
+// allocates. Contents are unspecified: every caller overwrites each element
+// (a capture panics if a record span stays short).
+func take[E any](p *ArenaPool, n int) []E {
 	if p != nil {
 		p.mu.Lock()
-		s := p.offs.get(n)
+		s := shelfOf[E](p).get(n)
 		p.mu.Unlock()
 		if s != nil {
 			return s
 		}
 	}
-	return make([]int32, n)
+	return make([]E, n)
 }
 
-// GetRecords returns a CompactRecord slice of length n, reusing a released
-// arena when one is large enough. Contents are unspecified; captures
-// overwrite every element (a capture panics if a span stays short).
-func (p *ArenaPool) GetRecords(n int) []CompactRecord {
-	if p != nil {
-		p.mu.Lock()
-		s := p.recs.get(n)
-		p.mu.Unlock()
-		if s != nil {
-			return s
-		}
-	}
-	return make([]CompactRecord, n)
-}
-
-// GetTable returns a float64 slice of length n for an EdgeMemo hop table,
-// reusing a released one when large enough. Contents are unspecified; the
-// memo pre-pass overwrites every element.
-func (p *ArenaPool) GetTable(n int) []float64 {
-	if p != nil {
-		p.mu.Lock()
-		s := p.tables.get(n)
-		p.mu.Unlock()
-		if s != nil {
-			return s
-		}
-	}
-	return make([]float64, n)
-}
-
-// getStamps returns a uint64 slice of length n for a view's per-row store
-// stamps, reusing a released one when large enough. Contents are
-// unspecified; the capture's counting pass overwrites every element.
-func (p *ArenaPool) getStamps(n int) []uint64 {
-	if p != nil {
-		p.mu.Lock()
-		s := p.stamps.get(n)
-		p.mu.Unlock()
-		if s != nil {
-			return s
-		}
-	}
-	return make([]uint64, n)
-}
-
-// putStamps releases a row-stamp array back to the pool.
-func (p *ArenaPool) putStamps(s []uint64) {
+// give releases s back to p's shelf for its element type; a nil pool drops
+// it.
+func give[E any](p *ArenaPool, s []E) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
-	p.stamps.put(s)
+	shelfOf[E](p).put(s)
 	p.mu.Unlock()
 }
 
-// putOffsets releases an offsets arena back to the pool.
-func (p *ArenaPool) putOffsets(s []int32) {
-	if p == nil {
-		return
+// shelfOf returns p's shelf for element type E: offsets, records, hop
+// tables or row stamps.
+func shelfOf[E any](p *ArenaPool) *shelf[E] {
+	var s any
+	switch any((*E)(nil)).(type) {
+	case *int32:
+		s = &p.offs
+	case *CompactRecord:
+		s = &p.recs
+	case *float64:
+		s = &p.tables
+	case *uint64:
+		s = &p.stamps
 	}
-	p.mu.Lock()
-	p.offs.put(s)
-	p.mu.Unlock()
-}
-
-// putRecords releases a record arena back to the pool.
-func (p *ArenaPool) putRecords(s []CompactRecord) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.recs.put(s)
-	p.mu.Unlock()
-}
-
-// putTable releases a hop table back to the pool.
-func (p *ArenaPool) putTable(s []float64) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.tables.put(s)
-	p.mu.Unlock()
+	return s.(*shelf[E])
 }

@@ -94,15 +94,15 @@ func TestPropertySearcherDeterministic(t *testing.T) {
 	}
 	s := f.searcher(3, 0.3, 0.3)
 	probe := task.Uniform(9, 0, 1)
-	for _, pol := range []Policy{PolicyTraditional, PolicyConservative, PolicyAggressive} {
-		a := s.Find(0, probe, pol)
-		b := s.Find(0, probe, pol)
+	for _, m := range []TrustModel{Traditional, Conservative, Aggressive} {
+		a := s.Find(0, probe, m)
+		b := s.Find(0, probe, m)
 		if a.Inquired != b.Inquired || len(a.Candidates) != len(b.Candidates) {
-			t.Fatalf("%v: nondeterministic result shape", pol)
+			t.Fatalf("%s: nondeterministic result shape", m.Name())
 		}
 		for i := range a.Candidates {
 			if a.Candidates[i] != b.Candidates[i] {
-				t.Fatalf("%v: candidate %d differs", pol, i)
+				t.Fatalf("%s: candidate %d differs", m.Name(), i)
 			}
 		}
 	}
@@ -129,8 +129,8 @@ func TestPropertyAggressiveContainsConservative(t *testing.T) {
 		}
 		s := net.searcher(3, 0, 0)
 		probe := task.Uniform(9, 0, 3)
-		cons := s.Find(0, probe, PolicyConservative)
-		aggr := s.Find(0, probe, PolicyAggressive)
+		cons := s.Find(0, probe, Conservative)
+		aggr := s.Find(0, probe, Aggressive)
 		aggrSet := map[AgentID]bool{}
 		for _, c := range aggr.Candidates {
 			aggrSet[c.ID] = true

@@ -57,8 +57,8 @@ type RoundSource struct {
 // view. Only the capture's owner may call it, exactly once.
 func (v *RoundView) Release() {
 	pool := v.TrustView.pool
-	pool.putOffsets(v.resp)
-	pool.putOffsets(v.abus)
+	give(pool, v.resp)
+	give(pool, v.abus)
 	v.resp, v.abus = nil, nil
 	v.TrustView.Release()
 }

@@ -81,7 +81,6 @@ var searchParams = []struct {
 // map-based reference oracle over the live stores, for each of the paper's
 // three models, on randomized stores, thresholds, and candidate masks.
 func TestFindViewEquivalence(t *testing.T) {
-	policies := []Policy{PolicyTraditional, PolicyConservative, PolicyAggressive}
 	for seed := uint64(1); seed <= 6; seed++ {
 		f := buildRoundFixture(t, seed)
 		view := f.captureView(t)
@@ -89,16 +88,15 @@ func TestFindViewEquivalence(t *testing.T) {
 		mask := randomMask(f.n, seed)
 		for _, pr := range searchParams {
 			oracle, s := f.searchers(pr.depth, pr.omega1, pr.omega2, mask)
-			for _, p := range policies {
-				m := p.Model()
+			for _, m := range []TrustModel{Traditional, Conservative, Aggressive} {
 				memo := NewEdgeMemoPooled(view, s.Norm, 2, nil)
 				memo.RequireModel(m, probes)
 				var got SearchResult
 				for x := 0; x < f.n; x++ {
 					for _, tk := range probes {
-						want := oracle.Find(AgentID(x), tk, p)
+						want := oracle.Find(AgentID(x), tk, m)
 						label := fmt.Sprintf("seed=%d depth=%d ω=(%v,%v) %s trustor=%d task=%d",
-							seed, pr.depth, pr.omega1, pr.omega2, p, x, tk.Type())
+							seed, pr.depth, pr.omega1, pr.omega2, m.Name(), x, tk.Type())
 						s.FindViewModelInto(&got, view, memo, AgentID(x), tk, m)
 						assertSameResult(t, label+" (memo)", want, got)
 						s.FindViewModelInto(&got, view, nil, AgentID(x), tk, m)
@@ -110,22 +108,22 @@ func TestFindViewEquivalence(t *testing.T) {
 	}
 }
 
-// aggressiveTwin is the aggressive adapter under another name: the same
+// aggressiveTwin is Aggressive under another name: the same
 // Spec and the same HopTW. It is deliberately not registered.
 type aggressiveTwin struct{}
 
 func (aggressiveTwin) Name() string    { return "aggressive-twin" }
-func (aggressiveTwin) Spec() ModelSpec { return PolicyAggressive.Model().Spec() }
+func (aggressiveTwin) Spec() ModelSpec { return Aggressive.Spec() }
 func (aggressiveTwin) HopTW(ctx HopContext, recs []CompactRecord, t task.Task) (float64, bool) {
-	return PolicyAggressive.Model().HopTW(ctx, recs, t)
+	return Aggressive.HopTW(ctx, recs, t)
 }
 
-// TestSearchDispatchFollowsSpec: a model that copies the aggressive adapter
-// under another name searches bit-identically to it, with its own memo
-// tables and without any — the per-characteristic path is chosen by the
-// ModelSpec, not by recognizing the adapter.
+// TestSearchDispatchFollowsSpec: a model that copies Aggressive under
+// another name searches bit-identically to it, with its own memo tables and
+// without any — the per-characteristic path is chosen by the ModelSpec, not
+// by recognizing the model.
 func TestSearchDispatchFollowsSpec(t *testing.T) {
-	agg, twin := PolicyAggressive.Model(), TrustModel(aggressiveTwin{})
+	agg, twin := Aggressive, TrustModel(aggressiveTwin{})
 	for seed := uint64(1); seed <= 4; seed++ {
 		f := buildRoundFixture(t, seed)
 		view := f.captureView(t)

@@ -43,39 +43,6 @@ func TransitSameType(recTW, trusteeTW, omega1, omega2 float64) (tw float64, ok b
 	return CombinePair(recTW, trusteeTW), true
 }
 
-// Policy names one of the trust-transfer methods of §4.3, for the figure
-// experiments that compare them. Every search and memo entry point takes
-// the policy's TrustModel adapter (Policy.Model), not the Policy itself.
-type Policy int
-
-const (
-	// PolicyTraditional is the baseline of eq. 5: trustworthiness transfers
-	// only through records of the exact same task type, combined by product.
-	PolicyTraditional Policy = iota
-	// PolicyConservative (eqs. 8–11) transfers through a single path on
-	// which every hop's experience covers all characteristics of the task,
-	// combined by eq. 7.
-	PolicyConservative
-	// PolicyAggressive (eqs. 12–17) assesses each characteristic along its
-	// own path and combines the per-characteristic estimates with the
-	// task's weights (eq. 17).
-	PolicyAggressive
-)
-
-// String returns the method name used in the paper's figures.
-func (p Policy) String() string {
-	switch p {
-	case PolicyTraditional:
-		return "traditional"
-	case PolicyConservative:
-		return "conservative"
-	case PolicyAggressive:
-		return "aggressive"
-	default:
-		return "unknown"
-	}
-}
-
 // Searcher holds the parameters of trust-transitivity discovery
 // (FindViewModelInto): the recommendation-chain bound, the ω thresholds, and
 // which nodes may become potential trustees.

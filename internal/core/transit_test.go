@@ -163,7 +163,7 @@ func TestTraditionalChain(t *testing.T) {
 	f.record(nodeA, nodeB, t1, 0.9)
 	f.record(nodeB, nodeC, t1, 0.8)
 
-	res := f.searcher(3, 0.7, 0.7).Find(nodeA, t1, PolicyTraditional)
+	res := f.searcher(3, 0.7, 0.7).Find(nodeA, t1, Traditional)
 	if len(res.Candidates) != 2 {
 		t.Fatalf("candidates = %v", res.Candidates)
 	}
@@ -190,14 +190,14 @@ func TestTraditionalRequiresExactType(t *testing.T) {
 	f.record(nodeA, nodeB, t1, 0.9)
 	f.record(nodeB, nodeC, t2, 0.9)
 
-	res := f.searcher(3, 0, 0).Find(nodeA, t1, PolicyTraditional)
+	res := f.searcher(3, 0, 0).Find(nodeA, t1, Traditional)
 	for _, c := range res.Candidates {
 		if c.ID == nodeC {
 			t.Fatal("traditional transfer crossed task types")
 		}
 	}
 	// Conservative inference crosses it, because the characteristics match.
-	res = f.searcher(3, 0.5, 0.5).Find(nodeA, t1, PolicyConservative)
+	res = f.searcher(3, 0.5, 0.5).Find(nodeA, t1, Conservative)
 	found := false
 	for _, c := range res.Candidates {
 		if c.ID == nodeC {
@@ -220,7 +220,7 @@ func TestConservativeRequiresAllCharacteristics(t *testing.T) {
 	f.record(nodeA, nodeB, task.Uniform(1, task.CharGPS), 0.9)
 	probe := task.Uniform(5, task.CharGPS, task.CharImage)
 
-	res := f.searcher(2, 0.5, 0.5).Find(nodeA, probe, PolicyConservative)
+	res := f.searcher(2, 0.5, 0.5).Find(nodeA, probe, Conservative)
 	if len(res.Candidates) != 0 {
 		t.Fatalf("conservative found %v without coverage", res.Candidates)
 	}
@@ -234,7 +234,7 @@ func TestConservativeThresholdBlocksWeakRecommender(t *testing.T) {
 	f.record(nodeA, nodeB, t1, 0.6) // below ω1 = 0.7
 	f.record(nodeB, nodeC, t1, 0.95)
 
-	res := f.searcher(3, 0.7, 0.7).Find(nodeA, t1, PolicyConservative)
+	res := f.searcher(3, 0.7, 0.7).Find(nodeA, t1, Conservative)
 	for _, c := range res.Candidates {
 		if c.ID == nodeC {
 			t.Fatal("weak recommender relayed trust")
@@ -270,7 +270,7 @@ func TestAggressiveAssemblesAcrossPaths(t *testing.T) {
 	s := f.searcher(3, 0.7, 0.7)
 
 	// Conservative cannot reach E: no single path covers both characteristics.
-	res := s.Find(nodeB, probe, PolicyConservative)
+	res := s.Find(nodeB, probe, Conservative)
 	for _, c := range res.Candidates {
 		if c.ID == nodeE {
 			t.Fatal("conservative crossed the diamond")
@@ -278,7 +278,7 @@ func TestAggressiveAssemblesAcrossPaths(t *testing.T) {
 	}
 
 	// Aggressive assembles a1 via C and a2 via D (eq. 17).
-	res = s.Find(nodeB, probe, PolicyAggressive)
+	res = s.Find(nodeB, probe, Aggressive)
 	var got *Candidate
 	for i := range res.Candidates {
 		if res.Candidates[i].ID == nodeE {
@@ -298,7 +298,7 @@ func TestAggressiveRequiresFullCoverage(t *testing.T) {
 	f, probe := diamond()
 	// Remove the a2 leg: D has no record about E anymore.
 	delete(f.recs, [2]AgentID{nodeD, nodeE})
-	res := f.searcher(3, 0.7, 0.7).Find(nodeB, probe, PolicyAggressive)
+	res := f.searcher(3, 0.7, 0.7).Find(nodeB, probe, Aggressive)
 	for _, c := range res.Candidates {
 		if c.ID == nodeE {
 			t.Fatal("aggressive minted candidate with uncovered characteristic")
@@ -308,14 +308,14 @@ func TestAggressiveRequiresFullCoverage(t *testing.T) {
 
 func TestInquiredCounts(t *testing.T) {
 	f, probe := diamond()
-	res := f.searcher(3, 0.7, 0.7).Find(nodeB, probe, PolicyAggressive)
+	res := f.searcher(3, 0.7, 0.7).Find(nodeB, probe, Aggressive)
 	// C, D (relays with relevant records) and E are interrogated.
 	if res.Inquired != 3 {
 		t.Fatalf("inquired = %d, want 3", res.Inquired)
 	}
 	// Traditional only contacts nodes with exact-type records: none for
 	// the probe type.
-	res = f.searcher(3, 0, 0).Find(nodeB, probe, PolicyTraditional)
+	res = f.searcher(3, 0, 0).Find(nodeB, probe, Traditional)
 	if res.Inquired != 0 {
 		t.Fatalf("traditional inquired = %d, want 0", res.Inquired)
 	}
@@ -329,7 +329,7 @@ func TestMaxDepthLimits(t *testing.T) {
 	f.record(nodeA, nodeB, t1, 0.9)
 	f.record(nodeB, nodeC, t1, 0.9)
 
-	res := f.searcher(1, 0, 0).Find(nodeA, t1, PolicyTraditional)
+	res := f.searcher(1, 0, 0).Find(nodeA, t1, Traditional)
 	if len(res.Candidates) != 1 || res.Candidates[0].ID != nodeB {
 		t.Fatalf("depth-1 candidates = %v", res.Candidates)
 	}
@@ -347,14 +347,28 @@ func TestSearchResultBest(t *testing.T) {
 	}
 }
 
-func TestPolicyString(t *testing.T) {
-	if PolicyTraditional.String() != "traditional" ||
-		PolicyConservative.String() != "conservative" ||
-		PolicyAggressive.String() != "aggressive" {
-		t.Fatal("policy names wrong")
-	}
-	if Policy(99).String() != "unknown" {
-		t.Fatal("unknown policy name wrong")
+// TestPaperModels pins the paper's three models: their names key journal
+// headers and the sweeps' rng labels, and their specs select the search's
+// combine rule, ω gating and per-characteristic paths.
+func TestPaperModels(t *testing.T) {
+	for _, tc := range []struct {
+		m    TrustModel
+		name string
+		spec ModelSpec
+	}{
+		{Traditional, "traditional", ModelSpec{Combine: CombineProduct}},
+		{Conservative, "conservative", ModelSpec{Combine: CombineMistrust, OmegaGated: true}},
+		{Aggressive, "aggressive", ModelSpec{Combine: CombineMistrust, OmegaGated: true, PerCharacteristic: true}},
+	} {
+		if got := tc.m.Name(); got != tc.name {
+			t.Errorf("Name = %q, want %q", got, tc.name)
+		}
+		if got := tc.m.Spec(); got != tc.spec {
+			t.Errorf("%s: Spec = %+v, want %+v", tc.name, got, tc.spec)
+		}
+		if got, err := ParseModel(tc.name); err != nil || got != tc.m {
+			t.Errorf("ParseModel(%q) = %v, %v; want the registered model", tc.name, got, err)
+		}
 	}
 }
 
@@ -369,7 +383,7 @@ func TestCycleDoesNotLoopForever(t *testing.T) {
 	for _, pair := range [][2]AgentID{{nodeA, nodeB}, {nodeB, nodeC}, {nodeC, nodeA}, {nodeB, nodeA}, {nodeC, nodeB}, {nodeA, nodeC}} {
 		f.record(pair[0], pair[1], t1, 0.9)
 	}
-	res := f.searcher(6, 0.5, 0.5).Find(nodeA, t1, PolicyConservative)
+	res := f.searcher(6, 0.5, 0.5).Find(nodeA, t1, Conservative)
 	for _, c := range res.Candidates {
 		if c.ID == nodeA {
 			t.Fatal("trustor is its own candidate")

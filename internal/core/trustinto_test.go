@@ -55,7 +55,7 @@ func trustIntoEqual(gotTW float64, gotOK bool, wantTW float64, wantOK bool) bool
 // for the task, and agents at every distance.
 func TestTrustIntoMatchesScan(t *testing.T) {
 	models := append(registeredModels(t),
-		quantizedModel{PolicyConservative.Model()}, quantizedModel{PolicyAggressive.Model()})
+		quantizedModel{Conservative}, quantizedModel{Aggressive})
 	omegas := [][2]float64{{0, 0}, {0.3, 0.5}, {0.6, 0.2}, {0.5, 0.25}}
 	var found, missed, direct, deep int
 	for seed := uint64(1); seed <= 4; seed++ {

@@ -92,16 +92,16 @@ func CaptureRoundView(adjOff []int32, adjTo []AgentID, src RoundSource, norm Nor
 	v := &RoundView{norm: norm, TrustView: &TrustView{
 		adjOff: adjOff,
 		adjTo:  adjTo,
-		recOff: pool.GetOffsets(ne + 1),
+		recOff: take[int32](pool, ne+1),
 		tasks:  src.Catalog.Tasks(),
 		pool:   pool,
 	}}
 	tv := v.TrustView
 	if src.Usage != nil {
-		v.resp, v.abus = pool.GetOffsets(ne), pool.GetOffsets(ne)
+		v.resp, v.abus = take[int32](pool, ne), take[int32](pool, ne)
 	}
 	if src.Version != nil {
-		tv.stamps = pool.getStamps(n)
+		tv.stamps = take[uint64](pool, n)
 	}
 	base := prev
 	if base != nil && (!tv.sameRows(base.TrustView) || v.resp != nil && base.resp == nil) {
@@ -150,7 +150,7 @@ func CaptureRoundView(adjOff []int32, adjTo []AgentID, src RoundSource, norm Nor
 	// exact-capacity subslice writes directly into the arena; a span that
 	// comes back with a different length (or a reallocated base) means the
 	// store mutated between the passes.
-	tv.recs = pool.GetRecords(int(tv.recOff[ne]))
+	tv.recs = take[CompactRecord](pool, int(tv.recOff[ne]))
 	parallelRows(adjOff, workers, func(lo, hi int) {
 		for u := lo; u < hi; u++ {
 			first, last := adjOff[u], adjOff[u+1]
@@ -240,9 +240,9 @@ func parallelRows(adjOff []int32, workers int, fn func(lo, hi int)) {
 // without a pool release nothing. Only the owner of the capture may call
 // Release, exactly once.
 func (v *TrustView) Release() {
-	v.pool.putOffsets(v.recOff)
-	v.pool.putRecords(v.recs)
-	v.pool.putStamps(v.stamps)
+	give(v.pool, v.recOff)
+	give(v.pool, v.recs)
+	give(v.pool, v.stamps)
 	v.recOff, v.recs, v.stamps = nil, nil, nil
 }
 
@@ -341,7 +341,7 @@ func NewEdgeMemoPooled(view *TrustView, norm Normalizer, workers int, pool *Aren
 func (m *EdgeMemo) Release() {
 	for _, mm := range m.models {
 		for _, tb := range mm.tables {
-			m.pool.putTable(tb.vals)
+			give(m.pool, tb.vals)
 		}
 		clear(mm.tables)
 		mm.scorer = nil
@@ -446,10 +446,10 @@ func (m *EdgeMemo) build(mm *modelMemo, mdl TrustModel, ts []task.Task, prev *Ed
 	allOld := pm != nil
 	for i, t := range ts {
 		if old, ok := mm.tables[t.Type()]; ok {
-			m.pool.putTable(old.vals)
+			give(m.pool, old.vals)
 		}
 		srcs[i] = newHopSource(mm, mdl, ctx, t)
-		tabs[i] = m.pool.GetTable(ne)
+		tabs[i] = take[float64](m.pool, ne)
 		olds[i] = pm.table(t)
 		allOld = allOld && olds[i] != nil
 	}

@@ -50,7 +50,7 @@ func TestEdgeMemoConservativeTaskGuard(t *testing.T) {
 	taskB := task.Uniform(3, task.CharImage) // same type, different bag
 	view := tinyView(t, taskA)
 	memo := NewEdgeMemoPooled(view, UnitNormalizer(), 1, nil)
-	cons := PolicyConservative.Model()
+	cons := Conservative
 
 	memo.RequireModel(cons, []task.Task{taskA})
 	if memo.model(cons).table(taskA) == nil {
@@ -85,7 +85,7 @@ func TestEdgeMemoLastSameTypeTaskWins(t *testing.T) {
 	taskB := task.Uniform(3, task.CharImage)
 	view := tinyView(t, taskA)
 	memo := NewEdgeMemoPooled(view, UnitNormalizer(), 1, nil)
-	cons := PolicyConservative.Model()
+	cons := Conservative
 
 	memo.RequireModel(cons, []task.Task{taskA, taskB})
 	if memo.model(cons).table(taskB) == nil || memo.model(cons).table(taskA) != nil {
@@ -111,7 +111,7 @@ func TestEdgeMemoTraditionalTypeKey(t *testing.T) {
 	taskB := task.Uniform(3, task.CharImage)
 	view := tinyView(t, taskA)
 	memo := NewEdgeMemoPooled(view, UnitNormalizer(), 1, nil)
-	trad := PolicyTraditional.Model()
+	trad := Traditional
 	memo.RequireModel(trad, []task.Task{taskA})
 	first := slices.Clone(memo.model(trad).table(taskA))
 	memo.RequireModel(trad, []task.Task{taskB})
@@ -139,7 +139,7 @@ func TestEdgeMemoCharacteristicKey(t *testing.T) {
 	rec := task.Uniform(1, task.CharGPS, task.CharImage)
 	view := tinyView(t, rec)
 	memo := NewEdgeMemoPooled(view, UnitNormalizer(), 1, nil)
-	agg := PolicyAggressive.Model()
+	agg := Aggressive
 	memo.RequireModel(agg, []task.Task{task.Uniform(3, task.CharGPS, task.CharImage)})
 	gps := memo.model(agg).charTable(task.CharGPS)
 	if gps == nil || memo.model(agg).charTable(task.CharImage) == nil {

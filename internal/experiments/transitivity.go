@@ -10,10 +10,11 @@ import (
 	"siot/internal/sim"
 	"siot/internal/socialgen"
 	"siot/internal/stats"
+	"siot/internal/task"
 )
 
-// policies lists the three trust-transfer methods in figure order.
-var policies = []core.Policy{core.PolicyAggressive, core.PolicyConservative, core.PolicyTraditional}
+// models lists the paper's three trust-transfer methods in figure order.
+var models = []core.TrustModel{core.Aggressive, core.Conservative, core.Traditional}
 
 // TransitivityConfig parameterizes the §5.5 sweep behind Figs. 9–11.
 type TransitivityConfig struct {
@@ -36,10 +37,12 @@ func DefaultTransitivityConfig(seed uint64) TransitivityConfig {
 	return TransitivityConfig{Seed: seed, CharCounts: []int{4, 5, 6, 7}, Repeats: 5, MaxDepth: 3}
 }
 
-// TransitivityCell is one (network, policy, alphabet-size) measurement.
+// TransitivityCell is one (network, model, alphabet-size) measurement.
+// Table 2 draws its characteristics from node features, so its cells leave
+// NumChars zero.
 type TransitivityCell struct {
 	Network      string
-	Policy       core.Policy
+	Model        string
 	NumChars     int
 	Success      float64
 	Unavailable  float64
@@ -59,66 +62,83 @@ func RunTransitivitySweep(cfg TransitivityConfig) TransitivityResult {
 	for _, profile := range Networks() {
 		net := socialgen.Generate(profile, cfg.Seed)
 		for _, numChars := range cfg.CharCounts {
-			agg := map[core.Policy]*sim.TransitivityStats{}
-			for _, pol := range policies {
-				agg[pol] = &sim.TransitivityStats{}
-			}
+			agg := map[string]sim.TransitivityStats{}
 			for rep := 0; rep < cfg.Repeats; rep++ {
 				repSeed := rng.Mix(cfg.Seed, "transitivity", profile.Name, fmt.Sprint(numChars), fmt.Sprint(rep))
-				pcfg := sim.DefaultPopulationConfig(repSeed)
-				pcfg.Parallelism = cfg.Parallelism
-				p := sim.NewPopulation(net, pcfg)
-				r := rng.New(repSeed, "setup")
-				setup := sim.DefaultTransitivitySetup(numChars, r)
+				setup := sim.DefaultTransitivitySetup(numChars, rng.New(repSeed, "setup"))
 				setup.MaxDepth = cfg.MaxDepth
-				sim.SeedExperience(p, setup, repSeed)
-				eng := sim.NewEngine(p, "figs9-11")
-				// One frozen-epoch capture serves all three policies: the
-				// searches are pure, so the stores cannot change between
-				// runs within a rep. Releasing the epoch recycles its
-				// arenas into the next repetition's capture.
-				ep := eng.TransitivityEpoch(setup)
-				for _, pol := range policies {
-					st := ep.RunModel(pol.Model(), repSeed)
-					merge(agg[pol], st)
-				}
-				ep.Release()
+				runModels(agg, net, repSeed, cfg.Parallelism, setup, sim.SeedExperience, "figs9-11")
 			}
-			for _, pol := range policies {
-				st := agg[pol]
-				res.Cells = append(res.Cells, TransitivityCell{
-					Network: profile.Name, Policy: pol, NumChars: numChars,
-					Success:      st.SuccessRate(),
-					Unavailable:  st.UnavailableRate(),
-					AvgPotential: st.AvgPotentialTrustees(),
-				})
-			}
+			res.Cells = appendCells(res.Cells, profile.Name, numChars, agg)
 		}
 	}
 	return res
 }
 
-func merge(dst *sim.TransitivityStats, src sim.TransitivityStats) {
-	dst.Requests += src.Requests
-	dst.Successes += src.Successes
-	dst.Unavailable += src.Unavailable
-	dst.PotentialTrustees += src.PotentialTrustees
-	dst.InquiredPerTrustor = append(dst.InquiredPerTrustor, src.InquiredPerTrustor...)
+// runModels builds a population on net, seeds it with seedFn and captures
+// one frozen epoch, then runs every paper model on it under the engine
+// label and merges each model's stats into agg (keyed by model name). One
+// capture serves all three models: the searches are pure, so the stores
+// cannot change between runs. Releasing the epoch recycles its arenas into
+// the next capture.
+func runModels(agg map[string]sim.TransitivityStats, net *socialgen.Network, seed uint64, parallelism int,
+	setup sim.TransitivitySetup, seedFn func(*sim.Population, sim.TransitivitySetup, uint64) [][]task.Task, engine string) {
+	pcfg := sim.DefaultPopulationConfig(seed)
+	pcfg.Parallelism = parallelism
+	p := sim.NewPopulation(net, pcfg)
+	seedFn(p, setup, seed)
+	ep := sim.NewEngine(p, engine).TransitivityEpoch(setup)
+	defer ep.Release()
+	for _, m := range models {
+		st, sum := ep.RunModel(m, seed), agg[m.Name()]
+		sum.Requests += st.Requests
+		sum.Successes += st.Successes
+		sum.Unavailable += st.Unavailable
+		sum.PotentialTrustees += st.PotentialTrustees
+		sum.InquiredPerTrustor = append(sum.InquiredPerTrustor, st.InquiredPerTrustor...)
+		agg[m.Name()] = sum
+	}
 }
 
-// series extracts one curve per (network, policy).
-func (r TransitivityResult) series(metric func(TransitivityCell) float64) []stats.Series {
-	type key struct {
-		network string
-		policy  core.Policy
+// appendCells appends one cell per paper model, in figure order, from the
+// merged stats of runModels.
+func appendCells(cells []TransitivityCell, network string, numChars int, agg map[string]sim.TransitivityStats) []TransitivityCell {
+	for _, m := range models {
+		st := agg[m.Name()]
+		cells = append(cells, TransitivityCell{
+			Network: network, Model: m.Name(), NumChars: numChars,
+			Success:      st.SuccessRate(),
+			Unavailable:  st.UnavailableRate(),
+			AvgPotential: st.AvgPotentialTrustees(),
+		})
 	}
+	return cells
+}
+
+// cellKey indexes cells by (network, model, alphabet size).
+type cellKey struct {
+	network, model string
+	numChars       int
+}
+
+func indexCells(cells []TransitivityCell) map[cellKey]TransitivityCell {
+	byKey := make(map[cellKey]TransitivityCell, len(cells))
+	for _, c := range cells {
+		byKey[cellKey{c.Network, c.Model, c.NumChars}] = c
+	}
+	return byKey
+}
+
+// series extracts one curve per (network, model).
+func (r TransitivityResult) series(metric func(TransitivityCell) float64) []stats.Series {
+	type key struct{ network, model string }
 	byKey := map[key]*stats.Series{}
 	var order []key
 	for _, c := range r.Cells {
-		k := key{c.Network, c.Policy}
+		k := key{c.Network, c.Model}
 		s, ok := byKey[k]
 		if !ok {
-			s = &stats.Series{Name: fmt.Sprintf("%s %s", c.Network, c.Policy)}
+			s = &stats.Series{Name: fmt.Sprintf("%s %s", c.Network, c.Model)}
 			byKey[k] = s
 			order = append(order, k)
 		}
@@ -154,7 +174,7 @@ func (r TransitivityResult) Table() *report.Table {
 		Headers: []string{"Network", "Method", "Chars", "Success", "Unavailable", "AvgPotentialTrustees"},
 	}
 	for _, c := range r.Cells {
-		t.AddRow(c.Network, c.Policy.String(), fmt.Sprint(c.NumChars),
+		t.AddRow(c.Network, c.Model, fmt.Sprint(c.NumChars),
 			fmt.Sprintf("%.3f", c.Success), fmt.Sprintf("%.3f", c.Unavailable),
 			fmt.Sprintf("%.2f", c.AvgPotential))
 	}
@@ -168,11 +188,9 @@ func (r TransitivityResult) Table() *report.Table {
 // comparing the sweep endpoints.
 func (r TransitivityResult) ShapeCheck() []error {
 	c := &shapeCheck{experiment: "figs9-11"}
-	cells := map[string]TransitivityCell{}
-	keyOf := func(n string, p core.Policy, k int) string { return fmt.Sprintf("%s/%s/%d", n, p, k) }
+	cells := indexCells(r.Cells)
 	charSet := map[int]bool{}
 	for _, cell := range r.Cells {
-		cells[keyOf(cell.Network, cell.Policy, cell.NumChars)] = cell
 		charSet[cell.NumChars] = true
 	}
 	var chars []int
@@ -182,9 +200,9 @@ func (r TransitivityResult) ShapeCheck() []error {
 	sort.Ints(chars)
 	for _, p := range Networks() {
 		for _, k := range chars {
-			aggr := cells[keyOf(p.Name, core.PolicyAggressive, k)]
-			cons := cells[keyOf(p.Name, core.PolicyConservative, k)]
-			trad := cells[keyOf(p.Name, core.PolicyTraditional, k)]
+			aggr := cells[cellKey{p.Name, core.Aggressive.Name(), k}]
+			cons := cells[cellKey{p.Name, core.Conservative.Name(), k}]
+			trad := cells[cellKey{p.Name, core.Traditional.Name(), k}]
 			c.expect(aggr.Success >= cons.Success-0.03,
 				"%s chars=%d: aggressive success %.3f below conservative %.3f", p.Name, k, aggr.Success, cons.Success)
 			c.expect(cons.Success > trad.Success,
@@ -200,13 +218,13 @@ func (r TransitivityResult) ShapeCheck() []error {
 		}
 		if len(chars) >= 2 {
 			first, last := chars[0], chars[len(chars)-1]
-			for _, pol := range policies {
-				a := cells[keyOf(p.Name, pol, first)]
-				b := cells[keyOf(p.Name, pol, last)]
+			for _, m := range models {
+				a := cells[cellKey{p.Name, m.Name(), first}]
+				b := cells[cellKey{p.Name, m.Name(), last}]
 				c.expect(b.Success <= a.Success+0.03,
-					"%s %s: success did not fall across the sweep (%.3f → %.3f)", p.Name, pol, a.Success, b.Success)
+					"%s %s: success did not fall across the sweep (%.3f → %.3f)", p.Name, m.Name(), a.Success, b.Success)
 				c.expect(b.Unavailable >= a.Unavailable-0.03,
-					"%s %s: unavailability did not rise across the sweep (%.3f → %.3f)", p.Name, pol, a.Unavailable, b.Unavailable)
+					"%s %s: unavailability did not rise across the sweep (%.3f → %.3f)", p.Name, m.Name(), a.Unavailable, b.Unavailable)
 			}
 		}
 	}
@@ -235,8 +253,8 @@ func DefaultFig12Config(seed uint64) Fig12Config {
 // nodes with different trust transitivity methods": the per-trustor count
 // of interrogated nodes, sorted ascending per method.
 type Fig12Result struct {
-	// Sorted per-trustor inquired-node counts, by policy.
-	PerPolicy map[core.Policy][]int
+	// Sorted per-trustor inquired-node counts, by model name.
+	PerModel map[string][]int
 }
 
 // RunFig12 measures search overhead per trustor.
@@ -245,24 +263,14 @@ func RunFig12(cfg Fig12Config) Fig12Result {
 	if err != nil {
 		panic(err)
 	}
-	net := socialgen.Generate(profile, cfg.Seed)
-	pcfg := sim.DefaultPopulationConfig(cfg.Seed)
-	pcfg.Parallelism = cfg.Parallelism
-	p := sim.NewPopulation(net, pcfg)
-	r := rng.New(cfg.Seed, "fig12-setup")
-	setup := sim.DefaultTransitivitySetup(cfg.NumChars, r)
+	setup := sim.DefaultTransitivitySetup(cfg.NumChars, rng.New(cfg.Seed, "fig12-setup"))
 	setup.MaxDepth = cfg.MaxDepth
-	sim.SeedExperience(p, setup, cfg.Seed)
-
-	eng := sim.NewEngine(p, "fig12")
-	ep := eng.TransitivityEpoch(setup)
-	defer ep.Release()
-	res := Fig12Result{PerPolicy: map[core.Policy][]int{}}
-	for _, pol := range policies {
-		st := ep.RunModel(pol.Model(), cfg.Seed)
-		counts := append([]int(nil), st.InquiredPerTrustor...)
-		sort.Ints(counts)
-		res.PerPolicy[pol] = counts
+	agg := map[string]sim.TransitivityStats{}
+	runModels(agg, socialgen.Generate(profile, cfg.Seed), cfg.Seed, cfg.Parallelism, setup, sim.SeedExperience, "fig12")
+	res := Fig12Result{PerModel: map[string][]int{}}
+	for name, st := range agg {
+		sort.Ints(st.InquiredPerTrustor)
+		res.PerModel[name] = st.InquiredPerTrustor
 	}
 	return res
 }
@@ -273,8 +281,8 @@ func (r Fig12Result) Table() *report.Table {
 		Title:   "Fig. 12: inquired nodes per trustor (distribution)",
 		Headers: []string{"Method", "Median", "p90", "Max", "Total"},
 	}
-	for _, pol := range policies {
-		counts := r.PerPolicy[pol]
+	for _, m := range models {
+		counts := r.PerModel[m.Name()]
 		y := make([]float64, len(counts))
 		total := 0
 		for i, v := range counts {
@@ -282,7 +290,7 @@ func (r Fig12Result) Table() *report.Table {
 			total += v
 		}
 		_, hi := stats.MinMax(y)
-		t.AddRow(pol.String(),
+		t.AddRow(m.Name(),
 			fmt.Sprintf("%.0f", stats.Quantile(y, 0.5)),
 			fmt.Sprintf("%.0f", stats.Quantile(y, 0.9)),
 			fmt.Sprintf("%.0f", hi),
@@ -291,16 +299,16 @@ func (r Fig12Result) Table() *report.Table {
 	return t
 }
 
-// Series returns one sorted curve per policy (x = sorted trustor index).
+// Series returns one sorted curve per model (x = sorted trustor index).
 func (r Fig12Result) Series() []stats.Series {
 	var out []stats.Series
-	for _, pol := range policies {
-		counts := r.PerPolicy[pol]
+	for _, m := range models {
+		counts := r.PerModel[m.Name()]
 		y := make([]float64, len(counts))
 		for i, v := range counts {
 			y[i] = float64(v)
 		}
-		out = append(out, stats.NewSeries(pol.String(), y))
+		out = append(out, stats.NewSeries(m.Name(), y))
 	}
 	return out
 }
@@ -309,14 +317,14 @@ func (r Fig12Result) Series() []stats.Series {
 // nodes, traditional the fewest, comparing totals.
 func (r Fig12Result) ShapeCheck() []error {
 	c := &shapeCheck{experiment: "fig12"}
-	total := func(p core.Policy) int {
+	total := func(m core.TrustModel) int {
 		sum := 0
-		for _, v := range r.PerPolicy[p] {
+		for _, v := range r.PerModel[m.Name()] {
 			sum += v
 		}
 		return sum
 	}
-	aggr, cons, trad := total(core.PolicyAggressive), total(core.PolicyConservative), total(core.PolicyTraditional)
+	aggr, cons, trad := total(core.Aggressive), total(core.Conservative), total(core.Traditional)
 	c.expect(aggr >= cons, "aggressive total %d below conservative %d", aggr, cons)
 	c.expect(cons > trad, "conservative total %d not above traditional %d", cons, trad)
 	return c.errs
@@ -337,20 +345,11 @@ func DefaultTable2Config(seed uint64) Table2Config {
 	return Table2Config{Seed: seed, Repeats: 5, MaxDepth: 3}
 }
 
-// Table2Cell is one (network, method) row of Table 2.
-type Table2Cell struct {
-	Network      string
-	Policy       core.Policy
-	Success      float64
-	Unavailable  float64
-	AvgPotential float64
-}
-
 // Table2Result reproduces Table 2, "Comparison of success rates,
 // unavailable rates, and average numbers of potential trustees with
 // real-world network node properties".
 type Table2Result struct {
-	Cells []Table2Cell
+	Cells []TransitivityCell
 }
 
 // RunTable2 runs the transitivity comparison with node profile features as
@@ -359,36 +358,14 @@ func RunTable2(cfg Table2Config) Table2Result {
 	var res Table2Result
 	for _, profile := range Networks() {
 		net := socialgen.Generate(profile, cfg.Seed)
-		agg := map[core.Policy]*sim.TransitivityStats{}
-		for _, pol := range policies {
-			agg[pol] = &sim.TransitivityStats{}
-		}
+		agg := map[string]sim.TransitivityStats{}
 		for rep := 0; rep < cfg.Repeats; rep++ {
 			repSeed := rng.Mix(cfg.Seed, "table2", profile.Name, fmt.Sprint(rep))
-			pcfg := sim.DefaultPopulationConfig(repSeed)
-			pcfg.Parallelism = cfg.Parallelism
-			p := sim.NewPopulation(net, pcfg)
-			r := rng.New(repSeed, "setup")
-			setup := sim.DefaultTransitivitySetup(profile.FeatureKinds, r)
+			setup := sim.DefaultTransitivitySetup(profile.FeatureKinds, rng.New(repSeed, "setup"))
 			setup.MaxDepth = cfg.MaxDepth
-			sim.SeedExperienceFromFeatures(p, setup, repSeed)
-			eng := sim.NewEngine(p, "table2")
-			ep := eng.TransitivityEpoch(setup)
-			for _, pol := range policies {
-				st := ep.RunModel(pol.Model(), repSeed)
-				merge(agg[pol], st)
-			}
-			ep.Release()
+			runModels(agg, net, repSeed, cfg.Parallelism, setup, sim.SeedExperienceFromFeatures, "table2")
 		}
-		for _, pol := range policies {
-			st := agg[pol]
-			res.Cells = append(res.Cells, Table2Cell{
-				Network: profile.Name, Policy: pol,
-				Success:      st.SuccessRate(),
-				Unavailable:  st.UnavailableRate(),
-				AvgPotential: st.AvgPotentialTrustees(),
-			})
-		}
+		res.Cells = appendCells(res.Cells, profile.Name, 0, agg)
 	}
 	return res
 }
@@ -399,23 +376,20 @@ func (r Table2Result) Table() *report.Table {
 		Title:   "Table 2: transitivity with real-world node properties as characteristics",
 		Headers: []string{"Method", "Metric", "facebook", "gplus", "twitter"},
 	}
-	byKey := map[string]Table2Cell{}
-	for _, c := range r.Cells {
-		byKey[c.Network+"/"+c.Policy.String()] = c
-	}
-	for _, pol := range []core.Policy{core.PolicyTraditional, core.PolicyConservative, core.PolicyAggressive} {
+	byKey := indexCells(r.Cells)
+	for _, m := range []core.TrustModel{core.Traditional, core.Conservative, core.Aggressive} {
 		rows := []struct {
 			name string
-			get  func(Table2Cell) string
+			get  func(TransitivityCell) string
 		}{
-			{"Success rate", func(c Table2Cell) string { return fmt.Sprintf("%.2f%%", 100*c.Success) }},
-			{"Unavailable rate", func(c Table2Cell) string { return fmt.Sprintf("%.2f%%", 100*c.Unavailable) }},
-			{"Num. potential trustees", func(c Table2Cell) string { return fmt.Sprintf("%.2f", c.AvgPotential) }},
+			{"Success rate", func(c TransitivityCell) string { return fmt.Sprintf("%.2f%%", 100*c.Success) }},
+			{"Unavailable rate", func(c TransitivityCell) string { return fmt.Sprintf("%.2f%%", 100*c.Unavailable) }},
+			{"Num. potential trustees", func(c TransitivityCell) string { return fmt.Sprintf("%.2f", c.AvgPotential) }},
 		}
 		for _, row := range rows {
-			cells := []string{pol.String(), row.name}
+			cells := []string{m.Name(), row.name}
 			for _, p := range Networks() {
-				cells = append(cells, row.get(byKey[p.Name+"/"+pol.String()]))
+				cells = append(cells, row.get(byKey[cellKey{p.Name, m.Name(), 0}]))
 			}
 			t.AddRow(cells...)
 		}
@@ -428,14 +402,11 @@ func (r Table2Result) Table() *report.Table {
 // unavailability ranks the other way.
 func (r Table2Result) ShapeCheck() []error {
 	c := &shapeCheck{experiment: "table2"}
-	byKey := map[string]Table2Cell{}
-	for _, cell := range r.Cells {
-		byKey[cell.Network+"/"+cell.Policy.String()] = cell
-	}
+	byKey := indexCells(r.Cells)
 	for _, p := range Networks() {
-		aggr := byKey[p.Name+"/aggressive"]
-		cons := byKey[p.Name+"/conservative"]
-		trad := byKey[p.Name+"/traditional"]
+		aggr := byKey[cellKey{p.Name, core.Aggressive.Name(), 0}]
+		cons := byKey[cellKey{p.Name, core.Conservative.Name(), 0}]
+		trad := byKey[cellKey{p.Name, core.Traditional.Name(), 0}]
 		c.expect(aggr.Success >= cons.Success-0.03, "%s: aggressive success %.3f below conservative %.3f", p.Name, aggr.Success, cons.Success)
 		c.expect(cons.Success > trad.Success, "%s: conservative success %.3f not above traditional %.3f", p.Name, cons.Success, trad.Success)
 		c.expect(aggr.Unavailable <= cons.Unavailable+0.03, "%s: aggressive unavailability above conservative", p.Name)

@@ -60,7 +60,7 @@ func serveSession(t *testing.T, cfg Config, events int) ([]byte, Stats) {
 func TestJournalReplayModels(t *testing.T) {
 	for _, name := range core.ModelNames() {
 		if slices.Contains(v2Policies, name) {
-			continue // the adapters are TestJournalReplay's policies
+			continue // the paper's three are TestJournalReplay's models
 		}
 		t.Run(name, func(t *testing.T) {
 			journal, stats := serveSession(t, Config{
@@ -110,8 +110,8 @@ func rewriteHeader(t *testing.T, journal []byte, f func(*headerLine)) []byte {
 	return append(phys, journal[nl+1:]...)
 }
 
-// downgradeHeader rewrites a version-3 policy-adapter header to its exact
-// version-2 form: bare policy field, no model.
+// downgradeHeader rewrites a version-3 header naming one of the paper's
+// three models to its exact version-2 form: bare policy field, no model.
 func downgradeHeader(t *testing.T, journal []byte) []byte {
 	t.Helper()
 	return rewriteHeader(t, journal, func(h *headerLine) {
@@ -126,7 +126,7 @@ func downgradeHeader(t *testing.T, journal []byte) []byte {
 // engine wrote — still replays bit-for-bit.
 func TestReplayV2Header(t *testing.T) {
 	journal, stats := serveSession(t, Config{
-		Net: "twitter", Seed: 7, Model: core.PolicyConservative.Model(), Seeded: true,
+		Net: "twitter", Seed: 7, Model: core.Conservative, Seeded: true,
 		EpochEvery: 8,
 	}, 120)
 	rs, err := Replay(bytes.NewReader(downgradeHeader(t, journal)))
@@ -143,7 +143,7 @@ func TestReplayV2Header(t *testing.T) {
 // continued journal replays end to end.
 func TestRecoverV2Header(t *testing.T) {
 	journal, stats := serveSession(t, Config{
-		Net: "twitter", Seed: 7, Model: core.PolicyConservative.Model(), Seeded: true,
+		Net: "twitter", Seed: 7, Model: core.Conservative, Seeded: true,
 		EpochEvery: 8,
 	}, 40)
 	f := faultfs.NewFile(downgradeHeader(t, journal))
@@ -154,8 +154,8 @@ func TestRecoverV2Header(t *testing.T) {
 	if rstats.Events != stats.Applied {
 		t.Fatalf("recover re-applied %d events, journal has %d", rstats.Events, stats.Applied)
 	}
-	if got := e.cfg.Model.Name(); got != core.PolicyConservative.String() {
-		t.Fatalf("recovered model %q, want %q", got, core.PolicyConservative)
+	if got := e.cfg.Model.Name(); got != core.Conservative.Name() {
+		t.Fatalf("recovered model %q, want %q", got, core.Conservative.Name())
 	}
 	r := rand.New(rand.NewPCG(5, 6))
 	for i := 0; i < 20; i++ {

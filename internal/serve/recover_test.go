@@ -20,7 +20,7 @@ import (
 // epochs so every test crosses several capture boundaries.
 func crashCfg(j *faultfs.File) Config {
 	cfg := Config{
-		Net: "twitter", Seed: 7, Model: core.PolicyConservative.Model(), Seeded: true,
+		Net: "twitter", Seed: 7, Model: core.Conservative, Seeded: true,
 		EpochEvery: 8, BatchSize: 4,
 	}
 	if j != nil {

@@ -32,15 +32,13 @@ var ErrJournalModel = errors.New("unknown trust model in journal header")
 
 // v2Policies are the names a version-2 header's policy field may hold:
 // version 2 predates the trust-model zoo, so only the paper's three
-// policies.
-var v2Policies = []string{
-	core.PolicyTraditional.String(), core.PolicyConservative.String(), core.PolicyAggressive.String(),
-}
+// methods.
+var v2Policies = []string{core.Traditional.Name(), core.Conservative.Name(), core.Aggressive.Name()}
 
 // replayHeader reads and validates the journal's first line, which must be
 // an intact header of a supported version, and returns the fully defaulted
 // config it pins. Shared by Replay and Recover. Version 2 headers (bare
-// policy, pre-zoo) resolve to the policy's adapter model and replay
+// policy, pre-zoo) resolve to the model of that name and replay
 // byte-for-byte; version 3 headers name any registered model.
 func replayHeader(s *journalScanner) (Config, error) {
 	line, err := s.next()

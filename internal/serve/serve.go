@@ -55,8 +55,8 @@ type Config struct {
 	// universe holds 2*Chars task types).
 	Chars int
 	// Model is the trust model used for non-direct answers — any registered
-	// core.TrustModel, including the three policy adapters; nil serves the
-	// traditional policy. The journal header records its name.
+	// core.TrustModel, including the paper's three methods; nil serves
+	// core.Traditional. The journal header records its name.
 	Model core.TrustModel
 	// Seeded pre-populates experience records (sim.SeedExperience), so the
 	// engine starts with answerable queries instead of a cold store.
@@ -107,7 +107,7 @@ func (c Config) withDefaults() Config {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.Model == nil {
-		c.Model = core.PolicyTraditional.Model()
+		c.Model = core.Traditional
 	}
 	return c
 }

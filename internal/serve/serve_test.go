@@ -44,17 +44,18 @@ func randomEvent(e *Engine, r *rand.Rand) Event {
 // journal, replayed from scratch, reproduces every served trust value
 // byte-for-byte.
 func TestJournalReplay(t *testing.T) {
-	for _, policy := range []core.Policy{core.PolicyTraditional, core.PolicyConservative, core.PolicyAggressive} {
-		t.Run(policy.String(), func(t *testing.T) {
+	for k, model := range []core.TrustModel{core.Traditional, core.Conservative, core.Aggressive} {
+		t.Run(model.Name(), func(t *testing.T) {
 			var buf bytes.Buffer
 			e, err := New(Config{
-				Net: "twitter", Seed: 7, Model: policy.Model(), Seeded: true,
+				Net: "twitter", Seed: 7, Model: model, Seeded: true,
 				EpochEvery: 8, Journal: &buf,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			r := rand.New(rand.NewPCG(11, uint64(policy)))
+			// The sub-test index keeps each model's historical session.
+			r := rand.New(rand.NewPCG(11, uint64(k)))
 			served := 0
 			for i := 0; i < 120; i++ {
 				if err := e.Ingest(randomEvent(e, r)); err != nil {
@@ -196,7 +197,7 @@ func TestReplayDetectsBitRot(t *testing.T) {
 func TestServeQueryDuringSwap(t *testing.T) {
 	var buf bytes.Buffer
 	e, err := New(Config{
-		Net: "twitter", Seed: 9, Model: core.PolicyConservative.Model(), Seeded: true,
+		Net: "twitter", Seed: 9, Model: core.Conservative, Seeded: true,
 		EpochEvery: 1, BatchSize: 1, Journal: &buf,
 	})
 	if err != nil {
@@ -375,7 +376,7 @@ func TestRepublishCopiesCleanRows(t *testing.T) {
 	var buf bytes.Buffer
 	const every = 4
 	e, err := New(Config{
-		Net: "twitter", Seed: 7, Model: core.PolicyAggressive.Model(), Seeded: true,
+		Net: "twitter", Seed: 7, Model: core.Aggressive, Seeded: true,
 		EpochEvery: every, BatchSize: every, Journal: &buf,
 	})
 	if err != nil {

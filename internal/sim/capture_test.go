@@ -88,16 +88,16 @@ func TestEpochResetMatchesFreshEpoch(t *testing.T) {
 	p, setup := viewTestPopulation(t, 17, 5)
 	eng := &Engine{Pop: p, Parallelism: 2}
 	ep := eng.TransitivityEpoch(setup)
-	ep.RunModel(core.PolicyAggressive.Model(), 7) // fill memo tables pre-mutation
+	ep.RunModel(core.Aggressive, 7) // fill memo tables pre-mutation
 	mutateStores(p, setup.Universe.Tasks[1])
 	ep.Reset()
 	defer ep.Release()
-	for _, pol := range []core.Policy{core.PolicyTraditional, core.PolicyConservative, core.PolicyAggressive} {
-		want := eng.TransitivityRunModel(setup, pol.Model(), 7)
-		got := ep.RunModel(pol.Model(), 7)
+	for _, m := range []core.TrustModel{core.Traditional, core.Conservative, core.Aggressive} {
+		want := eng.TransitivityRunModel(setup, m, 7)
+		got := ep.RunModel(m, 7)
 		if want.Requests != got.Requests || want.Successes != got.Successes ||
 			want.Unavailable != got.Unavailable || want.PotentialTrustees != got.PotentialTrustees {
-			t.Fatalf("%s: reset epoch stats %+v, want %+v", pol, got, want)
+			t.Fatalf("%s: reset epoch stats %+v, want %+v", m.Name(), got, want)
 		}
 	}
 }

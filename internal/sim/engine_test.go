@@ -131,20 +131,20 @@ func statsEqual(a, b TransitivityStats) bool {
 
 func TestEngineTransitivityMatchesSerialPath(t *testing.T) {
 	// The engine's search fan-out must be bit-identical to the serial run
-	// for every policy and parallelism.
+	// for every model and parallelism.
 	net := smallNet(t)
 	p := NewPopulation(net, DefaultPopulationConfig(6))
 	r := p.Rand("transit")
 	setup := DefaultTransitivitySetup(5, r)
 	SeedExperience(p, setup, 6)
-	for _, pol := range []core.Policy{core.PolicyTraditional, core.PolicyConservative, core.PolicyAggressive} {
-		serial := (&Engine{Pop: p, Parallelism: 1}).TransitivityRunModel(setup, pol.Model(), 6)
+	for _, m := range []core.TrustModel{core.Traditional, core.Conservative, core.Aggressive} {
+		serial := (&Engine{Pop: p, Parallelism: 1}).TransitivityRunModel(setup, m, 6)
 		for _, workers := range []int{1, 4, 8} {
 			eng := &Engine{Pop: p, Parallelism: workers}
-			got := eng.TransitivityRunModel(setup, pol.Model(), 6)
+			got := eng.TransitivityRunModel(setup, m, 6)
 			if !statsEqual(serial, got) {
 				t.Fatalf("%v at P=%d diverged from the serial path:\nserial: %+v\nP=%d:  %+v",
-					pol, workers, serial, workers, got)
+					m.Name(), workers, serial, workers, got)
 			}
 		}
 	}
@@ -174,9 +174,9 @@ func TestEngineParallelSpeedup(t *testing.T) {
 	SeedExperience(p, setup, 6)
 	measure := func(workers int) time.Duration {
 		eng := &Engine{Pop: p, Parallelism: workers}
-		eng.TransitivityRunModel(setup, core.PolicyAggressive.Model(), 1) // warm the pools
+		eng.TransitivityRunModel(setup, core.Aggressive, 1) // warm the pools
 		start := time.Now()
-		eng.TransitivityRunModel(setup, core.PolicyAggressive.Model(), 1)
+		eng.TransitivityRunModel(setup, core.Aggressive, 1)
 		return time.Since(start)
 	}
 	serial := measure(1)

@@ -127,10 +127,10 @@ func (ep *TransitivityEpoch) RunModel(m core.TrustModel, seed uint64) Transitivi
 // merge consumes the outcome stream in the same ascending trustor order as
 // the monolithic loop (TestSweepShardedEquivalence pins all of this).
 //
-// The outcome stream is keyed by the model's name — for the policy
-// adapters that name is the historical policy string, so every golden
-// byte's draw sequence is preserved; a new model gets its own independent
-// stream by construction.
+// The outcome stream is keyed by the model's name — for the paper's three
+// models that name is the historical policy string, so every golden byte's
+// draw sequence is preserved; a new model gets its own independent stream
+// by construction.
 func (ep *TransitivityEpoch) SweepShardedModel(m core.TrustModel, seed uint64, shard int) TransitivityStats {
 	p := ep.p
 	if shard <= 0 {

@@ -15,7 +15,7 @@ import (
 func TestReleasedTransitivityEpochPanics(t *testing.T) {
 	p, setup := viewTestPopulation(t, 12, 3)
 	eng := NewEngine(p, "released-epoch")
-	m := core.PolicyTraditional.Model()
+	m := core.Traditional
 	for name, use := range map[string]func(ep *TransitivityEpoch){
 		"RunModel": func(ep *TransitivityEpoch) { ep.RunModel(m, 1) },
 		"Reset":    func(ep *TransitivityEpoch) { ep.Reset() },

@@ -9,8 +9,8 @@ import (
 	"siot/internal/task"
 )
 
-// newModels resolves the two non-adapter registered models — the zoo's
-// additions beyond the paper's three policies.
+// newModels resolves the two registered models beyond the paper's three —
+// the zoo's additions.
 func newModels(t *testing.T) []core.TrustModel {
 	t.Helper()
 	out := make([]core.TrustModel, 0, 2)
@@ -25,10 +25,10 @@ func newModels(t *testing.T) []core.TrustModel {
 }
 
 // TestSweepShardedModelDeterminism extends the sharded-sweep determinism
-// contract to the non-adapter models: for hellinger-mf (epoch-trained) and
-// feature-weighted, the sweep is bit-identical at every worker count and
-// shard width — the property the model-matrix golden's P=1 ≡ P=8 pin
-// rests on.
+// contract to the models beyond the paper's three: for hellinger-mf
+// (epoch-trained) and feature-weighted, the sweep is bit-identical at every
+// worker count and shard width — the property the model-matrix golden's
+// P=1 ≡ P=8 pin rests on.
 func TestSweepShardedModelDeterminism(t *testing.T) {
 	p, setup := viewTestPopulation(t, 23, 5)
 	for _, m := range newModels(t) {

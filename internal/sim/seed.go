@@ -54,7 +54,9 @@ type seedEmit func(u core.AgentID, ti int, s float64)
 // at every parallelism. It returns the per-node experienced task list for
 // tests and reports.
 func SeedExperience(p *Population, setup TransitivitySetup, seed uint64) [][]task.Task {
-	return p.SeedParallel(setup, seed, p.setupWorkers())
+	return p.seedParallel(setup, seed, "seed-experience", func(a *agentSeedCtx) []task.Task {
+		return seedNode(a, setup)
+	})
 }
 
 // SeedExperienceFromFeatures is the Table 2 variant of SeedExperience:
@@ -64,23 +66,8 @@ func SeedExperience(p *Population, setup TransitivitySetup, seed uint64) [][]tas
 // genuinely capable on featured characteristics and weak elsewhere, and its
 // experienced tasks are drawn among universe tasks touching its features.
 func SeedExperienceFromFeatures(p *Population, setup TransitivitySetup, seed uint64) [][]task.Task {
-	return p.SeedFeaturesParallel(setup, seed, p.setupWorkers())
-}
-
-// SeedParallel is SeedExperience at an explicit worker-pool width (<= 1
-// runs serially). Results are bit-identical for every value.
-func (p *Population) SeedParallel(setup TransitivitySetup, seed uint64, workers int) [][]task.Task {
-	return p.seedParallel(setup, seed, workers, "seed-experience", func(a *agentSeedCtx) []task.Task {
-		return seedNode(a, setup)
-	})
-}
-
-// SeedFeaturesParallel is SeedExperienceFromFeatures at an explicit
-// worker-pool width (<= 1 runs serially). Results are bit-identical for
-// every value.
-func (p *Population) SeedFeaturesParallel(setup TransitivitySetup, seed uint64, workers int) [][]task.Task {
 	feats := p.Net.Features
-	return p.seedParallel(setup, seed, workers, "seed-features", func(a *agentSeedCtx) []task.Task {
+	return p.seedParallel(setup, seed, "seed-features", func(a *agentSeedCtx) []task.Task {
 		return seedNodeFromFeatures(a, setup, feats)
 	})
 }
@@ -98,11 +85,9 @@ type agentSeedCtx struct {
 // seedParallel runs the compute → merge seeding pipeline: perNode for every
 // node on the worker pool (per-node sub-streams from seed and label,
 // per-worker record buffers), then one globally ordered bulk ingest.
-func (p *Population) seedParallel(setup TransitivitySetup, seed uint64, workers int, label string, perNode func(*agentSeedCtx) []task.Task) [][]task.Task {
+func (p *Population) seedParallel(setup TransitivitySetup, seed uint64, label string, perNode func(*agentSeedCtx) []task.Task) [][]task.Task {
 	n := len(p.Agents)
-	if workers <= 0 {
-		workers = p.setupWorkers()
-	}
+	workers := p.setupWorkers()
 	if workers > n {
 		workers = n
 	}

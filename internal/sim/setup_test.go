@@ -95,11 +95,11 @@ func TestPopulationParallelEquivalence(t *testing.T) {
 func TestSeedParallelEquivalence(t *testing.T) {
 	type variant struct {
 		name string
-		run  func(p *Population, setup TransitivitySetup, seed uint64, workers int) [][]task.Task
+		run  func(p *Population, setup TransitivitySetup, seed uint64) [][]task.Task
 	}
 	variants := []variant{
-		{"standard", (*Population).SeedParallel},
-		{"features", (*Population).SeedFeaturesParallel},
+		{"standard", SeedExperience},
+		{"features", SeedExperienceFromFeatures},
 	}
 	for _, seed := range []uint64{5, 23} {
 		net := setupTestNet(t, seed)
@@ -109,9 +109,10 @@ func TestSeedParallelEquivalence(t *testing.T) {
 				seedOnce := func(workers int) ([][]task.Task, []byte, *Population) {
 					cfg := DefaultPopulationConfig(seed)
 					cfg.Attack = atk
+					cfg.Parallelism = workers
 					p := NewPopulation(net, cfg)
 					setup := DefaultTransitivitySetup(5, p.Rand("setup-equivalence"))
-					exp := v.run(p, setup, seed, workers)
+					exp := v.run(p, setup, seed)
 					return exp, storeSnapshot(t, p), p
 				}
 				wantExp, wantStores, wantPop := seedOnce(1)
@@ -154,11 +155,13 @@ func TestSeedParallelMatchesSeedLoop(t *testing.T) {
 	const seed = 29
 	net := setupTestNet(t, seed)
 	build := func() (*Population, TransitivitySetup) {
-		p := NewPopulation(net, DefaultPopulationConfig(seed))
+		cfg := DefaultPopulationConfig(seed)
+		cfg.Parallelism = 4
+		p := NewPopulation(net, cfg)
 		return p, DefaultTransitivitySetup(5, p.Rand("setup-equivalence"))
 	}
 	bulk, setup := build()
-	bulk.SeedParallel(setup, seed, 4)
+	SeedExperience(bulk, setup, seed)
 
 	loop, _ := build()
 	// Reference: identical per-node draws, applied record by record in

@@ -201,9 +201,9 @@ func TestTransitivityPolicyOrdering(t *testing.T) {
 	SeedExperience(p, setup, 6)
 
 	eng := &Engine{Pop: p, Parallelism: 1}
-	trad := eng.TransitivityRunModel(setup, core.PolicyTraditional.Model(), 6)
-	cons := eng.TransitivityRunModel(setup, core.PolicyConservative.Model(), 6)
-	aggr := eng.TransitivityRunModel(setup, core.PolicyAggressive.Model(), 6)
+	trad := eng.TransitivityRunModel(setup, core.Traditional, 6)
+	cons := eng.TransitivityRunModel(setup, core.Conservative, 6)
+	aggr := eng.TransitivityRunModel(setup, core.Aggressive, 6)
 
 	if cons.AvgPotentialTrustees() < trad.AvgPotentialTrustees() {
 		t.Fatalf("conservative found fewer trustees (%v) than traditional (%v)",

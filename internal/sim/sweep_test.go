@@ -43,14 +43,13 @@ func TestSweepShardedEquivalence(t *testing.T) {
 	if len(p.Trustors) < 10 {
 		t.Fatalf("fixture too small: %d trustors", len(p.Trustors))
 	}
-	for _, pol := range []core.Policy{core.PolicyTraditional, core.PolicyConservative, core.PolicyAggressive} {
-		m := pol.Model()
+	for _, m := range []core.TrustModel{core.Traditional, core.Conservative, core.Aggressive} {
 		// Reference: one shard, serial.
 		want := sweepSharded(p, setup, m, 77, 1, 0)
 		for _, shard := range []int{1, 7, 64, len(p.Trustors) + 1} {
 			for _, workers := range []int{1, 8} {
 				got := sweepSharded(p, setup, m, 77, workers, shard)
-				assertSameStats(t, fmt.Sprintf("%s shard=%d workers=%d", pol, shard, workers), want, got)
+				assertSameStats(t, fmt.Sprintf("%s shard=%d workers=%d", m.Name(), shard, workers), want, got)
 			}
 		}
 		// RunModel (default width) and a reused epoch route through the
@@ -58,8 +57,8 @@ func TestSweepShardedEquivalence(t *testing.T) {
 		eng := NewEngine(p, "sweep-test")
 		eng.Parallelism = 4
 		ep := eng.TransitivityEpoch(setup)
-		assertSameStats(t, fmt.Sprintf("%s epoch default-shard", pol), want, ep.RunModel(m, 77))
-		assertSameStats(t, fmt.Sprintf("%s epoch shard=13", pol), want, ep.SweepShardedModel(m, 77, 13))
+		assertSameStats(t, fmt.Sprintf("%s epoch default-shard", m.Name()), want, ep.RunModel(m, 77))
+		assertSameStats(t, fmt.Sprintf("%s epoch shard=13", m.Name()), want, ep.SweepShardedModel(m, 77, 13))
 		ep.Release()
 	}
 }

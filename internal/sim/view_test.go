@@ -38,9 +38,9 @@ func TestTransitivityEpochReuseMatchesFreshCapture(t *testing.T) {
 	eng := NewEngine(p, "epoch-test")
 	ep := eng.TransitivityEpoch(setup)
 	defer ep.Release()
-	for _, pol := range []core.Policy{core.PolicyTraditional, core.PolicyConservative, core.PolicyAggressive} {
-		want := eng.TransitivityRunModel(setup, pol.Model(), 99)
-		assertSameStats(t, pol.String(), want, ep.RunModel(pol.Model(), 99))
+	for _, m := range []core.TrustModel{core.Traditional, core.Conservative, core.Aggressive} {
+		want := eng.TransitivityRunModel(setup, m, 99)
+		assertSameStats(t, m.Name(), want, ep.RunModel(m, 99))
 	}
 }
 

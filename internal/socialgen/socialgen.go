@@ -696,17 +696,18 @@ func ComputeStats(g *graph.Graph, seed uint64) Stats {
 
 // LoadEdgeList reads a whitespace-separated edge list (the SNAP format:
 // one "u v" pair per line, '#' comments allowed) and returns the graph with
-// node IDs densely relabeled in first-appearance order.
+// node IDs densely relabeled in first-appearance order. IDs are integers,
+// so "1", "01" and "+1" name the same node.
 func LoadEdgeList(src io.Reader) (*graph.Graph, error) {
 	type edge struct{ u, v int }
 	var edges []edge
-	ids := map[string]int{}
-	intern := func(tok string) int {
-		if id, ok := ids[tok]; ok {
+	ids := map[int]int{}
+	intern := func(raw int) int {
+		if id, ok := ids[raw]; ok {
 			return id
 		}
 		id := len(ids)
-		ids[tok] = id
+		ids[raw] = id
 		return id
 	}
 	sc := bufio.NewScanner(src)
@@ -722,13 +723,15 @@ func LoadEdgeList(src io.Reader) (*graph.Graph, error) {
 		if len(fields) < 2 {
 			return nil, fmt.Errorf("socialgen: edge list line %d: want two fields, got %q", line, text)
 		}
-		if _, err := strconv.Atoi(fields[0]); err != nil {
-			return nil, fmt.Errorf("socialgen: edge list line %d: bad node id %q: %w", line, fields[0], err)
+		var uv [2]int
+		for i, tok := range fields[:2] {
+			n, err := strconv.Atoi(tok)
+			if err != nil {
+				return nil, fmt.Errorf("socialgen: edge list line %d: bad node id %q: %w", line, tok, err)
+			}
+			uv[i] = intern(n)
 		}
-		if _, err := strconv.Atoi(fields[1]); err != nil {
-			return nil, fmt.Errorf("socialgen: edge list line %d: bad node id %q: %w", line, fields[1], err)
-		}
-		edges = append(edges, edge{intern(fields[0]), intern(fields[1])})
+		edges = append(edges, edge{uv[0], uv[1]})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("socialgen: reading edge list: %w", err)

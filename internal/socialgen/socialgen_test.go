@@ -3,6 +3,7 @@ package socialgen
 import (
 	"errors"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -229,13 +230,62 @@ func TestLoadEdgeList(t *testing.T) {
 }
 
 func TestLoadEdgeListRelabels(t *testing.T) {
-	g, err := LoadEdgeList(strings.NewReader("100 200\n200 300\n"))
-	if err != nil {
-		t.Fatal(err)
+	// Spellings of one integer ("1", "01", "+1") name one node.
+	for _, src := range []string{"100 200\n200 300\n", "1 2\n01 3\n", "1 2\n+1 3\n", "+01 2\n3 1\n"} {
+		g, err := LoadEdgeList(strings.NewReader(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.NumNodes() != 3 || g.NumEdges() != 2 {
+			t.Fatalf("%q: got %d nodes %d edges, want 3 and 2", src, g.NumNodes(), g.NumEdges())
+		}
 	}
-	if g.NumNodes() != 3 || g.NumEdges() != 2 {
-		t.Fatalf("got %d nodes %d edges", g.NumNodes(), g.NumEdges())
-	}
+}
+
+// FuzzLoadEdgeList feeds arbitrary text to the edge-list loader, which
+// siot-netgen points at user files: it must never panic, and an accepted
+// list must yield a valid graph with one node per distinct integer ID and
+// at most one edge per non-self-loop line.
+func FuzzLoadEdgeList(f *testing.F) {
+	f.Add("# comment\n0 1\n1 2\n2 0\n2 2\n3 0\n")
+	f.Add("1 2\n01 3\n+1 -1\n")
+	f.Add("7 7\n")
+	f.Add("0 1 extra\r\n\n1\t0\n")
+	f.Add("a b\n")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, src string) {
+		g, err := LoadEdgeList(strings.NewReader(src))
+		if err != nil {
+			return // rejected input is fine
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("invalid graph: %v", err)
+		}
+		ids := map[int]bool{}
+		lines := 0
+		for _, text := range strings.Split(src, "\n") {
+			text = strings.TrimSpace(text)
+			if text == "" || strings.HasPrefix(text, "#") {
+				continue
+			}
+			fields := strings.Fields(text)
+			u, errU := strconv.Atoi(fields[0])
+			v, errV := strconv.Atoi(fields[1])
+			if errU != nil || errV != nil {
+				t.Fatalf("accepted a line with a bad id: %q", text)
+			}
+			ids[u], ids[v] = true, true
+			if u != v {
+				lines++
+			}
+		}
+		if g.NumNodes() != len(ids) {
+			t.Fatalf("%d nodes, want %d distinct ids", g.NumNodes(), len(ids))
+		}
+		if g.NumEdges() > lines {
+			t.Fatalf("%d edges from %d non-self-loop lines", g.NumEdges(), lines)
+		}
+	})
 }
 
 func TestLoadEdgeListErrors(t *testing.T) {

@@ -159,27 +159,22 @@ type ArenaPool = core.ArenaPool
 // NewArenaPool returns an empty arena pool.
 func NewArenaPool() *ArenaPool { return core.NewArenaPool() }
 
-// Policy names one of the paper's three trust-transfer methods (§4.3);
-// Policy.Model returns its TrustModel adapter.
-type Policy = core.Policy
-
-// Trust-transfer policies.
-const (
-	// PolicyTraditional is the eq. 5 product baseline.
-	PolicyTraditional = core.PolicyTraditional
-	// PolicyConservative requires every characteristic on one path
-	// (eqs. 8–11).
-	PolicyConservative = core.PolicyConservative
-	// PolicyAggressive assembles characteristics across paths
-	// (eqs. 12–17).
-	PolicyAggressive = core.PolicyAggressive
+// The paper's three trust-transfer methods (§4.3), as registered
+// TrustModels.
+var (
+	// Traditional is the eq. 5 product baseline.
+	Traditional = core.Traditional
+	// Conservative requires every characteristic on one path (eqs. 8–11).
+	Conservative = core.Conservative
+	// Aggressive assembles characteristics across paths (eqs. 12–17).
+	Aggressive = core.Aggressive
 )
 
 // TrustModel is one pluggable trust-evaluation method of the model zoo: a
 // named single-hop lens plus a combine/threshold descriptor, dispatchable
 // through the transitivity search, the frozen-epoch memo, and the serving
-// engine. The three Policy constants are registered as adapters under
-// their policy names.
+// engine. Traditional, Conservative and Aggressive are registered under
+// their names in the paper's figures.
 type TrustModel = core.TrustModel
 
 // ModelSpec describes how a model's hop values combine along a path.

@@ -198,8 +198,8 @@ func TestFacadeModelRegistry(t *testing.T) {
 	if _, err := siot.ParseModel("not-a-model"); err == nil {
 		t.Fatal("unknown model accepted")
 	}
-	if m, err := siot.ParseModel(siot.PolicyAggressive.String()); err != nil || m.Name() != "aggressive" {
-		t.Fatal("policy adapter not registered under its policy name")
+	if m, err := siot.ParseModel(siot.Aggressive.Name()); err != nil || m.Name() != "aggressive" {
+		t.Fatal("aggressive not registered under its name")
 	}
 }
 
