@@ -82,9 +82,10 @@ func BenchmarkTransitivity100k(b *testing.B) {
 // BenchmarkRounds100k plays one full mutuality round — snapshot capture,
 // lock-free compute phase, ordered merge — on the 100k-node, 500k-edge
 // network. The snapshot-round refactor unlocked this scale: the compute
-// phase reads a per-round frozen core.RoundView through the engine's epoch
-// handle instead of contending on live store shards, so rounds parallelize
-// as cleanly as the transitivity sweeps.
+// phase reads a per-round frozen core.RoundView from the population's epoch
+// chain instead of contending on live store shards, so rounds parallelize
+// as cleanly as the transitivity sweeps. Each round's capture rereads only
+// the rows the previous round's merge wrote.
 func BenchmarkRounds100k(b *testing.B) {
 	p, _ := benchnet.PopulationFor(benchnet.Net100k())
 	eng := &sim.Engine{Pop: p, Parallelism: 0, Label: "bench"}
@@ -96,9 +97,10 @@ func BenchmarkRounds100k(b *testing.B) {
 	}
 }
 
-// BenchmarkTransitivity10kPooled measures the warm repeated-sweep loop the
-// arena pool exists for: one epoch Reset (pooled re-capture) plus one full
-// aggressive run per op. Bytes/op must stay far below the ~22.9 MB/op a
+// BenchmarkTransitivity10kPooled measures the warm repeated-sweep loop: one
+// epoch Reset plus one full aggressive run per op over unchanged stores.
+// Reset then keeps the epoch it holds and the memo its tables, so the op is
+// the sweep alone; bytes/op must stay far below the ~22.9 MB/op a
 // fresh-arena capture costs at this scale.
 func BenchmarkTransitivity10kPooled(b *testing.B) {
 	p, setup := benchnet.Population(10000)
@@ -112,6 +114,30 @@ func BenchmarkTransitivity10kPooled(b *testing.B) {
 		ep.Reset()
 		ep.RunModel(core.Aggressive, benchSeed)
 	}
+}
+
+// BenchmarkSimStep is one step of the paper's simulation loop on a
+// 1k-node network: a mutuality round, a Reset of the transitivity epoch,
+// and an aggressive sweep. The round shares the epoch the previous Reset
+// captured, and Reset rereads only the rows the round wrote; the
+// rows_recaptured/op metric counts the rows both read from the stores.
+func BenchmarkSimStep(b *testing.B) {
+	p, setup := benchnet.Population(1000)
+	eng := &sim.Engine{Pop: p, Label: "bench"}
+	tk := task.Uniform(1, task.CharCompute)
+	ep := eng.TransitivityEpoch(setup)
+	defer ep.Release()
+	var c sim.MutualityCounters
+	rows := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.MutualityRound(i, tk, &c)
+		rows += p.RowsRecaptured()
+		ep.Reset()
+		rows += p.RowsRecaptured()
+		ep.RunModel(core.Aggressive, benchSeed)
+	}
+	b.ReportMetric(float64(rows)/float64(b.N), "rows_recaptured/op")
 }
 
 // BenchmarkSetup100k measures the full 100k-node setup pipeline the sweep

@@ -133,9 +133,10 @@ func assertSameMemo(t *testing.T, label string, mdl TrustModel, got, want *EdgeM
 // row — and pins each against a from-scratch capture: the round view
 // byte for byte, and every memo table of every registered model bit for
 // bit, at several worker counts, with pooled arenas whose stale contents
-// must be fully overwritten. It also pins that reuse happens: the capture
-// rereads exactly the written rows, and a memo build evaluates exactly the
-// edges of those rows.
+// must be fully overwritten — for a memo built from its predecessor and
+// for one memo carried across the epochs by Reset alike. It also pins that
+// reuse happens: the capture rereads exactly the written rows, and a memo
+// build evaluates exactly the edges of those rows.
 func TestDeltaCaptureMatchesFresh(t *testing.T) {
 	const epochs = 8
 	for _, workers := range []int{1, 4, 8} {
@@ -169,8 +170,12 @@ func TestDeltaCaptureMatchesFresh(t *testing.T) {
 			var fresh []task.Task
 			prev := capture(nil)
 			prevMemo := NewEdgeMemoPooled(prev.TrustView, norm, workers, pool)
+			// resetMemo is one memo carried from epoch to epoch by Reset,
+			// refreshing its tables in place.
+			resetMemo := NewEdgeMemoPooled(prev.TrustView, norm, workers, pool)
 			for _, m := range models {
 				prevMemo.RequireModel(m, f.tasks)
+				resetMemo.RequireModel(m, f.tasks)
 			}
 			for ep := 1; ep <= epochs; ep++ {
 				mut := deltaMutations[r.IntN(len(deltaMutations))]
@@ -192,6 +197,9 @@ func TestDeltaCaptureMatchesFresh(t *testing.T) {
 				if delta.RowsRecaptured() != len(written) {
 					t.Fatalf("%s: capture recaptured %d rows, want %d", label, delta.RowsRecaptured(), len(written))
 				}
+				if !delta.Current(f.source()) || len(written) > 0 && prev.Current(f.source()) {
+					t.Fatalf("%s: Current = %v for the new epoch and %v for its predecessor", label, delta.Current(f.source()), prev.Current(f.source()))
+				}
 				if want.RowsRecaptured() != f.n {
 					t.Fatalf("%s: full capture recaptured %d rows, want all %d", label, want.RowsRecaptured(), f.n)
 				}
@@ -202,27 +210,36 @@ func TestDeltaCaptureMatchesFresh(t *testing.T) {
 				}
 				deltaMemo := NewEdgeMemoPooled(delta.TrustView, norm, workers, pool)
 				freshMemo := NewEdgeMemoPooled(want.TrustView, norm, workers, pool)
+				resetMemo.Reset(delta.TrustView)
 				for _, m := range models {
-					before := calls.Load()
-					deltaMemo.RequireModelFrom(prevMemo, m, tasks)
-					if m == TrustModel(counter) {
-						// Tables for task types prev lacked build in full.
-						reused, rebuilt := 0, 0
-						for _, tk := range tasks {
-							if prevMemo.model(m).table(tk) != nil {
-								reused++
-							} else {
-								rebuilt++
-							}
+					// Tables for task types prev lacked build in full.
+					reused, rebuilt := 0, 0
+					for _, tk := range tasks {
+						if prevMemo.model(m).table(tk) != nil {
+							reused++
+						} else {
+							rebuilt++
 						}
-						wantCalls := int64(reused*dirtyEdges + rebuilt*len(f.adjTo))
-						if got := calls.Load() - before; got != wantCalls {
-							t.Fatalf("%s: memo build evaluated %d hops, want %d (%d reused tables over %d dirty edges, %d rebuilt)",
-								label, got, wantCalls, reused, dirtyEdges, rebuilt)
+					}
+					wantCalls := int64(reused*dirtyEdges + rebuilt*len(f.adjTo))
+					for _, path := range []struct {
+						name    string
+						memo    *EdgeMemo
+						require func()
+					}{
+						{"RequireModelFrom", deltaMemo, func() { deltaMemo.RequireModelFrom(prevMemo, m, tasks) }},
+						{"Reset+RequireModel", resetMemo, func() { resetMemo.RequireModel(m, tasks) }},
+					} {
+						before := calls.Load()
+						path.require()
+						if got := calls.Load() - before; m == TrustModel(counter) && got != wantCalls {
+							t.Fatalf("%s: %s evaluated %d hops, want %d (%d reused tables over %d dirty edges, %d rebuilt)",
+								label, path.name, got, wantCalls, reused, dirtyEdges, rebuilt)
 						}
 					}
 					freshMemo.RequireModel(m, tasks)
 					assertSameMemo(t, label, m, deltaMemo, freshMemo)
+					assertSameMemo(t, label+" after Reset", m, resetMemo, freshMemo)
 				}
 				freshMemo.Release()
 				want.Release()
@@ -230,6 +247,7 @@ func TestDeltaCaptureMatchesFresh(t *testing.T) {
 				prev.Release()
 				prev, prevMemo = delta, deltaMemo
 			}
+			resetMemo.Release()
 			prevMemo.Release()
 			prev.Release()
 		})

@@ -18,8 +18,9 @@ import (
 //
 // Like the TrustView it embeds, a RoundView is immutable after capture and
 // safe for concurrent readers. It freezes the state left by the previous
-// round's merge; the engine captures one per round boundary and the merge
-// phase (the only store writer) invalidates it. The records a round reads
+// round's merge; the simulator's rounds take it from the population's
+// epoch chain, and the next merge (the only store writer) makes it stale,
+// which Current detects from the store stamps. The records a round reads
 // always live along social edges — experience is only ever seeded at or
 // observed by social neighbors — which is what lets a per-edge arena stand
 // in for the live stores.
@@ -61,6 +62,23 @@ func (v *RoundView) Release() {
 	give(pool, v.abus)
 	v.resp, v.abus = nil, nil
 	v.TrustView.Release()
+}
+
+// Current reports whether a capture from src now would be byte-identical
+// to v: every row's store still carries the stamp v recorded, the catalog
+// has not grown, and v holds the usage counters src reads. A released view,
+// or one captured without stamps, is never current.
+func (v *RoundView) Current(src RoundSource) bool {
+	if v.stamps == nil || src.Version == nil || src.Usage != nil && v.resp == nil ||
+		len(src.Catalog.Tasks()) != len(v.tasks) {
+		return false
+	}
+	for u, s := range v.stamps {
+		if src.Version(AgentID(u)) != s {
+			return false
+		}
+	}
+	return true
 }
 
 // EdgeIndex locates the directed edge u → w in the CSR edge array, or

@@ -23,11 +23,13 @@ import (
 // the live stores takes an RWMutex RLock and copies records on every hop. The arena is pointer-free (CompactRecord), so a multi-GB
 // million-node capture is a single GC-transparent allocation.
 //
-// A view is valid for as long as the underlying stores are not mutated: the
-// pure compute phases (transitivity sweeps) qualify; mutuality rounds,
-// which interleave reads with store updates, do not and keep reading live
-// stores. Concurrent readers are safe; the view is never written after
-// capture.
+// A view holds the state at capture. Later store writes do not reach it:
+// they make it stale, never torn, so a holder may keep reading it while the
+// stores move on. Every store reader works on one — the transitivity
+// sweeps, the probes, and the mutuality rounds, whose compute phase reads a
+// RoundView of the previous round's state while only the merge phase
+// writes the stores. Concurrent readers are safe; the view is never written
+// after capture.
 type TrustView struct {
 	adjOff []int32         // CSR row offsets, len NumAgents+1 (shared, not owned)
 	adjTo  []AgentID       // CSR edge targets (shared, not owned)
@@ -302,22 +304,28 @@ type EdgeMemo struct {
 	// models holds each required model's tables and trained state, keyed by
 	// model name.
 	models map[string]*modelMemo
+	// stale holds the row stamps of the view the stale tables were built
+	// over, nil before the first Reset that kept a table.
+	stale []uint64
 }
 
 // modelMemo is one model's share of an EdgeMemo: its hop tables keyed by
 // task type (for a PerCharacteristic model, by the type of each
 // characteristic's unit task) and, for an EpochTrainable model, the scorer
-// trained once per epoch, which dies with the memo.
+// trained once per epoch, which dies with the memo (and with Reset).
 type modelMemo struct {
 	tables map[task.Type]memoTable
 	scorer EdgeScorer
 }
 
 // memoTable is one built hop table: vals[e] is the hop value of edge e for
-// task t, blocked when the edge's evidence does not admit the hop.
+// task t, blocked when the edge's evidence does not admit the hop. A stale
+// table was built over the memo's previous view (see Reset): lookups ignore
+// it until RequireModel refreshes its dirty rows.
 type memoTable struct {
-	t    task.Task
-	vals []float64
+	t     task.Task
+	vals  []float64
+	stale bool
 }
 
 // NewEdgeMemoPooled creates an empty memo over a view. workers bounds the
@@ -346,14 +354,46 @@ func (m *EdgeMemo) Release() {
 		clear(mm.tables)
 		mm.scorer = nil
 	}
+	give(m.pool, m.stale)
+	m.stale = nil
 }
 
-// Reset empties the memo and retargets it at a freshly captured view: every
-// table is released to the pool (so the next RequireModel recomputes into
-// the same arenas) and subsequent lookups read the new view. Use after the
-// underlying stores mutated and the epoch re-captured.
+// Reset retargets the memo at view, a later capture of the stores its
+// current view froze, which must still be unreleased for the call. Tables
+// survive the move as stale tables: lookups ignore them, and the next
+// RequireModel that needs one refreshes it in place, re-evaluating only the
+// rows whose store stamp differs between the two views — bit-identical to a
+// fresh build, like RequireModelFrom. Tables go back to the pool instead
+// when they are still stale from an earlier Reset, when they belong to an
+// EpochTrainable model (whose scorer, fitted to the whole epoch, is dropped
+// too), or when view is over another adjacency or either view lacks
+// stamps. Resetting to the current view changes nothing.
 func (m *EdgeMemo) Reset(view *TrustView) {
-	m.Release()
+	if view == m.view {
+		return
+	}
+	if !view.sameRows(m.view) {
+		m.Release()
+		m.view = view
+		return
+	}
+	for _, mm := range m.models {
+		for typ, tb := range mm.tables {
+			// Only an EpochTrainable model has a scorer.
+			if tb.stale || mm.scorer != nil {
+				give(m.pool, tb.vals)
+				delete(mm.tables, typ)
+				continue
+			}
+			tb.stale = true
+			mm.tables[typ] = tb
+		}
+		mm.scorer = nil
+	}
+	if m.stale == nil {
+		m.stale = take[uint64](m.pool, len(m.view.stamps))
+	}
+	copy(m.stale, m.view.stamps)
 	m.view = view
 }
 
@@ -377,7 +417,8 @@ func (m *EdgeMemo) RequireModel(mdl TrustModel, tasks []task.Task) {
 // the call and built under the same normalizer; a nil prev, a prev over
 // another adjacency or a view without stamps, an EpochTrainable model (its
 // scorer is fitted to the whole epoch) and tables prev lacks all build in
-// full.
+// full. With a nil prev, the memo's own stale tables (see Reset) are the
+// predecessor: they refresh in place by the same rule.
 func (m *EdgeMemo) RequireModelFrom(prev *EdgeMemo, mdl TrustModel, tasks []task.Task) {
 	mm := m.models[mdl.Name()]
 	if mm == nil {
@@ -432,30 +473,35 @@ func (m *EdgeMemo) reusable(prev *EdgeMemo, mdl TrustModel) *modelMemo {
 // build fills mdl's tables for ts, distinct in type, in one parallel pass
 // over the CSR rows: each edge's records are read once for every table,
 // where one pass per table would stream the whole record arena again each
-// time. A row whose store stamp prev's view shares takes the values of
-// every table prev (nil for none) holds for mdl from it; only the rest
-// evaluate.
+// time. A row is clean when its store stamp equals the predecessor's: prev's
+// view when prev lends mdl's tables, else the stamps Reset kept for the
+// memo's stale tables. A clean row takes every table's old values — copied
+// from prev's table, or left in place in a refreshed stale one — and only
+// the rest evaluate.
 func (m *EdgeMemo) build(mm *modelMemo, mdl TrustModel, ts []task.Task, prev *EdgeMemo) {
 	v := m.view
-	pm := m.reusable(prev, mdl)
+	pm, prevStamps := m.reusable(prev, mdl), m.stale
+	if pm != nil {
+		prevStamps = prev.view.stamps
+	}
 	ctx := HopContext{Tasks: v.tasks, Norm: m.norm}
 	ne := v.NumEdges()
 	srcs := make([]hopSource, len(ts))
 	tabs := make([][]float64, len(ts))
-	olds := make([][]float64, len(ts)) // prev's table per task, nil when it has none
-	allOld := pm != nil
+	olds := make([][]float64, len(ts)) // clean rows' values per task, nil when there are none
+	allOld := prevStamps != nil
 	for i, t := range ts {
-		if old, ok := mm.tables[t.Type()]; ok {
-			give(m.pool, old.vals)
+		if old, ok := mm.tables[t.Type()]; ok && old.stale && pm == nil && old.t.Equal(t) {
+			tabs[i], olds[i] = old.vals, old.vals // refresh in place
+		} else {
+			if ok {
+				give(m.pool, old.vals)
+			}
+			tabs[i] = take[float64](m.pool, ne)
+			olds[i] = pm.table(t)
 		}
 		srcs[i] = newHopSource(mm, mdl, ctx, t)
-		tabs[i] = take[float64](m.pool, ne)
-		olds[i] = pm.table(t)
 		allOld = allOld && olds[i] != nil
-	}
-	var prevStamps []uint64
-	if pm != nil {
-		prevStamps = prev.view.stamps
 	}
 	parallelRows(v.adjOff, m.workers, func(lo, hi int) {
 		for u := lo; u < hi; u++ {
@@ -463,7 +509,7 @@ func (m *EdgeMemo) build(mm *modelMemo, mdl TrustModel, ts []task.Task, prev *Ed
 			clean := prevStamps != nil && v.stamps[u] == prevStamps[u]
 			if clean {
 				for i, old := range olds {
-					if old != nil {
+					if old != nil && !sameSlice(old, tabs[i]) {
 						copy(tabs[i][first:last], old[first:last])
 					}
 				}
@@ -508,19 +554,23 @@ func (mm *modelMemo) table(t task.Task) []float64 {
 		return nil
 	}
 	tb, ok := mm.tables[t.Type()]
-	if !ok || !tb.t.Equal(t) {
+	if !ok || tb.stale || !tb.t.Equal(t) {
 		return nil
 	}
 	return tb.vals
 }
 
 // charTable returns a PerCharacteristic model's hop table for
-// characteristic c, or nil when RequireModel has not built it.
+// characteristic c, or nil when RequireModel has not built it (or it is
+// stale).
 func (mm *modelMemo) charTable(c task.Characteristic) []float64 {
 	if mm == nil {
 		return nil
 	}
-	return mm.tables[unitType(c)].vals
+	if tb := mm.tables[unitType(c)]; !tb.stale {
+		return tb.vals
+	}
+	return nil
 }
 
 // ModelEdgeTW scores one directed view edge through a model — the

@@ -170,7 +170,12 @@ func Replay(r io.Reader) (ReplayStats, error) {
 			if _, dup := epochs[ep.ID]; dup {
 				return stats, fmt.Errorf("serve: replay: line %d: duplicate epoch id %d", ln, ep.ID)
 			}
-			view := w.pop.RoundView(workers, pool)
+			// A full capture: replay re-derives every epoch independently
+			// of the one before.
+			view, err := w.pop.RoundViewFrom(nil, workers, pool)
+			if err != nil {
+				return stats, fmt.Errorf("serve: replay: line %d: epoch %d: %w", ln, ep.ID, err)
+			}
 			memo := core.NewEdgeMemoPooled(view.TrustView, norm, workers, pool)
 			memo.RequireModel(cfg.Model, w.setup.Universe.Tasks)
 			epochs[ep.ID] = &epoch{id: ep.ID, view: view, memo: memo}

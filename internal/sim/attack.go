@@ -164,9 +164,10 @@ func (e *Engine) applyChurn(ctx adversary.Context) {
 // (attackers forging theirs) for strangers, the neutral prior when nobody
 // knows anything. It returns the averages over honest trustee candidates
 // and attacker candidates; the difference is the trust gap the resilience
-// metrics track. Read-only: it captures a probe epoch, reads the snapshot,
-// and releases it (the live stores are untouched, so the snapshot is
-// exact).
+// metrics track. Read-only: it takes the population's current epoch
+// (capturing only the rows written since the last capture), reads the
+// snapshot, and lets go of it; the live stores are untouched, so the
+// snapshot is exact.
 func (e *Engine) PerceivedTrust(round int, tk task.Task) (honest, attacker float64) {
 	e.probe(func(view *core.RoundView) {
 		got := e.perceive(view, round, func(edge int32) (float64, bool) { return view.BestTW(edge, tk) })
@@ -184,7 +185,7 @@ type Perceived struct {
 }
 
 // PerceivedTrustModels is PerceivedTrust evaluated once per model in a
-// single probe epoch: one capture, one shared EdgeMemo (trainable models
+// single probe epoch: one snapshot, one shared EdgeMemo (trainable models
 // fit on it exactly once), and every model scored over the same snapshot.
 // Each model sees direct edges and one-hop recommendations through its own
 // single-edge lens (EdgeMemo.ModelEdgeTW) rather than the rounds'
@@ -206,13 +207,13 @@ func (e *Engine) PerceivedTrustModels(round int, tk task.Task, models []core.Tru
 	return out
 }
 
-// probe captures a probe epoch of the population's current stores, hands
-// its view to fn, and releases it.
+// probe takes the population's current epoch, hands its view to fn, and
+// lets go of it.
 func (e *Engine) probe(fn func(view *core.RoundView)) {
 	e.init()
-	view := e.Pop.RoundView(e.workers(), epochArenas)
-	fn(view)
-	view.Release()
+	link := e.Pop.acquireEpoch(e.workers())
+	fn(link.view)
+	link.release()
 }
 
 // perceive scores every trustor's candidate trustees on the view the way

@@ -33,10 +33,10 @@ import (
 // The price is round semantics: within one round every trustor decides
 // against the state left by the previous round (simultaneous requests) —
 // which is precisely what lets the compute phase read a frozen snapshot.
-// Each round captures a core.RoundView of the previous round's state; the
-// compute phase reads only that view (zero store locks —
-// TestMutualityComputePhaseLockFree) and the merge phase is the only store
-// writer.
+// Each round reads a core.RoundView of the previous round's state from the
+// population's epoch chain; the compute phase reads only that view (zero
+// store locks — TestMutualityComputePhaseLockFree) and the merge phase is
+// the only store writer.
 type Engine struct {
 	Pop *Population
 	// Parallelism is the worker-pool width. 0 falls back to the population
@@ -199,10 +199,12 @@ type mutualityAction struct {
 // trustor-ID order. round indexes the random sub-streams and must advance
 // every call.
 //
-// The round is the canonical epoch cycle: a core.RoundView of the previous
-// round's state is captured, the compute phase fans out reading only that
-// snapshot (no store locks), the view's arenas go back to the shared epoch
-// pool, and the single-threaded merge writes the stores.
+// The round is the canonical epoch cycle: it takes the population's
+// current epoch — a core.RoundView of the previous round's state, shared
+// with the Reset or probe that captured it when no store changed since —
+// the compute phase fans out reading only that snapshot (no store locks),
+// the round lets go of its hold, and the single-threaded merge writes the
+// stores, which the next capture request then rereads row by row.
 //
 // When the population carries an attack scenario (PopulationConfig.Attack),
 // three adversary hooks fire: trustors without direct experience of a
@@ -216,9 +218,9 @@ func (e *Engine) MutualityRound(round int, tk task.Task, c *MutualityCounters) {
 	e.init()
 	p := e.Pop
 	actx, attacked := e.attackContext(round)
-	view := p.RoundView(e.workers(), epochArenas)
-	acts := e.computeMutualityActs(view, attacked, actx, round, tk)
-	view.Release()
+	link := p.acquireEpoch(e.workers())
+	acts := e.computeMutualityActs(link.view, attacked, actx, round, tk)
+	link.release()
 	if attacked {
 		// Pre-merge hook: active attackers rewrite their buffered outcomes.
 		e.applyAttack(actx, acts)
@@ -390,9 +392,11 @@ func (e *Engine) NetProfitRun(iterations int, strategy Strategy, seed uint64) []
 // model, so runs with the same seed compare the models on the same
 // workload, as the paper's figures do. The searches — the dominant cost of
 // the §5.5 experiments — are pure, so they shard over the worker pool with
-// bit-identical results at every Parallelism. Each call captures a fresh
-// frozen epoch; callers running several models over unchanged stores should
-// capture one TransitivityEpoch and RunModel it repeatedly.
+// bit-identical results at every Parallelism. Each call takes the
+// population's current epoch (capturing only when the stores changed) and
+// builds a fresh memo over it; callers running several models over
+// unchanged stores should take one TransitivityEpoch and RunModel it
+// repeatedly, so the memo tables carry over.
 func (e *Engine) TransitivityRunModel(setup TransitivitySetup, m core.TrustModel, seed uint64) TransitivityStats {
 	ep := e.TransitivityEpoch(setup)
 	defer ep.Release()

@@ -8,11 +8,73 @@ import (
 	"siot/internal/task"
 )
 
+// epochArenas recycles trust-view arenas and memo tables across every
+// epoch in the process: the links of every population's epoch chain,
+// probe memos and transitivity memos draw from it, so repeated rounds and
+// sweeps (benchmark repetitions, experiment repeats, per-call
+// Engine.TransitivityRunModel epochs) reuse the same backing memory
+// instead of re-allocating ~2.3 MB per epoch at 1k nodes (~23 MB at 10k,
+// 10x that at 100k).
+var epochArenas = core.NewArenaPool()
+
+// epochLink is one link of a population's epoch chain: a round view of the
+// stores and the number of holders still reading it. The population holds
+// its head link; every round, probe and TransitivityEpoch holds the link
+// it reads for as long as it reads it. The view's arenas go back to
+// epochArenas when the last holder lets go, so each view is released
+// exactly once. One goroutine drives a population, so the count needs no
+// lock.
+type epochLink struct {
+	view    *core.RoundView
+	holders int
+}
+
+// release drops one hold on the link, releasing its view with the last.
+func (l *epochLink) release() {
+	l.holders--
+	if l.holders == 0 {
+		l.view.Release()
+	}
+}
+
+// acquireEpoch returns a held link of the population's epoch chain that
+// freezes the stores as they are now: the head itself when no store
+// changed since the head was captured, else a new head that copies the old
+// head's clean rows and rereads only the rows written since
+// (RoundViewFrom). The population then lets go of the old head, whose
+// arenas outlive it only as long as other holders do. Every consumer of
+// the stores reads through here, so a round that follows a Reset or a
+// probe captures nothing, and a Reset after a round pays only for the rows
+// the round wrote. The caller releases its hold when done.
+func (p *Population) acquireEpoch(workers int) *epochLink {
+	p.recaptured = 0
+	if p.head == nil || !p.head.view.Current(p.RoundSource()) {
+		var prev *core.RoundView
+		if p.head != nil {
+			prev = p.head.view
+		}
+		next := &epochLink{view: mustCapture(p.RoundViewFrom(prev, workers, epochArenas)), holders: 1}
+		if p.head != nil {
+			p.head.release()
+		}
+		p.head = next
+		p.recaptured = next.view.RowsRecaptured()
+	}
+	p.head.holders++
+	return p.head
+}
+
+// RowsRecaptured returns how many store rows the population's last epoch
+// capture — a round's, a probe's, or a TransitivityEpoch build's or
+// Reset's — read from the live stores. It is 0 when no store changed since
+// the capture before, which the request then shares.
+func (p *Population) RowsRecaptured() int { return p.recaptured }
+
 // TransitivityEpoch is one frozen-epoch read context for transitivity
-// sweeps: a round view captured from the population's live stores plus an
-// EdgeMemo of per-edge hop values, shared by every search run against it.
-// The epoch owns its view outright; Release hands it back to the shared
-// arena pool, after which the epoch is dead.
+// sweeps: a link of the population's epoch chain plus an EdgeMemo of
+// per-edge hop values, shared by every search run against it. The epoch
+// holds its link until Reset moves it on or Release lets go, after which
+// the epoch is dead.
 //
 // The search phase of a transitivity run is pure — no store is written — so
 // a single capture serves any number of RunModel calls across models and
@@ -23,20 +85,13 @@ type TransitivityEpoch struct {
 	p       *Population
 	setup   TransitivitySetup
 	s       *core.Searcher
-	view    *core.RoundView // nil once released
+	link    *epochLink // nil once released
 	memo    *core.EdgeMemo
 	workers int
 }
 
-// epochArenas recycles trust-view arenas and memo tables across every
-// epoch in the process: repeated sweeps (benchmark repetitions, experiment
-// repeats, per-call Engine.TransitivityRunModel captures) reuse the same
-// backing memory instead of re-allocating ~2.3 MB per epoch at 1k nodes
-// (~23 MB at 10k, 10x that at 100k).
-var epochArenas = core.NewArenaPool()
-
-// TransitivityEpoch captures the engine population's stores for a sweep
-// under the given setup.
+// TransitivityEpoch takes the population's current epoch for a sweep under
+// the given setup.
 func (e *Engine) TransitivityEpoch(setup TransitivitySetup) *TransitivityEpoch {
 	p, workers := e.Pop, e.workers()
 	ep := &TransitivityEpoch{
@@ -44,43 +99,55 @@ func (e *Engine) TransitivityEpoch(setup TransitivitySetup) *TransitivityEpoch {
 		setup:   setup,
 		s:       p.Searcher(setup.MaxDepth, setup.Omega1, setup.Omega2),
 		workers: workers,
+		link:    p.acquireEpoch(workers),
 	}
-	ep.view = p.RoundView(workers, epochArenas)
-	ep.memo = core.NewEdgeMemoPooled(ep.view.TrustView, p.cfg.Update.Norm, workers, epochArenas)
+	ep.memo = core.NewEdgeMemoPooled(ep.link.view.TrustView, p.cfg.Update.Norm, workers, epochArenas)
 	return ep
 }
 
-// Reset re-captures the epoch from the population's current stores: a
-// fresh capture replaces the stale view, whose arenas go back to the pool,
-// and the memo rebinds to it — so a repeated capture–sweep loop allocates
-// nothing new at steady state. Use after the stores mutated (a mutuality
-// round, a seeding pass); the memo refills lazily on the next RunModel.
+// Reset moves the epoch to the population's current stores: it takes the
+// chain's current link — the same one when nothing was written, else one
+// that recaptured only the dirty rows — and lets go of the old one. The
+// memo keeps its tables across the move; the next RunModel re-evaluates
+// only their dirty rows (EdgeMemo.Reset), and a trainable model retrains
+// on the whole epoch. At steady state a round–Reset–sweep loop allocates
+// nothing new. Use after the stores mutated (a mutuality round, a seeding
+// pass).
 func (ep *TransitivityEpoch) Reset() {
 	stale := ep.live("Reset")
-	ep.view = ep.p.RoundView(ep.workers, epochArenas)
-	stale.Release()
-	ep.memo.Reset(ep.view.TrustView)
+	ep.link = ep.p.acquireEpoch(ep.workers)
+	ep.memo.Reset(ep.link.view.TrustView) // reads stale's stamps: release after
+	stale.release()
 }
 
-// Release returns the view's arenas and the memo tables to the shared
-// pool. The epoch is dead afterwards: RunModel, Reset and a second Release
-// panic rather than read or free arenas a newer capture may already use.
-// Callers that let an epoch go out of scope without Release merely forgo
-// reuse; correctness is unaffected.
+// Release returns the memo tables to the shared pool and lets go of the
+// epoch's link (its view's arenas follow once no round, probe or other
+// epoch holds it). When the link is still the chain's head, the population
+// lets go of it as well: a released epoch ends a sweep, and its arenas go
+// back to the pool now instead of staying with a population that may never
+// capture again; the next capture request then reads every row. The epoch
+// is dead afterwards: RunModel, Reset and a second Release panic rather
+// than read or free arenas a newer capture may already use. Callers that
+// let an epoch go out of scope without Release merely forgo reuse;
+// correctness is unaffected.
 func (ep *TransitivityEpoch) Release() {
-	view := ep.live("Release")
+	link := ep.live("Release")
 	ep.memo.Release()
-	view.Release()
-	ep.view = nil
+	link.release()
+	if ep.p.head == link {
+		ep.p.head = nil
+		link.release()
+	}
+	ep.link = nil
 }
 
-// live returns the epoch's view, panicking with op's name once the epoch
+// live returns the epoch's link, panicking with op's name once the epoch
 // is released.
-func (ep *TransitivityEpoch) live(op string) *core.RoundView {
-	if ep.view == nil {
+func (ep *TransitivityEpoch) live(op string) *epochLink {
+	if ep.link == nil {
 		panic("sim: " + op + " on a released TransitivityEpoch")
 	}
-	return ep.view
+	return ep.link
 }
 
 // findSummary is the per-trustor digest a transitivity run keeps: the full
@@ -138,7 +205,7 @@ func (ep *TransitivityEpoch) SweepShardedModel(m core.TrustModel, seed uint64, s
 	}
 	taskRng := rng.New(seed, "transitivity-tasks", p.Net.Profile.Name)
 	outcomeRng := rng.New(seed, "transitivity-outcomes", p.Net.Profile.Name, m.Name())
-	view := ep.live("RunModel").TrustView
+	view := ep.live("RunModel").view.TrustView
 	var st TransitivityStats
 	st.InquiredPerTrustor = make([]int, 0, len(p.Trustors))
 	var tasks []task.Task

@@ -78,6 +78,13 @@ type Population struct {
 	trusteeOff []int32
 	trusteeTo  []core.AgentID
 	candMask   []bool
+
+	// head is the newest link of the population's epoch chain, nil before
+	// the first capture request; the population holds it until a capture
+	// of changed stores replaces it. recaptured is how many rows the last
+	// capture request read from the stores.
+	head       *epochLink
+	recaptured int
 }
 
 // NewPopulation assigns roles and behaviors over the given social network.
@@ -325,12 +332,19 @@ func (p *Population) RoundSource() core.RoundSource {
 // RoundView captures a frozen snapshot of everything a delegation round
 // reads — per-edge experience records and usage counters — over a worker
 // pool, drawing arenas from pool (workers <= 1 captures serially, a nil
-// pool allocates fresh). Byte-identical at every worker count. The engine
-// captures one per round boundary. A population
+// pool allocates fresh). Byte-identical at every worker count. The view is
+// the caller's own, outside the population's epoch chain, which the
+// engine's rounds, probes and transitivity epochs read from. A population
 // large enough to overflow the arena offset space panics with
 // ErrArenaOverflow; RoundViewFrom returns it instead.
 func (p *Population) RoundView(workers int, pool *core.ArenaPool) *core.RoundView {
-	v, err := p.RoundViewFrom(nil, workers, pool)
+	return mustCapture(p.RoundViewFrom(nil, workers, pool))
+}
+
+// mustCapture unwraps a capture, panicking on its error: the engine's
+// paths have no error return, and a capture fails only when the population
+// overflows the arena offset space.
+func mustCapture(v *core.RoundView, err error) *core.RoundView {
 	if err != nil {
 		panic(err)
 	}
