@@ -241,7 +241,9 @@ func BenchmarkFindAggressive(b *testing.B) {
 	memo.RequireModel(core.Aggressive, []task.Task{tk})
 	trustor := p.Trustors[0]
 	var res core.SearchResult
-	s.FindViewModelInto(&res, view, memo, trustor, tk, core.Aggressive) // warm the pool
+	if err := s.FindViewModelInto(&res, view, memo, trustor, tk, core.Aggressive); err != nil { // also warms the pool
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -264,15 +266,17 @@ func BenchmarkTrustInto(b *testing.B) {
 	memo.RequireModel(core.Aggressive, []task.Task{tk})
 	trustor := p.Trustors[0]
 	var res core.SearchResult
-	s.FindViewModelInto(&res, view, memo, trustor, tk, core.Aggressive)
+	if err := s.FindViewModelInto(&res, view, memo, trustor, tk, core.Aggressive); err != nil {
+		b.Fatal(err)
+	}
 	trustee := trustor
 	for _, c := range res.Candidates {
 		if _, adjacent := view.EdgeIndex(trustor, c.ID); !adjacent {
 			trustee = c.ID
 		}
 	}
-	if _, found := s.TrustInto(view, memo, trustor, trustee, tk, core.Aggressive); !found { // also warms the pool
-		b.Fatal("no transitive candidate to query")
+	if _, found, err := s.TrustInto(view, memo, trustor, trustee, tk, core.Aggressive); err != nil || !found { // also warms the pool
+		b.Fatalf("no transitive candidate to query (err %v)", err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -16,6 +16,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"siot"
 	"siot/internal/core"
@@ -42,13 +43,20 @@ func main() {
 	// The composite request: traffic monitoring = GPS + image.
 	traffic := task.Uniform(task.Type(len(setup.Universe.Tasks)), task.CharGPS, task.CharImage)
 
-	// Freeze the campus's trust records and search the snapshot.
+	// Freeze the campus's trust records and search the snapshot via a memo.
 	requester := p.Trustors[0]
-	view := p.RoundView(1, nil).TrustView
+	view, err := p.RoundViewFrom(nil, 1, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 	searcher := p.Searcher(setup.MaxDepth, setup.Omega1, setup.Omega2)
+	memo := core.NewEdgeMemoPooled(view.TrustView, searcher.Norm, 1, nil)
 	var res core.SearchResult
 	for _, model := range []core.TrustModel{core.Traditional, core.Conservative, core.Aggressive} {
-		searcher.FindViewModelInto(&res, view, nil, requester, traffic, model)
+		memo.RequireModel(model, []task.Task{traffic})
+		if err := searcher.FindViewModelInto(&res, view.TrustView, memo, requester, traffic, model); err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("\n%s transfer:\n", model.Name())
 		fmt.Printf("  potential trustees found: %d (interrogated %d nodes)\n",
 			len(res.Candidates), res.Inquired)

@@ -46,8 +46,8 @@ func (hellingerMF) Spec() ModelSpec {
 }
 
 // HopTW is the untrained evidence-local lens: the mean trustworthiness of
-// the edge's records. Live-path probes that have no epoch to train on (and
-// the generic search, before RequireModel fits the epoch) read this.
+// the edge's records. No search or memo path reads it: RequireModel builds
+// the tables from the scorer it trains on the epoch first.
 func (hellingerMF) HopTW(ctx HopContext, recs []CompactRecord, t task.Task) (float64, bool) {
 	if len(recs) == 0 {
 		return 0, false

@@ -101,9 +101,9 @@ type EdgeScorer interface {
 // (matrix factorizations, learned weightings). TrainEpoch must be
 // deterministic for a given view at every worker count — the trained
 // scorer's outputs must be bit-identical whether training ran on 1 or 8
-// goroutines. EdgeMemo.RequireModel trains once per epoch and caches the
-// scorer; the model's plain HopTW remains the untrained evidence-local
-// fallback for paths with no epoch to train on.
+// goroutines. EdgeMemo.RequireModel trains once per epoch and builds the
+// tables the search reads from the scorer, never from the plain HopTW; an
+// untrained model's searches fail with ErrNotRequired.
 type EpochTrainable interface {
 	TrustModel
 	TrainEpoch(view *TrustView, norm Normalizer, workers int) EdgeScorer

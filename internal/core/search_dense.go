@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -11,8 +10,8 @@ import (
 
 // This file is the transitivity search: one BFS over a frozen TrustView's
 // dense generation-stamped arrays, indexed by agent slot, driven by a
-// TrustModel's ModelSpec and fed by an EdgeMemo (or, without one, by the
-// model's per-edge evaluation). The package tests pin it byte for byte
+// TrustModel's ModelSpec and fed by the hop tables RequireModel built in an
+// EdgeMemo over the same view. The package tests pin it byte for byte
 // against a map-based reference search over live stores (oracle_test.go).
 // TrustInto answers a single (trustor, trustee) point query with the same
 // loop, pinned bit for bit to a scan of the full search's candidates
@@ -68,10 +67,11 @@ type denseState struct {
 
 	fr [2]frontSet
 
-	// layers holds the best path value per candidate: one layer per task
-	// characteristic for a per-characteristic model, layers[0] alone for a
-	// single-path one.
+	// layers holds the best path value per candidate and tabs the memo's
+	// hop table each layer spreads over: one per task characteristic for a
+	// per-characteristic model, one for a single-path one.
 	layers []frontSet
+	tabs   [][]float64
 
 	n int
 }
@@ -112,6 +112,13 @@ func acquireDense(n, k int) *denseState {
 	return st
 }
 
+// release drops the state's hold on the memo's tables and pools it.
+func (st *denseState) release() {
+	clear(st.tabs)
+	st.tabs = st.tabs[:0]
+	densePool.Put(st)
+}
+
 // nextStamp mints a fresh set identity (never 0: zeroed arrays mean "in no
 // set").
 func (st *denseState) nextStamp() uint32 {
@@ -124,43 +131,32 @@ func (st *denseState) nextStamp() uint32 {
 // baseline's "without any restriction" rule.
 const anyPositive = math.SmallestNonzeroFloat64
 
-// hopSource evaluates hops no memo table covers: through the trained
-// scorer for EpochTrainable models, else through the model's evidence-local
-// HopTW over the edge's records.
-type hopSource struct {
-	scorer EdgeScorer
-	model  TrustModel
-	ctx    HopContext
-	t      task.Task
+// searchRule is how a search under one model combines and admits hops; a
+// candidate needs every layer (eq. 12 coverage) and is their weighted sum.
+type searchRule struct {
+	product  bool      // eq. 5's product, else eq. 7's CombinePair
+	relayMin float64   // the least hop that carries a path onward
+	hopMin   float64   // the least hop that mints its target into a layer
+	sumMin   float64   // the least weighted sum a candidate keeps
+	weights  []float64 // per layer
 }
 
-// newHopSource resolves a model's per-edge evaluation from its share of a
-// memo (nil without one). An EpochTrainable model without a trained scorer
-// panics: silently falling back to the untrained lens would let two code
-// paths disagree about the same edge.
-func newHopSource(mm *modelMemo, m TrustModel, ctx HopContext, t task.Task) hopSource {
-	src := hopSource{model: m, ctx: ctx, t: t}
-	if _, trainable := m.(EpochTrainable); trainable {
-		if mm != nil {
-			src.scorer = mm.scorer
-		}
-		if src.scorer == nil {
-			panic(fmt.Sprintf("core: model %q is epoch-trainable but untrained (call EdgeMemo.RequireModel first)", m.Name()))
-		}
+var unitWeight = []float64{1} // a single-path model's one layer: 0 + 1·v is exactly v
+
+// rule returns the searchRule for t under m.
+func (s *Searcher) rule(m TrustModel, t task.Task) searchRule {
+	spec := m.Spec()
+	r := searchRule{product: spec.Combine == CombineProduct, relayMin: anyPositive, hopMin: anyPositive,
+		sumMin: math.Inf(-1), weights: unitWeight}
+	if spec.OmegaGated {
+		r.relayMin, r.hopMin = s.Omega1, s.Omega2
 	}
-	return src
-}
-
-func (src *hopSource) hop(view *TrustView, e int32) (float64, bool) {
-	return src.hopRecs(view, e, view.EdgeRecords(e))
-}
-
-// hopRecs is hop with edge e's records already sliced out of the view.
-func (src *hopSource) hopRecs(view *TrustView, e int32, recs []CompactRecord) (float64, bool) {
-	if src.scorer != nil {
-		return src.scorer.EdgeTW(view, e, src.t)
+	if spec.PerCharacteristic {
+		// Every reachable node mints per characteristic; as in eq. 11, ω2
+		// applies to the task-level value, not to each characteristic.
+		r.hopMin, r.sumMin, r.weights = math.Inf(-1), r.hopMin, t.Weights()
 	}
-	return src.model.HopTW(src.ctx, recs, src.t)
+	return r
 }
 
 // FindViewModelInto discovers potential trustees for the trustor's task over
@@ -176,80 +172,57 @@ func (src *hopSource) hopRecs(view *TrustView, e int32, recs []CompactRecord) (f
 // own paths and combines the per-characteristic estimates with the task's
 // weights (eq. 17), requiring full coverage (eq. 12).
 //
-// With a memo on which RequireModel covered the task, every hop is a single
-// array lookup; otherwise hops are evaluated per edge (lock-free, slower,
-// bit-identical). FindViewModelInto is safe for concurrent use: the view and
-// memo are read-only and each call draws its scratch state from a pool.
-func (s *Searcher) FindViewModelInto(res *SearchResult, view *TrustView, memo *EdgeMemo, trustor AgentID, t task.Task, m TrustModel) {
-	spec := m.Spec()
-	product := spec.Combine == CombineProduct
-	relayMin, mintMin := anyPositive, anyPositive
-	if spec.OmegaGated {
-		relayMin, mintMin = s.Omega1, s.Omega2
+// Every hop is one lookup in the tables RequireModel built for (m, t) in a
+// memo over view; an uncovered search leaves res empty and returns an error
+// wrapping ErrNotRequired. It is safe for concurrent use: view and memo are
+// read-only and each call draws its scratch state from a pool.
+func (s *Searcher) FindViewModelInto(res *SearchResult, view *TrustView, memo *EdgeMemo, trustor AgentID, t task.Task, m TrustModel) error {
+	*res = SearchResult{Candidates: res.Candidates[:0]}
+	r := s.rule(m, t)
+	st := acquireDense(view.NumAgents(), len(r.weights))
+	if err := memo.hopTables(st, view, m, t); err != nil {
+		st.release()
+		return err
 	}
-	mm := memo.model(m)
-	src := newHopSource(mm, m, HopContext{Tasks: view.tasks, Norm: s.Norm}, t)
-	chars := t.Characteristics()
-	layers := 1
-	if spec.PerCharacteristic {
-		layers = len(chars)
-	}
-	st := acquireDense(view.NumAgents(), layers)
 	st.inqCur = st.nextStamp()
-	res.Candidates = res.Candidates[:0]
-	res.Inquired = 0
-	if !spec.PerCharacteristic {
-		best := &st.layers[0]
-		res.Inquired, _ = s.spread(st, view, mm.table(t), &src, trustor, product, relayMin, mintMin, best, s.MaxDepth)
-		for _, v := range best.ids {
-			res.Candidates = append(res.Candidates, Candidate{ID: v, TW: best.val[v]})
+	for li, vals := range st.tabs {
+		inquired, _ := s.spread(st, view, vals, trustor, &r, &st.layers[li], s.MaxDepth)
+		res.Inquired += inquired
+	}
+	// A node unreached by the first layer can never be covered, so its
+	// discovery list is the candidate pool.
+	for _, v := range st.layers[0].ids {
+		tw, ok := 0.0, true
+		for li, w := range r.weights {
+			layer := &st.layers[li]
+			if !layer.has(v) {
+				ok = false
+				break
+			}
+			tw += w * layer.val[v]
 		}
-	} else {
-		// Every reachable node mints per characteristic; as in eq. 11, ω2
-		// applies to the task-level value, not to each characteristic.
-		for ci, c := range chars {
-			vals := mm.charTable(c)
-			if vals == nil {
-				src.t = unitTask(c)
-			}
-			inquired, _ := s.spread(st, view, vals, &src, trustor, product, relayMin, math.Inf(-1), &st.layers[ci], s.MaxDepth)
-			res.Inquired += inquired
-		}
-		// A node unreached by the first characteristic can never satisfy
-		// full coverage, so its layer's discovery list is the candidate pool.
-		weights := t.Weights()
-		for _, v := range st.layers[0].ids {
-			tw, ok := 0.0, true
-			for ci := range chars {
-				layer := &st.layers[ci]
-				if !layer.has(v) {
-					ok = false
-					break
-				}
-				tw += weights[ci] * layer.val[v]
-			}
-			if ok && tw >= mintMin {
-				res.Candidates = append(res.Candidates, Candidate{ID: v, TW: tw})
-			}
+		if ok && tw >= r.sumMin {
+			res.Candidates = append(res.Candidates, Candidate{ID: v, TW: tw})
 		}
 	}
 	SortCandidates(res.Candidates)
-	densePool.Put(st)
+	st.release()
+	return nil
 }
 
 // spread runs one breadth-first propagation from trustor, at most limit
-// (≤ MaxDepth) hops deep, into the candidate layer best. Hop values come
-// from vals (a memo table, NaN marking a blocked hop) or, without one, from
-// src. Every admissible hop marks its target inquired; a hop of at least
-// mintMin mints the target into best (max-merged over paths) when the
-// candidate mask admits it, and a hop of at least relayMin carries the path
-// onward while the depth is below MaxDepth. It returns how many nodes it
-// newly marked inquired and its last frontier: the nodes a path of exactly
-// limit hops relays from, valid until st's next spread.
-func (s *Searcher) spread(st *denseState, view *TrustView, vals []float64, src *hopSource, trustor AgentID,
-	product bool, relayMin, mintMin float64, best *frontSet, limit int) (int, *frontSet) {
+// (≤ MaxDepth) hops deep, over the memo table vals (NaN blocks a hop) into
+// the candidate layer best. Every admissible hop marks its target inquired;
+// one of at least r.hopMin mints it into best (max-merged over paths) if the
+// candidate mask admits it, and one of at least r.relayMin relays the path
+// while the depth is below MaxDepth. It returns how many nodes it newly
+// marked inquired and its last frontier (the nodes a path of exactly limit
+// hops relays from, valid until st's next spread).
+func (s *Searcher) spread(st *denseState, view *TrustView, vals []float64, trustor AgentID,
+	r *searchRule, best *frontSet, limit int) (int, *frontSet) {
 	best.reset(st.nextStamp())
 	adjOff, adjTo, mask := view.adjOff, view.adjTo, s.CandidateMask
+	product, relayMin, mintMin := r.product, r.relayMin, r.hopMin
 	// The inquired set and the candidate layer are updated inline with
 	// their fields held in locals: this loop is the search's whole cost.
 	inqStamp, inqCur, inquired := st.inqStamp, st.inqCur, 0
@@ -275,15 +248,8 @@ func (s *Searcher) spread(st *denseState, view *TrustView, vals []float64, src *
 				if v == trustor {
 					continue
 				}
-				var hop float64
-				var ok bool
-				if vals != nil {
-					hop = vals[int(base)+k]
-					ok = !math.IsNaN(hop)
-				} else {
-					hop, ok = src.hop(view, base+int32(k))
-				}
-				if !ok {
+				hop := vals[int(base)+k]
+				if math.IsNaN(hop) {
 					continue
 				}
 				if inqStamp[v] != inqCur {
@@ -315,59 +281,43 @@ func (s *Searcher) spread(st *denseState, view *TrustView, vals []float64, src *
 // trustor's candidates for t under m, and whether it is one — bit for bit
 // what FindViewModelInto followed by a scan of its candidates for trustee
 // returns ((0, false) when absent), without minting, listing or sorting the
-// other candidates. A PerCharacteristic model takes one point value per
-// characteristic; the trustee is not found as soon as one characteristic
-// misses it (eq. 12 coverage), else the weighted sum (eq. 17) must pass ω2.
-// TrustInto shares FindViewModelInto's memo contract and its concurrency
-// safety.
-func (s *Searcher) TrustInto(view *TrustView, memo *EdgeMemo, trustor, trustee AgentID, t task.Task, m TrustModel) (float64, bool) {
+// other candidates. It takes one point value per layer; the trustee is not
+// found as soon as one layer misses it (eq. 12 coverage), else the weighted
+// sum (eq. 17) must pass ω2. An uncovered query answers (0, false) and an
+// error wrapping ErrNotRequired; it is as concurrency-safe as FindViewModelInto.
+func (s *Searcher) TrustInto(view *TrustView, memo *EdgeMemo, trustor, trustee AgentID, t task.Task, m TrustModel) (float64, bool, error) {
 	if trustee == trustor || s.MaxDepth < 1 || (s.CandidateMask != nil && !s.CandidateMask[trustee]) {
-		return 0, false
+		return 0, false, memo.hopTables(nil, view, m, t) // no path can answer
 	}
-	spec := m.Spec()
-	product := spec.Combine == CombineProduct
-	relayMin, mintMin := anyPositive, anyPositive
-	if spec.OmegaGated {
-		relayMin, mintMin = s.Omega1, s.Omega2
-	}
-	mm := memo.model(m)
-	src := newHopSource(mm, m, HopContext{Tasks: view.tasks, Norm: s.Norm}, t)
 	st := acquireDense(view.NumAgents(), 1)
+	if err := memo.hopTables(st, view, m, t); err != nil {
+		st.release()
+		return 0, false, err
+	}
+	r := s.rule(m, t)
 	st.inqCur = st.nextStamp()
-	var tw float64
-	var found bool
-	if !spec.PerCharacteristic {
-		tw, found = s.point(st, view, mm.table(t), &src, trustor, trustee, product, relayMin, mintMin)
-	} else {
-		weights := t.Weights()
-		for ci, c := range t.Characteristics() {
-			vals := mm.charTable(c)
-			if vals == nil {
-				src.t = unitTask(c)
-			}
-			var v float64
-			if v, found = s.point(st, view, vals, &src, trustor, trustee, product, relayMin, math.Inf(-1)); !found {
-				break
-			}
-			tw += weights[ci] * v
+	tw, found := 0.0, false
+	for li, vals := range st.tabs {
+		var v float64
+		if v, found = s.point(st, view, vals, trustor, trustee, &r); !found {
+			break
 		}
-		found = found && tw >= mintMin
+		tw += r.weights[li] * v
 	}
-	densePool.Put(st)
-	if !found {
-		return 0, false
+	st.release()
+	if !found || tw < r.sumMin {
+		return 0, false, nil
 	}
-	return tw, true
+	return tw, true, nil
 }
 
 // point is trustee's best path value over at most MaxDepth hops: spread's
 // candidate layer after MaxDepth−1 hops, max-merged with the last hop from
 // every node of the final frontier into trustee, under the same admission,
 // minting threshold and combine as spread's edge loop.
-func (s *Searcher) point(st *denseState, view *TrustView, vals []float64, src *hopSource, trustor, trustee AgentID,
-	product bool, relayMin, mintMin float64) (float64, bool) {
+func (s *Searcher) point(st *denseState, view *TrustView, vals []float64, trustor, trustee AgentID, r *searchRule) (float64, bool) {
 	best := &st.layers[0]
-	_, front := s.spread(st, view, vals, src, trustor, product, relayMin, mintMin, best, s.MaxDepth-1)
+	_, front := s.spread(st, view, vals, trustor, r, best, s.MaxDepth-1)
 	val, found := 0.0, best.has(trustee)
 	if found {
 		val = best.val[trustee]
@@ -377,19 +327,13 @@ func (s *Searcher) point(st *denseState, view *TrustView, vals []float64, src *h
 		if !ok {
 			continue
 		}
-		var hop float64
-		if vals != nil {
-			hop = vals[e]
-			ok = !math.IsNaN(hop)
-		} else {
-			hop, ok = src.hop(view, e)
-		}
-		if !ok || !(hop >= mintMin) {
+		hop := vals[e]
+		if math.IsNaN(hop) || !(hop >= r.hopMin) {
 			continue
 		}
 		uval := front.val[u]
 		miss := 0.0
-		if !product {
+		if !r.product {
 			miss = 1 - uval
 		}
 		if v := uval*hop + miss*(1-hop); !found || v > val {

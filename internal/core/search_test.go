@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"testing"
@@ -69,6 +70,28 @@ func assertSameResult(t *testing.T, label string, want, got SearchResult) {
 	}
 }
 
+// mustFind runs FindViewModelInto, failing the test on an error.
+func mustFind(t *testing.T, s *Searcher, res *SearchResult, view *TrustView, memo *EdgeMemo, trustor AgentID, tk task.Task, m TrustModel) {
+	t.Helper()
+	if err := s.FindViewModelInto(res, view, memo, trustor, tk, m); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// assertNotRequired requires both entry points to refuse a search memo does
+// not cover: FindViewModelInto empties its result and TrustInto answers
+// (0, false), each with an error wrapping ErrNotRequired.
+func assertNotRequired(t *testing.T, label string, s *Searcher, view *TrustView, memo *EdgeMemo, trustor, trustee AgentID, tk task.Task, m TrustModel) {
+	t.Helper()
+	res := SearchResult{Candidates: []Candidate{{ID: trustee, TW: 1}}, Inquired: 1}
+	if err := s.FindViewModelInto(&res, view, memo, trustor, tk, m); !errors.Is(err, ErrNotRequired) || len(res.Candidates) != 0 || res.Inquired != 0 {
+		t.Fatalf("%s: FindViewModelInto = %+v, %v; want an empty result and ErrNotRequired", label, res, err)
+	}
+	if tw, ok, err := s.TrustInto(view, memo, trustor, trustee, tk, m); !errors.Is(err, ErrNotRequired) || tw != 0 || ok {
+		t.Fatalf("%s: TrustInto = (%v, %v, %v); want (0, false) and ErrNotRequired", label, tw, ok, err)
+	}
+}
+
 // searchParams spans the chain bound and ω gating: ungated, gated with a
 // stricter trustee threshold, and gated with a stricter recommender one.
 var searchParams = []struct {
@@ -76,10 +99,11 @@ var searchParams = []struct {
 	omega1, omega2 float64
 }{{2, 0, 0}, {3, 0.3, 0.5}, {3, 0.6, 0.2}}
 
-// TestFindViewEquivalence asserts that the frozen-view search — with and
-// without the edge memo — returns byte-identical SearchResults to the
-// map-based reference oracle over the live stores, for each of the paper's
-// three models, on randomized stores, thresholds, and candidate masks.
+// TestFindViewEquivalence asserts that the frozen-view search over a
+// required memo returns byte-identical SearchResults to the map-based
+// reference oracle over the live stores, for each of the paper's three
+// models, on randomized stores, thresholds, and candidate masks — and that
+// without a memo both entry points refuse the search.
 func TestFindViewEquivalence(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		f := buildRoundFixture(t, seed)
@@ -97,10 +121,9 @@ func TestFindViewEquivalence(t *testing.T) {
 						want := oracle.Find(AgentID(x), tk, m)
 						label := fmt.Sprintf("seed=%d depth=%d ω=(%v,%v) %s trustor=%d task=%d",
 							seed, pr.depth, pr.omega1, pr.omega2, m.Name(), x, tk.Type())
-						s.FindViewModelInto(&got, view, memo, AgentID(x), tk, m)
+						mustFind(t, s, &got, view, memo, AgentID(x), tk, m)
 						assertSameResult(t, label+" (memo)", want, got)
-						s.FindViewModelInto(&got, view, nil, AgentID(x), tk, m)
-						assertSameResult(t, label+" (no memo)", want, got)
+						assertNotRequired(t, label+" (no memo)", s, view, nil, AgentID(x), AgentID((x+1)%f.n), tk, m)
 					}
 				}
 			}
@@ -119,9 +142,9 @@ func (aggressiveTwin) HopTW(ctx HopContext, recs []CompactRecord, t task.Task) (
 }
 
 // TestSearchDispatchFollowsSpec: a model that copies Aggressive under
-// another name searches bit-identically to it, with its own memo tables and
-// without any — the per-characteristic path is chosen by the ModelSpec, not
-// by recognizing the model.
+// another name searches bit-identically to it from its own memo tables —
+// the per-characteristic path is chosen by the ModelSpec, not by
+// recognizing the model — and without a memo is refused like any model.
 func TestSearchDispatchFollowsSpec(t *testing.T) {
 	agg, twin := Aggressive, TrustModel(aggressiveTwin{})
 	for seed := uint64(1); seed <= 4; seed++ {
@@ -138,12 +161,63 @@ func TestSearchDispatchFollowsSpec(t *testing.T) {
 			for x := 0; x < f.n; x++ {
 				for _, tk := range probes {
 					label := fmt.Sprintf("seed=%d depth=%d trustor=%d task=%d", seed, pr.depth, x, tk.Type())
-					s.FindViewModelInto(&want, view, memo, AgentID(x), tk, agg)
-					s.FindViewModelInto(&got, view, memo, AgentID(x), tk, twin)
+					mustFind(t, s, &want, view, memo, AgentID(x), tk, agg)
+					mustFind(t, s, &got, view, memo, AgentID(x), tk, twin)
 					assertSameResult(t, label+" (memo)", want, got)
-					s.FindViewModelInto(&got, view, nil, AgentID(x), tk, twin)
-					assertSameResult(t, label+" (no memo)", want, got)
+					assertNotRequired(t, label+" (no memo)", s, view, nil, AgentID(x), AgentID((x+1)%f.n), tk, twin)
 				}
+			}
+		}
+	}
+}
+
+// TestSearchRequiresCoveringMemo: a search reads only memo tables, so every
+// memo that does not cover it is refused with ErrNotRequired by both entry
+// points, never answered from another table and never a panic — a nil
+// memo, a memo over a second capture of the same stores, a memo never
+// required, a same-type task with other contents, and an epoch-trainable
+// model RequireModel never trained. A covering memo answers the same
+// queries without error.
+func TestSearchRequiresCoveringMemo(t *testing.T) {
+	f := buildRoundFixture(t, 3)
+	view, other := f.captureView(t), f.captureView(t)
+	_, s := f.searchers(3, 0.3, 0.5, nil)
+	required := task.Uniform(7, task.CharGPS, task.CharImage)
+	sameType := task.Uniform(7, task.CharAudio)
+	paper := []TrustModel{Traditional, Conservative, Aggressive}
+	hmf := mustParseModel(t, "hellinger-mf")
+	covering := NewEdgeMemoPooled(view, s.Norm, 1, nil)
+	overOther := NewEdgeMemoPooled(other, s.Norm, 1, nil)
+	for _, m := range paper {
+		covering.RequireModel(m, []task.Task{required})
+		overOther.RequireModel(m, []task.Task{required})
+	}
+	cases := []struct {
+		name   string
+		memo   *EdgeMemo
+		tk     task.Task
+		models []TrustModel
+	}{
+		{"nil memo", nil, required, paper},
+		{"memo over a second capture", overOther, required, paper},
+		{"memo never required", NewEdgeMemoPooled(view, s.Norm, 1, nil), required, paper},
+		{"same-type task with other contents", covering, sameType, paper},
+		{"untrained hellinger-mf", covering, required, []TrustModel{hmf}},
+	}
+	for _, c := range cases {
+		for _, m := range c.models {
+			for x := 0; x < f.n; x++ {
+				label := fmt.Sprintf("%s: %s trustor=%d", c.name, m.Name(), x)
+				assertNotRequired(t, label, s, view, c.memo, AgentID(x), AgentID((x+1)%f.n), c.tk, m)
+			}
+		}
+	}
+	var res SearchResult
+	for _, m := range paper {
+		for x := 0; x < f.n; x++ {
+			mustFind(t, s, &res, view, covering, AgentID(x), required, m)
+			if _, _, err := s.TrustInto(view, covering, AgentID(x), AgentID((x+1)%f.n), required, m); err != nil {
+				t.Fatalf("covering memo: %s trustor=%d: %v", m.Name(), x, err)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -49,10 +50,10 @@ func trustIntoEqual(gotTW float64, gotOK bool, wantTW float64, wantOK bool) bool
 // for bit (TW bits and found flag) for every (trustor, trustee, task) on
 // randomized fixtures — dense ones and sparse ones with unreachable agents —
 // at depths 1–4, under every registered model plus two whose hops hit the
-// ω thresholds exactly, with and without a memo, with and without a
-// candidate mask, and across ω gating (rotated over seeds and depths).
-// Trustees cover the trustor itself, neighbours with and without a record
-// for the task, and agents at every distance.
+// ω thresholds exactly, with and without a candidate mask, and across ω
+// gating (rotated over seeds and depths). Trustees cover the trustor
+// itself, neighbours with and without a record for the task, and agents at
+// every distance. Without a memo both entry points refuse every query.
 func TestTrustIntoMatchesScan(t *testing.T) {
 	models := append(registeredModels(t),
 		quantizedModel{Conservative}, quantizedModel{Aggressive})
@@ -76,35 +77,32 @@ func TestTrustIntoMatchesScan(t *testing.T) {
 			for _, mask := range [][]bool{nil, randomMask(f.n, seed+uint64(depth))} {
 				s := &Searcher{Norm: norm, MaxDepth: depth, Omega1: om[0], Omega2: om[1], CandidateMask: mask}
 				for _, m := range models {
-					memos := []*EdgeMemo{memo}
-					if _, trainable := m.(EpochTrainable); !trainable {
-						memos = append(memos, nil)
-					}
-					for _, mo := range memos {
-						var res SearchResult
-						for x := 0; x < f.n; x++ {
-							for _, tk := range probes {
-								s.FindViewModelInto(&res, view, mo, AgentID(x), tk, m)
-								for y := 0; y < f.n; y++ {
-									trustor, trustee := AgentID(x), AgentID(y)
-									wantTW, wantOK := scanTrust(&res, trustee)
-									gotTW, gotOK := s.TrustInto(view, mo, trustor, trustee, tk, m)
-									if !trustIntoEqual(gotTW, gotOK, wantTW, wantOK) {
-										t.Fatalf("seed=%d depth=%d ω=%v mask=%v memo=%v %s trust(%d, %d, task %d) = (%v, %v), scan (%v, %v)",
-											seed, depth, om, mask != nil, mo != nil, m.Name(), x, y, tk.Type(), gotTW, gotOK, wantTW, wantOK)
-									}
-									if !wantOK {
-										missed++
-										continue
-									}
-									found++
-									if _, nbr := view.EdgeIndex(trustor, trustee); nbr {
-										direct++
-									} else {
-										deep++
-									}
+					var res SearchResult
+					for x := 0; x < f.n; x++ {
+						for _, tk := range probes {
+							mustFind(t, s, &res, view, memo, AgentID(x), tk, m)
+							for y := 0; y < f.n; y++ {
+								trustor, trustee := AgentID(x), AgentID(y)
+								wantTW, wantOK := scanTrust(&res, trustee)
+								gotTW, gotOK, err := s.TrustInto(view, memo, trustor, trustee, tk, m)
+								if err != nil || !trustIntoEqual(gotTW, gotOK, wantTW, wantOK) {
+									t.Fatalf("seed=%d depth=%d ω=%v mask=%v %s trust(%d, %d, task %d) = (%v, %v, %v), scan (%v, %v)",
+										seed, depth, om, mask != nil, m.Name(), x, y, tk.Type(), gotTW, gotOK, err, wantTW, wantOK)
+								}
+								if !wantOK {
+									missed++
+									continue
+								}
+								found++
+								if _, nbr := view.EdgeIndex(trustor, trustee); nbr {
+									direct++
+								} else {
+									deep++
 								}
 							}
+							label := fmt.Sprintf("seed=%d depth=%d mask=%v %s trustor=%d task=%d (no memo)",
+								seed, depth, mask != nil, m.Name(), x, tk.Type())
+							assertNotRequired(t, label, s, view, nil, AgentID(x), AgentID((x+1)%f.n), tk, m)
 						}
 					}
 				}
@@ -117,8 +115,8 @@ func TestTrustIntoMatchesScan(t *testing.T) {
 }
 
 // FuzzTrustInto checks TrustInto against the candidate scan on one small
-// fixed fixture for arbitrary (trustor, trustee, task, depth, model, mask,
-// memo) choices.
+// fixed fixture for arbitrary (trustor, trustee, task, depth, model, mask)
+// choices; without the memo, both entry points must refuse the query.
 func FuzzTrustInto(f *testing.F) {
 	fx := newRoundFixture(rand.New(rand.NewPCG(7, 0xf1)), 16, 40)
 	view := captureTrustView(f, fx.adjOff, fx.adjTo, fx.source(), 1)
@@ -140,18 +138,18 @@ func FuzzTrustInto(f *testing.F) {
 		if maskSeed != 0 {
 			mask = randomMask(fx.n, maskSeed)
 		}
-		mo := memo
-		if _, trainable := m.(EpochTrainable); !useMemo && !trainable {
-			mo = nil
-		}
 		s := &Searcher{Norm: norm, MaxDepth: 1 + int(depth)%4, Omega1: 0.3, Omega2: 0.5, CandidateMask: mask}
+		if !useMemo {
+			assertNotRequired(t, "no memo", s, view, nil, x, y, tk, m)
+			return
+		}
 		var res SearchResult
-		s.FindViewModelInto(&res, view, mo, x, tk, m)
+		mustFind(t, s, &res, view, memo, x, tk, m)
 		wantTW, wantOK := scanTrust(&res, y)
-		gotTW, gotOK := s.TrustInto(view, mo, x, y, tk, m)
-		if !trustIntoEqual(gotTW, gotOK, wantTW, wantOK) {
-			t.Fatalf("depth=%d mask=%v memo=%v %s trust(%d, %d, task %d) = (%v, %v), scan (%v, %v)",
-				s.MaxDepth, mask != nil, mo != nil, m.Name(), x, y, tk.Type(), gotTW, gotOK, wantTW, wantOK)
+		gotTW, gotOK, err := s.TrustInto(view, memo, x, y, tk, m)
+		if err != nil || !trustIntoEqual(gotTW, gotOK, wantTW, wantOK) {
+			t.Fatalf("depth=%d mask=%v %s trust(%d, %d, task %d) = (%v, %v, %v), scan (%v, %v)",
+				s.MaxDepth, mask != nil, m.Name(), x, y, tk.Type(), gotTW, gotOK, err, wantTW, wantOK)
 		}
 	})
 }

@@ -281,6 +281,10 @@ func (v *TrustView) Tasks() []task.Task { return v.tasks }
 // NaN is free to carry the ok=false case.
 var blocked = math.NaN()
 
+// ErrNotRequired reports a search its memo does not cover: a nil memo, one
+// over another view, or one RequireModel never built the search's tables in.
+var ErrNotRequired = errors.New("core: search not covered by its memo")
+
 // EdgeMemo caches per-edge hop trustworthiness over a TrustView for one
 // epoch. A transitivity sweep fires one independent BFS per trustor over the
 // same frozen stores, so the hop value of edge (u, v) — which depends only on
@@ -486,7 +490,6 @@ func (m *EdgeMemo) build(mm *modelMemo, mdl TrustModel, ts []task.Task, prev *Ed
 	}
 	ctx := HopContext{Tasks: v.tasks, Norm: m.norm}
 	ne := v.NumEdges()
-	srcs := make([]hopSource, len(ts))
 	tabs := make([][]float64, len(ts))
 	olds := make([][]float64, len(ts)) // clean rows' values per task, nil when there are none
 	allOld := prevStamps != nil
@@ -500,7 +503,6 @@ func (m *EdgeMemo) build(mm *modelMemo, mdl TrustModel, ts []task.Task, prev *Ed
 			tabs[i] = take[float64](m.pool, ne)
 			olds[i] = pm.table(t)
 		}
-		srcs[i] = newHopSource(mm, mdl, ctx, t)
 		allOld = allOld && olds[i] != nil
 	}
 	parallelRows(v.adjOff, m.workers, func(lo, hi int) {
@@ -519,11 +521,11 @@ func (m *EdgeMemo) build(mm *modelMemo, mdl TrustModel, ts []task.Task, prev *Ed
 			}
 			for e := first; e < last; e++ {
 				recs := v.EdgeRecords(e)
-				for i := range srcs {
+				for i, t := range ts {
 					if clean && olds[i] != nil {
 						continue
 					}
-					val, ok := srcs[i].hopRecs(v, e, recs)
+					val, ok := mm.hop(mdl, ctx, v, e, recs, t)
 					if !ok {
 						val = blocked
 					}
@@ -538,17 +540,38 @@ func (m *EdgeMemo) build(mm *modelMemo, mdl TrustModel, ts []task.Task, prev *Ed
 }
 
 // model returns mdl's share of the memo, nil when RequireModel never ran
-// for it (or the memo itself is nil).
-func (m *EdgeMemo) model(mdl TrustModel) *modelMemo {
-	if m == nil {
-		return nil
+// for it.
+func (m *EdgeMemo) model(mdl TrustModel) *modelMemo { return m.models[mdl.Name()] }
+
+// hopTables appends to st.tabs (a nil st only checks) the tables a search of
+// t under mdl over view reads — t's own, or one per characteristic for a
+// PerCharacteristic model — or wraps ErrNotRequired if one is not built.
+func (m *EdgeMemo) hopTables(st *denseState, view *TrustView, mdl TrustModel, t task.Task) error {
+	if m == nil || m.view != view {
+		return fmt.Errorf("%w: no memo over the searched view", ErrNotRequired)
 	}
-	return m.models[mdl.Name()]
+	mm, ok := m.model(mdl), true
+	use := func(vals []float64) {
+		ok = ok && vals != nil
+		if st != nil {
+			st.tabs = append(st.tabs, vals)
+		}
+	}
+	if !mdl.Spec().PerCharacteristic {
+		use(mm.table(t))
+	} else {
+		for _, c := range t.Characteristics() {
+			use(mm.charTable(c))
+		}
+	}
+	if !ok {
+		return fmt.Errorf("%w: model %q, task type %d (call EdgeMemo.RequireModel first)", ErrNotRequired, mdl.Name(), t.Type())
+	}
+	return nil
 }
 
-// table returns the hop table built for t, or nil when absent or built for
-// a same-type task with different contents (the search then evaluates hops
-// per edge — slower but identical).
+// table returns the hop table built for t, or nil when absent, stale or
+// built for a same-type task with different contents.
 func (mm *modelMemo) table(t task.Task) []float64 {
 	if mm == nil {
 		return nil
@@ -573,17 +596,28 @@ func (mm *modelMemo) charTable(c task.Characteristic) []float64 {
 	return nil
 }
 
+// hop evaluates edge e (records recs) for t through mdl's trained scorer,
+// or, when mdl trains nothing (mm may then be nil), its HopTW.
+func (mm *modelMemo) hop(mdl TrustModel, ctx HopContext, view *TrustView, e int32, recs []CompactRecord, t task.Task) (float64, bool) {
+	if mm != nil && mm.scorer != nil {
+		return mm.scorer.EdgeTW(view, e, t)
+	}
+	return mdl.HopTW(ctx, recs, t)
+}
+
 // ModelEdgeTW scores one directed view edge through a model — the
 // single-edge lens probes and direct-edge queries use. It reads the memo
-// table when RequireModel built one for this exact task, else the trained
-// scorer, else the model's evidence-local HopTW over the edge's records. An
-// untrained EpochTrainable model panics, as in the search.
+// table when RequireModel built one for this exact task, else evaluates the
+// edge through modelMemo.hop. An untrained EpochTrainable model panics: its
+// untrained lens would disagree with the search about the same edge.
 func (m *EdgeMemo) ModelEdgeTW(mdl TrustModel, e int32, t task.Task) (float64, bool) {
 	mm := m.model(mdl)
 	if vals := mm.table(t); vals != nil {
 		v := vals[e]
 		return v, !math.IsNaN(v)
 	}
-	src := newHopSource(mm, mdl, HopContext{Tasks: m.view.tasks, Norm: m.norm}, t)
-	return src.hop(m.view, e)
+	if _, trainable := mdl.(EpochTrainable); trainable && (mm == nil || mm.scorer == nil) {
+		panic(fmt.Sprintf("core: model %q is epoch-trainable but untrained (call EdgeMemo.RequireModel first)", mdl.Name()))
+	}
+	return mm.hop(mdl, HopContext{Tasks: m.view.tasks, Norm: m.norm}, m.view, e, m.view.EdgeRecords(e), t)
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -35,9 +36,10 @@ func sameAnswer(a, b TrustResult) bool {
 
 // TestAnswerMatchesScan pins serve's point-query answer to the candidate
 // scan it replaced, bit for bit, over multi-epoch ingest sessions for every
-// registered model at search depths 1–4, with the epoch's memo and (for
-// every model but the epoch-trained one) without a memo. Trustees are drawn
-// from the trustor's neighbours, its neighbours' neighbours, and uniformly.
+// registered model at search depths 1–4, with the epoch's memo. Without a
+// memo only a direct answer is served; every other query fails with
+// core.ErrNotRequired. Trustees are drawn from the trustor's neighbours,
+// its neighbours' neighbours, and uniformly.
 func TestAnswerMatchesScan(t *testing.T) {
 	for _, name := range core.ModelNames() {
 		t.Run(name, func(t *testing.T) {
@@ -47,7 +49,6 @@ func TestAnswerMatchesScan(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer e.Close()
-			_, trainable := m.(core.EpochTrainable)
 			r := rand.New(rand.NewPCG(23, 5))
 			n, types := e.NumAgents(), e.TaskTypes()
 			var sr core.SearchResult
@@ -70,10 +71,6 @@ func TestAnswerMatchesScan(t *testing.T) {
 				ep := ref.epoch()
 				view := ep.view
 				seen[ep.id] = true
-				memos := []*core.EdgeMemo{ep.memo}
-				if !trainable {
-					memos = append(memos, nil)
-				}
 				for k := 0; k < 12; k++ {
 					trustor := core.AgentID(r.IntN(n))
 					nbrs := e.Neighbors(trustor)
@@ -93,22 +90,27 @@ func TestAnswerMatchesScan(t *testing.T) {
 						for depth := 1; depth <= 4; depth++ {
 							s := *e.world.searcher
 							s.MaxDepth = depth
-							for _, memo := range memos {
-								want := answerScan(&s, view, memo, &sr, trustor, trustee, tk, m)
-								got := answer(&s, view, memo, trustor, trustee, tk, m)
-								if !sameAnswer(got, want) {
-									ref.release()
-									t.Fatalf("epoch %d depth %d memo=%v trust(%d, %d, type %d) = %+v, scan %+v",
-										ep.id, depth, memo != nil, trustor, trustee, tk.Type(), got, want)
-								}
-								switch {
-								case want.Direct:
-									counts["direct"]++
-								case want.Found:
-									counts["transitive"]++
-								default:
-									counts["not found"]++
-								}
+							want := answerScan(&s, view, ep.memo, &sr, trustor, trustee, tk, m)
+							got, err := answer(&s, view, ep.memo, trustor, trustee, tk, m)
+							if err != nil || !sameAnswer(got, want) {
+								ref.release()
+								t.Fatalf("epoch %d depth %d trust(%d, %d, type %d) = %+v, %v; scan %+v",
+									ep.id, depth, trustor, trustee, tk.Type(), got, err, want)
+							}
+							switch {
+							case want.Direct:
+								counts["direct"]++
+							case want.Found:
+								counts["transitive"]++
+							default:
+								counts["not found"]++
+							}
+							// Without a memo only the direct channel answers.
+							got, err = answer(&s, view, nil, trustor, trustee, tk, m)
+							if want.Direct && (err != nil || !sameAnswer(got, want)) || !want.Direct && !errors.Is(err, core.ErrNotRequired) {
+								ref.release()
+								t.Fatalf("epoch %d depth %d trust(%d, %d, type %d) without a memo = %+v, %v; scan %+v",
+									ep.id, depth, trustor, trustee, tk.Type(), got, err, want)
 							}
 						}
 					}

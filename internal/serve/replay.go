@@ -195,8 +195,11 @@ func Replay(r io.Reader) (ReplayStats, error) {
 			if err := checkAgents(w, q.Trustor, q.Trustee); err != nil {
 				return stats, fmt.Errorf("serve: replay: line %d: %w", ln, err)
 			}
-			res := answer(w.searcher, ep.view, ep.memo,
+			res, err := answer(w.searcher, ep.view, ep.memo,
 				core.AgentID(q.Trustor), core.AgentID(q.Trustee), w.setup.Universe.Tasks[q.Type], cfg.Model)
+			if err != nil {
+				return stats, fmt.Errorf("serve: replay: line %d: %w", ln, err)
+			}
 			bits := fmt.Sprintf("%016x", math.Float64bits(res.TW))
 			if bits != q.TWBits || res.Found != q.Found || res.Direct != q.Direct {
 				return stats, fmt.Errorf(

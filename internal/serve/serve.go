@@ -448,9 +448,12 @@ func (e *Engine) Trust(trustor, trustee core.AgentID, typeIdx int) (TrustResult,
 		return TrustResult{}, ErrClosed
 	}
 	ep := ref.epoch()
-	res := answer(e.world.searcher, ep.view, ep.memo, trustor, trustee, e.TaskTypes()[typeIdx], e.cfg.Model)
+	res, err := answer(e.world.searcher, ep.view, ep.memo, trustor, trustee, e.TaskTypes()[typeIdx], e.cfg.Model)
 	res.Epoch = ep.id
 	ref.release()
+	if err != nil {
+		return TrustResult{}, err
+	}
 	e.lat.observe(time.Since(start).Nanoseconds())
 	e.queries.Add(1)
 	e.journal.query(queryLine{
@@ -466,16 +469,16 @@ func (e *Engine) Trust(trustor, trustee core.AgentID, typeIdx int) (TrustResult,
 // this function over the re-captured epoch reproduces the journaled bits.
 // The direct-experience channel reads the view's model-independent BestTW
 // (own experience needs no transfer method); only non-direct answers go
-// through the model, as one point query (Searcher.TrustInto) rather than a
-// listing of every candidate.
-func answer(s *core.Searcher, view *core.RoundView, memo *core.EdgeMemo, trustor, trustee core.AgentID, t task.Task, m core.TrustModel) TrustResult {
+// through the model, as one point query (Searcher.TrustInto, whose error
+// it returns) rather than a listing of every candidate.
+func answer(s *core.Searcher, view *core.RoundView, memo *core.EdgeMemo, trustor, trustee core.AgentID, t task.Task, m core.TrustModel) (TrustResult, error) {
 	if edge, ok := view.EdgeIndex(trustor, trustee); ok {
 		if tw, ok := view.BestTW(edge, t); ok {
-			return TrustResult{TW: tw, Found: true, Direct: true}
+			return TrustResult{TW: tw, Found: true, Direct: true}, nil
 		}
 	}
-	tw, found := s.TrustInto(view.TrustView, memo, trustor, trustee, t, m)
-	return TrustResult{TW: tw, Found: found}
+	tw, found, err := s.TrustInto(view.TrustView, memo, trustor, trustee, t, m)
+	return TrustResult{TW: tw, Found: found}, err
 }
 
 // Close stops ingestion, drains and acknowledges the queue, retires the

@@ -227,7 +227,10 @@ func (ep *TransitivityEpoch) SweepShardedModel(m core.TrustModel, seed uint64, s
 		ep.memo.RequireModel(m, tasks)
 		results = mapTrustorsInto(results, ids, ep.workers, func(i int, x core.AgentID) findSummary {
 			res := resultPool.Get().(*core.SearchResult)
-			ep.s.FindViewModelInto(res, view, ep.memo, x, tasks[i], m)
+			// Cannot fail: RequireModel just covered the shard over view.
+			if err := ep.s.FindViewModelInto(res, view, ep.memo, x, tasks[i], m); err != nil {
+				panic(err)
+			}
 			sum := findSummary{candidates: len(res.Candidates), inquired: res.Inquired}
 			sum.best, sum.found = res.Best()
 			resultPool.Put(res)

@@ -92,7 +92,7 @@ type ExpCandidate = core.ExpCandidate
 
 // Searcher holds the transitivity-search parameters (chain bound, ω
 // thresholds, candidate mask); Searcher.FindViewModelInto runs a trust
-// model's search over a frozen TrustView.
+// model's search over a frozen TrustView and the EdgeMemo built over it.
 type Searcher = core.Searcher
 
 // SearchResult is the outcome of a transitivity search.
@@ -102,9 +102,12 @@ type SearchResult = core.SearchResult
 // lock-free read substrate of Searcher.FindViewModelInto.
 type TrustView = core.TrustView
 
-// EdgeMemo caches per-edge hop trustworthiness over a TrustView for one
-// epoch, one table per (model, task) that EdgeMemo.RequireModel builds.
+// EdgeMemo holds the per-edge hop tables a search over one TrustView reads,
+// one per (model, task) that EdgeMemo.RequireModel builds.
 type EdgeMemo = core.EdgeMemo
+
+// ErrNotRequired is a search's error when its memo does not cover it.
+var ErrNotRequired = core.ErrNotRequired
 
 // RoundView extends TrustView to everything a delegation round reads:
 // per-edge experience records plus the usage counters behind the reverse
