@@ -371,6 +371,51 @@ func TestIngestBodyBounds(t *testing.T) {
 	}
 }
 
+// FuzzHandler drives the HTTP API with fuzzed /trust query strings and
+// /observe and /recommend bodies. Whatever arrives, the handler must answer
+// with one of the statuses the API documents — 200 or 202 for a served or
+// accepted request, 400 or 413 for a bad one, 429 or 503 when the engine
+// cannot take it — and never panic.
+func FuzzHandler(f *testing.F) {
+	e, err := serve.New(serve.Config{Net: "twitter", Seed: 7, Seeded: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { e.Close() })
+	h := newHandler(e, 50*time.Millisecond)
+	nb := firstNeighbor(e)
+	f.Add(uint8(0), "trustor=0&trustee=1&type=0", []byte(nil))
+	f.Add(uint8(0), "trustor=-1&trustee=99999999999&type=x", []byte(nil))
+	f.Add(uint8(0), "trustor=0&trustor=1&trustee=%zz&type=-3", []byte(nil))
+	f.Add(uint8(1), "", []byte(fmt.Sprintf(`{"trustor":0,"trustee":%d,"type":0,"success":true,"gain":0.5,"damage":0.1,"cost":0.1}`, nb)))
+	f.Add(uint8(1), "", []byte(`{"trustor":0,"trustee":0,"type":0,"gain":-1}`))
+	f.Add(uint8(1), "", []byte(`{"trustor":0,"trustee":1,"type":1e400}`))
+	f.Add(uint8(2), "", []byte(fmt.Sprintf(`{"trustor":0,"trustee":%d,"type":1,"s":0.9,"g":0.7,"d":0.1,"c":0.1}`, nb)))
+	f.Add(uint8(2), "", []byte(`{"trustor":0,"trustee":1,"type":1,"s":2}{}`))
+	f.Add(uint8(2), "", []byte(`[`))
+
+	f.Fuzz(func(t *testing.T, route uint8, query string, body []byte) {
+		var req *http.Request
+		switch route % 3 {
+		case 0:
+			req = httptest.NewRequest(http.MethodGet, "/trust", nil)
+			req.URL.RawQuery = query
+		case 1:
+			req = httptest.NewRequest(http.MethodPost, "/observe", bytes.NewReader(body))
+		case 2:
+			req = httptest.NewRequest(http.MethodPost, "/recommend", bytes.NewReader(body))
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		switch rec.Code {
+		case http.StatusOK, http.StatusAccepted, http.StatusBadRequest, http.StatusRequestEntityTooLarge,
+			http.StatusTooManyRequests, http.StatusServiceUnavailable:
+		default:
+			t.Fatalf("%s %s?%s: status %d, body %q", req.Method, req.URL.Path, query, rec.Code, rec.Body.String())
+		}
+	})
+}
+
 // TestServerBounds pins the per-connection time bounds of the listener.
 func TestServerBounds(t *testing.T) {
 	srv := newServer("127.0.0.1:0", http.NotFoundHandler())

@@ -15,8 +15,8 @@ import (
 // reproduce every served trust value byte-for-byte, and everything needed to
 // rebuild the live engine state after a crash (Recover). The first line is a
 // header carrying the full deterministic construction recipe (network
-// profile, seed, characteristic alphabet, policy, seeding); after that the
-// single writer goroutine appends one line per applied event (in apply
+// profile, seed, characteristic alphabet, trust model, seeding); after that
+// the single writer goroutine appends one line per applied event (in apply
 // order, with a sequence number) and one line per published epoch (with the
 // cumulative applied-event count), while query goroutines append one line
 // per served value (epoch id, inputs, and the answer's exact float64 bits).

@@ -28,12 +28,12 @@ type RecoverStats struct {
 
 // Recover rebuilds a serving engine from a crashed journal and keeps the
 // journal as its continuation: the world is rebuilt from the header's
-// recipe, every event is re-applied in sequence (queries are counted, not
-// re-verified — Replay is the auditor), the event and epoch counters resume
-// where the journal left off, and a fresh epoch is captured, journaled
-// under the next id, and published before the engine starts serving — so
-// the continued journal stays a single contiguous stream that Replay
-// verifies end to end.
+// recipe, every event is validated and re-applied in sequence through the
+// journal walk Replay runs (queries are counted, not re-verified — Replay
+// is the auditor), the event and epoch counters resume where the journal
+// left off, and a fresh epoch is captured, journaled under the next id, and
+// published before the engine starts serving — so the continued journal
+// stays a single contiguous stream that Replay verifies end to end.
 //
 // The torn-tail rule: exactly one damaged final line (torn by a crash
 // mid-write, or failing its CRC) is tolerated — it is truncated away,
@@ -84,59 +84,21 @@ func Recover(f RecoverFile, cfg Config) (*Engine, RecoverStats, error) {
 		return nil, stats, fmt.Errorf("serve: recover: %w", err)
 	}
 
-	var (
-		truncateAt int64 = -1
-		nextEpoch  uint64
-	)
-scan:
-	for {
-		line, err := s.next()
-		switch {
-		case errors.Is(err, io.EOF):
-			break scan
-		case errors.As(err, &corrupt):
-			// Tolerable only as the very last line: probe for a successor.
-			if _, err := s.next(); !errors.Is(err, io.EOF) {
-				return nil, stats, fmt.Errorf("serve: recover: %w, but the journal continues past it — corruption before the tail is unrecoverable", corrupt)
-			}
-			truncateAt = corrupt.Off
-			break scan
-		case err != nil:
-			return nil, stats, fmt.Errorf("serve: recover: %w", err)
+	var nextEpoch uint64
+	walked, err := walk(s, w, func(ep *epochLine) error { nextEpoch = ep.ID + 1; return nil }, nil)
+	stats.Events, stats.Epochs, stats.Queries = walked.Events, walked.Epochs, walked.Queries
+	switch {
+	case errors.As(err, &corrupt):
+		// Tolerable only as the very last line: probe for a successor.
+		if _, err := s.next(); !errors.Is(err, io.EOF) {
+			return nil, stats, fmt.Errorf("serve: recover: %w, but the journal continues past it — corruption before the tail is unrecoverable", corrupt)
 		}
-		ln := s.Ln()
-		switch line.Kind {
-		case "event":
-			if err := applyEventLine(w, line.Event, stats.Events); err != nil {
-				return nil, stats, fmt.Errorf("serve: recover: line %d: %w", ln, err)
-			}
-			stats.Events++
-		case "epoch":
-			ep := line.Epoch
-			if ep == nil {
-				return nil, stats, fmt.Errorf("serve: recover: line %d: epoch line without payload", ln)
-			}
-			if ep.Events != stats.Events {
-				return nil, stats, fmt.Errorf("serve: recover: line %d: epoch %d captured at %d events, journal has applied %d", ln, ep.ID, ep.Events, stats.Events)
-			}
-			if ep.ID < nextEpoch {
-				return nil, stats, fmt.Errorf("serve: recover: line %d: epoch id %d is not increasing (last was %d)", ln, ep.ID, nextEpoch-1)
-			}
-			nextEpoch = ep.ID + 1
-			stats.Epochs++
-		case "query":
-			stats.Queries++
-		case "header":
-			return nil, stats, fmt.Errorf("serve: recover: line %d: duplicate header", ln)
-		default:
-			return nil, stats, fmt.Errorf("serve: recover: line %d: unknown line kind %q", ln, line.Kind)
-		}
-	}
-	if truncateAt >= 0 {
-		stats.TornBytes = s.Off() - truncateAt
-		if err := f.Truncate(truncateAt); err != nil {
+		stats.TornBytes = s.Off() - corrupt.Off
+		if err := f.Truncate(corrupt.Off); err != nil {
 			return nil, stats, fmt.Errorf("serve: recover: truncating torn tail: %w", err)
 		}
+	case err != nil:
+		return nil, stats, fmt.Errorf("serve: recover: %w", err)
 	}
 
 	// Resume the engine on the journal's seam: counters continue exactly

@@ -71,65 +71,99 @@ func replayHeader(s *journalScanner) (Config, error) {
 	}.withDefaults(), nil
 }
 
-// checkAgents rejects a journaled trustor/trustee pair outside the world's
-// agents: a line whose CRC verifies can still carry ids no engine served.
-func checkAgents(w *world, trustor, trustee int32) error {
-	if n := int32(len(w.pop.Agents)); trustor < 0 || trustor >= n || trustee < 0 || trustee >= n {
-		return fmt.Errorf("agent id out of range [0, %d): trustor %d, trustee %d", n, trustor, trustee)
+// walk reads a journal's lines after the header: the one loop Replay and
+// Recover share. Every event is checked and re-applied through the same
+// world.validate and world.apply the engine runs, so a journaled event is
+// exactly one Ingest would have accepted; each epoch marker and query line
+// then goes to its callback (a nil query callback only counts queries).
+// walk owns every rule of the format itself: lines carry their payload,
+// event seqs are dense, an epoch marker's event count matches what was
+// applied and its id is greater than the last one, the header comes only
+// once, and no line kind is unknown. A broken rule or a failed callback
+// comes back as "line N: ..."; a damaged line comes back as the scanner's
+// *corruptError, untouched, so Recover can apply the torn-tail rule. A
+// clean end of the journal returns a nil error.
+func walk(s *journalScanner, w *world, epoch func(*epochLine) error, query func(*queryLine) error) (ReplayStats, error) {
+	var (
+		stats ReplayStats
+		last  uint64 // the id of the last epoch marker, when stats.Epochs > 0
+	)
+	for {
+		line, err := s.next()
+		if errors.Is(err, io.EOF) {
+			return stats, nil
+		}
+		if err != nil {
+			return stats, err
+		}
+		switch ev, ep, q := line.Event, line.Epoch, line.Query; line.Kind {
+		case "event":
+			switch {
+			case ev == nil:
+				err = errors.New("event line without payload")
+			case ev.Seq != stats.Events+1:
+				err = fmt.Errorf("event seq %d, want %d", ev.Seq, stats.Events+1)
+			default:
+				if err = w.validate(ev); err == nil {
+					w.apply(ev)
+					stats.Events++
+				}
+			}
+		case "epoch":
+			switch {
+			case ep == nil:
+				err = errors.New("epoch line without payload")
+			case ep.Events != stats.Events:
+				err = fmt.Errorf("epoch %d captured at %d events, journal has applied %d", ep.ID, ep.Events, stats.Events)
+			case stats.Epochs > 0 && ep.ID <= last:
+				err = fmt.Errorf("epoch id %d is not increasing (last was %d)", ep.ID, last)
+			default:
+				if err = epoch(ep); err == nil {
+					last = ep.ID
+					stats.Epochs++
+				}
+			}
+		case "query":
+			switch {
+			case q == nil:
+				err = errors.New("query line without payload")
+			case query != nil:
+				err = query(q)
+			}
+			if err == nil {
+				stats.Queries++
+			}
+		case "header":
+			err = errors.New("duplicate header")
+		default:
+			err = fmt.Errorf("unknown line kind %q", line.Kind)
+		}
+		if err != nil {
+			return stats, fmt.Errorf("line %d: %w", s.Ln(), err)
+		}
 	}
-	return nil
-}
-
-// applyEventLine re-applies one journaled event to a world, enforcing the
-// dense-sequence contract. applied is the count of events already applied.
-func applyEventLine(w *world, ev *eventLine, applied uint64) error {
-	if ev == nil {
-		return errors.New("event line without payload")
-	}
-	if ev.Seq != applied+1 {
-		return fmt.Errorf("event seq %d, want %d", ev.Seq, applied+1)
-	}
-	if err := checkAgents(w, ev.Trustor, ev.Trustee); err != nil {
-		return err
-	}
-	if ev.Type < 0 || ev.Type >= len(w.setup.Universe.Tasks) {
-		return fmt.Errorf("task type %d out of range", ev.Type)
-	}
-	tk := w.setup.Universe.Tasks[ev.Type]
-	switch ev.Op {
-	case "observe":
-		out := core.Outcome{Success: ev.Success, Gain: ev.Gain, Damage: ev.Damage, Cost: ev.Cost}
-		w.pop.Agent(core.AgentID(ev.Trustor)).Store.Observe(core.AgentID(ev.Trustee), tk, out, core.PerfectEnv())
-		w.pop.Agent(core.AgentID(ev.Trustee)).Store.ObserveUsage(core.AgentID(ev.Trustor), ev.Abusive)
-	case "recommend":
-		exp := core.Expectation{S: ev.S, G: ev.G, D: ev.D, C: ev.C}
-		w.pop.Agent(core.AgentID(ev.Trustor)).Store.Seed(core.AgentID(ev.Trustee), tk, exp)
-	default:
-		return fmt.Errorf("unknown event op %q", ev.Op)
-	}
-	return nil
 }
 
 // Replay re-executes a trust-assertion journal and verifies it: the world
-// is rebuilt from the header's recipe, events are re-applied in journal
-// order, each epoch marker re-captures a frozen view, and every query line
-// is re-answered from its recorded epoch and compared bit-for-bit against
-// the journaled TW. Any mismatch — a CRC-failing or torn line, sequence
-// gap, event-count drift at an epoch, unknown epoch id, or a single
-// differing bit — fails with a descriptive error. A nil error is the replay
+// is rebuilt from the header's recipe, events are validated and re-applied
+// in journal order, each epoch marker re-captures a frozen view, and every
+// query line is re-answered from its recorded epoch and compared
+// bit-for-bit against the journaled TW. Any failure — a CRC-failing or torn
+// line, an event Ingest would refuse, a sequence gap, event-count drift at
+// an epoch, an epoch id that does not increase, an unknown epoch id, or a
+// single differing bit — is a descriptive error. A nil error is the replay
 // contract: every value the engine ever served is reproducible from the
 // journal alone. (Replay is strict: it rejects even a torn final line; run
 // Recover first to truncate a crashed journal's tail.)
 func Replay(r io.Reader) (ReplayStats, error) {
-	var stats ReplayStats
 	s := newJournalScanner(r)
 	cfg, err := replayHeader(s)
 	if err != nil {
-		return stats, fmt.Errorf("serve: replay: %w", err)
+		return ReplayStats{}, fmt.Errorf("serve: replay: %w", err)
 	}
 	w, err := buildWorld(cfg)
 	if err != nil {
-		return stats, fmt.Errorf("serve: replay: %w", err)
+		return ReplayStats{}, fmt.Errorf("serve: replay: %w", err)
 	}
 
 	workers := runtime.GOMAXPROCS(0)
@@ -144,74 +178,43 @@ func Replay(r io.Reader) (ReplayStats, error) {
 		}
 	}()
 	norm := w.pop.Config().Update.Norm
-	for {
-		line, err := s.next()
+	capture := func(ep *epochLine) error {
+		// A full capture: replay re-derives every epoch independently of
+		// the one before.
+		view, err := w.pop.RoundViewFrom(nil, workers, pool)
 		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return stats, nil
-			}
-			return stats, fmt.Errorf("serve: replay: %w", err)
+			return fmt.Errorf("epoch %d: %w", ep.ID, err)
 		}
-		ln := s.Ln()
-		switch line.Kind {
-		case "event":
-			if err := applyEventLine(w, line.Event, stats.Events); err != nil {
-				return stats, fmt.Errorf("serve: replay: line %d: %w", ln, err)
-			}
-			stats.Events++
-		case "epoch":
-			ep := line.Epoch
-			if ep == nil {
-				return stats, fmt.Errorf("serve: replay: line %d: epoch line without payload", ln)
-			}
-			if ep.Events != stats.Events {
-				return stats, fmt.Errorf("serve: replay: line %d: epoch %d captured at %d events, journal has applied %d", ln, ep.ID, ep.Events, stats.Events)
-			}
-			if _, dup := epochs[ep.ID]; dup {
-				return stats, fmt.Errorf("serve: replay: line %d: duplicate epoch id %d", ln, ep.ID)
-			}
-			// A full capture: replay re-derives every epoch independently
-			// of the one before.
-			view, err := w.pop.RoundViewFrom(nil, workers, pool)
-			if err != nil {
-				return stats, fmt.Errorf("serve: replay: line %d: epoch %d: %w", ln, ep.ID, err)
-			}
-			memo := core.NewEdgeMemoPooled(view.TrustView, norm, workers, pool)
-			memo.RequireModel(cfg.Model, w.setup.Universe.Tasks)
-			epochs[ep.ID] = &epoch{id: ep.ID, view: view, memo: memo}
-			stats.Epochs++
-		case "query":
-			q := line.Query
-			if q == nil {
-				return stats, fmt.Errorf("serve: replay: line %d: query line without payload", ln)
-			}
-			ep, ok := epochs[q.Epoch]
-			if !ok {
-				return stats, fmt.Errorf("serve: replay: line %d: query references unknown epoch %d", ln, q.Epoch)
-			}
-			if q.Type < 0 || q.Type >= len(w.setup.Universe.Tasks) {
-				return stats, fmt.Errorf("serve: replay: line %d: task type %d out of range", ln, q.Type)
-			}
-			if err := checkAgents(w, q.Trustor, q.Trustee); err != nil {
-				return stats, fmt.Errorf("serve: replay: line %d: %w", ln, err)
-			}
-			res, err := answer(w.searcher, ep.view, ep.memo,
-				core.AgentID(q.Trustor), core.AgentID(q.Trustee), w.setup.Universe.Tasks[q.Type], cfg.Model)
-			if err != nil {
-				return stats, fmt.Errorf("serve: replay: line %d: %w", ln, err)
-			}
-			bits := fmt.Sprintf("%016x", math.Float64bits(res.TW))
-			if bits != q.TWBits || res.Found != q.Found || res.Direct != q.Direct {
-				return stats, fmt.Errorf(
-					"serve: replay: line %d: trust(%d, %d, type %d) @ epoch %d diverged: got tw=%v bits=%s found=%v direct=%v, journal has tw=%v bits=%s found=%v direct=%v",
-					ln, q.Trustor, q.Trustee, q.Type, q.Epoch,
-					res.TW, bits, res.Found, res.Direct, q.TW, q.TWBits, q.Found, q.Direct)
-			}
-			stats.Queries++
-		case "header":
-			return stats, fmt.Errorf("serve: replay: line %d: duplicate header", ln)
-		default:
-			return stats, fmt.Errorf("serve: replay: line %d: unknown line kind %q", ln, line.Kind)
-		}
+		memo := core.NewEdgeMemoPooled(view.TrustView, norm, workers, pool)
+		memo.RequireModel(cfg.Model, w.setup.Universe.Tasks)
+		epochs[ep.ID] = &epoch{id: ep.ID, view: view, memo: memo}
+		return nil
 	}
+	verify := func(q *queryLine) error {
+		ep, ok := epochs[q.Epoch]
+		if !ok {
+			return fmt.Errorf("query references unknown epoch %d", q.Epoch)
+		}
+		trustor, trustee := core.AgentID(q.Trustor), core.AgentID(q.Trustee)
+		if err := w.checkIDs(trustor, trustee, q.Type); err != nil {
+			return err
+		}
+		res, err := answer(w.searcher, ep.view, ep.memo, trustor, trustee, w.setup.Universe.Tasks[q.Type], cfg.Model)
+		if err != nil {
+			return err
+		}
+		bits := fmt.Sprintf("%016x", math.Float64bits(res.TW))
+		if bits != q.TWBits || res.Found != q.Found || res.Direct != q.Direct {
+			return fmt.Errorf(
+				"trust(%d, %d, type %d) @ epoch %d diverged: got tw=%v bits=%s found=%v direct=%v, journal has tw=%v bits=%s found=%v direct=%v",
+				q.Trustor, q.Trustee, q.Type, q.Epoch,
+				res.TW, bits, res.Found, res.Direct, q.TW, q.TWBits, q.Found, q.Direct)
+		}
+		return nil
+	}
+	stats, err := walk(s, w, capture, verify)
+	if err != nil {
+		return stats, fmt.Errorf("serve: replay: %w", err)
+	}
+	return stats, nil
 }

@@ -26,6 +26,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -153,6 +154,66 @@ func buildWorld(cfg Config) (*world, error) {
 	}, nil
 }
 
+// checkIDs rejects a trustor, trustee or task type outside the world: the
+// one range check behind ingested events, served queries, and every
+// journaled line Replay and Recover read back.
+func (w *world) checkIDs(trustor, trustee core.AgentID, typ int) error {
+	if n := core.AgentID(len(w.pop.Agents)); trustor < 0 || trustor >= n || trustee < 0 || trustee >= n {
+		return fmt.Errorf("agent id out of range [0, %d): trustor %d, trustee %d", n, trustor, trustee)
+	}
+	if n := len(w.setup.Universe.Tasks); typ < 0 || typ >= n {
+		return fmt.Errorf("task type %d out of range [0, %d)", typ, n)
+	}
+	return nil
+}
+
+// validate is the only event check: IngestCtx runs it before queueing,
+// and Replay and Recover before re-applying a journaled event, so the
+// journal can hold nothing Ingest would refuse. Records live only along
+// social edges (the capture arenas are per-edge), so both event kinds
+// require trustor and trustee to be social neighbors.
+func (w *world) validate(ev *eventLine) error {
+	trustor, trustee := core.AgentID(ev.Trustor), core.AgentID(ev.Trustee)
+	if err := w.checkIDs(trustor, trustee, ev.Type); err != nil {
+		return err
+	}
+	if trustor == trustee {
+		return fmt.Errorf("trustor and trustee are both %d", trustor)
+	}
+	if _, ok := slices.BinarySearch(w.pop.Neighbors(trustor), trustee); !ok {
+		return fmt.Errorf("%d and %d are not social neighbors", trustor, trustee)
+	}
+	switch ev.Op {
+	case "observe":
+		for _, v := range [...]float64{ev.Gain, ev.Damage, ev.Cost} {
+			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+				return fmt.Errorf("outcome component %v is not a finite non-negative value", v)
+			}
+		}
+	case "recommend":
+		return core.Expectation{S: ev.S, G: ev.G, D: ev.D, C: ev.C}.Validate()
+	default:
+		return fmt.Errorf("unknown event op %q", ev.Op)
+	}
+	return nil
+}
+
+// apply mutates the stores with one validated event: the only store write
+// of the engine's writer goroutine, Replay and Recover alike.
+func (w *world) apply(ev *eventLine) {
+	trustor, trustee := core.AgentID(ev.Trustor), core.AgentID(ev.Trustee)
+	tk := w.setup.Universe.Tasks[ev.Type]
+	switch ev.Op {
+	case "observe":
+		out := core.Outcome{Success: ev.Success, Gain: ev.Gain, Damage: ev.Damage, Cost: ev.Cost}
+		w.pop.Agent(trustor).Store.Observe(trustee, tk, out, core.PerfectEnv())
+		w.pop.Agent(trustee).Store.ObserveUsage(trustor, ev.Abusive)
+	case "recommend":
+		exp := core.Expectation{S: ev.S, G: ev.G, D: ev.D, C: ev.C}
+		w.pop.Agent(trustor).Store.Seed(trustee, tk, exp)
+	}
+}
+
 // EventOp selects what an ingested event does to the stores.
 type EventOp int
 
@@ -181,6 +242,26 @@ type Event struct {
 	Exp core.Expectation
 }
 
+// line renders the event as its journal line, Seq unset: the form an event
+// travels in from IngestCtx on. Only the op's own payload is kept; an
+// unknown op keeps its number, which validate refuses.
+func (ev Event) line() eventLine {
+	l := eventLine{Trustor: int32(ev.Trustor), Trustee: int32(ev.Trustee), Type: ev.Type}
+	switch ev.Op {
+	case OpObserve:
+		l.Op = "observe"
+		l.Success = ev.Outcome.Success
+		l.Gain, l.Damage, l.Cost = ev.Outcome.Gain, ev.Outcome.Damage, ev.Outcome.Cost
+		l.Abusive = ev.Abusive
+	case OpRecommend:
+		l.Op = "recommend"
+		l.S, l.G, l.D, l.C = ev.Exp.S, ev.Exp.G, ev.Exp.D, ev.Exp.C
+	default:
+		l.Op = strconv.Itoa(int(ev.Op))
+	}
+	return l
+}
+
 // TrustResult is one served trust value. Epoch identifies the snapshot it
 // was computed from; Direct reports whether the trustor's own experience
 // answered (otherwise the value came from the model's transitive search).
@@ -206,11 +287,11 @@ var ErrOverloaded = errors.New("serve: ingest queue full")
 // process — restart with Recover.
 var ErrDegraded = errors.New("serve: engine degraded; serving from last good epoch")
 
-// queued is one in-flight ingest: the event plus the channel its durable
-// acknowledgement travels back on (buffered, so the writer never blocks on
-// a departed waiter).
+// queued is one in-flight ingest: the event's journal line plus the
+// channel its durable acknowledgement travels back on (buffered, so the
+// writer never blocks on a departed waiter).
 type queued struct {
-	ev   Event
+	line eventLine
 	done chan error
 }
 
@@ -338,40 +419,6 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// validate rejects events the frozen-epoch contract cannot serve: records
-// live only along social edges (the capture arenas are per-edge), so both
-// event kinds require trustor and trustee to be social neighbors.
-func (e *Engine) validate(ev Event) error {
-	n := core.AgentID(e.NumAgents())
-	if ev.Trustor < 0 || ev.Trustor >= n || ev.Trustee < 0 || ev.Trustee >= n {
-		return fmt.Errorf("serve: agent id out of range [0, %d): trustor %d, trustee %d", n, ev.Trustor, ev.Trustee)
-	}
-	if ev.Trustor == ev.Trustee {
-		return fmt.Errorf("serve: trustor and trustee are both %d", ev.Trustor)
-	}
-	if ev.Type < 0 || ev.Type >= len(e.TaskTypes()) {
-		return fmt.Errorf("serve: task type %d out of range [0, %d)", ev.Type, len(e.TaskTypes()))
-	}
-	if _, ok := slices.BinarySearch(e.world.pop.Neighbors(ev.Trustor), ev.Trustee); !ok {
-		return fmt.Errorf("serve: %d and %d are not social neighbors", ev.Trustor, ev.Trustee)
-	}
-	switch ev.Op {
-	case OpObserve:
-		for _, v := range [...]float64{ev.Outcome.Gain, ev.Outcome.Damage, ev.Outcome.Cost} {
-			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-				return fmt.Errorf("serve: outcome component %v is not a finite non-negative value", v)
-			}
-		}
-	case OpRecommend:
-		if err := ev.Exp.Validate(); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("serve: unknown event op %d", ev.Op)
-	}
-	return nil
-}
-
 // Ingest validates, enqueues, and durably acknowledges one event: it
 // returns nil only after the writer goroutine has applied the event and the
 // group-commit sync covering its journal line returned. It blocks without
@@ -387,8 +434,9 @@ func (e *Engine) Ingest(ev Event) error { return e.IngestCtx(context.Background(
 // it may still reach the journal if it was already queued when the engine
 // closed, but the caller must assume it did not.
 func (e *Engine) IngestCtx(ctx context.Context, ev Event) error {
-	if err := e.validate(ev); err != nil {
-		return err
+	line := ev.line()
+	if err := e.world.validate(&line); err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
 	if e.closed.Load() {
 		return ErrClosed
@@ -396,7 +444,7 @@ func (e *Engine) IngestCtx(ctx context.Context, ev Event) error {
 	if e.degraded.Load() {
 		return ErrDegraded
 	}
-	q := queued{ev: ev, done: make(chan error, 1)}
+	q := queued{line: line, done: make(chan error, 1)}
 	select {
 	case e.queue <- q:
 	default:
@@ -435,12 +483,8 @@ func (e *Engine) IngestCtx(ctx context.Context, ev Event) error {
 // epoch is the last one the journal durably recorded; Stats exposes its
 // staleness.
 func (e *Engine) Trust(trustor, trustee core.AgentID, typeIdx int) (TrustResult, error) {
-	n := core.AgentID(e.NumAgents())
-	if trustor < 0 || trustor >= n || trustee < 0 || trustee >= n {
-		return TrustResult{}, fmt.Errorf("serve: agent id out of range [0, %d): trustor %d, trustee %d", n, trustor, trustee)
-	}
-	if typeIdx < 0 || typeIdx >= len(e.TaskTypes()) {
-		return TrustResult{}, fmt.Errorf("serve: task type %d out of range [0, %d)", typeIdx, len(e.TaskTypes()))
+	if err := e.world.checkIDs(trustor, trustee, typeIdx); err != nil {
+		return TrustResult{}, fmt.Errorf("serve: %w", err)
 	}
 	start := time.Now()
 	ref := e.handle.acquire()
@@ -572,8 +616,8 @@ collected:
 		}
 		return 0
 	}
-	for _, q := range batch {
-		e.apply(q.ev)
+	for i := range batch {
+		e.apply(&batch[i].line)
 	}
 	ack := e.journal.syncNow()
 	if ack != nil {
@@ -594,27 +638,12 @@ collected:
 	return len(batch)
 }
 
-// apply mutates the stores with one event and journals it, in apply order.
-func (e *Engine) apply(ev Event) {
-	seq := e.applied.Add(1)
-	tk := e.TaskTypes()[ev.Type]
-	line := eventLine{
-		Seq: seq, Trustor: int32(ev.Trustor), Trustee: int32(ev.Trustee), Type: ev.Type,
-	}
-	switch ev.Op {
-	case OpObserve:
-		e.world.pop.Agent(ev.Trustor).Store.Observe(ev.Trustee, tk, ev.Outcome, core.PerfectEnv())
-		e.world.pop.Agent(ev.Trustee).Store.ObserveUsage(ev.Trustor, ev.Abusive)
-		line.Op = "observe"
-		line.Success = ev.Outcome.Success
-		line.Gain, line.Damage, line.Cost = ev.Outcome.Gain, ev.Outcome.Damage, ev.Outcome.Cost
-		line.Abusive = ev.Abusive
-	case OpRecommend:
-		e.world.pop.Agent(ev.Trustor).Store.Seed(ev.Trustee, tk, ev.Exp)
-		line.Op = "recommend"
-		line.S, line.G, line.D, line.C = ev.Exp.S, ev.Exp.G, ev.Exp.D, ev.Exp.C
-	}
-	e.journal.event(line)
+// apply stamps the next sequence number on one validated event, applies
+// it, and journals it, in apply order.
+func (e *Engine) apply(line *eventLine) {
+	line.Seq = e.applied.Add(1)
+	e.world.apply(line)
+	e.journal.event(*line)
 }
 
 // captureAndPublish freezes the stores into a new epoch — round view plus a

@@ -36,7 +36,6 @@ func (p *Population) installAttackers() {
 	}
 	r := rng.New(p.cfg.Seed, "adversary", p.Net.Profile.Name)
 	perm := r.Perm(len(p.Trustees))
-	p.attackers = make(map[core.AgentID]bool, n)
 	for _, i := range perm[:n] {
 		id := p.Trustees[i]
 		p.Agents[id].Kind = agent.KindDishonestTrustee
@@ -90,21 +89,21 @@ func (e *Engine) attackContext(round int) (adversary.Context, bool) {
 type edgeTW func(e int32) (float64, bool)
 
 // recommendedTW gathers one-hop recommendations about candidate y from the
-// recommenders in nbrs — the trustor's social neighbors, precomputed by
-// Engine.init and including y itself (the self-claim channel of service
-// discovery). Each recommender reports its z→y edge through the lens tw,
-// except that attackers may forge their report through the attack model's
-// recommendation hook. A recommender without a social edge to y holds no
-// records about it (experience lives only along edges), so an EdgeIndex
-// miss contributes nothing, exactly like an empty live store. Returns the
-// mean report, or ok=false when nobody has anything to say. Reads only the
-// view: safe inside the engine's lock-free compute phase.
-func (e *Engine) recommendedTW(view *core.RoundView, tw edgeTW, ctx adversary.Context, nbrs []core.AgentID, y core.AgentID) (float64, bool) {
+// trustor x's social neighbors in the view — including y itself (the
+// self-claim channel of service discovery). Each recommender reports its
+// z→y edge through the lens tw, except that attackers may forge their
+// report through the attack model's recommendation hook. A recommender
+// without a social edge to y holds no records about it (experience lives
+// only along edges), so an EdgeIndex miss contributes nothing, exactly like
+// an empty live store. Returns the mean report, or ok=false when nobody has
+// anything to say. Reads only the view: safe inside the engine's lock-free
+// compute phase.
+func (e *Engine) recommendedTW(view *core.RoundView, tw edgeTW, ctx adversary.Context, x, y core.AgentID) (float64, bool) {
 	p := e.Pop
 	model := p.cfg.Attack.Model
 	var sum float64
 	n := 0
-	for _, z := range nbrs {
+	for _, z := range view.Neighbors(x) {
 		if p.attackers[z] {
 			if v, forged := model.ForgeRecommendation(ctx, z, y); forged {
 				sum += v

@@ -49,7 +49,6 @@ type Engine struct {
 	initOnce     sync.Once
 	trusteeNbrs  [][]core.AgentID // trustee-kind neighbors per trustor position
 	trusteeEdges [][]int32        // CSR edge index per trustee neighbor, same shape as trusteeNbrs
-	socialNbrs   [][]core.AgentID // all neighbors per trustor position (attack scenarios only)
 }
 
 // NewEngine returns an engine over the population using its configured
@@ -69,12 +68,11 @@ func (e *Engine) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// init precomputes the per-trustor neighbor lists so rounds do not
+// init precomputes the per-trustor trustee-neighbor lists so rounds do not
 // re-derive (and re-allocate) them every time, plus the CSR edge index of
 // every trustee neighbor — round views index records and usage by directed
 // edge, and the graph is frozen, so the trustor→candidate edge of every
-// candidate lookup is known once and for all. The full social-neighbor
-// lists feed the recommendation channel, which only attack scenarios use.
+// candidate lookup is known once and for all.
 func (e *Engine) init() {
 	e.initOnce.Do(func() {
 		p := e.Pop
@@ -89,12 +87,6 @@ func (e *Engine) init() {
 				}
 			}
 			e.trusteeEdges[i] = edges
-		}
-		if p.AttackEnabled() {
-			e.socialNbrs = make([][]core.AgentID, len(p.Trustors))
-			for i, x := range p.Trustors {
-				e.socialNbrs[i] = p.Neighbors(x)
-			}
 		}
 	})
 }
@@ -117,7 +109,7 @@ func (e *Engine) candidateTW(view *core.RoundView, tw edgeTW, attacked bool, ctx
 		return v
 	}
 	if attacked {
-		if rec, ok := e.recommendedTW(view, tw, ctx, e.socialNbrs[i], y); ok {
+		if rec, ok := e.recommendedTW(view, tw, ctx, e.Pop.Trustors[i], y); ok {
 			return rec
 		}
 	}

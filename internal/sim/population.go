@@ -65,7 +65,9 @@ type Population struct {
 	// Attackers lists the trustees running the configured attack model, in
 	// ascending ID order (empty when no attack is configured).
 	Attackers []core.AgentID
-	attackers map[core.AgentID]bool
+	// attackers flags the Attackers by agent ID. It is allocated with the
+	// population, attack or not, because the probes read it unguarded.
+	attackers []bool
 	cfg       PopulationConfig
 
 	// CSR adjacency over agent IDs, built once at population construction
@@ -130,7 +132,7 @@ func NewPopulation(net *socialgen.Network, cfg PopulationConfig) *Population {
 		// and view captures need no translation.
 		cfg.Update.Catalog = task.NewCatalog()
 	}
-	p := &Population{Net: net, Agents: make([]*agent.Agent, n), cfg: cfg}
+	p := &Population{Net: net, Agents: make([]*agent.Agent, n), attackers: make([]bool, n), cfg: cfg}
 	workers := p.setupWorkers()
 	behaviorLabel := "population-behavior:" + net.Profile.Name
 	forNodes(n, workers, func(_, lo, hi int) {
