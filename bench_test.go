@@ -83,7 +83,7 @@ func BenchmarkTransitivity100k(b *testing.B) {
 // lock-free compute phase, ordered merge — on the 100k-node, 500k-edge
 // network. The snapshot-round refactor unlocked this scale: the compute
 // phase reads a per-round frozen core.RoundView from the population's epoch
-// chain instead of contending on live store shards, so rounds parallelize
+// chain instead of contending on live store locks, so rounds parallelize
 // as cleanly as the transitivity sweeps. Each round's capture rereads only
 // the rows the previous round's merge wrote.
 func BenchmarkRounds100k(b *testing.B) {

@@ -113,9 +113,9 @@ func LoadStore(r io.Reader, cfg UpdateConfig) (*Store, error) {
 			return nil, fmt.Errorf("core: snapshot usage log for trustor %d has negative counts", us.Trustor)
 		}
 		if s.usage == nil {
-			s.usage = make(map[AgentID]*UsageLog, len(snap.Usage))
+			s.usage = make(map[AgentID]UsageLog, len(snap.Usage))
 		}
-		s.usage[us.Trustor] = &UsageLog{Responsible: us.Responsible, Abusive: us.Abusive}
+		s.usage[us.Trustor] = UsageLog{Responsible: us.Responsible, Abusive: us.Abusive}
 	}
 	// A fresh stamp even for an empty snapshot: the loaded store replaces
 	// whatever held its place, so it must not pass for that store's state.

@@ -11,7 +11,7 @@ import "sync"
 //
 // The pool is capacity-keyed: a take hands out the smallest retained slice
 // whose capacity covers the request, so one pool can serve epochs of mixed
-// sizes without unbounded growth (each kind keeps at most a small shelf of
+// sizes without unbounded growth (each kind keeps a bounded shelf of
 // released slices; when the shelf is full, the smallest slice is evicted in
 // favor of a larger release). A nil *ArenaPool is valid and degrades to
 // plain allocation, which keeps unpooled call sites (tests, one-shot
@@ -34,6 +34,15 @@ type ArenaPool struct {
 // retains. Epoch workloads cycle at most a couple of sizes, so a small
 // shelf captures all reuse while bounding retained memory.
 const arenaShelfSize = 8
+
+// tableShelfSize bounds the hop-table shelf instead. An EdgeMemo holds one
+// table per (model, task type) or (model, characteristic), all as long as
+// the view's edge list, and releases them together: a sweep over every
+// registered model hands back dozens (44 in the 10k-node benchmark sweep).
+// A shelf of eight kept eight of them, so every epoch allocated the rest
+// again, and the live heap of a sweep loop swung by their size with the
+// timing of the collector.
+const tableShelfSize = 64
 
 // NewArenaPool returns an empty pool.
 func NewArenaPool() *ArenaPool { return &ArenaPool{} }
@@ -72,7 +81,11 @@ func (s *shelf[E]) put(it []E) {
 	if cap(it) == 0 {
 		return
 	}
-	if len(s.items) < arenaShelfSize {
+	limit := arenaShelfSize
+	if _, tables := any(s).(*shelf[float64]); tables {
+		limit = tableShelfSize
+	}
+	if len(s.items) < limit {
 		s.items = append(s.items, it)
 		return
 	}
@@ -91,16 +104,28 @@ func (s *shelf[E]) put(it []E) {
 // reusing a released arena when one is large enough; a nil pool always
 // allocates. Contents are unspecified: every caller overwrites each element
 // (a capture panics if a record span stays short).
+//
+// Record arenas grow with every epoch that adds records, so a pooled record
+// arena is allocated with n/16 spare capacity, and a miss drops the shelved
+// record arenas: each is too small for this capture and, as records
+// accumulate, for the captures after it.
 func take[E any](p *ArenaPool, n int) []E {
+	spare := 0
 	if p != nil {
 		p.mu.Lock()
-		s := shelfOf[E](p).get(n)
+		sh := shelfOf[E](p)
+		s := sh.get(n)
+		if _, recs := any(sh).(*shelf[CompactRecord]); recs && s == nil {
+			clear(sh.items)
+			sh.items = sh.items[:0]
+			spare = n / 16
+		}
 		p.mu.Unlock()
 		if s != nil {
 			return s
 		}
 	}
-	return make([]E, n)
+	return make([]E, n, n+spare)
 }
 
 // give releases s back to p's shelf for its element type; a nil pool drops

@@ -10,11 +10,10 @@ import (
 // This file implements bulk experience seeding. The experiment setup phase
 // installs hundreds of thousands of seed records (one per (holder, trustee,
 // task) triple along the social edges), and the per-record Seed path — one
-// lock acquisition, one map lookup, one binary search, one slices.Insert
-// shift per record — is the dominant cost of building a 100k-node
-// population. SeedSorted ingests a pre-sorted batch in a single pass
-// instead: one lock per trustee group, exact-size record slices carved from
-// one contiguous arena, no per-record searching or shifting.
+// lock acquisition, two binary searches, one insert shift per record — is
+// the dominant cost of building a 100k-node population. SeedSorted ingests
+// a pre-sorted batch in a single pass instead: one lock, and one merge of
+// the existing records with the batch into fresh exact-size slices.
 
 // SeedRecord is one pre-computed experience record of a bulk seeding batch:
 // the trustee it concerns, the task, and the expectation to install.
@@ -51,63 +50,54 @@ func (s *Store) SeedSorted(batch []SeedRecord) error {
 				i, batch[i].Trustee, batch[i].Task.Type(), batch[i-1].Trustee, batch[i-1].Task.Type())
 		}
 	}
-	// One contiguous compact arena for the whole batch — 40 pointer-free
-	// bytes per record, invisible to the GC. Per-trustee groups become
-	// full-capacity-capped subslices, so a later Observe insert reallocates
-	// instead of clobbering the neighboring group. Interning is a bucket
-	// scan over a tiny per-profile catalog; the batch's tasks come from the
-	// universe, so after the first few records every Intern is a hit.
-	recs := make([]CompactRecord, len(batch))
-	for i := range batch {
-		recs[i] = CompactRecord{Ref: s.cat.Intern(batch[i].Task), Exp: batch[i].Exp}
-	}
-	for lo := 0; lo < len(batch); {
-		hi := lo + 1
-		for hi < len(batch) && batch[hi].Trustee == batch[lo].Trustee {
-			hi++
+	storeLockTick()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	tasks := s.cat.Tasks()
+	// Size the merged layout exactly: a batch trustee the store lacks adds a
+	// row, and a batch key the store already holds replaces its record.
+	nAbout, nRecs := len(s.about), len(s.recs)+len(batch)
+	var row []CompactRecord
+	for j, r := range batch {
+		if j == 0 || r.Trustee != batch[j-1].Trustee {
+			if row = s.row(r.Trustee); row == nil {
+				nAbout++
+			}
 		}
-		s.seedGroup(batch[lo].Trustee, recs[lo:hi:hi])
-		lo = hi
+		if _, ok := searchCompact(tasks, row, r.Task.Type()); ok {
+			nRecs--
+		}
 	}
+	about := make([]AgentID, 0, nAbout)
+	off := make([]int32, 1, nAbout+1)
+	recs := make([]CompactRecord, 0, nRecs)
+	for i, j := 0, 0; i < len(s.about) || j < len(batch); {
+		var t AgentID
+		var old []CompactRecord
+		if j == len(batch) || i < len(s.about) && s.about[i] <= batch[j].Trustee {
+			t, old = s.about[i], s.recs[s.off[i]:s.off[i+1]]
+			i++
+		} else {
+			t = batch[j].Trustee
+		}
+		// Merge the row by task type. Interning is a bucket scan over a
+		// tiny per-profile catalog; the batch's tasks come from the
+		// universe, so after the first few records every Intern is a hit.
+		for ; j < len(batch) && batch[j].Trustee == t; j++ {
+			typ := batch[j].Task.Type()
+			for len(old) > 0 && tasks[old[0].Ref].Type() < typ {
+				recs, old = append(recs, old[0]), old[1:]
+			}
+			if len(old) > 0 && tasks[old[0].Ref].Type() == typ {
+				old = old[1:] // seeded record replaces, like Seed
+			}
+			recs = append(recs, CompactRecord{Ref: s.cat.Intern(batch[j].Task), Exp: batch[j].Exp})
+		}
+		recs = append(recs, old...)
+		about = append(about, t)
+		off = append(off, int32(len(recs)))
+	}
+	s.about, s.off, s.recs = about, off, recs
 	s.touch()
 	return nil
-}
-
-// seedGroup installs one trustee's sorted record group. An empty store
-// entry adopts the group slice directly (the bulk fast path); otherwise the
-// group is merged with the existing records, seeded entries replacing
-// same-type ones exactly as Seed would.
-func (s *Store) seedGroup(trustee AgentID, group []CompactRecord) {
-	sh := s.shard(trustee)
-	storeLockTick()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	existing := sh.records[trustee]
-	if len(existing) == 0 {
-		if sh.records == nil {
-			sh.records = make(map[AgentID][]CompactRecord)
-		}
-		sh.records[trustee] = group
-		return
-	}
-	tasks := s.cat.Tasks()
-	merged := make([]CompactRecord, 0, len(existing)+len(group))
-	i, j := 0, 0
-	for i < len(existing) && j < len(group) {
-		switch c := cmp.Compare(tasks[existing[i].Ref].Type(), tasks[group[j].Ref].Type()); {
-		case c < 0:
-			merged = append(merged, existing[i])
-			i++
-		case c > 0:
-			merged = append(merged, group[j])
-			j++
-		default: // seeded record replaces, like Seed
-			merged = append(merged, group[j])
-			i++
-			j++
-		}
-	}
-	merged = append(merged, existing[i:]...)
-	merged = append(merged, group[j:]...)
-	sh.records[trustee] = merged
 }

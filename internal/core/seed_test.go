@@ -121,9 +121,9 @@ func TestSeedSortedRejectsBadOrder(t *testing.T) {
 	}
 }
 
-// TestSeedSortedObserveAfter guards the arena hand-off: the per-trustee
-// record groups share one backing array, so growing one group through
-// Observe must not clobber its neighbor.
+// TestSeedSortedObserveAfter guards the insert after a bulk seed: every
+// trustee's records share the store's one sorted slice, so growing one
+// trustee's row through Observe must not clobber the next row.
 func TestSeedSortedObserveAfter(t *testing.T) {
 	s := NewStore(1, DefaultUpdateConfig())
 	batch := []SeedRecord{

@@ -26,44 +26,33 @@ type Record struct {
 // TW returns the record's trustworthiness under eq. 18.
 func (r Record) TW(n Normalizer) float64 { return r.Exp.Trustworthiness(n) }
 
-// storeShards stripes the record map across independently locked shards so
-// concurrent readers of different trustees (the parallel transitivity search
-// fanning out over a hub agent's store) do not contend on one lock.
-const storeShards = 8
-
-// storeShard is one lock stripe: the experience records about the trustees
-// whose IDs hash into it. Records per trustee are kept sorted by task type,
-// so reads hand out ordered data without sorting or allocating. The map is
-// allocated lazily on first write — a 100k-node population creates 800k
-// shard maps, most of which never see a record — and every read path
-// tolerates it being nil.
-type storeShard struct {
-	mu      sync.RWMutex
-	records map[AgentID][]CompactRecord
-}
-
 // Store holds the trust state one agent (as trustor) keeps about its
 // trustees: per-(trustee, task type) experience records, plus the usage
 // statistics it keeps about agents that delegated to it (for the reverse
 // evaluation of eq. 1).
 //
 // Records are held compact — tasks interned into the store's catalog, each
-// record 40 pointer-free bytes — so the aggregate record state of a
-// million-node population is GC-transparent. The catalog is shared by every
-// store of a population (UpdateConfig.Catalog); refs therefore carry across
-// stores into captured views without translation.
+// record 40 pointer-free bytes — in one slice sorted by (trustee, task
+// type), so the aggregate record state of a million-node population is
+// GC-transparent. The catalog is shared by every store of a population
+// (UpdateConfig.Catalog); refs therefore carry across stores into captured
+// views without translation.
 //
-// Store is safe for concurrent use: records are striped over sharded
-// RWMutexes keyed by trustee ID, and usage logs carry their own lock. The
-// parallel simulation engine relies on this — many trustor goroutines read
-// hub agents' stores simultaneously during a delegation round.
+// Store is safe for concurrent use: one RWMutex guards the records and the
+// usage logs. Searches and delegation rounds read frozen views, not live
+// stores, so the lock is rarely contended.
 type Store struct {
-	owner   AgentID
-	cfg     UpdateConfig
-	cat     *task.Catalog
-	shards  [storeShards]storeShard
-	usageMu sync.RWMutex
-	usage   map[AgentID]*UsageLog
+	owner AgentID
+	cfg   UpdateConfig
+	cat   *task.Catalog
+	mu    sync.RWMutex
+	// about lists the distinct trustees in ascending order; the records
+	// about about[i] are recs[off[i]:off[i+1]], sorted by task type. off
+	// has len(about)+1 entries once the store holds a record.
+	about   []AgentID
+	off     []int32
+	recs    []CompactRecord
+	usage   map[AgentID]UsageLog
 	version atomic.Uint64 // stamp of the last mutation, 0 for a never-written store
 }
 
@@ -85,11 +74,10 @@ func (s *Store) touch() { s.version.Store(storeStamps.Add(1)) }
 func (s *Store) Version() uint64 { return s.version.Load() }
 
 // NewStore creates an empty store for the given agent using cfg for all
-// updates. Shard and usage maps are allocated lazily on first write, so an
-// empty store costs one allocation — population builds create one store per
-// node, and at 100k nodes eager maps dominated the build time. A nil
-// cfg.Catalog gets a private catalog; populations share one across all
-// stores.
+// updates. Record slices and the usage map are allocated lazily on first
+// write, so an empty store costs one allocation — population builds create
+// one store per node. A nil cfg.Catalog gets a private catalog; populations
+// share one across all stores.
 func NewStore(owner AgentID, cfg UpdateConfig) *Store {
 	if cfg.Norm == nil {
 		cfg.Norm = UnitNormalizer()
@@ -100,9 +88,38 @@ func NewStore(owner AgentID, cfg UpdateConfig) *Store {
 	return &Store{owner: owner, cfg: cfg, cat: cfg.Catalog}
 }
 
-// shard returns the lock stripe responsible for a trustee.
-func (s *Store) shard(trustee AgentID) *storeShard {
-	return &s.shards[uint32(trustee)%storeShards]
+// row returns the records about trustee, sorted by task type (nil when the
+// store has none). The caller holds mu.
+func (s *Store) row(trustee AgentID) []CompactRecord {
+	i, ok := slices.BinarySearch(s.about, trustee)
+	if !ok {
+		return nil
+	}
+	return s.recs[s.off[i]:s.off[i+1]]
+}
+
+// slot returns the record for (trustee, typ), inserting fresh at its sorted
+// position when the store has none: the insert shifts the later records and
+// bumps the later offsets. found reports whether the record existed. The
+// caller holds mu for writing; tasks resolves every ref in the store.
+func (s *Store) slot(trustee AgentID, typ task.Type, tasks []task.Task, fresh CompactRecord) (r *CompactRecord, found bool) {
+	i, ok := slices.BinarySearch(s.about, trustee)
+	if !ok {
+		if s.off == nil {
+			s.off = []int32{0}
+		}
+		s.about = slices.Insert(s.about, i, trustee)
+		s.off = slices.Insert(s.off, i, s.off[i])
+	}
+	lo := int(s.off[i])
+	j, found := searchCompact(tasks, s.recs[lo:s.off[i+1]], typ)
+	if !found {
+		s.recs = slices.Insert(s.recs, lo+j, fresh)
+		for k := i + 1; k < len(s.off); k++ {
+			s.off[k]++
+		}
+	}
+	return &s.recs[lo+j], found
 }
 
 // Owner returns the agent this store belongs to.
@@ -116,15 +133,14 @@ func (s *Store) Catalog() *task.Catalog { return s.cat }
 
 // Record returns the experience record for (trustee, task type), if any.
 func (s *Store) Record(trustee AgentID, typ task.Type) (Record, bool) {
-	sh := s.shard(trustee)
 	storeLockTick()
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	// Snapshot loaded under the lock: every ref in the shard was interned
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	// Snapshot loaded under the lock: every ref in the store was interned
 	// before the writer that stored it released this lock, so the snapshot
 	// resolves them all (the catalog only grows).
 	tasks := s.cat.Tasks()
-	recs := sh.records[trustee]
+	recs := s.row(trustee)
 	if i, ok := searchCompact(tasks, recs, typ); ok {
 		return materialize(tasks, recs[i]), true
 	}
@@ -139,14 +155,13 @@ func (s *Store) Records(trustee AgentID) []Record {
 
 // AppendRecords appends the experience records about trustee (ordered by
 // task type) to buf and returns the extended slice. Reusing buf across calls
-// keeps the hot read path of the transitivity search allocation-free: the
-// materialized Task values share the catalog's slices.
+// keeps the read path allocation-free: the materialized Task values share
+// the catalog's slices.
 func (s *Store) AppendRecords(trustee AgentID, buf []Record) []Record {
-	sh := s.shard(trustee)
 	storeLockTick()
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	recs := sh.records[trustee]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	recs := s.row(trustee)
 	if len(recs) == 0 {
 		return buf
 	}
@@ -166,15 +181,10 @@ func (s *Store) AppendCompact(trustee AgentID, cat *task.Catalog, buf []CompactR
 	if cat != s.cat {
 		panic("core: AppendCompact with a foreign catalog")
 	}
-	sh := s.shard(trustee)
 	storeLockTick()
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	recs := sh.records[trustee]
-	if len(recs) == 0 {
-		return buf
-	}
-	return append(buf, recs...)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return append(buf, s.row(trustee)...)
 }
 
 // RecordCount returns how many records the store holds about trustee. It
@@ -182,64 +192,41 @@ func (s *Store) AppendCompact(trustee AgentID, cat *task.Catalog, buf []CompactR
 // AppendCompact it lets CaptureRoundView size every arena span
 // before filling it.
 func (s *Store) RecordCount(trustee AgentID) int {
-	sh := s.shard(trustee)
 	storeLockTick()
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return len(sh.records[trustee])
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.row(trustee))
 }
 
 // NumRecords returns the number of (trustee, task type) records held.
 func (s *Store) NumRecords() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		storeLockTick()
-		sh.mu.RLock()
-		for _, recs := range sh.records {
-			n += len(recs)
-		}
-		sh.mu.RUnlock()
-	}
-	return n
+	storeLockTick()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.recs)
 }
 
 // Trustees returns the sorted IDs of all agents the store has experience
 // with.
 func (s *Store) Trustees() []AgentID {
-	var out []AgentID
-	for i := range s.shards {
-		sh := &s.shards[i]
-		storeLockTick()
-		sh.mu.RLock()
-		for id := range sh.records {
-			out = append(out, id)
-		}
-		sh.mu.RUnlock()
+	storeLockTick()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if len(s.about) == 0 {
+		return nil
 	}
-	slices.Sort(out)
-	return out
+	return slices.Clone(s.about)
 }
 
 // Observe folds the outcome of delegating t to trustee into the store
 // (post-evaluation, eqs. 19–22 / 25–28) and returns the updated record.
 func (s *Store) Observe(trustee AgentID, t task.Task, o Outcome, ectx EnvContext) Record {
 	ref := s.cat.Intern(t)
-	sh := s.shard(trustee)
 	storeLockTick()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	tasks := s.cat.Tasks() // after Intern: resolves ref
-	recs := sh.records[trustee]
-	i, ok := searchCompact(tasks, recs, t.Type())
-	if !ok {
-		if sh.records == nil {
-			sh.records = make(map[AgentID][]CompactRecord)
-		}
-		recs = slices.Insert(recs, i, CompactRecord{Ref: ref, Exp: s.cfg.Init})
-		sh.records[trustee] = recs
-	}
-	r := &recs[i]
+	r, _ := s.slot(trustee, t.Type(), tasks, CompactRecord{Ref: ref, Exp: s.cfg.Init})
 	r.Exp = Update(r.Exp, o, ectx, s.cfg)
 	r.Count++
 	s.touch()
@@ -255,21 +242,12 @@ func (s *Store) Seed(trustee AgentID, t task.Task, exp Expectation) {
 
 // setRecord installs or replaces the record for the task type of r.Task.
 func (s *Store) setRecord(trustee AgentID, r Record) {
-	ref := s.cat.Intern(r.Task)
-	cr := CompactRecord{Ref: ref, Exp: r.Exp, Count: uint32(r.Count)}
-	sh := s.shard(trustee)
+	cr := CompactRecord{Ref: s.cat.Intern(r.Task), Exp: r.Exp, Count: uint32(r.Count)}
 	storeLockTick()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	tasks := s.cat.Tasks()
-	recs := sh.records[trustee]
-	if i, ok := searchCompact(tasks, recs, r.Task.Type()); ok {
-		recs[i] = cr
-	} else {
-		if sh.records == nil {
-			sh.records = make(map[AgentID][]CompactRecord)
-		}
-		sh.records[trustee] = slices.Insert(recs, i, cr)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if rec, found := s.slot(trustee, r.Task.Type(), s.cat.Tasks(), cr); found {
+		*rec = cr
 	}
 	s.touch()
 }
@@ -298,11 +276,10 @@ func (s *Store) DirectTW(trustee AgentID, typ task.Type) (float64, bool) {
 // A direct record for t's exact type, when present, participates like any
 // other experienced task.
 func (s *Store) InferTW(trustee AgentID, t task.Task) (tw float64, ok bool) {
-	sh := s.shard(trustee)
 	storeLockTick()
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	recs := sh.records[trustee]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	recs := s.row(trustee)
 	if len(recs) == 0 {
 		return 0, false
 	}
@@ -340,19 +317,16 @@ func (l UsageLog) TW() float64 {
 // Usage returns the usage log the store keeps about a trustor.
 func (s *Store) Usage(trustor AgentID) UsageLog {
 	storeLockTick()
-	s.usageMu.RLock()
-	defer s.usageMu.RUnlock()
-	if l, ok := s.usage[trustor]; ok {
-		return *l
-	}
-	return UsageLog{}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.usage[trustor]
 }
 
 // usageSorted returns all usage logs ordered by trustor ID (for snapshots).
 func (s *Store) usageSorted() []usageSnapshot {
 	storeLockTick()
-	s.usageMu.RLock()
-	defer s.usageMu.RUnlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	out := make([]usageSnapshot, 0, len(s.usage))
 	for id, l := range s.usage {
 		out = append(out, usageSnapshot{Trustor: id, Responsible: l.Responsible, Abusive: l.Abusive})
@@ -364,21 +338,18 @@ func (s *Store) usageSorted() []usageSnapshot {
 // ObserveUsage records one use of this agent's resources by trustor.
 func (s *Store) ObserveUsage(trustor AgentID, abusive bool) {
 	storeLockTick()
-	s.usageMu.Lock()
-	defer s.usageMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.usage == nil {
-		s.usage = make(map[AgentID]*UsageLog)
+		s.usage = make(map[AgentID]UsageLog)
 	}
-	l, ok := s.usage[trustor]
-	if !ok {
-		l = &UsageLog{}
-		s.usage[trustor] = l
-	}
+	l := s.usage[trustor]
 	if abusive {
 		l.Abusive++
 	} else {
 		l.Responsible++
 	}
+	s.usage[trustor] = l
 	s.touch()
 }
 
@@ -388,16 +359,20 @@ func (s *Store) ObserveUsage(trustor AgentID, abusive bool) {
 // attacker that rejoins under a fresh identity is, to every peer, an agent
 // nobody remembers.
 func (s *Store) Forget(about AgentID) {
-	sh := s.shard(about)
 	storeLockTick()
-	sh.mu.Lock()
-	delete(sh.records, about)
-	sh.mu.Unlock()
-	storeLockTick()
-	s.usageMu.Lock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if i, ok := slices.BinarySearch(s.about, about); ok {
+		lo, hi := s.off[i], s.off[i+1]
+		s.recs = slices.Delete(s.recs, int(lo), int(hi))
+		s.about = slices.Delete(s.about, i, i+1)
+		s.off = slices.Delete(s.off, i+1, i+2)
+		for k := i + 1; k < len(s.off); k++ {
+			s.off[k] -= hi - lo
+		}
+	}
 	delete(s.usage, about)
 	s.touch()
-	s.usageMu.Unlock()
 }
 
 // ReverseTW returns the reverse-evaluation trustworthiness this agent (as

@@ -8,7 +8,8 @@ import (
 )
 
 // TestStoreConcurrentAccess hammers one store from concurrent readers and
-// writers; run under -race it proves the sharded-mutex layer holds.
+// writers; run under -race it proves the store's one RW-mutex guards both
+// the sorted record slice and the usage logs.
 func TestStoreConcurrentAccess(t *testing.T) {
 	s := NewStore(1, DefaultUpdateConfig())
 	tasks := []task.Task{

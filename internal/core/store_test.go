@@ -321,3 +321,52 @@ func TestStoreVersion(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkStoreObserve measures Observe on a store shaped like the
+// busiest store of benchnet.Net100k: its highest-degree node has 49
+// neighbours, each holding a record for every one of the 10 task types of
+// the 5-characteristic universe (490 records). "existing" folds an outcome
+// into a held record; "insert" adds a new (trustee, type) pair, which
+// shifts the later records and offsets. The insert store is rebuilt, off
+// the clock, once every trustee has gained its new pair.
+func BenchmarkStoreObserve(b *testing.B) {
+	const trustees, types = 49, 10
+	tasks := make([]task.Task, types+1)
+	for i := range tasks {
+		tasks[i] = seedTestTask(i)
+	}
+	seeded := func() *Store {
+		s := NewStore(0, DefaultUpdateConfig())
+		var batch []SeedRecord
+		for id := AgentID(1); id <= trustees; id++ {
+			for _, tk := range tasks[:types] {
+				batch = append(batch, SeedRecord{Trustee: id, Task: tk, Exp: Expectation{S: 0.5, G: 0.5, D: 0.5}})
+			}
+		}
+		if err := s.SeedSorted(batch); err != nil {
+			b.Fatal(err)
+		}
+		return s
+	}
+	o := Outcome{Success: true, Gain: 0.5, Cost: 0.1}
+	b.Run("existing", func(b *testing.B) {
+		s := seeded()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s.Observe(AgentID(1+i%trustees), tasks[i%types], o, PerfectEnv())
+		}
+	})
+	b.Run("insert", func(b *testing.B) {
+		s := seeded()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			k := i % trustees
+			if k == 0 && i > 0 {
+				b.StopTimer()
+				s = seeded()
+				b.StartTimer()
+			}
+			s.Observe(AgentID(1+k), tasks[types], o, PerfectEnv())
+		}
+	})
+}

@@ -1,6 +1,6 @@
 // Package serve is the trust-as-a-service engine: a long-lived online query
 // layer mounted on the frozen-epoch seam the simulation built. It ingests
-// observation/recommendation events concurrently into the sharded stores
+// observation/recommendation events concurrently into the agents' stores
 // through one batching writer goroutine, answers trust(trustor, trustee,
 // task) queries lock-free from the current epoch (RoundView + EdgeMemo, one
 // acquire/release per request, so a query straddling a swap keeps a
