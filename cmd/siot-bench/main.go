@@ -21,9 +21,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"siot/internal/cliutil"
+	"siot/internal/core"
 	"siot/internal/experiments"
 	"siot/internal/report"
 )
@@ -45,35 +47,36 @@ func main() {
 	if *expFlag == "all" {
 		names = experiments.Names()
 	} else {
-		names = strings.Split(*expFlag, ",")
+		for _, name := range strings.Split(*expFlag, ",") {
+			if name = strings.TrimSpace(name); name != "" {
+				names = append(names, name)
+			}
+		}
+	}
+	// Reject every bad name before the first experiment runs.
+	known := experiments.Names()
+	for _, name := range names {
+		if _, ok := slices.BinarySearch(known, name); !ok {
+			cliutil.Usage("siot-bench", fmt.Errorf("%w %q (known: %v)", experiments.ErrUnknownExperiment, name, known))
+		}
+	}
+	if *modelName != "" {
+		if _, err := core.ParseModel(*modelName); err != nil {
+			cliutil.Usage("siot-bench", err)
+		}
 	}
 
 	failed := 0
 	for _, name := range names {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
 		fmt.Printf("==> %s (seed %d)\n", name, *seed)
 		res, err := experiments.RunOpts(name, experiments.Options{Seed: *seed, Parallelism: *parallel, Model: *modelName})
 		if err != nil {
 			cliutil.Usage("siot-bench", err)
 		}
-		if err := res.Table().Render(os.Stdout); err != nil {
+		if err := experiments.Render(os.Stdout, res, *charts); err != nil {
 			cliutil.Runtime("siot-bench", fmt.Errorf("render: %w", err))
 		}
 		fmt.Println()
-		if *charts {
-			if c, ok := res.(experiments.Charter); ok {
-				for _, chart := range c.Charts() {
-					chart := chart
-					if err := chart.Render(os.Stdout); err != nil {
-						cliutil.Runtime("siot-bench", fmt.Errorf("chart: %w", err))
-					}
-					fmt.Println()
-				}
-			}
-		}
 		if errs := res.ShapeCheck(); len(errs) > 0 {
 			failed += len(errs)
 			for _, e := range errs {

@@ -1,6 +1,7 @@
 // Command siot-netgen generates the synthetic social networks used by the
 // simulations and prints their connectivity characteristics side by side
-// with the paper's Table 1, or characterizes a real SNAP edge list.
+// with the paper's Table 1 (the table siot-bench -exp table1 prints) plus
+// extended analytics, or characterizes a real SNAP edge list.
 //
 // Usage:
 //
@@ -20,6 +21,8 @@ import (
 
 	"siot/internal/cliutil"
 	"siot/internal/core"
+	"siot/internal/experiments"
+	"siot/internal/report"
 	"siot/internal/socialgen"
 )
 
@@ -69,75 +72,35 @@ func main() {
 		profiles = []socialgen.Profile{p}
 	}
 
-	fmt.Printf("%-22s", "Metric")
+	// Each network is generated once and feeds both tables.
+	var table1 experiments.Table1Result
+	ext := &report.Table{
+		Title:   "Extended analytics (not in the paper's Table 1)",
+		Headers: []string{"Metric"},
+		Rows:    [][]string{{"Density"}, {"Degree Assortativity"}, {"Degeneracy (max core)"}, {"Triangles"}},
+	}
 	for _, p := range profiles {
-		fmt.Printf(" %12s %12s", p.Name, "(paper)")
-	}
-	fmt.Println()
-
-	stats := make([]socialgen.Stats, len(profiles))
-	for i, p := range profiles {
 		net := socialgen.Generate(p, *seed)
-		stats[i] = socialgen.ComputeStats(net.Graph, *seed)
-	}
-	rows := []struct {
-		name string
-		got  func(socialgen.Stats) string
-	}{
-		{"Number of Nodes", func(s socialgen.Stats) string { return fmt.Sprintf("%d", s.Nodes) }},
-		{"Number of Edges", func(s socialgen.Stats) string { return fmt.Sprintf("%d", s.Edges) }},
-		{"Average Degree", func(s socialgen.Stats) string { return fmt.Sprintf("%.2f", s.AvgDegree) }},
-		{"Diameter", func(s socialgen.Stats) string { return fmt.Sprintf("%d", s.Diameter) }},
-		{"Average Path Length", func(s socialgen.Stats) string { return fmt.Sprintf("%.2f", s.AvgPathLength) }},
-		{"Avg Clustering Coeff", func(s socialgen.Stats) string { return fmt.Sprintf("%.2f", s.AvgClustering) }},
-		{"Modularity", func(s socialgen.Stats) string { return fmt.Sprintf("%.2f", s.Modularity) }},
-		{"Number of Communities", func(s socialgen.Stats) string { return fmt.Sprintf("%d", s.Communities) }},
-	}
-	paperRows := []func(socialgen.Stats) string{
-		func(s socialgen.Stats) string { return fmt.Sprintf("%d", s.Nodes) },
-		func(s socialgen.Stats) string { return fmt.Sprintf("%d", s.Edges) },
-		func(s socialgen.Stats) string { return fmt.Sprintf("%.2f", s.AvgDegree) },
-		func(s socialgen.Stats) string { return fmt.Sprintf("%d", s.Diameter) },
-		func(s socialgen.Stats) string { return fmt.Sprintf("%.2f", s.AvgPathLength) },
-		func(s socialgen.Stats) string { return fmt.Sprintf("%.2f", s.AvgClustering) },
-		func(s socialgen.Stats) string { return fmt.Sprintf("%.2f", s.Modularity) },
-		func(s socialgen.Stats) string { return fmt.Sprintf("%d", s.Communities) },
-	}
-	for ri, row := range rows {
-		fmt.Printf("%-22s", row.name)
-		for i, p := range profiles {
-			fmt.Printf(" %12s %12s", row.got(stats[i]), paperRows[ri](p.Paper))
+		table1.Rows = append(table1.Rows, experiments.MeasureTable1Row(net, *seed))
+		g := net.Graph
+		ext.Headers = append(ext.Headers, p.Name)
+		for i, v := range []string{
+			fmt.Sprintf("%.3f", g.Density()),
+			fmt.Sprintf("%.3f", g.DegreeAssortativity()),
+			fmt.Sprintf("%d", g.Degeneracy()),
+			fmt.Sprintf("%d", g.TriangleCount()),
+		} {
+			ext.Rows[i] = append(ext.Rows[i], v)
 		}
-		fmt.Println()
 	}
 
-	// Extended analytics (not in the paper's Table 1, useful for
-	// characterizing loaded datasets).
-	fmt.Println()
-	fmt.Printf("%-22s", "Density")
-	for _, p := range profiles {
-		net := socialgen.Generate(p, *seed)
-		fmt.Printf(" %12.3f %12s", net.Graph.Density(), "")
+	if err := experiments.Render(os.Stdout, table1, false); err != nil {
+		cliutil.Runtime("siot-netgen", err)
 	}
 	fmt.Println()
-	fmt.Printf("%-22s", "Degree Assortativity")
-	for _, p := range profiles {
-		net := socialgen.Generate(p, *seed)
-		fmt.Printf(" %12.3f %12s", net.Graph.DegreeAssortativity(), "")
+	if err := ext.Render(os.Stdout); err != nil {
+		cliutil.Runtime("siot-netgen", err)
 	}
-	fmt.Println()
-	fmt.Printf("%-22s", "Degeneracy (max core)")
-	for _, p := range profiles {
-		net := socialgen.Generate(p, *seed)
-		fmt.Printf(" %12d %12s", net.Graph.Degeneracy(), "")
-	}
-	fmt.Println()
-	fmt.Printf("%-22s", "Triangles")
-	for _, p := range profiles {
-		net := socialgen.Generate(p, *seed)
-		fmt.Printf(" %12d %12s", net.Graph.TriangleCount(), "")
-	}
-	fmt.Println()
 }
 
 func characterizeFile(path string, seed uint64) error {

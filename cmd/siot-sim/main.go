@@ -9,19 +9,20 @@
 //	siot-sim -net facebook -rounds 40 -theta 0.3
 //	siot-sim -net twitter -mode transitivity -model conservative -chars 5
 //	siot-sim -net twitter -mode transitivity -model hellinger-mf
-//	siot-sim -experiment model-matrix -model feature-weighted
 //	siot-sim -net gplus -mode netprofit -iters 1000 -strategy netprofit
-//	siot-sim -rounds 100 -attack onoff -attackers 25
-//	siot-sim -experiment attack-collusion -attack badmouth -collude
+//	siot-sim -rounds 150 -theta 0 -attack onoff -attackers 25
+//	siot-sim -rounds 150 -theta 0 -attack badmouth -collude
 //
 // All modes run on the parallel simulation engine; -parallel sets the
 // worker-pool width (0 = GOMAXPROCS) and never changes the printed rates.
 //
-// -experiment runs a registered table/figure experiment end to end and
-// prints its summary table and ASCII charts; the -attack, -attackers, and
-// -collude knobs then override the attack-* experiments' adversary model.
-// In the default mutuality mode the same knobs inject the attack directly
-// into the ad-hoc delegation rounds.
+// In the default mutuality mode a non-empty -attack runs the attack
+// scenario (experiments.RunAttack) on the chosen network instead: the
+// rounds are played twice, with an honest ring and with -attackers trustees
+// (default 30) running the adversary model, coordinated as a collusion ring
+// under -collude. It prints the scenario's resilience table and charts, and
+// any failed shape check on stderr. The registered tables and figures run
+// through siot-bench -exp.
 package main
 
 import (
@@ -42,21 +43,20 @@ import (
 
 func main() {
 	var (
-		netName    = flag.String("net", "facebook", "network profile: facebook, gplus, twitter")
-		seed       = flag.Uint64("seed", 1, "simulation seed")
-		mode       = flag.String("mode", "mutuality", "simulation mode: mutuality, transitivity, netprofit")
-		experiment = flag.String("experiment", "", "run a registered experiment instead of a mode (see -list)")
-		list       = flag.Bool("list", false, "list registered experiments and attack models, then exit")
-		rounds     = flag.Int("rounds", 40, "mutuality: delegation rounds")
-		theta      = flag.Float64("theta", 0.3, "mutuality: reverse-evaluation threshold")
-		modelName  = flag.String("model", "aggressive", "transitivity: registered trust model (see -list); given explicitly, also restricts -experiment model-matrix to it")
-		chars      = flag.Int("chars", 5, "transitivity: number of characteristics in the network")
-		iters      = flag.Int("iters", 1000, "netprofit: iterations")
-		strategy   = flag.String("strategy", "netprofit", "netprofit: successrate or netprofit")
-		parallel   = flag.Int("parallel", 0, "worker-pool width (0 = GOMAXPROCS, 1 = serial); outputs are identical at any width")
-		attack     = flag.String("attack", "", "adversary model: badmouth, ballot, selfpromo, onoff, whitewash (empty = none)")
-		attackers  = flag.Int("attackers", 0, "attack ring size (trustees turned attackers)")
-		collude    = flag.Bool("collude", false, "coordinate the attackers as a collusion ring")
+		netName   = flag.String("net", "facebook", "network profile: facebook, gplus, twitter")
+		seed      = flag.Uint64("seed", 1, "simulation seed")
+		mode      = flag.String("mode", "mutuality", "simulation mode: mutuality, transitivity, netprofit")
+		list      = flag.Bool("list", false, "list attack and trust models, then exit")
+		rounds    = flag.Int("rounds", 40, "mutuality: delegation rounds")
+		theta     = flag.Float64("theta", 0.3, "mutuality: reverse-evaluation threshold")
+		modelName = flag.String("model", "aggressive", "transitivity: registered trust model (see -list)")
+		chars     = flag.Int("chars", 5, "transitivity: number of characteristics in the network")
+		iters     = flag.Int("iters", 1000, "netprofit: iterations")
+		strategy  = flag.String("strategy", "netprofit", "netprofit: successrate or netprofit")
+		parallel  = flag.Int("parallel", 0, "worker-pool width (0 = GOMAXPROCS, 1 = serial); outputs are identical at any width")
+		attack    = flag.String("attack", "", "adversary model: badmouth, ballot, selfpromo, onoff, whitewash (empty = none)")
+		attackers = flag.Int("attackers", 0, "attack ring size (trustees turned attackers; 0 = the scenario default)")
+		collude   = flag.Bool("collude", false, "coordinate the attackers as a collusion ring")
 	)
 	flag.Parse()
 
@@ -65,7 +65,7 @@ func main() {
 		cliutil.ValidatePositive("-rounds", *rounds),
 		cliutil.ValidatePositive("-chars", *chars),
 		cliutil.ValidatePositive("-iters", *iters),
-		cliutil.ValidateAttackFlags(*attack, *attackers, *collude, *experiment),
+		cliutil.ValidateAttackFlags(*attack, *attackers, *collude),
 	} {
 		if err != nil {
 			cliutil.Usage("siot-sim", err)
@@ -73,56 +73,17 @@ func main() {
 	}
 
 	if *list {
-		fmt.Println("experiments:", experiments.Names())
 		fmt.Println("attack models:", adversary.Names())
 		fmt.Println("trust models:", core.ModelNames())
 		return
 	}
 
-	if *experiment != "" {
-		// The -model default picks the transitivity mode's model; only an
-		// explicit -model restricts the model matrix.
-		matrixModel := ""
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "model" {
-				matrixModel = *modelName
-			}
-		})
-		res, err := experiments.RunOpts(*experiment, experiments.Options{
-			Seed: *seed, Parallelism: *parallel,
-			Attack: *attack, Attackers: *attackers, Collude: *collude,
-			Model: matrixModel,
-		})
-		if err != nil {
-			cliutil.Usage("siot-sim", err)
-		}
-		if err := res.Table().Render(os.Stdout); err != nil {
-			cliutil.Runtime("siot-sim", err)
-		}
-		if c, ok := res.(experiments.Charter); ok {
-			for _, chart := range c.Charts() {
-				fmt.Println()
-				if err := chart.Render(os.Stdout); err != nil {
-					cliutil.Runtime("siot-sim", err)
-				}
-			}
-		}
-		for _, e := range res.ShapeCheck() {
-			fmt.Fprintln(os.Stderr, "shape check:", e)
-		}
-		return
-	}
-
-	model, err := adversary.Parse(*attack)
+	atk, err := adversary.Parse(*attack)
 	if err != nil {
 		cliutil.Usage("siot-sim", err)
 	}
-	if *collude && model != nil {
-		model = adversary.Collusion{Of: model}
-	}
-	atkCfg := sim.AttackConfig{Model: model, Attackers: *attackers}
-	if model != nil && *attackers == 0 {
-		atkCfg.Attackers = 25 // a meaningful default ring for ad-hoc runs
+	if *collude && atk != nil {
+		atk = adversary.Collusion{Of: atk}
 	}
 
 	profile, err := socialgen.ProfileByName(*netName)
@@ -134,12 +95,25 @@ func main() {
 
 	switch *mode {
 	case "mutuality":
+		if atk != nil {
+			cfg := experiments.DefaultAttackConfig(*seed, atk)
+			cfg.Network, cfg.Rounds, cfg.Theta, cfg.Parallelism = profile.Name, *rounds, *theta, *parallel
+			if *attackers > 0 {
+				cfg.Attackers = *attackers
+			}
+			res := experiments.RunAttack(cfg)
+			if err := experiments.Render(os.Stdout, res, true); err != nil {
+				cliutil.Runtime("siot-sim", err)
+			}
+			for _, e := range res.ShapeCheck() {
+				fmt.Fprintln(os.Stderr, "shape check:", e)
+			}
+			return
+		}
 		cfg := sim.DefaultPopulationConfig(*seed)
 		cfg.Theta = *theta
 		cfg.Parallelism = *parallel
-		cfg.Attack = atkCfg
-		p := sim.NewPopulation(net, cfg)
-		eng := sim.NewEngine(p, "cli-mutuality")
+		eng := sim.NewEngine(sim.NewPopulation(net, cfg), "cli-mutuality")
 		tk := task.Uniform(1, task.CharCompute)
 		var c sim.MutualityCounters
 		for i := 0; i < *rounds; i++ {
@@ -149,13 +123,6 @@ func main() {
 		fmt.Printf("success rate     %.3f\n", c.SuccessRate())
 		fmt.Printf("unavailable rate %.3f\n", c.UnavailableRate())
 		fmt.Printf("abuse rate       %.3f\n", c.AbuseRate())
-		if p.AttackEnabled() {
-			fmt.Printf("attack=%s attackers=%d\n", atkCfg.Model.Name(), len(p.Attackers))
-			fmt.Printf("attacker delegation share %.3f\n",
-				float64(c.AttackerDelegations)/float64(max(1, c.Requests-c.Unavailable)))
-			honest, atk := eng.PerceivedTrust(*rounds-1, tk)
-			fmt.Printf("trust gap (honest − attacker) %.3f\n", honest-atk)
-		}
 
 	case "transitivity":
 		mdl, err := core.ParseModel(*modelName)

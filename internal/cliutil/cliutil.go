@@ -51,19 +51,18 @@ func ValidatePositive(name string, v int) error {
 }
 
 // ValidateAttackFlags cross-checks the adversary knobs: -attackers must be
-// non-negative, and -attackers/-collude without an -attack model (or an
-// -experiment that supplies one) were previously accepted and silently
-// ignored — now a usage error.
-func ValidateAttackFlags(attack string, attackers int, collude bool, experiment string) error {
+// non-negative, and -attackers or -collude need an -attack model, without
+// which they would be silently ignored.
+func ValidateAttackFlags(attack string, attackers int, collude bool) error {
 	if attackers < 0 {
 		return fmt.Errorf("-attackers must be >= 0, got %d", attackers)
 	}
-	if attack == "" && experiment == "" {
+	if attack == "" {
 		if collude {
-			return fmt.Errorf("-collude requires an -attack model (or an attack -experiment)")
+			return fmt.Errorf("-collude requires an -attack model")
 		}
 		if attackers > 0 {
-			return fmt.Errorf("-attackers requires an -attack model (or an attack -experiment)")
+			return fmt.Errorf("-attackers requires an -attack model")
 		}
 	}
 	return nil

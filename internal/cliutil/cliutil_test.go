@@ -39,30 +39,27 @@ func TestValidatePositive(t *testing.T) {
 
 func TestValidateAttackFlags(t *testing.T) {
 	cases := []struct {
-		name       string
-		attack     string
-		attackers  int
-		collude    bool
-		experiment string
-		wantErr    bool
+		name      string
+		attack    string
+		attackers int
+		collude   bool
+		wantErr   bool
 	}{
-		{"all defaults", "", 0, false, "", false},
-		{"negative attackers", "badmouth", -1, false, "", true},
-		{"negative attackers without model", "", -25, false, "", true},
-		{"attackers without model", "", 25, false, "", true},
-		{"collude without model", "", 0, true, "", true},
-		{"collude with model", "badmouth", 0, true, "", false},
-		{"attackers with model", "onoff", 25, false, "", false},
-		{"attackers with experiment", "", 25, false, "attack-collusion", false},
-		{"collude with experiment", "", 0, true, "attack-collusion", false},
-		{"everything set", "ballot", 10, true, "attack-impact", false},
+		{"all defaults", "", 0, false, false},
+		{"negative attackers", "badmouth", -1, false, true},
+		{"negative attackers without model", "", -25, false, true},
+		{"attackers without model", "", 25, false, true},
+		{"collude without model", "", 0, true, true},
+		{"collude with model", "badmouth", 0, true, false},
+		{"attackers with model", "onoff", 25, false, false},
+		{"everything set", "ballot", 10, true, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := ValidateAttackFlags(tc.attack, tc.attackers, tc.collude, tc.experiment)
+			err := ValidateAttackFlags(tc.attack, tc.attackers, tc.collude)
 			if (err != nil) != tc.wantErr {
-				t.Errorf("ValidateAttackFlags(%q, %d, %v, %q) = %v, want error %v",
-					tc.attack, tc.attackers, tc.collude, tc.experiment, err, tc.wantErr)
+				t.Errorf("ValidateAttackFlags(%q, %d, %v) = %v, want error %v",
+					tc.attack, tc.attackers, tc.collude, err, tc.wantErr)
 			}
 		})
 	}

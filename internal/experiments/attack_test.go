@@ -62,25 +62,6 @@ func TestAttackRegistryEntries(t *testing.T) {
 	}
 }
 
-// TestAttackOptionsOverride checks the end-to-end knob: Options can swap
-// the model, resize the ring, and wrap it in a collusion.
-func TestAttackOptionsOverride(t *testing.T) {
-	res, err := RunOpts("attack-onoff", Options{Seed: 7, Attack: "whitewash", Attackers: 10, Collude: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ar := res.(AttackResult)
-	if ar.Model != "collusion(whitewashing)" {
-		t.Fatalf("model = %q, want collusion(whitewashing)", ar.Model)
-	}
-	if ar.Attackers != 10 {
-		t.Fatalf("attackers = %d, want 10", ar.Attackers)
-	}
-	if _, err := RunOpts("attack-onoff", Options{Seed: 7, Attack: "sybil"}); err == nil {
-		t.Fatal("unknown attack model did not error")
-	}
-}
-
 func TestRunUnknownExperimentSentinel(t *testing.T) {
 	_, err := Run("no-such-experiment", 1)
 	if err == nil {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 
 	"siot/internal/adversary"
@@ -25,6 +26,25 @@ type Result interface {
 // Charter is implemented by results that can render figure curves.
 type Charter interface {
 	Charts() []report.Chart
+}
+
+// Render writes res's summary table and, when charts is set and res is a
+// Charter, each of its charts preceded by a blank line.
+func Render(w io.Writer, res Result, charts bool) error {
+	if err := res.Table().Render(w); err != nil {
+		return err
+	}
+	if c, ok := res.(Charter); ok && charts {
+		for _, chart := range c.Charts() {
+			if _, err := fmt.Fprintln(w); err != nil {
+				return err
+			}
+			if err := chart.Render(w); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // Charts implements Charter for the sweep results.
@@ -102,37 +122,19 @@ type Options struct {
 	// (0 = GOMAXPROCS, 1 = serial). Experiment outputs are bit-identical
 	// across all values; only wall-clock time changes.
 	Parallelism int
-	// Attack overrides the adversary model of the attack-* experiments
-	// (see adversary.Parse for the names); "" keeps each experiment's
-	// default. Non-attack experiments ignore it.
-	Attack string
-	// Attackers overrides the attack ring size (0 keeps the default).
-	Attackers int
-	// Collude wraps the attack-* experiments' model in a coordinated
-	// collusion ring (mutual promotion among the attackers).
-	Collude bool
 	// Model restricts the model-matrix experiment to one registered trust
 	// model (see core.ParseModel for the names); "" evaluates every
 	// registered model. Other experiments ignore it.
 	Model string
 }
 
-// attackOverrides applies the attack-related option overrides to a
-// scenario config. o.Attack has been validated by RunOpts.
-func (o Options) attackOverrides(cfg AttackScenarioConfig) AttackScenarioConfig {
-	cfg.Parallelism = o.Parallelism
-	if o.Attack != "" {
-		if m, err := adversary.Parse(o.Attack); err == nil && m != nil {
-			cfg.Model = m
-		}
+// attackRunner runs the attack scenario of one adversary model.
+func attackRunner(model adversary.Attack) func(o Options) Result {
+	return func(o Options) Result {
+		cfg := DefaultAttackConfig(o.Seed, model)
+		cfg.Parallelism = o.Parallelism
+		return RunAttack(cfg)
 	}
-	if o.Attackers > 0 {
-		cfg.Attackers = o.Attackers
-	}
-	if o.Collude {
-		cfg.Model = adversary.Collusion{Of: cfg.Model}
-	}
-	return cfg
 }
 
 // runners maps experiment IDs to their default-configuration runners.
@@ -176,25 +178,13 @@ var runners = map[string]func(o Options) Result{
 	"ablation-self": func(o Options) Result {
 		return RunAblationSelfDelegation(DefaultAblationSelfDelegationConfig(o.Seed))
 	},
-	"attack-badmouth": func(o Options) Result {
-		return RunAttack(o.attackOverrides(DefaultAttackConfig(o.Seed, adversary.BadMouthing{})))
-	},
-	"attack-onoff": func(o Options) Result {
-		return RunAttack(o.attackOverrides(DefaultAttackConfig(o.Seed, adversary.OnOff{Period: 20, Duty: 0.5})))
-	},
-	"attack-whitewash": func(o Options) Result {
-		return RunAttack(o.attackOverrides(DefaultAttackConfig(o.Seed, adversary.Whitewashing{})))
-	},
-	"attack-collusion": func(o Options) Result {
-		return RunAttack(o.attackOverrides(DefaultAttackConfig(o.Seed,
-			adversary.Collusion{Of: adversary.BadMouthing{}})))
-	},
+	"attack-badmouth":  attackRunner(adversary.BadMouthing{}),
+	"attack-onoff":     attackRunner(adversary.OnOff{Period: 20, Duty: 0.5}),
+	"attack-whitewash": attackRunner(adversary.Whitewashing{}),
+	"attack-collusion": attackRunner(adversary.Collusion{Of: adversary.BadMouthing{}}),
 	"model-matrix": func(o Options) Result {
 		cfg := DefaultModelMatrixConfig(o.Seed)
 		cfg.Parallelism = o.Parallelism
-		if o.Attackers > 0 {
-			cfg.Attackers = o.Attackers
-		}
 		if o.Model != "" {
 			// o.Model has been validated by RunOpts.
 			if m, err := core.ParseModel(o.Model); err == nil {
@@ -227,9 +217,6 @@ func RunOpts(name string, o Options) (Result, error) {
 	r, ok := runners[name]
 	if !ok {
 		return nil, fmt.Errorf("experiments: %w %q (known: %v)", ErrUnknownExperiment, name, Names())
-	}
-	if _, err := adversary.Parse(o.Attack); err != nil {
-		return nil, err
 	}
 	if o.Model != "" {
 		if _, err := core.ParseModel(o.Model); err != nil {

@@ -26,14 +26,19 @@ type Table1Result struct {
 func RunTable1(seed uint64) Table1Result {
 	var res Table1Result
 	for _, p := range Networks() {
-		net := socialgen.Generate(p, seed)
-		res.Rows = append(res.Rows, Table1Row{
-			Network: p.Name,
-			Got:     socialgen.ComputeStats(net.Graph, seed),
-			Paper:   p.Paper,
-		})
+		res.Rows = append(res.Rows, MeasureTable1Row(socialgen.Generate(p, seed), seed))
 	}
 	return res
+}
+
+// MeasureTable1Row measures one generated network's connectivity
+// characteristics next to the values the paper reports for its profile.
+func MeasureTable1Row(net *socialgen.Network, seed uint64) Table1Row {
+	return Table1Row{
+		Network: net.Profile.Name,
+		Got:     socialgen.ComputeStats(net.Graph, seed),
+		Paper:   net.Profile.Paper,
+	}
 }
 
 // Table renders the result in the paper's row order, with measured and

@@ -209,7 +209,6 @@ func (e *Engine) PerceivedTrustModels(round int, tk task.Task, models []core.Tru
 // probe takes the population's current epoch, hands its view to fn, and
 // lets go of it.
 func (e *Engine) probe(fn func(view *core.RoundView)) {
-	e.init()
 	link := e.Pop.acquireEpoch(e.workers())
 	fn(link.view)
 	link.release()
@@ -223,9 +222,9 @@ func (e *Engine) perceive(view *core.RoundView, round int, tw edgeTW) Perceived 
 	ctx, attacked := e.attackContext(round)
 	var honestSum, attackerSum float64
 	honestN, attackerN := 0, 0
-	for i := range p.Trustors {
-		for k, y := range e.trusteeNbrs[i] {
-			v := e.candidateTW(view, tw, attacked, ctx, i, e.trusteeEdges[i][k], y)
+	for _, x := range p.Trustors {
+		for y, edge := range p.trusteeEdges(x) {
+			v := e.candidateTW(view, tw, attacked, ctx, x, edge, y)
 			if p.attackers[y] {
 				attackerSum += v
 				attackerN++

@@ -45,10 +45,6 @@ type Engine struct {
 	// Label separates the engine's random streams from other phases run on
 	// the same population (e.g. one label per figure).
 	Label string
-
-	initOnce     sync.Once
-	trusteeNbrs  [][]core.AgentID // trustee-kind neighbors per trustor position
-	trusteeEdges [][]int32        // CSR edge index per trustee neighbor, same shape as trusteeNbrs
 }
 
 // NewEngine returns an engine over the population using its configured
@@ -68,29 +64,6 @@ func (e *Engine) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// init precomputes the per-trustor trustee-neighbor lists so rounds do not
-// re-derive (and re-allocate) them every time, plus the CSR edge index of
-// every trustee neighbor — round views index records and usage by directed
-// edge, and the graph is frozen, so the trustor→candidate edge of every
-// candidate lookup is known once and for all.
-func (e *Engine) init() {
-	e.initOnce.Do(func() {
-		p := e.Pop
-		e.trusteeNbrs = make([][]core.AgentID, len(p.Trustors))
-		e.trusteeEdges = make([][]int32, len(p.Trustors))
-		for i, x := range p.Trustors {
-			e.trusteeNbrs[i] = p.TrusteeNeighbors(x)
-			edges := make([]int32, 0, len(e.trusteeNbrs[i]))
-			for k, v := range p.adjTo[p.adjOff[x]:p.adjOff[x+1]] {
-				if p.candMask[v] {
-					edges = append(edges, p.adjOff[x]+int32(k))
-				}
-			}
-			e.trusteeEdges[i] = edges
-		}
-	})
-}
-
 // mutualityLabel is the random-stream label of the engine's mutuality
 // rounds. attackContext derives the adversary label from it, so the trust
 // probes key the same adversary sub-streams as the rounds themselves.
@@ -98,18 +71,17 @@ func (e *Engine) mutualityLabel() string {
 	return "engine-mutuality:" + e.Label + ":" + e.Pop.Net.Profile.Name
 }
 
-// candidateTW scores candidate trustee y for the trustor at position i the
-// way a mutuality round does: direct experience first (edge is the
-// trustor→y edge in the view, read through the lens tw), the one-hop
-// recommendation channel (attack scenarios only, with attackers forging)
-// for strangers, the neutral prior when nobody knows anything. Reads only
-// the frozen view.
-func (e *Engine) candidateTW(view *core.RoundView, tw edgeTW, attacked bool, ctx adversary.Context, i int, edge int32, y core.AgentID) float64 {
+// candidateTW scores candidate trustee y for trustor x the way a mutuality
+// round does: direct experience first (edge is the x→y edge in the view,
+// read through the lens tw), the one-hop recommendation channel (attack
+// scenarios only, with attackers forging) for strangers, the neutral prior
+// when nobody knows anything. Reads only the frozen view.
+func (e *Engine) candidateTW(view *core.RoundView, tw edgeTW, attacked bool, ctx adversary.Context, x core.AgentID, edge int32, y core.AgentID) float64 {
 	if v, ok := tw(edge); ok {
 		return v
 	}
 	if attacked {
-		if rec, ok := e.recommendedTW(view, tw, ctx, e.Pop.Trustors[i], y); ok {
+		if rec, ok := e.recommendedTW(view, tw, ctx, x, y); ok {
 			return rec
 		}
 	}
@@ -207,7 +179,6 @@ type mutualityAction struct {
 // attack configured every hook is skipped and the round is bit-identical
 // to the pre-adversary engine.
 func (e *Engine) MutualityRound(round int, tk task.Task, c *MutualityCounters) {
-	e.init()
 	p := e.Pop
 	actx, attacked := e.attackContext(round)
 	link := p.acquireEpoch(e.workers())
@@ -234,18 +205,18 @@ func (e *Engine) computeMutualityActs(view *core.RoundView, attacked bool, actx 
 	label := e.mutualityLabel()
 	actCfg := agent.DefaultActConfig()
 	tw := func(edge int32) (float64, bool) { return view.BestTW(edge, tk) }
-	return mapTrustors(p.Trustors, e.workers(), func(i int, x core.AgentID) mutualityAction {
-		nbrs := e.trusteeNbrs[i]
+	return mapTrustors(p.Trustors, e.workers(), func(_ int, x core.AgentID) mutualityAction {
+		nbrs := p.TrusteeNeighbors(x)
 		if len(nbrs) == 0 {
 			return mutualityAction{} // socially isolated from trustees: not a request
 		}
 		r := rng.Split2(p.cfg.Seed, label, round, int(x))
 		trustor := p.Agent(x)
 		cands := make([]core.Candidate, 0, len(nbrs))
-		for k, y := range nbrs {
+		for y, edge := range p.trusteeEdges(x) {
 			// Strangers are judged by one-hop recommendations, which
 			// attackers may forge (candidateTW).
-			cands = append(cands, core.Candidate{ID: y, TW: e.candidateTW(view, tw, attacked, actx, i, e.trusteeEdges[i][k], y)})
+			cands = append(cands, core.Candidate{ID: y, TW: e.candidateTW(view, tw, attacked, actx, x, edge, y)})
 		}
 		chosen, ok := core.SelectMutual(cands, func(y core.AgentID) bool {
 			return e.acceptsDelegation(view, y, x)
@@ -312,7 +283,6 @@ type netProfitAction struct {
 // per-delegation success draws come from per-(iteration, trustor)
 // sub-streams, so the series is identical at every worker count.
 func (e *Engine) NetProfitRun(iterations int, strategy Strategy, seed uint64) []float64 {
-	e.init()
 	p := e.Pop
 	truths := drawTruths(p, rng.New(seed, "engine-netprofit", p.Net.Profile.Name, strategy.String()))
 	label := "engine-netprofit:" + e.Label + ":" + p.Net.Profile.Name + ":" + strategy.String()
@@ -321,8 +291,8 @@ func (e *Engine) NetProfitRun(iterations int, strategy Strategy, seed uint64) []
 	workers := e.workers()
 
 	for it := 0; it < iterations; it++ {
-		acts := mapTrustors(p.Trustors, workers, func(i int, x core.AgentID) netProfitAction {
-			nbrs := e.trusteeNbrs[i]
+		acts := mapTrustors(p.Trustors, workers, func(_ int, x core.AgentID) netProfitAction {
+			nbrs := p.TrusteeNeighbors(x)
 			if len(nbrs) == 0 {
 				return netProfitAction{}
 			}

@@ -7,6 +7,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand/v2"
 	"runtime"
 	"slices"
@@ -289,6 +290,20 @@ func (p *Population) Neighbors(id core.AgentID) []core.AgentID {
 // must not be modified.
 func (p *Population) TrusteeNeighbors(id core.AgentID) []core.AgentID {
 	return p.trusteeTo[p.trusteeOff[id]:p.trusteeOff[id+1]]
+}
+
+// trusteeEdges yields x's trustee-kind neighbors in TrusteeNeighbors
+// order, each with the CSR index of its x→y edge, by which round views
+// key records and usage.
+func (p *Population) trusteeEdges(x core.AgentID) iter.Seq2[core.AgentID, int32] {
+	return func(yield func(core.AgentID, int32) bool) {
+		lo := p.adjOff[x]
+		for k, y := range p.adjTo[lo:p.adjOff[x+1]] {
+			if p.candMask[y] && !yield(y, lo+int32(k)) {
+				return
+			}
+		}
+	}
 }
 
 // Searcher builds a transitivity searcher over the population's frozen
