@@ -58,11 +58,7 @@ func main() {
 			} else {
 				var cands []core.ExpCandidate
 				for _, d := range trustees {
-					exp := trustor.Agent.Store.Config().Init
-					if rec, ok := trustor.Agent.Store.Record(core.AgentID(d.Addr), reading.Type()); ok {
-						exp = rec.Exp
-					}
-					cands = append(cands, core.ExpCandidate{ID: core.AgentID(d.Addr), Exp: exp})
+					cands = append(cands, core.ExpCandidate{ID: core.AgentID(d.Addr), Exp: trustor.Agent.Store.Expectation(core.AgentID(d.Addr), reading.Type())})
 				}
 				best, _ := pick(cands)
 				for _, d := range trustees {

@@ -50,7 +50,7 @@ func main() {
 		log.Fatal(err)
 	}
 	searcher := p.Searcher(setup.MaxDepth, setup.Omega1, setup.Omega2)
-	memo := core.NewEdgeMemoPooled(view.TrustView, searcher.Norm, 1, nil)
+	memo := core.NewEdgeMemoPooled(view.TrustView, p.Config().Update.Norm, 1, nil)
 	var res core.SearchResult
 	for _, model := range []core.TrustModel{core.Traditional, core.Conservative, core.Aggressive} {
 		memo.RequireModel(model, []task.Task{traffic})

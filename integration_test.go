@@ -134,7 +134,7 @@ func TestIntegrationStorePersistenceAcrossSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The restored store ranks trustees identically.
-	for _, y := range p.TrusteeNeighbors(x) {
+	for y := range p.TrusteeNeighbors(x) {
 		origTW, origOK := p.Agent(x).Store.BestTW(y, tk)
 		gotTW, gotOK := restored.BestTW(y, tk)
 		if origOK != gotOK || (origOK && origTW != gotTW) {

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 
+	"siot/internal/par"
 	"siot/internal/rng"
 	"siot/internal/task"
 )
@@ -127,7 +128,7 @@ func (hellingerMF) TrainEpoch(view *TrustView, norm Normalizer, workers int) Edg
 	// Per-edge ratings: mean record trustworthiness, in parallel over
 	// disjoint CSR rows.
 	rating := make([]float64, ne)
-	parallelRows(adjOff, workers, func(lo, hi int) {
+	par.For(n, workers, func(_, lo, hi int) {
 		for u := lo; u < hi; u++ {
 			for e := adjOff[u]; e < adjOff[u+1]; e++ {
 				s.holder[e] = AgentID(u)
@@ -175,7 +176,7 @@ func (hellingerMF) TrainEpoch(view *TrustView, norm Normalizer, workers int) Edg
 	newU := make([]float64, n*hmfRank)
 	newV := make([]float64, n*hmfRank)
 	for sweep := 0; sweep < hmfSweeps; sweep++ {
-		parallelRows(adjOff, workers, func(lo, hi int) {
+		par.For(n, workers, func(_, lo, hi int) {
 			var g [hmfRank]float64
 			for u := lo; u < hi; u++ {
 				for k := range g {
@@ -200,7 +201,7 @@ func (hellingerMF) TrainEpoch(view *TrustView, norm Normalizer, workers int) Edg
 				}
 			}
 		})
-		parallelRows(inOff, workers, func(lo, hi int) {
+		par.For(n, workers, func(_, lo, hi int) {
 			var g [hmfRank]float64
 			for v := lo; v < hi; v++ {
 				for k := range g {

@@ -39,7 +39,7 @@ func (f *roundFixture) searchers(depth int, omega1, omega2 float64, mask []bool)
 		Norm: norm, MaxDepth: depth, Omega1: omega1, Omega2: omega2,
 		CandidateFilter: func(id AgentID) bool { return mask[id] },
 	}
-	s := &Searcher{Norm: norm, MaxDepth: depth, Omega1: omega1, Omega2: omega2, CandidateMask: mask}
+	s := &Searcher{MaxDepth: depth, Omega1: omega1, Omega2: omega2, CandidateMask: mask}
 	return oracle, s
 }
 
@@ -113,7 +113,7 @@ func TestFindViewEquivalence(t *testing.T) {
 		for _, pr := range searchParams {
 			oracle, s := f.searchers(pr.depth, pr.omega1, pr.omega2, mask)
 			for _, m := range []TrustModel{Traditional, Conservative, Aggressive} {
-				memo := NewEdgeMemoPooled(view, s.Norm, 2, nil)
+				memo := NewEdgeMemoPooled(view, oracle.Norm, 2, nil)
 				memo.RequireModel(m, probes)
 				var got SearchResult
 				for x := 0; x < f.n; x++ {
@@ -153,8 +153,8 @@ func TestSearchDispatchFollowsSpec(t *testing.T) {
 		probes := f.searchProbes()
 		mask := randomMask(f.n, seed)
 		for _, pr := range searchParams {
-			_, s := f.searchers(pr.depth, pr.omega1, pr.omega2, mask)
-			memo := NewEdgeMemoPooled(view, s.Norm, 1, nil)
+			oracle, s := f.searchers(pr.depth, pr.omega1, pr.omega2, mask)
+			memo := NewEdgeMemoPooled(view, oracle.Norm, 1, nil)
 			memo.RequireModel(agg, probes)
 			memo.RequireModel(twin, probes)
 			var want, got SearchResult
@@ -181,13 +181,13 @@ func TestSearchDispatchFollowsSpec(t *testing.T) {
 func TestSearchRequiresCoveringMemo(t *testing.T) {
 	f := buildRoundFixture(t, 3)
 	view, other := f.captureView(t), f.captureView(t)
-	_, s := f.searchers(3, 0.3, 0.5, nil)
+	oracle, s := f.searchers(3, 0.3, 0.5, nil)
 	required := task.Uniform(7, task.CharGPS, task.CharImage)
 	sameType := task.Uniform(7, task.CharAudio)
 	paper := []TrustModel{Traditional, Conservative, Aggressive}
 	hmf := mustParseModel(t, "hellinger-mf")
-	covering := NewEdgeMemoPooled(view, s.Norm, 1, nil)
-	overOther := NewEdgeMemoPooled(other, s.Norm, 1, nil)
+	covering := NewEdgeMemoPooled(view, oracle.Norm, 1, nil)
+	overOther := NewEdgeMemoPooled(other, oracle.Norm, 1, nil)
 	for _, m := range paper {
 		covering.RequireModel(m, []task.Task{required})
 		overOther.RequireModel(m, []task.Task{required})
@@ -200,7 +200,7 @@ func TestSearchRequiresCoveringMemo(t *testing.T) {
 	}{
 		{"nil memo", nil, required, paper},
 		{"memo over a second capture", overOther, required, paper},
-		{"memo never required", NewEdgeMemoPooled(view, s.Norm, 1, nil), required, paper},
+		{"memo never required", NewEdgeMemoPooled(view, oracle.Norm, 1, nil), required, paper},
 		{"same-type task with other contents", covering, sameType, paper},
 		{"untrained hellinger-mf", covering, required, []TrustModel{hmf}},
 	}

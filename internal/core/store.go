@@ -147,6 +147,20 @@ func (s *Store) Record(trustee AgentID, typ task.Type) (Record, bool) {
 	return Record{}, false
 }
 
+// Expectation returns the expectation of the record about (trustee, typ),
+// or the store's prior cfg.Init when it holds none — the value a trustor
+// ranks a candidate by. Unlike Record it materializes no task.
+func (s *Store) Expectation(trustee AgentID, typ task.Type) Expectation {
+	storeLockTick()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	recs := s.row(trustee)
+	if i, ok := searchCompact(s.cat.Tasks(), recs, typ); ok {
+		return recs[i].Exp
+	}
+	return s.cfg.Init
+}
+
 // Records returns all experience records the store holds about trustee,
 // ordered by task type.
 func (s *Store) Records(trustee AgentID) []Record {

@@ -117,6 +117,13 @@ func checkStoreAgainst(t *testing.T, step int, s *Store, o *storeOracle) {
 			if ok != wantOK || ok && !sameRecord(got, wantRec) {
 				t.Fatalf("step %d: Record(%d, %d) = (%+v, %v), oracle (%+v, %v)", step, id, typ, got, ok, wantRec, wantOK)
 			}
+			wantExp := o.cfg.Init
+			if wantOK {
+				wantExp = wantRec.Exp
+			}
+			if got := s.Expectation(id, typ); got != wantExp {
+				t.Fatalf("step %d: Expectation(%d, %d) = %+v, oracle %+v", step, id, typ, got, wantExp)
+			}
 		}
 		if got, want := s.Usage(id), o.usage[id]; got != want {
 			t.Fatalf("step %d: Usage(%d) = %+v, oracle %+v", step, id, got, want)

@@ -277,6 +277,7 @@ func TestStoreVersion(t *testing.T) {
 			}
 		}},
 		{"Record", false, func(_ *testing.T, s *Store) { s.Record(7, gps.Type()) }},
+		{"Expectation", false, func(_ *testing.T, s *Store) { s.Expectation(7, gps.Type()) }},
 		{"AppendCompact", false, func(_ *testing.T, s *Store) { s.AppendCompact(7, s.Catalog(), nil) }},
 		{"RecordCount", false, func(_ *testing.T, s *Store) { s.RecordCount(7) }},
 		{"Usage", false, func(_ *testing.T, s *Store) { s.Usage(7) }},

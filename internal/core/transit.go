@@ -47,8 +47,6 @@ func TransitSameType(recTW, trusteeTW, omega1, omega2 float64) (tw float64, ok b
 // (FindViewModelInto): the recommendation-chain bound, the ω thresholds, and
 // which nodes may become potential trustees.
 type Searcher struct {
-	// Norm is the normalizer for record trustworthiness.
-	Norm Normalizer
 	// MaxDepth bounds the recommendation-chain length (number of hops).
 	MaxDepth int
 	// Omega1 is the recommender threshold ω1: an intermediate node's hop

@@ -75,7 +75,7 @@ func TestTrustIntoMatchesScan(t *testing.T) {
 		for depth := 1; depth <= 4; depth++ {
 			om := omegas[(int(seed)+depth)%len(omegas)]
 			for _, mask := range [][]bool{nil, randomMask(f.n, seed+uint64(depth))} {
-				s := &Searcher{Norm: norm, MaxDepth: depth, Omega1: om[0], Omega2: om[1], CandidateMask: mask}
+				s := &Searcher{MaxDepth: depth, Omega1: om[0], Omega2: om[1], CandidateMask: mask}
 				for _, m := range models {
 					var res SearchResult
 					for x := 0; x < f.n; x++ {
@@ -138,7 +138,7 @@ func FuzzTrustInto(f *testing.F) {
 		if maskSeed != 0 {
 			mask = randomMask(fx.n, maskSeed)
 		}
-		s := &Searcher{Norm: norm, MaxDepth: 1 + int(depth)%4, Omega1: 0.3, Omega2: 0.5, CandidateMask: mask}
+		s := &Searcher{MaxDepth: 1 + int(depth)%4, Omega1: 0.3, Omega2: 0.5, CandidateMask: mask}
 		if !useMemo {
 			assertNotRequired(t, "no memo", s, view, nil, x, y, tk, m)
 			return

@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"sync/atomic"
 
+	"siot/internal/par"
 	"siot/internal/task"
 )
 
@@ -112,7 +112,7 @@ func CaptureRoundView(adjOff []int32, adjTo []AgentID, src RoundSource, norm Nor
 	// Pass 1: row stamps and per-edge record counts, written one slot right
 	// so the prefix sum lands directly in recOff.
 	var recaptured atomic.Int64
-	parallelRows(adjOff, workers, func(lo, hi int) {
+	par.For(n, workers, func(_, lo, hi int) {
 		dirty := 0
 		for u := lo; u < hi; u++ {
 			first, last := adjOff[u], adjOff[u+1]
@@ -153,7 +153,7 @@ func CaptureRoundView(adjOff []int32, adjTo []AgentID, src RoundSource, norm Nor
 	// comes back with a different length (or a reallocated base) means the
 	// store mutated between the passes.
 	tv.recs = take[CompactRecord](pool, int(tv.recOff[ne]))
-	parallelRows(adjOff, workers, func(lo, hi int) {
+	par.For(n, workers, func(_, lo, hi int) {
 		for u := lo; u < hi; u++ {
 			first, last := adjOff[u], adjOff[u+1]
 			if base.clean(tv, u) {
@@ -199,41 +199,6 @@ func sameSlice[E any](a, b []E) bool {
 // already taken) can be copied from predecessor base, nil for none.
 func (base *RoundView) clean(tv *TrustView, u int) bool {
 	return base != nil && tv.stamps[u] == base.stamps[u]
-}
-
-// parallelRows splits the CSR rows into one contiguous chunk per worker,
-// balanced by edge count, and runs fn over each chunk concurrently.
-func parallelRows(adjOff []int32, workers int, fn func(lo, hi int)) {
-	n := len(adjOff) - 1
-	ne := int(adjOff[n])
-	if workers > ne/1024 {
-		// Below ~1k edges per worker the goroutine overhead dominates.
-		workers = ne / 1024
-	}
-	if workers <= 1 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	target := (ne + workers - 1) / workers
-	lo := 0
-	for lo < n {
-		hi := lo
-		limit := int(adjOff[lo]) + target
-		for hi < n && int(adjOff[hi+1]) <= limit {
-			hi++
-		}
-		if hi == lo {
-			hi++ // a single row larger than the target still advances
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-		lo = hi
-	}
-	wg.Wait()
 }
 
 // Release returns the view's arenas to the pool it was captured from and
@@ -505,7 +470,7 @@ func (m *EdgeMemo) build(mm *modelMemo, mdl TrustModel, ts []task.Task, prev *Ed
 		}
 		allOld = allOld && olds[i] != nil
 	}
-	parallelRows(v.adjOff, m.workers, func(lo, hi int) {
+	par.For(v.NumAgents(), m.workers, func(_, lo, hi int) {
 		for u := lo; u < hi; u++ {
 			first, last := v.adjOff[u], v.adjOff[u+1]
 			clean := prevStamps != nil && v.stamps[u] == prevStamps[u]

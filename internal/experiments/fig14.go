@@ -69,11 +69,7 @@ func fig14Run(cfg Fig14Config, costAware bool) []float64 {
 			} else {
 				cands := make([]core.ExpCandidate, 0, len(group))
 				for _, d := range group {
-					rec, ok := trustor.Agent.Store.Record(core.AgentID(d.Addr), tk.Type())
-					exp := trustor.Agent.Store.Config().Init
-					if ok {
-						exp = rec.Exp
-					}
+					exp := trustor.Agent.Store.Expectation(core.AgentID(d.Addr), tk.Type())
 					if !costAware {
 						// Gain-only evaluation: blind to damage and cost.
 						exp.D = 0

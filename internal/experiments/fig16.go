@@ -100,12 +100,7 @@ func fig16Run(cfg Fig16Config, sched env.LightSchedule, corrected bool) []float6
 			} else {
 				cands := make([]core.ExpCandidate, 0, len(avail))
 				for _, d := range avail {
-					rec, ok := trustor.Agent.Store.Record(core.AgentID(d.Addr), tk.Type())
-					exp := update.Init
-					if ok {
-						exp = rec.Exp
-					}
-					cands = append(cands, core.ExpCandidate{ID: core.AgentID(d.Addr), Exp: exp})
+					cands = append(cands, core.ExpCandidate{ID: core.AgentID(d.Addr), Exp: trustor.Agent.Store.Expectation(core.AgentID(d.Addr), tk.Type())})
 				}
 				best, ok := core.BestByNetProfit(cands)
 				if !ok {

@@ -58,7 +58,7 @@ func TestCaptureParallelEquivalence(t *testing.T) {
 // unseen task types, new record counts).
 func mutateStores(p *Population, tk task.Task) {
 	for _, x := range p.Trustors {
-		for _, y := range p.TrusteeNeighbors(x) {
+		for y := range p.TrusteeNeighbors(x) {
 			p.Agent(x).Store.Observe(y, tk, core.Outcome{Success: true, Gain: 1}, core.PerfectEnv())
 		}
 	}

@@ -1,14 +1,11 @@
 package sim
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
 	"siot/internal/adversary"
 	"siot/internal/agent"
 	"siot/internal/core"
 	"siot/internal/env"
+	"siot/internal/par"
 	"siot/internal/rng"
 	"siot/internal/task"
 )
@@ -53,15 +50,13 @@ func NewEngine(p *Population, label string) *Engine {
 	return &Engine{Pop: p, Label: label}
 }
 
-// workers resolves the effective worker-pool width.
+// workers resolves the effective worker-pool width: Parallelism when set,
+// otherwise the population's setup rule.
 func (e *Engine) workers() int {
 	if e.Parallelism > 0 {
 		return e.Parallelism
 	}
-	if e.Pop.cfg.Parallelism > 0 {
-		return e.Pop.cfg.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
+	return e.Pop.setupWorkers()
 }
 
 // mutualityLabel is the random-stream label of the engine's mutuality
@@ -104,46 +99,21 @@ func (e *Engine) acceptsDelegation(view *core.RoundView, y, x core.AgentID) bool
 	return (core.UsageLog{}).TW() >= theta
 }
 
-// mapTrustors computes fn for every trustor on a pool of workers and
-// returns the results indexed by trustor position. fn must not mutate
-// shared state; it may read it freely.
-func mapTrustors[T any](ids []core.AgentID, workers int, fn func(i int, x core.AgentID) T) []T {
-	return mapTrustorsInto[T](nil, ids, workers, fn)
-}
-
-// mapTrustorsInto is mapTrustors writing into a caller-provided result
-// buffer (grown only when too small, so a shard loop reuses one allocation
-// across shards). Indices passed to fn are positions within ids.
+// mapTrustorsInto computes fn for every trustor on up to workers
+// goroutines and returns the results indexed by position within ids. The
+// result buffer out is grown only when too small (nil allocates), so a
+// shard loop reuses one allocation across shards. fn must not mutate shared
+// state; it may read it freely.
 func mapTrustorsInto[T any](out []T, ids []core.AgentID, workers int, fn func(i int, x core.AgentID) T) []T {
 	if cap(out) < len(ids) {
 		out = make([]T, len(ids))
 	}
 	out = out[:len(ids)]
-	if workers > len(ids) {
-		workers = len(ids)
-	}
-	if workers <= 1 {
-		for i, x := range ids {
-			out[i] = fn(i, x)
+	par.For(len(ids), workers, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = fn(i, ids[i])
 		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(ids) {
-					return
-				}
-				out[i] = fn(i, ids[i])
-			}
-		}()
-	}
-	wg.Wait()
+	})
 	return out
 }
 
@@ -205,19 +175,18 @@ func (e *Engine) computeMutualityActs(view *core.RoundView, attacked bool, actx 
 	label := e.mutualityLabel()
 	actCfg := agent.DefaultActConfig()
 	tw := func(edge int32) (float64, bool) { return view.BestTW(edge, tk) }
-	return mapTrustors(p.Trustors, e.workers(), func(_ int, x core.AgentID) mutualityAction {
-		nbrs := p.TrusteeNeighbors(x)
-		if len(nbrs) == 0 {
-			return mutualityAction{} // socially isolated from trustees: not a request
-		}
-		r := rng.Split2(p.cfg.Seed, label, round, int(x))
-		trustor := p.Agent(x)
-		cands := make([]core.Candidate, 0, len(nbrs))
+	return mapTrustorsInto(nil, p.Trustors, e.workers(), func(_ int, x core.AgentID) mutualityAction {
+		cands := make([]core.Candidate, 0, p.numTrusteeNeighbors(x))
 		for y, edge := range p.trusteeEdges(x) {
 			// Strangers are judged by one-hop recommendations, which
 			// attackers may forge (candidateTW).
 			cands = append(cands, core.Candidate{ID: y, TW: e.candidateTW(view, tw, attacked, actx, x, edge, y)})
 		}
+		if len(cands) == 0 {
+			return mutualityAction{} // socially isolated from trustees: not a request
+		}
+		r := rng.Split2(p.cfg.Seed, label, round, int(x))
+		trustor := p.Agent(x)
 		chosen, ok := core.SelectMutual(cands, func(y core.AgentID) bool {
 			return e.acceptsDelegation(view, y, x)
 		})
@@ -291,20 +260,11 @@ func (e *Engine) NetProfitRun(iterations int, strategy Strategy, seed uint64) []
 	workers := e.workers()
 
 	for it := 0; it < iterations; it++ {
-		acts := mapTrustors(p.Trustors, workers, func(_ int, x core.AgentID) netProfitAction {
-			nbrs := p.TrusteeNeighbors(x)
-			if len(nbrs) == 0 {
-				return netProfitAction{}
-			}
-			trustor := p.Agent(x)
-			cands := make([]core.ExpCandidate, 0, len(nbrs))
-			for _, y := range nbrs {
-				rec, ok := trustor.Store.Record(y, tk.Type())
-				exp := trustor.Store.Config().Init
-				if ok {
-					exp = rec.Exp
-				}
-				cands = append(cands, core.ExpCandidate{ID: y, Exp: exp})
+		acts := mapTrustorsInto(nil, p.Trustors, workers, func(_ int, x core.AgentID) netProfitAction {
+			store := p.Agent(x).Store
+			cands := make([]core.ExpCandidate, 0, p.numTrusteeNeighbors(x))
+			for y := range p.TrusteeNeighbors(x) {
+				cands = append(cands, core.ExpCandidate{ID: y, Exp: store.Expectation(y, tk.Type())})
 			}
 			var chosen core.ExpCandidate
 			var ok bool

@@ -80,15 +80,9 @@ func NetProfitRunSelf(p *Population, iterations int, withSelf bool, seed uint64)
 		active := 0
 		for _, x := range p.Trustors {
 			trustor := p.Agent(x)
-			nbrs := p.TrusteeNeighbors(x)
-			cands := make([]core.ExpCandidate, 0, len(nbrs))
-			for _, y := range nbrs {
-				rec, ok := trustor.Store.Record(y, tk.Type())
-				exp := trustor.Store.Config().Init
-				if ok {
-					exp = rec.Exp
-				}
-				cands = append(cands, core.ExpCandidate{ID: y, Exp: exp})
+			cands := make([]core.ExpCandidate, 0, p.numTrusteeNeighbors(x))
+			for y := range p.TrusteeNeighbors(x) {
+				cands = append(cands, core.ExpCandidate{ID: y, Exp: trustor.Store.Expectation(y, tk.Type())})
 			}
 			st := selfTruth(x)
 			selfExp := core.Expectation{S: st.S, G: st.G, D: st.D, C: st.C}

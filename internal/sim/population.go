@@ -11,11 +11,11 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"slices"
-	"sync"
 
 	"siot/internal/agent"
 	"siot/internal/core"
 	"siot/internal/graph"
+	"siot/internal/par"
 	"siot/internal/rng"
 	"siot/internal/socialgen"
 	"siot/internal/task"
@@ -73,14 +73,11 @@ type Population struct {
 
 	// CSR adjacency over agent IDs, built once at population construction
 	// (the social graph is frozen from then on): adjOff/adjTo mirror the
-	// graph, trusteeOff/trusteeTo keep only trustee-kind targets, and
-	// candMask flags trustee-kind agents by dense slot. Neighbor queries
-	// hand out shared subslices with zero per-call allocation.
-	adjOff     []int32
-	adjTo      []core.AgentID
-	trusteeOff []int32
-	trusteeTo  []core.AgentID
-	candMask   []bool
+	// graph and candMask flags trustee-kind agents by dense slot. Neighbor
+	// queries hand out shared subslices with zero per-call allocation.
+	adjOff   []int32
+	adjTo    []core.AgentID
+	candMask []bool
 
 	// head is the newest link of the population's epoch chain, nil before
 	// the first capture request; the population holds it until a capture
@@ -95,12 +92,12 @@ type Population struct {
 // trustor a trustworthiness value which is a random number in [0, 1]") and
 // trustee competence per characteristic is uniform in [0, 1] as in §5.5.
 //
-// The build is sharded over the population's worker pool
-// (PopulationConfig.Parallelism) with the engine's determinism recipe: the
-// role permutation is computed once, each node's behavior is drawn from a
-// private per-node rng sub-stream, and the Agents array and CSR adjacency
-// fill disjoint spans — so the result is bit-identical at every worker
-// count (TestPopulationParallelEquivalence).
+// The build fans out over PopulationConfig.Parallelism workers (par.For)
+// with the engine's determinism recipe: the role permutation is computed
+// once, each node's behavior is drawn from a private per-node rng
+// sub-stream, and the Agents array and CSR adjacency are written per node —
+// so the result is bit-identical at every worker count
+// (TestPopulationParallelEquivalence).
 func NewPopulation(net *socialgen.Network, cfg PopulationConfig) *Population {
 	n := net.Graph.NumNodes()
 	if n == 0 {
@@ -136,7 +133,7 @@ func NewPopulation(net *socialgen.Network, cfg PopulationConfig) *Population {
 	p := &Population{Net: net, Agents: make([]*agent.Agent, n), attackers: make([]bool, n), cfg: cfg}
 	workers := p.setupWorkers()
 	behaviorLabel := "population-behavior:" + net.Profile.Name
-	forNodes(n, workers, func(_, lo, hi int) {
+	par.For(n, workers, func(_, lo, hi int) {
 		for node := lo; node < hi; node++ {
 			r := rng.Split(cfg.Seed, behaviorLabel, node)
 			b := agent.Behavior{
@@ -170,9 +167,9 @@ func sortIDs(ids []core.AgentID) {
 	slices.Sort(ids)
 }
 
-// setupWorkers resolves the worker-pool width of the population build and
-// seeding passes — the same rule as Engine.workers: the config's
-// Parallelism, falling back to GOMAXPROCS.
+// setupWorkers resolves the worker count of the population build and
+// seeding passes, and of engines that set no Parallelism of their own: the
+// config's Parallelism, falling back to GOMAXPROCS.
 func (p *Population) setupWorkers() int {
 	if p.cfg.Parallelism > 0 {
 		return p.cfg.Parallelism
@@ -180,41 +177,13 @@ func (p *Population) setupWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// forNodes runs fn over contiguous chunks of [0, n) on a pool of workers
-// and waits for completion. Chunks are disjoint, so fn may write per-node
-// state freely; each call is a barrier (later passes may read what earlier
-// ones wrote). fn also receives its worker index for per-worker
-// accumulation. Determinism is the caller's job: per-node rng sub-streams,
-// no reads of another chunk's in-flight writes.
-func forNodes(n, workers int, fn func(worker, lo, hi int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, 0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := n*w/workers, n*(w+1)/workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fn(w, lo, hi)
-		}()
-	}
-	wg.Wait()
-}
-
-// buildCSR flattens the graph adjacency into shared CSR arrays and derives
-// the trustee-filtered variant plus the dense candidate mask. It runs after
-// role assignment (and attacker installation — both trustee kinds count as
-// candidates, so the mask is stable under the attack subsystem's kind
-// flip). Every pass either prefix-sums serially or fills disjoint spans in
-// parallel, so the arrays are identical at every worker count.
+// buildCSR flattens the graph adjacency into shared CSR arrays and fills
+// the dense candidate mask. It runs after role assignment (and attacker
+// installation — both trustee kinds count as candidates, so the mask is
+// stable under the attack subsystem's kind flip). The offsets are
+// prefix-summed serially and each node's span and mask slot are written by
+// the worker handed that node, so the arrays are identical at every worker
+// count.
 func (p *Population) buildCSR(workers int) {
 	g := p.Net.Graph
 	n := g.NumNodes()
@@ -224,7 +193,7 @@ func (p *Population) buildCSR(workers int) {
 	}
 	p.adjTo = make([]core.AgentID, p.adjOff[n])
 	p.candMask = make([]bool, n)
-	forNodes(n, workers, func(_, lo, hi int) {
+	par.For(n, workers, func(_, lo, hi int) {
 		for u := lo; u < hi; u++ {
 			span := p.adjTo[p.adjOff[u]:p.adjOff[u+1]]
 			for i, v := range g.Neighbors(graph.NodeID(u)) {
@@ -232,37 +201,6 @@ func (p *Population) buildCSR(workers int) {
 			}
 			k := p.Agents[u].Kind
 			p.candMask[u] = k == agent.KindTrustee || k == agent.KindDishonestTrustee
-		}
-	})
-	// Trustee-filtered CSR: per-node counts (reading the completed mask),
-	// serial prefix sum, then disjoint span fill.
-	trusteeCnt := make([]int32, n)
-	forNodes(n, workers, func(_, lo, hi int) {
-		for u := lo; u < hi; u++ {
-			c := int32(0)
-			for _, v := range p.adjTo[p.adjOff[u]:p.adjOff[u+1]] {
-				if p.candMask[v] {
-					c++
-				}
-			}
-			trusteeCnt[u] = c
-		}
-	})
-	p.trusteeOff = make([]int32, n+1)
-	for u := 0; u < n; u++ {
-		p.trusteeOff[u+1] = p.trusteeOff[u] + trusteeCnt[u]
-	}
-	p.trusteeTo = make([]core.AgentID, p.trusteeOff[n])
-	forNodes(n, workers, func(_, lo, hi int) {
-		for u := lo; u < hi; u++ {
-			out := p.trusteeTo[p.trusteeOff[u]:p.trusteeOff[u+1]]
-			i := 0
-			for _, v := range p.adjTo[p.adjOff[u]:p.adjOff[u+1]] {
-				if p.candMask[v] {
-					out[i] = v
-					i++
-				}
-			}
 		}
 	})
 }
@@ -284,12 +222,17 @@ func (p *Population) Neighbors(id core.AgentID) []core.AgentID {
 	return p.adjTo[p.adjOff[id]:p.adjOff[id+1]]
 }
 
-// TrusteeNeighbors returns the trustee-kind neighbors of an agent — the
-// direct candidate set used by the mutuality and net-profit experiments.
-// The slice is a shared view into the trustee-filtered CSR adjacency and
-// must not be modified.
-func (p *Population) TrusteeNeighbors(id core.AgentID) []core.AgentID {
-	return p.trusteeTo[p.trusteeOff[id]:p.trusteeOff[id+1]]
+// TrusteeNeighbors yields the trustee-kind neighbors of an agent in
+// ascending ID order — the direct candidate set used by the mutuality and
+// net-profit experiments.
+func (p *Population) TrusteeNeighbors(id core.AgentID) iter.Seq[core.AgentID] {
+	return func(yield func(core.AgentID) bool) {
+		for y := range p.trusteeEdges(id) {
+			if !yield(y) {
+				return
+			}
+		}
+	}
 }
 
 // trusteeEdges yields x's trustee-kind neighbors in TrusteeNeighbors
@@ -306,12 +249,23 @@ func (p *Population) trusteeEdges(x core.AgentID) iter.Seq2[core.AgentID, int32]
 	}
 }
 
+// numTrusteeNeighbors counts x's trustee-kind neighbors, the length of
+// TrusteeNeighbors(x).
+func (p *Population) numTrusteeNeighbors(x core.AgentID) int {
+	c := 0
+	for _, y := range p.Neighbors(x) {
+		if p.candMask[y] {
+			c++
+		}
+	}
+	return c
+}
+
 // Searcher builds a transitivity searcher over the population's frozen
 // views. Any node may relay recommendations, but only trustee-role agents
 // may become potential trustees, matching the paper's role split.
 func (p *Population) Searcher(maxDepth int, omega1, omega2 float64) *core.Searcher {
 	return &core.Searcher{
-		Norm:          p.cfg.Update.Norm,
 		MaxDepth:      maxDepth,
 		Omega1:        omega1,
 		Omega2:        omega2,

@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"siot/internal/core"
+	"siot/internal/par"
 	"siot/internal/rng"
 	"siot/internal/task"
 )
@@ -88,14 +89,11 @@ type agentSeedCtx struct {
 func (p *Population) seedParallel(setup TransitivitySetup, seed uint64, label string, perNode func(*agentSeedCtx) []task.Task) [][]task.Task {
 	n := len(p.Agents)
 	workers := p.setupWorkers()
-	if workers > n {
-		workers = n
-	}
 	experienced := make([][]task.Task, n)
 	streamLabel := label + ":" + p.Net.Profile.Name
-	// Compute phase: disjoint node chunks, worker-local record buffers.
+	// Compute phase: per-node sub-streams, worker-local record buffers.
 	bufs := make([][]seedEntry, workers)
-	forNodes(n, workers, func(w, lo, hi int) {
+	par.For(n, workers, func(w, lo, hi int) {
 		buf := bufs[w]
 		ctx := agentSeedCtx{p: p}
 		ctx.emit = func(u core.AgentID, ti int, s float64) {
@@ -139,7 +137,7 @@ func (p *Population) seedParallel(setup TransitivitySetup, seed uint64, label st
 			*c++
 		}
 	}
-	forNodes(n, workers, func(_, lo, hi int) {
+	par.For(n, workers, func(_, lo, hi int) {
 		for u := lo; u < hi; u++ {
 			span := all[counts[u]:counts[u+1]]
 			if len(span) > 1 {
@@ -160,11 +158,11 @@ func (p *Population) seedParallel(setup TransitivitySetup, seed uint64, label st
 // batch per holder span (all[counts[u]:counts[u+1]]), holders sharded over
 // the worker pool (distinct holders own distinct stores, so the ingest is
 // contention- and order-free). The full task values and expectations are
-// materialized into a per-worker scratch batch just before hand-off —
-// SeedSorted copies, so one buffer serves every holder in the chunk.
+// materialized into a per-block scratch batch just before hand-off —
+// SeedSorted copies, so one buffer serves every holder in the block.
 func (p *Population) ingestSorted(all []seedEntry, counts []int32, setup TransitivitySetup, workers int) {
 	n := len(counts) - 1
-	forNodes(n, workers, func(_, lo, hi int) {
+	par.For(n, workers, func(_, lo, hi int) {
 		var batch []core.SeedRecord
 		for u := lo; u < hi; u++ {
 			span := all[counts[u]:counts[u+1]]

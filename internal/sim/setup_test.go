@@ -52,7 +52,6 @@ func assertSamePopulation(t *testing.T, label string, want, got *Population) {
 		}
 	}
 	if !slices.Equal(want.adjOff, got.adjOff) || !slices.Equal(want.adjTo, got.adjTo) ||
-		!slices.Equal(want.trusteeOff, got.trusteeOff) || !slices.Equal(want.trusteeTo, got.trusteeTo) ||
 		!slices.Equal(want.candMask, got.candMask) {
 		t.Fatalf("%s: CSR adjacency differs", label)
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"siot/internal/agent"
@@ -76,18 +77,46 @@ func TestNewPopulationValidation(t *testing.T) {
 	NewPopulation(net, cfg)
 }
 
+// TestTrusteeNeighbors checks that TrusteeNeighbors(x) yields exactly x's
+// trustee-kind graph neighbors — the candMask-filtered Neighbors(x) — in
+// ascending order, and the same IDs as trusteeEdges(x), for every agent.
 func TestTrusteeNeighbors(t *testing.T) {
 	net := smallNet(t)
 	p := NewPopulation(net, DefaultPopulationConfig(2))
-	for _, x := range p.Trustors {
-		for _, y := range p.TrusteeNeighbors(x) {
+	total := 0
+	for i := range p.Agents {
+		x := core.AgentID(i)
+		var got, want, edges []core.AgentID
+		for y := range p.TrusteeNeighbors(x) {
 			if k := p.Agent(y).Kind; k != agent.KindTrustee && k != agent.KindDishonestTrustee {
 				t.Fatalf("non-trustee neighbor %v (%v)", y, k)
 			}
 			if !net.Graph.HasEdge(graph.NodeID(x), graph.NodeID(y)) {
 				t.Fatalf("non-neighbor returned: %v-%v", x, y)
 			}
+			got = append(got, y)
 		}
+		for _, y := range p.Neighbors(x) {
+			if p.candMask[y] {
+				want = append(want, y)
+			}
+		}
+		for y := range p.trusteeEdges(x) {
+			edges = append(edges, y)
+		}
+		if !slices.Equal(got, want) || !slices.IsSorted(got) || len(got) != p.numTrusteeNeighbors(x) {
+			t.Fatalf("agent %d: TrusteeNeighbors %v, want the ascending mask-filtered neighbors %v", x, got, want)
+		}
+		if !slices.Equal(got, edges) {
+			t.Fatalf("agent %d: TrusteeNeighbors %v, trusteeEdges %v", x, got, edges)
+		}
+		for range p.TrusteeNeighbors(x) {
+			break // an early stop must end the iterator without a further yield
+		}
+		total += len(got)
+	}
+	if total == 0 {
+		t.Fatal("no agent has a trustee neighbor")
 	}
 }
 
