@@ -61,6 +61,20 @@ func CharTWCompact(tasks []task.Task, recs []CompactRecord, c task.Characteristi
 	return num / den, true
 }
 
+// bestTW is the direct-else-infer rule over the records one holder keeps
+// about one trustee: the record for t's exact type when present, otherwise
+// characteristic inference (eq. 4); ok=false when there are no records or
+// a characteristic of t is uncovered.
+func bestTW(tasks []task.Task, recs []CompactRecord, t task.Task, n Normalizer) (float64, bool) {
+	if i, ok := searchCompact(tasks, recs, t.Type()); ok {
+		return recs[i].TW(n), true
+	}
+	if len(recs) == 0 {
+		return 0, false
+	}
+	return InferFromCompact(tasks, recs, t, n)
+}
+
 // InferFromCompact is eq. 4 over compact records: the inferred
 // trustworthiness of t from experienced tasks sharing its characteristics,
 // every characteristic covered or ok=false.

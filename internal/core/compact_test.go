@@ -125,6 +125,8 @@ func overflowSource(perEdge int) RoundSource {
 		Append: func(holder, about AgentID, buf []CompactRecord) []CompactRecord {
 			panic("fill pass must not run after an overflow")
 		},
+		Version: func(AgentID) uint64 { return 0 },
+		Usage:   func(_, _ AgentID) UsageLog { return UsageLog{} },
 	}
 }
 
@@ -169,6 +171,8 @@ func TestCaptureBelowOverflowSucceeds(t *testing.T) {
 		Append: func(holder, about AgentID, buf []CompactRecord) []CompactRecord {
 			return append(buf, CompactRecord{Ref: ref}, CompactRecord{Ref: ref, Count: 1})
 		},
+		Version: func(AgentID) uint64 { return 0 },
+		Usage:   func(_, _ AgentID) UsageLog { return UsageLog{} },
 	}, 1)
 	if got := len(v.EdgeRecords(0)); got != 2 {
 		t.Fatalf("edge 0 holds %d records, want 2", got)

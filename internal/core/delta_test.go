@@ -255,9 +255,8 @@ func TestDeltaCaptureMatchesFresh(t *testing.T) {
 }
 
 // TestDeltaCaptureIgnoresForeignPredecessor: a predecessor over another
-// adjacency, a released one, a capture without store stamps, or one
-// without the usage counters the new capture needs lends nothing — the
-// capture reads every row, still byte-identical.
+// adjacency, or a released one, lends nothing — the capture reads every
+// row, still byte-identical.
 func TestDeltaCaptureIgnoresForeignPredecessor(t *testing.T) {
 	f := buildRoundFixture(t, 12)
 	g := buildRoundFixture(t, 13)
@@ -271,23 +270,11 @@ func TestDeltaCaptureIgnoresForeignPredecessor(t *testing.T) {
 		t.Fatal(err)
 	}
 	released.Release()
-	unstamped := f.source()
-	unstamped.Version = nil
-	bare, err := CaptureRoundView(f.adjOff, f.adjTo, unstamped, norm, 1, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	noUsage := f.source()
-	noUsage.Usage = nil
-	usageless, err := CaptureRoundView(f.adjOff, f.adjTo, noUsage, norm, 1, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want, err := CaptureRoundView(f.adjOff, f.adjTo, f.source(), norm, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, prev := range map[string]*RoundView{"foreign": foreign, "released": released, "unstamped": bare, "usageless": usageless} {
+	for name, prev := range map[string]*RoundView{"foreign": foreign, "released": released} {
 		got, err := CaptureRoundView(f.adjOff, f.adjTo, f.source(), norm, 1, nil, prev)
 		if err != nil {
 			t.Fatal(err)

@@ -17,6 +17,8 @@ func edgeIndexView(t *testing.T, adjOff []int32, adjTo []AgentID) *TrustView {
 		Append: func(holder, about AgentID, buf []CompactRecord) []CompactRecord {
 			return buf
 		},
+		Version: func(AgentID) uint64 { return 0 },
+		Usage:   func(_, _ AgentID) UsageLog { return UsageLog{} },
 	}, 1)
 }
 

@@ -140,8 +140,9 @@ func (m *paperModel) Spec() ModelSpec { return m.spec }
 // HopTW is the exact-type record trustworthiness for the traditional
 // baseline (eq. 5) and the full-coverage inference of eq. 4 otherwise
 // (conservative, eqs. 8–10). The aggressive method is searched on unit
-// tasks, where eq. 4 reduces to one characteristic's weighted average; as a
-// single-edge lens over a whole task it is the same full-coverage inference.
+// tasks, where eq. 4 reduces to one characteristic's weighted average; the
+// task-weighted sum of those (EdgeMemo.RequireLens) is its full-coverage
+// inference over a whole task, bit for bit.
 func (m *paperModel) HopTW(ctx HopContext, recs []CompactRecord, t task.Task) (float64, bool) {
 	if len(recs) == 0 {
 		return 0, false

@@ -14,7 +14,8 @@ import (
 // direct-experience lookup (BestTW), one-hop recommendation gathering
 // (EdgeIndex + BestTW per recommender), and the usage counters (ReverseTW)
 // all come from contiguous captured arenas, so the compute phase of a round
-// takes zero store locks (pinned by TestMutualityComputePhaseLockFree).
+// reads no live store (pinned by TestMutualityComputePhaseLockFree, which
+// runs it with every store detached).
 //
 // Like the TrustView it embeds, a RoundView is immutable after capture and
 // safe for concurrent readers. It freezes the state left by the previous
@@ -37,11 +38,10 @@ type RoundView struct {
 // exactly those records (compact, refs interned into Catalog) to buf, and
 // Catalog is the shared catalog those refs resolve against
 // (Store.RecordCount / Store.AppendCompact / the population catalog).
-// Usage reports the usage log holder keeps about about (Store.Usage); a
-// nil Usage skips the usage counters. Version, when set, reports holder's
-// store stamp (Store.Version); the view records it per row, which is what
-// lets a later capture or memo copy the rows whose store did not change. A
-// nil Version disables that reuse. Every function must be safe for
+// Usage reports the usage log holder keeps about about (Store.Usage).
+// Version reports holder's store stamp (Store.Version); the view records it
+// per row, which is what lets a later capture or memo copy the rows whose
+// store did not change. Every function is required and must be safe for
 // concurrent use across distinct holders and observe a quiescent store —
 // capture runs two passes, and a store mutated between them is detected
 // and rejected (panic), not silently misrecorded.
@@ -65,12 +65,10 @@ func (v *RoundView) Release() {
 }
 
 // Current reports whether a capture from src now would be byte-identical
-// to v: every row's store still carries the stamp v recorded, the catalog
-// has not grown, and v holds the usage counters src reads. A released view,
-// or one captured without stamps, is never current.
+// to v: every row's store still carries the stamp v recorded and the
+// catalog has not grown. A released view is never current.
 func (v *RoundView) Current(src RoundSource) bool {
-	if v.stamps == nil || src.Version == nil || src.Usage != nil && v.resp == nil ||
-		len(src.Catalog.Tasks()) != len(v.tasks) {
+	if v.stamps == nil || len(src.Catalog.Tasks()) != len(v.tasks) {
 		return false
 	}
 	for u, s := range v.stamps {
@@ -99,14 +97,7 @@ func (v *TrustView) EdgeIndex(u, w AgentID) (int32, bool) {
 // inference — bit-identical to Store.BestTW over the captured records
 // (TestRoundViewMatchesLiveStores).
 func (v *RoundView) BestTW(e int32, t task.Task) (float64, bool) {
-	recs := v.EdgeRecords(e)
-	if i, ok := searchCompact(v.tasks, recs, t.Type()); ok {
-		return recs[i].TW(v.norm), true
-	}
-	if len(recs) == 0 {
-		return 0, false
-	}
-	return InferFromCompact(v.tasks, recs, t, v.norm)
+	return bestTW(v.tasks, v.EdgeRecords(e), t, v.norm)
 }
 
 // Usage returns the captured usage log of directed edge e: how the edge's

@@ -230,29 +230,3 @@ func TestRoundViewPooledRelease(t *testing.T) {
 		t.Fatalf("recaptured usage %+v, store says %+v (stale arena?)", got, want)
 	}
 }
-
-// TestCountStoreLocks: the profiler sees live-store traffic and is silent
-// for pure view reads — the primitive behind the engine's zero-lock
-// compute-phase assertion.
-func TestCountStoreLocks(t *testing.T) {
-	f := buildRoundFixture(t, 11)
-	v := mustRoundView(t, f, 1, nil)
-	defer v.Release()
-	u := 0
-	for f.adjOff[u] == f.adjOff[u+1] {
-		u++
-	}
-	w := f.adjTo[f.adjOff[u]]
-	e, _ := v.EdgeIndex(AgentID(u), w)
-	if n := CountStoreLocks(func() { f.stores[u].BestTW(w, f.tasks[0]) }); n == 0 {
-		t.Fatal("live-store read took no counted locks")
-	}
-	if n := CountStoreLocks(func() {
-		for _, tk := range f.tasks {
-			v.BestTW(e, tk)
-		}
-		v.ReverseTW(e)
-	}); n != 0 {
-		t.Fatalf("view reads took %d store locks, want 0", n)
-	}
-}

@@ -141,20 +141,31 @@ type searchRule struct {
 	weights  []float64 // per layer
 }
 
-var unitWeight = []float64{1} // a single-path model's one layer: 0 + 1·v is exactly v
+var unitWeight = []float64{1}
+
+// layerWeights returns the weight of each hop table a search of t under m
+// reads: t's own weights, one per characteristic, for a PerCharacteristic
+// model (eq. 17), and one unit weight for a single-path model's one table
+// (0 + 1·v is exactly v).
+func layerWeights(m TrustModel, t task.Task) []float64 {
+	if m.Spec().PerCharacteristic {
+		return t.Weights()
+	}
+	return unitWeight
+}
 
 // rule returns the searchRule for t under m.
 func (s *Searcher) rule(m TrustModel, t task.Task) searchRule {
 	spec := m.Spec()
 	r := searchRule{product: spec.Combine == CombineProduct, relayMin: anyPositive, hopMin: anyPositive,
-		sumMin: math.Inf(-1), weights: unitWeight}
+		sumMin: math.Inf(-1), weights: layerWeights(m, t)}
 	if spec.OmegaGated {
 		r.relayMin, r.hopMin = s.Omega1, s.Omega2
 	}
 	if spec.PerCharacteristic {
 		// Every reachable node mints per characteristic; as in eq. 11, ω2
 		// applies to the task-level value, not to each characteristic.
-		r.hopMin, r.sumMin, r.weights = math.Inf(-1), r.hopMin, t.Weights()
+		r.hopMin, r.sumMin = math.Inf(-1), r.hopMin
 	}
 	return r
 }
@@ -180,7 +191,7 @@ func (s *Searcher) FindViewModelInto(res *SearchResult, view *TrustView, memo *E
 	*res = SearchResult{Candidates: res.Candidates[:0]}
 	r := s.rule(m, t)
 	st := acquireDense(view.NumAgents(), len(r.weights))
-	if err := memo.hopTables(st, view, m, t); err != nil {
+	if err := memo.hopTables(&st.tabs, view, m, t); err != nil {
 		st.release()
 		return err
 	}
@@ -290,7 +301,7 @@ func (s *Searcher) TrustInto(view *TrustView, memo *EdgeMemo, trustor, trustee A
 		return 0, false, memo.hopTables(nil, view, m, t) // no path can answer
 	}
 	st := acquireDense(view.NumAgents(), 1)
-	if err := memo.hopTables(st, view, m, t); err != nil {
+	if err := memo.hopTables(&st.tabs, view, m, t); err != nil {
 		st.release()
 		return 0, false, err
 	}

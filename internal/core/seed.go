@@ -50,7 +50,6 @@ func (s *Store) SeedSorted(batch []SeedRecord) error {
 				i, batch[i].Trustee, batch[i].Task.Type(), batch[i-1].Trustee, batch[i-1].Task.Type())
 		}
 	}
-	storeLockTick()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	tasks := s.cat.Tasks()

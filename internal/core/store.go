@@ -133,7 +133,6 @@ func (s *Store) Catalog() *task.Catalog { return s.cat }
 
 // Record returns the experience record for (trustee, task type), if any.
 func (s *Store) Record(trustee AgentID, typ task.Type) (Record, bool) {
-	storeLockTick()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	// Snapshot loaded under the lock: every ref in the store was interned
@@ -151,7 +150,6 @@ func (s *Store) Record(trustee AgentID, typ task.Type) (Record, bool) {
 // or the store's prior cfg.Init when it holds none — the value a trustor
 // ranks a candidate by. Unlike Record it materializes no task.
 func (s *Store) Expectation(trustee AgentID, typ task.Type) Expectation {
-	storeLockTick()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	recs := s.row(trustee)
@@ -172,7 +170,6 @@ func (s *Store) Records(trustee AgentID) []Record {
 // keeps the read path allocation-free: the materialized Task values share
 // the catalog's slices.
 func (s *Store) AppendRecords(trustee AgentID, buf []Record) []Record {
-	storeLockTick()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	recs := s.row(trustee)
@@ -195,7 +192,6 @@ func (s *Store) AppendCompact(trustee AgentID, cat *task.Catalog, buf []CompactR
 	if cat != s.cat {
 		panic("core: AppendCompact with a foreign catalog")
 	}
-	storeLockTick()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return append(buf, s.row(trustee)...)
@@ -206,7 +202,6 @@ func (s *Store) AppendCompact(trustee AgentID, cat *task.Catalog, buf []CompactR
 // AppendCompact it lets CaptureRoundView size every arena span
 // before filling it.
 func (s *Store) RecordCount(trustee AgentID) int {
-	storeLockTick()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.row(trustee))
@@ -214,7 +209,6 @@ func (s *Store) RecordCount(trustee AgentID) int {
 
 // NumRecords returns the number of (trustee, task type) records held.
 func (s *Store) NumRecords() int {
-	storeLockTick()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.recs)
@@ -223,7 +217,6 @@ func (s *Store) NumRecords() int {
 // Trustees returns the sorted IDs of all agents the store has experience
 // with.
 func (s *Store) Trustees() []AgentID {
-	storeLockTick()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if len(s.about) == 0 {
@@ -236,7 +229,6 @@ func (s *Store) Trustees() []AgentID {
 // (post-evaluation, eqs. 19–22 / 25–28) and returns the updated record.
 func (s *Store) Observe(trustee AgentID, t task.Task, o Outcome, ectx EnvContext) Record {
 	ref := s.cat.Intern(t)
-	storeLockTick()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	tasks := s.cat.Tasks() // after Intern: resolves ref
@@ -257,7 +249,6 @@ func (s *Store) Seed(trustee AgentID, t task.Task, exp Expectation) {
 // setRecord installs or replaces the record for the task type of r.Task.
 func (s *Store) setRecord(trustee AgentID, r Record) {
 	cr := CompactRecord{Ref: s.cat.Intern(r.Task), Exp: r.Exp, Count: uint32(r.Count)}
-	storeLockTick()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if rec, found := s.slot(trustee, r.Task.Type(), s.cat.Tasks(), cr); found {
@@ -290,7 +281,6 @@ func (s *Store) DirectTW(trustee AgentID, typ task.Type) (float64, bool) {
 // A direct record for t's exact type, when present, participates like any
 // other experienced task.
 func (s *Store) InferTW(trustee AgentID, t task.Task) (tw float64, ok bool) {
-	storeLockTick()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	recs := s.row(trustee)
@@ -301,12 +291,12 @@ func (s *Store) InferTW(trustee AgentID, t task.Task) (tw float64, ok bool) {
 }
 
 // BestTW returns the best available trustworthiness estimate for trustee on
-// t: the direct record if one exists, otherwise characteristic inference.
+// t: the direct record if one exists, otherwise characteristic inference,
+// both read under one lock.
 func (s *Store) BestTW(trustee AgentID, t task.Task) (float64, bool) {
-	if tw, ok := s.DirectTW(trustee, t.Type()); ok {
-		return tw, true
-	}
-	return s.InferTW(trustee, t)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return bestTW(s.cat.Tasks(), s.row(trustee), t, s.cfg.Norm)
 }
 
 // UsageLog is the trustee-side record of how a particular trustor used its
@@ -330,7 +320,6 @@ func (l UsageLog) TW() float64 {
 
 // Usage returns the usage log the store keeps about a trustor.
 func (s *Store) Usage(trustor AgentID) UsageLog {
-	storeLockTick()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.usage[trustor]
@@ -338,7 +327,6 @@ func (s *Store) Usage(trustor AgentID) UsageLog {
 
 // usageSorted returns all usage logs ordered by trustor ID (for snapshots).
 func (s *Store) usageSorted() []usageSnapshot {
-	storeLockTick()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make([]usageSnapshot, 0, len(s.usage))
@@ -351,7 +339,6 @@ func (s *Store) usageSorted() []usageSnapshot {
 
 // ObserveUsage records one use of this agent's resources by trustor.
 func (s *Store) ObserveUsage(trustor AgentID, abusive bool) {
-	storeLockTick()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.usage == nil {
@@ -373,7 +360,6 @@ func (s *Store) ObserveUsage(trustor AgentID, abusive bool) {
 // attacker that rejoins under a fresh identity is, to every peer, an agent
 // nobody remembers.
 func (s *Store) Forget(about AgentID) {
-	storeLockTick()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if i, ok := slices.BinarySearch(s.about, about); ok {

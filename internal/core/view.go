@@ -37,8 +37,8 @@ type TrustView struct {
 	recs   []CompactRecord // record arena, grouped by directed edge
 	tasks  []task.Task     // catalog snapshot resolving recs' refs (shared, immutable)
 	pool   *ArenaPool      // arena source, nil when the arenas were allocated fresh
-	// stamps[u] is row u's store stamp (Store.Version) at capture, nil when
-	// the source reports none; equal stamps in two views of one population
+	// stamps[u] is row u's store stamp (Store.Version) at capture, nil once
+	// the view is released; equal stamps in two views of one population
 	// mean row u's records and usage are the same in both.
 	stamps     []uint64
 	recaptured int // rows read from the stores rather than copied from a predecessor
@@ -78,18 +78,17 @@ func checkedArenaLen(total int64) (int32, error) {
 // mismatched span would otherwise leak stale or short data into the arena.
 //
 // prev, when non-nil, is the predecessor epoch: an unreleased view captured
-// from the same stores over the same adjacency with a Version source. Every
-// row whose store stamp still equals the one prev recorded is copied from
-// prev — records and usage counters alike — and only the other rows read
-// the stores, so a republish after a few writes costs a copy, not a
-// recapture. The result is byte-identical to a capture with prev nil; a
-// prev over another adjacency, without stamps, or without the usage
-// counters src reads is ignored.
+// from the same stores over the same adjacency. Every row whose store stamp
+// still equals the one prev recorded is copied from prev — records and
+// usage counters alike — and only the other rows read the stores, so a
+// republish after a few writes costs a copy, not a recapture. The result is
+// byte-identical to a capture with prev nil; a prev over another adjacency
+// is ignored.
 func CaptureRoundView(adjOff []int32, adjTo []AgentID, src RoundSource, norm Normalizer, workers int, pool *ArenaPool, prev *RoundView) (*RoundView, error) {
 	// Each row is either clean — prev holds it under the stamp its store
 	// still carries, so its record counts, records and usage counters are
 	// copied from prev — or read from the stores through the two checked
-	// passes. src.Usage nil skips the usage arrays.
+	// passes.
 	n, ne := len(adjOff)-1, len(adjTo)
 	v := &RoundView{norm: norm, TrustView: &TrustView{
 		adjOff: adjOff,
@@ -97,17 +96,12 @@ func CaptureRoundView(adjOff []int32, adjTo []AgentID, src RoundSource, norm Nor
 		recOff: take[int32](pool, ne+1),
 		tasks:  src.Catalog.Tasks(),
 		pool:   pool,
-	}}
+		stamps: take[uint64](pool, n),
+	}, resp: take[int32](pool, ne), abus: take[int32](pool, ne)}
 	tv := v.TrustView
-	if src.Usage != nil {
-		v.resp, v.abus = take[int32](pool, ne), take[int32](pool, ne)
-	}
-	if src.Version != nil {
-		tv.stamps = take[uint64](pool, n)
-	}
 	base := prev
-	if base != nil && (!tv.sameRows(base.TrustView) || v.resp != nil && base.resp == nil) {
-		base = nil // foreign, unstamped, or without the usage this capture needs
+	if base != nil && !tv.sameRows(base.TrustView) {
+		base = nil // foreign
 	}
 	// Pass 1: row stamps and per-edge record counts, written one slot right
 	// so the prefix sum lands directly in recOff.
@@ -116,9 +110,7 @@ func CaptureRoundView(adjOff []int32, adjTo []AgentID, src RoundSource, norm Nor
 		dirty := 0
 		for u := lo; u < hi; u++ {
 			first, last := adjOff[u], adjOff[u+1]
-			if tv.stamps != nil {
-				tv.stamps[u] = src.Version(AgentID(u))
-			}
+			tv.stamps[u] = src.Version(AgentID(u))
 			if base.clean(tv, u) {
 				for e := first; e < last; e++ {
 					tv.recOff[e+1] = base.recOff[e+1] - base.recOff[e]
@@ -158,10 +150,8 @@ func CaptureRoundView(adjOff []int32, adjTo []AgentID, src RoundSource, norm Nor
 			first, last := adjOff[u], adjOff[u+1]
 			if base.clean(tv, u) {
 				copy(tv.recs[tv.recOff[first]:tv.recOff[last]], base.recs[base.recOff[first]:base.recOff[last]])
-				if v.resp != nil {
-					copy(v.resp[first:last], base.resp[first:last])
-					copy(v.abus[first:last], base.abus[first:last])
-				}
+				copy(v.resp[first:last], base.resp[first:last])
+				copy(v.abus[first:last], base.abus[first:last])
 				continue
 			}
 			for k, w := range adjTo[first:last] {
@@ -171,10 +161,8 @@ func CaptureRoundView(adjOff []int32, adjTo []AgentID, src RoundSource, norm Nor
 				if int32(len(got)) != want {
 					panic("core: store mutated during capture")
 				}
-				if v.resp != nil {
-					l := src.Usage(AgentID(u), w)
-					v.resp[e], v.abus[e] = int32(l.Responsible), int32(l.Abusive)
-				}
+				l := src.Usage(AgentID(u), w)
+				v.resp[e], v.abus[e] = int32(l.Responsible), int32(l.Abusive)
 			}
 		}
 	})
@@ -490,7 +478,13 @@ func (m *EdgeMemo) build(mm *modelMemo, mdl TrustModel, ts []task.Task, prev *Ed
 					if clean && olds[i] != nil {
 						continue
 					}
-					val, ok := mm.hop(mdl, ctx, v, e, recs, t)
+					var val float64
+					var ok bool
+					if mm.scorer != nil {
+						val, ok = mm.scorer.EdgeTW(v, e, t)
+					} else {
+						val, ok = mdl.HopTW(ctx, recs, t)
+					}
 					if !ok {
 						val = blocked
 					}
@@ -508,18 +502,18 @@ func (m *EdgeMemo) build(mm *modelMemo, mdl TrustModel, ts []task.Task, prev *Ed
 // for it.
 func (m *EdgeMemo) model(mdl TrustModel) *modelMemo { return m.models[mdl.Name()] }
 
-// hopTables appends to st.tabs (a nil st only checks) the tables a search of
+// hopTables appends to *tabs (a nil tabs only checks) the tables a search of
 // t under mdl over view reads — t's own, or one per characteristic for a
 // PerCharacteristic model — or wraps ErrNotRequired if one is not built.
-func (m *EdgeMemo) hopTables(st *denseState, view *TrustView, mdl TrustModel, t task.Task) error {
+func (m *EdgeMemo) hopTables(tabs *[][]float64, view *TrustView, mdl TrustModel, t task.Task) error {
 	if m == nil || m.view != view {
 		return fmt.Errorf("%w: no memo over the searched view", ErrNotRequired)
 	}
 	mm, ok := m.model(mdl), true
 	use := func(vals []float64) {
 		ok = ok && vals != nil
-		if st != nil {
-			st.tabs = append(st.tabs, vals)
+		if tabs != nil {
+			*tabs = append(*tabs, vals)
 		}
 	}
 	if !mdl.Spec().PerCharacteristic {
@@ -561,28 +555,27 @@ func (mm *modelMemo) charTable(c task.Characteristic) []float64 {
 	return nil
 }
 
-// hop evaluates edge e (records recs) for t through mdl's trained scorer,
-// or, when mdl trains nothing (mm may then be nil), its HopTW.
-func (mm *modelMemo) hop(mdl TrustModel, ctx HopContext, view *TrustView, e int32, recs []CompactRecord, t task.Task) (float64, bool) {
-	if mm != nil && mm.scorer != nil {
-		return mm.scorer.EdgeTW(view, e, t)
+// RequireLens requires mdl's tables for t (RequireModel) and returns the
+// single-edge lens over them: the value a search of t under mdl gives a
+// one-hop path across edge e — the layer-weighted sum of e's entries in the
+// tables the search reads — or ok=false as soon as one of them blocks the
+// hop. Probes that score edges through it see every edge exactly as the
+// search does. The lens reads the memo's tables, so it is valid until the
+// memo's next Reset or Release.
+func (m *EdgeMemo) RequireLens(mdl TrustModel, t task.Task) func(e int32) (float64, bool) {
+	m.RequireModel(mdl, []task.Task{t})
+	var tabs [][]float64
+	_ = m.hopTables(&tabs, m.view, mdl, t) // RequireModel has just built every one
+	weights := layerWeights(mdl, t)
+	return func(e int32) (float64, bool) {
+		tw := 0.0
+		for l, vals := range tabs {
+			v := vals[e]
+			if math.IsNaN(v) {
+				return 0, false
+			}
+			tw += weights[l] * v
+		}
+		return tw, true
 	}
-	return mdl.HopTW(ctx, recs, t)
-}
-
-// ModelEdgeTW scores one directed view edge through a model — the
-// single-edge lens probes and direct-edge queries use. It reads the memo
-// table when RequireModel built one for this exact task, else evaluates the
-// edge through modelMemo.hop. An untrained EpochTrainable model panics: its
-// untrained lens would disagree with the search about the same edge.
-func (m *EdgeMemo) ModelEdgeTW(mdl TrustModel, e int32, t task.Task) (float64, bool) {
-	mm := m.model(mdl)
-	if vals := mm.table(t); vals != nil {
-		v := vals[e]
-		return v, !math.IsNaN(v)
-	}
-	if _, trainable := mdl.(EpochTrainable); trainable && (mm == nil || mm.scorer == nil) {
-		panic(fmt.Sprintf("core: model %q is epoch-trainable but untrained (call EdgeMemo.RequireModel first)", mdl.Name()))
-	}
-	return mm.hop(mdl, HopContext{Tasks: m.view.tasks, Norm: m.norm}, m.view, e, m.view.EdgeRecords(e), t)
 }

@@ -37,6 +37,8 @@ func tinyView(t *testing.T, tk task.Task) *TrustView {
 		Append: func(holder, about AgentID, buf []CompactRecord) []CompactRecord {
 			return append(buf, store[[2]AgentID{holder, about}]...)
 		},
+		Version: func(AgentID) uint64 { return 0 },
+		Usage:   func(_, _ AgentID) UsageLog { return UsageLog{} },
 	}, 1)
 }
 

@@ -85,7 +85,7 @@ func (e *Engine) attackContext(round int) (adversary.Context, bool) {
 // trustworthiness the source agent of directed edge e holds about the
 // edge's target on the task at hand, ok=false when it holds nothing. The
 // rounds and PerceivedTrust look through RoundView.BestTW,
-// PerceivedTrustModels through each model's EdgeMemo.ModelEdgeTW.
+// PerceivedTrustModels through each model's EdgeMemo.RequireLens.
 type edgeTW func(e int32) (float64, bool)
 
 // recommendedTW gathers one-hop recommendations about candidate y from the
@@ -187,19 +187,18 @@ type Perceived struct {
 // single probe epoch: one snapshot, one shared EdgeMemo (trainable models
 // fit on it exactly once), and every model scored over the same snapshot.
 // Each model sees direct edges and one-hop recommendations through its own
-// single-edge lens (EdgeMemo.ModelEdgeTW) rather than the rounds'
-// policy-agnostic RoundView.BestTW, so the cross-model resilience matrix
-// compares how each model's own arithmetic perceives the attack. Attack
-// forgeries are asserted numbers, identical under every model. Read-only,
-// like PerceivedTrust.
+// single-edge lens (EdgeMemo.RequireLens, which reads the hop tables the
+// model's search reads) rather than the rounds' policy-agnostic
+// RoundView.BestTW, so the cross-model resilience matrix compares how each
+// model's own arithmetic perceives the attack. Attack forgeries are
+// asserted numbers, identical under every model. Read-only, like
+// PerceivedTrust.
 func (e *Engine) PerceivedTrustModels(round int, tk task.Task, models []core.TrustModel) []Perceived {
 	out := make([]Perceived, len(models))
 	e.probe(func(view *core.RoundView) {
 		memo := core.NewEdgeMemoPooled(view.TrustView, e.Pop.cfg.Update.Norm, e.workers(), epochArenas)
-		probe := []task.Task{tk}
 		for mi, m := range models {
-			memo.RequireModel(m, probe)
-			out[mi] = e.perceive(view, round, func(edge int32) (float64, bool) { return memo.ModelEdgeTW(m, edge, tk) })
+			out[mi] = e.perceive(view, round, memo.RequireLens(m, tk))
 		}
 		memo.Release()
 	})

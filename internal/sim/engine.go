@@ -31,9 +31,9 @@ import (
 // against the state left by the previous round (simultaneous requests) —
 // which is precisely what lets the compute phase read a frozen snapshot.
 // Each round reads a core.RoundView of the previous round's state from the
-// population's epoch chain; the compute phase reads only that view (zero
-// store locks — TestMutualityComputePhaseLockFree) and the merge phase is
-// the only store writer.
+// population's epoch chain; the compute phase reads only that view (no
+// live store — TestMutualityComputePhaseLockFree runs it with every store
+// detached) and the merge phase is the only store writer.
 type Engine struct {
 	Pop *Population
 	// Parallelism is the worker-pool width. 0 falls back to the population
@@ -168,7 +168,7 @@ func (e *Engine) MutualityRound(round int, tk task.Task, c *MutualityCounters) {
 // computeMutualityActs is the round's parallel compute phase: every trustor
 // decides against the frozen view — candidate scoring, reverse evaluation,
 // outcome and abuse draws — and buffers its action. It reads no live store
-// (TestMutualityComputePhaseLockFree pins this at zero lock acquisitions)
+// (TestMutualityComputePhaseLockFree runs it with every store detached)
 // and writes nothing shared, so any worker count produces identical bytes.
 func (e *Engine) computeMutualityActs(view *core.RoundView, attacked bool, actx adversary.Context, round int, tk task.Task) []mutualityAction {
 	p := e.Pop

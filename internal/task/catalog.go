@@ -21,10 +21,9 @@ type Ref uint32
 // of entries) while the record stores and frozen-view arenas referencing it
 // hold millions of records.
 //
-// All methods are safe for concurrent use. Reads (Task, TypeOf, Tasks,
-// Lookup) are lock-free — they load an atomic snapshot — and Intern is a
-// copy-on-write append serialized by a mutex, cheap because interning a
-// genuinely new task is rare.
+// Both methods are safe for concurrent use. Tasks is lock-free — it loads
+// an atomic snapshot — and Intern is a copy-on-write append serialized by a
+// mutex, cheap because interning a genuinely new task is rare.
 type Catalog struct {
 	mu   sync.Mutex // serializes Intern's copy-on-write appends
 	snap atomic.Pointer[catalogSnap]
@@ -44,28 +43,14 @@ func NewCatalog() *Catalog {
 	return c
 }
 
-// Len returns the number of interned tasks.
-func (c *Catalog) Len() int { return len(c.snap.Load().tasks) }
-
 // Tasks returns the current task list indexed by Ref. The slice is an
 // immutable shared snapshot: every Ref issued before the call resolves in
 // it, refs interned later do not. Callers on a hot path load it once per
 // operation instead of paying an atomic load per record.
 func (c *Catalog) Tasks() []Task { return c.snap.Load().tasks }
 
-// Task resolves a Ref to its task. The returned value shares the catalog's
-// characteristic and weight slices; resolving allocates nothing.
-func (c *Catalog) Task(r Ref) Task { return c.snap.Load().tasks[r] }
-
-// TypeOf returns the task type behind a Ref.
-func (c *Catalog) TypeOf(r Ref) Type { return c.snap.Load().tasks[r].Type() }
-
-// Lookup returns the Ref of a task already interned equal to t (same type,
-// characteristics, and weights), without interning.
-func (c *Catalog) Lookup(t Task) (Ref, bool) {
-	return c.snap.Load().lookup(t)
-}
-
+// lookup returns the Ref of a task interned in s equal to t (same type,
+// characteristics, and weights).
 func (s *catalogSnap) lookup(t Task) (Ref, bool) {
 	for _, r := range s.byType[t.Type()] {
 		if s.tasks[r].Equal(t) {
@@ -103,16 +88,4 @@ func (c *Catalog) Intern(t Task) Ref {
 	next.byType[t.Type()] = append(bucket[:len(bucket):len(bucket)], r)
 	c.snap.Store(next)
 	return r
-}
-
-// CatalogOf interns every task of a universe in order, so the Ref of
-// universe task i equals i (universe tasks are indexed by Type). Seeding
-// pipelines that address tasks by universe index get ref translation for
-// free.
-func CatalogOf(u Universe) *Catalog {
-	c := NewCatalog()
-	for _, t := range u.Tasks {
-		c.Intern(t)
-	}
-	return c
 }

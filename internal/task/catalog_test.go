@@ -1,7 +1,6 @@
 package task
 
 import (
-	"math/rand/v2"
 	"sync"
 	"testing"
 )
@@ -20,20 +19,14 @@ func TestCatalogInternDedup(t *testing.T) {
 	if ro == ra {
 		t.Fatalf("same-type tasks with different weights shared ref %d", ra)
 	}
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
+	if n := len(c.Tasks()); n != 2 {
+		t.Fatalf("catalog holds %d tasks, want 2", n)
 	}
-	if got := c.Task(ra); !got.Equal(a) {
-		t.Fatalf("Task(%d) = %v, want %v", ra, got, a)
+	if got := c.Tasks()[ra]; !got.Equal(a) {
+		t.Fatalf("ref %d resolves to %v, want %v", ra, got, a)
 	}
-	if got := c.TypeOf(ro); got != 3 {
-		t.Fatalf("TypeOf(%d) = %d, want 3", ro, got)
-	}
-	if r, ok := c.Lookup(b); !ok || r != ra {
-		t.Fatalf("Lookup(b) = %d, %v; want %d, true", r, ok, ra)
-	}
-	if _, ok := c.Lookup(MustNew(9, map[Characteristic]float64{CharGPS: 1})); ok {
-		t.Fatal("Lookup found a task never interned")
+	if got := c.Tasks()[ro]; !got.Equal(other) {
+		t.Fatalf("ref %d resolves to %v, want %v", ro, got, other)
 	}
 }
 
@@ -50,22 +43,6 @@ func TestCatalogTasksSnapshot(t *testing.T) {
 	}
 	if len(c.Tasks()) != 2 {
 		t.Fatalf("fresh snapshot has %d tasks, want 2", len(c.Tasks()))
-	}
-}
-
-func TestCatalogOfMatchesUniverseIndex(t *testing.T) {
-	u := NewUniverse(8, 5, rand.New(rand.NewPCG(1, 2)))
-	c := CatalogOf(u)
-	if c.Len() != len(u.Tasks) {
-		t.Fatalf("catalog has %d tasks, universe %d", c.Len(), len(u.Tasks))
-	}
-	for i, tk := range u.Tasks {
-		if got := c.Task(Ref(i)); !got.Equal(tk) {
-			t.Fatalf("ref %d resolves to %v, want universe task %v", i, got, tk)
-		}
-		if r, ok := c.Lookup(tk); !ok || r != Ref(i) {
-			t.Fatalf("universe task %d interned at ref %d (ok=%v)", i, r, ok)
-		}
 	}
 }
 
@@ -95,8 +72,8 @@ func TestCatalogConcurrentIntern(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if c.Len() != len(tasks) {
-		t.Fatalf("catalog holds %d tasks, want %d", c.Len(), len(tasks))
+	if n := len(c.Tasks()); n != len(tasks) {
+		t.Fatalf("catalog holds %d tasks, want %d", n, len(tasks))
 	}
 	for w := 1; w < workers; w++ {
 		for i := range tasks {

@@ -117,7 +117,8 @@ var ErrNotRequired = core.ErrNotRequired
 type RoundView = core.RoundView
 
 // RoundSource is the store access a RoundView capture needs: the
-// trust-view record passes plus per-edge usage lookup.
+// trust-view record passes, per-edge usage lookup and the per-holder store
+// stamp, every one required.
 type RoundSource = core.RoundSource
 
 // CompactRecord is the pointer-free arena form of Record: the task is a
@@ -149,11 +150,6 @@ var ErrArenaOverflow = core.ErrArenaOverflow
 func CaptureRoundView(adjOff []int32, adjTo []AgentID, src RoundSource, norm Normalizer, workers int, pool *ArenaPool, prev *RoundView) (*RoundView, error) {
 	return core.CaptureRoundView(adjOff, adjTo, src, norm, workers, pool, prev)
 }
-
-// CountStoreLocks runs fn and reports how many trust-store lock
-// acquisitions happened meanwhile (process-global, not reentrant) — the
-// probe behind lock-free compute-phase assertions.
-func CountStoreLocks(fn func()) int64 { return core.CountStoreLocks(fn) }
 
 // ArenaPool recycles TrustView arenas and EdgeMemo hop tables across
 // frozen-epoch captures (capacity-keyed, explicit Release).
