@@ -1,8 +1,11 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation
-// (§5). Each benchmark runs its experiment at a reduced-but-faithful scale
-// per iteration and reports the headline quantities as custom metrics, so
-// `go test -bench=. -benchmem` doubles as a smoke reproduction. The
-// full-scale runs (paper parameters) live in cmd/siot-bench.
+// Benchmarks of the engine's layers and of the paper's evaluation (§5).
+// Each table or figure benchmark runs its experiment at a
+// reduced-but-faithful scale per iteration and reports the headline
+// quantities as custom metrics, so `go test -bench=. -benchmem` doubles as
+// a smoke reproduction. Figs. 7 and 9–12 have none here: their goldens
+// (internal/experiments) pin the numbers, and the sim-rounds and
+// sweep-models workloads of benchmark/ time the same paths. The full-scale
+// runs (paper parameters) live in cmd/siot-bench.
 package siot_test
 
 import (
@@ -369,20 +372,6 @@ func BenchmarkTable1Connectivity(b *testing.B) {
 	b.ReportMetric(clustering, "fb_clustering")
 }
 
-// BenchmarkFig7Mutuality regenerates Fig. 7: success/unavailable/abuse
-// rates versus the reverse-evaluation threshold θ.
-func BenchmarkFig7Mutuality(b *testing.B) {
-	cfg := experiments.DefaultFig7Config(benchSeed)
-	cfg.Rounds = 10
-	var res experiments.Fig7Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.RunFig7(cfg)
-	}
-	// Abuse at θ=0 vs θ=0.6 on the first network.
-	b.ReportMetric(res.Cells[0].Abuse, "abuse_theta0")
-	b.ReportMetric(res.Cells[2].Abuse, "abuse_theta06")
-}
-
 // BenchmarkFig8Inference regenerates Fig. 8: percentage of honest trustee
 // selections with and without characteristic inference, on the ZigBee
 // testbed simulator.
@@ -395,71 +384,6 @@ func BenchmarkFig8Inference(b *testing.B) {
 	}
 	b.ReportMetric(stats.Mean(res.WithModel.Y), "pct_honest_with")
 	b.ReportMetric(stats.Mean(res.WithoutModel.Y), "pct_honest_without")
-}
-
-// transitivitySweep runs the shared Figs. 9–11 sweep at bench scale.
-func transitivitySweep(b *testing.B) experiments.TransitivityResult {
-	b.Helper()
-	cfg := experiments.DefaultTransitivityConfig(benchSeed)
-	cfg.CharCounts = []int{4, 7}
-	cfg.Repeats = 1
-	var res experiments.TransitivityResult
-	for i := 0; i < b.N; i++ {
-		res = experiments.RunTransitivitySweep(cfg)
-	}
-	return res
-}
-
-// cellOf finds one sweep cell.
-func cellOf(res experiments.TransitivityResult, network string, m core.TrustModel, chars int) experiments.TransitivityCell {
-	for _, c := range res.Cells {
-		if c.Network == network && c.Model == m.Name() && c.NumChars == chars {
-			return c
-		}
-	}
-	return experiments.TransitivityCell{}
-}
-
-// BenchmarkFig9TransitivitySuccess regenerates Fig. 9: success rate versus
-// the number of characteristics for the three trust-transfer methods.
-func BenchmarkFig9TransitivitySuccess(b *testing.B) {
-	res := transitivitySweep(b)
-	b.ReportMetric(cellOf(res, "facebook", core.Aggressive, 4).Success, "fb_aggr_success")
-	b.ReportMetric(cellOf(res, "facebook", core.Traditional, 4).Success, "fb_trad_success")
-}
-
-// BenchmarkFig10TransitivityUnavailable regenerates Fig. 10: unavailable
-// rate for the same sweep.
-func BenchmarkFig10TransitivityUnavailable(b *testing.B) {
-	res := transitivitySweep(b)
-	b.ReportMetric(cellOf(res, "facebook", core.Aggressive, 4).Unavailable, "fb_aggr_unavail")
-	b.ReportMetric(cellOf(res, "facebook", core.Traditional, 4).Unavailable, "fb_trad_unavail")
-}
-
-// BenchmarkFig11PotentialTrustees regenerates Fig. 11: the average number
-// of potential trustees found per method.
-func BenchmarkFig11PotentialTrustees(b *testing.B) {
-	res := transitivitySweep(b)
-	b.ReportMetric(cellOf(res, "facebook", core.Aggressive, 4).AvgPotential, "fb_aggr_potential")
-	b.ReportMetric(cellOf(res, "facebook", core.Traditional, 4).AvgPotential, "fb_trad_potential")
-}
-
-// BenchmarkFig12SearchOverhead regenerates Fig. 12: the per-trustor count
-// of inquired nodes under each method.
-func BenchmarkFig12SearchOverhead(b *testing.B) {
-	cfg := experiments.DefaultFig12Config(benchSeed)
-	var res experiments.Fig12Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.RunFig12(cfg)
-	}
-	total := func(m core.TrustModel) (sum float64) {
-		for _, v := range res.PerModel[m.Name()] {
-			sum += float64(v)
-		}
-		return sum
-	}
-	b.ReportMetric(total(core.Aggressive), "aggr_inquired_total")
-	b.ReportMetric(total(core.Traditional), "trad_inquired_total")
 }
 
 // BenchmarkTable2RealProperties regenerates Table 2: the transitivity

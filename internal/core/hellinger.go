@@ -19,7 +19,7 @@ import (
 // The model is epoch-trainable: TrainEpoch fits the factors against a
 // frozen TrustView with deterministic rng.Split2 sub-streams for the
 // initialization and double-buffered Jacobi gradient sweeps whose per-row
-// sums run in fixed CSR order — so the trained scorer is bit-identical at
+// sums run in fixed CSR order — so the trained table is bit-identical at
 // every worker count. An edge with no experience records stays blocked
 // (ok=false): factorization interpolates strength, not existence, of
 // evidence, which keeps the honest-ring ≡ no-attack property exact.
@@ -47,8 +47,8 @@ func (hellingerMF) Spec() ModelSpec {
 }
 
 // HopTW is the untrained evidence-local lens: the mean trustworthiness of
-// the edge's records. No search or memo path reads it: RequireModel builds
-// the tables from the scorer it trains on the epoch first.
+// the edge's records. No search or memo path reads it: RequireModel has
+// TrainEpoch fill the model's table instead.
 func (hellingerMF) HopTW(ctx HopContext, recs []CompactRecord, t task.Task) (float64, bool) {
 	if len(recs) == 0 {
 		return 0, false
@@ -58,18 +58,6 @@ func (hellingerMF) HopTW(ctx HopContext, recs []CompactRecord, t task.Task) (flo
 		sum += r.TW(ctx.Norm)
 	}
 	return sum / float64(len(recs)), true
-}
-
-// hellingerScorer is the trained state: latent factors, per-node sqrt
-// rating histograms, and the per-edge rating/holder arrays. Immutable
-// after training.
-type hellingerScorer struct {
-	uFac     []float64 // n×hmfRank trustor factors
-	vFac     []float64 // n×hmfRank trustee factors
-	histSqrt []float64 // n×hmfBuckets, sqrt of outgoing-rating histogram
-	hasHist  []bool    // node has at least one rated outgoing edge
-	rated    []bool    // edge had ≥1 record at capture
-	holder   []AgentID // CSR row (trustor) of each directed edge
 }
 
 func clamp01(v float64) float64 {
@@ -82,56 +70,31 @@ func clamp01(v float64) float64 {
 	return v
 }
 
-// EdgeTW scores a directed edge from the trained state. The value is
-// task-agnostic — the factorization models latent trustor/trustee
-// dispositions, not per-task competence — and the blend of two [0, 1]
-// terms is clamped, so outputs stay in [0, 1].
-func (s *hellingerScorer) EdgeTW(view *TrustView, e int32, t task.Task) (float64, bool) {
-	if !s.rated[e] {
-		return 0, false
-	}
-	u, v := s.holder[e], view.adjTo[e]
-	dot := 0.0
-	for k := 0; k < hmfRank; k++ {
-		dot += s.uFac[int(u)*hmfRank+k] * s.vFac[int(v)*hmfRank+k]
-	}
-	sim := 0.5 // neutral prior when either endpoint has no rating history
-	if s.hasHist[u] && s.hasHist[v] {
-		d2 := 0.0
-		for b := 0; b < hmfBuckets; b++ {
-			diff := s.histSqrt[int(u)*hmfBuckets+b] - s.histSqrt[int(v)*hmfBuckets+b]
-			d2 += diff * diff
-		}
-		// Hellinger distance H = (1/√2)·‖√p−√q‖₂ ∈ [0, 1]; similarity 1−H.
-		sim = 1 - math.Sqrt(d2/2)
-	}
-	return clamp01(hmfMFWeight*clamp01(dot) + (1-hmfMFWeight)*sim), true
-}
-
-// TrainEpoch fits the factorization against the frozen view. Determinism
-// recipe: parameter init from per-(node, side) rng.Split2 sub-streams;
-// each Jacobi sweep computes the new factors of every row from the OLD
-// factor arrays only (double buffering), with per-row gradient sums
-// accumulated in fixed CSR edge order — workers own disjoint rows, so the
-// schedule cannot reorder any floating-point sum.
-func (hellingerMF) TrainEpoch(view *TrustView, norm Normalizer, workers int) EdgeScorer {
+// TrainEpoch fits the factorization against the frozen view and fills
+// vals with every edge's trained hop value. The value is task-agnostic — the
+// factorization models latent trustor/trustee dispositions, not per-task
+// competence — and the blend of two [0, 1] terms is clamped, so values stay
+// in [0, 1]. Determinism recipe: parameter init from per-(node, side)
+// rng.Split2 sub-streams; each Jacobi sweep computes the new factors of
+// every row from the OLD factor arrays only (double buffering), with
+// per-row gradient sums accumulated in fixed CSR edge order — workers own
+// disjoint rows, so the schedule cannot reorder any floating-point sum.
+func (hellingerMF) TrainEpoch(view *TrustView, norm Normalizer, workers int, vals []float64) {
 	n, ne := view.NumAgents(), view.NumEdges()
 	adjOff, adjTo := view.adjOff, view.adjTo
-	s := &hellingerScorer{
-		uFac:     make([]float64, n*hmfRank),
-		vFac:     make([]float64, n*hmfRank),
-		histSqrt: make([]float64, n*hmfBuckets),
-		hasHist:  make([]bool, n),
-		rated:    make([]bool, ne),
-		holder:   make([]AgentID, ne),
-	}
+	uFac := make([]float64, n*hmfRank)        // trustor factors
+	vFac := make([]float64, n*hmfRank)        // trustee factors
+	histSqrt := make([]float64, n*hmfBuckets) // sqrt of outgoing-rating histogram
+	hasHist := make([]bool, n)                // node has at least one rated outgoing edge
+	rated := make([]bool, ne)                 // edge had ≥1 record at capture
+	holder := make([]AgentID, ne)             // CSR row (trustor) of each directed edge
 	// Per-edge ratings: mean record trustworthiness, in parallel over
 	// disjoint CSR rows.
 	rating := make([]float64, ne)
 	par.For(n, workers, func(_, lo, hi int) {
 		for u := lo; u < hi; u++ {
 			for e := adjOff[u]; e < adjOff[u+1]; e++ {
-				s.holder[e] = AgentID(u)
+				holder[e] = AgentID(u)
 				recs := view.EdgeRecords(e)
 				if len(recs) == 0 {
 					continue
@@ -141,7 +104,7 @@ func (hellingerMF) TrainEpoch(view *TrustView, norm Normalizer, workers int) Edg
 					sum += r.TW(norm)
 				}
 				rating[e] = sum / float64(len(recs))
-				s.rated[e] = true
+				rated[e] = true
 			}
 		}
 	})
@@ -167,8 +130,8 @@ func (hellingerMF) TrainEpoch(view *TrustView, norm Normalizer, workers int) Edg
 		ur := rng.Split2(hmfSeed, "hellinger-mf-init", i, 0)
 		vr := rng.Split2(hmfSeed, "hellinger-mf-init", i, 1)
 		for k := 0; k < hmfRank; k++ {
-			s.uFac[i*hmfRank+k] = 0.3 + 0.4*ur.Float64()
-			s.vFac[i*hmfRank+k] = 0.3 + 0.4*vr.Float64()
+			uFac[i*hmfRank+k] = 0.3 + 0.4*ur.Float64()
+			vFac[i*hmfRank+k] = 0.3 + 0.4*vr.Float64()
 		}
 	}
 	// Double-buffered Jacobi gradient sweeps: newU/newV are computed from
@@ -183,21 +146,21 @@ func (hellingerMF) TrainEpoch(view *TrustView, norm Normalizer, workers int) Edg
 					g[k] = 0
 				}
 				for e := adjOff[u]; e < adjOff[u+1]; e++ {
-					if !s.rated[e] {
+					if !rated[e] {
 						continue
 					}
 					v := int(adjTo[e])
 					pred := 0.0
 					for k := 0; k < hmfRank; k++ {
-						pred += s.uFac[u*hmfRank+k] * s.vFac[v*hmfRank+k]
+						pred += uFac[u*hmfRank+k] * vFac[v*hmfRank+k]
 					}
 					err := rating[e] - pred
 					for k := 0; k < hmfRank; k++ {
-						g[k] += err * s.vFac[v*hmfRank+k]
+						g[k] += err * vFac[v*hmfRank+k]
 					}
 				}
 				for k := 0; k < hmfRank; k++ {
-					newU[u*hmfRank+k] = s.uFac[u*hmfRank+k] + hmfRate*(g[k]-hmfReg*s.uFac[u*hmfRank+k])
+					newU[u*hmfRank+k] = uFac[u*hmfRank+k] + hmfRate*(g[k]-hmfReg*uFac[u*hmfRank+k])
 				}
 			}
 		})
@@ -209,36 +172,36 @@ func (hellingerMF) TrainEpoch(view *TrustView, norm Normalizer, workers int) Edg
 				}
 				for ie := inOff[v]; ie < inOff[v+1]; ie++ {
 					e := inEdge[ie]
-					if !s.rated[e] {
+					if !rated[e] {
 						continue
 					}
-					u := int(s.holder[e])
+					u := int(holder[e])
 					pred := 0.0
 					for k := 0; k < hmfRank; k++ {
-						pred += s.uFac[u*hmfRank+k] * s.vFac[v*hmfRank+k]
+						pred += uFac[u*hmfRank+k] * vFac[v*hmfRank+k]
 					}
 					err := rating[e] - pred
 					for k := 0; k < hmfRank; k++ {
-						g[k] += err * s.uFac[u*hmfRank+k]
+						g[k] += err * uFac[u*hmfRank+k]
 					}
 				}
 				for k := 0; k < hmfRank; k++ {
-					newV[v*hmfRank+k] = s.vFac[v*hmfRank+k] + hmfRate*(g[k]-hmfReg*s.vFac[v*hmfRank+k])
+					newV[v*hmfRank+k] = vFac[v*hmfRank+k] + hmfRate*(g[k]-hmfReg*vFac[v*hmfRank+k])
 				}
 			}
 		})
-		s.uFac, newU = newU, s.uFac
-		s.vFac, newV = newV, s.vFac
+		uFac, newU = newU, uFac
+		vFac, newV = newV, vFac
 	}
 	// Outgoing-rating histograms (serial, O(ne)): the Hellinger term
 	// compares how two agents distribute their trust.
 	counts := make([]float64, n*hmfBuckets)
 	totals := make([]float64, n)
 	for e := 0; e < ne; e++ {
-		if !s.rated[e] {
+		if !rated[e] {
 			continue
 		}
-		u := int(s.holder[e])
+		u := int(holder[e])
 		b := int(rating[e] * hmfBuckets)
 		if b >= hmfBuckets {
 			b = hmfBuckets - 1
@@ -250,12 +213,38 @@ func (hellingerMF) TrainEpoch(view *TrustView, norm Normalizer, workers int) Edg
 		if totals[i] == 0 {
 			continue
 		}
-		s.hasHist[i] = true
+		hasHist[i] = true
 		for b := 0; b < hmfBuckets; b++ {
-			s.histSqrt[i*hmfBuckets+b] = math.Sqrt(counts[i*hmfBuckets+b] / totals[i])
+			histSqrt[i*hmfBuckets+b] = math.Sqrt(counts[i*hmfBuckets+b] / totals[i])
 		}
 	}
-	return s
+	// Score every edge from the trained state.
+	par.For(n, workers, func(_, lo, hi int) {
+		for u := lo; u < hi; u++ {
+			for e := adjOff[u]; e < adjOff[u+1]; e++ {
+				if !rated[e] {
+					vals[e] = blocked
+					continue
+				}
+				v := int(adjTo[e])
+				dot := 0.0
+				for k := 0; k < hmfRank; k++ {
+					dot += uFac[u*hmfRank+k] * vFac[v*hmfRank+k]
+				}
+				sim := 0.5 // neutral prior when either endpoint has no rating history
+				if hasHist[u] && hasHist[v] {
+					d2 := 0.0
+					for b := 0; b < hmfBuckets; b++ {
+						diff := histSqrt[u*hmfBuckets+b] - histSqrt[v*hmfBuckets+b]
+						d2 += diff * diff
+					}
+					// Hellinger distance H = (1/√2)·‖√p−√q‖₂ ∈ [0, 1]; similarity 1−H.
+					sim = 1 - math.Sqrt(d2/2)
+				}
+				vals[e] = clamp01(hmfMFWeight*clamp01(dot) + (1-hmfMFWeight)*sim)
+			}
+		}
+	})
 }
 
 func init() { RegisterModel(hellingerMF{}) }

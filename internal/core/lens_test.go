@@ -8,12 +8,13 @@ import (
 	"siot/internal/task"
 )
 
-// edgeOracle evaluates directed edge e of view for t with no memo table: it
-// scores through scorer when the model is trained (scorer non-nil), else
-// through the model's HopTW on the edge's captured records.
-func edgeOracle(mdl TrustModel, scorer EdgeScorer, ctx HopContext, view *TrustView, e int32, t task.Task) (float64, bool) {
-	if scorer != nil {
-		return scorer.EdgeTW(view, e, t)
+// edgeOracle evaluates directed edge e of view for t with no memo table:
+// it reads trained, the table a direct TrainEpoch filled, when the model is
+// trained (trained non-nil), else the model's HopTW on the edge's captured
+// records.
+func edgeOracle(mdl TrustModel, trained []float64, ctx HopContext, view *TrustView, e int32, t task.Task) (float64, bool) {
+	if trained != nil {
+		return trained[e], !math.IsNaN(trained[e])
 	}
 	return mdl.HopTW(ctx, view.EdgeRecords(e), t)
 }
@@ -46,9 +47,10 @@ func TestRequireLensMatchesOracle(t *testing.T) {
 		}
 		memo := NewEdgeMemoPooled(view, norm, 2, nil)
 		for _, m := range registeredModels(t) {
-			var scorer EdgeScorer
+			var trained []float64
 			if tr, ok := m.(EpochTrainable); ok {
-				scorer = tr.TrainEpoch(view, norm, 1)
+				trained = make([]float64, view.NumEdges())
+				tr.TrainEpoch(view, norm, 1, trained)
 			}
 			for _, tk := range tasks {
 				lens := memo.RequireLens(m, tk)
@@ -57,7 +59,7 @@ func TestRequireLensMatchesOracle(t *testing.T) {
 					for _, y := range view.Neighbors(x) {
 						e, _ := view.EdgeIndex(x, y)
 						got, gotOK := lens(e)
-						want, wantOK := edgeOracle(m, scorer, ctx, view, e, tk)
+						want, wantOK := edgeOracle(m, trained, ctx, view, e, tk)
 						if gotOK != wantOK || gotOK && math.Float64bits(got) != math.Float64bits(want) {
 							t.Fatalf("seed %d %s task %v edge %d->%d: lens (%v, %v), oracle (%v, %v)",
 								seed, m.Name(), tk, x, y, got, gotOK, want, wantOK)

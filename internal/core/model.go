@@ -77,7 +77,8 @@ type HopContext struct {
 // for a task, or ok=false when the evidence does not admit the hop. A model
 // must be pure and safe for concurrent use; HopTW values must stay in
 // [0, 1]. Implementations that also satisfy EpochTrainable are fitted once
-// per frozen epoch and scored through the trained EdgeScorer instead.
+// per frozen epoch, and the search reads the hop values training fills
+// instead.
 type TrustModel interface {
 	// Name is the model's registry key, stable across releases — it feeds
 	// CLI flags, journal headers, and the deterministic outcome-stream
@@ -89,24 +90,19 @@ type TrustModel interface {
 	HopTW(ctx HopContext, recs []CompactRecord, t task.Task) (float64, bool)
 }
 
-// EdgeScorer scores directed view edges for a trained model. Scorers are
-// immutable after training and safe for concurrent use.
-type EdgeScorer interface {
-	// EdgeTW scores directed edge e (an index into the view's CSR edge
-	// array) for task t; ok=false blocks the hop.
-	EdgeTW(view *TrustView, e int32, t task.Task) (float64, bool)
-}
-
 // EpochTrainable marks models that fit parameters against a frozen epoch
-// (matrix factorizations, learned weightings). TrainEpoch must be
-// deterministic for a given view at every worker count — the trained
-// scorer's outputs must be bit-identical whether training ran on 1 or 8
-// goroutines. EdgeMemo.RequireModel trains once per epoch and builds the
-// tables the search reads from the scorer, never from the plain HopTW; an
-// untrained model's searches fail with ErrNotRequired.
+// (matrix factorizations, learned weightings). TrainEpoch fills vals, one
+// entry per edge of view, with each edge's hop value, blocked (NaN) where
+// the hop is not admitted; every task the model is searched for reads that
+// one table, so a trainable model cannot be PerCharacteristic (RegisterModel
+// refuses one). TrainEpoch must be deterministic for a given view at every
+// worker count — vals must be bit-identical whether training ran on 1 or 8
+// goroutines. EdgeMemo.RequireModel trains once per epoch and the search
+// reads the trained table, never the plain HopTW; an untrained model's
+// searches fail with ErrNotRequired.
 type EpochTrainable interface {
 	TrustModel
-	TrainEpoch(view *TrustView, norm Normalizer, workers int) EdgeScorer
+	TrainEpoch(view *TrustView, norm Normalizer, workers int, vals []float64)
 }
 
 // paperModel is one of the paper's §4.3 trust-transfer methods; the Spec
@@ -167,17 +163,17 @@ var modelRegistry = struct {
 }{byName: make(map[string]TrustModel)}
 
 // RegisterModel adds a model to the registry under m.Name. It panics on an
-// empty or duplicate name: the name keys journal headers and deterministic
-// rng labels, so a collision would silently cross-wire two models.
+// empty or duplicate name — the name keys journal headers and deterministic
+// rng labels, so a collision would silently cross-wire two models — and on
+// an EpochTrainable model whose Spec is PerCharacteristic, which its one
+// trained table cannot serve.
 func RegisterModel(m TrustModel) {
 	name := m.Name()
-	if name == "" {
-		panic("core: RegisterModel with an empty name")
-	}
+	_, trainable := m.(EpochTrainable)
 	modelRegistry.mu.Lock()
 	defer modelRegistry.mu.Unlock()
-	if _, dup := modelRegistry.byName[name]; dup {
-		panic(fmt.Sprintf("core: RegisterModel duplicate name %q", name))
+	if _, dup := modelRegistry.byName[name]; name == "" || dup || trainable && m.Spec().PerCharacteristic {
+		panic(fmt.Sprintf("core: RegisterModel %q: empty or duplicate name, or a PerCharacteristic EpochTrainable model", name))
 	}
 	modelRegistry.byName[name] = m
 }

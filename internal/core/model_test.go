@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"siot/internal/task"
@@ -126,6 +128,92 @@ func TestModelSpecs(t *testing.T) {
 	if _, ok := mustParseModel(t, "feature-weighted").(EpochTrainable); ok {
 		t.Fatal("feature-weighted unexpectedly epoch-trainable")
 	}
+}
+
+// perCharTrainable is hellinger-mf claiming a PerCharacteristic spec: a
+// trained model whose one table cannot serve a per-characteristic search.
+type perCharTrainable struct{ hellingerMF }
+
+func (perCharTrainable) Name() string { return "per-char-trainable" }
+
+func (perCharTrainable) Spec() ModelSpec {
+	return ModelSpec{Combine: CombineMistrust, OmegaGated: true, PerCharacteristic: true}
+}
+
+// TestRegisterModelRefusesPerCharacteristicTrainable: the registry refuses
+// an EpochTrainable model whose Spec is PerCharacteristic, and the refused
+// model stays unregistered.
+func TestRegisterModelRefusesPerCharacteristicTrainable(t *testing.T) {
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("RegisterModel accepted a PerCharacteristic EpochTrainable model")
+			}
+		}()
+		RegisterModel(perCharTrainable{})
+	}()
+	if _, err := ParseModel(perCharTrainable{}.Name()); err == nil {
+		t.Fatal("a refused model is registered")
+	}
+}
+
+// TestTrainedModelOneTable pins the trained-table rule: RequireModel of
+// hellinger-mf over every task of a universe trains one table, and
+// hopTables hands that one slice to the search of every task. Reset to a
+// later capture returns it to the pool, and the next RequireModel retrains
+// it — into the same pooled memory — bit for bit equal to a fresh memo's
+// table.
+func TestTrainedModelOneTable(t *testing.T) {
+	r := rand.New(rand.NewPCG(5, 0x7ab1e))
+	f := newRoundFixture(r, 200, 1500)
+	hmf := mustParseModel(t, "hellinger-mf")
+	universe := task.NewUniverse(10, 5, r).Tasks
+	pool := NewArenaPool()
+	norm := UnitNormalizer()
+	capture := func(prev *RoundView) *RoundView {
+		v, err := CaptureRoundView(f.adjOff, f.adjTo, f.source(), norm, 2, pool, prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	view := capture(nil)
+	memo := NewEdgeMemoPooled(view.TrustView, norm, 2, pool)
+	memo.RequireModel(hmf, universe)
+	mm := memo.model(hmf)
+	if len(mm.tables) != 0 || mm.trained == nil {
+		t.Fatalf("hellinger-mf holds %d per-task tables and trained table %v, want only a trained table", len(mm.tables), mm.trained != nil)
+	}
+	for _, tk := range universe {
+		var tabs [][]float64
+		if err := memo.hopTables(&tabs, view.TrustView, hmf, tk); err != nil {
+			t.Fatal(err)
+		}
+		if len(tabs) != 1 || !sameSlice(tabs[0], mm.trained) {
+			t.Fatalf("task %v: the search reads %d tables, not the one trained table", tk, len(tabs))
+		}
+	}
+	trained := mm.trained
+	var fresh []task.Task
+	for u := 0; u < f.n; u += 7 {
+		f.mutateRow(r, u, &fresh)
+	}
+	later := capture(view)
+	memo.Reset(later.TrustView)
+	view.Release()
+	pooled := slices.ContainsFunc(pool.tables.items, func(s []float64) bool { return sameSlice(s, trained) })
+	if mm.trained != nil || !pooled {
+		t.Fatalf("after Reset: trained table kept %v, back in the pool %v", mm.trained != nil, pooled)
+	}
+	memo.RequireModel(hmf, universe)
+	if !sameSlice(mm.trained, trained) {
+		t.Fatal("retraining did not reuse the pooled table")
+	}
+	want := NewEdgeMemoPooled(later.TrustView, norm, 2, nil)
+	want.RequireModel(hmf, universe)
+	assertSameMemo(t, "retrained after Reset", hmf, memo, want)
+	memo.Release()
+	later.Release()
 }
 
 func mustParseModel(t testing.TB, name string) TrustModel {

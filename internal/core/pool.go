@@ -38,7 +38,7 @@ const arenaShelfSize = 8
 // tableShelfSize bounds the hop-table shelf instead. An EdgeMemo holds one
 // table per (model, task type) or (model, characteristic), all as long as
 // the view's edge list, and releases them together: a sweep over every
-// registered model hands back dozens (44 in the 10k-node benchmark sweep).
+// registered model hands back dozens (35 in the 10k-node benchmark sweep).
 // A shelf of eight kept eight of them, so every epoch allocated the rest
 // again, and the live heap of a sweep loop swung by their size with the
 // timing of the collector.

@@ -257,16 +257,6 @@ func (s *Store) setRecord(trustee AgentID, r Record) {
 	s.touch()
 }
 
-// DirectTW returns the trustworthiness of trustee on the exact task type,
-// if the store has a record for it (the conventional, pre-inference lookup).
-func (s *Store) DirectTW(trustee AgentID, typ task.Type) (float64, bool) {
-	r, ok := s.Record(trustee, typ)
-	if !ok {
-		return 0, false
-	}
-	return r.TW(s.cfg.Norm), true
-}
-
 // InferTW implements the inferential transfer of trust (eqs. 2–4): the
 // trustworthiness of trustee on a task the trustor never delegated to it,
 // inferred from experienced tasks that share characteristics.

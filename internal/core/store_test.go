@@ -72,23 +72,22 @@ func TestStoreSeed(t *testing.T) {
 	s := newTestStore()
 	tk := task.Uniform(2, task.CharImage)
 	s.Seed(5, tk, Expectation{S: 0.9, G: 0.9, D: 0.1, C: 0.1})
-	tw, ok := s.DirectTW(5, 2)
+	r, ok := s.Record(5, 2)
 	if !ok {
 		t.Fatal("seeded record not found")
 	}
-	if tw < 0.5 {
+	if tw := r.TW(s.Config().Norm); tw < 0.5 {
 		t.Fatalf("seeded TW = %v, want high", tw)
 	}
-	r, _ := s.Record(5, 2)
 	if r.Count != 0 {
 		t.Fatal("seed counted as delegation")
 	}
 }
 
-func TestDirectTWUnknown(t *testing.T) {
+func TestRecordUnknown(t *testing.T) {
 	s := newTestStore()
-	if _, ok := s.DirectTW(1, 1); ok {
-		t.Fatal("unknown pair has direct TW")
+	if _, ok := s.Record(1, 1); ok {
+		t.Fatal("unknown pair has a record")
 	}
 }
 

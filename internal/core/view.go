@@ -251,38 +251,35 @@ var ErrNotRequired = errors.New("core: search not covered by its memo")
 // served a stale table. A PerCharacteristic model's tables are keyed by
 // (model, characteristic) instead, each built from the model's HopTW on the
 // characteristic's unit task and shared by every task containing the
-// characteristic. RequireModel must be called before the parallel search
-// phase; afterwards all lookups are pure reads and safe for concurrent use.
+// characteristic. An EpochTrainable model has one table, filled by its
+// training and shared by every task. RequireModel must be called before the
+// parallel search phase; afterwards all lookups are pure reads and safe for
+// concurrent use.
 type EdgeMemo struct {
 	view    *TrustView
 	norm    Normalizer
 	workers int
 	pool    *ArenaPool // table source, nil when tables are allocated fresh
-	// models holds each required model's tables and trained state, keyed by
-	// model name.
+	// models holds each required model's tables, keyed by model name.
 	models map[string]*modelMemo
-	// stale holds the row stamps of the view the stale tables were built
-	// over, nil before the first Reset that kept a table.
-	stale []uint64
 }
 
-// modelMemo is one model's share of an EdgeMemo: its hop tables keyed by
-// task type (for a PerCharacteristic model, by the type of each
-// characteristic's unit task) and, for an EpochTrainable model, the scorer
-// trained once per epoch, which dies with the memo (and with Reset).
+// modelMemo is one model's share of an EdgeMemo: the model, which Reset
+// evaluates again, and its hop tables keyed by task type (for a
+// PerCharacteristic model, by the type of each characteristic's unit task)
+// — or, for an EpochTrainable model, the one table its training filled for
+// the epoch, which dies with the memo (and with Reset).
 type modelMemo struct {
-	tables map[task.Type]memoTable
-	scorer EdgeScorer
+	mdl     TrustModel
+	tables  map[task.Type]memoTable
+	trained []float64
 }
 
 // memoTable is one built hop table: vals[e] is the hop value of edge e for
-// task t, blocked when the edge's evidence does not admit the hop. A stale
-// table was built over the memo's previous view (see Reset): lookups ignore
-// it until RequireModel refreshes its dirty rows.
+// task t, blocked when the edge's evidence does not admit the hop.
 type memoTable struct {
-	t     task.Task
-	vals  []float64
-	stale bool
+	t    task.Task
+	vals []float64
 }
 
 // NewEdgeMemoPooled creates an empty memo over a view. workers bounds the
@@ -299,68 +296,58 @@ func NewEdgeMemoPooled(view *TrustView, norm Normalizer, workers int, pool *Aren
 	}
 }
 
-// Release returns every built hop table to the memo's pool and drops every
-// trained scorer. It must not run concurrently with searches; after Release
-// the memo is reusable (RequireModel rebuilds on demand) but any table
-// slice previously handed out is invalid.
+// Release returns every built hop table to the memo's pool. It must not run
+// concurrently with searches; after Release the memo is reusable
+// (RequireModel rebuilds on demand) but any table slice previously handed
+// out is invalid.
 func (m *EdgeMemo) Release() {
 	for _, mm := range m.models {
 		for _, tb := range mm.tables {
 			give(m.pool, tb.vals)
 		}
 		clear(mm.tables)
-		mm.scorer = nil
+		give(m.pool, mm.trained)
+		mm.trained = nil
 	}
-	give(m.pool, m.stale)
-	m.stale = nil
 }
 
 // Reset retargets the memo at view, a later capture of the stores its
-// current view froze, which must still be unreleased for the call. Tables
-// survive the move as stale tables: lookups ignore them, and the next
-// RequireModel that needs one refreshes it in place, re-evaluating only the
-// rows whose store stamp differs between the two views — bit-identical to a
-// fresh build, like RequireModelFrom. Tables go back to the pool instead
-// when they are still stale from an earlier Reset, when they belong to an
-// EpochTrainable model (whose scorer, fitted to the whole epoch, is dropped
-// too), or when view is over another adjacency or either view lacks
-// stamps. Resetting to the current view changes nothing.
+// current view froze, which must still be unreleased for the call. Before
+// it returns, every table is refreshed in place: only the rows whose store
+// stamp differs between the two views are evaluated again, so the tables
+// are bit-identical to a fresh build, like RequireModelFrom's. A trained
+// table goes back to the pool instead (its training fitted the whole
+// epoch; the next RequireModel retrains), and so does every table when
+// view is over another adjacency or either view lacks stamps. Resetting to
+// the current view changes nothing.
 func (m *EdgeMemo) Reset(view *TrustView) {
 	if view == m.view {
 		return
 	}
-	if !view.sameRows(m.view) {
+	old := m.view
+	m.view = view
+	if !view.sameRows(old) {
 		m.Release()
-		m.view = view
 		return
 	}
 	for _, mm := range m.models {
-		for typ, tb := range mm.tables {
-			// Only an EpochTrainable model has a scorer.
-			if tb.stale || mm.scorer != nil {
-				give(m.pool, tb.vals)
-				delete(mm.tables, typ)
-				continue
-			}
-			tb.stale = true
-			mm.tables[typ] = tb
+		give(m.pool, mm.trained)
+		mm.trained = nil
+		var ts []task.Task
+		var tabs [][]float64
+		for _, tb := range mm.tables {
+			ts, tabs = append(ts, tb.t), append(tabs, tb.vals)
 		}
-		mm.scorer = nil
+		m.fill(mm.mdl, ts, tabs, tabs, old.stamps)
 	}
-	if m.stale == nil {
-		m.stale = take[uint64](m.pool, len(m.view.stamps))
-	}
-	copy(m.stale, m.view.stamps)
-	m.view = view
 }
 
 // RequireModel precomputes every table the model needs to search for the
 // given tasks: one per task for a single-path model, one per characteristic
-// for a PerCharacteristic model. An EpochTrainable model is trained once per
-// epoch first and its tables filled from the trained scorer. It must not run
-// concurrently with searches; tables already present are reused, so
-// requiring covered tasks is free and a sharded sweep can require per shard
-// without rebuilding.
+// for a PerCharacteristic model. An EpochTrainable model instead trains once
+// per epoch, filling its one table. It must not run concurrently with
+// searches; tables already present are reused, so requiring covered tasks
+// is free and a sharded sweep can require per shard without rebuilding.
 func (m *EdgeMemo) RequireModel(mdl TrustModel, tasks []task.Task) {
 	m.RequireModelFrom(nil, mdl, tasks)
 }
@@ -373,17 +360,19 @@ func (m *EdgeMemo) RequireModel(mdl TrustModel, tasks []task.Task) {
 // evidence-local) and catalog refs only grow. prev must be unreleased for
 // the call and built under the same normalizer; a nil prev, a prev over
 // another adjacency or a view without stamps, an EpochTrainable model (its
-// scorer is fitted to the whole epoch) and tables prev lacks all build in
-// full. With a nil prev, the memo's own stale tables (see Reset) are the
-// predecessor: they refresh in place by the same rule.
+// training fits the whole epoch) and tables prev lacks all build in full.
 func (m *EdgeMemo) RequireModelFrom(prev *EdgeMemo, mdl TrustModel, tasks []task.Task) {
 	mm := m.models[mdl.Name()]
 	if mm == nil {
-		mm = &modelMemo{tables: make(map[task.Type]memoTable)}
+		mm = &modelMemo{mdl: mdl, tables: make(map[task.Type]memoTable)}
 		m.models[mdl.Name()] = mm
 	}
-	if tr, ok := mdl.(EpochTrainable); ok && mm.scorer == nil {
-		mm.scorer = tr.TrainEpoch(m.view, m.norm, m.workers)
+	if tr, ok := mdl.(EpochTrainable); ok {
+		if mm.trained == nil {
+			mm.trained = take[float64](m.pool, m.view.NumEdges())
+			tr.TrainEpoch(m.view, m.norm, m.workers, mm.trained)
+		}
+		return
 	}
 	// want holds the task each table must end up built for: per
 	// characteristic its unit task, per task type the last task requested (a
@@ -410,54 +399,38 @@ func (m *EdgeMemo) RequireModelFrom(prev *EdgeMemo, mdl TrustModel, tasks []task
 			}
 		}
 	}
-	if missing := slices.DeleteFunc(want, func(t task.Task) bool { return mm.table(t) != nil }); len(missing) > 0 {
-		m.build(mm, mdl, missing, prev)
+	missing := slices.DeleteFunc(want, func(t task.Task) bool { return mm.table(t) != nil })
+	if len(missing) == 0 {
+		return
+	}
+	var pm *modelMemo
+	var prevStamps []uint64
+	if prev != nil && m.view.sameRows(prev.view) {
+		pm, prevStamps = prev.model(mdl), prev.view.stamps
+	}
+	tabs, olds := make([][]float64, len(missing)), make([][]float64, len(missing))
+	for i, t := range missing {
+		give(m.pool, mm.tables[t.Type()].vals) // built for a same-type task, if any
+		tabs[i], olds[i] = take[float64](m.pool, m.view.NumEdges()), pm.table(t)
+	}
+	m.fill(mdl, missing, tabs, olds, prevStamps)
+	for i, t := range missing {
+		mm.tables[t.Type()] = memoTable{t: t, vals: tabs[i]}
 	}
 }
 
-// reusable returns prev's share of mdl when its tables may seed this memo's
-// clean rows, else nil.
-func (m *EdgeMemo) reusable(prev *EdgeMemo, mdl TrustModel) *modelMemo {
-	if prev == nil || !m.view.sameRows(prev.view) {
-		return nil
-	}
-	if _, trainable := mdl.(EpochTrainable); trainable {
-		return nil
-	}
-	return prev.model(mdl)
-}
-
-// build fills mdl's tables for ts, distinct in type, in one parallel pass
-// over the CSR rows: each edge's records are read once for every table,
-// where one pass per table would stream the whole record arena again each
-// time. A row is clean when its store stamp equals the predecessor's: prev's
-// view when prev lends mdl's tables, else the stamps Reset kept for the
-// memo's stale tables. A clean row takes every table's old values — copied
-// from prev's table, or left in place in a refreshed stale one — and only
-// the rest evaluate.
-func (m *EdgeMemo) build(mm *modelMemo, mdl TrustModel, ts []task.Task, prev *EdgeMemo) {
+// fill evaluates mdl's tables tabs for ts, distinct in type, in one
+// parallel pass over the CSR rows: each edge's records are read once for
+// every table, where one pass per table would stream the whole record arena
+// again each time. A row is clean when its store stamp equals the one in
+// prevStamps, a predecessor view's (nil for none). A clean row takes
+// olds[i]'s values where olds[i] is not nil — copied from a predecessor's
+// table, or left in place when olds[i] is tabs[i] — and only the rest
+// evaluate.
+func (m *EdgeMemo) fill(mdl TrustModel, ts []task.Task, tabs, olds [][]float64, prevStamps []uint64) {
 	v := m.view
-	pm, prevStamps := m.reusable(prev, mdl), m.stale
-	if pm != nil {
-		prevStamps = prev.view.stamps
-	}
 	ctx := HopContext{Tasks: v.tasks, Norm: m.norm}
-	ne := v.NumEdges()
-	tabs := make([][]float64, len(ts))
-	olds := make([][]float64, len(ts)) // clean rows' values per task, nil when there are none
-	allOld := prevStamps != nil
-	for i, t := range ts {
-		if old, ok := mm.tables[t.Type()]; ok && old.stale && pm == nil && old.t.Equal(t) {
-			tabs[i], olds[i] = old.vals, old.vals // refresh in place
-		} else {
-			if ok {
-				give(m.pool, old.vals)
-			}
-			tabs[i] = take[float64](m.pool, ne)
-			olds[i] = pm.table(t)
-		}
-		allOld = allOld && olds[i] != nil
-	}
+	allOld := prevStamps != nil && !slices.ContainsFunc(olds, func(old []float64) bool { return old == nil })
 	par.For(v.NumAgents(), m.workers, func(_, lo, hi int) {
 		for u := lo; u < hi; u++ {
 			first, last := v.adjOff[u], v.adjOff[u+1]
@@ -478,13 +451,7 @@ func (m *EdgeMemo) build(mm *modelMemo, mdl TrustModel, ts []task.Task, prev *Ed
 					if clean && olds[i] != nil {
 						continue
 					}
-					var val float64
-					var ok bool
-					if mm.scorer != nil {
-						val, ok = mm.scorer.EdgeTW(v, e, t)
-					} else {
-						val, ok = mdl.HopTW(ctx, recs, t)
-					}
+					val, ok := mdl.HopTW(ctx, recs, t)
 					if !ok {
 						val = blocked
 					}
@@ -493,9 +460,6 @@ func (m *EdgeMemo) build(mm *modelMemo, mdl TrustModel, ts []task.Task, prev *Ed
 			}
 		}
 	})
-	for i, t := range ts {
-		mm.tables[t.Type()] = memoTable{t: t, vals: tabs[i]}
-	}
 }
 
 // model returns mdl's share of the memo, nil when RequireModel never ran
@@ -529,30 +493,29 @@ func (m *EdgeMemo) hopTables(tabs *[][]float64, view *TrustView, mdl TrustModel,
 	return nil
 }
 
-// table returns the hop table built for t, or nil when absent, stale or
-// built for a same-type task with different contents.
+// table returns the hop table built for t — for an EpochTrainable model,
+// its trained table — or nil when absent or built for a same-type task with
+// different contents.
 func (mm *modelMemo) table(t task.Task) []float64 {
 	if mm == nil {
 		return nil
 	}
-	tb, ok := mm.tables[t.Type()]
-	if !ok || tb.stale || !tb.t.Equal(t) {
-		return nil
+	if mm.trained != nil {
+		return mm.trained
 	}
-	return tb.vals
+	if tb := mm.tables[t.Type()]; tb.t.Equal(t) {
+		return tb.vals
+	}
+	return nil
 }
 
 // charTable returns a PerCharacteristic model's hop table for
-// characteristic c, or nil when RequireModel has not built it (or it is
-// stale).
+// characteristic c, or nil when RequireModel has not built it.
 func (mm *modelMemo) charTable(c task.Characteristic) []float64 {
 	if mm == nil {
 		return nil
 	}
-	if tb := mm.tables[unitType(c)]; !tb.stale {
-		return tb.vals
-	}
-	return nil
+	return mm.tables[unitType(c)].vals
 }
 
 // RequireLens requires mdl's tables for t (RequireModel) and returns the

@@ -40,16 +40,15 @@ func TestAttackScenarioShapes(t *testing.T) {
 	}
 }
 
-// TestAttackRegistryEntries runs the four registered attack experiments at
-// default scale and requires the acceptance property: every one shows a
-// nonzero resilience metric (trust gap or success degradation).
+// TestAttackRegistryEntries checks the four registered attack experiments
+// at default scale and the golden seed and requires the acceptance
+// property: every one shows a nonzero resilience metric (trust gap or
+// success degradation). It reads the P=8 results TestGoldenFigures pins
+// (runGolden computes each once per process).
 func TestAttackRegistryEntries(t *testing.T) {
 	for _, name := range []string{"attack-badmouth", "attack-onoff", "attack-whitewash", "attack-collusion"} {
 		t.Run(name, func(t *testing.T) {
-			res, err := Run(name, 42)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := runGolden(t, name, goldenSeed, 8)
 			ar, ok := res.(AttackResult)
 			if !ok {
 				t.Fatalf("%s returned %T, want AttackResult", name, res)

@@ -85,6 +85,36 @@ func goldenPath(name string) string {
 	return filepath.Join("testdata", "golden", name+".json")
 }
 
+// goldenRunKey names one experiment run: experiment, seed and worker-pool
+// width.
+type goldenRunKey struct {
+	name string
+	seed uint64
+	par  int
+}
+
+// goldenRuns holds every result runGolden has computed in this test process.
+var goldenRuns = map[goldenRunKey]Result{}
+
+// runGolden returns RunOpts(name, {Seed: seed, Parallelism: par}), computed
+// once per process: TestGoldenFigures and TestAttackRegistryEntries check
+// the same runs in different ways, and the attack runs are among the
+// slowest of the registry. TestGoldenRegenerationIdentity does not use it,
+// because its pass must be a fresh one.
+func runGolden(t *testing.T, name string, seed uint64, par int) Result {
+	t.Helper()
+	key := goldenRunKey{name, seed, par}
+	if res, ok := goldenRuns[key]; ok {
+		return res
+	}
+	res, err := RunOpts(name, Options{Seed: seed, Parallelism: par})
+	if err != nil {
+		t.Fatal(err)
+	}
+	goldenRuns[key] = res
+	return res
+}
+
 func TestGoldenFigures(t *testing.T) {
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
@@ -93,11 +123,8 @@ func TestGoldenFigures(t *testing.T) {
 			// engine's determinism contract, checked end to end.
 			var byPar [2][]byte
 			for i, par := range []int{1, 8} {
-				res, err := RunOpts(name, Options{Seed: goldenSeed, Parallelism: par})
-				if err != nil {
-					t.Fatal(err)
-				}
-				byPar[i], err = goldenEncode(name, res)
+				var err error
+				byPar[i], err = goldenEncode(name, runGolden(t, name, goldenSeed, par))
 				if err != nil {
 					t.Fatal(err)
 				}

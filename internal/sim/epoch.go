@@ -108,9 +108,9 @@ func (e *Engine) TransitivityEpoch(setup TransitivitySetup) *TransitivityEpoch {
 // Reset moves the epoch to the population's current stores: it takes the
 // chain's current link — the same one when nothing was written, else one
 // that recaptured only the dirty rows — and lets go of the old one. The
-// memo keeps its tables across the move; the next RunModel re-evaluates
-// only their dirty rows (EdgeMemo.Reset), and a trainable model retrains
-// on the whole epoch. At steady state a round–Reset–sweep loop allocates
+// memo refreshes its tables in the move, re-evaluating only their dirty
+// rows (EdgeMemo.Reset); a trainable model retrains on the whole epoch at
+// the next RunModel. At steady state a round–Reset–sweep loop allocates
 // nothing new. Use after the stores mutated (a mutuality round, a seeding
 // pass).
 func (ep *TransitivityEpoch) Reset() {

@@ -179,10 +179,6 @@ type TrustModel = core.TrustModel
 // ModelSpec describes how a model's hop values combine along a path.
 type ModelSpec = core.ModelSpec
 
-// EdgeScorer is a trained per-edge lens over a frozen TrustView (the
-// output of an EpochTrainable model's TrainEpoch).
-type EdgeScorer = core.EdgeScorer
-
 // EpochTrainable is a TrustModel fit per frozen epoch (e.g. hellinger-mf).
 type EpochTrainable = core.EpochTrainable
 
