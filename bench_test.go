@@ -158,12 +158,11 @@ func BenchmarkSetup100k(b *testing.B) {
 
 // BenchmarkSweep1M times the full million-node pipeline per op: the
 // sharded population build, the bulk experience-seeding pass, and one
-// frozen-epoch aggressive transitivity sweep on the streaming sharded path
-// (400k trustors through bounded per-shard scratch). The 1M-node / 6M-edge
-// network generates once, outside the timer; the per-op rebuild is what the
-// scale milestone budgets (populate+seed+sweep), so it stays inside. At
-// ~6 GB of heap it runs only when SIOT_SCALE1M is set, like
-// benchnet's TestScaleSmoke1M.
+// frozen-epoch aggressive transitivity sweep (400k trustors in one pass).
+// The 1M-node / 6M-edge network generates once, outside the timer; the
+// per-op rebuild is what the scale milestone budgets (populate+seed+sweep),
+// so it stays inside. At ~6 GB of heap it runs only when SIOT_SCALE1M is
+// set, like benchnet's TestScaleSmoke1M.
 func BenchmarkSweep1M(b *testing.B) {
 	if os.Getenv("SIOT_SCALE1M") == "" {
 		b.Skip("set SIOT_SCALE1M=1 to run the million-node sweep")

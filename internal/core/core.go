@@ -82,26 +82,23 @@ func (e Expectation) Validate() error {
 	return nil
 }
 
-// Normalizer implements the N[·] operator of eq. 18, mapping a net profit to
-// a trustworthiness value in a fixed range.
-type Normalizer interface {
-	Normalize(profit float64) float64
-}
-
-// LinearNormalizer maps [ProfitLo, ProfitHi] linearly onto [0, 1], clamping
-// outside values.
-type LinearNormalizer struct {
+// Normalizer is the N[·] operator of eq. 18: it maps net profits in
+// [ProfitLo, ProfitHi] linearly onto trustworthiness in [0, 1], clamping
+// outside values. A degenerate range (ProfitHi <= ProfitLo, the zero value
+// included) maps every profit to 0; NewStore and sim.NewPopulation replace
+// a zero Norm with UnitNormalizer.
+type Normalizer struct {
 	ProfitLo, ProfitHi float64
 }
 
 // UnitNormalizer returns the default normalizer for S, G, D, C ∈ [0, 1]:
 // net profits lie in [−2, 1] and map onto trustworthiness in [0, 1].
-func UnitNormalizer() LinearNormalizer {
-	return LinearNormalizer{ProfitLo: -2, ProfitHi: 1}
+func UnitNormalizer() Normalizer {
+	return Normalizer{ProfitLo: -2, ProfitHi: 1}
 }
 
-// Normalize implements Normalizer.
-func (l LinearNormalizer) Normalize(profit float64) float64 {
+// Normalize applies N[·] to a net profit.
+func (l Normalizer) Normalize(profit float64) float64 {
 	if l.ProfitHi <= l.ProfitLo {
 		return 0
 	}
@@ -176,7 +173,8 @@ type UpdateConfig struct {
 	// from social-relationship metrics; the simulations use a neutral
 	// prior.
 	Init Expectation
-	// Norm is the N[·] operator of eq. 18.
+	// Norm is the N[·] operator of eq. 18; NewStore supplies
+	// UnitNormalizer when zero.
 	Norm Normalizer
 	// Catalog interns the tasks of this store's records. Stores sharing a
 	// population must share one catalog so their compact arenas can be

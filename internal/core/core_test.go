@@ -46,7 +46,7 @@ func TestUnitNormalizer(t *testing.T) {
 }
 
 func TestDegenerateNormalizer(t *testing.T) {
-	n := LinearNormalizer{ProfitLo: 1, ProfitHi: 1}
+	n := Normalizer{ProfitLo: 1, ProfitHi: 1}
 	if n.Normalize(0.5) != 0 {
 		t.Fatal("degenerate normalizer did not return 0")
 	}

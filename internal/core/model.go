@@ -13,7 +13,7 @@ import (
 // matrix-factorization trust, feature-weighted trust quantification, ...).
 // TrustModel abstracts the per-hop evaluation those policies share, so every
 // model — Traditional, Conservative and Aggressive included — plugs into the
-// same frozen-view search, EdgeMemo pre-pass, sharded sweeps, serving layer,
+// same frozen-view search, EdgeMemo pre-pass, transitivity sweeps, serving layer,
 // and attack suite.
 
 // CombineRule selects how path values accumulate along a recommendation

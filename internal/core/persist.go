@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"siot/internal/task"
 )
@@ -90,6 +91,9 @@ func LoadStore(r io.Reader, cfg UpdateConfig) (*Store, error) {
 	for _, rs := range snap.Records {
 		if len(rs.Task.Chars) == 0 || len(rs.Task.Chars) != len(rs.Task.Weights) {
 			return nil, fmt.Errorf("core: snapshot record for trustee %d has malformed task", rs.Trustee)
+		}
+		if rs.Count < 0 || int64(rs.Count) > math.MaxUint32 {
+			return nil, fmt.Errorf("core: snapshot record for trustee %d has delegation count %d outside [0, %d]", rs.Trustee, rs.Count, uint32(math.MaxUint32))
 		}
 		weighted := make(map[task.Characteristic]float64, len(rs.Task.Chars))
 		for i, c := range rs.Task.Chars {

@@ -45,6 +45,10 @@ func FuzzPersistRoundTrip(f *testing.F) {
 	f.Add([]byte(`{"version":1,"owner":0,"records":[{"trustee":3,"task":{"type":7,"chars":[2],"weights":[1]},"s":0.5,"g":0.5,"d":0.5,"c":0.5,"count":4}],"usage":[{"trustor":8,"responsible":3,"abusive":1}]}`))
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte(``))
+	// Delegation counts a compact record cannot hold: rejected, never
+	// wrapped modulo 2^32.
+	f.Add([]byte(`{"version":1,"owner":0,"records":[{"trustee":3,"task":{"type":7,"chars":[2],"weights":[1]},"s":0.5,"g":0.5,"d":0.5,"c":0.5,"count":-1}],"usage":[]}`))
+	f.Add([]byte(`{"version":1,"owner":0,"records":[{"trustee":3,"task":{"type":7,"chars":[2],"weights":[1]},"s":0.5,"g":0.5,"d":0.5,"c":0.5,"count":4294967296}],"usage":[]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg := DefaultUpdateConfig()

@@ -129,6 +129,32 @@ func TestLoadStoreRejectsNegativeUsage(t *testing.T) {
 	}
 }
 
+// TestLoadStoreRejectsOutOfRangeCount pins that a delegation count the
+// compact record cannot hold is rejected instead of wrapping modulo 2^32.
+func TestLoadStoreRejectsOutOfRangeCount(t *testing.T) {
+	for _, count := range []string{"-1", "4294967296"} {
+		if _, err := LoadStore(strings.NewReader(countSnapshot(count)), DefaultUpdateConfig()); err == nil {
+			t.Errorf("count %s accepted", count)
+		}
+	}
+	s, err := LoadStore(strings.NewReader(countSnapshot("4294967295")), DefaultUpdateConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Records(2)[0].Count; got != math.MaxUint32 {
+		t.Fatalf("count %d, want %d", got, uint32(math.MaxUint32))
+	}
+}
+
+// countSnapshot is a one-record snapshot whose delegation count is the
+// given JSON number.
+func countSnapshot(count string) string {
+	return `{"version": 1, "owner": 1, "records": [
+		{"trustee": 2, "task": {"type": 1, "chars": [0], "weights": [1]},
+		 "s": 0.5, "g": 0.5, "d": 0.5, "c": 0.5, "count": ` + count + `}
+	], "usage": []}`
+}
+
 func TestSaveEmptyStore(t *testing.T) {
 	s := NewStore(1, DefaultUpdateConfig())
 	var buf bytes.Buffer

@@ -52,7 +52,7 @@ func (s *Store) SeedSorted(batch []SeedRecord) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	tasks := s.cat.Tasks()
+	tasks := s.cfg.Catalog.Tasks()
 	// Size the merged layout exactly: a batch trustee the store lacks adds a
 	// row, and a batch key the store already holds replaces its record.
 	nAbout, nRecs := len(s.about), len(s.recs)+len(batch)
@@ -90,7 +90,7 @@ func (s *Store) SeedSorted(batch []SeedRecord) error {
 			if len(old) > 0 && tasks[old[0].Ref].Type() == typ {
 				old = old[1:] // seeded record replaces, like Seed
 			}
-			recs = append(recs, CompactRecord{Ref: s.cat.Intern(batch[j].Task), Exp: batch[j].Exp})
+			recs = append(recs, CompactRecord{Ref: s.cfg.Catalog.Intern(batch[j].Task), Exp: batch[j].Exp})
 		}
 		recs = append(recs, old...)
 		about = append(about, t)

@@ -44,7 +44,6 @@ func (r Record) TW(n Normalizer) float64 { return r.Exp.Trustworthiness(n) }
 type Store struct {
 	owner AgentID
 	cfg   UpdateConfig
-	cat   *task.Catalog
 	mu    sync.RWMutex
 	// about lists the distinct trustees in ascending order; the records
 	// about about[i] are recs[off[i]:off[i+1]], sorted by task type. off
@@ -76,16 +75,16 @@ func (s *Store) Version() uint64 { return s.version.Load() }
 // NewStore creates an empty store for the given agent using cfg for all
 // updates. Record slices and the usage map are allocated lazily on first
 // write, so an empty store costs one allocation — population builds create
-// one store per node. A nil cfg.Catalog gets a private catalog; populations
-// share one across all stores.
+// one store per node. A zero cfg.Norm gets UnitNormalizer, and a nil
+// cfg.Catalog a private catalog; populations share one across all stores.
 func NewStore(owner AgentID, cfg UpdateConfig) *Store {
-	if cfg.Norm == nil {
+	if cfg.Norm == (Normalizer{}) {
 		cfg.Norm = UnitNormalizer()
 	}
 	if cfg.Catalog == nil {
 		cfg.Catalog = task.NewCatalog()
 	}
-	return &Store{owner: owner, cfg: cfg, cat: cfg.Catalog}
+	return &Store{owner: owner, cfg: cfg}
 }
 
 // row returns the records about trustee, sorted by task type (nil when the
@@ -129,7 +128,7 @@ func (s *Store) Owner() AgentID { return s.owner }
 func (s *Store) Config() UpdateConfig { return s.cfg }
 
 // Catalog returns the catalog the store's records are interned into.
-func (s *Store) Catalog() *task.Catalog { return s.cat }
+func (s *Store) Catalog() *task.Catalog { return s.cfg.Catalog }
 
 // Record returns the experience record for (trustee, task type), if any.
 func (s *Store) Record(trustee AgentID, typ task.Type) (Record, bool) {
@@ -138,7 +137,7 @@ func (s *Store) Record(trustee AgentID, typ task.Type) (Record, bool) {
 	// Snapshot loaded under the lock: every ref in the store was interned
 	// before the writer that stored it released this lock, so the snapshot
 	// resolves them all (the catalog only grows).
-	tasks := s.cat.Tasks()
+	tasks := s.cfg.Catalog.Tasks()
 	recs := s.row(trustee)
 	if i, ok := searchCompact(tasks, recs, typ); ok {
 		return materialize(tasks, recs[i]), true
@@ -153,7 +152,7 @@ func (s *Store) Expectation(trustee AgentID, typ task.Type) Expectation {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	recs := s.row(trustee)
-	if i, ok := searchCompact(s.cat.Tasks(), recs, typ); ok {
+	if i, ok := searchCompact(s.cfg.Catalog.Tasks(), recs, typ); ok {
 		return recs[i].Exp
 	}
 	return s.cfg.Init
@@ -176,7 +175,7 @@ func (s *Store) AppendRecords(trustee AgentID, buf []Record) []Record {
 	if len(recs) == 0 {
 		return buf
 	}
-	tasks := s.cat.Tasks()
+	tasks := s.cfg.Catalog.Tasks()
 	for _, r := range recs {
 		buf = append(buf, materialize(tasks, r))
 	}
@@ -189,7 +188,7 @@ func (s *Store) AppendRecords(trustee AgentID, buf []Record) []Record {
 // building an arena resolved against it, and mixing catalogs would alias
 // refs across namespaces.
 func (s *Store) AppendCompact(trustee AgentID, cat *task.Catalog, buf []CompactRecord) []CompactRecord {
-	if cat != s.cat {
+	if cat != s.cfg.Catalog {
 		panic("core: AppendCompact with a foreign catalog")
 	}
 	s.mu.RLock()
@@ -228,10 +227,10 @@ func (s *Store) Trustees() []AgentID {
 // Observe folds the outcome of delegating t to trustee into the store
 // (post-evaluation, eqs. 19–22 / 25–28) and returns the updated record.
 func (s *Store) Observe(trustee AgentID, t task.Task, o Outcome, ectx EnvContext) Record {
-	ref := s.cat.Intern(t)
+	ref := s.cfg.Catalog.Intern(t)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	tasks := s.cat.Tasks() // after Intern: resolves ref
+	tasks := s.cfg.Catalog.Tasks() // after Intern: resolves ref
 	r, _ := s.slot(trustee, t.Type(), tasks, CompactRecord{Ref: ref, Exp: s.cfg.Init})
 	r.Exp = Update(r.Exp, o, ectx, s.cfg)
 	r.Count++
@@ -248,10 +247,10 @@ func (s *Store) Seed(trustee AgentID, t task.Task, exp Expectation) {
 
 // setRecord installs or replaces the record for the task type of r.Task.
 func (s *Store) setRecord(trustee AgentID, r Record) {
-	cr := CompactRecord{Ref: s.cat.Intern(r.Task), Exp: r.Exp, Count: uint32(r.Count)}
+	cr := CompactRecord{Ref: s.cfg.Catalog.Intern(r.Task), Exp: r.Exp, Count: uint32(r.Count)}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if rec, found := s.slot(trustee, r.Task.Type(), s.cat.Tasks(), cr); found {
+	if rec, found := s.slot(trustee, r.Task.Type(), s.cfg.Catalog.Tasks(), cr); found {
 		*rec = cr
 	}
 	s.touch()
@@ -277,7 +276,7 @@ func (s *Store) InferTW(trustee AgentID, t task.Task) (tw float64, ok bool) {
 	if len(recs) == 0 {
 		return 0, false
 	}
-	return InferFromCompact(s.cat.Tasks(), recs, t, s.cfg.Norm)
+	return InferFromCompact(s.cfg.Catalog.Tasks(), recs, t, s.cfg.Norm)
 }
 
 // BestTW returns the best available trustworthiness estimate for trustee on
@@ -286,7 +285,7 @@ func (s *Store) InferTW(trustee AgentID, t task.Task) (tw float64, ok bool) {
 func (s *Store) BestTW(trustee AgentID, t task.Task) (float64, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return bestTW(s.cat.Tasks(), s.row(trustee), t, s.cfg.Norm)
+	return bestTW(s.cfg.Catalog.Tasks(), s.row(trustee), t, s.cfg.Norm)
 }
 
 // UsageLog is the trustee-side record of how a particular trustor used its

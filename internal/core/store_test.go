@@ -228,13 +228,13 @@ func TestStoreOwnerAndConfig(t *testing.T) {
 	if s.Owner() != 42 {
 		t.Fatal("owner wrong")
 	}
-	if s.Config().Norm == nil {
-		t.Fatal("config norm nil")
+	if s.Config().Norm != UnitNormalizer() {
+		t.Fatalf("config norm %+v, want the unit normalizer", s.Config().Norm)
 	}
-	// Nil norm is defaulted.
+	// A zero norm is defaulted.
 	s2 := NewStore(1, UpdateConfig{Betas: UniformBetas(0.1)})
-	if s2.Config().Norm == nil {
-		t.Fatal("nil normalizer not defaulted")
+	if s2.Config().Norm != UnitNormalizer() {
+		t.Fatalf("zero normalizer defaulted to %+v, want the unit normalizer", s2.Config().Norm)
 	}
 }
 

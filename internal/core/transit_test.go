@@ -10,7 +10,7 @@ import (
 
 // identityNorm maps profits in [0,1] straight to trustworthiness, so test
 // fixtures can dial in exact TW values via Expectation{S: 1, G: tw}.
-var identityNorm = LinearNormalizer{ProfitLo: 0, ProfitHi: 1}
+var identityNorm = Normalizer{ProfitLo: 0, ProfitHi: 1}
 
 // expFor returns an expectation whose TW under identityNorm equals tw.
 func expFor(tw float64) Expectation { return Expectation{S: 1, G: tw} }

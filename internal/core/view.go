@@ -347,7 +347,7 @@ func (m *EdgeMemo) Reset(view *TrustView) {
 // for a PerCharacteristic model. An EpochTrainable model instead trains once
 // per epoch, filling its one table. It must not run concurrently with
 // searches; tables already present are reused, so requiring covered tasks
-// is free and a sharded sweep can require per shard without rebuilding.
+// is free and repeated sweeps over one epoch build each table once.
 func (m *EdgeMemo) RequireModel(mdl TrustModel, tasks []task.Task) {
 	m.RequireModelFrom(nil, mdl, tasks)
 }

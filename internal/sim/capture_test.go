@@ -2,10 +2,12 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
 	"siot/internal/core"
+	"siot/internal/socialgen"
 	"siot/internal/task"
 )
 
@@ -141,4 +143,45 @@ func firstNonEmptyEdge(t *testing.T, v *core.TrustView) int32 {
 	}
 	t.Fatal("no edge holds records")
 	return 0
+}
+
+// TestPopulationDefaultsZeroNorm pins that a population built with a zero
+// Normalizer normalizes its views the way NewStore normalizes its stores:
+// every captured edge's BestTW equals the live store's on every task.
+func TestPopulationDefaultsZeroNorm(t *testing.T) {
+	net := socialgen.Generate(socialgen.Profile{
+		Name: "zero-norm", Nodes: 200, Edges: 1400,
+		Communities: 5, IntraFrac: 0.7, FoF: 0.5, SizeSkew: 1.0,
+		Overlap: 0.2, ChainCommunities: 1, FeatureKinds: 4, FeaturesPerNode: 2,
+	}, 9)
+	cfg := DefaultPopulationConfig(9)
+	cfg.Update.Norm = core.Normalizer{}
+	p := NewPopulation(net, cfg)
+	setup := DefaultTransitivitySetup(5, p.Rand("zero-norm"))
+	SeedExperience(p, setup, 9)
+	view := p.RoundView(1, nil)
+	defer view.Release()
+	known := 0
+	for u := range p.Agents {
+		x := core.AgentID(u)
+		for _, y := range p.Neighbors(x) {
+			e, ok := view.EdgeIndex(x, y)
+			if !ok {
+				t.Fatalf("edge %d→%d missing from the view", x, y)
+			}
+			for _, tk := range setup.Universe.Tasks {
+				got, gotOK := view.BestTW(e, tk)
+				want, wantOK := p.Agent(x).Store.BestTW(y, tk)
+				if gotOK != wantOK || math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%d→%d task %d: view (%v, %v), store (%v, %v)", x, y, tk.Type(), got, gotOK, want, wantOK)
+				}
+				if wantOK && want > 0 {
+					known++
+				}
+			}
+		}
+	}
+	if known == 0 {
+		t.Fatal("no edge holds a positive trust value — fixture too small to test")
+	}
 }

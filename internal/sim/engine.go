@@ -99,19 +99,14 @@ func (e *Engine) acceptsDelegation(view *core.RoundView, y, x core.AgentID) bool
 	return (core.UsageLog{}).TW() >= theta
 }
 
-// mapTrustorsInto computes fn for every trustor on up to workers
-// goroutines and returns the results indexed by position within ids. The
-// result buffer out is grown only when too small (nil allocates), so a
-// shard loop reuses one allocation across shards. fn must not mutate shared
-// state; it may read it freely.
-func mapTrustorsInto[T any](out []T, ids []core.AgentID, workers int, fn func(i int, x core.AgentID) T) []T {
-	if cap(out) < len(ids) {
-		out = make([]T, len(ids))
-	}
-	out = out[:len(ids)]
+// mapTrustors computes fn for every trustor on up to workers goroutines
+// and returns the results indexed by position within ids. fn must not
+// mutate shared state; it may read it freely.
+func mapTrustors[T any](ids []core.AgentID, workers int, fn func(x core.AgentID) T) []T {
+	out := make([]T, len(ids))
 	par.For(len(ids), workers, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			out[i] = fn(i, ids[i])
+			out[i] = fn(ids[i])
 		}
 	})
 	return out
@@ -175,7 +170,7 @@ func (e *Engine) computeMutualityActs(view *core.RoundView, attacked bool, actx 
 	label := e.mutualityLabel()
 	actCfg := agent.DefaultActConfig()
 	tw := func(edge int32) (float64, bool) { return view.BestTW(edge, tk) }
-	return mapTrustorsInto(nil, p.Trustors, e.workers(), func(_ int, x core.AgentID) mutualityAction {
+	return mapTrustors(p.Trustors, e.workers(), func(x core.AgentID) mutualityAction {
 		cands := make([]core.Candidate, 0, p.numTrusteeNeighbors(x))
 		for y, edge := range p.trusteeEdges(x) {
 			// Strangers are judged by one-hop recommendations, which
@@ -260,7 +255,7 @@ func (e *Engine) NetProfitRun(iterations int, strategy Strategy, seed uint64) []
 	workers := e.workers()
 
 	for it := 0; it < iterations; it++ {
-		acts := mapTrustorsInto(nil, p.Trustors, workers, func(_ int, x core.AgentID) netProfitAction {
+		acts := mapTrustors(p.Trustors, workers, func(x core.AgentID) netProfitAction {
 			store := p.Agent(x).Store
 			cands := make([]core.ExpCandidate, 0, p.numTrusteeNeighbors(x))
 			for y := range p.TrusteeNeighbors(x) {

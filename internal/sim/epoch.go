@@ -1,9 +1,8 @@
 package sim
 
 import (
-	"sync"
-
 	"siot/internal/core"
+	"siot/internal/par"
 	"siot/internal/rng"
 	"siot/internal/task"
 )
@@ -151,8 +150,8 @@ func (ep *TransitivityEpoch) live(op string) *epochLink {
 }
 
 // findSummary is the per-trustor digest a transitivity run keeps: the full
-// candidate list dies with the pooled SearchResult, so the sweep allocates
-// nothing per search after warmup.
+// candidate list lives only in the worker's reused SearchResult, so the
+// sweep allocates nothing per search after warmup.
 type findSummary struct {
 	candidates int
 	inquired   int
@@ -160,95 +159,54 @@ type findSummary struct {
 	found      bool
 }
 
-var resultPool = sync.Pool{New: func() any { return new(core.SearchResult) }}
-
-// defaultSweepShard is the trustor-shard width of RunModel: large enough
-// that the per-shard RequireModel and merge overheads vanish, small enough
-// that the per-trustor scratch alive at any instant (task slice, result
-// summaries, pooled search states) stays bounded no matter how many
-// trustors the population has. At 1M nodes a monolithic sweep materializes ~400k task
-// values and summaries at once; a 32k shard keeps the working set at a few
-// MB without touching the output.
-const defaultSweepShard = 32 * 1024
-
-// RunModel plays one transitivity run of the model over the frozen epoch,
-// with hop values served from the memo tables. Safe to call repeatedly
-// across models and seeds (the memo fills lazily per model and task set);
-// not safe concurrently with itself.
-func (ep *TransitivityEpoch) RunModel(m core.TrustModel, seed uint64) TransitivityStats {
-	return ep.SweepShardedModel(m, seed, defaultSweepShard)
-}
-
-// SweepShardedModel is RunModel processing the trustors in consecutive
-// shards of the given width (<= 0 means one shard): per shard it draws the
-// trustors' tasks, tops up the memo, fans the searches out over the worker
-// pool, and merges the shard's stats — so only one shard's scratch is ever
-// materialized, streaming a million-trustor sweep through a bounded working
-// set.
-//
-// Sharding is invisible in the output — bit-identical statistics at every
-// shard width and worker count. The recipe: tasks are drawn from one
-// continuing stream in ascending trustor order regardless of shard cuts;
-// per-shard memo top-ups only add tables (memoized hops are bit-identical
-// to per-edge evaluation, so table timing cannot show through); and the
-// merge consumes the outcome stream in the same ascending trustor order as
-// the monolithic loop (TestSweepShardedEquivalence pins all of this).
+// RunModel plays one transitivity run of the model over the frozen epoch in
+// one pass: it draws every trustor's task from one stream in ascending
+// trustor order, tops up the memo for those tasks (tables the epoch holds
+// are reused; a trainable model trains once per epoch), fans the searches
+// out over the workers, each reusing one SearchResult, and merges the
+// outcomes in ascending trustor order — bit-identical statistics at every
+// worker count (TestSweepWorkerEquivalence). Safe to call repeatedly across
+// models and seeds; not safe concurrently with itself.
 //
 // The outcome stream is keyed by the model's name — for the paper's three
 // models that name is the historical policy string, so every golden byte's
 // draw sequence is preserved; a new model gets its own independent stream
 // by construction.
-func (ep *TransitivityEpoch) SweepShardedModel(m core.TrustModel, seed uint64, shard int) TransitivityStats {
+func (ep *TransitivityEpoch) RunModel(m core.TrustModel, seed uint64) TransitivityStats {
 	p := ep.p
-	if shard <= 0 {
-		shard = len(p.Trustors)
-	}
+	view := ep.live("RunModel").view.TrustView
 	taskRng := rng.New(seed, "transitivity-tasks", p.Net.Profile.Name)
 	outcomeRng := rng.New(seed, "transitivity-outcomes", p.Net.Profile.Name, m.Name())
-	view := ep.live("RunModel").view.TrustView
-	var st TransitivityStats
-	st.InquiredPerTrustor = make([]int, 0, len(p.Trustors))
-	var tasks []task.Task
-	var results []findSummary
-	for lo := 0; lo < len(p.Trustors); lo += shard {
-		hi := min(lo+shard, len(p.Trustors))
-		ids := p.Trustors[lo:hi]
-		if cap(tasks) < len(ids) {
-			tasks = make([]task.Task, len(ids))
-		}
-		tasks = tasks[:len(ids)]
-		for i := range tasks {
-			tasks[i] = ep.setup.Universe.Random(taskRng)
-		}
-		// Pre-pass: memoize every per-edge hop value this shard's searches
-		// will read, in parallel over the CSR edge array, before the
-		// read-only fan-out. Tables built for earlier shards are reused
-		// (and trainable models train once, on the first shard).
-		ep.memo.RequireModel(m, tasks)
-		results = mapTrustorsInto(results, ids, ep.workers, func(i int, x core.AgentID) findSummary {
-			res := resultPool.Get().(*core.SearchResult)
-			// Cannot fail: RequireModel just covered the shard over view.
-			if err := ep.s.FindViewModelInto(res, view, ep.memo, x, tasks[i], m); err != nil {
+	ids := p.Trustors
+	tasks := make([]task.Task, len(ids))
+	for i := range tasks {
+		tasks[i] = ep.setup.Universe.Random(taskRng)
+	}
+	ep.memo.RequireModel(m, tasks) // every hop value the searches read
+	sums := make([]findSummary, len(ids))
+	scratch := make([]core.SearchResult, max(min(ep.workers, len(ids)), 1))
+	par.For(len(ids), ep.workers, func(w, lo, hi int) {
+		res := &scratch[w]
+		for i := lo; i < hi; i++ {
+			// Cannot fail: RequireModel just covered every task over view.
+			if err := ep.s.FindViewModelInto(res, view, ep.memo, ids[i], tasks[i], m); err != nil {
 				panic(err)
 			}
-			sum := findSummary{candidates: len(res.Candidates), inquired: res.Inquired}
-			sum.best, sum.found = res.Best()
-			resultPool.Put(res)
-			return sum
-		})
-		for i := range ids {
-			res := results[i]
-			st.Requests++
-			st.PotentialTrustees += res.candidates
-			st.InquiredPerTrustor = append(st.InquiredPerTrustor, res.inquired)
-			if !res.found {
-				st.Unavailable++
-				continue
-			}
-			capability := p.Agent(res.best.ID).Behavior.TaskCompetence(tasks[i])
-			if outcomeRng.Float64() < capability {
-				st.Successes++
-			}
+			sums[i] = findSummary{candidates: len(res.Candidates), inquired: res.Inquired}
+			sums[i].best, sums[i].found = res.Best()
+		}
+	})
+	st := TransitivityStats{Requests: len(ids), InquiredPerTrustor: make([]int, len(ids))}
+	for i, sum := range sums {
+		st.PotentialTrustees += sum.candidates
+		st.InquiredPerTrustor[i] = sum.inquired
+		if !sum.found {
+			st.Unavailable++
+			continue
+		}
+		capability := p.Agent(sum.best.ID).Behavior.TaskCompetence(tasks[i])
+		if outcomeRng.Float64() < capability {
+			st.Successes++
 		}
 	}
 	return st

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -25,25 +24,14 @@ func newModels(t *testing.T) []core.TrustModel {
 	return out
 }
 
-// TestSweepShardedModelDeterminism extends the sharded-sweep determinism
+// TestSweepModelDeterminism extends the sweep's determinism
 // contract to the models beyond the paper's three: for hellinger-mf
 // (epoch-trained) and feature-weighted, the sweep is bit-identical at every
-// worker count and shard width — the property the model-matrix golden's
-// P=1 ≡ P=8 pin rests on.
-func TestSweepShardedModelDeterminism(t *testing.T) {
+// worker count — the property the model-matrix golden's P=1 ≡ P=8 pin
+// rests on.
+func TestSweepModelDeterminism(t *testing.T) {
 	p, setup := viewTestPopulation(t, 23, 5)
-	for _, m := range newModels(t) {
-		want := sweepSharded(p, setup, m, 77, 1, 0)
-		if want.Requests == 0 {
-			t.Fatalf("%s: sweep made no requests — fixture too small to test", m.Name())
-		}
-		for _, shard := range []int{7, 64, len(p.Trustors) + 1} {
-			for _, workers := range []int{1, 4, 8} {
-				got := sweepSharded(p, setup, m, 77, workers, shard)
-				assertSameStats(t, fmt.Sprintf("%s shard=%d workers=%d", m.Name(), shard, workers), want, got)
-			}
-		}
-	}
+	checkSweepWorkers(t, p, setup, newModels(t))
 }
 
 // TestHellingerTrainWorkerDeterminism pins EpochTrainable's contract for

@@ -130,6 +130,11 @@ func NewPopulation(net *socialgen.Network, cfg PopulationConfig) *Population {
 		// and view captures need no translation.
 		cfg.Update.Catalog = task.NewCatalog()
 	}
+	if cfg.Update.Norm == (core.Normalizer{}) {
+		// Views and memos normalize with the population's Norm, not a
+		// store's, so they take NewStore's default too.
+		cfg.Update.Norm = core.UnitNormalizer()
+	}
 	p := &Population{Net: net, Agents: make([]*agent.Agent, n), attackers: make([]bool, n), cfg: cfg}
 	workers := p.setupWorkers()
 	behaviorLabel := "population-behavior:" + net.Profile.Name

@@ -25,40 +25,45 @@ func assertSameStats(t *testing.T, label string, want, got TransitivityStats) {
 	}
 }
 
-// sweepSharded captures a fresh epoch at the given worker count and plays
-// one sharded run of the model on it.
-func sweepSharded(p *Population, setup TransitivitySetup, m core.TrustModel, seed uint64, workers, shard int) TransitivityStats {
+// sweep captures a fresh epoch at the given worker count and plays one run
+// of the model on it.
+func sweep(p *Population, setup TransitivitySetup, m core.TrustModel, seed uint64, workers int) TransitivityStats {
 	ep := (&Engine{Pop: p, Parallelism: workers}).TransitivityEpoch(setup)
 	defer ep.Release()
-	return ep.SweepShardedModel(m, seed, shard)
+	return ep.RunModel(m, seed)
 }
 
-// TestSweepShardedEquivalence pins the streaming-sweep contract: the sharded
-// sweep is bit-identical to the monolithic run at every shard width (one
-// trustor per shard, a width that does not divide the trustor count, one
-// giant shard) crossed with every worker count — the determinism recipe the
-// million-node path rests on.
-func TestSweepShardedEquivalence(t *testing.T) {
+// checkSweepWorkers pins the sweep's determinism contract for each model:
+// the serial run is bit-identical to runs at 4 and 8 workers and at more
+// workers than trustors, and to both runs of a reused epoch, whose second
+// run reads the memo tables the first one built.
+func checkSweepWorkers(t *testing.T, p *Population, setup TransitivitySetup, models []core.TrustModel) {
+	t.Helper()
+	for _, m := range models {
+		want := sweep(p, setup, m, 77, 1)
+		if want.Requests == 0 {
+			t.Fatalf("%s: sweep made no requests — fixture too small to test", m.Name())
+		}
+		for _, workers := range []int{4, 8, len(p.Trustors) + 1} {
+			got := sweep(p, setup, m, 77, workers)
+			assertSameStats(t, fmt.Sprintf("%s workers=%d", m.Name(), workers), want, got)
+		}
+		eng := NewEngine(p, "sweep-test")
+		eng.Parallelism = 4
+		ep := eng.TransitivityEpoch(setup)
+		assertSameStats(t, fmt.Sprintf("%s epoch run 1", m.Name()), want, ep.RunModel(m, 77))
+		assertSameStats(t, fmt.Sprintf("%s epoch run 2", m.Name()), want, ep.RunModel(m, 77))
+		ep.Release()
+	}
+}
+
+// TestSweepWorkerEquivalence pins the sweep's determinism recipe for the
+// paper's three models: bit-identical statistics at every worker count,
+// fresh epoch or reused.
+func TestSweepWorkerEquivalence(t *testing.T) {
 	p, setup := viewTestPopulation(t, 23, 5)
 	if len(p.Trustors) < 10 {
 		t.Fatalf("fixture too small: %d trustors", len(p.Trustors))
 	}
-	for _, m := range []core.TrustModel{core.Traditional, core.Conservative, core.Aggressive} {
-		// Reference: one shard, serial.
-		want := sweepSharded(p, setup, m, 77, 1, 0)
-		for _, shard := range []int{1, 7, 64, len(p.Trustors) + 1} {
-			for _, workers := range []int{1, 8} {
-				got := sweepSharded(p, setup, m, 77, workers, shard)
-				assertSameStats(t, fmt.Sprintf("%s shard=%d workers=%d", m.Name(), shard, workers), want, got)
-			}
-		}
-		// RunModel (default width) and a reused epoch route through the
-		// same sharded implementation and must match.
-		eng := NewEngine(p, "sweep-test")
-		eng.Parallelism = 4
-		ep := eng.TransitivityEpoch(setup)
-		assertSameStats(t, fmt.Sprintf("%s epoch default-shard", m.Name()), want, ep.RunModel(m, 77))
-		assertSameStats(t, fmt.Sprintf("%s epoch shard=13", m.Name()), want, ep.SweepShardedModel(m, 77, 13))
-		ep.Release()
-	}
+	checkSweepWorkers(t, p, setup, []core.TrustModel{core.Traditional, core.Conservative, core.Aggressive})
 }

@@ -90,7 +90,7 @@ func TestGenerateProperties100k(t *testing.T) {
 // TestGenerateProperties1M exercises the streaming path at the million-node
 // frontier: 1M nodes, 6M edges. The full property contract holds — exact
 // counts, simplicity, connectivity, determinism across reruns — at the scale
-// the sharded sweep serves. Slow (two full generations plus a connectivity
+// the million-node sweep serves. Slow (two full generations plus a connectivity
 // scan) and memory-heavy, so it skips under -short and under the race
 // detector.
 func TestGenerateProperties1M(t *testing.T) {

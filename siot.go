@@ -53,11 +53,11 @@ type Outcome = core.Outcome
 // one task (eqs. 19–22).
 type Expectation = core.Expectation
 
-// Normalizer is the N[·] operator of eq. 18.
+// Normalizer is the N[·] operator of eq. 18: it maps the net-profit
+// interval [ProfitLo, ProfitHi] linearly onto trustworthiness in [0, 1],
+// clamping outside values. A zero Normalizer in an UpdateConfig means
+// UnitNormalizer.
 type Normalizer = core.Normalizer
-
-// LinearNormalizer maps a profit interval linearly onto [0, 1].
-type LinearNormalizer = core.LinearNormalizer
 
 // Betas holds the per-equation forgetting factors β.
 type Betas = core.Betas
@@ -202,7 +202,7 @@ func DefaultUpdateConfig() UpdateConfig { return core.DefaultUpdateConfig() }
 
 // UnitNormalizer maps net profits in [−2, 1] onto trustworthiness in
 // [0, 1].
-func UnitNormalizer() LinearNormalizer { return core.UnitNormalizer() }
+func UnitNormalizer() Normalizer { return core.UnitNormalizer() }
 
 // UniformBetas returns one forgetting factor for all four update equations.
 func UniformBetas(b float64) Betas { return core.UniformBetas(b) }
