@@ -1,11 +1,9 @@
-// Benchmarks of the engine's layers and of the paper's evaluation (§5).
-// Each table or figure benchmark runs its experiment at a
-// reduced-but-faithful scale per iteration and reports the headline
-// quantities as custom metrics, so `go test -bench=. -benchmem` doubles as
-// a smoke reproduction. Figs. 7 and 9–12 have none here: their goldens
-// (internal/experiments) pin the numbers, and the sim-rounds and
-// sweep-models workloads of benchmark/ time the same paths. The full-scale
-// runs (paper parameters) live in cmd/siot-bench.
+// Micro-benchmarks of the engine's layers: rounds, the transitivity sweep,
+// setup, seeding, capture and one search or point query, with serial and
+// parallel pairs for the multi-core comparisons. The paper's tables and
+// figures have none here: their goldens (internal/experiments) pin the
+// numbers, cmd/siot-bench runs them at full scale, and the four workloads
+// of benchmark/ time the serve and sim paths end to end.
 package siot_test
 
 import (
@@ -14,11 +12,8 @@ import (
 
 	"siot/internal/benchnet"
 	"siot/internal/core"
-	"siot/internal/experiments"
-	"siot/internal/serve"
 	"siot/internal/sim"
 	"siot/internal/socialgen"
-	"siot/internal/stats"
 	"siot/internal/task"
 )
 
@@ -285,213 +280,4 @@ func BenchmarkTrustInto(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.TrustInto(view, memo, trustor, trustee, tk, core.Aggressive)
 	}
-}
-
-// BenchmarkServeQuery1k measures one trust query per op against a live
-// serve engine on the canonical 1k-node benchmark network. Read-only
-// steady state: the writer goroutine idles and every op is an epoch
-// Acquire → frozen-view answer → Release. The engine's own latency
-// histogram supplies the p50/p99 query-latency metrics reported here.
-func BenchmarkServeQuery1k(b *testing.B) {
-	eng, err := serve.New(serve.Config{
-		Nodes: 1000, Seed: benchSeed, Seeded: true, Model: core.Aggressive,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
-	n := eng.NumAgents()
-	types := len(eng.TaskTypes())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		trustor := core.AgentID(i % n)
-		trustee := core.AgentID((i*31 + 1) % n)
-		if trustee == trustor {
-			trustee = core.AgentID((int(trustee) + 1) % n)
-		}
-		eng.Trust(trustor, trustee, i%types)
-	}
-	b.StopTimer()
-	st := eng.Stats()
-	b.ReportMetric(float64(st.QueryP50Ns), "p50_ns")
-	b.ReportMetric(float64(st.QueryP99Ns), "p99_ns")
-}
-
-// BenchmarkServeMixed10k measures the serving system's mixed read/write
-// steady state on the 10k-node network: three trust queries and one
-// ingested observation per four ops, with the writer goroutine applying
-// events and republishing a fresh epoch every 512 of them, so queries
-// keep acquiring consistent snapshots across concurrent swaps.
-func BenchmarkServeMixed10k(b *testing.B) {
-	eng, err := serve.New(serve.Config{
-		Nodes: 10000, Seed: benchSeed, Seeded: true, Model: core.Aggressive,
-		EpochEvery: 512,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
-	n := eng.NumAgents()
-	types := len(eng.TaskTypes())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		trustor := core.AgentID(i % n)
-		if i%4 == 3 {
-			nbrs := eng.Neighbors(trustor)
-			eng.Ingest(serve.Event{
-				Op: serve.OpObserve, Trustor: trustor, Trustee: nbrs[i%len(nbrs)],
-				Type:    i % types,
-				Outcome: core.Outcome{Success: i%3 != 0, Gain: 0.8, Damage: 0.2, Cost: 0.1},
-			})
-			continue
-		}
-		trustee := core.AgentID((i*31 + 1) % n)
-		if trustee == trustor {
-			trustee = core.AgentID((int(trustee) + 1) % n)
-		}
-		eng.Trust(trustor, trustee, i%types)
-	}
-	b.StopTimer()
-	st := eng.Stats()
-	b.ReportMetric(float64(st.QueryP50Ns), "p50_ns")
-	b.ReportMetric(float64(st.QueryP99Ns), "p99_ns")
-	b.ReportMetric(float64(st.Epochs), "epochs")
-}
-
-// BenchmarkTable1Connectivity regenerates Table 1: the connectivity
-// characteristics of the three evaluation networks.
-func BenchmarkTable1Connectivity(b *testing.B) {
-	var clustering float64
-	for i := 0; i < b.N; i++ {
-		res := experiments.RunTable1(benchSeed)
-		clustering = res.Rows[0].Got.AvgClustering
-	}
-	b.ReportMetric(clustering, "fb_clustering")
-}
-
-// BenchmarkFig8Inference regenerates Fig. 8: percentage of honest trustee
-// selections with and without characteristic inference, on the ZigBee
-// testbed simulator.
-func BenchmarkFig8Inference(b *testing.B) {
-	cfg := experiments.DefaultFig8Config(benchSeed)
-	cfg.Experiments = 5
-	var res experiments.Fig8Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.RunFig8(cfg)
-	}
-	b.ReportMetric(stats.Mean(res.WithModel.Y), "pct_honest_with")
-	b.ReportMetric(stats.Mean(res.WithoutModel.Y), "pct_honest_without")
-}
-
-// BenchmarkTable2RealProperties regenerates Table 2: the transitivity
-// comparison with node profile features as task characteristics.
-func BenchmarkTable2RealProperties(b *testing.B) {
-	cfg := experiments.DefaultTable2Config(benchSeed)
-	cfg.Repeats = 1
-	var res experiments.Table2Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.RunTable2(cfg)
-	}
-	for _, c := range res.Cells {
-		if c.Network == "facebook" && c.Model == core.Aggressive.Name() {
-			b.ReportMetric(c.Success, "fb_aggr_success")
-		}
-		if c.Network == "facebook" && c.Model == core.Traditional.Name() {
-			b.ReportMetric(c.Success, "fb_trad_success")
-		}
-	}
-}
-
-// BenchmarkFig13NetProfit regenerates Fig. 13: converged net profit of the
-// two delegation strategies.
-func BenchmarkFig13NetProfit(b *testing.B) {
-	cfg := experiments.DefaultFig13Config(benchSeed)
-	cfg.Iterations = 500
-	var res experiments.Fig13Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.RunFig13(cfg)
-	}
-	b.ReportMetric(res.Converged["facebook ("+sim.StrategyNetProfit.String()+")"], "fb_second_profit")
-	b.ReportMetric(res.Converged["facebook ("+sim.StrategySuccessRate.String()+")"], "fb_first_profit")
-}
-
-// BenchmarkFig14ActiveTime regenerates Fig. 14: trustor active time with
-// and without cost-aware evaluation under fragment-stall attackers.
-func BenchmarkFig14ActiveTime(b *testing.B) {
-	cfg := experiments.DefaultFig14Config(benchSeed)
-	cfg.TasksPerTrustor = 20
-	var res experiments.Fig14Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.RunFig14(cfg)
-	}
-	n := len(res.WithModel.Y)
-	b.ReportMetric(stats.Mean(res.WithModel.Y[n-5:]), "late_active_ms_with")
-	b.ReportMetric(stats.Mean(res.WithoutModel.Y[n-5:]), "late_active_ms_without")
-}
-
-// BenchmarkFig15DynamicEnvironment regenerates Fig. 15: environment-step
-// tracking of the expected success rate.
-func BenchmarkFig15DynamicEnvironment(b *testing.B) {
-	cfg := experiments.DefaultFig15Config(benchSeed)
-	cfg.Runs = 20
-	var res experiments.Fig15Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.RunFig15(cfg)
-	}
-	b.ReportMetric(stats.Mean(res.Proposed.Y[160:200]), "proposed_phase2")
-	b.ReportMetric(stats.Mean(res.Traditional.Y[160:200]), "traditional_phase2")
-}
-
-// BenchmarkFig16LightSchedule regenerates Fig. 16: net profit across the
-// light/dark/light schedule with and without environment correction.
-func BenchmarkFig16LightSchedule(b *testing.B) {
-	cfg := experiments.DefaultFig16Config(benchSeed)
-	var res experiments.Fig16Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.RunFig16(cfg)
-	}
-	n := len(res.WithModel.Y)
-	b.ReportMetric(stats.Mean(res.WithModel.Y[n*3/4:]), "final_profit_with")
-	b.ReportMetric(stats.Mean(res.WithoutModel.Y[n*3/4:]), "final_profit_without")
-}
-
-// BenchmarkAblationEq7 quantifies the eq. 7 mistrust term against the plain
-// product of eq. 5 (design-choice ablation, DESIGN.md §6).
-func BenchmarkAblationEq7(b *testing.B) {
-	cfg := experiments.DefaultAblationEq7Config(benchSeed)
-	cfg.Pairs = 5000
-	var res experiments.AblationEq7Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.RunAblationEq7(cfg)
-	}
-	b.ReportMetric(res.RMSEProduct, "product_rmse")
-	b.ReportMetric(res.RMSEEq7, "eq7_rmse")
-}
-
-// BenchmarkAblationCannikin quantifies min-vs-mean environment combination
-// in the removal function r(·).
-func BenchmarkAblationCannikin(b *testing.B) {
-	cfg := experiments.DefaultAblationCannikinConfig(benchSeed)
-	cfg.Runs = 15
-	var res experiments.AblationCannikinResult
-	for i := 0; i < b.N; i++ {
-		res = experiments.RunAblationCannikin(cfg)
-	}
-	b.ReportMetric(res.TrackErrMin, "bias_min")
-	b.ReportMetric(res.TrackErrMean, "bias_mean")
-}
-
-// BenchmarkAblationSelfDelegation quantifies the eq. 24 self-delegation
-// option.
-func BenchmarkAblationSelfDelegation(b *testing.B) {
-	cfg := experiments.DefaultAblationSelfDelegationConfig(benchSeed)
-	cfg.Iterations = 250
-	var res experiments.AblationSelfDelegationResult
-	for i := 0; i < b.N; i++ {
-		res = experiments.RunAblationSelfDelegation(cfg)
-	}
-	b.ReportMetric(res.WithSelf, "profit_with_self")
-	b.ReportMetric(res.WithoutSelf, "profit_without_self")
 }

@@ -297,3 +297,41 @@ func TestDeltaCaptureIgnoresForeignPredecessor(t *testing.T) {
 		assertSameRoundView(t, name, got, want)
 	}
 }
+
+// TestDeltaCaptureUnpooled: without an arena pool, a capture that copies
+// from its predecessor after one write rereads that one row, equals a fresh
+// capture byte for byte, and answers the written edge as the live store
+// does while the predecessor still shows the old value.
+func TestDeltaCaptureUnpooled(t *testing.T) {
+	f := buildRoundFixture(t, 14)
+	capture := func(prev *RoundView) *RoundView {
+		t.Helper()
+		v, err := CaptureRoundView(f.adjOff, f.adjTo, f.source(), UnitNormalizer(), 2, nil, prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	prev := capture(nil)
+	u := 0
+	for f.adjOff[u] == f.adjOff[u+1] {
+		u++
+	}
+	w, tk := f.adjTo[f.adjOff[u]], f.tasks[1]
+	f.stores[u].Observe(w, tk, Outcome{Damage: 0.7, Cost: 0.2}, PerfectEnv())
+	delta := capture(prev)
+	fresh := capture(nil)
+	if got := delta.RowsRecaptured(); got != 1 {
+		t.Fatalf("capture after one write reread %d rows, want 1", got)
+	}
+	assertSameRoundView(t, "unpooled", delta, fresh)
+	e, _ := delta.EdgeIndex(AgentID(u), w)
+	got, gotOK := delta.BestTW(e, tk)
+	want, wantOK := f.stores[u].BestTW(w, tk)
+	if got != want || gotOK != wantOK {
+		t.Fatalf("BestTW(%d->%d) = (%v, %v), store says (%v, %v)", u, w, got, gotOK, want, wantOK)
+	}
+	if old, _ := prev.BestTW(e, tk); old == got {
+		t.Fatal("the write did not reach the capture")
+	}
+}

@@ -17,8 +17,8 @@ import (
 // isolating individual design choices of the trust model. They are not
 // figures of the paper, but they quantify the pieces the paper argues for.
 
-// AblationEq7Config parameterizes the eq. 7 mistrust-term ablation.
-type AblationEq7Config struct {
+// ablationEq7Config parameterizes the eq. 7 mistrust-term ablation.
+type ablationEq7Config struct {
 	Seed uint64
 	// Pairs is the number of random recommendation chains evaluated.
 	Pairs int
@@ -26,15 +26,15 @@ type AblationEq7Config struct {
 	Depth int
 }
 
-// DefaultAblationEq7Config returns the default ablation scale.
-func DefaultAblationEq7Config(seed uint64) AblationEq7Config {
-	return AblationEq7Config{Seed: seed, Pairs: 20000, Depth: 2}
+// defaultAblationEq7Config returns the default ablation scale.
+func defaultAblationEq7Config(seed uint64) ablationEq7Config {
+	return ablationEq7Config{Seed: seed, Pairs: 20000, Depth: 2}
 }
 
-// AblationEq7Result compares eq. 7's combination (with the mistrust-product
+// ablationEq7Result compares eq. 7's combination (with the mistrust-product
 // term) against the plain product of eq. 5 as estimators of end-to-end
 // delegation success over random chains.
-type AblationEq7Result struct {
+type ablationEq7Result struct {
 	// RMSEEq7 and RMSEProduct are the root-mean-square errors of the two
 	// combiners against the true end-to-end success probability.
 	RMSEEq7     float64
@@ -45,12 +45,12 @@ type AblationEq7Result struct {
 	HighTrustBiasProduct float64
 }
 
-// RunAblationEq7 samples chains of hop reliabilities, computes the true
+// runAblationEq7 samples chains of hop reliabilities, computes the true
 // probability that a delegation through the chain ends well (every hop's
 // judgment is correct, or every hop errs in a way that cancels — the
 // even-error parity model that motivates eq. 7), and measures how well each
 // combiner predicts it.
-func RunAblationEq7(cfg AblationEq7Config) AblationEq7Result {
+func runAblationEq7(cfg ablationEq7Config) ablationEq7Result {
 	r := rng.New(cfg.Seed, "ablation-eq7")
 	var seSum7, seSumP float64
 	var hiBias7, hiBiasP float64
@@ -81,7 +81,7 @@ func RunAblationEq7(cfg AblationEq7Config) AblationEq7Result {
 			hiCount++
 		}
 	}
-	res := AblationEq7Result{
+	res := ablationEq7Result{
 		RMSEEq7:     math.Sqrt(seSum7 / float64(cfg.Pairs)),
 		RMSEProduct: math.Sqrt(seSumP / float64(cfg.Pairs)),
 	}
@@ -93,7 +93,7 @@ func RunAblationEq7(cfg AblationEq7Config) AblationEq7Result {
 }
 
 // Table renders the comparison.
-func (r AblationEq7Result) Table() *report.Table {
+func (r ablationEq7Result) Table() *report.Table {
 	t := &report.Table{
 		Title:   "Ablation: eq. 7 combination vs eq. 5 product over recommendation chains",
 		Headers: []string{"Combiner", "RMSE vs parity truth", "Bias (hops > 0.5)"},
@@ -105,7 +105,7 @@ func (r AblationEq7Result) Table() *report.Table {
 
 // ShapeCheck asserts eq. 7 is the exact parity estimator (zero error) while
 // the plain product systematically underestimates.
-func (r AblationEq7Result) ShapeCheck() []error {
+func (r ablationEq7Result) ShapeCheck() []error {
 	c := &shapeCheck{experiment: "ablation-eq7"}
 	c.expect(r.RMSEEq7 < 1e-9, "eq. 7 is not exact against the parity model (RMSE %.4g)", r.RMSEEq7)
 	c.expect(r.RMSEProduct > 0.01, "plain product unexpectedly accurate (RMSE %.4g)", r.RMSEProduct)
@@ -114,33 +114,33 @@ func (r AblationEq7Result) ShapeCheck() []error {
 	return c.errs
 }
 
-// AblationCannikinConfig parameterizes the min-vs-mean environment
+// ablationCannikinConfig parameterizes the min-vs-mean environment
 // combination ablation (Fig. 15 rerun with the mean).
-type AblationCannikinConfig struct {
+type ablationCannikinConfig struct {
 	Seed uint64
 	Runs int
 }
 
-// DefaultAblationCannikinConfig returns the default scale.
-func DefaultAblationCannikinConfig(seed uint64) AblationCannikinConfig {
-	return AblationCannikinConfig{Seed: seed, Runs: 60}
+// defaultAblationCannikinConfig returns the default scale.
+func defaultAblationCannikinConfig(seed uint64) ablationCannikinConfig {
+	return ablationCannikinConfig{Seed: seed, Runs: 60}
 }
 
-// AblationCannikinResult compares correcting by the Cannikin minimum
+// ablationCannikinResult compares correcting by the Cannikin minimum
 // against correcting by the mean environment when one side of the exchange
 // is hostile and the other perfect.
-type AblationCannikinResult struct {
+type ablationCannikinResult struct {
 	// TrackErrMin and TrackErrMean are the absolute biases of the
 	// time-averaged tracked success rate against the true competence.
 	TrackErrMin  float64
 	TrackErrMean float64
 }
 
-// RunAblationCannikin reruns the Fig. 15 tracking task with a bottleneck
+// runAblationCannikin reruns the Fig. 15 tracking task with a bottleneck
 // environment: the trustee sits at E = 0.4 while the trustor and an
 // intermediate are perfect. The Cannikin minimum (0.4) matches the actual
 // degradation; the mean (0.8) under-corrects.
-func RunAblationCannikin(cfg AblationCannikinConfig) AblationCannikinResult {
+func runAblationCannikin(cfg ablationCannikinConfig) ablationCannikinResult {
 	const actual = 0.8
 	const hostile = env.Environment(0.4)
 	iters := 200
@@ -176,14 +176,14 @@ func RunAblationCannikin(cfg AblationCannikinConfig) AblationCannikinResult {
 	// Compare the *bias* of the time-averaged estimates: the trackers are
 	// noisy by construction (Bernoulli observations amplified by 1/E), but
 	// an unbiased corrector's time average recovers the true competence.
-	return AblationCannikinResult{
+	return ablationCannikinResult{
 		TrackErrMin:  math.Abs(sumMin/float64(n) - actual),
 		TrackErrMean: math.Abs(sumMean/float64(n) - actual),
 	}
 }
 
 // Table renders the comparison.
-func (r AblationCannikinResult) Table() *report.Table {
+func (r ablationCannikinResult) Table() *report.Table {
 	t := &report.Table{
 		Title:   "Ablation: Cannikin minimum vs mean environment in r(·)",
 		Headers: []string{"Combination", "Tracking error vs true competence"},
@@ -195,7 +195,7 @@ func (r AblationCannikinResult) Table() *report.Table {
 
 // ShapeCheck asserts the minimum tracks the truth and the mean
 // under-corrects, as the paper's Wooden Bucket argument claims.
-func (r AblationCannikinResult) ShapeCheck() []error {
+func (r ablationCannikinResult) ShapeCheck() []error {
 	c := &shapeCheck{experiment: "ablation-cannikin"}
 	c.expect(r.TrackErrMin < 0.05, "Cannikin correction bias %.4f too large", r.TrackErrMin)
 	c.expect(r.TrackErrMean > 2*r.TrackErrMin,
@@ -204,42 +204,42 @@ func (r AblationCannikinResult) ShapeCheck() []error {
 	return c.errs
 }
 
-// AblationSelfDelegationConfig parameterizes the eq. 24 ablation.
-type AblationSelfDelegationConfig struct {
+// ablationSelfDelegationConfig parameterizes the eq. 24 ablation.
+type ablationSelfDelegationConfig struct {
 	Seed       uint64
 	Iterations int
 }
 
-// DefaultAblationSelfDelegationConfig returns the default scale.
-func DefaultAblationSelfDelegationConfig(seed uint64) AblationSelfDelegationConfig {
-	return AblationSelfDelegationConfig{Seed: seed, Iterations: 800}
+// defaultAblationSelfDelegationConfig returns the default scale.
+func defaultAblationSelfDelegationConfig(seed uint64) ablationSelfDelegationConfig {
+	return ablationSelfDelegationConfig{Seed: seed, Iterations: 800}
 }
 
-// AblationSelfDelegationResult compares net profit with and without the
+// ablationSelfDelegationResult compares net profit with and without the
 // trustor itself as a candidate (eq. 24) on the Twitter network, where
 // trustee neighborhoods are smallest and self-execution matters most.
-type AblationSelfDelegationResult struct {
+type ablationSelfDelegationResult struct {
 	WithSelf    float64
 	WithoutSelf float64
 }
 
-// RunAblationSelfDelegation measures converged net profit when trustors may
+// runAblationSelfDelegation measures converged net profit when trustors may
 // keep tasks whose expected profit beats every candidate's.
-func RunAblationSelfDelegation(cfg AblationSelfDelegationConfig) AblationSelfDelegationResult {
+func runAblationSelfDelegation(cfg ablationSelfDelegationConfig) ablationSelfDelegationResult {
 	net := socialgen.Generate(socialgen.Twitter(), cfg.Seed)
 	run := func(withSelf bool) float64 {
 		p := sim.NewPopulation(net, sim.DefaultPopulationConfig(cfg.Seed))
 		series := sim.NetProfitRunSelf(p, cfg.Iterations, withSelf, cfg.Seed)
 		return stats.Mean(series[len(series)*2/3:])
 	}
-	return AblationSelfDelegationResult{
+	return ablationSelfDelegationResult{
 		WithSelf:    run(true),
 		WithoutSelf: run(false),
 	}
 }
 
 // Table renders the comparison.
-func (r AblationSelfDelegationResult) Table() *report.Table {
+func (r ablationSelfDelegationResult) Table() *report.Table {
 	t := &report.Table{
 		Title:   "Ablation: self-delegation (eq. 24) on the Twitter network",
 		Headers: []string{"Decision rule", "Converged net profit"},
@@ -251,7 +251,7 @@ func (r AblationSelfDelegationResult) Table() *report.Table {
 
 // ShapeCheck asserts the option to self-execute never hurts and helps when
 // neighborhoods are poor.
-func (r AblationSelfDelegationResult) ShapeCheck() []error {
+func (r ablationSelfDelegationResult) ShapeCheck() []error {
 	c := &shapeCheck{experiment: "ablation-self"}
 	c.expect(r.WithSelf >= r.WithoutSelf-0.005,
 		"self-delegation hurt profit (%.3f vs %.3f)", r.WithSelf, r.WithoutSelf)

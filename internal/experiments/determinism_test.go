@@ -6,8 +6,8 @@ import "testing"
 // the worker-pool width must never change a figure's numbers.
 
 func TestFig7ParallelismInvariant(t *testing.T) {
-	run := func(parallelism int) Fig7Result {
-		return RunFig7(Fig7Config{
+	run := func(parallelism int) fig7Result {
+		return runFig7(fig7Config{
 			Seed: 5, Thetas: []float64{0, 0.6}, Rounds: 15, Parallelism: parallelism,
 		})
 	}
@@ -24,8 +24,8 @@ func TestFig7ParallelismInvariant(t *testing.T) {
 }
 
 func TestFig13ParallelismInvariant(t *testing.T) {
-	run := func(parallelism int) Fig13Result {
-		return RunFig13(Fig13Config{Seed: 5, Iterations: 150, Smooth: 10, Parallelism: parallelism})
+	run := func(parallelism int) fig13Result {
+		return runFig13(fig13Config{Seed: 5, Iterations: 150, Smooth: 10, Parallelism: parallelism})
 	}
 	a, b := run(1), run(8)
 	if len(a.Series) != len(b.Series) {
@@ -50,8 +50,8 @@ func TestFig13ParallelismInvariant(t *testing.T) {
 }
 
 func TestTransitivitySweepParallelismInvariant(t *testing.T) {
-	run := func(parallelism int) TransitivityResult {
-		return RunTransitivitySweep(TransitivityConfig{
+	run := func(parallelism int) transitivityResult {
+		return runTransitivitySweep(transitivityConfig{
 			Seed: 3, CharCounts: []int{5}, Repeats: 1, MaxDepth: 2, Parallelism: parallelism,
 		})
 	}

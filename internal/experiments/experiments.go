@@ -4,27 +4,22 @@
 // CSV, and exposes a ShapeCheck that verifies the paper's qualitative
 // claims hold on the reproduction (who wins, in which direction rates move).
 //
-// Default configurations use the paper's full-size parameters; the bench
-// harness scales them down via the Scale helpers to keep iterations cheap.
+// The registry (Names, Run, RunOpts, Render) is the package's surface: each
+// experiment runs under its ID with the paper's full-size parameters.
+// RunTable1, MeasureTable1Row, RunFig15 and RunAttack stay exported for
+// siot-netgen, siot-sim and the integration tests.
 package experiments
 
-import (
-	"fmt"
+import "fmt"
 
-	"siot/internal/socialgen"
-)
-
-// Networks returns the three evaluation networks in paper order.
-func Networks() []socialgen.Profile { return socialgen.Profiles() }
-
-// ShapeError describes one violated qualitative expectation.
-type ShapeError struct {
+// shapeError describes one violated qualitative expectation.
+type shapeError struct {
 	Experiment string
 	Detail     string
 }
 
 // Error implements error.
-func (e ShapeError) Error() string {
+func (e shapeError) Error() string {
 	return fmt.Sprintf("%s: %s", e.Experiment, e.Detail)
 }
 
@@ -36,6 +31,6 @@ type shapeCheck struct {
 
 func (c *shapeCheck) expect(ok bool, format string, args ...interface{}) {
 	if !ok {
-		c.errs = append(c.errs, ShapeError{Experiment: c.experiment, Detail: fmt.Sprintf(format, args...)})
+		c.errs = append(c.errs, shapeError{Experiment: c.experiment, Detail: fmt.Sprintf(format, args...)})
 	}
 }

@@ -1,13 +1,16 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"siot/internal/core"
 )
 
 // These tests run every experiment at reduced scale and assert the paper's
 // qualitative claims (the ShapeChecks) hold. The full-scale runs live in
-// the bench harness and cmd/siot-bench.
+// cmd/siot-bench, and the goldens pin their numbers.
 
 func noShapeErrors(t *testing.T, errs []error) {
 	t.Helper()
@@ -35,7 +38,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	res := RunFig7(DefaultFig7Config(1))
+	res := runFig7(defaultFig7Config(1))
 	noShapeErrors(t, res.ShapeCheck())
 	if len(res.Cells) != 9 {
 		t.Fatalf("cells = %d, want 9", len(res.Cells))
@@ -43,32 +46,32 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestTransitivityShape(t *testing.T) {
-	cfg := DefaultTransitivityConfig(1)
+	cfg := defaultTransitivityConfig(1)
 	cfg.CharCounts = []int{4, 7}
 	// 3 repeats, not 2: the aggressive-vs-conservative success gap the
 	// ShapeCheck tolerates (±0.03) is an averaged, full-scale claim —
 	// two-repeat samples dip below it on many seeds (the full Repeats=5
 	// sweep passes on every seed tried).
 	cfg.Repeats = 3
-	res := RunTransitivitySweep(cfg)
+	res := runTransitivitySweep(cfg)
 	noShapeErrors(t, res.ShapeCheck())
 	if len(res.Cells) != 3*2*3 {
 		t.Fatalf("cells = %d", len(res.Cells))
 	}
-	for _, s := range res.SuccessSeries() {
+	for _, s := range res.successSeries() {
 		if err := s.Validate(); err != nil {
 			t.Error(err)
 		}
 	}
-	if len(res.UnavailableSeries()) != 9 || len(res.PotentialSeries()) != 9 {
+	if len(res.unavailableSeries()) != 9 || len(res.potentialSeries()) != 9 {
 		t.Fatal("series count wrong")
 	}
 }
 
 func TestFig12Shape(t *testing.T) {
-	res := RunFig12(DefaultFig12Config(1))
+	res := runFig12(defaultFig12Config(1))
 	noShapeErrors(t, res.ShapeCheck())
-	series := res.Series()
+	series := res.series()
 	if len(series) != 3 {
 		t.Fatalf("series = %d", len(series))
 	}
@@ -83,9 +86,9 @@ func TestFig12Shape(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
-	cfg := DefaultTable2Config(1)
+	cfg := defaultTable2Config(1)
 	cfg.Repeats = 2
-	res := RunTable2(cfg)
+	res := runTable2(cfg)
 	noShapeErrors(t, res.ShapeCheck())
 	if len(res.Cells) != 9 {
 		t.Fatalf("cells = %d", len(res.Cells))
@@ -93,9 +96,9 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestFig13Shape(t *testing.T) {
-	cfg := DefaultFig13Config(1)
+	cfg := defaultFig13Config(1)
 	cfg.Iterations = 900
-	res := RunFig13(cfg)
+	res := runFig13(cfg)
 	noShapeErrors(t, res.ShapeCheck())
 	if len(res.Series) != 6 {
 		t.Fatalf("series = %d", len(res.Series))
@@ -113,9 +116,9 @@ func TestFig15Shape(t *testing.T) {
 }
 
 func TestFig8Shape(t *testing.T) {
-	cfg := DefaultFig8Config(1)
+	cfg := defaultFig8Config(1)
 	cfg.Experiments = 8
-	res := RunFig8(cfg)
+	res := runFig8(cfg)
 	noShapeErrors(t, res.ShapeCheck())
 	if len(res.WithModel.Y) != 8 || len(res.WithoutModel.Y) != 8 {
 		t.Fatal("series lengths wrong")
@@ -128,9 +131,9 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestFig14Shape(t *testing.T) {
-	cfg := DefaultFig14Config(1)
+	cfg := defaultFig14Config(1)
 	cfg.TasksPerTrustor = 30
-	res := RunFig14(cfg)
+	res := runFig14(cfg)
 	noShapeErrors(t, res.ShapeCheck())
 	if len(res.WithModel.Y) != 30 {
 		t.Fatal("series length wrong")
@@ -138,7 +141,7 @@ func TestFig14Shape(t *testing.T) {
 }
 
 func TestFig16Shape(t *testing.T) {
-	res := RunFig16(DefaultFig16Config(1))
+	res := runFig16(defaultFig16Config(1))
 	noShapeErrors(t, res.ShapeCheck())
 	if len(res.WithModel.Y) != 50 {
 		t.Fatal("series length wrong")
@@ -146,8 +149,8 @@ func TestFig16Shape(t *testing.T) {
 }
 
 func TestExperimentsDeterministic(t *testing.T) {
-	a := RunFig7(Fig7Config{Seed: 5, Thetas: []float64{0, 0.6}, Rounds: 5})
-	b := RunFig7(Fig7Config{Seed: 5, Thetas: []float64{0, 0.6}, Rounds: 5})
+	a := runFig7(fig7Config{Seed: 5, Thetas: []float64{0, 0.6}, Rounds: 5})
+	b := runFig7(fig7Config{Seed: 5, Thetas: []float64{0, 0.6}, Rounds: 5})
 	for i := range a.Cells {
 		if a.Cells[i] != b.Cells[i] {
 			t.Fatalf("cell %d differs across identical runs", i)
@@ -156,27 +159,27 @@ func TestExperimentsDeterministic(t *testing.T) {
 }
 
 func TestAblationEq7Shape(t *testing.T) {
-	cfg := DefaultAblationEq7Config(1)
+	cfg := defaultAblationEq7Config(1)
 	cfg.Pairs = 4000
-	res := RunAblationEq7(cfg)
+	res := runAblationEq7(cfg)
 	noShapeErrors(t, res.ShapeCheck())
 	// Deeper chains too: eq. 7's fold stays exact at depth 4.
 	cfg.Depth = 4
-	res = RunAblationEq7(cfg)
+	res = runAblationEq7(cfg)
 	noShapeErrors(t, res.ShapeCheck())
 }
 
 func TestAblationCannikinShape(t *testing.T) {
-	cfg := DefaultAblationCannikinConfig(1)
+	cfg := defaultAblationCannikinConfig(1)
 	cfg.Runs = 20
-	res := RunAblationCannikin(cfg)
+	res := runAblationCannikin(cfg)
 	noShapeErrors(t, res.ShapeCheck())
 }
 
 func TestAblationSelfDelegationShape(t *testing.T) {
-	cfg := DefaultAblationSelfDelegationConfig(1)
+	cfg := defaultAblationSelfDelegationConfig(1)
 	cfg.Iterations = 300
-	res := RunAblationSelfDelegation(cfg)
+	res := runAblationSelfDelegation(cfg)
 	noShapeErrors(t, res.ShapeCheck())
 }
 
@@ -194,10 +197,41 @@ func TestRegistryRunsEverything(t *testing.T) {
 			t.Fatalf("%s produced no table", name)
 		}
 	}
+	// Options.Model narrows model-matrix to one model: its cells and the
+	// success rates match that model's share of the full matrix.
+	t.Run("model-matrix filter", func(t *testing.T) {
+		cfg := defaultModelMatrixConfig(3)
+		cfg.Rounds = 6
+		all := runModelMatrix(cfg)
+		for _, name := range core.ModelNames() {
+			m, err := core.ParseModel(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Models = []core.TrustModel{m}
+			one := runModelMatrix(cfg)
+			var want []modelMatrixCell
+			for _, c := range all.Cells {
+				if c.Model == name {
+					want = append(want, c)
+				}
+			}
+			if !reflect.DeepEqual(one.Cells, want) {
+				t.Fatalf("%s: cells of the one-model matrix differ from its cells in the full matrix", name)
+			}
+			if one.BaselineSuccess != all.BaselineSuccess || !reflect.DeepEqual(one.AttackedSuccess, all.AttackedSuccess) {
+				t.Fatalf("%s: success rates (%v, %v) differ from the full matrix's (%v, %v)",
+					name, one.BaselineSuccess, one.AttackedSuccess, all.BaselineSuccess, all.AttackedSuccess)
+			}
+		}
+		if _, err := RunOpts("model-matrix", Options{Model: "nope"}); err == nil {
+			t.Fatal("RunOpts accepted an unknown model")
+		}
+	})
 }
 
 func TestShapeErrorMessage(t *testing.T) {
-	e := ShapeError{Experiment: "figX", Detail: "wrong"}
+	e := shapeError{Experiment: "figX", Detail: "wrong"}
 	if e.Error() != "figX: wrong" {
 		t.Fatalf("error = %q", e.Error())
 	}

@@ -9,8 +9,8 @@ import (
 	"siot/internal/stats"
 )
 
-// Fig13Config parameterizes the net-profit learning experiment (§5.6).
-type Fig13Config struct {
+// fig13Config parameterizes the net-profit learning experiment (§5.6).
+type fig13Config struct {
 	Seed uint64
 	// Iterations of continuous task delegations (the paper plots 3000).
 	Iterations int
@@ -22,27 +22,27 @@ type Fig13Config struct {
 	Parallelism int
 }
 
-// DefaultFig13Config mirrors the paper.
-func DefaultFig13Config(seed uint64) Fig13Config {
-	return Fig13Config{Seed: seed, Iterations: 3000, Smooth: 50}
+// defaultFig13Config mirrors the paper.
+func defaultFig13Config(seed uint64) fig13Config {
+	return fig13Config{Seed: seed, Iterations: 3000, Smooth: 50}
 }
 
-// Fig13Result reproduces Fig. 13, "Comparison of the net profits with
+// fig13Result reproduces Fig. 13, "Comparison of the net profits with
 // iterative trustworthiness updates": average net profit per iteration for
 // each network under the success-rate-only strategy and the full net-profit
 // strategy.
-type Fig13Result struct {
+type fig13Result struct {
 	Series []stats.Series
 	// Converged holds the mean profit over the last third of the run per
 	// curve, for the table and shape checks.
 	Converged map[string]float64
 }
 
-// RunFig13 runs both strategies over the three networks on the parallel
+// runFig13 runs both strategies over the three networks on the parallel
 // engine; cfg.Parallelism only changes wall-clock time, never the curves.
-func RunFig13(cfg Fig13Config) Fig13Result {
-	res := Fig13Result{Converged: map[string]float64{}}
-	for _, profile := range Networks() {
+func runFig13(cfg fig13Config) fig13Result {
+	res := fig13Result{Converged: map[string]float64{}}
+	for _, profile := range socialgen.Profiles() {
 		net := socialgen.Generate(profile, cfg.Seed)
 		for _, strategy := range []sim.Strategy{sim.StrategyNetProfit, sim.StrategySuccessRate} {
 			pcfg := sim.DefaultPopulationConfig(cfg.Seed)
@@ -62,7 +62,7 @@ func RunFig13(cfg Fig13Config) Fig13Result {
 }
 
 // Table summarizes converged profits.
-func (r Fig13Result) Table() *report.Table {
+func (r fig13Result) Table() *report.Table {
 	t := &report.Table{
 		Title:   "Fig. 13: converged average net profit (last third of iterations)",
 		Headers: []string{"Curve", "Net profit"},
@@ -77,10 +77,10 @@ func (r Fig13Result) Table() *report.Table {
 // converged profit beats the first strategy's, and the first strategy goes
 // negative on at least one network (the paper observes Facebook and
 // Twitter below zero).
-func (r Fig13Result) ShapeCheck() []error {
+func (r fig13Result) ShapeCheck() []error {
 	c := &shapeCheck{experiment: "fig13"}
 	negatives := 0
-	for _, profile := range Networks() {
+	for _, profile := range socialgen.Profiles() {
 		second := r.Converged[fmt.Sprintf("%s (%s)", profile.Name, sim.StrategyNetProfit)]
 		first := r.Converged[fmt.Sprintf("%s (%s)", profile.Name, sim.StrategySuccessRate)]
 		c.expect(second > first,

@@ -12,41 +12,41 @@ import (
 	"siot/internal/zigbee"
 )
 
-// Fig14Config parameterizes the fragment-stall experiment (§5.6, hardware
+// fig14Config parameterizes the fragment-stall experiment (§5.6, hardware
 // part).
-type Fig14Config struct {
+type fig14Config struct {
 	Seed uint64
 	// TasksPerTrustor is the number of task requests each trustor issues
 	// (50 in the paper).
 	TasksPerTrustor int
 }
 
-// DefaultFig14Config mirrors the paper.
-func DefaultFig14Config(seed uint64) Fig14Config {
-	return Fig14Config{Seed: seed, TasksPerTrustor: 50}
+// defaultFig14Config mirrors the paper.
+func defaultFig14Config(seed uint64) fig14Config {
+	return fig14Config{Seed: seed, TasksPerTrustor: 50}
 }
 
-// Fig14Result reproduces Fig. 14, "Comparison of the active time": the
+// fig14Result reproduces Fig. 14, "Comparison of the active time": the
 // trustors' average radio-active time per task index, when trustees are
 // chosen with the full gain-and-cost evaluation versus gain alone.
-type Fig14Result struct {
+type fig14Result struct {
 	WithModel    stats.Series
 	WithoutModel stats.Series
 }
 
-// RunFig14 runs the experiment twice on identically seeded testbeds: once
+// runFig14 runs the experiment twice on identically seeded testbeds: once
 // selecting trustees by expected net profit (cost-aware, the proposed
 // model) and once by expected gain only. Dishonest trustees send fragment
 // packages to prolong the interaction; their inflated cost is visible only
 // to the cost-aware trustors.
-func RunFig14(cfg Fig14Config) Fig14Result {
-	return Fig14Result{
+func runFig14(cfg fig14Config) fig14Result {
+	return fig14Result{
 		WithModel:    stats.NewSeries("with proposed model", fig14Run(cfg, true)),
 		WithoutModel: stats.NewSeries("without proposed model", fig14Run(cfg, false)),
 	}
 }
 
-func fig14Run(cfg Fig14Config, costAware bool) []float64 {
+func fig14Run(cfg fig14Config, costAware bool) []float64 {
 	tbCfg := zigbee.DefaultTestbedConfig(cfg.Seed)
 	tbCfg.Malice = agent.MaliceFragmentStall
 	tb := zigbee.BuildTestbed(tbCfg)
@@ -99,7 +99,7 @@ func fig14Run(cfg Fig14Config, costAware bool) []float64 {
 }
 
 // Table summarizes early vs late active time.
-func (r Fig14Result) Table() *report.Table {
+func (r fig14Result) Table() *report.Table {
 	t := &report.Table{
 		Title:   "Fig. 14: trustor average active time (ms) per task index",
 		Headers: []string{"Method", "First 10 tasks", "Last 10 tasks"},
@@ -123,7 +123,7 @@ func (r Fig14Result) Table() *report.Table {
 // ShapeCheck verifies Fig. 14's claims: with the proposed model the active
 // time shortens once the stallers are detected; without it, the late active
 // time stays clearly above the cost-aware level.
-func (r Fig14Result) ShapeCheck() []error {
+func (r fig14Result) ShapeCheck() []error {
 	c := &shapeCheck{experiment: "fig14"}
 	n := len(r.WithModel.Y)
 	if n < 12 {

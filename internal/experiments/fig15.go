@@ -114,8 +114,8 @@ func RunFig15(cfg Fig15Config) Fig15Result {
 	}
 }
 
-// AllSeries returns the three tracked curves.
-func (r Fig15Result) AllSeries() []stats.Series {
+// allSeries returns the three tracked curves.
+func (r Fig15Result) allSeries() []stats.Series {
 	return []stats.Series{r.NoEnv, r.Traditional, r.Proposed}
 }
 
@@ -134,7 +134,7 @@ func (r Fig15Result) Table() *report.Table {
 		// Skip the first fifth of the phase (transient).
 		return fmt.Sprintf("%.3f", stats.Mean(seg[len(seg)/5:]))
 	}
-	for _, s := range r.AllSeries() {
+	for _, s := range r.allSeries() {
 		t.AddRow(s.Name, phaseMean(s.Y, 0), phaseMean(s.Y, 1), phaseMean(s.Y, 2))
 	}
 	return t

@@ -12,9 +12,9 @@ import (
 	"siot/internal/zigbee"
 )
 
-// Fig16Config parameterizes the light-schedule experiment (§5.7, hardware
+// fig16Config parameterizes the light-schedule experiment (§5.7, hardware
 // part).
-type Fig16Config struct {
+type fig16Config struct {
 	Seed uint64
 	// Experiments is the number of task indices (50 in the paper, split
 	// into light / dark / light thirds).
@@ -24,42 +24,42 @@ type Fig16Config struct {
 	ProfitScale float64
 }
 
-// DefaultFig16Config mirrors the paper.
-func DefaultFig16Config(seed uint64) Fig16Config {
-	return Fig16Config{Seed: seed, Experiments: 50, ProfitScale: 1000}
+// defaultFig16Config mirrors the paper.
+func defaultFig16Config(seed uint64) fig16Config {
+	return fig16Config{Seed: seed, Experiments: 50, ProfitScale: 1000}
 }
 
-// Fig16Result reproduces Fig. 16, "Comparison of the net profits when the
+// fig16Result reproduces Fig. 16, "Comparison of the net profits when the
 // light condition changes and the dishonest trustees do not accept requests
 // initially".
-type Fig16Result struct {
+type fig16Result struct {
 	WithModel    stats.Series
 	WithoutModel stats.Series
 	// Schedule records the light level per experiment index.
 	Schedule stats.Series
 }
 
-// RunFig16 runs the optical-sensor experiment twice on identically seeded
+// runFig16 runs the optical-sensor experiment twice on identically seeded
 // testbeds: with the environment-corrected updates of eqs. 25–29 and
 // without. Honest trustees serve the whole period and degrade in the dark;
 // the malicious trustees serve only during the final light period and
 // misbehave from time to time. Without correction, honest nodes' dark-phase
 // history drags their evaluations below the latecomers'; with correction
 // the trustors re-select honest nodes immediately when light returns.
-func RunFig16(cfg Fig16Config) Fig16Result {
+func runFig16(cfg fig16Config) fig16Result {
 	sched := env.DefaultLightSchedule(cfg.Experiments)
 	schedY := make([]float64, cfg.Experiments)
 	for i := range schedY {
 		schedY[i] = float64(sched.At(i))
 	}
-	return Fig16Result{
+	return fig16Result{
 		WithModel:    stats.NewSeries("with proposed model", fig16Run(cfg, sched, true)),
 		WithoutModel: stats.NewSeries("without proposed model", fig16Run(cfg, sched, false)),
 		Schedule:     stats.NewSeries("light level", schedY),
 	}
 }
 
-func fig16Run(cfg Fig16Config, sched env.LightSchedule, corrected bool) []float64 {
+func fig16Run(cfg fig16Config, sched env.LightSchedule, corrected bool) []float64 {
 	update := core.DefaultUpdateConfig()
 	update.EnvCorrection = corrected
 	// Newcomers get the benefit of the doubt: the optimistic prior is what
@@ -135,7 +135,7 @@ func fig16Run(cfg Fig16Config, sched env.LightSchedule, corrected bool) []float6
 }
 
 // Table summarizes per-phase profits.
-func (r Fig16Result) Table() *report.Table {
+func (r fig16Result) Table() *report.Table {
 	t := &report.Table{
 		Title:   "Fig. 16: mean net profit per light phase",
 		Headers: []string{"Method", "light", "dark", "light again"},
@@ -158,7 +158,7 @@ func (r Fig16Result) Table() *report.Table {
 // ShapeCheck verifies Fig. 16's claims: both methods dip in the dark; with
 // the proposed model the profit returns to a high level in the final light
 // phase and ends clearly above the uncorrected run.
-func (r Fig16Result) ShapeCheck() []error {
+func (r fig16Result) ShapeCheck() []error {
 	c := &shapeCheck{experiment: "fig16"}
 	n := len(r.WithModel.Y)
 	if n < 9 {

@@ -9,8 +9,8 @@ import (
 	"siot/internal/task"
 )
 
-// Fig7Config parameterizes the mutuality experiment (§5.3).
-type Fig7Config struct {
+// fig7Config parameterizes the mutuality experiment (§5.3).
+type fig7Config struct {
 	Seed uint64
 	// Thetas are the reverse-evaluation thresholds swept; the paper uses
 	// {0, 0.3, 0.6} where 0 reproduces unilateral evaluation.
@@ -23,13 +23,13 @@ type Fig7Config struct {
 	Parallelism int
 }
 
-// DefaultFig7Config returns the paper's sweep.
-func DefaultFig7Config(seed uint64) Fig7Config {
-	return Fig7Config{Seed: seed, Thetas: []float64{0, 0.3, 0.6}, Rounds: 150}
+// defaultFig7Config returns the paper's sweep.
+func defaultFig7Config(seed uint64) fig7Config {
+	return fig7Config{Seed: seed, Thetas: []float64{0, 0.3, 0.6}, Rounds: 150}
 }
 
-// Fig7Cell is one bar triple of Fig. 7.
-type Fig7Cell struct {
+// fig7Cell is one bar triple of Fig. 7.
+type fig7Cell struct {
 	Network     string
 	Theta       float64
 	Success     float64
@@ -37,20 +37,20 @@ type Fig7Cell struct {
 	Abuse       float64
 }
 
-// Fig7Result reproduces Fig. 7, "Comparison of success rates, unavailable
+// fig7Result reproduces Fig. 7, "Comparison of success rates, unavailable
 // rates, and abuse rates of task delegations with different threshold value
 // θ_y(τ) in the reverse evaluations".
-type Fig7Result struct {
-	Cells []Fig7Cell
+type fig7Result struct {
+	Cells []fig7Cell
 }
 
-// RunFig7 sweeps the reverse-evaluation threshold over the three networks.
+// runFig7 sweeps the reverse-evaluation threshold over the three networks.
 // The delegation rounds run on the parallel engine, so cfg.Parallelism only
 // changes wall-clock time, never the cells.
-func RunFig7(cfg Fig7Config) Fig7Result {
-	var res Fig7Result
+func runFig7(cfg fig7Config) fig7Result {
+	var res fig7Result
 	tk := task.Uniform(1, task.CharCompute)
-	for _, profile := range Networks() {
+	for _, profile := range socialgen.Profiles() {
 		net := socialgen.Generate(profile, cfg.Seed)
 		for _, theta := range cfg.Thetas {
 			pcfg := sim.DefaultPopulationConfig(cfg.Seed)
@@ -62,7 +62,7 @@ func RunFig7(cfg Fig7Config) Fig7Result {
 			for round := 0; round < cfg.Rounds; round++ {
 				eng.MutualityRound(round, tk, &c)
 			}
-			res.Cells = append(res.Cells, Fig7Cell{
+			res.Cells = append(res.Cells, fig7Cell{
 				Network:     profile.Name,
 				Theta:       theta,
 				Success:     c.SuccessRate(),
@@ -75,7 +75,7 @@ func RunFig7(cfg Fig7Config) Fig7Result {
 }
 
 // Table renders the figure's bars as rows.
-func (r Fig7Result) Table() *report.Table {
+func (r fig7Result) Table() *report.Table {
 	t := &report.Table{
 		Title:   "Fig. 7: success / unavailable / abuse rates vs reverse-evaluation threshold",
 		Headers: []string{"Network", "theta", "Success", "Unavailable", "Abuse"},
@@ -89,8 +89,8 @@ func (r Fig7Result) Table() *report.Table {
 }
 
 // cellsByNetwork groups cells preserving theta order.
-func (r Fig7Result) cellsByNetwork() map[string][]Fig7Cell {
-	m := map[string][]Fig7Cell{}
+func (r fig7Result) cellsByNetwork() map[string][]fig7Cell {
+	m := map[string][]fig7Cell{}
 	for _, c := range r.Cells {
 		m[c.Network] = append(m[c.Network], c)
 	}
@@ -100,7 +100,7 @@ func (r Fig7Result) cellsByNetwork() map[string][]Fig7Cell {
 // ShapeCheck verifies Fig. 7's claims: with θ = 0 the abuse rate exceeds
 // 0.4 and nothing is unavailable; as θ grows, abuse falls and
 // unavailability rises, across all three networks.
-func (r Fig7Result) ShapeCheck() []error {
+func (r fig7Result) ShapeCheck() []error {
 	c := &shapeCheck{experiment: "fig7"}
 	for network, cells := range r.cellsByNetwork() {
 		for i, cell := range cells {

@@ -12,9 +12,9 @@ import (
 	"siot/internal/zigbee"
 )
 
-// Fig8Config parameterizes the inference experiment on the IoT testbed
+// fig8Config parameterizes the inference experiment on the IoT testbed
 // (§5.4).
-type Fig8Config struct {
+type fig8Config struct {
 	Seed uint64
 	// Experiments is the number of independent runs (the paper runs 50).
 	Experiments int
@@ -23,27 +23,27 @@ type Fig8Config struct {
 	WarmupPerTask int
 }
 
-// DefaultFig8Config mirrors the paper.
-func DefaultFig8Config(seed uint64) Fig8Config {
-	return Fig8Config{Seed: seed, Experiments: 50, WarmupPerTask: 2}
+// defaultFig8Config mirrors the paper.
+func defaultFig8Config(seed uint64) fig8Config {
+	return fig8Config{Seed: seed, Experiments: 50, WarmupPerTask: 2}
 }
 
-// Fig8Result reproduces Fig. 8, "Comparison of the percentages of honest
+// fig8Result reproduces Fig. 8, "Comparison of the percentages of honest
 // devices": per experiment run, the percentage of trustors that selected an
 // honest device as trustee, with and without characteristic inference.
-type Fig8Result struct {
+type fig8Result struct {
 	WithModel    stats.Series
 	WithoutModel stats.Series
 }
 
-// RunFig8 runs the experiment on the simulated CC2530 testbed. Each trustor
+// runFig8 runs the experiment on the simulated CC2530 testbed. Each trustor
 // requests a task with two characteristics it has never delegated as a
 // whole; the characteristics appeared separately in two previous tasks, on
 // one of which the dishonest trustees performed maliciously. With the
 // proposed model the trustor infers trustworthiness from those analogous
 // tasks; without it, the task is treated as completely new and the choice
 // is uninformed.
-func RunFig8(cfg Fig8Config) Fig8Result {
+func runFig8(cfg fig8Config) fig8Result {
 	// Previous tasks: GPS sampling and image capture; the new task needs
 	// both (the paper's real-time-traffic example).
 	prior1 := task.Uniform(1, task.CharGPS)
@@ -122,14 +122,14 @@ func RunFig8(cfg Fig8Config) Fig8Result {
 		}
 		without[e] = 100 * float64(honestWithout) / float64(len(tb.Trustors))
 	}
-	return Fig8Result{
+	return fig8Result{
 		WithModel:    stats.NewSeries("with proposed model", with),
 		WithoutModel: stats.NewSeries("without proposed model", without),
 	}
 }
 
 // Table summarizes the two curves.
-func (r Fig8Result) Table() *report.Table {
+func (r fig8Result) Table() *report.Table {
 	t := &report.Table{
 		Title:   "Fig. 8: percentage of trustors selecting honest devices",
 		Headers: []string{"Method", "Mean %", "Min %", "Max %"},
@@ -143,7 +143,7 @@ func (r Fig8Result) Table() *report.Table {
 
 // ShapeCheck verifies Fig. 8's claim: the with-model percentage is clearly
 // higher on average (the paper shows ~90–100% vs ~40–60%).
-func (r Fig8Result) ShapeCheck() []error {
+func (r fig8Result) ShapeCheck() []error {
 	c := &shapeCheck{experiment: "fig8"}
 	mWith := stats.Mean(r.WithModel.Y)
 	mWithout := stats.Mean(r.WithoutModel.Y)

@@ -25,8 +25,8 @@ import (
 // survive whitewashing — with the trust gap, detection latency, and
 // success degradation of every (model, attack) cell.
 
-// ModelMatrixConfig parameterizes the cross-model resilience matrix.
-type ModelMatrixConfig struct {
+// modelMatrixConfig parameterizes the cross-model resilience matrix.
+type modelMatrixConfig struct {
 	Seed uint64
 	// Network selects the social network profile (default "facebook").
 	Network string
@@ -50,9 +50,9 @@ type ModelMatrixConfig struct {
 	Models []core.TrustModel
 }
 
-// DefaultModelMatrixConfig returns the standard matrix configuration.
-func DefaultModelMatrixConfig(seed uint64) ModelMatrixConfig {
-	return ModelMatrixConfig{
+// defaultModelMatrixConfig returns the standard matrix configuration.
+func defaultModelMatrixConfig(seed uint64) modelMatrixConfig {
+	return modelMatrixConfig{
 		Seed:         seed,
 		Network:      "facebook",
 		Rounds:       60,
@@ -74,8 +74,8 @@ func matrixAttacks() []adversary.Attack {
 	}
 }
 
-// ModelMatrixCell is one (model, attack) entry of the matrix.
-type ModelMatrixCell struct {
+// modelMatrixCell is one (model, attack) entry of the matrix.
+type modelMatrixCell struct {
 	Model  string
 	Attack string
 	// Gap is the per-round honest-minus-attacker perceived-trust gap seen
@@ -87,8 +87,8 @@ type ModelMatrixCell struct {
 	Resilience report.Resilience
 }
 
-// ModelMatrixResult is the full cross-model resilience matrix.
-type ModelMatrixResult struct {
+// modelMatrixResult is the full cross-model resilience matrix.
+type modelMatrixResult struct {
 	Network   string
 	Attackers int
 	Rounds    int
@@ -96,7 +96,7 @@ type ModelMatrixResult struct {
 	Models  []string
 	Attacks []string
 	// Cells holds one entry per (attack, model), attack-major.
-	Cells []ModelMatrixCell
+	Cells []modelMatrixCell
 	// BaselineSuccess is the honest-ring cumulative success rate every
 	// degradation is measured against.
 	BaselineSuccess float64
@@ -105,12 +105,12 @@ type ModelMatrixResult struct {
 	AttackedSuccess []float64
 }
 
-// RunModelMatrix plays the matrix: one honest-ring baseline run, then one
+// runModelMatrix plays the matrix: one honest-ring baseline run, then one
 // attacked run per attack with every model probed per round over a shared
 // epoch. All runs share the network, seed, and engine label, so a cell
 // differs from its neighbors only through the attack (rows) or the model's
 // lens (columns).
-func RunModelMatrix(cfg ModelMatrixConfig) ModelMatrixResult {
+func runModelMatrix(cfg modelMatrixConfig) modelMatrixResult {
 	profile, err := socialgen.ProfileByName(cfg.Network)
 	if err != nil {
 		panic(err)
@@ -154,7 +154,7 @@ func RunModelMatrix(cfg ModelMatrixConfig) ModelMatrixResult {
 		return c.SuccessRate(), gaps
 	}
 
-	res := ModelMatrixResult{
+	res := modelMatrixResult{
 		Network:   cfg.Network,
 		Attackers: cfg.Attackers,
 		Rounds:    cfg.Rounds,
@@ -172,7 +172,7 @@ func RunModelMatrix(cfg ModelMatrixConfig) ModelMatrixResult {
 		res.AttackedSuccess = append(res.AttackedSuccess, attacked)
 		for mi, m := range models {
 			gap := stats.NewSeries(m.Name(), gaps[mi])
-			res.Cells = append(res.Cells, ModelMatrixCell{
+			res.Cells = append(res.Cells, modelMatrixCell{
 				Model:      m.Name(),
 				Attack:     atk.Name(),
 				Gap:        gap,
@@ -184,7 +184,7 @@ func RunModelMatrix(cfg ModelMatrixConfig) ModelMatrixResult {
 }
 
 // Table renders the matrix, one row per (attack, model) cell.
-func (r ModelMatrixResult) Table() *report.Table {
+func (r modelMatrixResult) Table() *report.Table {
 	t := &report.Table{
 		Title: fmt.Sprintf("Cross-model resilience matrix (%d attackers, %s network, %d rounds; baseline success %.3f)",
 			r.Attackers, r.Network, r.Rounds, r.BaselineSuccess),
@@ -206,7 +206,7 @@ func (r ModelMatrixResult) Table() *report.Table {
 
 // Charts renders one trust-gap chart per attack, overlaying every model's
 // gap curve — the matrix read horizontally.
-func (r ModelMatrixResult) Charts() []report.Chart {
+func (r modelMatrixResult) Charts() []report.Chart {
 	var charts []report.Chart
 	for ai, attack := range r.Attacks {
 		var series []stats.Series
@@ -227,7 +227,7 @@ func (r ModelMatrixResult) Charts() []report.Chart {
 // [-1, 1], success rates stay in [0, 1], and at least one model shows a
 // resilience signal under the straight defamation attack (bad-mouthing
 // honest trustees must move SOME lens, else the probes are broken).
-func (r ModelMatrixResult) ShapeCheck() []error {
+func (r modelMatrixResult) ShapeCheck() []error {
 	c := &shapeCheck{experiment: "model-matrix"}
 	c.expect(len(r.Cells) == len(r.Models)*len(r.Attacks),
 		"matrix has %d cells, want %d", len(r.Cells), len(r.Models)*len(r.Attacks))

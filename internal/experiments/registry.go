@@ -48,27 +48,27 @@ func Render(w io.Writer, res Result, charts bool) error {
 }
 
 // Charts implements Charter for the sweep results.
-func (r TransitivityResult) Charts() []report.Chart {
+func (r transitivityResult) Charts() []report.Chart {
 	return []report.Chart{
-		{Title: "Fig. 9: success rate vs number of characteristics", Series: r.SuccessSeries(),
+		{Title: "Fig. 9: success rate vs number of characteristics", Series: r.successSeries(),
 			XLabel: "characteristics in the network", YLabel: "success rate"},
-		{Title: "Fig. 10: unavailable rate vs number of characteristics", Series: r.UnavailableSeries(),
+		{Title: "Fig. 10: unavailable rate vs number of characteristics", Series: r.unavailableSeries(),
 			XLabel: "characteristics in the network", YLabel: "unavailable rate"},
-		{Title: "Fig. 11: average number of potential trustees", Series: r.PotentialSeries(),
+		{Title: "Fig. 11: average number of potential trustees", Series: r.potentialSeries(),
 			XLabel: "characteristics in the network", YLabel: "potential trustees"},
 	}
 }
 
 // Charts implements Charter.
-func (r Fig12Result) Charts() []report.Chart {
+func (r fig12Result) Charts() []report.Chart {
 	return []report.Chart{{
 		Title:  "Fig. 12: number of inquired nodes per (sorted) trustor",
-		Series: r.Series(), XLabel: "(sorted) trustor index", YLabel: "inquired nodes",
+		Series: r.series(), XLabel: "(sorted) trustor index", YLabel: "inquired nodes",
 	}}
 }
 
 // Charts implements Charter.
-func (r Fig13Result) Charts() []report.Chart {
+func (r fig13Result) Charts() []report.Chart {
 	return []report.Chart{{
 		Title:  "Fig. 13: average net profit vs iterations",
 		Series: r.Series, XLabel: "iteration", YLabel: "net profit",
@@ -79,12 +79,12 @@ func (r Fig13Result) Charts() []report.Chart {
 func (r Fig15Result) Charts() []report.Chart {
 	return []report.Chart{{
 		Title:  "Fig. 15: tracked success rate under a changing environment",
-		Series: r.AllSeries(), XLabel: "iteration", YLabel: "expected success rate",
+		Series: r.allSeries(), XLabel: "iteration", YLabel: "expected success rate",
 	}}
 }
 
 // Charts implements Charter.
-func (r Fig8Result) Charts() []report.Chart {
+func (r fig8Result) Charts() []report.Chart {
 	return []report.Chart{{
 		Title:  "Fig. 8: percentage selecting honest devices per experiment",
 		Series: []stats.Series{r.WithModel, r.WithoutModel},
@@ -93,7 +93,7 @@ func (r Fig8Result) Charts() []report.Chart {
 }
 
 // Charts implements Charter.
-func (r Fig14Result) Charts() []report.Chart {
+func (r fig14Result) Charts() []report.Chart {
 	return []report.Chart{{
 		Title:  "Fig. 14: trustor active time per task index",
 		Series: []stats.Series{r.WithModel, r.WithoutModel},
@@ -102,7 +102,7 @@ func (r Fig14Result) Charts() []report.Chart {
 }
 
 // Charts implements Charter.
-func (r Fig16Result) Charts() []report.Chart {
+func (r fig16Result) Charts() []report.Chart {
 	return []report.Chart{{
 		Title:  "Fig. 16: net profit across the light schedule",
 		Series: []stats.Series{r.WithModel, r.WithoutModel},
@@ -110,7 +110,7 @@ func (r Fig16Result) Charts() []report.Chart {
 	}}
 }
 
-// Fig7Result renders its rate triples as one chart per metric-free view;
+// fig7Result renders its rate triples as one chart per metric-free view;
 // bars do not translate to line charts, so it offers the table only.
 
 // Options tunes an experiment run beyond its default configuration.
@@ -141,49 +141,49 @@ func attackRunner(model adversary.Attack) func(o Options) Result {
 var runners = map[string]func(o Options) Result{
 	"table1": func(o Options) Result { return RunTable1(o.Seed) },
 	"fig7": func(o Options) Result {
-		cfg := DefaultFig7Config(o.Seed)
+		cfg := defaultFig7Config(o.Seed)
 		cfg.Parallelism = o.Parallelism
-		return RunFig7(cfg)
+		return runFig7(cfg)
 	},
-	"fig8": func(o Options) Result { return RunFig8(DefaultFig8Config(o.Seed)) },
+	"fig8": func(o Options) Result { return runFig8(defaultFig8Config(o.Seed)) },
 	"figs9-11": func(o Options) Result {
-		cfg := DefaultTransitivityConfig(o.Seed)
+		cfg := defaultTransitivityConfig(o.Seed)
 		cfg.Parallelism = o.Parallelism
-		return RunTransitivitySweep(cfg)
+		return runTransitivitySweep(cfg)
 	},
 	"fig12": func(o Options) Result {
-		cfg := DefaultFig12Config(o.Seed)
+		cfg := defaultFig12Config(o.Seed)
 		cfg.Parallelism = o.Parallelism
-		return RunFig12(cfg)
+		return runFig12(cfg)
 	},
 	"table2": func(o Options) Result {
-		cfg := DefaultTable2Config(o.Seed)
+		cfg := defaultTable2Config(o.Seed)
 		cfg.Parallelism = o.Parallelism
-		return RunTable2(cfg)
+		return runTable2(cfg)
 	},
 	"fig13": func(o Options) Result {
-		cfg := DefaultFig13Config(o.Seed)
+		cfg := defaultFig13Config(o.Seed)
 		cfg.Parallelism = o.Parallelism
-		return RunFig13(cfg)
+		return runFig13(cfg)
 	},
-	"fig14": func(o Options) Result { return RunFig14(DefaultFig14Config(o.Seed)) },
+	"fig14": func(o Options) Result { return runFig14(defaultFig14Config(o.Seed)) },
 	"fig15": func(o Options) Result { return RunFig15(DefaultFig15Config(o.Seed)) },
-	"fig16": func(o Options) Result { return RunFig16(DefaultFig16Config(o.Seed)) },
+	"fig16": func(o Options) Result { return runFig16(defaultFig16Config(o.Seed)) },
 	"ablation-eq7": func(o Options) Result {
-		return RunAblationEq7(DefaultAblationEq7Config(o.Seed))
+		return runAblationEq7(defaultAblationEq7Config(o.Seed))
 	},
 	"ablation-cannikin": func(o Options) Result {
-		return RunAblationCannikin(DefaultAblationCannikinConfig(o.Seed))
+		return runAblationCannikin(defaultAblationCannikinConfig(o.Seed))
 	},
 	"ablation-self": func(o Options) Result {
-		return RunAblationSelfDelegation(DefaultAblationSelfDelegationConfig(o.Seed))
+		return runAblationSelfDelegation(defaultAblationSelfDelegationConfig(o.Seed))
 	},
 	"attack-badmouth":  attackRunner(adversary.BadMouthing{}),
 	"attack-onoff":     attackRunner(adversary.OnOff{Period: 20, Duty: 0.5}),
 	"attack-whitewash": attackRunner(adversary.Whitewashing{}),
 	"attack-collusion": attackRunner(adversary.Collusion{Of: adversary.BadMouthing{}}),
 	"model-matrix": func(o Options) Result {
-		cfg := DefaultModelMatrixConfig(o.Seed)
+		cfg := defaultModelMatrixConfig(o.Seed)
 		cfg.Parallelism = o.Parallelism
 		if o.Model != "" {
 			// o.Model has been validated by RunOpts.
@@ -191,7 +191,7 @@ var runners = map[string]func(o Options) Result{
 				cfg.Models = []core.TrustModel{m}
 			}
 		}
-		return RunModelMatrix(cfg)
+		return runModelMatrix(cfg)
 	},
 }
 

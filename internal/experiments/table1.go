@@ -25,7 +25,7 @@ type Table1Result struct {
 // connectivity characteristics.
 func RunTable1(seed uint64) Table1Result {
 	var res Table1Result
-	for _, p := range Networks() {
+	for _, p := range socialgen.Profiles() {
 		res.Rows = append(res.Rows, MeasureTable1Row(socialgen.Generate(p, seed), seed))
 	}
 	return res

@@ -16,8 +16,8 @@ import (
 // models lists the paper's three trust-transfer methods in figure order.
 var models = []core.TrustModel{core.Aggressive, core.Conservative, core.Traditional}
 
-// TransitivityConfig parameterizes the §5.5 sweep behind Figs. 9–11.
-type TransitivityConfig struct {
+// transitivityConfig parameterizes the §5.5 sweep behind Figs. 9–11.
+type transitivityConfig struct {
 	Seed uint64
 	// CharCounts is the sweep over "the total number of different
 	// characteristics of the tasks in the network" (4–7 in the paper).
@@ -32,15 +32,15 @@ type TransitivityConfig struct {
 	Parallelism int
 }
 
-// DefaultTransitivityConfig returns the paper's sweep.
-func DefaultTransitivityConfig(seed uint64) TransitivityConfig {
-	return TransitivityConfig{Seed: seed, CharCounts: []int{4, 5, 6, 7}, Repeats: 5, MaxDepth: 3}
+// defaultTransitivityConfig returns the paper's sweep.
+func defaultTransitivityConfig(seed uint64) transitivityConfig {
+	return transitivityConfig{Seed: seed, CharCounts: []int{4, 5, 6, 7}, Repeats: 5, MaxDepth: 3}
 }
 
-// TransitivityCell is one (network, model, alphabet-size) measurement.
+// transitivityCell is one (network, model, alphabet-size) measurement.
 // Table 2 draws its characteristics from node features, so its cells leave
 // NumChars zero.
-type TransitivityCell struct {
+type transitivityCell struct {
 	Network      string
 	Model        string
 	NumChars     int
@@ -49,17 +49,17 @@ type TransitivityCell struct {
 	AvgPotential float64
 }
 
-// TransitivityResult backs Figs. 9 (success rate), 10 (unavailable rate),
+// transitivityResult backs Figs. 9 (success rate), 10 (unavailable rate),
 // and 11 (average number of potential trustees).
-type TransitivityResult struct {
-	Cells []TransitivityCell
+type transitivityResult struct {
+	Cells []transitivityCell
 }
 
-// RunTransitivitySweep measures the three trust-transfer methods over the
+// runTransitivitySweep measures the three trust-transfer methods over the
 // three networks and the characteristic-count sweep.
-func RunTransitivitySweep(cfg TransitivityConfig) TransitivityResult {
-	var res TransitivityResult
-	for _, profile := range Networks() {
+func runTransitivitySweep(cfg transitivityConfig) transitivityResult {
+	var res transitivityResult
+	for _, profile := range socialgen.Profiles() {
 		net := socialgen.Generate(profile, cfg.Seed)
 		for _, numChars := range cfg.CharCounts {
 			agg := map[string]sim.TransitivityStats{}
@@ -102,10 +102,10 @@ func runModels(agg map[string]sim.TransitivityStats, net *socialgen.Network, see
 
 // appendCells appends one cell per paper model, in figure order, from the
 // merged stats of runModels.
-func appendCells(cells []TransitivityCell, network string, numChars int, agg map[string]sim.TransitivityStats) []TransitivityCell {
+func appendCells(cells []transitivityCell, network string, numChars int, agg map[string]sim.TransitivityStats) []transitivityCell {
 	for _, m := range models {
 		st := agg[m.Name()]
-		cells = append(cells, TransitivityCell{
+		cells = append(cells, transitivityCell{
 			Network: network, Model: m.Name(), NumChars: numChars,
 			Success:      st.SuccessRate(),
 			Unavailable:  st.UnavailableRate(),
@@ -121,8 +121,8 @@ type cellKey struct {
 	numChars       int
 }
 
-func indexCells(cells []TransitivityCell) map[cellKey]TransitivityCell {
-	byKey := make(map[cellKey]TransitivityCell, len(cells))
+func indexCells(cells []transitivityCell) map[cellKey]transitivityCell {
+	byKey := make(map[cellKey]transitivityCell, len(cells))
 	for _, c := range cells {
 		byKey[cellKey{c.Network, c.Model, c.NumChars}] = c
 	}
@@ -130,7 +130,7 @@ func indexCells(cells []TransitivityCell) map[cellKey]TransitivityCell {
 }
 
 // series extracts one curve per (network, model).
-func (r TransitivityResult) series(metric func(TransitivityCell) float64) []stats.Series {
+func (r transitivityResult) series(metric func(transitivityCell) float64) []stats.Series {
 	type key struct{ network, model string }
 	byKey := map[key]*stats.Series{}
 	var order []key
@@ -152,23 +152,23 @@ func (r TransitivityResult) series(metric func(TransitivityCell) float64) []stat
 	return out
 }
 
-// SuccessSeries returns Fig. 9's curves.
-func (r TransitivityResult) SuccessSeries() []stats.Series {
-	return r.series(func(c TransitivityCell) float64 { return c.Success })
+// successSeries returns Fig. 9's curves.
+func (r transitivityResult) successSeries() []stats.Series {
+	return r.series(func(c transitivityCell) float64 { return c.Success })
 }
 
-// UnavailableSeries returns Fig. 10's curves.
-func (r TransitivityResult) UnavailableSeries() []stats.Series {
-	return r.series(func(c TransitivityCell) float64 { return c.Unavailable })
+// unavailableSeries returns Fig. 10's curves.
+func (r transitivityResult) unavailableSeries() []stats.Series {
+	return r.series(func(c transitivityCell) float64 { return c.Unavailable })
 }
 
-// PotentialSeries returns Fig. 11's curves.
-func (r TransitivityResult) PotentialSeries() []stats.Series {
-	return r.series(func(c TransitivityCell) float64 { return c.AvgPotential })
+// potentialSeries returns Fig. 11's curves.
+func (r transitivityResult) potentialSeries() []stats.Series {
+	return r.series(func(c transitivityCell) float64 { return c.AvgPotential })
 }
 
 // Table renders all cells.
-func (r TransitivityResult) Table() *report.Table {
+func (r transitivityResult) Table() *report.Table {
 	t := &report.Table{
 		Title:   "Figs. 9-11: transitivity methods vs number of characteristics",
 		Headers: []string{"Network", "Method", "Chars", "Success", "Unavailable", "AvgPotentialTrustees"},
@@ -186,7 +186,7 @@ func (r TransitivityResult) Table() *report.Table {
 // trustees, the reverse on unavailable rate; and success falls (while
 // unavailability rises) as the alphabet grows, per network and method,
 // comparing the sweep endpoints.
-func (r TransitivityResult) ShapeCheck() []error {
+func (r transitivityResult) ShapeCheck() []error {
 	c := &shapeCheck{experiment: "figs9-11"}
 	cells := indexCells(r.Cells)
 	charSet := map[int]bool{}
@@ -198,7 +198,7 @@ func (r TransitivityResult) ShapeCheck() []error {
 		chars = append(chars, k)
 	}
 	sort.Ints(chars)
-	for _, p := range Networks() {
+	for _, p := range socialgen.Profiles() {
 		for _, k := range chars {
 			aggr := cells[cellKey{p.Name, core.Aggressive.Name(), k}]
 			cons := cells[cellKey{p.Name, core.Conservative.Name(), k}]
@@ -231,8 +231,8 @@ func (r TransitivityResult) ShapeCheck() []error {
 	return c.errs
 }
 
-// Fig12Config parameterizes the search-overhead measurement.
-type Fig12Config struct {
+// fig12Config parameterizes the search-overhead measurement.
+type fig12Config struct {
 	Seed uint64
 	// Network selects the sub-network (the paper uses Facebook).
 	Network string
@@ -244,21 +244,21 @@ type Fig12Config struct {
 	Parallelism int
 }
 
-// DefaultFig12Config mirrors the paper (Facebook subnetwork).
-func DefaultFig12Config(seed uint64) Fig12Config {
-	return Fig12Config{Seed: seed, Network: "facebook", NumChars: 5, MaxDepth: 3}
+// defaultFig12Config mirrors the paper (Facebook subnetwork).
+func defaultFig12Config(seed uint64) fig12Config {
+	return fig12Config{Seed: seed, Network: "facebook", NumChars: 5, MaxDepth: 3}
 }
 
-// Fig12Result reproduces Fig. 12, "Comparison of the numbers of inquired
+// fig12Result reproduces Fig. 12, "Comparison of the numbers of inquired
 // nodes with different trust transitivity methods": the per-trustor count
 // of interrogated nodes, sorted ascending per method.
-type Fig12Result struct {
+type fig12Result struct {
 	// Sorted per-trustor inquired-node counts, by model name.
 	PerModel map[string][]int
 }
 
-// RunFig12 measures search overhead per trustor.
-func RunFig12(cfg Fig12Config) Fig12Result {
+// runFig12 measures search overhead per trustor.
+func runFig12(cfg fig12Config) fig12Result {
 	profile, err := socialgen.ProfileByName(cfg.Network)
 	if err != nil {
 		panic(err)
@@ -267,7 +267,7 @@ func RunFig12(cfg Fig12Config) Fig12Result {
 	setup.MaxDepth = cfg.MaxDepth
 	agg := map[string]sim.TransitivityStats{}
 	runModels(agg, socialgen.Generate(profile, cfg.Seed), cfg.Seed, cfg.Parallelism, setup, sim.SeedExperience, "fig12")
-	res := Fig12Result{PerModel: map[string][]int{}}
+	res := fig12Result{PerModel: map[string][]int{}}
 	for name, st := range agg {
 		sort.Ints(st.InquiredPerTrustor)
 		res.PerModel[name] = st.InquiredPerTrustor
@@ -276,7 +276,7 @@ func RunFig12(cfg Fig12Config) Fig12Result {
 }
 
 // Table summarizes the search-overhead distribution per method.
-func (r Fig12Result) Table() *report.Table {
+func (r fig12Result) Table() *report.Table {
 	t := &report.Table{
 		Title:   "Fig. 12: inquired nodes per trustor (distribution)",
 		Headers: []string{"Method", "Median", "p90", "Max", "Total"},
@@ -299,8 +299,8 @@ func (r Fig12Result) Table() *report.Table {
 	return t
 }
 
-// Series returns one sorted curve per model (x = sorted trustor index).
-func (r Fig12Result) Series() []stats.Series {
+// series returns one sorted curve per model (x = sorted trustor index).
+func (r fig12Result) series() []stats.Series {
 	var out []stats.Series
 	for _, m := range models {
 		counts := r.PerModel[m.Name()]
@@ -315,7 +315,7 @@ func (r Fig12Result) Series() []stats.Series {
 
 // ShapeCheck verifies Fig. 12's claim: aggressive interrogates the most
 // nodes, traditional the fewest, comparing totals.
-func (r Fig12Result) ShapeCheck() []error {
+func (r fig12Result) ShapeCheck() []error {
 	c := &shapeCheck{experiment: "fig12"}
 	total := func(m core.TrustModel) int {
 		sum := 0
@@ -330,8 +330,8 @@ func (r Fig12Result) ShapeCheck() []error {
 	return c.errs
 }
 
-// Table2Config parameterizes the real-node-property variant.
-type Table2Config struct {
+// table2Config parameterizes the real-node-property variant.
+type table2Config struct {
 	Seed uint64
 	// Repeats averages each network over fresh seedings.
 	Repeats  int
@@ -340,23 +340,23 @@ type Table2Config struct {
 	Parallelism int
 }
 
-// DefaultTable2Config mirrors the paper.
-func DefaultTable2Config(seed uint64) Table2Config {
-	return Table2Config{Seed: seed, Repeats: 5, MaxDepth: 3}
+// defaultTable2Config mirrors the paper.
+func defaultTable2Config(seed uint64) table2Config {
+	return table2Config{Seed: seed, Repeats: 5, MaxDepth: 3}
 }
 
-// Table2Result reproduces Table 2, "Comparison of success rates,
+// table2Result reproduces Table 2, "Comparison of success rates,
 // unavailable rates, and average numbers of potential trustees with
 // real-world network node properties".
-type Table2Result struct {
-	Cells []TransitivityCell
+type table2Result struct {
+	Cells []transitivityCell
 }
 
-// RunTable2 runs the transitivity comparison with node profile features as
+// runTable2 runs the transitivity comparison with node profile features as
 // task characteristics.
-func RunTable2(cfg Table2Config) Table2Result {
-	var res Table2Result
-	for _, profile := range Networks() {
+func runTable2(cfg table2Config) table2Result {
+	var res table2Result
+	for _, profile := range socialgen.Profiles() {
 		net := socialgen.Generate(profile, cfg.Seed)
 		agg := map[string]sim.TransitivityStats{}
 		for rep := 0; rep < cfg.Repeats; rep++ {
@@ -371,7 +371,7 @@ func RunTable2(cfg Table2Config) Table2Result {
 }
 
 // Table renders Table 2 in the paper's layout (method-major rows).
-func (r Table2Result) Table() *report.Table {
+func (r table2Result) Table() *report.Table {
 	t := &report.Table{
 		Title:   "Table 2: transitivity with real-world node properties as characteristics",
 		Headers: []string{"Method", "Metric", "facebook", "gplus", "twitter"},
@@ -380,15 +380,15 @@ func (r Table2Result) Table() *report.Table {
 	for _, m := range []core.TrustModel{core.Traditional, core.Conservative, core.Aggressive} {
 		rows := []struct {
 			name string
-			get  func(TransitivityCell) string
+			get  func(transitivityCell) string
 		}{
-			{"Success rate", func(c TransitivityCell) string { return fmt.Sprintf("%.2f%%", 100*c.Success) }},
-			{"Unavailable rate", func(c TransitivityCell) string { return fmt.Sprintf("%.2f%%", 100*c.Unavailable) }},
-			{"Num. potential trustees", func(c TransitivityCell) string { return fmt.Sprintf("%.2f", c.AvgPotential) }},
+			{"Success rate", func(c transitivityCell) string { return fmt.Sprintf("%.2f%%", 100*c.Success) }},
+			{"Unavailable rate", func(c transitivityCell) string { return fmt.Sprintf("%.2f%%", 100*c.Unavailable) }},
+			{"Num. potential trustees", func(c transitivityCell) string { return fmt.Sprintf("%.2f", c.AvgPotential) }},
 		}
 		for _, row := range rows {
 			cells := []string{m.Name(), row.name}
-			for _, p := range Networks() {
+			for _, p := range socialgen.Profiles() {
 				cells = append(cells, row.get(byKey[cellKey{p.Name, m.Name(), 0}]))
 			}
 			t.AddRow(cells...)
@@ -400,10 +400,10 @@ func (r Table2Result) Table() *report.Table {
 // ShapeCheck verifies Table 2's ordering: per network, success and
 // potential trustees rank aggressive ≥ conservative > traditional, and
 // unavailability ranks the other way.
-func (r Table2Result) ShapeCheck() []error {
+func (r table2Result) ShapeCheck() []error {
 	c := &shapeCheck{experiment: "table2"}
 	byKey := indexCells(r.Cells)
-	for _, p := range Networks() {
+	for _, p := range socialgen.Profiles() {
 		aggr := byKey[cellKey{p.Name, core.Aggressive.Name(), 0}]
 		cons := byKey[cellKey{p.Name, core.Conservative.Name(), 0}]
 		trad := byKey[cellKey{p.Name, core.Traditional.Name(), 0}]

@@ -90,74 +90,6 @@ type Candidate = core.Candidate
 // ExpCandidate pairs a potential trustee with the full expectation.
 type ExpCandidate = core.ExpCandidate
 
-// Searcher holds the transitivity-search parameters (chain bound, ω
-// thresholds, candidate mask); Searcher.FindViewModelInto runs a trust
-// model's search over a frozen TrustView and the EdgeMemo built over it.
-type Searcher = core.Searcher
-
-// SearchResult is the outcome of a transitivity search.
-type SearchResult = core.SearchResult
-
-// TrustView is a frozen-epoch snapshot of per-edge trust records — the
-// lock-free read substrate of Searcher.FindViewModelInto.
-type TrustView = core.TrustView
-
-// EdgeMemo holds the per-edge hop tables a search over one TrustView reads,
-// one per (model, task) that EdgeMemo.RequireModel builds.
-type EdgeMemo = core.EdgeMemo
-
-// ErrNotRequired is a search's error when its memo does not cover it.
-var ErrNotRequired = core.ErrNotRequired
-
-// RoundView extends TrustView to everything a delegation round reads:
-// per-edge experience records plus the usage counters behind the reverse
-// evaluation (eq. 1). The simulation engine captures one per round
-// boundary and the round's compute phase reads only it, free of store
-// locks.
-type RoundView = core.RoundView
-
-// RoundSource is the store access a RoundView capture needs: the
-// trust-view record passes, per-edge usage lookup and the per-holder store
-// stamp, every one required.
-type RoundSource = core.RoundSource
-
-// CompactRecord is the pointer-free arena form of Record: the task is a
-// dense TaskRef into the owning TaskCatalog. The form stores and frozen
-// views hold internally at million-record scale.
-type CompactRecord = core.CompactRecord
-
-// TaskCatalog interns tasks into dense refs; every store of a population
-// shares one (UpdateConfig.Catalog).
-type TaskCatalog = task.Catalog
-
-// TaskRef is a dense catalog index standing in for a Task. Refs are only
-// meaningful against the catalog that issued them.
-type TaskRef = task.Ref
-
-// NewTaskCatalog returns an empty task catalog.
-func NewTaskCatalog() *TaskCatalog { return task.NewCatalog() }
-
-// ErrArenaOverflow reports a view capture whose record total exceeds the
-// arena offset space (~2.1 G records).
-var ErrArenaOverflow = core.ErrArenaOverflow
-
-// CaptureRoundView freezes per-edge records and usage counters over a CSR
-// adjacency (rows ascending by target). Arenas come from pool when
-// non-nil; release the view exactly once. A non-nil prev (an unreleased
-// earlier capture over the same adjacency) lends every row whose store
-// stamp is unchanged, byte-identical to a full capture. Captures
-// overflowing the arena offset space return ErrArenaOverflow.
-func CaptureRoundView(adjOff []int32, adjTo []AgentID, src RoundSource, norm Normalizer, workers int, pool *ArenaPool, prev *RoundView) (*RoundView, error) {
-	return core.CaptureRoundView(adjOff, adjTo, src, norm, workers, pool, prev)
-}
-
-// ArenaPool recycles TrustView arenas and EdgeMemo hop tables across
-// frozen-epoch captures (capacity-keyed, explicit Release).
-type ArenaPool = core.ArenaPool
-
-// NewArenaPool returns an empty arena pool.
-func NewArenaPool() *ArenaPool { return core.NewArenaPool() }
-
 // The paper's three trust-transfer methods (§4.3), as registered
 // TrustModels.
 var (
@@ -190,7 +122,8 @@ func ParseModel(s string) (TrustModel, error) { return core.ParseModel(s) }
 func ModelNames() []string { return core.ModelNames() }
 
 // RegisterModel adds a trust model to the process-wide registry; it panics
-// on an empty or duplicate name.
+// on an empty or duplicate name, and on an EpochTrainable model whose Spec
+// sets PerCharacteristic, which its one trained table cannot serve.
 func RegisterModel(m TrustModel) { core.RegisterModel(m) }
 
 // NewStore creates an empty trust store for an agent.

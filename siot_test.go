@@ -1,8 +1,6 @@
 package siot_test
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -201,104 +199,4 @@ func TestFacadeModelRegistry(t *testing.T) {
 	if m, err := siot.ParseModel(siot.Aggressive.Name()); err != nil || m.Name() != "aggressive" {
 		t.Fatal("aggressive not registered under its name")
 	}
-}
-
-// TestFacadeCaptureRoundView captures a round view the way an outside
-// module must: a RoundSource built by field assignment over a few facade
-// Stores and a hand-made CSR adjacency. The view answers BestTW and
-// ReverseTW exactly as the live stores do, and a capture that copies from
-// its predecessor after one write is byte-identical to a fresh capture.
-func TestFacadeCaptureRoundView(t *testing.T) {
-	cfg := siot.DefaultUpdateConfig()
-	cfg.Catalog = siot.NewTaskCatalog()
-	// Triangle 0—1—2 with a pendant 2—3; rows ascending by target.
-	adjOff := []int32{0, 2, 4, 7, 8}
-	adjTo := []siot.AgentID{1, 2, 0, 2, 0, 1, 3, 2}
-	stores := make([]*siot.Store, len(adjOff)-1)
-	for i := range stores {
-		stores[i] = siot.NewStore(siot.AgentID(i), cfg)
-	}
-	norm := stores[0].Config().Norm
-	gps := siot.UniformTask(1, siot.CharGPS)
-	img := siot.UniformTask(2, siot.CharImage)
-	both := siot.UniformTask(3, siot.CharGPS, siot.CharImage)
-	good := siot.Outcome{Success: true, Gain: 0.9, Cost: 0.1}
-	bad := siot.Outcome{Damage: 0.7, Cost: 0.2}
-	for u, s := range stores {
-		for _, w := range adjTo[adjOff[u]:adjOff[u+1]] {
-			s.Observe(w, gps, good, siot.PerfectEnv())
-			if (u+int(w))%2 == 0 {
-				s.Observe(w, img, bad, siot.PerfectEnv())
-			}
-			s.ObserveUsage(w, u == 2)
-		}
-	}
-
-	var src siot.RoundSource
-	src.Catalog = cfg.Catalog
-	src.Count = func(holder, about siot.AgentID) int { return stores[holder].RecordCount(about) }
-	src.Append = func(holder, about siot.AgentID, buf []siot.CompactRecord) []siot.CompactRecord {
-		return stores[holder].AppendCompact(about, cfg.Catalog, buf)
-	}
-	src.Version = func(holder siot.AgentID) uint64 { return stores[holder].Version() }
-	src.Usage = func(holder, about siot.AgentID) siot.UsageLog { return stores[holder].Usage(about) }
-	capture := func(prev *siot.RoundView) *siot.RoundView {
-		t.Helper()
-		v, err := siot.CaptureRoundView(adjOff, adjTo, src, norm, 2, nil, prev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v
-	}
-	matchesStores := func(v *siot.RoundView) {
-		t.Helper()
-		for u, s := range stores {
-			for _, w := range adjTo[adjOff[u]:adjOff[u+1]] {
-				e, ok := v.EdgeIndex(siot.AgentID(u), w)
-				if !ok {
-					t.Fatalf("edge %d→%d missing from the view", u, w)
-				}
-				for _, tk := range []siot.Task{gps, img, both} {
-					got, gotOK := v.BestTW(e, tk)
-					want, wantOK := s.BestTW(w, tk)
-					if got != want || gotOK != wantOK {
-						t.Fatalf("BestTW(%d→%d, %v) = (%v, %v), store says (%v, %v)", u, w, tk, got, gotOK, want, wantOK)
-					}
-				}
-				if got, want := v.ReverseTW(e), s.ReverseTW(w); got != want {
-					t.Fatalf("ReverseTW(%d→%d) = %v, store says %v", u, w, got, want)
-				}
-			}
-		}
-	}
-	digest := func(v *siot.RoundView) [sha256.Size]byte {
-		h := sha256.New()
-		for e := int32(0); int(e) < v.NumEdges(); e++ {
-			l := v.Usage(e)
-			for _, data := range []any{v.EdgeRecords(e), [2]int64{int64(l.Responsible), int64(l.Abusive)}} {
-				if err := binary.Write(h, binary.LittleEndian, data); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		var sum [sha256.Size]byte
-		copy(sum[:], h.Sum(nil))
-		return sum
-	}
-
-	prev := capture(nil)
-	matchesStores(prev)
-	stores[1].Observe(2, img, bad, siot.PerfectEnv())
-	delta := capture(prev)
-	fresh := capture(nil)
-	if got := delta.RowsRecaptured(); got != 1 {
-		t.Fatalf("capture after one write reread %d rows, want 1", got)
-	}
-	if digest(prev) == digest(fresh) {
-		t.Fatal("the write did not reach the capture")
-	}
-	if digest(delta) != digest(fresh) {
-		t.Fatal("capture copied from its predecessor differs from a fresh capture")
-	}
-	matchesStores(delta)
 }
