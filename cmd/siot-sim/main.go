@@ -29,6 +29,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"siot/internal/adversary"
 	"siot/internal/cliutil"
@@ -60,7 +61,18 @@ func main() {
 	)
 	flag.Parse()
 
+	var modeErr error
+	if !slices.Contains([]string{"mutuality", "transitivity", "netprofit"}, *mode) {
+		modeErr = fmt.Errorf("unknown mode %q", *mode)
+	}
+	mdl, modelErr := core.ParseModel(*modelName)
+	strat, ok := strategies[*strategy]
+	var strategyErr error
+	if !ok {
+		strategyErr = fmt.Errorf("unknown strategy %q", *strategy)
+	}
 	for _, err := range []error{
+		modeErr, modelErr, strategyErr,
 		cliutil.ValidateParallel(*parallel),
 		cliutil.ValidatePositive("-rounds", *rounds),
 		cliutil.ValidatePositive("-chars", *chars),
@@ -125,10 +137,6 @@ func main() {
 		fmt.Printf("abuse rate       %.3f\n", c.AbuseRate())
 
 	case "transitivity":
-		mdl, err := core.ParseModel(*modelName)
-		if err != nil {
-			cliutil.Usage("siot-sim", err)
-		}
 		cfg := sim.DefaultPopulationConfig(*seed)
 		cfg.Parallelism = *parallel
 		p := sim.NewPopulation(net, cfg)
@@ -147,15 +155,6 @@ func main() {
 		fmt.Printf("inquired nodes     mean %.1f, p90 %.0f\n", stats.Mean(inq), stats.Quantile(inq, 0.9))
 
 	case "netprofit":
-		var strat sim.Strategy
-		switch *strategy {
-		case "successrate":
-			strat = sim.StrategySuccessRate
-		case "netprofit":
-			strat = sim.StrategyNetProfit
-		default:
-			cliutil.Usage("siot-sim", fmt.Errorf("unknown strategy %q", *strategy))
-		}
 		cfg := sim.DefaultPopulationConfig(*seed)
 		cfg.Parallelism = *parallel
 		p := sim.NewPopulation(net, cfg)
@@ -163,8 +162,11 @@ func main() {
 		fmt.Printf("strategy=%s iters=%d\n", strat, *iters)
 		fmt.Printf("initial profit (first 10%%)  %.3f\n", stats.Mean(series[:len(series)/10+1]))
 		fmt.Printf("converged profit (last 33%%) %.3f\n", stats.Mean(series[len(series)*2/3:]))
-
-	default:
-		cliutil.Usage("siot-sim", fmt.Errorf("unknown mode %q", *mode))
 	}
+}
+
+// strategies maps the -strategy values to the Fig. 13 decision rules.
+var strategies = map[string]sim.Strategy{
+	"successrate": sim.StrategySuccessRate,
+	"netprofit":   sim.StrategyNetProfit,
 }

@@ -78,13 +78,17 @@ func TestAttackRunsScenario(t *testing.T) {
 }
 
 // TestBadAttackFlagsAreUsageErrors checks that an unknown attack model, the
-// deleted -experiment flag and a ring size without a model exit 2 before
-// anything is printed.
+// deleted -experiment flag, a ring size without a model, and an unknown
+// mode, strategy or trust model exit 2 before anything is printed — before
+// the network is generated.
 func TestBadAttackFlagsAreUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-attack", "sybil"},
 		{"-experiment", "attack-onoff"},
 		{"-attackers", "5"},
+		{"-mode", "bogus"},
+		{"-mode", "netprofit", "-strategy", "bogus"},
+		{"-mode", "transitivity", "-model", "nope"},
 	} {
 		stdout, stderr, code := runSim(t, args...)
 		if code != 2 || stdout != "" {

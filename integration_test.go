@@ -133,8 +133,8 @@ func TestIntegrationStorePersistenceAcrossSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The restored store ranks trustees identically.
-	for y := range p.TrusteeNeighbors(x) {
+	// The restored store ranks every neighbor identically.
+	for _, y := range p.Neighbors(x) {
 		origTW, origOK := p.Agent(x).Store.BestTW(y, tk)
 		gotTW, gotOK := restored.BestTW(y, tk)
 		if origOK != gotOK || (origOK && origTW != gotTW) {

@@ -208,6 +208,8 @@ func (r ablationCannikinResult) ShapeCheck() []error {
 type ablationSelfDelegationConfig struct {
 	Seed       uint64
 	Iterations int
+	// Parallelism is the engine worker-pool width; results do not depend on it.
+	Parallelism int
 }
 
 // defaultAblationSelfDelegationConfig returns the default scale.
@@ -228,8 +230,10 @@ type ablationSelfDelegationResult struct {
 func runAblationSelfDelegation(cfg ablationSelfDelegationConfig) ablationSelfDelegationResult {
 	net := socialgen.Generate(socialgen.Twitter(), cfg.Seed)
 	run := func(withSelf bool) float64 {
-		p := sim.NewPopulation(net, sim.DefaultPopulationConfig(cfg.Seed))
-		series := sim.NetProfitRunSelf(p, cfg.Iterations, withSelf, cfg.Seed)
+		pcfg := sim.DefaultPopulationConfig(cfg.Seed)
+		pcfg.Parallelism = cfg.Parallelism
+		p := sim.NewPopulation(net, pcfg)
+		series := sim.NewEngine(p, "ablation-self").SelfDelegationRun(cfg.Iterations, withSelf, cfg.Seed)
 		return stats.Mean(series[len(series)*2/3:])
 	}
 	return ablationSelfDelegationResult{

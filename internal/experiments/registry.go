@@ -176,7 +176,9 @@ var runners = map[string]func(o Options) Result{
 		return runAblationCannikin(defaultAblationCannikinConfig(o.Seed))
 	},
 	"ablation-self": func(o Options) Result {
-		return runAblationSelfDelegation(defaultAblationSelfDelegationConfig(o.Seed))
+		cfg := defaultAblationSelfDelegationConfig(o.Seed)
+		cfg.Parallelism = o.Parallelism
+		return runAblationSelfDelegation(cfg)
 	},
 	"attack-badmouth":  attackRunner(adversary.BadMouthing{}),
 	"attack-onoff":     attackRunner(adversary.OnOff{Period: 20, Duty: 0.5}),

@@ -222,9 +222,9 @@ func (e *Engine) perceive(view *core.RoundView, round int, tw edgeTW) Perceived 
 	var honestSum, attackerSum float64
 	honestN, attackerN := 0, 0
 	for _, x := range p.Trustors {
-		for y, edge := range p.trusteeEdges(x) {
-			v := e.candidateTW(view, tw, attacked, ctx, x, edge, y)
-			if p.attackers[y] {
+		for _, c := range p.candidates(x) {
+			v := e.candidateTW(view, tw, attacked, ctx, x, c.Edge, c.ID)
+			if p.attackers[c.ID] {
 				attackerSum += v
 				attackerN++
 			} else {

@@ -60,8 +60,8 @@ func TestCaptureParallelEquivalence(t *testing.T) {
 // unseen task types, new record counts).
 func mutateStores(p *Population, tk task.Task) {
 	for _, x := range p.Trustors {
-		for y := range p.TrusteeNeighbors(x) {
-			p.Agent(x).Store.Observe(y, tk, core.Outcome{Success: true, Gain: 1}, core.PerfectEnv())
+		for _, c := range p.candidates(x) {
+			p.Agent(x).Store.Observe(c.ID, tk, core.Outcome{Success: true, Gain: 1}, core.PerfectEnv())
 		}
 	}
 }

@@ -25,7 +25,8 @@ import (
 // single-threaded in ascending trustor-ID order. Because no draw and no
 // write depends on goroutine scheduling, the results are bit-identical for
 // every Parallelism value, including 1 — P=1 and P=8 with the same seed
-// produce the same bytes.
+// produce the same bytes. The net-profit loop (netProfitLoop) moves the
+// draws into its merge instead, which keeps a single stream's order too.
 //
 // The price is round semantics: within one round every trustor decides
 // against the state left by the previous round (simultaneous requests) —
@@ -171,11 +172,12 @@ func (e *Engine) computeMutualityActs(view *core.RoundView, attacked bool, actx 
 	actCfg := agent.DefaultActConfig()
 	tw := func(edge int32) (float64, bool) { return view.BestTW(edge, tk) }
 	return mapTrustors(p.Trustors, e.workers(), func(x core.AgentID) mutualityAction {
-		cands := make([]core.Candidate, 0, p.numTrusteeNeighbors(x))
-		for y, edge := range p.trusteeEdges(x) {
+		row := p.candidates(x)
+		cands := make([]core.Candidate, 0, len(row))
+		for _, c := range row {
 			// Strangers are judged by one-hop recommendations, which
 			// attackers may forge (candidateTW).
-			cands = append(cands, core.Candidate{ID: y, TW: e.candidateTW(view, tw, attacked, actx, x, edge, y)})
+			cands = append(cands, core.Candidate{ID: c.ID, TW: e.candidateTW(view, tw, attacked, actx, x, c.Edge, c.ID)})
 		}
 		if len(cands) == 0 {
 			return mutualityAction{} // socially isolated from trustees: not a request
@@ -226,75 +228,6 @@ func (e *Engine) mergeMutualityActs(attacked bool, tk task.Task, acts []mutualit
 			c.Abuses++
 		}
 	}
-}
-
-// netProfitAction is one trustor's buffered decision of a net-profit
-// iteration.
-type netProfitAction struct {
-	active  bool
-	trustee core.AgentID
-	out     core.Outcome
-	profit  float64
-}
-
-// NetProfitRun iterates continuous task delegations under the given
-// strategy and returns the average realized net profit of the trustors at
-// every iteration — one curve of Fig. 13. Each iteration's trustors are
-// sharded over the worker pool. Trustee ground truths are drawn once per
-// run, serially; trustor expectations start at the neutral prior and are
-// updated with the store's forgetting factors after every delegation, so
-// the curves show the learning dynamics of the two strategies. The
-// per-delegation success draws come from per-(iteration, trustor)
-// sub-streams, so the series is identical at every worker count.
-func (e *Engine) NetProfitRun(iterations int, strategy Strategy, seed uint64) []float64 {
-	p := e.Pop
-	truths := drawTruths(p, rng.New(seed, "engine-netprofit", p.Net.Profile.Name, strategy.String()))
-	label := "engine-netprofit:" + e.Label + ":" + p.Net.Profile.Name + ":" + strategy.String()
-	tk := task.Uniform(0, task.CharCompute) // one generic task type
-	series := make([]float64, iterations)
-	workers := e.workers()
-
-	for it := 0; it < iterations; it++ {
-		acts := mapTrustors(p.Trustors, workers, func(x core.AgentID) netProfitAction {
-			store := p.Agent(x).Store
-			cands := make([]core.ExpCandidate, 0, p.numTrusteeNeighbors(x))
-			for y := range p.TrusteeNeighbors(x) {
-				cands = append(cands, core.ExpCandidate{ID: y, Exp: store.Expectation(y, tk.Type())})
-			}
-			var chosen core.ExpCandidate
-			var ok bool
-			if strategy == StrategySuccessRate {
-				chosen, ok = core.BestBySuccessRate(cands)
-			} else {
-				chosen, ok = core.BestByNetProfit(cands)
-			}
-			if !ok {
-				return netProfitAction{}
-			}
-			r := rng.Split2(seed, label, it, int(x))
-			truth := truths[chosen.ID]
-			success := r.Float64() < truth.S
-			return netProfitAction{
-				active: true, trustee: chosen.ID,
-				out: truth.outcome(success), profit: truth.realizedProfit(success),
-			}
-		})
-		var sum float64
-		active := 0
-		for i, x := range p.Trustors {
-			a := acts[i]
-			if !a.active {
-				continue
-			}
-			sum += a.profit
-			active++
-			p.Agent(x).Store.Observe(a.trustee, tk, a.out, core.PerfectEnv())
-		}
-		if active > 0 {
-			series[it] = sum / float64(active)
-		}
-	}
-	return series
 }
 
 // TransitivityRunModel has every trustor issue one random task request

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"testing"
@@ -98,18 +100,54 @@ func TestEngineMutualityThetaReducesAbuse(t *testing.T) {
 	}
 }
 
+// TestEngineNetProfitDeterministicAcrossParallelism checks both Fig. 13
+// strategies and both arms of the eq. 24 ablation at several worker counts,
+// one more than there are trustors included, against the serial oracle:
+// every series must match bit for bit, and so must every trustor's saved
+// store. Few trustees leave some trustor without a candidate, so the
+// sit-out and forced self-execution branches run too.
 func TestEngineNetProfitDeterministicAcrossParallelism(t *testing.T) {
 	net := smallNet(t)
-	run := func(parallelism int) []float64 {
-		cfg := DefaultPopulationConfig(13)
+	const iterations, seed = 120, 13
+	build := func(parallelism int) *Population {
+		cfg := DefaultPopulationConfig(seed)
+		cfg.TrusteeFrac = 0.1
 		cfg.Parallelism = parallelism
-		p := NewPopulation(net, cfg)
-		return NewEngine(p, "determinism").NetProfitRun(120, StrategyNetProfit, 13)
+		return NewPopulation(net, cfg)
 	}
-	s1, s8 := run(1), run(8)
-	for i := range s1 {
-		if s1[i] != s8[i] {
-			t.Fatalf("iteration %d differs: P=1 %v, P=8 %v", i, s1[i], s8[i])
+	ref := build(1)
+	empty, full := 0, 0
+	for _, x := range ref.Trustors {
+		if len(ref.candidates(x)) == 0 {
+			empty++
+		} else {
+			full++
+		}
+	}
+	if empty == 0 || full == 0 {
+		t.Fatalf("%d trustors without a candidate and %d with one; the test needs both", empty, full)
+	}
+	arms := []netProfitArm{
+		{strategy: StrategySuccessRate}, {strategy: StrategyNetProfit},
+		{ablation: true, withSelf: true}, {ablation: true, withSelf: false},
+	}
+	for _, arm := range arms {
+		p := build(1)
+		want := netProfitOracle(p, arm, "determinism", iterations, seed)
+		wantStores := savedStores(t, p)
+		for _, workers := range []int{1, 4, 8, len(ref.Trustors) + 1} {
+			p := build(workers)
+			got := arm.run(NewEngine(p, "determinism"), iterations, seed)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%v, %d workers: iteration %d: %v, oracle %v", arm, workers, i, got[i], want[i])
+				}
+			}
+			for i, b := range savedStores(t, p) {
+				if !bytes.Equal(b, wantStores[i]) {
+					t.Fatalf("%v, %d workers: trustor %d's store differs from the oracle's", arm, workers, p.Trustors[i])
+				}
+			}
 		}
 	}
 }

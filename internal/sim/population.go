@@ -7,7 +7,6 @@ package sim
 
 import (
 	"fmt"
-	"iter"
 	"math/rand/v2"
 	"runtime"
 	"slices"
@@ -78,6 +77,13 @@ type Population struct {
 	adjOff   []int32
 	adjTo    []core.AgentID
 	candMask []bool
+	// rowOff/rows are the candidate rows, built with the adjacency:
+	// rows[rowOff[x]:rowOff[x+1]] holds trustor x's trustee-kind
+	// neighbors in ascending ID order with their x→y edge ids, the direct
+	// candidate set of the mutuality and net-profit experiments. Every
+	// other agent's row is empty.
+	rowOff []int32
+	rows   []trusteeEdge
 
 	// head is the newest link of the population's epoch chain, nil before
 	// the first capture request; the population holds it until a capture
@@ -182,13 +188,14 @@ func (p *Population) setupWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// buildCSR flattens the graph adjacency into shared CSR arrays and fills
-// the dense candidate mask. It runs after role assignment (and attacker
-// installation — both trustee kinds count as candidates, so the mask is
-// stable under the attack subsystem's kind flip). The offsets are
-// prefix-summed serially and each node's span and mask slot are written by
-// the worker handed that node, so the arrays are identical at every worker
-// count.
+// buildCSR flattens the graph adjacency into shared CSR arrays, fills
+// the dense candidate mask and cuts the trustors' candidate rows. It runs
+// after role assignment (and attacker installation — both trustee kinds
+// count as candidates, so the mask is stable under the attack subsystem's
+// kind flip). The offsets are prefix-summed serially, each node's span and
+// mask slot are written by the worker handed that node, and the rows are
+// appended serially in agent order, so the arrays are identical at every
+// worker count.
 func (p *Population) buildCSR(workers int) {
 	g := p.Net.Graph
 	n := g.NumNodes()
@@ -208,6 +215,31 @@ func (p *Population) buildCSR(workers int) {
 			p.candMask[u] = k == agent.KindTrustee || k == agent.KindDishonestTrustee
 		}
 	})
+	p.rowOff = make([]int32, n+1)
+	for u := 0; u < n; u++ {
+		if p.Agents[u].Kind == agent.KindTrustor {
+			for e := p.adjOff[u]; e < p.adjOff[u+1]; e++ {
+				if y := p.adjTo[e]; p.candMask[y] {
+					p.rows = append(p.rows, trusteeEdge{ID: y, Edge: e})
+				}
+			}
+		}
+		p.rowOff[u+1] = int32(len(p.rows))
+	}
+}
+
+// trusteeEdge is one entry of a candidate row: a trustee-kind neighbor of
+// the trustor and the CSR index of the trustor's edge to it, by which
+// round views key records and usage.
+type trusteeEdge struct {
+	ID   core.AgentID
+	Edge int32
+}
+
+// candidates returns agent x's candidate row; it is a shared view and
+// must not be modified.
+func (p *Population) candidates(x core.AgentID) []trusteeEdge {
+	return p.rows[p.rowOff[x]:p.rowOff[x+1]]
 }
 
 // Agent returns the agent at a node.
@@ -225,45 +257,6 @@ func (p *Population) Rand(label string) *rand.Rand {
 // view into the population's CSR adjacency and must not be modified.
 func (p *Population) Neighbors(id core.AgentID) []core.AgentID {
 	return p.adjTo[p.adjOff[id]:p.adjOff[id+1]]
-}
-
-// TrusteeNeighbors yields the trustee-kind neighbors of an agent in
-// ascending ID order — the direct candidate set used by the mutuality and
-// net-profit experiments.
-func (p *Population) TrusteeNeighbors(id core.AgentID) iter.Seq[core.AgentID] {
-	return func(yield func(core.AgentID) bool) {
-		for y := range p.trusteeEdges(id) {
-			if !yield(y) {
-				return
-			}
-		}
-	}
-}
-
-// trusteeEdges yields x's trustee-kind neighbors in TrusteeNeighbors
-// order, each with the CSR index of its x→y edge, by which round views
-// key records and usage.
-func (p *Population) trusteeEdges(x core.AgentID) iter.Seq2[core.AgentID, int32] {
-	return func(yield func(core.AgentID, int32) bool) {
-		lo := p.adjOff[x]
-		for k, y := range p.adjTo[lo:p.adjOff[x+1]] {
-			if p.candMask[y] && !yield(y, lo+int32(k)) {
-				return
-			}
-		}
-	}
-}
-
-// numTrusteeNeighbors counts x's trustee-kind neighbors, the length of
-// TrusteeNeighbors(x).
-func (p *Population) numTrusteeNeighbors(x core.AgentID) int {
-	c := 0
-	for _, y := range p.Neighbors(x) {
-		if p.candMask[y] {
-			c++
-		}
-	}
-	return c
 }
 
 // Searcher builds a transitivity searcher over the population's frozen

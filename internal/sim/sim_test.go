@@ -77,41 +77,38 @@ func TestNewPopulationValidation(t *testing.T) {
 	NewPopulation(net, cfg)
 }
 
-// TestTrusteeNeighbors checks that TrusteeNeighbors(x) yields exactly x's
-// trustee-kind graph neighbors — the candMask-filtered Neighbors(x) — in
-// ascending order, and the same IDs as trusteeEdges(x), for every agent.
+// TestTrusteeNeighbors checks the candidate rows: a trustor's row holds
+// exactly its trustee-kind graph neighbors — the candMask-filtered
+// Neighbors(x) — in ascending order, each with the CSR id of its x→y edge;
+// every other agent's row is empty.
 func TestTrusteeNeighbors(t *testing.T) {
 	net := smallNet(t)
 	p := NewPopulation(net, DefaultPopulationConfig(2))
 	total := 0
 	for i := range p.Agents {
 		x := core.AgentID(i)
-		var got, want, edges []core.AgentID
-		for y := range p.TrusteeNeighbors(x) {
-			if k := p.Agent(y).Kind; k != agent.KindTrustee && k != agent.KindDishonestTrustee {
-				t.Fatalf("non-trustee neighbor %v (%v)", y, k)
+		var got, want []core.AgentID
+		for _, c := range p.candidates(x) {
+			if k := p.Agent(c.ID).Kind; k != agent.KindTrustee && k != agent.KindDishonestTrustee {
+				t.Fatalf("non-trustee neighbor %v (%v)", c.ID, k)
 			}
-			if !net.Graph.HasEdge(graph.NodeID(x), graph.NodeID(y)) {
-				t.Fatalf("non-neighbor returned: %v-%v", x, y)
+			if !net.Graph.HasEdge(graph.NodeID(x), graph.NodeID(c.ID)) {
+				t.Fatalf("non-neighbor returned: %v-%v", x, c.ID)
 			}
-			got = append(got, y)
+			if lo := p.adjOff[x]; c.Edge < lo || c.Edge >= p.adjOff[x+1] || p.adjTo[c.Edge] != c.ID {
+				t.Fatalf("agent %d: candidate %v carries edge %d, not its %d→%d edge", x, c.ID, c.Edge, x, c.ID)
+			}
+			got = append(got, c.ID)
 		}
-		for _, y := range p.Neighbors(x) {
-			if p.candMask[y] {
-				want = append(want, y)
+		if p.Agent(x).Kind == agent.KindTrustor {
+			for _, y := range p.Neighbors(x) {
+				if p.candMask[y] {
+					want = append(want, y)
+				}
 			}
 		}
-		for y := range p.trusteeEdges(x) {
-			edges = append(edges, y)
-		}
-		if !slices.Equal(got, want) || !slices.IsSorted(got) || len(got) != p.numTrusteeNeighbors(x) {
-			t.Fatalf("agent %d: TrusteeNeighbors %v, want the ascending mask-filtered neighbors %v", x, got, want)
-		}
-		if !slices.Equal(got, edges) {
-			t.Fatalf("agent %d: TrusteeNeighbors %v, trusteeEdges %v", x, got, edges)
-		}
-		for range p.TrusteeNeighbors(x) {
-			break // an early stop must end the iterator without a further yield
+		if !slices.Equal(got, want) || !slices.IsSorted(got) {
+			t.Fatalf("agent %d (%v): row %v, want the ascending mask-filtered neighbors %v", x, p.Agent(x).Kind, got, want)
 		}
 		total += len(got)
 	}
