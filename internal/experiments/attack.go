@@ -72,6 +72,41 @@ type AttackResult struct {
 	Resilience report.Resilience
 }
 
+// scenarioTask is the task every attack scenario's rounds and probes use.
+var scenarioTask = task.Uniform(1, task.CharCompute)
+
+// network generates the scenario's social network.
+func (cfg AttackScenarioConfig) network() *socialgen.Network {
+	profile, err := socialgen.ProfileByName(cfg.Network)
+	if err != nil {
+		panic(err)
+	}
+	return socialgen.Generate(profile, cfg.Seed)
+}
+
+// play runs the scenario's delegation rounds on a fresh population of net
+// whose ring of cfg.Attackers trustees runs atk, on an engine labelled
+// label, and returns the cumulative counters. after, when not nil, sees the
+// engine, the round and the counters once each round has merged: the
+// attacked runs probe there. The baselines are not probed; a probe is
+// read-only (sim's TestPerceivedTrustIsReadOnly), so that changes no byte
+// of the run.
+func (cfg AttackScenarioConfig) play(net *socialgen.Network, atk adversary.Attack, label string, after func(eng *sim.Engine, round int, c *sim.MutualityCounters)) sim.MutualityCounters {
+	pcfg := sim.DefaultPopulationConfig(cfg.Seed)
+	pcfg.Theta = cfg.Theta
+	pcfg.Parallelism = cfg.Parallelism
+	pcfg.Attack = sim.AttackConfig{Model: atk, Attackers: cfg.Attackers}
+	eng := sim.NewEngine(sim.NewPopulation(net, pcfg), label)
+	var c sim.MutualityCounters
+	for round := 0; round < cfg.Rounds; round++ {
+		eng.MutualityRound(round, scenarioTask, &c)
+		if after != nil {
+			after(eng, round, &c)
+		}
+	}
+	return c
+}
+
 // RunAttack plays the scenario twice — once without the attack (baseline),
 // once with it — and measures the resilience metrics. Both runs share the
 // network, the seed, and the engine label, so every difference is the
@@ -80,45 +115,25 @@ func RunAttack(cfg AttackScenarioConfig) AttackResult {
 	if cfg.Model == nil {
 		panic("experiments: attack scenario needs a model")
 	}
-	profile, err := socialgen.ProfileByName(cfg.Network)
-	if err != nil {
-		panic(err)
-	}
-	net := socialgen.Generate(profile, cfg.Seed)
-	tk := task.Uniform(1, task.CharCompute)
-
-	run := func(atk sim.AttackConfig) (success, share, gap []float64) {
-		pcfg := sim.DefaultPopulationConfig(cfg.Seed)
-		pcfg.Theta = cfg.Theta
-		pcfg.Parallelism = cfg.Parallelism
-		pcfg.Attack = atk
-		p := sim.NewPopulation(net, pcfg)
-		eng := sim.NewEngine(p, "attack-scenario")
-		success = make([]float64, cfg.Rounds)
-		share = make([]float64, cfg.Rounds)
-		if atk.Enabled() {
-			gap = make([]float64, cfg.Rounds)
-		}
-		var c sim.MutualityCounters
-		for round := 0; round < cfg.Rounds; round++ {
-			eng.MutualityRound(round, tk, &c)
-			success[round] = c.SuccessRate()
-			if c.Requests > c.Unavailable {
-				share[round] = float64(c.AttackerDelegations) / float64(c.Requests-c.Unavailable)
-			}
-			if atk.Enabled() {
-				honest, attacker := eng.PerceivedTrust(round, tk)
-				gap[round] = honest - attacker
-			}
-		}
-		return success, share, gap
-	}
+	net := cfg.network()
+	const label = "attack-scenario"
 
 	// The baseline ring runs the null attack: same population, same marked
 	// ring, same recommendation machinery — only the malice is missing, so
 	// the baseline-vs-attacked difference is exactly the attack's effect.
-	baseline, _, _ := run(sim.AttackConfig{Model: adversary.Honest{}, Attackers: cfg.Attackers})
-	attacked, share, gap := run(sim.AttackConfig{Model: cfg.Model, Attackers: cfg.Attackers})
+	baseline := make([]float64, cfg.Rounds)
+	cfg.play(net, adversary.Honest{}, label, func(_ *sim.Engine, round int, c *sim.MutualityCounters) {
+		baseline[round] = c.SuccessRate()
+	})
+	attacked, share, gap := make([]float64, cfg.Rounds), make([]float64, cfg.Rounds), make([]float64, cfg.Rounds)
+	cfg.play(net, cfg.Model, label, func(eng *sim.Engine, round int, c *sim.MutualityCounters) {
+		attacked[round] = c.SuccessRate()
+		if c.Requests > c.Unavailable {
+			share[round] = float64(c.AttackerDelegations) / float64(c.Requests-c.Unavailable)
+		}
+		honest, attacker := eng.PerceivedTrust(round, scenarioTask)
+		gap[round] = honest - attacker
+	})
 
 	res := AttackResult{
 		Model:           cfg.Model.Name(),

@@ -7,9 +7,7 @@ import (
 	"siot/internal/core"
 	"siot/internal/report"
 	"siot/internal/sim"
-	"siot/internal/socialgen"
 	"siot/internal/stats"
-	"siot/internal/task"
 )
 
 // model-matrix is the cross-model resilience matrix the ROADMAP's
@@ -25,40 +23,25 @@ import (
 // survive whitewashing — with the trust gap, detection latency, and
 // success degradation of every (model, attack) cell.
 
-// modelMatrixConfig parameterizes the cross-model resilience matrix.
+// modelMatrixConfig parameterizes the cross-model resilience matrix: the
+// attack scenario's settings (its Model is unused: the matrix runs every
+// attack of matrixAttacks) plus the models to probe.
 type modelMatrixConfig struct {
-	Seed uint64
-	// Network selects the social network profile (default "facebook").
-	Network string
-	// Rounds is the number of delegation rounds per run (default 60 —
-	// enough for detection latencies to spread; the matrix runs one
-	// baseline plus one run per attack, each with per-round multi-model
-	// probes, so it is deliberately shorter than the single-attack
-	// scenarios' 150).
-	Rounds int
-	// Attackers is the ring size (default 30, as in the attack scenarios).
-	Attackers int
-	// Theta keeps the mutuality defense out of the way (default 0).
-	Theta float64
-	// DetectionGap is the trust-gap detection threshold (default 0.03).
-	DetectionGap float64
-	// Parallelism is the engine worker width; results are bit-identical
-	// across all values.
-	Parallelism int
+	AttackScenarioConfig
 	// Models are the trust models to evaluate; nil means every registered
 	// model, in sorted-name order.
 	Models []core.TrustModel
 }
 
-// defaultModelMatrixConfig returns the standard matrix configuration.
+// defaultModelMatrixConfig returns the standard matrix configuration: the
+// attack scenarios' network, ring and thresholds over 60 rounds — enough
+// for detection latencies to spread; the matrix runs one baseline plus one
+// run per attack, each attacked run with per-round multi-model probes, so
+// it is deliberately shorter than the single-attack scenarios' 150.
 func defaultModelMatrixConfig(seed uint64) modelMatrixConfig {
-	return modelMatrixConfig{
-		Seed:         seed,
-		Network:      "facebook",
-		Rounds:       60,
-		Attackers:    30,
-		DetectionGap: 0.03,
-	}
+	cfg := modelMatrixConfig{AttackScenarioConfig: DefaultAttackConfig(seed, nil)}
+	cfg.Rounds = 60
+	return cfg
 }
 
 // matrixAttacks is the fixed attack battery of the matrix: every PR 2
@@ -111,12 +94,8 @@ type modelMatrixResult struct {
 // differs from its neighbors only through the attack (rows) or the model's
 // lens (columns).
 func runModelMatrix(cfg modelMatrixConfig) modelMatrixResult {
-	profile, err := socialgen.ProfileByName(cfg.Network)
-	if err != nil {
-		panic(err)
-	}
-	net := socialgen.Generate(profile, cfg.Seed)
-	tk := task.Uniform(1, task.CharCompute)
+	net := cfg.network()
+	const label = "model-matrix"
 	models := cfg.Models
 	if models == nil {
 		for _, name := range core.ModelNames() {
@@ -126,32 +105,6 @@ func runModelMatrix(cfg modelMatrixConfig) modelMatrixResult {
 			}
 			models = append(models, m)
 		}
-	}
-
-	run := func(atk sim.AttackConfig, probe bool) (success float64, gaps [][]float64) {
-		pcfg := sim.DefaultPopulationConfig(cfg.Seed)
-		pcfg.Theta = cfg.Theta
-		pcfg.Parallelism = cfg.Parallelism
-		pcfg.Attack = atk
-		p := sim.NewPopulation(net, pcfg)
-		eng := sim.NewEngine(p, "model-matrix")
-		if probe {
-			gaps = make([][]float64, len(models))
-			for mi := range gaps {
-				gaps[mi] = make([]float64, cfg.Rounds)
-			}
-		}
-		var c sim.MutualityCounters
-		for round := 0; round < cfg.Rounds; round++ {
-			eng.MutualityRound(round, tk, &c)
-			if probe {
-				perceived := eng.PerceivedTrustModels(round, tk, models)
-				for mi, pv := range perceived {
-					gaps[mi][round] = pv.Honest - pv.Attacker
-				}
-			}
-		}
-		return c.SuccessRate(), gaps
 	}
 
 	res := modelMatrixResult{
@@ -164,10 +117,18 @@ func runModelMatrix(cfg modelMatrixConfig) modelMatrixResult {
 	}
 	// The baseline ring runs the null attack (same marked ring, no malice),
 	// exactly like the single-attack scenarios.
-	baseline, _ := run(sim.AttackConfig{Model: adversary.Honest{}, Attackers: cfg.Attackers}, false)
+	baseline := cfg.play(net, adversary.Honest{}, label, nil).SuccessRate()
 	res.BaselineSuccess = baseline
 	for _, atk := range matrixAttacks() {
-		attacked, gaps := run(sim.AttackConfig{Model: atk, Attackers: cfg.Attackers}, true)
+		gaps := make([][]float64, len(models))
+		for mi := range gaps {
+			gaps[mi] = make([]float64, cfg.Rounds)
+		}
+		attacked := cfg.play(net, atk, label, func(eng *sim.Engine, round int, _ *sim.MutualityCounters) {
+			for mi, pv := range eng.PerceivedTrustModels(round, scenarioTask, models) {
+				gaps[mi][round] = pv.Honest - pv.Attacker
+			}
+		}).SuccessRate()
 		res.Attacks = append(res.Attacks, atk.Name())
 		res.AttackedSuccess = append(res.AttackedSuccess, attacked)
 		for mi, m := range models {

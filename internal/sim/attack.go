@@ -45,9 +45,6 @@ func (p *Population) installAttackers() {
 	sortIDs(p.Attackers)
 }
 
-// AttackEnabled reports whether this population carries an attack scenario.
-func (p *Population) AttackEnabled() bool { return p.cfg.Attack.Enabled() && len(p.Attackers) > 0 }
-
 // Forget makes every peer drop its memory of id — experience records and
 // usage logs — as if the agent had left the network and a stranger had
 // joined in its place. The agent's own store (its knowledge of others) is
@@ -62,7 +59,7 @@ func (p *Population) Forget(id core.AgentID) {
 
 // attackContext builds the hook context of mutuality round `round` for
 // the population's attack model, ok=false when the population carries no
-// attack scenario. The label folds in the engine phase (but deliberately
+// attack scenario (no attackers were installed). The label folds in the engine phase (but deliberately
 // NOT the model name) so adversary streams never collide with engine or
 // population streams while equivalent models stay bit-identical: a
 // Collusion ring of size 1 draws exactly what its underlying solo attack
@@ -70,7 +67,7 @@ func (p *Population) Forget(id core.AgentID) {
 // would (nothing).
 func (e *Engine) attackContext(round int) (adversary.Context, bool) {
 	p := e.Pop
-	if !p.AttackEnabled() {
+	if len(p.Attackers) == 0 {
 		return adversary.Context{}, false
 	}
 	return adversary.Context{
@@ -88,40 +85,70 @@ func (e *Engine) attackContext(round int) (adversary.Context, bool) {
 // PerceivedTrustModels through each model's EdgeMemo.RequireLens.
 type edgeTW func(e int32) (float64, bool)
 
-// recommendedTW gathers one-hop recommendations about candidate y from the
-// trustor x's social neighbors in the view — including y itself (the
-// self-claim channel of service discovery). Each recommender reports its
-// z→y edge through the lens tw, except that attackers may forge their
-// report through the attack model's recommendation hook. A recommender
-// without a social edge to y holds no records about it (experience lives
-// only along edges), so an EdgeIndex miss contributes nothing, exactly like
-// an empty live store. Returns the mean report, or ok=false when nobody has
-// anything to say. Reads only the view: safe inside the engine's lock-free
-// compute phase.
-func (e *Engine) recommendedTW(view *core.RoundView, tw edgeTW, ctx adversary.Context, x, y core.AgentID) (float64, bool) {
-	p := e.Pop
-	model := p.cfg.Attack.Model
-	var sum float64
-	n := 0
-	for _, z := range view.Neighbors(x) {
-		if p.attackers[z] {
-			if v, forged := model.ForgeRecommendation(ctx, z, y); forged {
-				sum += v
-				n++
+// scoreCandidate scores row entry c of trustor x under every lens at once,
+// the way a mutuality round does, and writes lens l's score to out[l]:
+// direct experience first (the x→y edge read through the lens); for
+// strangers, in attack scenarios only, the mean one-hop recommendation
+// about y from x's social neighbors z in the view — y itself included (the
+// self-claim channel of service discovery); the neutral prior when nobody
+// knows anything. Each recommender reports its z→y edge through the lens,
+// except that attackers may forge their report through the attack model's
+// recommendation hook. A recommender without a social edge to y holds no
+// records about it (experience lives only along edges), so an EdgeIndex
+// miss contributes nothing, exactly like an empty live store.
+//
+// The lenses that miss the x→y edge share one walk of N(x): each
+// recommender's forgery and z→y edge are resolved once, and every such lens
+// adds its own reports in N(x) order, so each lens's score has the bits a
+// walk of its own would give. n is scratch of len(lenses). Reads only the
+// view: safe inside the engine's lock-free compute phase.
+func (e *Engine) scoreCandidate(view *core.RoundView, lenses []edgeTW, attacked bool, ctx adversary.Context, x core.AgentID, c trusteeEdge, out []float64, n []int) {
+	miss := false
+	for l, tw := range lenses {
+		v, ok := tw(c.Edge)
+		out[l], n[l] = v, -1 // direct experience: no recommendations
+		if !ok {
+			out[l], n[l], miss = 0, 0, true
+		}
+	}
+	if miss && attacked {
+		p := e.Pop
+		model := p.cfg.Attack.Model
+		for _, z := range view.Neighbors(x) {
+			if p.attackers[z] {
+				if v, forged := model.ForgeRecommendation(ctx, z, c.ID); forged {
+					for l := range lenses {
+						if n[l] >= 0 {
+							out[l] += v
+							n[l]++
+						}
+					}
+					continue
+				}
+			}
+			edge, ok := view.EdgeIndex(z, c.ID)
+			if !ok {
 				continue
 			}
-		}
-		if edge, ok := view.EdgeIndex(z, y); ok {
-			if v, ok := tw(edge); ok {
-				sum += v
-				n++
+			for l, tw := range lenses {
+				if n[l] < 0 {
+					continue
+				}
+				if v, ok := tw(edge); ok {
+					out[l] += v
+					n[l]++
+				}
 			}
 		}
 	}
-	if n == 0 {
-		return 0, false
+	for l := range lenses {
+		switch {
+		case n[l] > 0:
+			out[l] /= float64(n[l])
+		case n[l] == 0:
+			out[l] = 0.5 // neutral prior before any experience
+		}
 	}
-	return sum / float64(n), true
 }
 
 // applyAttack is the engine's pre-merge hook: between the parallel compute
@@ -168,11 +195,11 @@ func (e *Engine) applyChurn(ctx adversary.Context) {
 // snapshot, and lets go of it; the live stores are untouched, so the
 // snapshot is exact.
 func (e *Engine) PerceivedTrust(round int, tk task.Task) (honest, attacker float64) {
-	e.probe(func(view *core.RoundView) {
-		got := e.perceive(view, round, func(edge int32) (float64, bool) { return view.BestTW(edge, tk) })
-		honest, attacker = got.Honest, got.Attacker
-	})
-	return honest, attacker
+	link := e.Pop.acquireEpoch(e.workers())
+	defer link.release()
+	view := link.view
+	got := e.perceive(view, round, []edgeTW{func(e int32) (float64, bool) { return view.BestTW(e, tk) }})[0]
+	return got.Honest, got.Attacker
 }
 
 // Perceived is one trust model's probe outcome: the mean perceived trust
@@ -185,60 +212,67 @@ type Perceived struct {
 
 // PerceivedTrustModels is PerceivedTrust evaluated once per model in a
 // single probe epoch: one snapshot, one shared EdgeMemo (trainable models
-// fit on it exactly once), and every model scored over the same snapshot.
-// Each model sees direct edges and one-hop recommendations through its own
-// single-edge lens (EdgeMemo.RequireLens, which reads the hop tables the
-// model's search reads) rather than the rounds' policy-agnostic
-// RoundView.BestTW, so the cross-model resilience matrix compares how each
-// model's own arithmetic perceives the attack. Attack forgeries are
-// asserted numbers, identical under every model. Read-only, like
-// PerceivedTrust.
+// fit on it exactly once), and every model scored over the same snapshot
+// in one walk of the recommenders per (trustor, stranger candidate),
+// whatever the model count. Each model sees direct edges and one-hop
+// recommendations through its own single-edge lens
+// (EdgeMemo.RequireLens, which reads the hop tables the model's search
+// reads) rather than the rounds' policy-agnostic RoundView.BestTW, so the
+// cross-model resilience matrix compares how each model's own arithmetic
+// perceives the attack. Attack forgeries are asserted numbers, identical
+// under every model. Read-only, like PerceivedTrust.
 func (e *Engine) PerceivedTrustModels(round int, tk task.Task, models []core.TrustModel) []Perceived {
-	out := make([]Perceived, len(models))
-	e.probe(func(view *core.RoundView) {
-		memo := core.NewEdgeMemoPooled(view.TrustView, e.Pop.cfg.Update.Norm, e.workers(), epochArenas)
-		for mi, m := range models {
-			out[mi] = e.perceive(view, round, memo.RequireLens(m, tk))
-		}
-		memo.Release()
-	})
-	return out
-}
-
-// probe takes the population's current epoch, hands its view to fn, and
-// lets go of it.
-func (e *Engine) probe(fn func(view *core.RoundView)) {
 	link := e.Pop.acquireEpoch(e.workers())
-	fn(link.view)
-	link.release()
+	defer link.release()
+	memo := core.NewEdgeMemoPooled(link.view.TrustView, e.Pop.cfg.Update.Norm, e.workers(), epochArenas)
+	defer memo.Release()
+	lenses := make([]edgeTW, len(models))
+	for mi, m := range models {
+		lenses[mi] = memo.RequireLens(m, tk)
+	}
+	return e.perceive(link.view, round, lenses)
 }
 
-// perceive scores every trustor's candidate trustees on the view the way
-// mutuality round `round` would, own experience read through tw, and
-// averages the scores over honest and attacker candidates.
-func (e *Engine) perceive(view *core.RoundView, round int, tw edgeTW) Perceived {
+// perceive scores every trustor's candidate trustees on the view through
+// every lens the way mutuality round `round` would (scoreCandidate), and
+// averages each lens's scores over honest and attacker candidates. The
+// trustors fan out over the engine's workers; each lens's sums then fold
+// serially in ascending trustor and row order, so the bits do not depend
+// on the width.
+func (e *Engine) perceive(view *core.RoundView, round int, lenses []edgeTW) []Perceived {
 	p := e.Pop
 	ctx, attacked := e.attackContext(round)
-	var honestSum, attackerSum float64
-	honestN, attackerN := 0, 0
-	for _, x := range p.Trustors {
-		for _, c := range p.candidates(x) {
-			v := e.candidateTW(view, tw, attacked, ctx, x, c.Edge, c.ID)
-			if p.attackers[c.ID] {
-				attackerSum += v
-				attackerN++
-			} else {
-				honestSum += v
-				honestN++
+	nl := len(lenses)
+	scores := mapTrustors(p.Trustors, e.workers(), func(x core.AgentID) []float64 {
+		row := p.candidates(x)
+		s, n := make([]float64, len(row)*nl), make([]int, nl)
+		for i, c := range row {
+			e.scoreCandidate(view, lenses, attacked, ctx, x, c, s[i*nl:(i+1)*nl], n)
+		}
+		return s
+	})
+	out := make([]Perceived, nl)
+	for l := range out {
+		var honestSum, attackerSum float64
+		honestN, attackerN := 0, 0
+		for i, x := range p.Trustors {
+			for j, c := range p.candidates(x) {
+				v := scores[i][j*nl+l]
+				if p.attackers[c.ID] {
+					attackerSum += v
+					attackerN++
+				} else {
+					honestSum += v
+					honestN++
+				}
 			}
 		}
-	}
-	var out Perceived
-	if honestN > 0 {
-		out.Honest = honestSum / float64(honestN)
-	}
-	if attackerN > 0 {
-		out.Attacker = attackerSum / float64(attackerN)
+		if honestN > 0 {
+			out[l].Honest = honestSum / float64(honestN)
+		}
+		if attackerN > 0 {
+			out[l].Attacker = attackerSum / float64(attackerN)
+		}
 	}
 	return out
 }

@@ -215,9 +215,13 @@ func TestAttackerInstallDeterministic(t *testing.T) {
 			t.Fatalf("attacker %d missing from the ring set", a.Attackers[i])
 		}
 	}
-	// Population without an attack has no ring.
+	// Population without an attack has no ring, and its rounds fire no
+	// adversary hook.
 	p := attackPopulation(t, 21, AttackConfig{}, 1)
-	if len(p.Attackers) != 0 || p.AttackEnabled() {
+	if len(p.Attackers) != 0 {
 		t.Fatal("unattacked population reports attackers")
+	}
+	if _, attacked := NewEngine(p, "attack-test").attackContext(0); attacked {
+		t.Fatal("unattacked population builds an attack context")
 	}
 }

@@ -67,23 +67,6 @@ func (e *Engine) mutualityLabel() string {
 	return "engine-mutuality:" + e.Label + ":" + e.Pop.Net.Profile.Name
 }
 
-// candidateTW scores candidate trustee y for trustor x the way a mutuality
-// round does: direct experience first (edge is the x→y edge in the view,
-// read through the lens tw), the one-hop recommendation channel (attack
-// scenarios only, with attackers forging) for strangers, the neutral prior
-// when nobody knows anything. Reads only the frozen view.
-func (e *Engine) candidateTW(view *core.RoundView, tw edgeTW, attacked bool, ctx adversary.Context, x core.AgentID, edge int32, y core.AgentID) float64 {
-	if v, ok := tw(edge); ok {
-		return v
-	}
-	if attacked {
-		if rec, ok := e.recommendedTW(view, tw, ctx, x, y); ok {
-			return rec
-		}
-	}
-	return 0.5 // neutral prior before any experience
-}
-
 // acceptsDelegation is the reverse evaluation (eq. 1) of candidate trustee
 // y against requesting trustor x on the frozen view: y compares the
 // reverse trustworthiness implied by its captured usage log about x with
@@ -170,17 +153,19 @@ func (e *Engine) computeMutualityActs(view *core.RoundView, attacked bool, actx 
 	p := e.Pop
 	label := e.mutualityLabel()
 	actCfg := agent.DefaultActConfig()
-	tw := func(edge int32) (float64, bool) { return view.BestTW(edge, tk) }
+	lenses := []edgeTW{func(e int32) (float64, bool) { return view.BestTW(e, tk) }}
 	return mapTrustors(p.Trustors, e.workers(), func(x core.AgentID) mutualityAction {
 		row := p.candidates(x)
-		cands := make([]core.Candidate, 0, len(row))
-		for _, c := range row {
-			// Strangers are judged by one-hop recommendations, which
-			// attackers may forge (candidateTW).
-			cands = append(cands, core.Candidate{ID: c.ID, TW: e.candidateTW(view, tw, attacked, actx, x, c.Edge, c.ID)})
-		}
-		if len(cands) == 0 {
+		if len(row) == 0 {
 			return mutualityAction{} // socially isolated from trustees: not a request
+		}
+		cands := make([]core.Candidate, len(row))
+		tw, n := make([]float64, 1), make([]int, 1)
+		for i, c := range row {
+			// Strangers are judged by one-hop recommendations, which
+			// attackers may forge (scoreCandidate).
+			e.scoreCandidate(view, lenses, attacked, actx, x, c, tw, n)
+			cands[i] = core.Candidate{ID: c.ID, TW: tw[0]}
 		}
 		r := rng.Split2(p.cfg.Seed, label, round, int(x))
 		trustor := p.Agent(x)
