@@ -67,9 +67,7 @@ func main() {
 					}
 				}
 			}
-			res := tb.Net.Delegate(trustor.Addr, trustee.Addr, reading, zigbee.ExchangeConfig{
-				Light: 1, Act: agent.DefaultActConfig(),
-			})
+			res := tb.Net.Delegate(trustor.Addr, trustee.Addr, reading, zigbee.ExchangeConfig{Light: 1})
 			trustor.Agent.Store.Observe(core.AgentID(trustee.Addr), reading, res.Outcome, siot.PerfectEnv())
 		}
 		fmt.Printf("%-22s radio-active %7.1f ms, energy %6.2f mJ over 30 requests\n",

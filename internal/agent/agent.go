@@ -165,18 +165,12 @@ func (a *Agent) String() string {
 	return fmt.Sprintf("agent#%d(%s)", a.ID, a.Kind)
 }
 
-// ActConfig tunes the outcome model of Act.
-type ActConfig struct {
-	// BaseCost is the normalized cost of a clean interaction.
-	BaseCost float64
-	// GainSpread adds uniform noise to the gain on success.
-	GainSpread float64
-}
-
-// DefaultActConfig returns the outcome model used by the experiments.
-func DefaultActConfig() ActConfig {
-	return ActConfig{BaseCost: 0.15, GainSpread: 0.2}
-}
+// The outcome model of Act: baseCost is the normalized cost of a clean
+// interaction, and gainSpread adds uniform noise to the gain on success.
+const (
+	baseCost   float64 = 0.15
+	gainSpread float64 = 0.2
+)
 
 // Act simulates the agent executing task t as trustee in environment e.
 // Success probability is the task competence scaled by the environment
@@ -184,8 +178,8 @@ func DefaultActConfig() ActConfig {
 // gains proportionally to competence; on failure it suffers damage.
 // Fragment-stall malice inflates cost; opportunists fail sporadically on
 // purpose.
-func (a *Agent) Act(t task.Task, e env.Environment, cfg ActConfig, r *rand.Rand) core.Outcome {
-	out := a.ActOutcome(t, e, cfg, r)
+func (a *Agent) Act(t task.Task, e env.Environment, r *rand.Rand) core.Outcome {
+	out := a.ActOutcome(t, e, r)
 	a.DrainEnergy(out.Cost)
 	return out
 }
@@ -194,20 +188,20 @@ func (a *Agent) Act(t task.Task, e env.Environment, cfg ActConfig, r *rand.Rand)
 // — the read-only half of Act. The parallel simulation engine calls it from
 // worker goroutines and applies the energy drain later, during the
 // deterministic single-threaded merge.
-func (a *Agent) ActOutcome(t task.Task, e env.Environment, cfg ActConfig, r *rand.Rand) core.Outcome {
+func (a *Agent) ActOutcome(t task.Task, e env.Environment, r *rand.Rand) core.Outcome {
 	comp := a.Behavior.TaskCompetence(t)
 	pSuccess := comp * float64(e.Clamp())
 	if a.Behavior.Malice == MaliceOpportunist && r.Float64() < 0.25 {
 		// Deliberate sporadic misbehavior.
 		pSuccess *= 0.2
 	}
-	out := core.Outcome{Cost: cfg.BaseCost}
+	out := core.Outcome{Cost: baseCost}
 	if a.Behavior.Malice == MaliceFragmentStall {
-		out.Cost = clamp01(cfg.BaseCost + a.Behavior.StallCost)
+		out.Cost = clamp01(baseCost + a.Behavior.StallCost)
 	}
 	if r.Float64() < pSuccess {
 		out.Success = true
-		out.Gain = clamp01(comp * (1 - cfg.GainSpread/2 + cfg.GainSpread*r.Float64()))
+		out.Gain = clamp01(comp * (1 - gainSpread/2 + gainSpread*r.Float64()))
 	} else {
 		out.Damage = clamp01((1 - comp) * (0.5 + 0.5*r.Float64()))
 	}

@@ -72,11 +72,10 @@ func TestActSuccessRateTracksCompetenceAndEnv(t *testing.T) {
 	a := New(1, KindTrustee, Behavior{BaseCompetence: 0.8}, core.DefaultUpdateConfig())
 	tk := task.Uniform(1, task.CharGPS)
 	r := rng.New(2, "act")
-	cfg := DefaultActConfig()
 	succ := 0
 	const n = 20000
 	for i := 0; i < n; i++ {
-		if a.Act(tk, 0.5, cfg, r).Success {
+		if a.Act(tk, 0.5, r).Success {
 			succ++
 		}
 	}
@@ -90,9 +89,8 @@ func TestActOutcomeShape(t *testing.T) {
 	a := New(1, KindTrustee, Behavior{BaseCompetence: 0.9}, core.DefaultUpdateConfig())
 	tk := task.Uniform(1, task.CharGPS)
 	r := rng.New(3, "shape")
-	cfg := DefaultActConfig()
 	for i := 0; i < 1000; i++ {
-		o := a.Act(tk, 1, cfg, r)
+		o := a.Act(tk, 1, r)
 		if o.Success && o.Damage != 0 {
 			t.Fatal("success carries damage")
 		}
@@ -119,9 +117,8 @@ func TestFragmentStallInflatesCost(t *testing.T) {
 	}, core.DefaultUpdateConfig())
 	tk := task.Uniform(1, task.CharGPS)
 	r := rng.New(4, "stall")
-	cfg := DefaultActConfig()
-	oh := honest.Act(tk, 1, cfg, r)
-	os := staller.Act(tk, 1, cfg, r)
+	oh := honest.Act(tk, 1, r)
+	os := staller.Act(tk, 1, r)
 	if os.Cost <= oh.Cost {
 		t.Fatalf("stall cost %v not above honest %v", os.Cost, oh.Cost)
 	}
@@ -134,12 +131,11 @@ func TestOpportunistFailsMoreOften(t *testing.T) {
 		Malice:         MaliceOpportunist,
 	}, core.DefaultUpdateConfig())
 	tk := task.Uniform(1, task.CharGPS)
-	cfg := DefaultActConfig()
 	count := func(a *Agent, label string) int {
 		r := rng.New(5, label)
 		succ := 0
 		for i := 0; i < 5000; i++ {
-			if a.Act(tk, 1, cfg, r).Success {
+			if a.Act(tk, 1, r).Success {
 				succ++
 			}
 		}
@@ -155,7 +151,7 @@ func TestEnergyDrains(t *testing.T) {
 	tk := task.Uniform(1, task.CharGPS)
 	r := rng.New(6, "drain")
 	start := a.Energy
-	a.Act(tk, 1, DefaultActConfig(), r)
+	a.Act(tk, 1, r)
 	if a.Energy >= start {
 		t.Fatal("energy did not drain")
 	}

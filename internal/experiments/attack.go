@@ -31,11 +31,6 @@ type AttackScenarioConfig struct {
 	// (default 0: keep the mutuality defense out of the way so the trust
 	// model itself does the detecting).
 	Theta float64
-	// DetectionGap is the honest-minus-attacker trust gap that counts as
-	// "the population has detected the attack" (default 0.03 — under the
-	// honest-ring baseline the gap hovers around zero, so a persistent
-	// 0.03 is already a clear signal across a whole network's averages).
-	DetectionGap float64
 	// Parallelism is the engine worker-pool width (0 = GOMAXPROCS,
 	// 1 = serial). Results are bit-identical across all values.
 	Parallelism int
@@ -44,14 +39,19 @@ type AttackScenarioConfig struct {
 // DefaultAttackConfig returns the standard scenario for one attack model.
 func DefaultAttackConfig(seed uint64, model adversary.Attack) AttackScenarioConfig {
 	return AttackScenarioConfig{
-		Seed:         seed,
-		Model:        model,
-		Network:      "facebook",
-		Rounds:       150,
-		Attackers:    30,
-		DetectionGap: 0.03,
+		Seed:      seed,
+		Model:     model,
+		Network:   "facebook",
+		Rounds:    150,
+		Attackers: 30,
 	}
 }
+
+// detectionGap is the honest-minus-attacker trust gap that counts as "the
+// population has detected the attack": under the honest-ring baseline the
+// gap hovers around zero, so a persistent 0.03 is already a clear signal
+// across a whole network's averages.
+const detectionGap = 0.03
 
 // AttackResult reports how the trust model withstood one attack scenario.
 type AttackResult struct {
@@ -144,7 +144,7 @@ func RunAttack(cfg AttackScenarioConfig) AttackResult {
 		AttackedSuccess: stats.NewSeries("under "+cfg.Model.Name(), attacked),
 		AttackerShare:   stats.NewSeries("share of delegations to attackers", share),
 	}
-	res.Resilience = report.NewResilience(res.TrustGap, cfg.DetectionGap,
+	res.Resilience = report.NewResilience(res.TrustGap, detectionGap,
 		baseline[len(baseline)-1], attacked[len(attacked)-1])
 	return res
 }

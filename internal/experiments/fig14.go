@@ -87,9 +87,7 @@ func fig14Run(cfg fig14Config, costAware bool) []float64 {
 					}
 				}
 			}
-			res := tb.Net.Delegate(trustor.Addr, trustee.Addr, tk, zigbee.ExchangeConfig{
-				Light: 1, Act: agent.DefaultActConfig(),
-			})
+			res := tb.Net.Delegate(trustor.Addr, trustee.Addr, tk, zigbee.ExchangeConfig{Light: 1})
 			trustor.Agent.Store.Observe(core.AgentID(trustee.Addr), tk, res.Outcome, core.PerfectEnv())
 			total += res.TrustorActiveMs
 		}

@@ -11,28 +11,28 @@ import (
 	"siot/internal/stats"
 )
 
+// Fig. 15's trustee: its true competence-and-willingness S and the
+// forgetting factor β applied to history (see core.Betas for the β
+// convention note).
+const (
+	fig15ActualS       float64 = 0.8
+	fig15HistoryWeight float64 = 0.9
+)
+
 // Fig15Config parameterizes the dynamic-environment tracking experiment
-// (§5.7, simulation part).
+// (§5.7, simulation part), which plays the paper's 1 → 0.4 → 0.7
+// three-phase environment schedule.
 type Fig15Config struct {
 	Seed uint64
 	// Runs to average (the paper averages 100 independent runs).
 	Runs int
-	// ActualS is the trustee's true competence-and-willingness (0.8 in the
-	// paper).
-	ActualS float64
-	// HistoryWeight is the forgetting factor applied to history (see
-	// core.Betas for the β convention note).
-	HistoryWeight float64
-	// Schedule is the environment trajectory; nil uses the paper's
-	// 1 → 0.4 → 0.7 three-phase schedule over 300 iterations.
-	Schedule env.Schedule
-	// Iterations; 0 derives from the schedule (300 for the default).
+	// Iterations; 0 plays the whole schedule (300 iterations).
 	Iterations int
 }
 
 // DefaultFig15Config mirrors the paper.
 func DefaultFig15Config(seed uint64) Fig15Config {
-	return Fig15Config{Seed: seed, Runs: 100, ActualS: 0.8, HistoryWeight: 0.9}
+	return Fig15Config{Seed: seed, Runs: 100}
 }
 
 // Fig15Result reproduces Fig. 15, "Comparison of the success rates with
@@ -52,17 +52,10 @@ type Fig15Result struct {
 
 // RunFig15 tracks the expected success rate across the environment steps.
 func RunFig15(cfg Fig15Config) Fig15Result {
-	sched := cfg.Schedule
-	if sched == nil {
-		sched = env.Fig15Schedule()
-	}
+	sched := env.Fig15Schedule()
 	iters := cfg.Iterations
 	if iters == 0 {
-		if ps, ok := sched.(*env.PhaseSchedule); ok {
-			iters = ps.TotalLen()
-		} else {
-			iters = 300
-		}
+		iters = sched.TotalLen()
 	}
 	noEnv := make([]float64, iters)
 	trad := make([]float64, iters)
@@ -73,7 +66,7 @@ func RunFig15(cfg Fig15Config) Fig15Result {
 	}
 
 	baseCfg := core.DefaultUpdateConfig()
-	baseCfg.Betas = core.UniformBetas(cfg.HistoryWeight)
+	baseCfg.Betas = core.UniformBetas(fig15HistoryWeight)
 	propCfg := baseCfg
 	propCfg.EnvCorrection = true
 
@@ -88,10 +81,10 @@ func RunFig15(cfg Fig15Config) Fig15Result {
 			ectx := core.EnvContext{Trustor: e, Trustee: e}
 			// Reference: environment never degrades the outcome.
 			draw := r.Float64()
-			obsNo := core.Outcome{Success: draw < cfg.ActualS}
+			obsNo := core.Outcome{Success: draw < fig15ActualS}
 			// Degraded: P(success) = S_actual · min(E). The same uniform
 			// draw couples the three curves, reducing comparison variance.
-			obsDeg := core.Outcome{Success: draw < cfg.ActualS*float64(ectx.Min())}
+			obsDeg := core.Outcome{Success: draw < fig15ActualS*float64(ectx.Min())}
 			eNo = core.Update(eNo, obsNo, core.PerfectEnv(), baseCfg)
 			eTrad = core.Update(eTrad, obsDeg, ectx, baseCfg)
 			eProp = core.Update(eProp, obsDeg, ectx, propCfg)
@@ -155,7 +148,7 @@ func (r Fig15Result) ShapeCheck() []error {
 	tailMean := func(y []float64, lo, hi int) float64 {
 		return stats.Mean(y[lo:hi])
 	}
-	actual := 0.8
+	actual := fig15ActualS
 	near := func(v, want, tol float64) bool { return math.Abs(v-want) <= tol }
 
 	// Phase tails (last 40 iterations of each 100-iteration phase).

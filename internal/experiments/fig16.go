@@ -19,15 +19,16 @@ type fig16Config struct {
 	// Experiments is the number of task indices (50 in the paper, split
 	// into light / dark / light thirds).
 	Experiments int
-	// ProfitScale multiplies the plotted normalized profit (the paper's
-	// y-axis is in arbitrary units around 0–1100).
-	ProfitScale float64
 }
 
 // defaultFig16Config mirrors the paper.
 func defaultFig16Config(seed uint64) fig16Config {
-	return fig16Config{Seed: seed, Experiments: 50, ProfitScale: 1000}
+	return fig16Config{Seed: seed, Experiments: 50}
 }
+
+// fig16ProfitScale multiplies the plotted normalized profit (the paper's
+// y-axis is in arbitrary units around 0–1100).
+const fig16ProfitScale float64 = 1000
 
 // fig16Result reproduces Fig. 16, "Comparison of the net profits when the
 // light condition changes and the dishonest trustees do not accept requests
@@ -112,9 +113,7 @@ func fig16Run(cfg fig16Config, sched env.LightSchedule, corrected bool) []float6
 					}
 				}
 			}
-			res := tb.Net.Delegate(trustor.Addr, trustee.Addr, tk, zigbee.ExchangeConfig{
-				Light: light, UseOptical: true, Act: agent.DefaultActConfig(),
-			})
+			res := tb.Net.Delegate(trustor.Addr, trustee.Addr, tk, zigbee.ExchangeConfig{Light: light, UseOptical: true})
 			// Post-evaluation with the measured ambient light as the
 			// trustee-side environment (eqs. 25–28 when corrected).
 			ectx := core.EnvContext{Trustor: 1, Trustee: light}
@@ -128,7 +127,7 @@ func fig16Run(cfg fig16Config, sched env.LightSchedule, corrected bool) []float6
 			count++
 		}
 		if count > 0 {
-			series[i] = cfg.ProfitScale * total / float64(count)
+			series[i] = fig16ProfitScale * total / float64(count)
 		}
 	}
 	return series

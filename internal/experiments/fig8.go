@@ -18,15 +18,16 @@ type fig8Config struct {
 	Seed uint64
 	// Experiments is the number of independent runs (the paper runs 50).
 	Experiments int
-	// WarmupPerTask is how many previous delegations of each prior task
-	// every trustor has with every group trustee.
-	WarmupPerTask int
 }
 
 // defaultFig8Config mirrors the paper.
 func defaultFig8Config(seed uint64) fig8Config {
-	return fig8Config{Seed: seed, Experiments: 50, WarmupPerTask: 2}
+	return fig8Config{Seed: seed, Experiments: 50}
 }
+
+// fig8WarmupPerTask is how many previous delegations of each prior task
+// every trustor has with every group trustee.
+const fig8WarmupPerTask = 2
 
 // fig8Result reproduces Fig. 8, "Comparison of the percentages of honest
 // devices": per experiment run, the percentage of trustors that selected an
@@ -65,10 +66,8 @@ func runFig8(cfg fig8Config) fig8Result {
 		for _, trustor := range tb.Trustors {
 			for _, trustee := range tb.GroupTrustees(tb.Group[trustor.Addr]) {
 				for _, prior := range []task.Task{prior1, prior2} {
-					for w := 0; w < cfg.WarmupPerTask; w++ {
-						res := tb.Net.Delegate(trustor.Addr, trustee.Addr, prior, zigbee.ExchangeConfig{
-							Light: 1, Act: agent.DefaultActConfig(),
-						})
+					for w := 0; w < fig8WarmupPerTask; w++ {
+						res := tb.Net.Delegate(trustor.Addr, trustee.Addr, prior, zigbee.ExchangeConfig{Light: 1})
 						trustor.Agent.Store.Observe(core.AgentID(trustee.Addr), prior, res.Outcome, core.PerfectEnv())
 					}
 				}

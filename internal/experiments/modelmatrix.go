@@ -137,7 +137,7 @@ func runModelMatrix(cfg modelMatrixConfig) modelMatrixResult {
 				Model:      m.Name(),
 				Attack:     atk.Name(),
 				Gap:        gap,
-				Resilience: report.NewResilience(gap, cfg.DetectionGap, baseline, attacked),
+				Resilience: report.NewResilience(gap, detectionGap, baseline, attacked),
 			})
 		}
 	}

@@ -16,6 +16,10 @@ import (
 // models lists the paper's three trust-transfer methods in figure order.
 var models = []core.TrustModel{core.Aggressive, core.Conservative, core.Traditional}
 
+// paperMaxDepth bounds the recommendation chains of the paper's §5.5
+// experiments (Figs. 9–12 and Table 2).
+const paperMaxDepth = 3
+
 // transitivityConfig parameterizes the §5.5 sweep behind Figs. 9–11.
 type transitivityConfig struct {
 	Seed uint64
@@ -34,7 +38,7 @@ type transitivityConfig struct {
 
 // defaultTransitivityConfig returns the paper's sweep.
 func defaultTransitivityConfig(seed uint64) transitivityConfig {
-	return transitivityConfig{Seed: seed, CharCounts: []int{4, 5, 6, 7}, Repeats: 5, MaxDepth: 3}
+	return transitivityConfig{Seed: seed, CharCounts: []int{4, 5, 6, 7}, Repeats: 5, MaxDepth: paperMaxDepth}
 }
 
 // transitivityCell is one (network, model, alphabet-size) measurement.
@@ -231,22 +235,17 @@ func (r transitivityResult) ShapeCheck() []error {
 	return c.errs
 }
 
-// fig12Config parameterizes the search-overhead measurement.
+// fig12Config parameterizes the search-overhead measurement, which runs on
+// the paper's Facebook subnetwork with a 5-characteristic alphabet.
 type fig12Config struct {
 	Seed uint64
-	// Network selects the sub-network (the paper uses Facebook).
-	Network string
-	// NumChars is the characteristic-alphabet size.
-	NumChars int
-	// MaxDepth bounds recommendation chains.
-	MaxDepth int
 	// Parallelism is the engine worker-pool width (0 = GOMAXPROCS).
 	Parallelism int
 }
 
-// defaultFig12Config mirrors the paper (Facebook subnetwork).
+// defaultFig12Config mirrors the paper.
 func defaultFig12Config(seed uint64) fig12Config {
-	return fig12Config{Seed: seed, Network: "facebook", NumChars: 5, MaxDepth: 3}
+	return fig12Config{Seed: seed}
 }
 
 // fig12Result reproduces Fig. 12, "Comparison of the numbers of inquired
@@ -259,14 +258,10 @@ type fig12Result struct {
 
 // runFig12 measures search overhead per trustor.
 func runFig12(cfg fig12Config) fig12Result {
-	profile, err := socialgen.ProfileByName(cfg.Network)
-	if err != nil {
-		panic(err)
-	}
-	setup := sim.DefaultTransitivitySetup(cfg.NumChars, rng.New(cfg.Seed, "fig12-setup"))
-	setup.MaxDepth = cfg.MaxDepth
+	setup := sim.DefaultTransitivitySetup(5, rng.New(cfg.Seed, "fig12-setup"))
+	setup.MaxDepth = paperMaxDepth
 	agg := map[string]sim.TransitivityStats{}
-	runModels(agg, socialgen.Generate(profile, cfg.Seed), cfg.Seed, cfg.Parallelism, setup, sim.SeedExperience, "fig12")
+	runModels(agg, socialgen.Generate(socialgen.Facebook(), cfg.Seed), cfg.Seed, cfg.Parallelism, setup, sim.SeedExperience, "fig12")
 	res := fig12Result{PerModel: map[string][]int{}}
 	for name, st := range agg {
 		sort.Ints(st.InquiredPerTrustor)
@@ -334,15 +329,14 @@ func (r fig12Result) ShapeCheck() []error {
 type table2Config struct {
 	Seed uint64
 	// Repeats averages each network over fresh seedings.
-	Repeats  int
-	MaxDepth int
+	Repeats int
 	// Parallelism is the engine worker-pool width (0 = GOMAXPROCS).
 	Parallelism int
 }
 
 // defaultTable2Config mirrors the paper.
 func defaultTable2Config(seed uint64) table2Config {
-	return table2Config{Seed: seed, Repeats: 5, MaxDepth: 3}
+	return table2Config{Seed: seed, Repeats: 5}
 }
 
 // table2Result reproduces Table 2, "Comparison of success rates,
@@ -362,7 +356,7 @@ func runTable2(cfg table2Config) table2Result {
 		for rep := 0; rep < cfg.Repeats; rep++ {
 			repSeed := rng.Mix(cfg.Seed, "table2", profile.Name, fmt.Sprint(rep))
 			setup := sim.DefaultTransitivitySetup(profile.FeatureKinds, rng.New(repSeed, "setup"))
-			setup.MaxDepth = cfg.MaxDepth
+			setup.MaxDepth = paperMaxDepth
 			runModels(agg, net, repSeed, cfg.Parallelism, setup, sim.SeedExperienceFromFeatures, "table2")
 		}
 		res.Cells = appendCells(res.Cells, profile.Name, 0, agg)

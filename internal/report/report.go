@@ -195,7 +195,7 @@ func (c *Chart) Render(w io.Writer) error {
 		return err
 	}
 	if _, err := fmt.Fprintf(w, "%s  %-10.4g%s%10.4g\n", strings.Repeat(" ", 8), xlo,
-		strings.Repeat(" ", maxInt(1, width-20)), xhi); err != nil {
+		strings.Repeat(" ", max(1, width-20)), xhi); err != nil {
 		return err
 	}
 	// Legend.
@@ -226,11 +226,4 @@ func SeriesCSV(w io.Writer, series ...stats.Series) error {
 		}
 	}
 	return nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

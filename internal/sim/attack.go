@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"slices"
+
 	"siot/internal/adversary"
 	"siot/internal/agent"
 	"siot/internal/core"
@@ -42,7 +44,7 @@ func (p *Population) installAttackers() {
 		p.Attackers = append(p.Attackers, id)
 		p.attackers[id] = true
 	}
-	sortIDs(p.Attackers)
+	slices.Sort(p.Attackers)
 }
 
 // Forget makes every peer drop its memory of id — experience records and
@@ -224,7 +226,7 @@ type Perceived struct {
 func (e *Engine) PerceivedTrustModels(round int, tk task.Task, models []core.TrustModel) []Perceived {
 	link := e.Pop.acquireEpoch(e.workers())
 	defer link.release()
-	memo := core.NewEdgeMemoPooled(link.view.TrustView, e.Pop.cfg.Update.Norm, e.workers(), epochArenas)
+	memo := core.NewEdgeMemoPooled(link.view.TrustView, e.Pop.cfg.Update.Norm, e.workers(), e.Pop.arenas)
 	defer memo.Release()
 	lenses := make([]edgeTW, len(models))
 	for mi, m := range models {

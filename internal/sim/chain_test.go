@@ -213,12 +213,13 @@ func TestOutstandingEpochOutlivesChain(t *testing.T) {
 			t.Fatalf("outstanding epoch swept %+v, the epoch it was taken from swept %+v", got, wantStats)
 		}
 	}()
-	// Drain every shelf slot of the shared pool into live views: an arena
-	// released twice would sit on the shelf twice and back two of them.
+	// Drain every shelf slot of the population's pool into live views: an
+	// arena released twice would sit on the shelf twice and back two of
+	// them.
 	live := p.RoundView(1, nil)
 	arenas := map[*core.CompactRecord]bool{}
 	for i := 0; i < 9; i++ {
-		v := p.RoundView(1, epochArenas)
+		v := p.RoundView(1, p.arenas)
 		defer v.Release()
 		assertSameRoundView(t, fmt.Sprintf("pooled capture %d", i), live, v)
 		a := &v.EdgeRecords(firstNonEmptyEdge(t, v.TrustView))[0]

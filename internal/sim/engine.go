@@ -2,7 +2,6 @@ package sim
 
 import (
 	"siot/internal/adversary"
-	"siot/internal/agent"
 	"siot/internal/core"
 	"siot/internal/env"
 	"siot/internal/par"
@@ -152,7 +151,6 @@ func (e *Engine) MutualityRound(round int, tk task.Task, c *MutualityCounters) {
 func (e *Engine) computeMutualityActs(view *core.RoundView, attacked bool, actx adversary.Context, round int, tk task.Task) []mutualityAction {
 	p := e.Pop
 	label := e.mutualityLabel()
-	actCfg := agent.DefaultActConfig()
 	lenses := []edgeTW{func(e int32) (float64, bool) { return view.BestTW(e, tk) }}
 	return mapTrustors(p.Trustors, e.workers(), func(x core.AgentID) mutualityAction {
 		row := p.candidates(x)
@@ -176,7 +174,7 @@ func (e *Engine) computeMutualityActs(view *core.RoundView, attacked bool, actx 
 			return mutualityAction{requested: true}
 		}
 		act := mutualityAction{requested: true, accepted: true, trustee: chosen.ID}
-		act.out = p.Agent(chosen.ID).ActOutcome(tk, env.Perfect, actCfg, r)
+		act.out = p.Agent(chosen.ID).ActOutcome(tk, env.Perfect, r)
 		act.abusive = trustor.Behavior.UsesAbusively(r)
 		return act
 	})

@@ -7,20 +7,11 @@ import (
 	"siot/internal/task"
 )
 
-// epochArenas recycles trust-view arenas and memo tables across every
-// epoch in the process: the links of every population's epoch chain,
-// probe memos and transitivity memos draw from it, so repeated rounds and
-// sweeps (benchmark repetitions, experiment repeats, per-call
-// Engine.TransitivityRunModel epochs) reuse the same backing memory
-// instead of re-allocating ~2.3 MB per epoch at 1k nodes (~23 MB at 10k,
-// 10x that at 100k).
-var epochArenas = core.NewArenaPool()
-
 // epochLink is one link of a population's epoch chain: a round view of the
 // stores and the number of holders still reading it. The population holds
 // its head link; every round, probe and TransitivityEpoch holds the link
-// it reads for as long as it reads it. The view's arenas go back to
-// epochArenas when the last holder lets go, so each view is released
+// it reads for as long as it reads it. The view's arenas go back to the
+// population's pool when the last holder lets go, so each view is released
 // exactly once. One goroutine drives a population, so the count needs no
 // lock.
 type epochLink struct {
@@ -52,7 +43,7 @@ func (p *Population) acquireEpoch(workers int) *epochLink {
 		if p.head != nil {
 			prev = p.head.view
 		}
-		next := &epochLink{view: mustCapture(p.RoundViewFrom(prev, workers, epochArenas)), holders: 1}
+		next := &epochLink{view: mustCapture(p.RoundViewFrom(prev, workers, p.arenas)), holders: 1}
 		if p.head != nil {
 			p.head.release()
 		}
@@ -100,7 +91,7 @@ func (e *Engine) TransitivityEpoch(setup TransitivitySetup) *TransitivityEpoch {
 		workers: workers,
 		link:    p.acquireEpoch(workers),
 	}
-	ep.memo = core.NewEdgeMemoPooled(ep.link.view.TrustView, p.cfg.Update.Norm, workers, epochArenas)
+	ep.memo = core.NewEdgeMemoPooled(ep.link.view.TrustView, p.cfg.Update.Norm, workers, p.arenas)
 	return ep
 }
 
@@ -119,8 +110,8 @@ func (ep *TransitivityEpoch) Reset() {
 	stale.release()
 }
 
-// Release returns the memo tables to the shared pool and lets go of the
-// epoch's link (its view's arenas follow once no round, probe or other
+// Release returns the memo tables to the population's pool and lets go of
+// the epoch's link (its view's arenas follow once no round, probe or other
 // epoch holds it). When the link is still the chain's head, the population
 // lets go of it as well: a released epoch ends a sweep, and its arenas go
 // back to the pool now instead of staying with a population that may never

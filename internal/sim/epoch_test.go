@@ -35,8 +35,33 @@ func TestReleasedTransitivityEpochPanics(t *testing.T) {
 	}
 }
 
+// TestPopulationsOwnTheirArenas pins that each population draws its epochs
+// from its own arena pool: while population A stays alive, an arena A
+// released never backs an epoch of population B, even one of the same
+// shape that a shared pool would hand it.
+func TestPopulationsOwnTheirArenas(t *testing.T) {
+	a, _ := viewTestPopulation(t, 21, 3)
+	b, setup := viewTestPopulation(t, 21, 3)
+	v := a.RoundView(1, a.arenas)
+	e := firstNonEmptyEdge(t, v.TrustView)
+	released := &v.EdgeRecords(e)[0]
+	v.Release()
+
+	ep := NewEngine(b, "own-arenas").TransitivityEpoch(setup)
+	defer ep.Release()
+	if &ep.link.view.EdgeRecords(e)[0] == released {
+		t.Fatal("population B's epoch reuses a record arena population A released")
+	}
+	// The same arena stays A's: A's next capture of the same shape takes it.
+	w := a.RoundView(1, a.arenas)
+	defer w.Release()
+	if &w.EdgeRecords(e)[0] != released {
+		t.Fatal("population A's pool did not keep the arena A released")
+	}
+}
+
 // TestChurnKeepsViewAlive pins the live-read window of identity churn
-// closed: a reader holds a view captured from the shared epoch pool,
+// closed: a reader holds a view captured from the population's epoch pool,
 // whitewashing churn then makes every peer Forget an attacker mid-flight
 // (Population.Forget rewriting the stores while the round captures and
 // releases its own views from the same pool), and the held view must keep
@@ -72,7 +97,7 @@ func TestChurnKeepsViewAlive(t *testing.T) {
 		t.Fatal("no records about any attacker after two rounds")
 	}
 	// Hold a view drawn from the pool the engine's rounds capture from.
-	view := p.RoundView(2, epochArenas)
+	view := p.RoundView(2, p.arenas)
 	edge, ok := view.EdgeIndex(holder, attacker)
 	if !ok {
 		t.Fatal("holder→attacker edge missing from view")
@@ -98,7 +123,7 @@ func TestChurnKeepsViewAlive(t *testing.T) {
 	view.Release() // the arenas return to the pool only now
 	// A fresh pooled capture (reusing those arenas) must match the live
 	// post-churn stores — nothing stale left behind.
-	fresh := p.RoundView(2, epochArenas)
+	fresh := p.RoundView(2, p.arenas)
 	edge2, ok := fresh.EdgeIndex(holder, attacker)
 	if !ok {
 		t.Fatal("edge missing from fresh view")

@@ -45,10 +45,10 @@ type seedEmit func(u core.AgentID, ti int, s float64)
 //
 //   - every node gets a per-characteristic capability drawn uniformly from
 //     [0, 1] (stored in its agent behavior);
-//   - every node is assigned TasksPerNode experienced task types;
+//   - every node is assigned tasksPerNode experienced task types;
 //   - every social neighbor receives an experience record about the node
 //     for those tasks, with expectation tracking the node's true capability
-//     up to RecordNoise.
+//     up to recordNoise.
 //
 // All randomness derives from seed through per-node sub-streams, sharded
 // over the population's configured worker pool; the result is bit-identical
@@ -75,12 +75,13 @@ func SeedExperienceFromFeatures(p *Population, setup TransitivitySetup, seed uin
 
 // agentSeedCtx is the per-node state a seeding function works with: the
 // population (read-only: neighbors), the node, its private rng sub-stream,
-// and the record sink.
+// the record sink, and a holder scratch slice reused from node to node.
 type agentSeedCtx struct {
-	p    *Population
-	node int
-	r    *rand.Rand
-	emit seedEmit
+	p       *Population
+	node    int
+	r       *rand.Rand
+	emit    seedEmit
+	holders []core.AgentID
 }
 
 // seedParallel runs the compute → merge seeding pipeline: perNode for every
@@ -92,7 +93,15 @@ func (p *Population) seedParallel(setup TransitivitySetup, seed uint64, label st
 	experienced := make([][]task.Task, n)
 	streamLabel := label + ":" + p.Net.Profile.Name
 	// Compute phase: per-node sub-streams, worker-local record buffers.
+	// Each buffer starts at a quarter over its share of the expected record
+	// count — every directed edge carries tasksPerNode records with
+	// probability (1-unknownFrac)·recordDensity — so appends rarely regrow
+	// it.
 	bufs := make([][]seedEntry, workers)
+	share := int(float64(len(p.adjTo))*tasksPerNode*(1-unknownFrac)*recordDensity) / workers * 5 / 4
+	for w := range bufs {
+		bufs[w] = make([]seedEntry, 0, share)
+	}
 	par.For(n, workers, func(w, lo, hi int) {
 		buf := bufs[w]
 		ctx := agentSeedCtx{p: p}
@@ -186,30 +195,27 @@ func (p *Population) ingestSorted(all []seedEntry, counts []int32, setup Transit
 	})
 }
 
-// holdersOf draws the record holders for one node: newcomers (UnknownFrac)
-// have none, otherwise a RecordDensity fraction of the node's social
-// neighbors carries direct experience with it.
-func holdersOf(a *agentSeedCtx, setup TransitivitySetup) []core.AgentID {
-	density := setup.RecordDensity
-	if density <= 0 {
-		density = 1
-	}
-	var holders []core.AgentID
-	if a.r.Float64() >= setup.UnknownFrac {
+// holdersOf draws the record holders for one node: newcomers (unknownFrac)
+// have none, otherwise a recordDensity fraction of the node's social
+// neighbors carries direct experience with it. The slice is a.holders,
+// valid until the next call.
+func holdersOf(a *agentSeedCtx) []core.AgentID {
+	a.holders = a.holders[:0]
+	if a.r.Float64() >= unknownFrac {
 		for _, u := range a.p.Neighbors(core.AgentID(a.node)) {
-			if a.r.Float64() < density {
-				holders = append(holders, u)
+			if a.r.Float64() < recordDensity {
+				a.holders = append(a.holders, u)
 			}
 		}
 	}
-	return holders
+	return a.holders
 }
 
 // emitExperience runs the shared tail of both seeding variants over the
 // node's chosen task indices: having accomplished a task implies
 // competence on its characteristics ("potential trustees who have
 // accomplished tasks that contain ... the characteristics"), and each
-// holder's record approaches the node's true capability up to RecordNoise.
+// holder's record approaches the node's true capability up to recordNoise.
 func emitExperience(a *agentSeedCtx, setup TransitivitySetup, types []int, holders []core.AgentID) []task.Task {
 	ag := a.p.Agents[a.node]
 	experienced := make([]task.Task, 0, len(types))
@@ -223,22 +229,22 @@ func emitExperience(a *agentSeedCtx, setup TransitivitySetup, types []int, holde
 		}
 		cap := ag.Behavior.TaskCompetence(tk)
 		for _, u := range holders {
-			a.emit(u, ti, clamp01(cap+setup.RecordNoise*(2*a.r.Float64()-1)))
+			a.emit(u, ti, clamp01(cap+recordNoise*(2*a.r.Float64()-1)))
 		}
 	}
 	return experienced
 }
 
 // seedNode draws one node's ground truth and records (the standard
-// variant): uniform per-characteristic capabilities, TasksPerNode
+// variant): uniform per-characteristic capabilities, tasksPerNode
 // experienced types, one record per (holder, experienced task).
 func seedNode(a *agentSeedCtx, setup TransitivitySetup) []task.Task {
 	ag := a.p.Agents[a.node]
 	for c := 0; c < setup.Universe.NumCharacteristics; c++ {
 		ag.Behavior.Competence[task.Characteristic(c)] = a.r.Float64()
 	}
-	types := a.r.Perm(len(setup.Universe.Tasks))[:setup.TasksPerNode]
-	return emitExperience(a, setup, types, holdersOf(a, setup))
+	types := a.r.Perm(len(setup.Universe.Tasks))[:tasksPerNode]
+	return emitExperience(a, setup, types, holdersOf(a))
 }
 
 // seedNodeFromFeatures draws one node's ground truth and records for the
@@ -278,6 +284,6 @@ func seedNodeFromFeatures(a *agentSeedCtx, setup TransitivitySetup, feats [][]in
 	}
 	a.r.Shuffle(len(preferred), func(i, j int) { preferred[i], preferred[j] = preferred[j], preferred[i] })
 	a.r.Shuffle(len(rest), func(i, j int) { rest[i], rest[j] = rest[j], rest[i] })
-	pick := append(append([]int(nil), preferred...), rest...)[:setup.TasksPerNode]
-	return emitExperience(a, setup, pick, holdersOf(a, setup))
+	pick := append(append([]int(nil), preferred...), rest...)[:tasksPerNode]
+	return emitExperience(a, setup, pick, holdersOf(a))
 }

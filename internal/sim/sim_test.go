@@ -183,7 +183,7 @@ func TestSeedExperience(t *testing.T) {
 
 	holders := 0
 	for node, tasks := range experienced {
-		if len(tasks) != setup.TasksPerNode {
+		if len(tasks) != tasksPerNode {
 			t.Fatalf("node %d has %d experienced tasks", node, len(tasks))
 		}
 		if len(tasks) == 2 && tasks[0].Type() == tasks[1].Type() {

@@ -10,30 +10,34 @@ import (
 type TransitivitySetup struct {
 	// Universe is the closed set of task types circulating in the network.
 	Universe task.Universe
-	// TasksPerNode is how many experienced task types each node carries
-	// ("Every network node keeps the trustworthiness records of two
-	// different tasks").
-	TasksPerNode int
 	// MaxDepth bounds the recommendation chains.
 	MaxDepth int
 	// Omega1, Omega2 are the ω thresholds of eqs. 7 and 11.
 	Omega1, Omega2 float64
-	// RecordNoise perturbs seeded expectations around the node's actual
+}
+
+// The experience seeding of §5.5.
+const (
+	// tasksPerNode is how many experienced task types each node carries
+	// ("Every network node keeps the trustworthiness records of two
+	// different tasks").
+	tasksPerNode = 2
+	// recordNoise perturbs seeded expectations around the node's actual
 	// capability ("neighboring nodes ... establish the trustworthiness of
 	// this node that approaches its actual capability").
-	RecordNoise float64
-	// RecordDensity is the probability that a given social neighbor holds
+	recordNoise float64 = 0.08
+	// recordDensity is the probability that a given social neighbor holds
 	// direct experience records about a node. Real networks are sparse in
 	// experience — only "neighboring nodes that have direct experiences"
 	// carry records — and this density reproduces the paper's unavailable
 	// rates and potential-trustee counts.
-	RecordDensity float64
-	// UnknownFrac is the fraction of nodes nobody has experience with yet
+	recordDensity float64 = 0.55
+	// unknownFrac is the fraction of nodes nobody has experience with yet
 	// (newcomers). Zero-inflating experience reproduces the paper's lumpy
 	// availability: many trustors find no candidate while the others find
 	// several good ones.
-	UnknownFrac float64
-}
+	unknownFrac float64 = 0.3
+)
 
 // DefaultTransitivitySetup mirrors the paper's parameters for a given
 // characteristic-alphabet size. The ω thresholds are 0: §5.5 describes the
@@ -44,14 +48,10 @@ type TransitivitySetup struct {
 // conservative one, which is the containment behind Fig. 11.)
 func DefaultTransitivitySetup(numChars int, r *rand.Rand) TransitivitySetup {
 	return TransitivitySetup{
-		Universe:      task.NewUniverse(2*numChars, numChars, r),
-		TasksPerNode:  2,
-		MaxDepth:      2,
-		Omega1:        0,
-		Omega2:        0,
-		RecordNoise:   0.08,
-		RecordDensity: 0.55,
-		UnknownFrac:   0.3,
+		Universe: task.NewUniverse(2*numChars, numChars, r),
+		MaxDepth: 2,
+		Omega1:   0,
+		Omega2:   0,
 	}
 }
 

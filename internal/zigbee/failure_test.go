@@ -25,7 +25,7 @@ func TestDelegateUnderHeavyLoss(t *testing.T) {
 	tk := task.Uniform(1, task.CharGPS)
 	delivered, failed := 0, 0
 	for i := 0; i < 40; i++ {
-		res := n.Delegate(tr.Addr, te.Addr, tk, ExchangeConfig{Light: 1, Act: agent.DefaultActConfig()})
+		res := n.Delegate(tr.Addr, te.Addr, tk, ExchangeConfig{Light: 1})
 		if res.Delivered {
 			delivered++
 		} else {
@@ -74,7 +74,7 @@ func TestDelegateFailureStillChargesRadioTime(t *testing.T) {
 
 	before := tr.ActiveMs
 	res := n.Delegate(tr.Addr, te.Addr, task.Uniform(1, task.CharGPS),
-		ExchangeConfig{Light: 1, Act: agent.DefaultActConfig()})
+		ExchangeConfig{Light: 1})
 	if res.Delivered {
 		t.Fatal("exchange delivered through a dead link")
 	}
@@ -162,7 +162,7 @@ func TestFig14StallerDetectionSurvivesLoss(t *testing.T) {
 		n.FormPAN()
 	}
 	tk := task.Uniform(1, task.CharGPS)
-	xc := ExchangeConfig{Light: 1, Act: agent.DefaultActConfig()}
+	xc := ExchangeConfig{Light: 1}
 	var honestMs, stallMs Ms
 	for i := 0; i < 10; i++ {
 		honestMs += n.Delegate(tr.Addr, honest.Addr, tk, xc).TrustorActiveMs

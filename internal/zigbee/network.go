@@ -12,30 +12,39 @@ import (
 	"siot/internal/task"
 )
 
-// Config holds the radio and protocol parameters of the simulated testbed.
-// Defaults follow the CC2530 datasheet ballpark: 250 kbit/s over-the-air
-// rate, ~29 mA RX / ~34 mA TX at 3 V, 250 m reliable range.
-type Config struct {
-	Seed        uint64
-	BitrateKbps float64
-	RangeM      float64
-	TxPowerMw   float64
-	RxPowerMw   float64
-	// CSMA backoff drawn uniformly from [CsmaMinMs, CsmaMaxMs] per attempt.
-	CsmaMinMs, CsmaMaxMs Ms
-	// AckTimeoutMs is the retransmission timeout; MaxRetries bounds MAC
+// The CC2530 radio and protocol constants of the simulated testbed (§5.2),
+// from the datasheet ballpark: 250 kbit/s over-the-air rate and ~34 mA TX /
+// ~29 mA RX at 3 V.
+const (
+	bitrateKbps float64 = 250
+	txPowerMw   float64 = 102 // ~34 mA * 3 V
+	rxPowerMw   float64 = 87  // ~29 mA * 3 V
+	// A CSMA backoff is drawn uniformly from [csmaMinMs, csmaMaxMs] per
+	// attempt.
+	csmaMinMs Ms = 0.3
+	csmaMaxMs Ms = 2.0
+	// ackTimeoutMs is the retransmission timeout; maxRetries bounds MAC
 	// retries for acknowledged frames.
-	AckTimeoutMs Ms
-	MaxRetries   int
+	ackTimeoutMs Ms = 5
+	maxRetries      = 3
+	// honestFragSize is the APS fragment payload of honest responders.
+	honestFragSize = 64
+	// processMs is the trustee-side compute time per task.
+	processMs Ms = 12
+	// requestBytes and responseBytes size the task request and result
+	// payloads.
+	requestBytes  = 24
+	responseBytes = 512
+)
+
+// Config holds the testbed settings that callers vary (range, loss and
+// the cost scale); the radio itself is fixed by the constants above.
+// Defaults give a 250 m reliable range.
+type Config struct {
+	Seed   uint64
+	RangeM float64
 	// LossProb is the per-frame loss probability within range.
 	LossProb float64
-	// FragSize is the APS fragment payload for honest responders.
-	FragSize int
-	// ProcessMs is the trustee-side compute time per task.
-	ProcessMs Ms
-	// RequestBytes/ResponseBytes size the task request and result payloads.
-	RequestBytes  int
-	ResponseBytes int
 	// CostPerActiveMs converts the trustor's measured radio-active time
 	// into the normalized cost factor of the trust model (eq. 18's Ĉ).
 	CostPerActiveMs float64
@@ -45,19 +54,8 @@ type Config struct {
 func DefaultConfig(seed uint64) Config {
 	return Config{
 		Seed:            seed,
-		BitrateKbps:     250,
 		RangeM:          250,
-		TxPowerMw:       102, // ~34 mA * 3 V
-		RxPowerMw:       87,  // ~29 mA * 3 V
-		CsmaMinMs:       0.3,
-		CsmaMaxMs:       2.0,
-		AckTimeoutMs:    5,
-		MaxRetries:      3,
 		LossProb:        0.02,
-		FragSize:        64,
-		ProcessMs:       12,
-		RequestBytes:    24,
-		ResponseBytes:   512,
 		CostPerActiveMs: 1.0 / 700,
 	}
 }
@@ -139,12 +137,12 @@ func (n *Network) inRange(a, b *Device) bool {
 
 // airMs returns the on-air duration of a frame.
 func (n *Network) airMs(f Frame) Ms {
-	return float64(f.AirBytes()) * 8 / n.cfg.BitrateKbps
+	return float64(f.AirBytes()) * 8 / bitrateKbps
 }
 
 // backoff draws one CSMA backoff.
 func (n *Network) backoff() Ms {
-	return n.cfg.CsmaMinMs + (n.cfg.CsmaMaxMs-n.cfg.CsmaMinMs)*n.r.Float64()
+	return csmaMinMs + (csmaMaxMs-csmaMinMs)*n.r.Float64()
 }
 
 // transmit sends one MAC frame with CSMA backoff, loss, acknowledgment, and
@@ -166,16 +164,16 @@ func (n *Network) attemptTransmit(f Frame, attempt int, done func(ok bool)) {
 	wait := n.backoff()
 	air := n.airMs(f)
 	n.Sim.Schedule(wait, func() {
-		src.accountTx(air, n.cfg.TxPowerMw)
+		src.accountTx(air, txPowerMw)
 		delivered := n.inRange(src, dst) && n.r.Float64() >= n.cfg.LossProb
 		n.Sim.Schedule(air, func() {
 			if delivered {
-				dst.accountRx(air, n.cfg.RxPowerMw)
+				dst.accountRx(air, rxPowerMw)
 				// MAC ack (11 bytes on air) for unicast data-ish frames.
 				if f.Kind != FrameAck {
-					ackAir := 11 * 8 / n.cfg.BitrateKbps
-					dst.accountTx(ackAir, n.cfg.TxPowerMw)
-					src.accountRx(ackAir, n.cfg.RxPowerMw)
+					ackAir := 11 * 8 / bitrateKbps
+					dst.accountTx(ackAir, txPowerMw)
+					src.accountRx(ackAir, rxPowerMw)
 				}
 				n.deliver(dst, f)
 				if done != nil {
@@ -184,8 +182,8 @@ func (n *Network) attemptTransmit(f Frame, attempt int, done func(ok bool)) {
 				return
 			}
 			// Lost: retry after the ack timeout.
-			if attempt+1 <= n.cfg.MaxRetries {
-				n.Sim.Schedule(n.cfg.AckTimeoutMs, func() {
+			if attempt+1 <= maxRetries {
+				n.Sim.Schedule(ackTimeoutMs, func() {
 					n.attemptTransmit(f, attempt+1, done)
 				})
 				return
@@ -231,7 +229,7 @@ func (n *Network) Handle(c Cluster, h func(dst *Device, src DeviceAddr, totalByt
 
 // MessageOpts tunes one APS message transfer.
 type MessageOpts struct {
-	// FragSize is the per-fragment payload; <= 0 uses the config default.
+	// FragSize is the per-fragment payload; <= 0 uses honestFragSize.
 	FragSize int
 	// InterFragDelayMs is the sender-side pause between fragments. Honest
 	// devices use ~0; fragment-stall attackers use large values to prolong
@@ -243,11 +241,11 @@ type MessageOpts struct {
 // fragmentation. onComplete(ok, at) fires when the last fragment is
 // acknowledged (ok) or any fragment is abandoned (!ok).
 func (n *Network) SendMessage(src, dst DeviceAddr, c Cluster, totalBytes int, opts MessageOpts, onComplete func(ok bool)) {
-	fragSize := opts.FragSize
-	if fragSize <= 0 {
-		fragSize = n.cfg.FragSize
+	frag := opts.FragSize
+	if frag <= 0 {
+		frag = honestFragSize
 	}
-	total := (totalBytes + fragSize - 1) / fragSize
+	total := (totalBytes + frag - 1) / frag
 	if total < 1 {
 		total = 1
 	}
@@ -257,11 +255,11 @@ func (n *Network) SendMessage(src, dst DeviceAddr, c Cluster, totalBytes int, op
 
 	var sendFrag func(i int)
 	sendFrag = func(i int) {
-		size := fragSize
+		size := frag
 		if i == total-1 {
-			size = totalBytes - fragSize*(total-1)
+			size = totalBytes - frag*(total-1)
 			if size <= 0 {
-				size = minInt(totalBytes, fragSize)
+				size = min(totalBytes, frag)
 			}
 		}
 		f := Frame{
@@ -285,13 +283,6 @@ func (n *Network) SendMessage(src, dst DeviceAddr, c Cluster, totalBytes int, op
 		})
 	}
 	sendFrag(0)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // FormPAN associates every unassociated device with the coordinator using
@@ -349,8 +340,6 @@ type ExchangeConfig struct {
 	// UseOptical routes the task through the trustee's optical sensor, so
 	// quality is gated by Light (the Fig. 16 setup).
 	UseOptical bool
-	// Act tunes the behavioral outcome model.
-	Act agent.ActConfig
 }
 
 // ExchangeResult is the outcome of a Delegate call.
@@ -390,24 +379,24 @@ func (n *Network) Delegate(trustor, trustee DeviceAddr, tk task.Task, xc Exchang
 	var res ExchangeResult
 
 	// Request (single message), then processing, then response.
-	n.SendMessage(trustor, trustee, ClusterTaskRequest, n.cfg.RequestBytes, MessageOpts{}, func(ok bool) {
+	n.SendMessage(trustor, trustee, ClusterTaskRequest, requestBytes, MessageOpts{}, func(ok bool) {
 		if !ok {
 			return // res.Delivered stays false
 		}
-		n.Sim.Schedule(n.cfg.ProcessMs, func() {
+		n.Sim.Schedule(processMs, func() {
 			effEnv := xc.Light
 			if xc.UseOptical && eDev.Sensor != nil {
 				effEnv = env.Environment(eDev.Sensor.Quality(xc.Light)).Clamp()
 			}
 			actRng := rng.Split(n.cfg.Seed, "act", int(trustor)<<16|int(trustee)+int(n.Sim.Processed))
-			out := eDev.Agent.Act(tk, effEnv, xc.Act, actRng)
+			out := eDev.Agent.Act(tk, effEnv, actRng)
 			opts := MessageOpts{}
 			if eDev.Agent.Behavior.Malice == agent.MaliceFragmentStall {
 				// Fragment packets: tiny payloads, long pauses.
 				opts.FragSize = 8
 				opts.InterFragDelayMs = 9
 			}
-			n.SendMessage(trustee, trustor, ClusterTaskResult, n.cfg.ResponseBytes, opts, func(ok bool) {
+			n.SendMessage(trustee, trustor, ClusterTaskResult, responseBytes, opts, func(ok bool) {
 				if !ok {
 					return
 				}

@@ -100,7 +100,7 @@ func BuildTestbed(cfg TestbedConfig) *Testbed {
 	r := rng.New(cfg.Seed, "testbed")
 
 	for g := 0; g < cfg.Groups; g++ {
-		angle := 2 * math.Pi * float64(g) / float64(maxInt(cfg.Groups, 1))
+		angle := 2 * math.Pi * float64(g) / float64(max(cfg.Groups, 1))
 		base := Position{X: 60 * math.Cos(angle), Y: 60 * math.Sin(angle)}
 		place := func(i int) Position {
 			return Position{X: base.X + 3*float64(i), Y: base.Y + 2*float64(i%3)}
@@ -151,11 +151,4 @@ func BuildTestbed(cfg TestbedConfig) *Testbed {
 		}
 	}
 	panic("zigbee: testbed failed to associate all devices")
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

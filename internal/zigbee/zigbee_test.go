@@ -185,7 +185,7 @@ func TestDelegateHonestExchange(t *testing.T) {
 	n.FormPAN()
 
 	tk := task.Uniform(1, task.CharGPS)
-	res := n.Delegate(tr.Addr, te.Addr, tk, ExchangeConfig{Light: 1, Act: agent.DefaultActConfig()})
+	res := n.Delegate(tr.Addr, te.Addr, tk, ExchangeConfig{Light: 1})
 	if !res.Delivered {
 		t.Fatal("exchange not delivered")
 	}
@@ -211,7 +211,7 @@ func TestDelegateStallerInflatesActiveTime(t *testing.T) {
 	n.FormPAN()
 
 	tk := task.Uniform(1, task.CharGPS)
-	xc := ExchangeConfig{Light: 1, Act: agent.DefaultActConfig()}
+	xc := ExchangeConfig{Light: 1}
 	h := n.Delegate(tr.Addr, honest.Addr, tk, xc)
 	s := n.Delegate(tr.Addr, staller.Addr, tk, xc)
 	if s.TrustorActiveMs <= 1.5*h.TrustorActiveMs {
@@ -233,9 +233,7 @@ func TestDelegateOpticalDarkDegrades(t *testing.T) {
 		tk := task.Uniform(1, task.CharImage)
 		succ := 0
 		for i := 0; i < 60; i++ {
-			res := n.Delegate(tr.Addr, te.Addr, tk, ExchangeConfig{
-				Light: env.Environment(light), UseOptical: true, Act: agent.DefaultActConfig(),
-			})
+			res := n.Delegate(tr.Addr, te.Addr, tk, ExchangeConfig{Light: env.Environment(light), UseOptical: true})
 			if res.Outcome.Success {
 				succ++
 			}
