@@ -150,14 +150,11 @@ type Agent struct {
 	// Theta is the reverse-evaluation threshold θ_y(τ). The paper's Fig. 7
 	// sweeps it over {0, 0.3, 0.6}; 0 disables the reverse evaluation.
 	Theta float64
-	// Energy is the remaining normalized battery; Act drains it by the
-	// outcome's cost. Negative energy is clamped to 0.
-	Energy float64
 }
 
 // New creates an agent with an empty trust store.
 func New(id core.AgentID, kind Kind, b Behavior, cfg core.UpdateConfig) *Agent {
-	return &Agent{ID: id, Kind: kind, Behavior: b, Store: core.NewStore(id, cfg), Energy: 1}
+	return &Agent{ID: id, Kind: kind, Behavior: b, Store: core.NewStore(id, cfg)}
 }
 
 // String implements fmt.Stringer.
@@ -177,18 +174,9 @@ const (
 // (hostile conditions make every task harder, §4.5). On success the trustor
 // gains proportionally to competence; on failure it suffers damage.
 // Fragment-stall malice inflates cost; opportunists fail sporadically on
-// purpose.
+// purpose. Act mutates nothing, so the parallel simulation engine calls it
+// from worker goroutines.
 func (a *Agent) Act(t task.Task, e env.Environment, r *rand.Rand) core.Outcome {
-	out := a.ActOutcome(t, e, r)
-	a.DrainEnergy(out.Cost)
-	return out
-}
-
-// ActOutcome computes the outcome of executing t without mutating the agent
-// — the read-only half of Act. The parallel simulation engine calls it from
-// worker goroutines and applies the energy drain later, during the
-// deterministic single-threaded merge.
-func (a *Agent) ActOutcome(t task.Task, e env.Environment, r *rand.Rand) core.Outcome {
 	comp := a.Behavior.TaskCompetence(t)
 	pSuccess := comp * float64(e.Clamp())
 	if a.Behavior.Malice == MaliceOpportunist && r.Float64() < 0.25 {
@@ -206,14 +194,6 @@ func (a *Agent) ActOutcome(t task.Task, e env.Environment, r *rand.Rand) core.Ou
 		out.Damage = clamp01((1 - comp) * (0.5 + 0.5*r.Float64()))
 	}
 	return out
-}
-
-// DrainEnergy applies the battery cost of one interaction, clamping at 0.
-func (a *Agent) DrainEnergy(cost float64) {
-	a.Energy -= cost * 0.01
-	if a.Energy < 0 {
-		a.Energy = 0
-	}
 }
 
 func clamp01(v float64) float64 {

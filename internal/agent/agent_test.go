@@ -146,17 +146,6 @@ func TestOpportunistFailsMoreOften(t *testing.T) {
 	}
 }
 
-func TestEnergyDrains(t *testing.T) {
-	a := New(1, KindTrustee, Behavior{BaseCompetence: 0.5}, core.DefaultUpdateConfig())
-	tk := task.Uniform(1, task.CharGPS)
-	r := rng.New(6, "drain")
-	start := a.Energy
-	a.Act(tk, 1, r)
-	if a.Energy >= start {
-		t.Fatal("energy did not drain")
-	}
-}
-
 func TestKindAndMaliceStrings(t *testing.T) {
 	if KindTrustor.String() != "trustor" || KindDishonestTrustee.String() != "dishonest-trustee" {
 		t.Fatal("kind strings wrong")

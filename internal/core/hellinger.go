@@ -50,12 +50,19 @@ func (hellingerMF) Spec() ModelSpec {
 // the edge's records. No search or memo path reads it: RequireModel has
 // TrainEpoch fill the model's table instead.
 func (hellingerMF) HopTW(ctx HopContext, recs []CompactRecord, t task.Task) (float64, bool) {
+	return meanRecordTW(recs, ctx.Norm)
+}
+
+// meanRecordTW is an edge's hellinger-mf rating: the mean trustworthiness
+// of its records, summed in record order. An edge with no records is
+// unrated.
+func meanRecordTW(recs []CompactRecord, norm Normalizer) (float64, bool) {
 	if len(recs) == 0 {
 		return 0, false
 	}
 	sum := 0.0
 	for _, r := range recs {
-		sum += r.TW(ctx.Norm)
+		sum += r.TW(norm)
 	}
 	return sum / float64(len(recs)), true
 }
@@ -95,16 +102,7 @@ func (hellingerMF) TrainEpoch(view *TrustView, norm Normalizer, workers int, val
 		for u := lo; u < hi; u++ {
 			for e := adjOff[u]; e < adjOff[u+1]; e++ {
 				holder[e] = AgentID(u)
-				recs := view.EdgeRecords(e)
-				if len(recs) == 0 {
-					continue
-				}
-				sum := 0.0
-				for _, r := range recs {
-					sum += r.TW(norm)
-				}
-				rating[e] = sum / float64(len(recs))
-				rated[e] = true
+				rating[e], rated[e] = meanRecordTW(view.EdgeRecords(e), norm)
 			}
 		}
 	})

@@ -66,20 +66,6 @@ func Remove(obs float64, cap float64, trustor, trustee Environment, intermediate
 	return v
 }
 
-// Schedule yields the environment at a given iteration. Schedules drive the
-// dynamic-environment experiments (Fig. 15's step changes, Fig. 16's
-// light/dark phases).
-type Schedule interface {
-	// At returns the environment at iteration i (0-based).
-	At(i int) Environment
-}
-
-// Constant is a schedule that never changes.
-type Constant Environment
-
-// At implements Schedule.
-func (c Constant) At(int) Environment { return Environment(c).Clamp() }
-
 // Phase is one segment of a PhaseSchedule.
 type Phase struct {
 	// Len is the number of iterations the phase lasts.
@@ -122,7 +108,7 @@ func Fig15Schedule() *PhaseSchedule {
 	return s
 }
 
-// At implements Schedule.
+// At returns the environment at iteration i (0-based).
 func (s *PhaseSchedule) At(i int) Environment {
 	if len(s.Phases) == 0 {
 		return Perfect
@@ -149,8 +135,8 @@ func (s *PhaseSchedule) TotalLen() int {
 // period, a dark period, then light again. During dark phases the
 // environment drops to DarkEnv, degrading any task that needs illumination.
 type LightSchedule struct {
-	LightLen, DarkLen, FinalLen int
-	LightEnv, DarkEnv           Environment
+	LightLen, DarkLen int
+	LightEnv, DarkEnv Environment
 }
 
 // DefaultLightSchedule mirrors the paper's setup: equal thirds of light,
@@ -161,12 +147,12 @@ func DefaultLightSchedule(span int) LightSchedule {
 		third = 1
 	}
 	return LightSchedule{
-		LightLen: third, DarkLen: third, FinalLen: span - 2*third,
+		LightLen: third, DarkLen: third,
 		LightEnv: 1, DarkEnv: 0.3,
 	}
 }
 
-// At implements Schedule.
+// At returns the environment at iteration i (0-based).
 func (s LightSchedule) At(i int) Environment {
 	switch {
 	case i < s.LightLen:

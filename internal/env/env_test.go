@@ -51,15 +51,6 @@ func TestRemoveCaps(t *testing.T) {
 	}
 }
 
-func TestConstantSchedule(t *testing.T) {
-	s := Constant(0.7)
-	for _, i := range []int{0, 5, 1000} {
-		if s.At(i) != 0.7 {
-			t.Fatalf("Constant.At(%d) = %v", i, s.At(i))
-		}
-	}
-}
-
 func TestPhaseScheduleSequence(t *testing.T) {
 	s := Fig15Schedule()
 	if s.At(0) != 1 || s.At(99) != 1 {

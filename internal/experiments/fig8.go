@@ -94,8 +94,7 @@ func runFig8(cfg fig8Config) fig8Result {
 				honestWith++
 			}
 			tb.Net.SendReport(trustor.Addr, zigbee.ReportPayload{
-				TrusteeAddr: zigbee.DeviceAddr(chosen.ID),
-				Honest:      tb.IsHonest(zigbee.DeviceAddr(chosen.ID)),
+				Honest: tb.IsHonest(zigbee.DeviceAddr(chosen.ID)),
 			})
 
 			// Without the model: the task is completely new — uninformed

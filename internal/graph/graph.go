@@ -174,15 +174,6 @@ func (g *Graph) EdgeList() [][2]NodeID {
 	return out
 }
 
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{adj: make([][]NodeID, len(g.adj)), edges: g.edges}
-	for i, a := range g.adj {
-		c.adj[i] = append([]NodeID(nil), a...)
-	}
-	return c
-}
-
 // AvgDegree returns the mean node degree, 2E/N. It returns 0 for an empty
 // graph.
 func (g *Graph) AvgDegree() float64 {

@@ -245,18 +245,6 @@ func TestEdgeList(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	g := complete(4)
-	c := g.Clone()
-	c.RemoveEdge(0, 1)
-	if !g.HasEdge(0, 1) {
-		t.Fatal("clone shares storage with original")
-	}
-	if c.NumEdges() != g.NumEdges()-1 {
-		t.Fatal("clone edge counts wrong")
-	}
-}
-
 func TestQuickClusteringBounds(t *testing.T) {
 	// Local clustering is always within [0,1] on arbitrary random graphs.
 	f := func(seed uint64, nRaw uint8) bool {

@@ -55,12 +55,10 @@ func New(seed uint64, labels ...string) *rand.Rand {
 // pipeline: sim.NewPopulation and the seeding passes key one stream per
 // node on (seed, phase label, node), so work sharded across goroutines
 // draws identical randomness regardless of execution order — the same
-// recipe Split2 provides for the engine's (round, agent) rounds.
+// recipe Split2 provides for the engine's (round, agent) rounds. It is
+// Split2 with j = -1, whose term (uint64(-1)+1)*… is 0.
 func Split(seed uint64, label string, index int) *rand.Rand {
-	state := Mix(seed, label) ^ (uint64(index)+1)*0x9e3779b97f4a7c15
-	lo := splitmix64(&state)
-	hi := splitmix64(&state)
-	return rand.New(rand.NewPCG(lo, hi))
+	return Split2(seed, label, index, -1)
 }
 
 // Split2 derives a child generator from a parent seed with two indices — the

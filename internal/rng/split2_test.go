@@ -1,6 +1,9 @@
 package rng
 
-import "testing"
+import (
+	"math/rand/v2"
+	"testing"
+)
 
 func TestSplit2Deterministic(t *testing.T) {
 	a := Split2(7, "round", 3, 41)
@@ -50,6 +53,33 @@ func TestSplitIndependentAcrossNodes(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		if a.Uint64() != b.Uint64() {
 			t.Fatal("identical (seed, label, index) produced different streams")
+		}
+	}
+}
+
+// TestSplitIsSplit2 pins Split's streams to Split2 with j = -1 and to the
+// one-index derivation every recorded Split stream was drawn from, over
+// random seeds, labels and indices.
+func TestSplitIsSplit2(t *testing.T) {
+	r := New(1, "split-identity")
+	for c := 0; c < 2000; c++ {
+		seed := r.Uint64()
+		label := make([]byte, r.IntN(12))
+		for i := range label {
+			label[i] = byte(r.IntN(256))
+		}
+		index := int(r.Uint64()) >> r.IntN(64)
+		state := Mix(seed, string(label)) ^ (uint64(index)+1)*0x9e3779b97f4a7c15
+		lo := splitmix64(&state)
+		hi := splitmix64(&state)
+		want := rand.New(rand.NewPCG(lo, hi))
+		got, got2 := Split(seed, string(label), index), Split2(seed, string(label), index, -1)
+		for k := 0; k < 4; k++ {
+			w := want.Uint64()
+			if a, b := got.Uint64(), got2.Uint64(); a != w || b != w {
+				t.Fatalf("seed %d label %q index %d draw %d: Split %x, Split2 %x, want %x",
+					seed, label, index, k, a, b, w)
+			}
 		}
 	}
 }

@@ -20,7 +20,7 @@ import (
 // randomness from a private sub-stream derived from the population seed,
 // the engine label, the round index, and its own agent ID (rng.Split2), and
 // only reads shared state. The merge phase then applies every trustor's
-// buffered effects (store updates, usage logs, counters, energy drains)
+// buffered effects (store updates, usage logs, counters)
 // single-threaded in ascending trustor-ID order. Because no draw and no
 // write depends on goroutine scheduling, the results are bit-identical for
 // every Parallelism value, including 1 — P=1 and P=8 with the same seed
@@ -174,7 +174,7 @@ func (e *Engine) computeMutualityActs(view *core.RoundView, attacked bool, actx 
 			return mutualityAction{requested: true}
 		}
 		act := mutualityAction{requested: true, accepted: true, trustee: chosen.ID}
-		act.out = p.Agent(chosen.ID).ActOutcome(tk, env.Perfect, r)
+		act.out = p.Agent(chosen.ID).Act(tk, env.Perfect, r)
 		act.abusive = trustor.Behavior.UsesAbusively(r)
 		return act
 	})
@@ -182,7 +182,7 @@ func (e *Engine) computeMutualityActs(view *core.RoundView, attacked bool, actx 
 
 // mergeMutualityActs is the round's single-threaded merge phase — the only
 // store writer: buffered actions apply in ascending trustor-ID order
-// (counters, trust updates, energy drains, usage logs).
+// (counters, trust updates, usage logs).
 func (e *Engine) mergeMutualityActs(attacked bool, tk task.Task, acts []mutualityAction, c *MutualityCounters) {
 	p := e.Pop
 	for i, x := range p.Trustors {
@@ -201,11 +201,9 @@ func (e *Engine) mergeMutualityActs(attacked bool, tk task.Task, acts []mutualit
 		if attacked && p.attackers[a.trustee] {
 			c.AttackerDelegations++
 		}
-		trustee := p.Agent(a.trustee)
 		p.Agent(x).Store.Observe(a.trustee, tk, a.out, core.PerfectEnv())
-		trustee.DrainEnergy(a.out.Cost)
 		// The trustor now uses the granted resource; the trustee logs how.
-		trustee.Store.ObserveUsage(x, a.abusive)
+		p.Agent(a.trustee).Store.ObserveUsage(x, a.abusive)
 		c.Uses++
 		if a.abusive {
 			c.Abuses++

@@ -16,12 +16,12 @@ import (
 	"siot/internal/task"
 )
 
-// populationDigest hashes every agent's full trust state (records, usage
-// logs, energy), so two populations compare bit-for-bit.
+// populationDigest hashes every agent's full trust state (records and usage
+// logs), so two populations compare bit-for-bit.
 func populationDigest(p *Population) string {
 	h := sha256.New()
 	for _, a := range p.Agents {
-		fmt.Fprintf(h, "agent %d energy %v\n", a.ID, a.Energy)
+		fmt.Fprintf(h, "agent %d\n", a.ID)
 		for _, y := range a.Store.Trustees() {
 			for _, r := range a.Store.Records(y) {
 				fmt.Fprintf(h, "rec %d %d %v %v %v %v %d\n",

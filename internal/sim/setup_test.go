@@ -41,7 +41,7 @@ func assertSamePopulation(t *testing.T, label string, want, got *Population) {
 	}
 	for i, w := range want.Agents {
 		g := got.Agents[i]
-		if w.Kind != g.Kind || w.Theta != g.Theta || w.Energy != g.Energy {
+		if w.Kind != g.Kind || w.Theta != g.Theta {
 			t.Fatalf("%s: agent %d differs: %+v vs %+v", label, i, w, g)
 		}
 		if w.Behavior.BaseCompetence != g.Behavior.BaseCompetence ||

@@ -29,17 +29,6 @@ func (r Role) String() string {
 	}
 }
 
-// RadioState models the CC2530 power states the active-time accounting
-// distinguishes.
-type RadioState uint8
-
-// Radio states.
-const (
-	RadioSleep RadioState = iota
-	RadioRx
-	RadioTx
-)
-
 // Position is a 2-D device location in meters, used for the range check.
 type Position struct{ X, Y float64 }
 
@@ -71,25 +60,9 @@ type Device struct {
 	RxFrames int
 	seq      uint8
 
-	// reassembly holds partially received APS messages keyed by
-	// (src, msgID).
-	reassembly map[reasmKey]*reasmState
-
 	// Reports collected by the coordinator (host-side buffer behind the
 	// CP2102 link).
 	Reports []Report
-}
-
-type reasmKey struct {
-	src DeviceAddr
-	id  uint32
-}
-
-type reasmState struct {
-	received  int
-	total     int
-	bytes     int
-	firstAtMs Ms
 }
 
 // Report is one application report a device sends to the coordinator for
@@ -102,17 +75,10 @@ type Report struct {
 
 // ReportPayload is the experiment-defined content of a report.
 type ReportPayload struct {
-	// TrusteeAddr is the trustee the reporting trustor selected.
-	TrusteeAddr DeviceAddr
-	// Honest marks whether that trustee was an honest device (ground truth
-	// carried for the coordinator's statistics, as in §5.4's experiments).
+	// Honest marks whether the trustee the reporting trustor selected was
+	// an honest device (ground truth carried for the coordinator's
+	// statistics, as in §5.4's experiments).
 	Honest bool
-	// Success is the task outcome.
-	Success bool
-	// ActiveMs is the trustor's radio-active time for the exchange.
-	ActiveMs Ms
-	// NetProfit is the trustor-side realized net profit.
-	NetProfit float64
 }
 
 // nextSeq returns the next MAC sequence number.

@@ -119,33 +119,6 @@ func TestDelegateUnknownTrusteePanics(t *testing.T) {
 	n.Delegate(tr.Addr, 0x77, task.Uniform(1, task.CharGPS), ExchangeConfig{})
 }
 
-func TestInterleavedMessagesReassembleIndependently(t *testing.T) {
-	cfg := DefaultConfig(36)
-	cfg.LossProb = 0
-	n := NewNetwork(cfg)
-	a := n.AddDevice(RoleRouter, Position{X: 1}, newTestAgent(1, 0.8))
-	b := n.AddDevice(RoleRouter, Position{X: 2}, newTestAgent(2, 0.8))
-	c := n.AddDevice(RoleRouter, Position{X: 3}, newTestAgent(3, 0.8))
-	n.FormPAN()
-
-	var got []int
-	n.Handle(ClusterTaskResult, func(dst *Device, src DeviceAddr, total int) {
-		got = append(got, total)
-	})
-	// Two senders fragment toward the same receiver concurrently; the
-	// (src, msgID) reassembly keys must keep them apart.
-	n.SendMessage(a.Addr, c.Addr, ClusterTaskResult, 200, MessageOpts{FragSize: 32}, nil)
-	n.SendMessage(b.Addr, c.Addr, ClusterTaskResult, 100, MessageOpts{FragSize: 32}, nil)
-	n.Sim.Run()
-	if len(got) != 2 {
-		t.Fatalf("reassembled %d messages, want 2", len(got))
-	}
-	sum := got[0] + got[1]
-	if sum != 300 {
-		t.Fatalf("byte totals %v", got)
-	}
-}
-
 func TestFig14StallerDetectionSurvivesLoss(t *testing.T) {
 	// The cost signal must remain usable under realistic loss: a staller's
 	// active time stays above an honest trustee's.

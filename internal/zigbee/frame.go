@@ -9,9 +9,6 @@ type DeviceAddr uint16
 // CoordAddr is the coordinator's short address (0x0000 in ZigBee).
 const CoordAddr DeviceAddr = 0x0000
 
-// BroadcastAddr is the all-devices broadcast address (0xFFFF in ZigBee).
-const BroadcastAddr DeviceAddr = 0xFFFF
-
 // FrameKind is the MAC/APS frame type.
 type FrameKind uint8
 
@@ -72,8 +69,6 @@ type Frame struct {
 	// PayloadLen is the APS payload size in bytes (contents are not
 	// simulated, only their cost).
 	PayloadLen int
-	// MsgID correlates the fragments of one APS message.
-	MsgID uint32
 	// FragIndex/FragTotal implement APS fragmentation; FragTotal == 1 means
 	// an unfragmented message.
 	FragIndex int

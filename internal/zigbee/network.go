@@ -69,9 +69,6 @@ type Network struct {
 	devices  map[DeviceAddr]*Device
 	order    []DeviceAddr
 	nextAddr DeviceAddr
-	msgID    uint32
-	// onMessage is the APS delivery hook used by Delegate.
-	handlers map[Cluster]func(dst *Device, src DeviceAddr, totalBytes int)
 }
 
 // NewNetwork creates a network containing only the coordinator, which
@@ -83,20 +80,15 @@ func NewNetwork(cfg Config) *Network {
 		cfg:      cfg,
 		r:        rng.New(cfg.Seed, "zigbee"),
 		devices:  make(map[DeviceAddr]*Device),
-		handlers: make(map[Cluster]func(*Device, DeviceAddr, int)),
 		nextAddr: 1,
 	}
-	n.coord = &Device{Addr: CoordAddr, Role: RoleCoordinator, Associated: true,
-		reassembly: map[reasmKey]*reasmState{}}
+	n.coord = &Device{Addr: CoordAddr, Role: RoleCoordinator, Associated: true}
 	n.devices[CoordAddr] = n.coord
 	n.order = append(n.order, CoordAddr)
 	// Channel scan + network start cost a little coordinator airtime.
 	n.coord.ActiveMs += 96 // 802.15.4 scan of a few channels
 	return n
 }
-
-// Config returns the network configuration.
-func (n *Network) Config() Config { return n.cfg }
 
 // AddDevice joins a new node device (not yet associated) at pos with the
 // given agent. The returned device's address is stable and unique.
@@ -106,19 +98,12 @@ func (n *Network) AddDevice(role Role, pos Position, ag *agent.Agent) *Device {
 	}
 	d := &Device{
 		Addr: n.nextAddr, Role: role, Pos: pos, Agent: ag,
-		Sensor:     &OpticalSensor{DarkFloor: 0.1},
-		reassembly: map[reasmKey]*reasmState{},
+		Sensor: &OpticalSensor{DarkFloor: 0.1},
 	}
 	n.nextAddr++
 	n.devices[d.Addr] = d
 	n.order = append(n.order, d.Addr)
 	return d
-}
-
-// Device returns the device with the given address.
-func (n *Network) Device(addr DeviceAddr) (*Device, bool) {
-	d, ok := n.devices[addr]
-	return d, ok
 }
 
 // Devices returns all devices in join order (coordinator first).
@@ -175,7 +160,6 @@ func (n *Network) attemptTransmit(f Frame, attempt int, done func(ok bool)) {
 					dst.accountTx(ackAir, txPowerMw)
 					src.accountRx(ackAir, rxPowerMw)
 				}
-				n.deliver(dst, f)
 				if done != nil {
 					done(true)
 				}
@@ -193,38 +177,6 @@ func (n *Network) attemptTransmit(f Frame, attempt int, done func(ok bool)) {
 			}
 		})
 	})
-}
-
-// deliver hands a received frame to the APS/application layer.
-func (n *Network) deliver(dst *Device, f Frame) {
-	switch f.Kind {
-	case FrameData:
-		key := reasmKey{src: f.Src, id: f.MsgID}
-		st, ok := dst.reassembly[key]
-		if !ok {
-			st = &reasmState{total: f.FragTotal, firstAtMs: n.Sim.Now()}
-			dst.reassembly[key] = st
-		}
-		st.received++
-		st.bytes += f.PayloadLen
-		if st.received >= st.total {
-			delete(dst.reassembly, key)
-			if h, ok := n.handlers[f.Cluster]; ok {
-				h(dst, f.Src, st.bytes)
-			}
-		}
-	case FrameReport:
-		// Reports only make sense at the coordinator.
-		if dst.Role == RoleCoordinator {
-			// Payload decoding is out of scope; the report itself is
-			// attached by SendReport via closure.
-		}
-	}
-}
-
-// Handle registers the application handler for a cluster.
-func (n *Network) Handle(c Cluster, h func(dst *Device, src DeviceAddr, totalBytes int)) {
-	n.handlers[c] = h
 }
 
 // MessageOpts tunes one APS message transfer.
@@ -249,8 +201,6 @@ func (n *Network) SendMessage(src, dst DeviceAddr, c Cluster, totalBytes int, op
 	if total < 1 {
 		total = 1
 	}
-	n.msgID++
-	id := n.msgID
 	srcDev := n.devices[src]
 
 	var sendFrag func(i int)
@@ -264,7 +214,7 @@ func (n *Network) SendMessage(src, dst DeviceAddr, c Cluster, totalBytes int, op
 		}
 		f := Frame{
 			Kind: FrameData, Src: src, Dst: dst, Seq: srcDev.nextSeq(),
-			Cluster: c, PayloadLen: size, MsgID: id, FragIndex: i, FragTotal: total,
+			Cluster: c, PayloadLen: size, FragIndex: i, FragTotal: total,
 		}
 		n.transmit(f, func(ok bool) {
 			if !ok {
@@ -353,8 +303,6 @@ type ExchangeResult struct {
 	// TrustorActiveMs is the trustor's radio-active time consumed by the
 	// exchange — the quantity Fig. 14 plots.
 	TrustorActiveMs Ms
-	// DurationMs is the wall-clock span of the exchange.
-	DurationMs Ms
 }
 
 // Delegate performs one over-the-air task delegation from trustor to
@@ -375,7 +323,6 @@ func (n *Network) Delegate(trustor, trustee DeviceAddr, tk task.Task, xc Exchang
 		panic("zigbee: trustee has no agent")
 	}
 	activeBefore := tDev.ActiveMs
-	startMs := n.Sim.Now()
 	var res ExchangeResult
 
 	// Request (single message), then processing, then response.
@@ -408,7 +355,6 @@ func (n *Network) Delegate(trustor, trustee DeviceAddr, tk task.Task, xc Exchang
 	n.Sim.Run()
 
 	res.TrustorActiveMs = tDev.ActiveMs - activeBefore
-	res.DurationMs = n.Sim.Now() - startMs
 	if !res.Delivered {
 		res.Outcome = core.Outcome{Success: false, Damage: 0.5}
 	}

@@ -81,32 +81,14 @@ func (s *Simulator) Schedule(delay Ms, fn func()) {
 // Run executes events until the queue drains.
 func (s *Simulator) Run() {
 	for len(s.events) > 0 {
-		s.step()
+		e := heap.Pop(&s.events).(*event)
+		if e.at > s.now {
+			s.now = e.at
+		}
+		s.Processed++
+		if s.MaxEvents > 0 && s.Processed > s.MaxEvents {
+			panic(fmt.Sprintf("zigbee: event budget exceeded (%d events) — runaway feedback loop?", s.MaxEvents))
+		}
+		e.run()
 	}
 }
-
-// RunUntil executes events with timestamps <= t, then advances the clock to
-// exactly t.
-func (s *Simulator) RunUntil(t Ms) {
-	for len(s.events) > 0 && s.events[0].at <= t {
-		s.step()
-	}
-	if t > s.now {
-		s.now = t
-	}
-}
-
-func (s *Simulator) step() {
-	e := heap.Pop(&s.events).(*event)
-	if e.at > s.now {
-		s.now = e.at
-	}
-	s.Processed++
-	if s.MaxEvents > 0 && s.Processed > s.MaxEvents {
-		panic(fmt.Sprintf("zigbee: event budget exceeded (%d events) — runaway feedback loop?", s.MaxEvents))
-	}
-	e.run()
-}
-
-// Pending returns the number of queued events.
-func (s *Simulator) Pending() int { return len(s.events) }

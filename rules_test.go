@@ -1,35 +1,235 @@
 package siot_test
 
 import (
+	"bytes"
+	"flag"
 	"fmt"
 	"go/ast"
 	"go/parser"
+	"go/printer"
 	"go/token"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// TestBenchmarkModuleVets builds and vets the benchmark module, which the
+var updateAPI = flag.Bool("update", false, "rewrite testdata/api.txt instead of comparing")
+
+// TestAPI pins the exported surface of the root package and every internal/
+// package to testdata/api.txt: one line per exported top-level function,
+// method, type, constant and variable, with its signature. A change to the
+// surface shows as a diff of that file; `go test -run TestAPI . -update`
+// rewrites it.
+func TestAPI(t *testing.T) {
+	dirs, err := filepath.Glob(filepath.Join("internal", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	for _, dir := range append([]string{"."}, dirs...) {
+		pkg := "siot"
+		if dir != "." {
+			pkg += "/" + filepath.ToSlash(dir)
+		}
+		fset, files := parseNonTest(t, dir)
+		for _, f := range files {
+			for _, l := range apiLines(fset, f) {
+				lines = append(lines, pkg+": "+l)
+			}
+		}
+	}
+	slices.Sort(lines)
+	got := strings.Join(lines, "\n") + "\n"
+	const golden = "testdata/api.txt"
+	if *updateAPI {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got == string(want) {
+		return
+	}
+	wantLines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
+	for _, l := range wantLines {
+		if !slices.Contains(lines, l) {
+			t.Errorf("removed: %s", l)
+		}
+	}
+	for _, l := range lines {
+		if !slices.Contains(wantLines, l) {
+			t.Errorf("added:   %s", l)
+		}
+	}
+	t.Errorf("exported surface differs from %s; run with -update if the change is meant", golden)
+}
+
+// apiLines renders the exported top-level declarations of f, one line each.
+// Parameter names, comments, unexported struct fields and the values of
+// variables and typed constants are left out: they are not part of the
+// surface.
+func apiLines(fset *token.FileSet, f *ast.File) []string {
+	var out []string
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if !d.Name.IsExported() {
+				continue
+			}
+			if d.Recv == nil {
+				out = append(out, "func "+d.Name.Name+signature(fset, d.Type))
+				continue
+			}
+			recv := nodeString(fset, d.Recv.List[0].Type)
+			out = append(out, "method ("+recv+") "+d.Name.Name+signature(fset, d.Type))
+		case *ast.GenDecl:
+			var typ ast.Expr // a const group repeats the last explicit type
+			for _, spec := range d.Specs {
+				switch sp := spec.(type) {
+				case *ast.TypeSpec:
+					if !sp.Name.IsExported() {
+						continue
+					}
+					eq := " "
+					if sp.Assign.IsValid() {
+						eq = " = "
+					}
+					out = append(out, "type "+sp.Name.Name+eq+typeString(fset, sp.Type))
+				case *ast.ValueSpec:
+					if sp.Type != nil || len(sp.Values) > 0 {
+						typ = sp.Type
+					}
+					for i, name := range sp.Names {
+						if !name.IsExported() {
+							continue
+						}
+						l := d.Tok.String() + " " + name.Name
+						switch {
+						case typ != nil:
+							l += " " + nodeString(fset, typ)
+						case d.Tok == token.CONST && i < len(sp.Values):
+							l += " = " + nodeString(fset, sp.Values[i])
+						}
+						out = append(out, l)
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// signature renders a function type without its parameter names.
+func signature(fset *token.FileSet, ft *ast.FuncType) string {
+	list := func(fl *ast.FieldList) []string {
+		var out []string
+		if fl == nil {
+			return nil
+		}
+		for _, field := range fl.List {
+			for range max(1, len(field.Names)) {
+				out = append(out, nodeString(fset, field.Type))
+			}
+		}
+		return out
+	}
+	s := "(" + strings.Join(list(ft.Params), ", ") + ")"
+	switch res := list(ft.Results); len(res) {
+	case 0:
+	case 1:
+		s += " " + res[0]
+	default:
+		s += " (" + strings.Join(res, ", ") + ")"
+	}
+	return s
+}
+
+// typeString renders a type on one line: a struct lists only its exported
+// fields, an interface its methods.
+func typeString(fset *token.FileSet, e ast.Expr) string {
+	switch t := e.(type) {
+	case *ast.StructType:
+		var fields []string
+		for _, field := range t.Fields.List {
+			typ := nodeString(fset, field.Type)
+			if len(field.Names) == 0 { // embedded
+				if ast.IsExported(strings.TrimLeft(typ[strings.LastIndex(typ, ".")+1:], "*")) {
+					fields = append(fields, typ)
+				}
+				continue
+			}
+			for _, name := range field.Names {
+				if name.IsExported() {
+					fields = append(fields, name.Name+" "+typ)
+				}
+			}
+		}
+		return "struct{" + strings.Join(fields, "; ") + "}"
+	case *ast.InterfaceType:
+		var methods []string
+		for _, m := range t.Methods.List {
+			if ft, ok := m.Type.(*ast.FuncType); ok {
+				methods = append(methods, m.Names[0].Name+signature(fset, ft))
+				continue
+			}
+			methods = append(methods, nodeString(fset, m.Type))
+		}
+		return "interface{" + strings.Join(methods, "; ") + "}"
+	}
+	return nodeString(fset, e)
+}
+
+// nodeString prints an AST node with its whitespace runs collapsed to
+// single spaces, so a multi-line literal or type fits on one line.
+func nodeString(fset *token.FileSet, n ast.Node) string {
+	var buf bytes.Buffer
+	if err := printer.Fprint(&buf, fset, n); err != nil {
+		panic(err)
+	}
+	return strings.Join(strings.Fields(buf.String()), " ")
+}
+
+// TestBenchmarkModule vets and tests the benchmark module, which the
 // repository's own `go test ./...` does not enter. benchmark/run.sh builds
-// it before every run, so an identifier it uses that no longer compiles
-// would otherwise surface only as a failed benchmark run.
-func TestBenchmarkModuleVets(t *testing.T) {
+// it before every run and exits 1 when a workload returns an error or fails
+// its correctness checks; the module's TestSmoke runs every workload on
+// small worlds and checks every result, so both kinds of break surface
+// here instead of as a failed benchmark run.
+func TestBenchmarkModule(t *testing.T) {
 	if testing.Short() {
-		t.Skip("vets a second module")
+		t.Skip("vets and tests a second module")
 	}
 	goBin, err := exec.LookPath("go")
 	if err != nil {
 		t.Skip("go is not on PATH")
 	}
-	cmd := exec.Command(goBin, "vet", "./...")
-	cmd.Dir = "benchmark"
-	cmd.Env = append(os.Environ(), "GOTOOLCHAIN=local", "GOWORK=off")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go vet ./... in benchmark/: %v\n%s", err, out)
+	// The test cache keys on the files this process opens, not on what the
+	// child go commands read: open the module's sources here, so an edit
+	// under benchmark/ reruns the test instead of replaying a cached pass.
+	paths, err := filepath.Glob(filepath.Join("benchmark", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range append(paths, filepath.Join("benchmark", "go.mod")) {
+		if _, err := os.ReadFile(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, args := range [][]string{{"vet", "./..."}, {"test", "./..."}} {
+		cmd := exec.Command(goBin, args...)
+		cmd.Dir = "benchmark"
+		cmd.Env = append(os.Environ(), "GOTOOLCHAIN=local", "GOWORK=off")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("go %s in benchmark/: %v\n%s", strings.Join(args, " "), err, out)
+		}
 	}
 }
 

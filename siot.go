@@ -237,9 +237,6 @@ func CharName(c Characteristic) string { return task.CharName(c) }
 // Environment is an instantaneous external-condition indicator in (0, 1].
 type Environment = env.Environment
 
-// Schedule yields the environment at each iteration.
-type Schedule = env.Schedule
-
 // PhaseSchedule plays fixed-length environment phases in order.
 type PhaseSchedule = env.PhaseSchedule
 
