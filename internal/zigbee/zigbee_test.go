@@ -1,6 +1,8 @@
 package zigbee
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -278,5 +280,61 @@ func TestEnergyAccounting(t *testing.T) {
 	n.Sim.Run()
 	if a.EnergyMJ <= beforeA || b.EnergyMJ <= beforeB {
 		t.Fatal("transfer consumed no energy")
+	}
+}
+
+// testbedTraceDigest is the FNV-64 digest of TestTestbedTracePinned's
+// script. The figure goldens see only aggregates of the testbed; this pins
+// every device's radio time, energy and frame count, every exchange result
+// and the collected reports to the bit.
+const testbedTraceDigest uint64 = 0x3f857386900c6b9d
+
+func TestTestbedTracePinned(t *testing.T) {
+	tb := BuildTestbed(DefaultTestbedConfig(1))
+	h := fnv.New64a()
+	fold := func(v uint64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	flag := func(b bool) uint64 {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	tk := task.Uniform(1, task.CharGPS, task.CharImage)
+	lastOK := map[DeviceAddr]bool{}
+	for _, xc := range []ExchangeConfig{{Light: 1}, {Light: 0.3, UseOptical: true}} {
+		for _, trustor := range tb.Trustors {
+			for _, trustee := range tb.GroupTrustees(tb.Group[trustor.Addr]) {
+				res := tb.Net.Delegate(trustor.Addr, trustee.Addr, tk, xc)
+				fold(flag(res.Delivered))
+				fold(flag(res.Outcome.Success))
+				fold(math.Float64bits(res.Outcome.Gain))
+				fold(math.Float64bits(res.Outcome.Damage))
+				fold(math.Float64bits(res.Outcome.Cost))
+				fold(math.Float64bits(res.TrustorActiveMs))
+				lastOK[trustor.Addr] = res.Outcome.Success
+			}
+		}
+	}
+	for _, trustor := range tb.Trustors {
+		tb.Net.SendReport(trustor.Addr, ReportPayload{Honest: lastOK[trustor.Addr]})
+	}
+	reports := tb.Net.CollectReports()
+	fold(uint64(len(reports)))
+	for _, rep := range reports {
+		fold(uint64(rep.From))
+		fold(flag(rep.Payload.Honest))
+	}
+	for _, d := range tb.Net.Devices() {
+		fold(uint64(d.Addr))
+		fold(math.Float64bits(d.ActiveMs))
+		fold(math.Float64bits(d.EnergyMJ))
+		fold(uint64(d.TxFrames))
+	}
+	if got := h.Sum64(); got != testbedTraceDigest {
+		t.Fatalf("testbed trace digest = %#x, want %#x", got, testbedTraceDigest)
 	}
 }

@@ -17,7 +17,7 @@ import (
 	"testing"
 )
 
-var updateAPI = flag.Bool("update", false, "rewrite testdata/api.txt instead of comparing")
+var updateAPI = flag.Bool("update", false, "rewrite testdata/api.txt and testdata/examples/ instead of comparing")
 
 // TestAPI pins the exported surface of the root package and every internal/
 // package to testdata/api.txt: one line per exported top-level function,
@@ -385,4 +385,64 @@ func randConstructors(t *testing.T) map[string]bool {
 		t.Fatal("internal/rng: no function returns a *rand.Rand")
 	}
 	return out
+}
+
+// TestExamplesOutput runs every program under examples/ and compares its
+// stdout byte for byte with testdata/examples/<name>.txt; `go test -run
+// TestExamplesOutput . -update` rewrites the files. No figure golden covers
+// the examples, and energyaware's energy line is the only output that reads
+// the testbed's per-device energy accounting.
+func TestExamplesOutput(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs every example")
+	}
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go is not on PATH")
+	}
+	dirs, err := filepath.Glob(filepath.Join("examples", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range dirs {
+		name := filepath.Base(dir)
+		t.Run(name, func(t *testing.T) {
+			// Open the sources here, so an edit to an example reruns the
+			// test instead of replaying a cached pass.
+			srcs, err := filepath.Glob(filepath.Join(dir, "*.go"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range srcs {
+				if _, err := os.ReadFile(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cmd := exec.Command(goBin, "run", "./"+filepath.ToSlash(dir))
+			cmd.Env = append(os.Environ(), "GOTOOLCHAIN=local", "GOWORK=off")
+			var stderr bytes.Buffer
+			cmd.Stderr = &stderr
+			got, err := cmd.Output()
+			if err != nil {
+				t.Fatalf("go run ./%s: %v\n%s", dir, err, stderr.Bytes())
+			}
+			golden := filepath.Join("testdata", "examples", name+".txt")
+			if *updateAPI {
+				if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(golden, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("%v (run with -update to create it)", err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("stdout of ./%s differs from %s; run with -update if the change is meant\ngot:\n%s", dir, golden, got)
+			}
+		})
+	}
 }
