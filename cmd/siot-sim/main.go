@@ -28,6 +28,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"slices"
 
@@ -71,8 +72,12 @@ func main() {
 	if !ok {
 		strategyErr = fmt.Errorf("unknown strategy %q", *strategy)
 	}
+	var thetaErr error
+	if math.IsNaN(*theta) || math.IsInf(*theta, 0) {
+		thetaErr = fmt.Errorf("-theta must be finite, got %v", *theta)
+	}
 	for _, err := range []error{
-		modeErr, modelErr, strategyErr,
+		modeErr, modelErr, strategyErr, thetaErr,
 		cliutil.ValidateParallel(*parallel),
 		cliutil.ValidatePositive("-rounds", *rounds),
 		cliutil.ValidatePositive("-chars", *chars),

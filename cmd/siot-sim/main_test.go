@@ -78,9 +78,9 @@ func TestAttackRunsScenario(t *testing.T) {
 }
 
 // TestBadAttackFlagsAreUsageErrors checks that an unknown attack model, the
-// deleted -experiment flag, a ring size without a model, and an unknown
-// mode, strategy or trust model exit 2 before anything is printed — before
-// the network is generated.
+// deleted -experiment flag, a ring size without a model, an unknown mode,
+// strategy or trust model, and a non-finite -theta exit 2 before anything
+// is printed — before the network is generated.
 func TestBadAttackFlagsAreUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-attack", "sybil"},
@@ -89,6 +89,8 @@ func TestBadAttackFlagsAreUsageErrors(t *testing.T) {
 		{"-mode", "bogus"},
 		{"-mode", "netprofit", "-strategy", "bogus"},
 		{"-mode", "transitivity", "-model", "nope"},
+		{"-rounds", "5", "-theta", "NaN"},
+		{"-rounds", "5", "-theta", "Inf"},
 	} {
 		stdout, stderr, code := runSim(t, args...)
 		if code != 2 || stdout != "" {

@@ -86,7 +86,7 @@ func NewPhaseSchedule(phases ...Phase) (*PhaseSchedule, error) {
 		if p.Len <= 0 {
 			return nil, fmt.Errorf("env: phase %d has non-positive length %d", i, p.Len)
 		}
-		if p.Env <= 0 || p.Env > 1 {
+		if p.Env.Validate() != nil {
 			return nil, fmt.Errorf("env: phase %d environment %v outside (0,1]", i, p.Env)
 		}
 	}

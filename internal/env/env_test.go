@@ -81,6 +81,9 @@ func TestNewPhaseScheduleValidates(t *testing.T) {
 	if _, err := NewPhaseSchedule(Phase{Len: 10, Env: 1.2}); err == nil {
 		t.Fatal("super-unit environment accepted")
 	}
+	if _, err := NewPhaseSchedule(Phase{Len: 10, Env: Environment(math.NaN())}); err == nil {
+		t.Fatal("NaN environment accepted")
+	}
 }
 
 func TestEmptyPhaseSchedule(t *testing.T) {

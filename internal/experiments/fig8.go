@@ -90,12 +90,11 @@ func runFig8(cfg fig8Config) fig8Result {
 				cands = append(cands, core.Candidate{ID: core.AgentID(trustee.Addr), TW: tw})
 			}
 			chosen, _ := core.SelectMutual(cands, nil)
-			if tb.IsHonest(zigbee.DeviceAddr(chosen.ID)) {
+			honest := tb.IsHonest(zigbee.DeviceAddr(chosen.ID))
+			if honest {
 				honestWith++
 			}
-			tb.Net.SendReport(trustor.Addr, zigbee.ReportPayload{
-				Honest: tb.IsHonest(zigbee.DeviceAddr(chosen.ID)),
-			})
+			tb.Net.SendReport(trustor.Addr, honest)
 
 			// Without the model: the task is completely new — uninformed
 			// uniform choice.
@@ -109,7 +108,7 @@ func runFig8(cfg fig8Config) fig8Result {
 		reports := tb.Net.CollectReports()
 		honestReported := 0
 		for _, rep := range reports {
-			if rep.Payload.Honest {
+			if rep.Honest {
 				honestReported++
 			}
 		}

@@ -350,8 +350,12 @@ func newEngine(cfg Config, w *world) *Engine {
 }
 
 // New builds the world, writes the journal header, publishes epoch 0, and
-// starts the writer goroutine.
+// starts the writer goroutine. A NaN or infinite Theta is rejected before
+// anything is built: the journal header could not record it.
 func New(cfg Config) (*Engine, error) {
+	if math.IsNaN(cfg.Theta) || math.IsInf(cfg.Theta, 0) {
+		return nil, fmt.Errorf("serve: theta %v is not finite", cfg.Theta)
+	}
 	cfg = cfg.withDefaults()
 	w, err := buildWorld(cfg)
 	if err != nil {

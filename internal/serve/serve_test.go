@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"math"
 	"math/rand/v2"
 	"strings"
 	"sync"
@@ -315,6 +316,23 @@ func TestIngestValidation(t *testing.T) {
 	}
 	if _, err := e.Trust(0, 1, -1); err == nil {
 		t.Fatal("Trust accepted out-of-range task type")
+	}
+}
+
+// TestNewRejectsNonFiniteTheta checks that New refuses a NaN or infinite
+// reverse-evaluation threshold before it builds the world or writes the
+// journal header, which JSON could not encode.
+func TestNewRejectsNonFiniteTheta(t *testing.T) {
+	for _, theta := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		var buf bytes.Buffer
+		e, err := New(Config{Net: "twitter", Seed: 1, Theta: theta, Journal: &buf})
+		if err == nil {
+			e.Close()
+			t.Fatalf("New accepted theta %v", theta)
+		}
+		if buf.Len() != 0 {
+			t.Fatalf("theta %v: journal holds %q", theta, buf.String())
+		}
 	}
 }
 

@@ -15,8 +15,8 @@ func TestDelegateUnderHeavyLoss(t *testing.T) {
 	cfg := DefaultConfig(31)
 	cfg.LossProb = 0.35 // well beyond normal interference
 	n := NewNetwork(cfg)
-	tr := n.AddDevice(RoleEndDevice, Position{X: 1}, newTestAgent(1, 0.5))
-	te := n.AddDevice(RoleRouter, Position{X: 2}, newTestAgent(2, 0.9))
+	tr := n.AddDevice(Position{X: 1}, newTestAgent(1, 0.5))
+	te := n.AddDevice(Position{X: 2}, newTestAgent(2, 0.9))
 	for i := 0; i < 8; i++ {
 		if n.FormPAN() == 2 {
 			break
@@ -56,7 +56,7 @@ func TestTotalLossPartitionsNetwork(t *testing.T) {
 	cfg := DefaultConfig(32)
 	cfg.LossProb = 1
 	n := NewNetwork(cfg)
-	n.AddDevice(RoleEndDevice, Position{X: 1}, newTestAgent(1, 0.5))
+	n.AddDevice(Position{X: 1}, newTestAgent(1, 0.5))
 	if joined := n.FormPAN(); joined != 0 {
 		t.Fatalf("device joined through a fully lossy channel (%d)", joined)
 	}
@@ -67,8 +67,8 @@ func TestDelegateFailureStillChargesRadioTime(t *testing.T) {
 	cfg.LossProb = 1 // after association we cut the link entirely
 	n := NewNetwork(cfg)
 	n.cfg.LossProb = 0
-	tr := n.AddDevice(RoleEndDevice, Position{X: 1}, newTestAgent(1, 0.5))
-	te := n.AddDevice(RoleRouter, Position{X: 2}, newTestAgent(2, 0.9))
+	tr := n.AddDevice(Position{X: 1}, newTestAgent(1, 0.5))
+	te := n.AddDevice(Position{X: 2}, newTestAgent(2, 0.9))
 	n.FormPAN()
 	n.cfg.LossProb = 1
 
@@ -109,7 +109,7 @@ func TestTransmitUnknownDevicePanics(t *testing.T) {
 
 func TestDelegateUnknownTrusteePanics(t *testing.T) {
 	n := NewNetwork(DefaultConfig(35))
-	tr := n.AddDevice(RoleEndDevice, Position{X: 1}, newTestAgent(1, 0.5))
+	tr := n.AddDevice(Position{X: 1}, newTestAgent(1, 0.5))
 	n.FormPAN()
 	defer func() {
 		if recover() == nil {
@@ -125,12 +125,12 @@ func TestFig14StallerDetectionSurvivesLoss(t *testing.T) {
 	cfg := DefaultConfig(37)
 	cfg.LossProb = 0.1
 	n := NewNetwork(cfg)
-	tr := n.AddDevice(RoleEndDevice, Position{X: 1}, newTestAgent(1, 0.5))
-	honest := n.AddDevice(RoleRouter, Position{X: 2}, newTestAgent(2, 0.9))
+	tr := n.AddDevice(Position{X: 1}, newTestAgent(1, 0.5))
+	honest := n.AddDevice(Position{X: 2}, newTestAgent(2, 0.9))
 	st := agent.New(3, agent.KindDishonestTrustee, agent.Behavior{
 		BaseCompetence: 0.9, Malice: agent.MaliceFragmentStall,
 	}, core.DefaultUpdateConfig())
-	staller := n.AddDevice(RoleRouter, Position{X: 3}, st)
+	staller := n.AddDevice(Position{X: 3}, st)
 	for i := 0; i < 8; i++ {
 		n.FormPAN()
 	}

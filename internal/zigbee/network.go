@@ -3,7 +3,7 @@ package zigbee
 import (
 	"fmt"
 	"math/rand/v2"
-	"sort"
+	"slices"
 
 	"siot/internal/agent"
 	"siot/internal/core"
@@ -62,57 +62,48 @@ func DefaultConfig(seed uint64) Config {
 
 // Network is the simulated PAN: a coordinator plus node devices.
 type Network struct {
-	Sim      *Simulator
-	cfg      Config
-	r        *rand.Rand
-	coord    *Device
-	devices  map[DeviceAddr]*Device
-	order    []DeviceAddr
-	nextAddr DeviceAddr
+	Sim *Simulator
+	cfg Config
+	r   *rand.Rand
+	// devices is indexed by address; devices[CoordAddr] is the coordinator.
+	devices []*Device
+	// reports is the coordinator's host-side buffer behind the CP2102 link.
+	reports []Report
 }
 
 // NewNetwork creates a network containing only the coordinator, which
 // "scans the RF environment, chooses a channel and a network identifier,
 // and starts the network".
 func NewNetwork(cfg Config) *Network {
-	n := &Network{
-		Sim:      NewSimulator(),
-		cfg:      cfg,
-		r:        rng.New(cfg.Seed, "zigbee"),
-		devices:  make(map[DeviceAddr]*Device),
-		nextAddr: 1,
+	// Channel scan + network start cost a little coordinator airtime: an
+	// 802.15.4 scan of a few channels.
+	coord := &Device{Addr: CoordAddr, Associated: true, ActiveMs: 96}
+	return &Network{
+		Sim:     NewSimulator(),
+		cfg:     cfg,
+		r:       rng.New(cfg.Seed, "zigbee"),
+		devices: []*Device{coord},
 	}
-	n.coord = &Device{Addr: CoordAddr, Role: RoleCoordinator, Associated: true}
-	n.devices[CoordAddr] = n.coord
-	n.order = append(n.order, CoordAddr)
-	// Channel scan + network start cost a little coordinator airtime.
-	n.coord.ActiveMs += 96 // 802.15.4 scan of a few channels
-	return n
 }
 
 // AddDevice joins a new node device (not yet associated) at pos with the
-// given agent. The returned device's address is stable and unique.
-func (n *Network) AddDevice(role Role, pos Position, ag *agent.Agent) *Device {
-	if role == RoleCoordinator {
-		panic("zigbee: network already has a coordinator")
-	}
-	d := &Device{
-		Addr: n.nextAddr, Role: role, Pos: pos, Agent: ag,
-		Sensor: &OpticalSensor{DarkFloor: 0.1},
-	}
-	n.nextAddr++
-	n.devices[d.Addr] = d
-	n.order = append(n.order, d.Addr)
+// given agent. The returned device's address is the next free one.
+func (n *Network) AddDevice(pos Position, ag *agent.Agent) *Device {
+	d := &Device{Addr: DeviceAddr(len(n.devices)), Pos: pos, Agent: ag}
+	n.devices = append(n.devices, d)
 	return d
 }
 
-// Devices returns all devices in join order (coordinator first).
-func (n *Network) Devices() []*Device {
-	out := make([]*Device, 0, len(n.order))
-	for _, a := range n.order {
-		out = append(out, n.devices[a])
+// Devices returns all devices in address order (coordinator first).
+func (n *Network) Devices() []*Device { return slices.Clone(n.devices) }
+
+// device returns the device at addr and panics with "zigbee: <what> <addr>"
+// when the network has none.
+func (n *Network) device(addr DeviceAddr, what string) *Device {
+	if int(addr) >= len(n.devices) {
+		panic(fmt.Sprintf("zigbee: %s %04x", what, uint16(addr)))
 	}
-	return out
+	return n.devices[addr]
 }
 
 // inRange reports whether two devices can hear each other.
@@ -138,14 +129,8 @@ func (n *Network) transmit(f Frame, done func(ok bool)) {
 }
 
 func (n *Network) attemptTransmit(f Frame, attempt int, done func(ok bool)) {
-	src, ok := n.devices[f.Src]
-	if !ok {
-		panic(fmt.Sprintf("zigbee: transmit from unknown device %04x", uint16(f.Src)))
-	}
-	dst, ok := n.devices[f.Dst]
-	if !ok {
-		panic(fmt.Sprintf("zigbee: transmit to unknown device %04x", uint16(f.Dst)))
-	}
+	src := n.device(f.Src, "transmit from unknown device")
+	dst := n.device(f.Dst, "transmit to unknown device")
 	wait := n.backoff()
 	air := n.airMs(f)
 	n.Sim.Schedule(wait, func() {
@@ -153,16 +138,13 @@ func (n *Network) attemptTransmit(f Frame, attempt int, done func(ok bool)) {
 		delivered := n.inRange(src, dst) && n.r.Float64() >= n.cfg.LossProb
 		n.Sim.Schedule(air, func() {
 			if delivered {
-				dst.accountRx(air, rxPowerMw)
-				// MAC ack (11 bytes on air) for unicast data-ish frames.
-				if f.Kind != FrameAck {
-					ackAir := 11 * 8 / bitrateKbps
-					dst.accountTx(ackAir, txPowerMw)
-					src.accountRx(ackAir, rxPowerMw)
-				}
-				if done != nil {
-					done(true)
-				}
+				dst.account(air, rxPowerMw)
+				// Every delivered frame is answered by a MAC ack (11 bytes
+				// on air).
+				ackAir := 11 * 8 / bitrateKbps
+				dst.accountTx(ackAir, txPowerMw)
+				src.account(ackAir, rxPowerMw)
+				done(true)
 				return
 			}
 			// Lost: retry after the ack timeout.
@@ -172,9 +154,7 @@ func (n *Network) attemptTransmit(f Frame, attempt int, done func(ok bool)) {
 				})
 				return
 			}
-			if done != nil {
-				done(false)
-			}
+			done(false)
 		})
 	})
 }
@@ -189,10 +169,10 @@ type MessageOpts struct {
 	InterFragDelayMs Ms
 }
 
-// SendMessage transfers totalBytes from src to dst on cluster c using APS
-// fragmentation. onComplete(ok, at) fires when the last fragment is
-// acknowledged (ok) or any fragment is abandoned (!ok).
-func (n *Network) SendMessage(src, dst DeviceAddr, c Cluster, totalBytes int, opts MessageOpts, onComplete func(ok bool)) {
+// SendMessage transfers totalBytes from src to dst using APS fragmentation.
+// onComplete(ok), if not nil, fires when the last fragment is acknowledged
+// (ok) or any fragment is abandoned (!ok).
+func (n *Network) SendMessage(src, dst DeviceAddr, totalBytes int, opts MessageOpts, onComplete func(ok bool)) {
 	frag := opts.FragSize
 	if frag <= 0 {
 		frag = honestFragSize
@@ -201,7 +181,6 @@ func (n *Network) SendMessage(src, dst DeviceAddr, c Cluster, totalBytes int, op
 	if total < 1 {
 		total = 1
 	}
-	srcDev := n.devices[src]
 
 	var sendFrag func(i int)
 	sendFrag = func(i int) {
@@ -212,11 +191,7 @@ func (n *Network) SendMessage(src, dst DeviceAddr, c Cluster, totalBytes int, op
 				size = min(totalBytes, frag)
 			}
 		}
-		f := Frame{
-			Kind: FrameData, Src: src, Dst: dst, Seq: srcDev.nextSeq(),
-			Cluster: c, PayloadLen: size, FragIndex: i, FragTotal: total,
-		}
-		n.transmit(f, func(ok bool) {
+		n.transmit(Frame{Src: src, Dst: dst, PayloadLen: size}, func(ok bool) {
 			if !ok {
 				if onComplete != nil {
 					onComplete(false)
@@ -240,30 +215,25 @@ func (n *Network) SendMessage(src, dst DeviceAddr, c Cluster, totalBytes int, op
 // simulator until the joins settle. It returns the number of devices that
 // joined.
 func (n *Network) FormPAN() int {
-	joined := 0
-	for _, addr := range n.order {
-		d := n.devices[addr]
-		if d.Role == RoleCoordinator || d.Associated {
+	for _, dev := range n.devices[CoordAddr+1:] {
+		if dev.Associated {
 			continue
 		}
-		dev := d
 		// beacon-req (broadcast, modeled as a frame to the coordinator) →
 		// beacon → assoc-req → assoc-resp.
-		seqFrames := []Frame{
-			{Kind: FrameBeaconReq, Src: dev.Addr, Dst: CoordAddr, PayloadLen: 8},
-			{Kind: FrameBeacon, Src: CoordAddr, Dst: dev.Addr, PayloadLen: 26},
-			{Kind: FrameAssocReq, Src: dev.Addr, Dst: CoordAddr, PayloadLen: 16},
-			{Kind: FrameAssocResp, Src: CoordAddr, Dst: dev.Addr, PayloadLen: 27},
+		join := []Frame{
+			{Src: dev.Addr, Dst: CoordAddr, PayloadLen: 8},
+			{Src: CoordAddr, Dst: dev.Addr, PayloadLen: 26},
+			{Src: dev.Addr, Dst: CoordAddr, PayloadLen: 16},
+			{Src: CoordAddr, Dst: dev.Addr, PayloadLen: 27},
 		}
 		var step func(i int)
 		step = func(i int) {
-			if i >= len(seqFrames) {
+			if i >= len(join) {
 				dev.Associated = true
 				return
 			}
-			f := seqFrames[i]
-			f.Seq = n.devices[f.Src].nextSeq()
-			n.transmit(f, func(ok bool) {
+			n.transmit(join[i], func(ok bool) {
 				if ok {
 					step(i + 1)
 				}
@@ -275,8 +245,9 @@ func (n *Network) FormPAN() int {
 		step(0)
 	}
 	n.Sim.Run()
-	for _, d := range n.devices {
-		if d.Role != RoleCoordinator && d.Associated {
+	joined := 0
+	for _, d := range n.devices[CoordAddr+1:] {
+		if d.Associated {
 			joined++
 		}
 	}
@@ -311,14 +282,8 @@ type ExchangeResult struct {
 // inflating the trustor's active time; the measured active time becomes the
 // outcome's cost via CostPerActiveMs.
 func (n *Network) Delegate(trustor, trustee DeviceAddr, tk task.Task, xc ExchangeConfig) ExchangeResult {
-	tDev, ok := n.devices[trustor]
-	if !ok {
-		panic(fmt.Sprintf("zigbee: unknown trustor %04x", uint16(trustor)))
-	}
-	eDev, ok := n.devices[trustee]
-	if !ok {
-		panic(fmt.Sprintf("zigbee: unknown trustee %04x", uint16(trustee)))
-	}
+	tDev := n.device(trustor, "unknown trustor")
+	eDev := n.device(trustee, "unknown trustee")
 	if eDev.Agent == nil {
 		panic("zigbee: trustee has no agent")
 	}
@@ -326,14 +291,14 @@ func (n *Network) Delegate(trustor, trustee DeviceAddr, tk task.Task, xc Exchang
 	var res ExchangeResult
 
 	// Request (single message), then processing, then response.
-	n.SendMessage(trustor, trustee, ClusterTaskRequest, requestBytes, MessageOpts{}, func(ok bool) {
+	n.SendMessage(trustor, trustee, requestBytes, MessageOpts{}, func(ok bool) {
 		if !ok {
 			return // res.Delivered stays false
 		}
 		n.Sim.Schedule(processMs, func() {
 			effEnv := xc.Light
-			if xc.UseOptical && eDev.Sensor != nil {
-				effEnv = env.Environment(eDev.Sensor.Quality(xc.Light)).Clamp()
+			if xc.UseOptical {
+				effEnv = env.Environment(opticalQuality(xc.Light)).Clamp()
 			}
 			actRng := rng.Split(n.cfg.Seed, "act", int(trustor)<<16|int(trustee)+int(n.Sim.Processed))
 			out := eDev.Agent.Act(tk, effEnv, actRng)
@@ -343,7 +308,7 @@ func (n *Network) Delegate(trustor, trustee DeviceAddr, tk task.Task, xc Exchang
 				opts.FragSize = 8
 				opts.InterFragDelayMs = 9
 			}
-			n.SendMessage(trustee, trustor, ClusterTaskResult, responseBytes, opts, func(ok bool) {
+			n.SendMessage(trustee, trustor, responseBytes, opts, func(ok bool) {
 				if !ok {
 					return
 				}
@@ -363,27 +328,23 @@ func (n *Network) Delegate(trustor, trustee DeviceAddr, tk task.Task, xc Exchang
 	return res
 }
 
-// SendReport transmits an application report to the coordinator and stores
-// it in the coordinator's host-side buffer on delivery.
-func (n *Network) SendReport(from DeviceAddr, p ReportPayload) {
-	f := Frame{Kind: FrameReport, Src: from, Dst: CoordAddr,
-		Seq: n.devices[from].nextSeq(), Cluster: ClusterReport, PayloadLen: 32}
-	n.transmit(f, func(ok bool) {
+// SendReport transmits an application report to the coordinator, runs the
+// simulator until it lands, and stores it in the coordinator's host-side
+// buffer on delivery.
+func (n *Network) SendReport(from DeviceAddr, honest bool) {
+	n.transmit(Frame{Src: from, Dst: CoordAddr, PayloadLen: 32}, func(ok bool) {
 		if ok {
-			n.coord.Reports = append(n.coord.Reports, Report{
-				From: from, AtMs: n.Sim.Now(), Payload: p,
-			})
+			n.reports = append(n.reports, Report{From: from, Honest: honest})
 		}
 	})
 	n.Sim.Run()
 }
 
-// CollectReports drains the coordinator's report buffer, sorted by arrival
-// time (the host computer pulling data through the CP2102 serial link).
+// CollectReports drains the coordinator's report buffer, in arrival order
+// (the host computer pulling data through the CP2102 serial link).
 func (n *Network) CollectReports() []Report {
-	out := n.coord.Reports
-	n.coord.Reports = nil
-	sort.Slice(out, func(i, j int) bool { return out[i].AtMs < out[j].AtMs })
+	out := n.reports
+	n.reports = nil
 	return out
 }
 

@@ -1,15 +1,21 @@
 // Package zigbee is a discrete-event simulator of the paper's experimental
 // IoT network: CC2530-class node devices running a Z-Stack-like profile
-// (coordinator-formed PAN, association, acknowledged MAC data frames, APS
-// fragmentation, report collection), with radio active-time and energy
-// accounting and optical sensing driven by a light schedule.
+// (coordinator-formed PAN, association, acknowledged MAC frames with
+// retries, APS fragmentation, report collection), with radio active-time
+// and energy accounting and optical sensing driven by the light level.
+//
+// It simulates airtime, not contents: a frame carries only its endpoints
+// and its payload size, which set how long it is on air and whether it can
+// be lost. Device addresses are dense from the coordinator's 0x0000, so an
+// address indexes the network's device list.
 //
 // The paper's testbed is physical hardware (TI Z-Stack 2.5.0 on CC2530,
 // 2.4 GHz, coordinator + CP2102 host link). This simulator substitutes for
 // it: the experiments of Figs. 8, 14, and 16 measure protocol-level and
 // timing-ratio quantities (honest-selection percentages, active time with
 // and without the trust model, net profit across light phases), which depend
-// on frame exchanges and timing, not on RF silicon.
+// on which frames fly, how long each is on air and whether it is lost, not
+// on RF silicon.
 package zigbee
 
 import (

@@ -112,7 +112,7 @@ func BuildTestbed(cfg TestbedConfig) *Testbed {
 				Responsibility: 0.8 + 0.2*r.Float64(),
 			}
 			ag := agent.New(0, agent.KindTrustor, b, cfg.Update)
-			d := n.AddDevice(RoleEndDevice, place(slot), ag)
+			d := n.AddDevice(place(slot), ag)
 			ag.ID = core.AgentID(d.Addr)
 			tb.Group[d.Addr] = g
 			tb.Trustors = append(tb.Trustors, d)
@@ -121,7 +121,7 @@ func BuildTestbed(cfg TestbedConfig) *Testbed {
 		for i := 0; i < cfg.HonestPerGroup; i++ {
 			b := agent.Behavior{BaseCompetence: 0.75 + 0.2*r.Float64()}
 			ag := agent.New(0, agent.KindTrustee, b, cfg.Update)
-			d := n.AddDevice(RoleRouter, place(slot), ag)
+			d := n.AddDevice(place(slot), ag)
 			ag.ID = core.AgentID(d.Addr)
 			tb.Group[d.Addr] = g
 			tb.Honest = append(tb.Honest, d)
@@ -135,7 +135,7 @@ func BuildTestbed(cfg TestbedConfig) *Testbed {
 				StallCost:      0.6,
 			}
 			ag := agent.New(0, agent.KindDishonestTrustee, b, cfg.Update)
-			d := n.AddDevice(RoleRouter, place(slot), ag)
+			d := n.AddDevice(place(slot), ag)
 			ag.ID = core.AgentID(d.Addr)
 			tb.Group[d.Addr] = g
 			tb.Dishonest = append(tb.Dishonest, d)
@@ -146,7 +146,7 @@ func BuildTestbed(cfg TestbedConfig) *Testbed {
 	// Form the PAN with the hardware's automatic-reconnection semantics:
 	// re-run the join handshake for stragglers a few times.
 	for attempt := 0; attempt < 8; attempt++ {
-		if joined := n.FormPAN(); joined == len(n.Devices())-1 {
+		if joined := n.FormPAN(); joined == len(n.devices)-1 {
 			return tb
 		}
 	}

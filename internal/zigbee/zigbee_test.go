@@ -49,26 +49,22 @@ func TestSimulatorNegativeDelay(t *testing.T) {
 	}
 }
 
-func TestFrameAirBytesAndString(t *testing.T) {
-	f := Frame{Kind: FrameData, Src: 1, Dst: 2, PayloadLen: 64, FragTotal: 1}
+func TestFrameAirBytes(t *testing.T) {
+	f := Frame{Src: 1, Dst: 2, PayloadLen: 64}
 	if f.AirBytes() != 64+macHeaderBytes {
 		t.Fatalf("air bytes = %d", f.AirBytes())
 	}
-	if f.String() == "" || FrameKind(99).String() != "unknown" {
-		t.Fatal("frame strings wrong")
-	}
 }
 
-func TestOpticalSensorQuality(t *testing.T) {
-	s := &OpticalSensor{DarkFloor: 0.1}
-	if q := s.Quality(1); q != 1 {
+func TestOpticalQuality(t *testing.T) {
+	if q := opticalQuality(1); q != 1 {
 		t.Fatalf("full light quality = %v", q)
 	}
-	dark := s.Quality(0.05)
+	dark := opticalQuality(0.05)
 	if dark < 0.1 || dark > 0.2 {
 		t.Fatalf("dark quality = %v", dark)
 	}
-	if s.Quality(1) <= s.Quality(0.3) {
+	if opticalQuality(1) <= opticalQuality(0.3) {
 		t.Fatal("quality not increasing with light")
 	}
 }
@@ -80,7 +76,7 @@ func newTestAgent(id core.AgentID, comp float64) *agent.Agent {
 func TestFormPANAssociatesAll(t *testing.T) {
 	n := NewNetwork(DefaultConfig(1))
 	for i := 0; i < 6; i++ {
-		n.AddDevice(RoleEndDevice, Position{X: float64(5 * i), Y: 3}, newTestAgent(core.AgentID(i+1), 0.8))
+		n.AddDevice(Position{X: float64(5 * i), Y: 3}, newTestAgent(core.AgentID(i+1), 0.8))
 	}
 	joined := 0
 	for attempt := 0; attempt < 8 && joined < 6; attempt++ {
@@ -103,7 +99,7 @@ func TestOutOfRangeDeviceCannotJoin(t *testing.T) {
 	cfg := DefaultConfig(2)
 	cfg.RangeM = 50
 	n := NewNetwork(cfg)
-	n.AddDevice(RoleEndDevice, Position{X: 500, Y: 500}, newTestAgent(1, 0.8))
+	n.AddDevice(Position{X: 500, Y: 500}, newTestAgent(1, 0.8))
 	if joined := n.FormPAN(); joined != 0 {
 		t.Fatalf("out-of-range device joined (%d)", joined)
 	}
@@ -113,12 +109,12 @@ func TestSendMessageFragmentation(t *testing.T) {
 	cfg := DefaultConfig(3)
 	cfg.LossProb = 0 // deterministic delivery
 	n := NewNetwork(cfg)
-	a := n.AddDevice(RoleRouter, Position{X: 1}, newTestAgent(1, 0.8))
-	b := n.AddDevice(RoleRouter, Position{X: 2}, newTestAgent(2, 0.8))
+	a := n.AddDevice(Position{X: 1}, newTestAgent(1, 0.8))
+	b := n.AddDevice(Position{X: 2}, newTestAgent(2, 0.8))
 	n.FormPAN()
 
 	completed := false
-	n.SendMessage(a.Addr, b.Addr, ClusterTaskResult, 200, MessageOpts{FragSize: 64}, func(ok bool) {
+	n.SendMessage(a.Addr, b.Addr, 200, MessageOpts{FragSize: 64}, func(ok bool) {
 		completed = ok
 	})
 	n.Sim.Run()
@@ -136,11 +132,11 @@ func TestSmallFragmentsCostMoreAirtime(t *testing.T) {
 		cfg := DefaultConfig(4)
 		cfg.LossProb = 0
 		n := NewNetwork(cfg)
-		a := n.AddDevice(RoleRouter, Position{X: 1}, newTestAgent(1, 0.8))
-		b := n.AddDevice(RoleRouter, Position{X: 2}, newTestAgent(2, 0.8))
+		a := n.AddDevice(Position{X: 1}, newTestAgent(1, 0.8))
+		b := n.AddDevice(Position{X: 2}, newTestAgent(2, 0.8))
 		n.FormPAN()
 		before := a.ActiveMs
-		n.SendMessage(a.Addr, b.Addr, ClusterTaskResult, 512, MessageOpts{FragSize: fragSize, InterFragDelayMs: delay}, nil)
+		n.SendMessage(a.Addr, b.Addr, 512, MessageOpts{FragSize: fragSize, InterFragDelayMs: delay}, nil)
 		n.Sim.Run()
 		return a.ActiveMs - before
 	}
@@ -155,8 +151,8 @@ func TestDelegateHonestExchange(t *testing.T) {
 	cfg := DefaultConfig(5)
 	cfg.LossProb = 0
 	n := NewNetwork(cfg)
-	tr := n.AddDevice(RoleEndDevice, Position{X: 1}, newTestAgent(1, 0.4))
-	te := n.AddDevice(RoleRouter, Position{X: 2}, newTestAgent(2, 0.95))
+	tr := n.AddDevice(Position{X: 1}, newTestAgent(1, 0.4))
+	te := n.AddDevice(Position{X: 2}, newTestAgent(2, 0.95))
 	n.FormPAN()
 
 	tk := task.Uniform(1, task.CharGPS)
@@ -176,13 +172,13 @@ func TestDelegateStallerInflatesActiveTime(t *testing.T) {
 	cfg := DefaultConfig(6)
 	cfg.LossProb = 0
 	n := NewNetwork(cfg)
-	tr := n.AddDevice(RoleEndDevice, Position{X: 1}, newTestAgent(1, 0.4))
-	honest := n.AddDevice(RoleRouter, Position{X: 2}, newTestAgent(2, 0.9))
+	tr := n.AddDevice(Position{X: 1}, newTestAgent(1, 0.4))
+	honest := n.AddDevice(Position{X: 2}, newTestAgent(2, 0.9))
 	stallAgent := agent.New(3, agent.KindDishonestTrustee, agent.Behavior{
 		BaseCompetence: 0.9,
 		Malice:         agent.MaliceFragmentStall,
 	}, core.DefaultUpdateConfig())
-	staller := n.AddDevice(RoleRouter, Position{X: 3}, stallAgent)
+	staller := n.AddDevice(Position{X: 3}, stallAgent)
 	n.FormPAN()
 
 	tk := task.Uniform(1, task.CharGPS)
@@ -202,8 +198,8 @@ func TestDelegateOpticalDarkDegrades(t *testing.T) {
 		cfg := DefaultConfig(7)
 		cfg.LossProb = 0
 		n := NewNetwork(cfg)
-		tr := n.AddDevice(RoleEndDevice, Position{X: 1}, newTestAgent(1, 0.4))
-		te := n.AddDevice(RoleRouter, Position{X: 2}, newTestAgent(2, 0.95))
+		tr := n.AddDevice(Position{X: 1}, newTestAgent(1, 0.4))
+		te := n.AddDevice(Position{X: 2}, newTestAgent(2, 0.95))
 		n.FormPAN()
 		tk := task.Uniform(1, task.CharImage)
 		succ := 0
@@ -226,11 +222,11 @@ func TestReportsCollected(t *testing.T) {
 	cfg := DefaultConfig(8)
 	cfg.LossProb = 0
 	n := NewNetwork(cfg)
-	d := n.AddDevice(RoleEndDevice, Position{X: 1}, newTestAgent(1, 0.5))
+	d := n.AddDevice(Position{X: 1}, newTestAgent(1, 0.5))
 	n.FormPAN()
-	n.SendReport(d.Addr, ReportPayload{Honest: true})
+	n.SendReport(d.Addr, true)
 	got := n.CollectReports()
-	if len(got) != 1 || got[0].From != d.Addr || !got[0].Payload.Honest {
+	if len(got) != 1 || got[0].From != d.Addr || !got[0].Honest {
 		t.Fatalf("reports = %+v", got)
 	}
 	if len(n.CollectReports()) != 0 {
@@ -272,11 +268,11 @@ func TestEnergyAccounting(t *testing.T) {
 	cfg := DefaultConfig(12)
 	cfg.LossProb = 0
 	n := NewNetwork(cfg)
-	a := n.AddDevice(RoleRouter, Position{X: 1}, newTestAgent(1, 0.8))
-	b := n.AddDevice(RoleRouter, Position{X: 2}, newTestAgent(2, 0.8))
+	a := n.AddDevice(Position{X: 1}, newTestAgent(1, 0.8))
+	b := n.AddDevice(Position{X: 2}, newTestAgent(2, 0.8))
 	n.FormPAN()
 	beforeA, beforeB := a.EnergyMJ, b.EnergyMJ
-	n.SendMessage(a.Addr, b.Addr, ClusterTaskResult, 256, MessageOpts{}, nil)
+	n.SendMessage(a.Addr, b.Addr, 256, MessageOpts{}, nil)
 	n.Sim.Run()
 	if a.EnergyMJ <= beforeA || b.EnergyMJ <= beforeB {
 		t.Fatal("transfer consumed no energy")
@@ -320,13 +316,13 @@ func TestTestbedTracePinned(t *testing.T) {
 		}
 	}
 	for _, trustor := range tb.Trustors {
-		tb.Net.SendReport(trustor.Addr, ReportPayload{Honest: lastOK[trustor.Addr]})
+		tb.Net.SendReport(trustor.Addr, lastOK[trustor.Addr])
 	}
 	reports := tb.Net.CollectReports()
 	fold(uint64(len(reports)))
 	for _, rep := range reports {
 		fold(uint64(rep.From))
-		fold(flag(rep.Payload.Honest))
+		fold(flag(rep.Honest))
 	}
 	for _, d := range tb.Net.Devices() {
 		fold(uint64(d.Addr))
