@@ -49,7 +49,11 @@ func runNetgen(t *testing.T, args ...string) (stdout, stderr string, code int) {
 // TestTable1IsTheExperimentTable checks that siot-netgen prints the
 // table1 experiment's table, for all three networks or for one.
 func TestTable1IsTheExperimentTable(t *testing.T) {
-	all := experiments.RunTable1(1)
+	res, err := experiments.Run("table1", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := res.(experiments.Table1Result)
 	for _, tc := range []struct {
 		net  string
 		rows []experiments.Table1Row

@@ -131,6 +131,9 @@ func main() {
 		EpochEvery: *epochEvery, EpochInterval: *epochInterval,
 		Workers: *parallel, Fsync: fsync,
 	}
+	if err := cfg.Validate(); err != nil {
+		cliutil.Usage("siot-serve", err)
+	}
 	var journalFile *os.File
 	if *journalPath != "" {
 		journalFile, err = os.OpenFile(*journalPath, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
@@ -161,7 +164,7 @@ func main() {
 	} else {
 		engine, err = serve.New(cfg)
 		if err != nil {
-			cliutil.Usage("siot-serve", err)
+			cliutil.Runtime("siot-serve", err)
 		}
 	}
 

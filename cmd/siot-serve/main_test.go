@@ -434,30 +434,68 @@ func TestServerBounds(t *testing.T) {
 	}
 }
 
-// TestUnbuildableNetworkIsUsageError runs main in a child process of the
-// test binary (the arguments after "--" are siot-serve's): a -nodes count
-// socialgen cannot build must exit 2 with the profile error, not panic
-// (which would also exit 2, hence the stderr check).
-func TestUnbuildableNetworkIsUsageError(t *testing.T) {
+// runMain runs siot-serve's main with args in a child process of the test
+// binary, which re-enters the test named name; that test hands the
+// arguments to main through asChild. It returns the child's exit status
+// and stderr.
+func runMain(t *testing.T, name string, args ...string) (int, string) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], append([]string{"-test.run=^" + name + "$", "--"}, args...)...)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	var exit *exec.ExitError
+	if err := cmd.Run(); err != nil && !errors.As(err, &exit) {
+		t.Fatalf("siot-serve %v: %v", args, err)
+	}
+	return cmd.ProcessState.ExitCode(), stderr.String()
+}
+
+// asChild runs main with the arguments after "--" when runMain started the
+// test binary, and exits 0 if main returns.
+func asChild() {
 	if i := slices.Index(os.Args, "--"); i >= 0 {
 		os.Args = append([]string{"siot-serve"}, os.Args[i+1:]...)
 		main()
-		os.Exit(0) // main returned: the bad network was served
+		os.Exit(0)
 	}
+}
+
+// TestUnbuildableNetworkIsUsageError: a -nodes count socialgen cannot build
+// must exit 2 with the profile error, not panic (which would also exit 2,
+// hence the stderr check).
+func TestUnbuildableNetworkIsUsageError(t *testing.T) {
+	asChild()
 	for _, nodes := range []string{"3", "1"} {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestUnbuildableNetworkIsUsageError$", "--",
-			"-nodes", nodes, "-addr", "127.0.0.1:0")
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		err := cmd.Run()
-		cancel()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Fatalf("-nodes %s: %v, want exit status 2; stderr:\n%s", nodes, err, stderr.String())
+		code, stderr := runMain(t, "TestUnbuildableNetworkIsUsageError", "-nodes", nodes, "-addr", "127.0.0.1:0")
+		if code != 2 {
+			t.Fatalf("-nodes %s: exit status %d, want 2; stderr:\n%s", nodes, code, stderr)
 		}
-		if msg := stderr.String(); !strings.Contains(msg, "invalid profile") || strings.Contains(msg, "panic") {
-			t.Fatalf("-nodes %s: stderr %q, want the profile error and no panic", nodes, msg)
+		if !strings.Contains(stderr, "invalid profile") || strings.Contains(stderr, "panic") {
+			t.Fatalf("-nodes %s: stderr %q, want the profile error and no panic", nodes, stderr)
 		}
+	}
+}
+
+// TestJournalEntrance: a config serve.New would reject exits 2 before
+// -journal is created, and a journal that fails on a well-formed invocation
+// is a runtime failure, exit 1.
+func TestJournalEntrance(t *testing.T) {
+	asChild()
+	path := filepath.Join(t.TempDir(), "j.jsonl")
+	code, stderr := runMain(t, "TestJournalEntrance", "-theta", "NaN", "-journal", path, "-addr", "127.0.0.1:0")
+	if code != 2 || !strings.Contains(stderr, "not finite") {
+		t.Fatalf("-theta NaN: exit status %d, want 2; stderr:\n%s", code, stderr)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("-theta NaN left %s behind (stat: %v)", path, err)
+	}
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full")
+	}
+	code, stderr = runMain(t, "TestJournalEntrance", "-net", "twitter", "-journal", "/dev/full", "-addr", "127.0.0.1:0")
+	if code != 1 || !strings.Contains(stderr, "no space left on device") {
+		t.Fatalf("-journal /dev/full: exit status %d, want 1; stderr:\n%s", code, stderr)
 	}
 }

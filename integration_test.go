@@ -57,10 +57,11 @@ func TestIntegrationEdgeListToExperiment(t *testing.T) {
 // TestIntegrationChartsRender renders every charting experiment's curves to
 // make sure the full result → chart path holds together.
 func TestIntegrationChartsRender(t *testing.T) {
-	cfg := experiments.DefaultFig15Config(2)
-	cfg.Runs = 10
-	res := experiments.RunFig15(cfg)
-	charts := res.Charts()
+	res, err := siot.RunExperiment("fig15", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	charts := res.(experiments.Charter).Charts()
 	if len(charts) == 0 {
 		t.Fatal("fig15 offers no charts")
 	}
@@ -80,7 +81,10 @@ func TestIntegrationChartsRender(t *testing.T) {
 // TestIntegrationCSVExport exercises the CSV path the bench CLI uses.
 func TestIntegrationCSVExport(t *testing.T) {
 	dir := t.TempDir()
-	res := experiments.RunTable1(3)
+	res, err := siot.RunExperiment("table1", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	f, err := os.Create(filepath.Join(dir, "table1.csv"))
 	if err != nil {
 		t.Fatal(err)
@@ -99,9 +103,11 @@ func TestIntegrationCSVExport(t *testing.T) {
 		t.Fatalf("csv content wrong:\n%s", data)
 	}
 	// Series CSV for a charting experiment.
-	f15 := experiments.DefaultFig15Config(3)
-	f15.Runs = 5
-	charts := experiments.RunFig15(f15).Charts()
+	f15, err := siot.RunExperiment("fig15", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	charts := f15.(experiments.Charter).Charts()
 	var sb strings.Builder
 	if err := report.SeriesCSV(&sb, charts[0].Series...); err != nil {
 		t.Fatal(err)

@@ -51,8 +51,8 @@ func (k Kind) String() string {
 type Malice int
 
 const (
-	// MaliceNone is honest behavior.
-	MaliceNone Malice = iota
+	// maliceNone is honest behavior.
+	maliceNone Malice = iota
 	// MaliceCharacteristic performs poorly on specific characteristics
 	// while looking normal on others (§5.4: "dishonest trustees have
 	// performed maliciously with a particular characteristic").
@@ -70,7 +70,7 @@ const (
 // String names the malice.
 func (m Malice) String() string {
 	switch m {
-	case MaliceNone:
+	case maliceNone:
 		return "none"
 	case MaliceCharacteristic:
 		return "characteristic"

@@ -14,15 +14,14 @@ import (
 // flags — exit 2, matching what flag.Parse does for unknown flags; failures
 // of otherwise well-formed invocations (I/O errors, failed checks) exit 1.
 const (
-	ExitOK      = 0
 	ExitRuntime = 1
-	ExitUsage   = 2
+	exitUsage   = 2
 )
 
-// Usage prints "cmd: err" to stderr and exits with ExitUsage.
+// Usage prints "cmd: err" to stderr and exits with exitUsage.
 func Usage(cmd string, err error) {
 	fmt.Fprintf(os.Stderr, "%s: %v\n", cmd, err)
-	os.Exit(ExitUsage)
+	os.Exit(exitUsage)
 }
 
 // Runtime prints "cmd: err" to stderr and exits with ExitRuntime.

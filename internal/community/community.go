@@ -44,14 +44,14 @@ func (p *Partition) normalize() {
 	p.NumCommunities = len(relabel)
 }
 
-// Modularity computes Newman's modularity Q of the partition on g:
+// modularity computes Newman's modularity Q of the partition on g:
 //
 //	Q = (1/2m) * Σ_ij [A_ij − k_i k_j / 2m] δ(c_i, c_j)
 //
 // Higher values mean denser intra-community connectivity than expected at
 // random. Q is 0 for a single community and can reach ~1 for strongly
 // modular graphs.
-func Modularity(g *graph.Graph, p Partition) float64 {
+func modularity(g *graph.Graph, p Partition) float64 {
 	m2 := float64(2 * g.NumEdges())
 	if m2 == 0 {
 		return 0
@@ -78,10 +78,10 @@ func Modularity(g *graph.Graph, p Partition) float64 {
 	return q
 }
 
-// Louvain runs the Louvain method on g with a deterministic node-visit order
+// louvain runs the Louvain method on g with a deterministic node-visit order
 // derived from seed, and returns the final partition. The two classic phases
 // (local moving, graph aggregation) repeat until modularity stops improving.
-func Louvain(g *graph.Graph, seed uint64) Partition {
+func louvain(g *graph.Graph, seed uint64) Partition {
 	// Working representation: weighted multigraph via edge maps, because the
 	// aggregation phase introduces weights and self-loops.
 	n := g.NumNodes()
@@ -227,6 +227,6 @@ func aggregate(w []map[int]float64, selfLoop []float64, part []int) ([]map[int]f
 // Detect is the convenience entry point used by Table 1: it runs Louvain and
 // returns the partition together with its modularity.
 func Detect(g *graph.Graph, seed uint64) (Partition, float64) {
-	p := Louvain(g, seed)
-	return p, Modularity(g, p)
+	p := louvain(g, seed)
+	return p, modularity(g, p)
 }

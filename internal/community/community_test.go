@@ -24,7 +24,7 @@ func twoCliques(k int) *graph.Graph {
 func TestModularitySingleCommunity(t *testing.T) {
 	g := twoCliques(5)
 	p := Partition{Assign: make([]int, g.NumNodes()), NumCommunities: 1}
-	if q := Modularity(g, p); q > 1e-12 || q < -1e-12 {
+	if q := modularity(g, p); q > 1e-12 || q < -1e-12 {
 		t.Fatalf("single-community modularity = %v, want 0", q)
 	}
 }
@@ -36,7 +36,7 @@ func TestModularityPlantedSplit(t *testing.T) {
 		assign[i] = 1
 	}
 	p := Partition{Assign: assign, NumCommunities: 2}
-	q := Modularity(g, p)
+	q := modularity(g, p)
 	if q < 0.4 {
 		t.Fatalf("planted split modularity = %v, want > 0.4", q)
 	}
@@ -45,7 +45,7 @@ func TestModularityPlantedSplit(t *testing.T) {
 	for i := range bad {
 		bad[i] = i % 2
 	}
-	if qb := Modularity(g, Partition{Assign: bad, NumCommunities: 2}); qb >= q {
+	if qb := modularity(g, Partition{Assign: bad, NumCommunities: 2}); qb >= q {
 		t.Fatalf("interleaved split %v not worse than planted %v", qb, q)
 	}
 }
@@ -53,7 +53,7 @@ func TestModularityPlantedSplit(t *testing.T) {
 func TestModularityEmptyGraph(t *testing.T) {
 	g := graph.New(4)
 	p := Partition{Assign: make([]int, 4), NumCommunities: 1}
-	if q := Modularity(g, p); q != 0 {
+	if q := modularity(g, p); q != 0 {
 		t.Fatalf("edgeless modularity = %v", q)
 	}
 }
@@ -65,7 +65,7 @@ func TestModularityMismatchedPartitionPanics(t *testing.T) {
 		}
 	}()
 	g := twoCliques(3)
-	Modularity(g, Partition{Assign: []int{0, 1}, NumCommunities: 2})
+	modularity(g, Partition{Assign: []int{0, 1}, NumCommunities: 2})
 }
 
 func TestLouvainFindsCliques(t *testing.T) {
@@ -93,8 +93,8 @@ func TestLouvainFindsCliques(t *testing.T) {
 
 func TestLouvainDeterministic(t *testing.T) {
 	g := twoCliques(6)
-	a := Louvain(g, 42)
-	b := Louvain(g, 42)
+	a := louvain(g, 42)
+	b := louvain(g, 42)
 	for i := range a.Assign {
 		if a.Assign[i] != b.Assign[i] {
 			t.Fatalf("nondeterministic at node %d", i)
@@ -128,7 +128,7 @@ func TestLouvainRingOfCliques(t *testing.T) {
 func TestLouvainIsolatedNodes(t *testing.T) {
 	g := graph.New(5)
 	_ = g.AddEdge(0, 1)
-	p := Louvain(g, 3)
+	p := louvain(g, 3)
 	if len(p.Assign) != 5 {
 		t.Fatalf("assign length %d", len(p.Assign))
 	}
@@ -139,7 +139,7 @@ func TestLouvainIsolatedNodes(t *testing.T) {
 
 func TestCommunitiesRoundTrip(t *testing.T) {
 	g := twoCliques(4)
-	p := Louvain(g, 5)
+	p := louvain(g, 5)
 	total := 0
 	for _, c := range p.Communities() {
 		total += len(c)
@@ -169,7 +169,7 @@ func TestQuickModularityBounds(t *testing.T) {
 		}
 		p := Partition{Assign: assign}
 		p.normalize()
-		q := Modularity(g, p)
+		q := modularity(g, p)
 		return q >= -1 && q <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

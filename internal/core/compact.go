@@ -42,12 +42,12 @@ func searchCompact(tasks []task.Task, recs []CompactRecord, typ task.Type) (int,
 	})
 }
 
-// CharTWCompact is the weighted-average trustworthiness of one
+// charTWCompact is the weighted-average trustworthiness of one
 // characteristic over compact records — the inner fraction of eq. 4:
 // Σ_k w_j(τ_k)·TW(τ_k) / Σ_k w_j(τ_k) over records whose task contains the
 // characteristic, with task refs resolved through tasks. ok is false when no
 // record covers it.
-func CharTWCompact(tasks []task.Task, recs []CompactRecord, c task.Characteristic, n Normalizer) (float64, bool) {
+func charTWCompact(tasks []task.Task, recs []CompactRecord, c task.Characteristic, n Normalizer) (float64, bool) {
 	num, den := 0.0, 0.0
 	for _, r := range recs {
 		if w := tasks[r.Ref].Weight(c); w > 0 {
@@ -72,17 +72,17 @@ func bestTW(tasks []task.Task, recs []CompactRecord, t task.Task, n Normalizer) 
 	if len(recs) == 0 {
 		return 0, false
 	}
-	return InferFromCompact(tasks, recs, t, n)
+	return inferFromCompact(tasks, recs, t, n)
 }
 
-// InferFromCompact is eq. 4 over compact records: the inferred
+// inferFromCompact is eq. 4 over compact records: the inferred
 // trustworthiness of t from experienced tasks sharing its characteristics,
 // every characteristic covered or ok=false.
-func InferFromCompact(tasks []task.Task, recs []CompactRecord, t task.Task, n Normalizer) (float64, bool) {
+func inferFromCompact(tasks []task.Task, recs []CompactRecord, t task.Task, n Normalizer) (float64, bool) {
 	total := 0.0
 	weights := t.Weights()
 	for i, c := range t.Characteristics() {
-		est, ok := CharTWCompact(tasks, recs, c, n)
+		est, ok := charTWCompact(tasks, recs, c, n)
 		if !ok {
 			return 0, false
 		}

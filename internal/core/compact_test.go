@@ -72,7 +72,7 @@ func TestCompactMatchesFatReference(t *testing.T) {
 			f := buildCompactFixture(seed, size)
 			for _, c := range chars {
 				fatV, fatOK := CharTW(f.fat, c, norm)
-				cmpV, cmpOK := CharTWCompact(f.tasks, f.compact, c, norm)
+				cmpV, cmpOK := charTWCompact(f.tasks, f.compact, c, norm)
 				if fatV != cmpV || fatOK != cmpOK {
 					t.Fatalf("seed %d size %d: CharTW(%d) compact (%v, %v) != fat (%v, %v)",
 						seed, size, c, cmpV, cmpOK, fatV, fatOK)
@@ -80,7 +80,7 @@ func TestCompactMatchesFatReference(t *testing.T) {
 			}
 			for _, tk := range probes {
 				fatV, fatOK := InferFromRecords(f.fat, tk, norm)
-				cmpV, cmpOK := InferFromCompact(f.tasks, f.compact, tk, norm)
+				cmpV, cmpOK := inferFromCompact(f.tasks, f.compact, tk, norm)
 				if fatV != cmpV || fatOK != cmpOK {
 					t.Fatalf("seed %d size %d: InferTW(task %d) compact (%v, %v) != fat (%v, %v)",
 						seed, size, tk.Type(), cmpV, cmpOK, fatV, fatOK)

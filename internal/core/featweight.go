@@ -33,7 +33,7 @@ type featureWeighted struct{}
 func (featureWeighted) Name() string { return "feature-weighted" }
 
 func (featureWeighted) Spec() ModelSpec {
-	return ModelSpec{Combine: CombineMistrust, OmegaGated: true}
+	return ModelSpec{Combine: combineMistrust, OmegaGated: true}
 }
 
 // HopTW extracts the hop's features and applies the fixed weighting. The
@@ -45,7 +45,7 @@ func (featureWeighted) HopTW(ctx HopContext, recs []CompactRecord, t task.Task) 
 	}
 	coveredW, weighted := 0.0, 0.0
 	for _, c := range t.Characteristics() {
-		est, ok := CharTWCompact(ctx.Tasks, recs, c, ctx.Norm)
+		est, ok := charTWCompact(ctx.Tasks, recs, c, ctx.Norm)
 		if !ok {
 			continue
 		}

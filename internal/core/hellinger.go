@@ -43,7 +43,7 @@ type hellingerMF struct{}
 func (hellingerMF) Name() string { return "hellinger-mf" }
 
 func (hellingerMF) Spec() ModelSpec {
-	return ModelSpec{Combine: CombineMistrust, OmegaGated: true}
+	return ModelSpec{Combine: combineMistrust, OmegaGated: true}
 }
 
 // HopTW is the untrained evidence-local lens: the mean trustworthiness of

@@ -21,17 +21,17 @@ import (
 type CombineRule uint8
 
 const (
-	// CombineProduct is the plain product of eq. 5 (the traditional
+	// combineProduct is the plain product of eq. 5 (the traditional
 	// baseline's accumulation).
-	CombineProduct CombineRule = iota
-	// CombineMistrust is eq. 7's CombinePair: a·b + (1−a)·(1−b), crediting
+	combineProduct CombineRule = iota
+	// combineMistrust is eq. 7's CombinePair: a·b + (1−a)·(1−b), crediting
 	// the case where a distrusted intermediate misjudges.
-	CombineMistrust
+	combineMistrust
 )
 
 // String names the rule for descriptors and diagnostics.
 func (r CombineRule) String() string {
-	if r == CombineProduct {
+	if r == combineProduct {
 		return "product"
 	}
 	return "mistrust"
@@ -61,7 +61,7 @@ func unitType(c task.Characteristic) task.Type { return task.Type(-1 - int(c)) }
 
 // unitTask is the one-characteristic task a PerCharacteristic model is
 // evaluated on: c alone at weight 1. Aggressive's HopTW on it is
-// CharTWCompact bit for bit (eq. 4 with one term: 0 + 1·x = x).
+// charTWCompact bit for bit (eq. 4 with one term: 0 + 1·x = x).
 func unitTask(c task.Characteristic) task.Task { return task.Uniform(unitType(c), c) }
 
 // HopContext carries the frozen-epoch resolution state a hop evaluation
@@ -119,15 +119,15 @@ type paperModel struct {
 var (
 	// Traditional is the baseline of eq. 5: trustworthiness transfers only
 	// through records of the exact same task type, combined by product.
-	Traditional TrustModel = &paperModel{name: "traditional", spec: ModelSpec{Combine: CombineProduct}, exactType: true}
+	Traditional TrustModel = &paperModel{name: "traditional", spec: ModelSpec{Combine: combineProduct}, exactType: true}
 	// Conservative (eqs. 8–11) transfers through a single path on which
 	// every hop's experience covers all characteristics of the task,
 	// combined by eq. 7.
-	Conservative TrustModel = &paperModel{name: "conservative", spec: ModelSpec{Combine: CombineMistrust, OmegaGated: true}}
+	Conservative TrustModel = &paperModel{name: "conservative", spec: ModelSpec{Combine: combineMistrust, OmegaGated: true}}
 	// Aggressive (eqs. 12–17) assesses each characteristic along its own
 	// path and combines the per-characteristic estimates with the task's
 	// weights (eq. 17).
-	Aggressive TrustModel = &paperModel{name: "aggressive", spec: ModelSpec{Combine: CombineMistrust, OmegaGated: true, PerCharacteristic: true}}
+	Aggressive TrustModel = &paperModel{name: "aggressive", spec: ModelSpec{Combine: combineMistrust, OmegaGated: true, PerCharacteristic: true}}
 )
 
 func (m *paperModel) Name() string    { return m.name }
@@ -152,7 +152,7 @@ func (m *paperModel) HopTW(ctx HopContext, recs []CompactRecord, t task.Task) (f
 		}
 		return 0, false
 	}
-	return InferFromCompact(ctx.Tasks, recs, t, ctx.Norm)
+	return inferFromCompact(ctx.Tasks, recs, t, ctx.Norm)
 }
 
 // modelRegistry maps registered model names to instances. Registration

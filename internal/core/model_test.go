@@ -41,22 +41,22 @@ func TestPaperModelsMatchLegacyHop(t *testing.T) {
 							seed, size, m.Name(), tk.Type(), gotV, gotOK, legacyV, legacyOK)
 					}
 				}
-				legacyV, legacyOK := InferFromCompact(f.tasks, f.compact, tk, norm)
+				legacyV, legacyOK := inferFromCompact(f.tasks, f.compact, tk, norm)
 				if size == 0 {
 					legacyOK = false // empty evidence never admits a hop
 					legacyV = 0
 				}
 				gotV, gotOK := Aggressive.HopTW(ctx, f.compact, tk)
 				if gotV != legacyV || gotOK != legacyOK {
-					t.Fatalf("seed %d size %d: aggressive HopTW(task %d) = (%v, %v), InferFromCompact (%v, %v)",
+					t.Fatalf("seed %d size %d: aggressive HopTW(task %d) = (%v, %v), inferFromCompact (%v, %v)",
 						seed, size, tk.Type(), gotV, gotOK, legacyV, legacyOK)
 				}
 			}
 			for _, c := range chars {
-				wantV, wantOK := CharTWCompact(f.tasks, f.compact, c, norm)
+				wantV, wantOK := charTWCompact(f.tasks, f.compact, c, norm)
 				gotV, gotOK := Aggressive.HopTW(ctx, f.compact, unitTask(c))
 				if gotV != wantV || gotOK != wantOK {
-					t.Fatalf("seed %d size %d: aggressive HopTW(unit task %d) = (%v, %v), CharTWCompact (%v, %v)",
+					t.Fatalf("seed %d size %d: aggressive HopTW(unit task %d) = (%v, %v), charTWCompact (%v, %v)",
 						seed, size, c, gotV, gotOK, wantV, wantOK)
 				}
 			}
@@ -107,11 +107,11 @@ func TestModelHopTWRange(t *testing.T) {
 // without failing any golden that happens not to exercise the edge.
 func TestModelSpecs(t *testing.T) {
 	want := map[string]ModelSpec{
-		"traditional":      {Combine: CombineProduct},
-		"conservative":     {Combine: CombineMistrust, OmegaGated: true},
-		"aggressive":       {Combine: CombineMistrust, OmegaGated: true, PerCharacteristic: true},
-		"hellinger-mf":     {Combine: CombineMistrust, OmegaGated: true},
-		"feature-weighted": {Combine: CombineMistrust, OmegaGated: true},
+		"traditional":      {Combine: combineProduct},
+		"conservative":     {Combine: combineMistrust, OmegaGated: true},
+		"aggressive":       {Combine: combineMistrust, OmegaGated: true, PerCharacteristic: true},
+		"hellinger-mf":     {Combine: combineMistrust, OmegaGated: true},
+		"feature-weighted": {Combine: combineMistrust, OmegaGated: true},
 	}
 	for name, spec := range want {
 		m, err := ParseModel(name)
@@ -137,7 +137,7 @@ type perCharTrainable struct{ hellingerMF }
 func (perCharTrainable) Name() string { return "per-char-trainable" }
 
 func (perCharTrainable) Spec() ModelSpec {
-	return ModelSpec{Combine: CombineMistrust, OmegaGated: true, PerCharacteristic: true}
+	return ModelSpec{Combine: combineMistrust, OmegaGated: true, PerCharacteristic: true}
 }
 
 // TestRegisterModelRefusesPerCharacteristicTrainable: the registry refuses

@@ -331,6 +331,6 @@ func result(best map[AgentID]float64, inquired map[AgentID]bool) SearchResult {
 	for id, tw := range best {
 		cands = append(cands, Candidate{ID: id, TW: tw})
 	}
-	SortCandidates(cands)
+	sortCandidates(cands)
 	return SearchResult{Candidates: cands, Inquired: len(inquired)}
 }

@@ -89,20 +89,14 @@ func LoadStore(r io.Reader, cfg UpdateConfig) (*Store, error) {
 	}
 	s := NewStore(snap.Owner, cfg)
 	for _, rs := range snap.Records {
-		if len(rs.Task.Chars) == 0 || len(rs.Task.Chars) != len(rs.Task.Weights) {
-			return nil, fmt.Errorf("core: snapshot record for trustee %d has malformed task", rs.Trustee)
-		}
 		if rs.Count < 0 || int64(rs.Count) > math.MaxUint32 {
 			return nil, fmt.Errorf("core: snapshot record for trustee %d has delegation count %d outside [0, %d]", rs.Trustee, rs.Count, uint32(math.MaxUint32))
 		}
-		weighted := make(map[task.Characteristic]float64, len(rs.Task.Chars))
+		chars := make([]task.Characteristic, len(rs.Task.Chars))
 		for i, c := range rs.Task.Chars {
-			if rs.Task.Weights[i] <= 0 {
-				return nil, fmt.Errorf("core: snapshot record for trustee %d has non-positive weight", rs.Trustee)
-			}
-			weighted[task.Characteristic(c)] = rs.Task.Weights[i]
+			chars[i] = task.Characteristic(c)
 		}
-		tk, err := task.New(rs.Task.Type, weighted)
+		tk, err := task.Restore(rs.Task.Type, chars, rs.Task.Weights)
 		if err != nil {
 			return nil, fmt.Errorf("core: snapshot record for trustee %d: %w", rs.Trustee, err)
 		}

@@ -49,6 +49,10 @@ func FuzzPersistRoundTrip(f *testing.F) {
 	// wrapped modulo 2^32.
 	f.Add([]byte(`{"version":1,"owner":0,"records":[{"trustee":3,"task":{"type":7,"chars":[2],"weights":[1]},"s":0.5,"g":0.5,"d":0.5,"c":0.5,"count":-1}],"usage":[]}`))
 	f.Add([]byte(`{"version":1,"owner":0,"records":[{"trustee":3,"task":{"type":7,"chars":[2],"weights":[1]},"s":0.5,"g":0.5,"d":0.5,"c":0.5,"count":4294967296}],"usage":[]}`))
+	// Saved weights that do not sum to 1: the first load normalizes them,
+	// and the reload of that save must keep its bits.
+	f.Add([]byte(`{"version":1,"owner":0,"records":[{"trustee":3,"task":{"type":7,"chars":[0,1],"weights":[0.47,0.61]},"s":0.5,"g":0.5,"d":0.5,"c":0.5,"count":1}],"usage":[]}`))
+	f.Add([]byte(`{"version":1,"owner":0,"records":[{"trustee":3,"task":{"type":7,"chars":[0,1,2],"weights":[0.1,0.2,0.3]},"s":0.5,"g":0.5,"d":0.5,"c":0.5,"count":1}],"usage":[]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg := DefaultUpdateConfig()

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"siot/internal/rng"
 	"siot/internal/task"
 )
 
@@ -118,6 +119,44 @@ func TestLoadStoreRejectsMalformedTask(t *testing.T) {
 	], "usage": []}`
 	if _, err := LoadStore(strings.NewReader(src), DefaultUpdateConfig()); err == nil {
 		t.Fatal("negative weight accepted")
+	}
+	src = `{"version": 1, "owner": 1, "records": [
+		{"trustee": 2, "task": {"type": 1, "chars": [0, 0], "weights": [0.5, 0.5]},
+		 "s": 0.5, "g": 0.5, "d": 0.5, "c": 0.5, "count": 1}
+	], "usage": []}`
+	if _, err := LoadStore(strings.NewReader(src), DefaultUpdateConfig()); err == nil {
+		t.Fatal("duplicate characteristic accepted")
+	}
+}
+
+// TestSaveLoadKeepsTaskBits saves a store holding one record per task of a
+// 200-type universe over 5 characteristics and checks that every reloaded
+// task is Equal to its original: reloading keeps saved weights bit for bit
+// instead of normalizing them again.
+func TestSaveLoadKeepsTaskBits(t *testing.T) {
+	u := task.NewUniverse(200, 5, rng.New(1, "persist-universe"))
+	orig := NewStore(1, DefaultUpdateConfig())
+	for i, tk := range u.Tasks {
+		orig.Seed(AgentID(2+i%7), tk, Expectation{S: 0.5, G: 0.5, D: 0.5})
+	}
+	var buf bytes.Buffer
+	if err := orig.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := LoadStore(&buf, DefaultUpdateConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, trustee := range orig.Trustees() {
+		origRecs, gotRecs := orig.Records(trustee), restored.Records(trustee)
+		if len(gotRecs) != len(origRecs) {
+			t.Fatalf("trustee %d: %d records, want %d", trustee, len(gotRecs), len(origRecs))
+		}
+		for i := range origRecs {
+			if !gotRecs[i].Task.Equal(origRecs[i].Task) {
+				t.Errorf("trustee %d: task %v reloaded as %v", trustee, origRecs[i].Task.Weights(), gotRecs[i].Task.Weights())
+			}
+		}
 	}
 }
 

@@ -157,7 +157,7 @@ func layerWeights(m TrustModel, t task.Task) []float64 {
 // rule returns the searchRule for t under m.
 func (s *Searcher) rule(m TrustModel, t task.Task) searchRule {
 	spec := m.Spec()
-	r := searchRule{product: spec.Combine == CombineProduct, relayMin: anyPositive, hopMin: anyPositive,
+	r := searchRule{product: spec.Combine == combineProduct, relayMin: anyPositive, hopMin: anyPositive,
 		sumMin: math.Inf(-1), weights: layerWeights(m, t)}
 	if spec.OmegaGated {
 		r.relayMin, r.hopMin = s.Omega1, s.Omega2
@@ -216,7 +216,7 @@ func (s *Searcher) FindViewModelInto(res *SearchResult, view *TrustView, memo *E
 			res.Candidates = append(res.Candidates, Candidate{ID: v, TW: tw})
 		}
 	}
-	SortCandidates(res.Candidates)
+	sortCandidates(res.Candidates)
 	st.release()
 	return nil
 }

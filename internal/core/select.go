@@ -12,10 +12,10 @@ type Candidate struct {
 	TW float64
 }
 
-// SortCandidates orders candidates by decreasing trustworthiness, breaking
+// sortCandidates orders candidates by decreasing trustworthiness, breaking
 // ties by ascending ID for determinism. It allocates nothing, keeping the
 // search hot path pool-warm clean.
-func SortCandidates(cands []Candidate) {
+func sortCandidates(cands []Candidate) {
 	slices.SortFunc(cands, func(a, b Candidate) int {
 		if c := cmp.Compare(b.TW, a.TW); c != 0 {
 			return c
@@ -35,7 +35,7 @@ func SortCandidates(cands []Candidate) {
 // candidate is always chosen.
 func SelectMutual(cands []Candidate, accept func(AgentID) bool) (Candidate, bool) {
 	ordered := append([]Candidate(nil), cands...)
-	SortCandidates(ordered)
+	sortCandidates(ordered)
 	for _, c := range ordered {
 		if accept == nil || accept(c.ID) {
 			return c, true

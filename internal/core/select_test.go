@@ -7,7 +7,7 @@ import (
 
 func TestSortCandidates(t *testing.T) {
 	c := []Candidate{{ID: 3, TW: 0.5}, {ID: 1, TW: 0.9}, {ID: 2, TW: 0.5}}
-	SortCandidates(c)
+	sortCandidates(c)
 	if c[0].ID != 1 || c[1].ID != 2 || c[2].ID != 3 {
 		t.Fatalf("sorted = %v", c)
 	}

@@ -276,7 +276,7 @@ func (s *Store) InferTW(trustee AgentID, t task.Task) (tw float64, ok bool) {
 	if len(recs) == 0 {
 		return 0, false
 	}
-	return InferFromCompact(s.cfg.Catalog.Tasks(), recs, t, s.cfg.Norm)
+	return inferFromCompact(s.cfg.Catalog.Tasks(), recs, t, s.cfg.Norm)
 }
 
 // BestTW returns the best available trustworthiness estimate for trustee on

@@ -356,9 +356,9 @@ func TestPaperModels(t *testing.T) {
 		name string
 		spec ModelSpec
 	}{
-		{Traditional, "traditional", ModelSpec{Combine: CombineProduct}},
-		{Conservative, "conservative", ModelSpec{Combine: CombineMistrust, OmegaGated: true}},
-		{Aggressive, "aggressive", ModelSpec{Combine: CombineMistrust, OmegaGated: true, PerCharacteristic: true}},
+		{Traditional, "traditional", ModelSpec{Combine: combineProduct}},
+		{Conservative, "conservative", ModelSpec{Combine: combineMistrust, OmegaGated: true}},
+		{Aggressive, "aggressive", ModelSpec{Combine: combineMistrust, OmegaGated: true, PerCharacteristic: true}},
 	} {
 		if got := tc.m.Name(); got != tc.name {
 			t.Errorf("Name = %q, want %q", got, tc.name)

@@ -69,7 +69,7 @@ func TestEdgeMemoConservativeTaskGuard(t *testing.T) {
 	}
 	// The rebuilt table must block edge (0,1): the record covers GPS, not
 	// Image.
-	if _, ok := InferFromCompact(view.Tasks(), view.EdgeRecords(0), taskB, UnitNormalizer()); ok {
+	if _, ok := inferFromCompact(view.Tasks(), view.EdgeRecords(0), taskB, UnitNormalizer()); ok {
 		t.Fatal("fixture broken: taskB should not be inferable from a GPS record")
 	}
 	if !isBlocked(vals[0]) {
@@ -99,7 +99,7 @@ func TestEdgeMemoLastSameTypeTaskWins(t *testing.T) {
 	if vals == nil || memo.model(cons).table(taskB) != nil {
 		t.Fatal("[B, A] over a table built for A must leave it built for A")
 	}
-	want, _ := InferFromCompact(view.Tasks(), view.EdgeRecords(0), taskA, UnitNormalizer())
+	want, _ := inferFromCompact(view.Tasks(), view.EdgeRecords(0), taskA, UnitNormalizer())
 	if vals[0] != want {
 		t.Fatalf("edge (0,1) value = %v, want %v", vals[0], want)
 	}
@@ -151,7 +151,7 @@ func TestEdgeMemoCharacteristicKey(t *testing.T) {
 	if again := memo.model(agg).charTable(task.CharGPS); &again[0] != &gps[0] {
 		t.Fatal("covered characteristic's table was rebuilt")
 	}
-	want, _ := CharTWCompact(view.Tasks(), view.EdgeRecords(0), task.CharGPS, UnitNormalizer())
+	want, _ := charTWCompact(view.Tasks(), view.EdgeRecords(0), task.CharGPS, UnitNormalizer())
 	if gps[0] != want {
 		t.Fatalf("edge (0,1) GPS value = %v, want %v", gps[0], want)
 	}

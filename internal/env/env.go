@@ -16,10 +16,10 @@ import (
 // lighting, and similar conditions.
 type Environment float64
 
-// Clamp returns e forced into (0, 1]; non-positive values become Min.
+// Clamp returns e forced into (0, 1]; non-positive values become minEnv.
 func (e Environment) Clamp() Environment {
 	if e <= 0 {
-		return Min
+		return minEnv
 	}
 	if e > 1 {
 		return 1
@@ -27,9 +27,9 @@ func (e Environment) Clamp() Environment {
 	return e
 }
 
-// Min is the smallest environment value Clamp produces. It bounds the
-// amplification of r(·): an observation can be scaled up by at most 1/Min.
-const Min Environment = 0.05
+// minEnv is the smallest environment value Clamp produces. It bounds the
+// amplification of r(·): an observation can be scaled up by at most 1/minEnv.
+const minEnv Environment = 0.05
 
 // Perfect is the amicable environment where observations pass through
 // unchanged.

@@ -9,8 +9,8 @@ import (
 func TestClamp(t *testing.T) {
 	cases := []struct{ in, want Environment }{
 		{0.5, 0.5},
-		{0, Min},
-		{-3, Min},
+		{0, minEnv},
+		{-3, minEnv},
 		{1.5, 1},
 		{1, 1},
 	}

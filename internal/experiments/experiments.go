@@ -6,8 +6,8 @@
 //
 // The registry (Names, Run, RunOpts, Render) is the package's surface: each
 // experiment runs under its ID with the paper's full-size parameters.
-// RunTable1, MeasureTable1Row, RunFig15 and RunAttack stay exported for
-// siot-netgen, siot-sim and the integration tests.
+// MeasureTable1Row and RunAttack stay exported for siot-netgen and
+// siot-sim.
 package experiments
 
 import "fmt"

@@ -20,7 +20,7 @@ func noShapeErrors(t *testing.T, errs []error) {
 }
 
 func TestTable1Shape(t *testing.T) {
-	res := RunTable1(1)
+	res := runTable1(1)
 	noShapeErrors(t, res.ShapeCheck())
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d", len(res.Rows))
@@ -106,9 +106,9 @@ func TestFig13Shape(t *testing.T) {
 }
 
 func TestFig15Shape(t *testing.T) {
-	cfg := DefaultFig15Config(1)
+	cfg := defaultFig15Config(1)
 	cfg.Runs = 40
-	res := RunFig15(cfg)
+	res := runFig15(cfg)
 	noShapeErrors(t, res.ShapeCheck())
 	if len(res.NoEnv.Y) != 300 {
 		t.Fatalf("series length = %d", len(res.NoEnv.Y))

@@ -19,10 +19,10 @@ const (
 	fig15HistoryWeight float64 = 0.9
 )
 
-// Fig15Config parameterizes the dynamic-environment tracking experiment
+// fig15Config parameterizes the dynamic-environment tracking experiment
 // (§5.7, simulation part), which plays the paper's 1 → 0.4 → 0.7
 // three-phase environment schedule.
-type Fig15Config struct {
+type fig15Config struct {
 	Seed uint64
 	// Runs to average (the paper averages 100 independent runs).
 	Runs int
@@ -30,15 +30,15 @@ type Fig15Config struct {
 	Iterations int
 }
 
-// DefaultFig15Config mirrors the paper.
-func DefaultFig15Config(seed uint64) Fig15Config {
-	return Fig15Config{Seed: seed, Runs: 100}
+// defaultFig15Config mirrors the paper.
+func defaultFig15Config(seed uint64) fig15Config {
+	return fig15Config{Seed: seed, Runs: 100}
 }
 
-// Fig15Result reproduces Fig. 15, "Comparison of the success rates with
+// fig15Result reproduces Fig. 15, "Comparison of the success rates with
 // non-ideal and changing environments": the tracked expected success rate
 // under three update rules.
-type Fig15Result struct {
+type fig15Result struct {
 	// NoEnv is the reference: outcomes unaffected by the environment.
 	NoEnv stats.Series
 	// Traditional updates from environment-degraded outcomes without
@@ -50,8 +50,8 @@ type Fig15Result struct {
 	Env stats.Series
 }
 
-// RunFig15 tracks the expected success rate across the environment steps.
-func RunFig15(cfg Fig15Config) Fig15Result {
+// runFig15 tracks the expected success rate across the environment steps.
+func runFig15(cfg fig15Config) fig15Result {
 	sched := env.Fig15Schedule()
 	iters := cfg.Iterations
 	if iters == 0 {
@@ -99,7 +99,7 @@ func RunFig15(cfg Fig15Config) Fig15Result {
 		trad[i] *= scale
 		prop[i] *= scale
 	}
-	return Fig15Result{
+	return fig15Result{
 		NoEnv:       stats.NewSeries("without environment influence", noEnv),
 		Traditional: stats.NewSeries("affected by environment - traditional method", trad),
 		Proposed:    stats.NewSeries("affected by environment - proposed method", prop),
@@ -108,12 +108,12 @@ func RunFig15(cfg Fig15Config) Fig15Result {
 }
 
 // allSeries returns the three tracked curves.
-func (r Fig15Result) allSeries() []stats.Series {
+func (r fig15Result) allSeries() []stats.Series {
 	return []stats.Series{r.NoEnv, r.Traditional, r.Proposed}
 }
 
 // Table summarizes per-phase means of each curve.
-func (r Fig15Result) Table() *report.Table {
+func (r fig15Result) Table() *report.Table {
 	t := &report.Table{
 		Title:   "Fig. 15: mean tracked success rate per environment phase",
 		Headers: []string{"Curve", "phase1 (E=1)", "phase2 (E=0.4)", "phase3 (E=0.7)"},
@@ -138,7 +138,7 @@ func (r Fig15Result) Table() *report.Table {
 // S·min(E) in each phase (error relative to the truth); the proposed method
 // recovers the environment-free rate in every phase; and at the 100 → 101
 // step the proposed method re-converges faster than the traditional one.
-func (r Fig15Result) ShapeCheck() []error {
+func (r fig15Result) ShapeCheck() []error {
 	c := &shapeCheck{experiment: "fig15"}
 	n := len(r.NoEnv.Y)
 	if n < 300 {

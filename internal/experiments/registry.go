@@ -76,7 +76,7 @@ func (r fig13Result) Charts() []report.Chart {
 }
 
 // Charts implements Charter.
-func (r Fig15Result) Charts() []report.Chart {
+func (r fig15Result) Charts() []report.Chart {
 	return []report.Chart{{
 		Title:  "Fig. 15: tracked success rate under a changing environment",
 		Series: r.allSeries(), XLabel: "iteration", YLabel: "expected success rate",
@@ -139,7 +139,7 @@ func attackRunner(model adversary.Attack) func(o Options) Result {
 
 // runners maps experiment IDs to their default-configuration runners.
 var runners = map[string]func(o Options) Result{
-	"table1": func(o Options) Result { return RunTable1(o.Seed) },
+	"table1": func(o Options) Result { return runTable1(o.Seed) },
 	"fig7": func(o Options) Result {
 		cfg := defaultFig7Config(o.Seed)
 		cfg.Parallelism = o.Parallelism
@@ -167,7 +167,7 @@ var runners = map[string]func(o Options) Result{
 		return runFig13(cfg)
 	},
 	"fig14": func(o Options) Result { return runFig14(defaultFig14Config(o.Seed)) },
-	"fig15": func(o Options) Result { return RunFig15(DefaultFig15Config(o.Seed)) },
+	"fig15": func(o Options) Result { return runFig15(defaultFig15Config(o.Seed)) },
 	"fig16": func(o Options) Result { return runFig16(defaultFig16Config(o.Seed)) },
 	"ablation-eq7": func(o Options) Result {
 		return runAblationEq7(defaultAblationEq7Config(o.Seed))

@@ -21,9 +21,9 @@ type Table1Result struct {
 	Rows []Table1Row
 }
 
-// RunTable1 generates the three evaluation networks and measures their
+// runTable1 generates the three evaluation networks and measures their
 // connectivity characteristics.
-func RunTable1(seed uint64) Table1Result {
+func runTable1(seed uint64) Table1Result {
 	var res Table1Result
 	for _, p := range socialgen.Profiles() {
 		res.Rows = append(res.Rows, MeasureTable1Row(socialgen.Generate(p, seed), seed))

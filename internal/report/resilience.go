@@ -33,9 +33,9 @@ type Resilience struct {
 	SuccessDegradation float64
 }
 
-// DetectionLatency returns the first round index at which the trust-gap
+// detectionLatency returns the first round index at which the trust-gap
 // series reaches threshold, or -1 if it never does.
-func DetectionLatency(gap stats.Series, threshold float64) int {
+func detectionLatency(gap stats.Series, threshold float64) int {
 	for i, v := range gap.Y {
 		if v >= threshold {
 			return i
@@ -49,7 +49,7 @@ func DetectionLatency(gap stats.Series, threshold float64) int {
 // runs.
 func NewResilience(gap stats.Series, threshold, baselineSuccess, attackedSuccess float64) Resilience {
 	res := Resilience{
-		DetectionRound:     DetectionLatency(gap, threshold),
+		DetectionRound:     detectionLatency(gap, threshold),
 		SuccessDegradation: baselineSuccess - attackedSuccess,
 	}
 	if n := len(gap.Y); n > 0 {

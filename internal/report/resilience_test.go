@@ -9,13 +9,13 @@ import (
 
 func TestDetectionLatency(t *testing.T) {
 	gap := stats.NewSeries("gap", []float64{-0.1, 0.0, 0.02, 0.05, 0.01, 0.2})
-	if got := DetectionLatency(gap, 0.05); got != 3 {
-		t.Fatalf("DetectionLatency = %d, want 3", got)
+	if got := detectionLatency(gap, 0.05); got != 3 {
+		t.Fatalf("detectionLatency = %d, want 3", got)
 	}
-	if got := DetectionLatency(gap, 0.5); got != -1 {
+	if got := detectionLatency(gap, 0.5); got != -1 {
 		t.Fatalf("undetectable: got %d, want -1", got)
 	}
-	if got := DetectionLatency(stats.NewSeries("empty", nil), 0.1); got != -1 {
+	if got := detectionLatency(stats.NewSeries("empty", nil), 0.1); got != -1 {
 		t.Fatalf("empty series: got %d, want -1", got)
 	}
 }

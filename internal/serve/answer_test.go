@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand/v2"
@@ -57,7 +58,7 @@ func TestAnswerMatchesScan(t *testing.T) {
 			for round := 0; round < 3; round++ {
 				before := e.epochs.Load()
 				for i := 0; i < 24; i++ {
-					if err := e.Ingest(randomEvent(e, r)); err != nil {
+					if err := e.IngestCtx(context.Background(), randomEvent(e, r)); err != nil {
 						t.Fatalf("ingest: %v", err)
 					}
 				}

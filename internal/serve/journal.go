@@ -34,7 +34,7 @@ import (
 // Durability is group-commit: appends go to an internal buffer, and the
 // writer goroutine calls sync() once per applied batch and once per epoch
 // line (FsyncBatch, the default), flushing the buffer and fsyncing the
-// underlying file when it can. Ingest acknowledges an event only after the
+// underlying file when it can. IngestCtx acknowledges an event only after the
 // sync covering its line returned, so an acknowledged event is on disk.
 // Because the epoch line is synced before the epoch is published, the
 // "epoch journaled before published" ordering is a durability invariant:
@@ -58,11 +58,11 @@ const (
 	// per epoch line — group commit: one fsync covers every event the batch
 	// acknowledged.
 	FsyncBatch FsyncMode = iota
-	// FsyncAlways syncs after every appended line, including query lines.
-	FsyncAlways
-	// FsyncOff never syncs; the buffer is still flushed per batch and on
+	// fsyncAlways syncs after every appended line, including query lines.
+	fsyncAlways
+	// fsyncOff never syncs; the buffer is still flushed per batch and on
 	// close. A crash can lose acknowledged events in this mode.
-	FsyncOff
+	fsyncOff
 )
 
 // String renders the flag spelling.
@@ -70,9 +70,9 @@ func (m FsyncMode) String() string {
 	switch m {
 	case FsyncBatch:
 		return "batch"
-	case FsyncAlways:
+	case fsyncAlways:
 		return "always"
-	case FsyncOff:
+	case fsyncOff:
 		return "off"
 	}
 	return fmt.Sprintf("FsyncMode(%d)", int(m))
@@ -84,17 +84,17 @@ func ParseFsyncMode(s string) (FsyncMode, error) {
 	case "batch":
 		return FsyncBatch, nil
 	case "always":
-		return FsyncAlways, nil
+		return fsyncAlways, nil
 	case "off":
-		return FsyncOff, nil
+		return fsyncOff, nil
 	}
 	return 0, fmt.Errorf("unknown fsync mode %q (want always, batch, or off)", s)
 }
 
-// Syncer is the optional fsync capability of a journal writer. *os.File and
+// syncer is the optional fsync capability of a journal writer. *os.File and
 // faultfs.File implement it; a bytes.Buffer does not, and then sync degrades
 // to a buffer flush.
-type Syncer interface{ Sync() error }
+type syncer interface{ Sync() error }
 
 // journalLine is the tagged union of journal entries: exactly one of the
 // payload fields is set, selected by Kind.
@@ -216,8 +216,8 @@ func decodeJournalLine(phys []byte) (journalLine, error) {
 type journal struct {
 	mu   sync.Mutex
 	buf  *bufio.Writer
-	sync Syncer  // nil when the underlying writer cannot fsync
-	fl   flusher // caller-side buffer to push through when there is no Syncer
+	sync syncer  // nil when the underlying writer cannot fsync
+	fl   flusher // caller-side buffer to push through when there is no syncer
 	mode FsyncMode
 	lat  *latencyHist // fsync latency, surfaced as fsync_p99_ns
 
@@ -234,7 +234,7 @@ func newJournal(w io.Writer, mode FsyncMode, lat *latencyHist) *journal {
 		return nil
 	}
 	j := &journal{buf: bufio.NewWriter(w), mode: mode, lat: lat}
-	if s, ok := w.(Syncer); ok {
+	if s, ok := w.(syncer); ok {
 		j.sync = s
 	} else if f, ok := w.(flusher); ok {
 		j.fl = f
@@ -243,7 +243,7 @@ func newJournal(w io.Writer, mode FsyncMode, lat *latencyHist) *journal {
 }
 
 // append encodes one line, keeping the first error (and, for event lines,
-// the sequence number it lost). In FsyncAlways mode the line is flushed and
+// the sequence number it lost). In fsyncAlways mode the line is flushed and
 // synced before append returns.
 func (j *journal) append(line journalLine) {
 	if j == nil {
@@ -267,7 +267,7 @@ func (j *journal) append(line journalLine) {
 		return
 	}
 	j.mu.Unlock()
-	if j.mode == FsyncAlways {
+	if j.mode == fsyncAlways {
 		j.syncNow()
 	}
 }
@@ -278,7 +278,7 @@ func (j *journal) epoch(e epochLine)   { j.append(journalLine{Kind: "epoch", Epo
 func (j *journal) query(q queryLine)   { j.append(journalLine{Kind: "query", Query: &q}) }
 
 // syncNow is the group commit point: it flushes the buffer and, unless the
-// mode is FsyncOff, fsyncs the underlying file. The fsync itself runs
+// mode is fsyncOff, fsyncs the underlying file. The fsync itself runs
 // outside the mutex — Sync concurrent with Write is safe and covers at
 // least every byte flushed before the call — so a slow or stalled disk
 // blocks only the syncing goroutine, never concurrent query appends.
@@ -302,7 +302,7 @@ func (j *journal) syncNow() error {
 
 	var err error
 	switch {
-	case j.mode == FsyncOff:
+	case j.mode == fsyncOff:
 	case s != nil:
 		start := time.Now()
 		err = s.Sync()

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand/v2"
 	"slices"
@@ -26,7 +27,7 @@ func serveSession(t *testing.T, cfg Config, events int) ([]byte, Stats) {
 	r := rand.New(rand.NewPCG(11, cfg.Seed))
 	served := 0
 	for i := 0; i < events; i++ {
-		if err := e.Ingest(randomEvent(e, r)); err != nil {
+		if err := e.IngestCtx(context.Background(), randomEvent(e, r)); err != nil {
 			t.Fatalf("ingest %d: %v", i, err)
 		}
 		for q := 0; q < 3; q++ {
@@ -159,7 +160,7 @@ func TestRecoverV2Header(t *testing.T) {
 	}
 	r := rand.New(rand.NewPCG(5, 6))
 	for i := 0; i < 20; i++ {
-		if err := e.Ingest(randomEvent(e, r)); err != nil {
+		if err := e.IngestCtx(context.Background(), randomEvent(e, r)); err != nil {
 			t.Fatalf("post-recovery ingest %d: %v", i, err)
 		}
 	}

@@ -34,7 +34,7 @@ func crashCfg(j *faultfs.File) Config {
 func mustIngestN(t *testing.T, e *Engine, r *rand.Rand, n int) int {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if err := e.Ingest(randomEvent(e, r)); err != nil {
+		if err := e.IngestCtx(context.Background(), randomEvent(e, r)); err != nil {
 			t.Fatalf("ingest %d: %v", i, err)
 		}
 	}
@@ -216,7 +216,7 @@ func TestKillLoopRecovery(t *testing.T) {
 		// Ingest a burst; each nil return is a durability promise.
 		burst := 3 + r.IntN(8)
 		for b := 0; b < burst; b++ {
-			if err := e.Ingest(randomEvent(e, r)); err != nil {
+			if err := e.IngestCtx(context.Background(), randomEvent(e, r)); err != nil {
 				t.Fatalf("kill %d: ingest: %v", i, err)
 			}
 			ackedEver++
@@ -267,7 +267,7 @@ func TestKillLoopRecovery(t *testing.T) {
 	}
 }
 
-// TestIngestAckIsDurable pins the drain contract satellite: every Ingest
+// TestIngestAckIsDurable pins the drain contract satellite: every IngestCtx
 // that returns nil — even one racing Close — corresponds to an event in
 // the journal. Events refused with ErrClosed must not be counted on, but
 // acknowledged ones can never be dropped.
@@ -292,7 +292,7 @@ func TestIngestAckIsDurable(t *testing.T) {
 			r := rand.New(rand.NewPCG(uint64(w), 55))
 			<-start
 			for {
-				err := e.Ingest(randomEvent(e, r))
+				err := e.IngestCtx(context.Background(), randomEvent(e, r))
 				if err == nil {
 					acked.Add(1)
 					continue
@@ -339,7 +339,7 @@ func TestDegradedMode(t *testing.T) {
 	f.FailSyncAt(f.Syncs()+1, nil) // every sync from here on fails
 	var degradedErr error
 	for i := 0; i < 50; i++ {
-		if degradedErr = e.Ingest(randomEvent(e, r)); degradedErr != nil {
+		if degradedErr = e.IngestCtx(context.Background(), randomEvent(e, r)); degradedErr != nil {
 			break
 		}
 	}
@@ -347,7 +347,7 @@ func TestDegradedMode(t *testing.T) {
 		t.Fatalf("ingest against a failing disk returned %v, want ErrDegraded", degradedErr)
 	}
 	// Fail-fast path: refused before touching the queue.
-	if err := e.Ingest(randomEvent(e, r)); !errors.Is(err, ErrDegraded) {
+	if err := e.IngestCtx(context.Background(), randomEvent(e, r)); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("ingest in degraded mode returned %v, want ErrDegraded", err)
 	}
 	st := e.Stats()
@@ -408,7 +408,7 @@ func TestBackpressureSheds(t *testing.T) {
 		fillers.Add(1)
 		go func() {
 			defer fillers.Done()
-			e.Ingest(ev) // durable acks arrive after release()
+			e.IngestCtx(context.Background(), ev) // durable acks arrive after release()
 		}()
 	}
 	// Wait until the queue is actually full.
@@ -450,7 +450,7 @@ func TestBackpressureSheds(t *testing.T) {
 // and pins their sync-call cadence ordering: always >= batch >= off (== 0).
 func TestFsyncModes(t *testing.T) {
 	counts := map[FsyncMode]int{}
-	for _, mode := range []FsyncMode{FsyncAlways, FsyncBatch, FsyncOff} {
+	for _, mode := range []FsyncMode{fsyncAlways, FsyncBatch, fsyncOff} {
 		f := faultfs.NewFile(nil)
 		cfg := crashCfg(f)
 		cfg.Fsync = mode
@@ -470,17 +470,17 @@ func TestFsyncModes(t *testing.T) {
 		if _, err := Replay(bytes.NewReader(f.Bytes())); err != nil {
 			t.Fatalf("%v: replay: %v", mode, err)
 		}
-		if mode != FsyncOff {
+		if mode != fsyncOff {
 			if got := e.Stats().FsyncP99Ns; got == 0 {
 				t.Fatalf("%v: fsync_p99_ns is 0 after %d syncs", mode, f.Syncs())
 			}
 		}
 	}
-	if counts[FsyncOff] != 0 {
-		t.Fatalf("FsyncOff synced %d times", counts[FsyncOff])
+	if counts[fsyncOff] != 0 {
+		t.Fatalf("fsyncOff synced %d times", counts[fsyncOff])
 	}
-	if counts[FsyncAlways] < counts[FsyncBatch] || counts[FsyncBatch] == 0 {
-		t.Fatalf("sync cadence out of order: always %d, batch %d", counts[FsyncAlways], counts[FsyncBatch])
+	if counts[fsyncAlways] < counts[FsyncBatch] || counts[FsyncBatch] == 0 {
+		t.Fatalf("sync cadence out of order: always %d, batch %d", counts[fsyncAlways], counts[FsyncBatch])
 	}
 }
 
@@ -492,8 +492,8 @@ func TestParseFsyncMode(t *testing.T) {
 		ok   bool
 	}{
 		{"batch", FsyncBatch, true},
-		{"always", FsyncAlways, true},
-		{"off", FsyncOff, true},
+		{"always", fsyncAlways, true},
+		{"off", fsyncOff, true},
 		{"fsync", 0, false},
 		{"", 0, false},
 	} {
@@ -539,7 +539,7 @@ func TestCaptureFailureDegrades(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if err := e.Ingest(randomEvent(e, r)); !errors.Is(err, ErrDegraded) {
+	if err := e.IngestCtx(context.Background(), randomEvent(e, r)); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("ingest after a failed capture returned %v, want ErrDegraded", err)
 	}
 	if st := e.Stats(); st.Epochs != 1 {

@@ -74,7 +74,7 @@ func replayHeader(s *journalScanner) (Config, error) {
 // walk reads a journal's lines after the header: the one loop Replay and
 // Recover share. Every event is checked and re-applied through the same
 // world.validate and world.apply the engine runs, so a journaled event is
-// exactly one Ingest would have accepted; each epoch marker and query line
+// exactly one IngestCtx would have accepted; each epoch marker and query line
 // then goes to its callback (a nil query callback only counts queries).
 // walk owns every rule of the format itself: lines carry their payload,
 // event seqs are dense, an epoch marker's event count matches what was
@@ -149,7 +149,7 @@ func walk(s *journalScanner, w *world, epoch func(*epochLine) error, query func(
 // in journal order, each epoch marker re-captures a frozen view, and every
 // query line is re-answered from its recorded epoch and compared
 // bit-for-bit against the journaled TW. Any failure — a CRC-failing or torn
-// line, an event Ingest would refuse, a sequence gap, event-count drift at
+// line, an event IngestCtx would refuse, a sequence gap, event-count drift at
 // an epoch, an epoch id that does not increase, an unknown epoch id, or a
 // single differing bit — is a descriptive error. A nil error is the replay
 // contract: every value the engine ever served is reproducible from the

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -33,7 +34,7 @@ func shortJournal(tb testing.TB) ([]byte, *Engine) {
 	}
 	r := rand.New(rand.NewPCG(5, 6))
 	for i := 0; i < 10; i++ {
-		if err := e.Ingest(randomEvent(e, r)); err != nil {
+		if err := e.IngestCtx(context.Background(), randomEvent(e, r)); err != nil {
 			tb.Fatalf("ingest %d: %v", i, err)
 		}
 		if _, err := e.Trust(core.AgentID(r.IntN(e.NumAgents())), core.AgentID(r.IntN(e.NumAgents())), r.IntN(len(e.TaskTypes()))); err != nil {
@@ -253,7 +254,7 @@ func FuzzReplayLine(f *testing.F) {
 			t.Fatalf("replay error %v, recover error %v: the shared journal walk disagrees", replayErr, recoverErr)
 		}
 		if ev != nil && seq == st.Applied+1 {
-			if ingestErr := oracle.Ingest(*ev); (replayErr == nil) != (ingestErr == nil) {
+			if ingestErr := oracle.IngestCtx(context.Background(), *ev); (replayErr == nil) != (ingestErr == nil) {
 				t.Fatalf("replay error %v, ingest error %v for %+v", replayErr, ingestErr, *ev)
 			}
 		}

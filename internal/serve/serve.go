@@ -9,7 +9,7 @@
 // event and served value to an append-only trust-assertion journal that
 // Replay reproduces byte-for-byte.
 //
-// The serving seam is crash-safe: Ingest acknowledges an event only after
+// The serving seam is crash-safe: IngestCtx acknowledges an event only after
 // the group-commit fsync covering its journal line returns (FsyncBatch), so
 // an acknowledged event is on disk; Recover rebuilds the engine from a
 // journal prefix after a crash, tolerating one torn final line; a full
@@ -123,20 +123,42 @@ type world struct {
 	searcher *core.Searcher
 }
 
-// buildWorld constructs the world of a (defaulted) config.
-func buildWorld(cfg Config) (*world, error) {
+// Validate reports whether c describes a world New can build, without
+// building it: Theta must be finite, since the journal header could not
+// record it, and the network profile Net or Nodes selects must exist and be
+// valid. New makes the same checks before it builds or writes anything;
+// siot-serve runs Validate before it opens its journal.
+func (c Config) Validate() error {
+	_, err := c.withDefaults().profile()
+	return err
+}
+
+// profile validates a (defaulted) config and returns the network profile it
+// selects.
+func (c Config) profile() (socialgen.Profile, error) {
+	if math.IsNaN(c.Theta) || math.IsInf(c.Theta, 0) {
+		return socialgen.Profile{}, fmt.Errorf("serve: theta %v is not finite", c.Theta)
+	}
 	var profile socialgen.Profile
-	if cfg.Nodes > 0 {
-		profile = benchnet.Profile(cfg.Nodes)
+	if c.Nodes > 0 {
+		profile = benchnet.Profile(c.Nodes)
 	} else {
 		var err error
-		profile, err = socialgen.ProfileByName(cfg.Net)
-		if err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
+		if profile, err = socialgen.ProfileByName(c.Net); err != nil {
+			return socialgen.Profile{}, fmt.Errorf("serve: %w", err)
 		}
 	}
 	if err := profile.Validate(); err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
+		return socialgen.Profile{}, fmt.Errorf("serve: %w", err)
+	}
+	return profile, nil
+}
+
+// buildWorld constructs the world of a (defaulted) config.
+func buildWorld(cfg Config) (*world, error) {
+	profile, err := cfg.profile()
+	if err != nil {
+		return nil, err
 	}
 	net := socialgen.Generate(profile, cfg.Seed)
 	pcfg := sim.DefaultPopulationConfig(cfg.Seed)
@@ -169,7 +191,7 @@ func (w *world) checkIDs(trustor, trustee core.AgentID, typ int) error {
 
 // validate is the only event check: IngestCtx runs it before queueing,
 // and Replay and Recover before re-applying a journaled event, so the
-// journal can hold nothing Ingest would refuse. Records live only along
+// journal can hold nothing IngestCtx would refuse. Records live only along
 // social edges (the capture arenas are per-edge), so both event kinds
 // require trustor and trustee to be social neighbors.
 func (w *world) validate(ev *eventLine) error {
@@ -272,7 +294,7 @@ type TrustResult struct {
 	Epoch  uint64
 }
 
-// ErrClosed is returned by Ingest and Trust after Close.
+// ErrClosed is returned by IngestCtx and Trust after Close.
 var ErrClosed = errors.New("serve: engine closed")
 
 // ErrOverloaded is returned by IngestCtx when the ingest queue stays full
@@ -280,7 +302,7 @@ var ErrClosed = errors.New("serve: engine closed")
 // with a Retry-After.
 var ErrOverloaded = errors.New("serve: ingest queue full")
 
-// ErrDegraded is returned by Ingest once a journal write or sync, or an
+// ErrDegraded is returned by IngestCtx once a journal write or sync, or an
 // epoch capture, has failed: the engine stops accepting events (their
 // durability or visibility could not be promised) but keeps answering
 // queries from the last good epoch. The condition is terminal for the
@@ -350,12 +372,9 @@ func newEngine(cfg Config, w *world) *Engine {
 }
 
 // New builds the world, writes the journal header, publishes epoch 0, and
-// starts the writer goroutine. A NaN or infinite Theta is rejected before
-// anything is built: the journal header could not record it.
+// starts the writer goroutine. It rejects a config Validate rejects before
+// it builds or writes anything.
 func New(cfg Config) (*Engine, error) {
-	if math.IsNaN(cfg.Theta) || math.IsInf(cfg.Theta, 0) {
-		return nil, fmt.Errorf("serve: theta %v is not finite", cfg.Theta)
-	}
 	cfg = cfg.withDefaults()
 	w, err := buildWorld(cfg)
 	if err != nil {
@@ -423,20 +442,16 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// Ingest validates, enqueues, and durably acknowledges one event: it
+// IngestCtx validates, enqueues, and durably acknowledges one event: it
 // returns nil only after the writer goroutine has applied the event and the
-// group-commit sync covering its journal line returned. It blocks without
-// bound while the queue is full; use IngestCtx to shed under overload.
-func (e *Engine) Ingest(ev Event) error { return e.IngestCtx(context.Background(), ev) }
-
-// IngestCtx is Ingest with backpressure: when the queue is full it waits
-// only until ctx is done, then sheds the event with ErrOverloaded (counted
-// in Stats.ShedTotal) instead of blocking the caller forever. A nil return
-// is a durability promise — the event is applied, journaled, and (in
-// FsyncBatch/FsyncAlways modes on a syncable journal) fsynced, so a crash
-// cannot lose it. Any error return means the event was not acknowledged;
-// it may still reach the journal if it was already queued when the engine
-// closed, but the caller must assume it did not.
+// group-commit sync covering its journal line returned. When the queue is
+// full it waits only until ctx is done, then sheds the event with
+// ErrOverloaded (counted in Stats.ShedTotal). A nil return is a durability
+// promise — the event is applied, journaled, and (in FsyncBatch/fsyncAlways
+// modes on a syncable journal) fsynced, so a crash cannot lose it. Any error
+// return means the event was not acknowledged; it may still reach the
+// journal if it was already queued when the engine closed, but the caller
+// must assume it did not.
 func (e *Engine) IngestCtx(ctx context.Context, ev Event) error {
 	line := ev.line()
 	if err := e.world.validate(&line); err != nil {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand/v2"
 	"strings"
@@ -59,7 +60,7 @@ func TestJournalReplay(t *testing.T) {
 			r := rand.New(rand.NewPCG(11, uint64(k)))
 			served := 0
 			for i := 0; i < 120; i++ {
-				if err := e.Ingest(randomEvent(e, r)); err != nil {
+				if err := e.IngestCtx(context.Background(), randomEvent(e, r)); err != nil {
 					t.Fatalf("ingest %d: %v", i, err)
 				}
 				for q := 0; q < 3; q++ {
@@ -110,7 +111,7 @@ func TestReplayDetectsTampering(t *testing.T) {
 	r := rand.New(rand.NewPCG(3, 4))
 	tampered := false
 	for i := 0; i < 40; i++ {
-		if err := e.Ingest(randomEvent(e, r)); err != nil {
+		if err := e.IngestCtx(context.Background(), randomEvent(e, r)); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := e.Trust(core.AgentID(r.IntN(e.NumAgents())), core.AgentID(r.IntN(e.NumAgents()-1)+1), 0); err != nil {
@@ -165,7 +166,7 @@ func TestReplayDetectsBitRot(t *testing.T) {
 	}
 	r := rand.New(rand.NewPCG(3, 4))
 	for i := 0; i < 12; i++ {
-		if err := e.Ingest(randomEvent(e, r)); err != nil {
+		if err := e.IngestCtx(context.Background(), randomEvent(e, r)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -236,7 +237,7 @@ func TestServeQueryDuringSwap(t *testing.T) {
 	const events = 60
 	r := rand.New(rand.NewPCG(5, 6))
 	for i := 0; i < events; i++ {
-		if err := e.Ingest(randomEvent(e, r)); err != nil {
+		if err := e.IngestCtx(context.Background(), randomEvent(e, r)); err != nil {
 			t.Fatalf("ingest %d: %v", i, err)
 		}
 	}
@@ -306,7 +307,7 @@ func TestIngestValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := e.Ingest(tc.ev); err == nil {
+			if err := e.IngestCtx(context.Background(), tc.ev); err == nil {
 				t.Fatalf("Ingest accepted %+v", tc.ev)
 			}
 		})
@@ -336,6 +337,32 @@ func TestNewRejectsNonFiniteTheta(t *testing.T) {
 	}
 }
 
+// TestConfigValidate checks that Validate accepts the default world, a
+// named profile and the 100k-node benchmark world, and rejects what New
+// rejects before writing to the journal: a non-finite theta, an unknown
+// profile name and a node count socialgen cannot build.
+func TestConfigValidate(t *testing.T) {
+	for _, cfg := range []Config{{}, {Net: "twitter"}, {Nodes: 100_000, Seeded: true, Theta: 0.3}} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("Validate(%+v): %v", cfg, err)
+		}
+	}
+	for _, cfg := range []Config{{Theta: math.NaN()}, {Net: "orkut"}, {Nodes: 3}} {
+		if cfg.Validate() == nil {
+			t.Errorf("Validate accepted %+v", cfg)
+		}
+		var buf bytes.Buffer
+		cfg.Journal = &buf
+		if e, err := New(cfg); err == nil {
+			e.Close()
+			t.Errorf("New accepted %+v", cfg)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%+v: journal holds %q", cfg, buf.String())
+		}
+	}
+}
+
 func nan() float64 {
 	var zero float64
 	return zero / zero
@@ -354,7 +381,7 @@ func TestEngineClosed(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	if err := e.Ingest(Event{Trustor: 0, Trustee: nbr}); err != ErrClosed {
+	if err := e.IngestCtx(context.Background(), Event{Trustor: 0, Trustee: nbr}); err != ErrClosed {
 		t.Fatalf("Ingest after Close: %v, want ErrClosed", err)
 	}
 	if _, err := e.Trust(0, nbr, 0); err != ErrClosed {
@@ -412,7 +439,7 @@ func TestRepublishCopiesCleanRows(t *testing.T) {
 			if ev.Op == OpObserve {
 				written[ev.Trustee] = true
 			}
-			if err := e.Ingest(ev); err != nil {
+			if err := e.IngestCtx(context.Background(), ev); err != nil {
 				t.Fatal(err)
 			}
 		}

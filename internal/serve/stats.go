@@ -51,7 +51,7 @@ func (h *latencyHist) quantile(q float64) int64 {
 
 // Stats is a point-in-time snapshot of an engine's counters.
 type Stats struct {
-	// Ingested counts events accepted by Ingest; Applied counts events the
+	// Ingested counts events accepted by IngestCtx; Applied counts events the
 	// writer has applied to the stores (and journaled). Applied trails
 	// Ingested by at most the queue depth.
 	Ingested uint64 `json:"ingested"`

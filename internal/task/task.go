@@ -11,8 +11,11 @@
 package task
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -36,27 +39,72 @@ type Task struct {
 }
 
 // New builds a task of the given type from characteristic→weight pairs.
-// Weights must be positive; they are normalized to sum to 1. At least one
-// characteristic is required.
+// Weights must be positive and finite; they are normalized to sum to 1. At
+// least one characteristic is required.
 func New(typ Type, weighted map[Characteristic]float64) (Task, error) {
-	if len(weighted) == 0 {
-		return Task{}, fmt.Errorf("task: type %d has no characteristics", typ)
+	t := Task{typ: typ, chars: make([]Characteristic, 0, len(weighted))}
+	for c := range weighted {
+		t.chars = append(t.chars, c)
 	}
-	chars := make([]Characteristic, 0, len(weighted))
-	var total float64
-	for c, w := range weighted {
-		if w <= 0 {
-			return Task{}, fmt.Errorf("task: characteristic %d has non-positive weight %v", c, w)
+	slices.Sort(t.chars)
+	t.weights = make([]float64, len(t.chars))
+	for i, c := range t.chars {
+		t.weights[i] = weighted[c]
+	}
+	return t.normalize(false)
+}
+
+// Restore rebuilds a task from the parallel characteristic and weight lists
+// that Characteristics and Weights returned, in any order. It checks them as
+// New does and also rejects a characteristic listed twice. Weights that
+// already sum to 1 within 1e-9, as every task New builds does, are kept bit
+// for bit, so a saved task reloads Equal to itself; others are normalized
+// as New normalizes them.
+func Restore(typ Type, chars []Characteristic, weights []float64) (Task, error) {
+	if len(chars) != len(weights) {
+		return Task{}, fmt.Errorf("task: type %d has %d characteristics but %d weights", typ, len(chars), len(weights))
+	}
+	order := make([]int, len(chars))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(chars[a], chars[b]) })
+	t := Task{typ: typ, chars: make([]Characteristic, len(chars)), weights: make([]float64, len(chars))}
+	for i, j := range order {
+		if i > 0 && chars[j] == t.chars[i-1] {
+			return Task{}, fmt.Errorf("task: type %d lists characteristic %d twice", typ, chars[j])
 		}
-		chars = append(chars, c)
+		t.chars[i], t.weights[i] = chars[j], weights[j]
+	}
+	return t.normalize(true)
+}
+
+// normalize checks t's weights and scales them to sum to 1. It sums in
+// characteristic order, so the result does not depend on the order the
+// caller gave them in, and rejects a weight that normalizes to 0. With
+// keep, weights that already sum to 1 within 1e-9 are left as they are.
+func (t Task) normalize(keep bool) (Task, error) {
+	if len(t.chars) == 0 {
+		return Task{}, fmt.Errorf("task: type %d has no characteristics", t.typ)
+	}
+	var total float64
+	for i, w := range t.weights {
+		if !(w > 0) || math.IsInf(w, 1) {
+			return Task{}, fmt.Errorf("task: characteristic %d has weight %v, not a positive finite value", t.chars[i], w)
+		}
 		total += w
 	}
-	sort.Slice(chars, func(i, j int) bool { return chars[i] < chars[j] })
-	weights := make([]float64, len(chars))
-	for i, c := range chars {
-		weights[i] = weighted[c] / total
+	if keep && math.Abs(total-1) <= 1e-9 {
+		return t, nil
 	}
-	return Task{typ: typ, chars: chars, weights: weights}, nil
+	for i := range t.weights {
+		// A sum that overflows, or a weight too small beside the others,
+		// normalizes to 0: the task would not load again once saved.
+		if t.weights[i] /= total; t.weights[i] == 0 {
+			return Task{}, fmt.Errorf("task: type %d has weights that do not normalize to positive values", t.typ)
+		}
+	}
+	return t, nil
 }
 
 // MustNew is New, panicking on error. For literals in tests and examples.

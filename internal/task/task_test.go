@@ -21,6 +21,58 @@ func TestNewNormalizesWeights(t *testing.T) {
 	}
 }
 
+// TestNewIsOrderFree builds one three-characteristic task 1,000 times: its
+// weights must not depend on the order New visits the map in.
+func TestNewIsOrderFree(t *testing.T) {
+	first := MustNew(1, map[Characteristic]float64{0: 0.1, 1: 0.2, 2: 0.3})
+	for range 1000 {
+		if tk := MustNew(1, map[Characteristic]float64{0: 0.1, 1: 0.2, 2: 0.3}); !tk.Equal(first) {
+			t.Fatalf("weights %v, then %v", first.Weights(), tk.Weights())
+		}
+	}
+}
+
+// TestRestore checks that Restore keeps a normalized weight vector bit for
+// bit, normalizes any other one as New does, whatever the order of its
+// lists, and rejects what New rejects plus a repeated characteristic. A
+// weight that normalizes to 0 is rejected: the task would save a weight no
+// load accepts.
+func TestRestore(t *testing.T) {
+	want := MustNew(4, map[Characteristic]float64{0: 0.1, 1: 0.2, 2: 0.3})
+	for _, tc := range []struct {
+		chars   []Characteristic
+		weights []float64
+	}{
+		{want.Characteristics(), want.Weights()},
+		{[]Characteristic{2, 0, 1}, []float64{0.3, 0.1, 0.2}},
+	} {
+		got, err := Restore(4, tc.chars, tc.weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Errorf("Restore(%v, %v) = %v, want %v", tc.chars, tc.weights, got.Weights(), want.Weights())
+		}
+	}
+	for _, tc := range []struct {
+		chars   []Characteristic
+		weights []float64
+	}{
+		{nil, nil},
+		{[]Characteristic{0}, nil},
+		{[]Characteristic{0}, []float64{0}},
+		{[]Characteristic{0}, []float64{math.NaN()}},
+		{[]Characteristic{0}, []float64{math.Inf(1)}},
+		{[]Characteristic{1, 1}, []float64{0.5, 0.5}},
+		{[]Characteristic{0, 1}, []float64{1e308, 1e308}},
+		{[]Characteristic{0, 1}, []float64{5e-324, 2}},
+	} {
+		if _, err := Restore(4, tc.chars, tc.weights); err == nil {
+			t.Errorf("Restore(%v, %v) accepted", tc.chars, tc.weights)
+		}
+	}
+}
+
 func TestNewRejectsEmpty(t *testing.T) {
 	if _, err := New(1, nil); err == nil {
 		t.Fatal("empty task accepted")

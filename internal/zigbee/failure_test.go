@@ -14,7 +14,7 @@ import (
 func TestDelegateUnderHeavyLoss(t *testing.T) {
 	cfg := DefaultConfig(31)
 	cfg.LossProb = 0.35 // well beyond normal interference
-	n := NewNetwork(cfg)
+	n := newNetwork(cfg)
 	tr := n.AddDevice(Position{X: 1}, newTestAgent(1, 0.5))
 	te := n.AddDevice(Position{X: 2}, newTestAgent(2, 0.9))
 	for i := 0; i < 8; i++ {
@@ -55,7 +55,7 @@ func TestDelegateUnderHeavyLoss(t *testing.T) {
 func TestTotalLossPartitionsNetwork(t *testing.T) {
 	cfg := DefaultConfig(32)
 	cfg.LossProb = 1
-	n := NewNetwork(cfg)
+	n := newNetwork(cfg)
 	n.AddDevice(Position{X: 1}, newTestAgent(1, 0.5))
 	if joined := n.FormPAN(); joined != 0 {
 		t.Fatalf("device joined through a fully lossy channel (%d)", joined)
@@ -65,7 +65,7 @@ func TestTotalLossPartitionsNetwork(t *testing.T) {
 func TestDelegateFailureStillChargesRadioTime(t *testing.T) {
 	cfg := DefaultConfig(33)
 	cfg.LossProb = 1 // after association we cut the link entirely
-	n := NewNetwork(cfg)
+	n := newNetwork(cfg)
 	n.cfg.LossProb = 0
 	tr := n.AddDevice(Position{X: 1}, newTestAgent(1, 0.5))
 	te := n.AddDevice(Position{X: 2}, newTestAgent(2, 0.9))
@@ -84,7 +84,7 @@ func TestDelegateFailureStillChargesRadioTime(t *testing.T) {
 }
 
 func TestSimulatorRunawayGuard(t *testing.T) {
-	s := NewSimulator()
+	s := newSimulator()
 	s.MaxEvents = 100
 	var loop func()
 	loop = func() { s.Schedule(1, loop) }
@@ -98,17 +98,17 @@ func TestSimulatorRunawayGuard(t *testing.T) {
 }
 
 func TestTransmitUnknownDevicePanics(t *testing.T) {
-	n := NewNetwork(DefaultConfig(34))
+	n := newNetwork(DefaultConfig(34))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("transmit to unknown device did not panic")
 		}
 	}()
-	n.transmit(Frame{Src: CoordAddr, Dst: 0x99}, nil)
+	n.transmit(frame{Src: coordAddr, Dst: 0x99}, nil)
 }
 
 func TestDelegateUnknownTrusteePanics(t *testing.T) {
-	n := NewNetwork(DefaultConfig(35))
+	n := newNetwork(DefaultConfig(35))
 	tr := n.AddDevice(Position{X: 1}, newTestAgent(1, 0.5))
 	n.FormPAN()
 	defer func() {
@@ -124,7 +124,7 @@ func TestFig14StallerDetectionSurvivesLoss(t *testing.T) {
 	// active time stays above an honest trustee's.
 	cfg := DefaultConfig(37)
 	cfg.LossProb = 0.1
-	n := NewNetwork(cfg)
+	n := newNetwork(cfg)
 	tr := n.AddDevice(Position{X: 1}, newTestAgent(1, 0.5))
 	honest := n.AddDevice(Position{X: 2}, newTestAgent(2, 0.9))
 	st := agent.New(3, agent.KindDishonestTrustee, agent.Behavior{

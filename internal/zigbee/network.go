@@ -65,21 +65,21 @@ type Network struct {
 	Sim *Simulator
 	cfg Config
 	r   *rand.Rand
-	// devices is indexed by address; devices[CoordAddr] is the coordinator.
+	// devices is indexed by address; devices[coordAddr] is the coordinator.
 	devices []*Device
 	// reports is the coordinator's host-side buffer behind the CP2102 link.
 	reports []Report
 }
 
-// NewNetwork creates a network containing only the coordinator, which
+// newNetwork creates a network containing only the coordinator, which
 // "scans the RF environment, chooses a channel and a network identifier,
 // and starts the network".
-func NewNetwork(cfg Config) *Network {
+func newNetwork(cfg Config) *Network {
 	// Channel scan + network start cost a little coordinator airtime: an
 	// 802.15.4 scan of a few channels.
-	coord := &Device{Addr: CoordAddr, Associated: true, ActiveMs: 96}
+	coord := &Device{Addr: coordAddr, Associated: true, ActiveMs: 96}
 	return &Network{
-		Sim:     NewSimulator(),
+		Sim:     newSimulator(),
 		cfg:     cfg,
 		r:       rng.New(cfg.Seed, "zigbee"),
 		devices: []*Device{coord},
@@ -112,8 +112,8 @@ func (n *Network) inRange(a, b *Device) bool {
 }
 
 // airMs returns the on-air duration of a frame.
-func (n *Network) airMs(f Frame) Ms {
-	return float64(f.AirBytes()) * 8 / bitrateKbps
+func (n *Network) airMs(f frame) Ms {
+	return float64(f.airBytes()) * 8 / bitrateKbps
 }
 
 // backoff draws one CSMA backoff.
@@ -124,11 +124,11 @@ func (n *Network) backoff() Ms {
 // transmit sends one MAC frame with CSMA backoff, loss, acknowledgment, and
 // bounded retransmission. done(ok) fires when the frame is acknowledged or
 // abandoned.
-func (n *Network) transmit(f Frame, done func(ok bool)) {
+func (n *Network) transmit(f frame, done func(ok bool)) {
 	n.attemptTransmit(f, 0, done)
 }
 
-func (n *Network) attemptTransmit(f Frame, attempt int, done func(ok bool)) {
+func (n *Network) attemptTransmit(f frame, attempt int, done func(ok bool)) {
 	src := n.device(f.Src, "transmit from unknown device")
 	dst := n.device(f.Dst, "transmit to unknown device")
 	wait := n.backoff()
@@ -191,7 +191,7 @@ func (n *Network) SendMessage(src, dst DeviceAddr, totalBytes int, opts MessageO
 				size = min(totalBytes, frag)
 			}
 		}
-		n.transmit(Frame{Src: src, Dst: dst, PayloadLen: size}, func(ok bool) {
+		n.transmit(frame{Src: src, Dst: dst, PayloadLen: size}, func(ok bool) {
 			if !ok {
 				if onComplete != nil {
 					onComplete(false)
@@ -215,17 +215,17 @@ func (n *Network) SendMessage(src, dst DeviceAddr, totalBytes int, opts MessageO
 // simulator until the joins settle. It returns the number of devices that
 // joined.
 func (n *Network) FormPAN() int {
-	for _, dev := range n.devices[CoordAddr+1:] {
+	for _, dev := range n.devices[coordAddr+1:] {
 		if dev.Associated {
 			continue
 		}
 		// beacon-req (broadcast, modeled as a frame to the coordinator) →
 		// beacon → assoc-req → assoc-resp.
-		join := []Frame{
-			{Src: dev.Addr, Dst: CoordAddr, PayloadLen: 8},
-			{Src: CoordAddr, Dst: dev.Addr, PayloadLen: 26},
-			{Src: dev.Addr, Dst: CoordAddr, PayloadLen: 16},
-			{Src: CoordAddr, Dst: dev.Addr, PayloadLen: 27},
+		join := []frame{
+			{Src: dev.Addr, Dst: coordAddr, PayloadLen: 8},
+			{Src: coordAddr, Dst: dev.Addr, PayloadLen: 26},
+			{Src: dev.Addr, Dst: coordAddr, PayloadLen: 16},
+			{Src: coordAddr, Dst: dev.Addr, PayloadLen: 27},
 		}
 		var step func(i int)
 		step = func(i int) {
@@ -246,7 +246,7 @@ func (n *Network) FormPAN() int {
 	}
 	n.Sim.Run()
 	joined := 0
-	for _, d := range n.devices[CoordAddr+1:] {
+	for _, d := range n.devices[coordAddr+1:] {
 		if d.Associated {
 			joined++
 		}
@@ -332,7 +332,7 @@ func (n *Network) Delegate(trustor, trustee DeviceAddr, tk task.Task, xc Exchang
 // simulator until it lands, and stores it in the coordinator's host-side
 // buffer on delivery.
 func (n *Network) SendReport(from DeviceAddr, honest bool) {
-	n.transmit(Frame{Src: from, Dst: CoordAddr, PayloadLen: 32}, func(ok bool) {
+	n.transmit(frame{Src: from, Dst: coordAddr, PayloadLen: 32}, func(ok bool) {
 		if ok {
 			n.reports = append(n.reports, Report{From: from, Honest: honest})
 		}

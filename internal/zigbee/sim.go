@@ -66,8 +66,8 @@ type Simulator struct {
 	MaxEvents uint64
 }
 
-// NewSimulator returns an empty simulator at time 0.
-func NewSimulator() *Simulator {
+// newSimulator returns an empty simulator at time 0.
+func newSimulator() *Simulator {
 	return &Simulator{MaxEvents: 50_000_000}
 }
 

@@ -95,7 +95,7 @@ func BuildTestbed(cfg TestbedConfig) *Testbed {
 	if cfg.Radio != nil {
 		radio = *cfg.Radio
 	}
-	n := NewNetwork(radio)
+	n := newNetwork(radio)
 	tb := &Testbed{Net: n, Group: map[DeviceAddr]int{}}
 	r := rng.New(cfg.Seed, "testbed")
 

@@ -13,7 +13,7 @@ import (
 )
 
 func TestSimulatorOrdering(t *testing.T) {
-	s := NewSimulator()
+	s := newSimulator()
 	var got []int
 	s.Schedule(5, func() { got = append(got, 2) })
 	s.Schedule(1, func() { got = append(got, 1) })
@@ -28,7 +28,7 @@ func TestSimulatorOrdering(t *testing.T) {
 }
 
 func TestSimulatorNestedScheduling(t *testing.T) {
-	s := NewSimulator()
+	s := newSimulator()
 	var at Ms
 	s.Schedule(2, func() {
 		s.Schedule(3, func() { at = s.Now() })
@@ -40,7 +40,7 @@ func TestSimulatorNestedScheduling(t *testing.T) {
 }
 
 func TestSimulatorNegativeDelay(t *testing.T) {
-	s := NewSimulator()
+	s := newSimulator()
 	ran := false
 	s.Schedule(-5, func() { ran = true })
 	s.Run()
@@ -50,9 +50,9 @@ func TestSimulatorNegativeDelay(t *testing.T) {
 }
 
 func TestFrameAirBytes(t *testing.T) {
-	f := Frame{Src: 1, Dst: 2, PayloadLen: 64}
-	if f.AirBytes() != 64+macHeaderBytes {
-		t.Fatalf("air bytes = %d", f.AirBytes())
+	f := frame{Src: 1, Dst: 2, PayloadLen: 64}
+	if f.airBytes() != 64+macHeaderBytes {
+		t.Fatalf("air bytes = %d", f.airBytes())
 	}
 }
 
@@ -74,7 +74,7 @@ func newTestAgent(id core.AgentID, comp float64) *agent.Agent {
 }
 
 func TestFormPANAssociatesAll(t *testing.T) {
-	n := NewNetwork(DefaultConfig(1))
+	n := newNetwork(DefaultConfig(1))
 	for i := 0; i < 6; i++ {
 		n.AddDevice(Position{X: float64(5 * i), Y: 3}, newTestAgent(core.AgentID(i+1), 0.8))
 	}
@@ -98,7 +98,7 @@ func TestFormPANAssociatesAll(t *testing.T) {
 func TestOutOfRangeDeviceCannotJoin(t *testing.T) {
 	cfg := DefaultConfig(2)
 	cfg.RangeM = 50
-	n := NewNetwork(cfg)
+	n := newNetwork(cfg)
 	n.AddDevice(Position{X: 500, Y: 500}, newTestAgent(1, 0.8))
 	if joined := n.FormPAN(); joined != 0 {
 		t.Fatalf("out-of-range device joined (%d)", joined)
@@ -108,7 +108,7 @@ func TestOutOfRangeDeviceCannotJoin(t *testing.T) {
 func TestSendMessageFragmentation(t *testing.T) {
 	cfg := DefaultConfig(3)
 	cfg.LossProb = 0 // deterministic delivery
-	n := NewNetwork(cfg)
+	n := newNetwork(cfg)
 	a := n.AddDevice(Position{X: 1}, newTestAgent(1, 0.8))
 	b := n.AddDevice(Position{X: 2}, newTestAgent(2, 0.8))
 	n.FormPAN()
@@ -131,7 +131,7 @@ func TestSmallFragmentsCostMoreAirtime(t *testing.T) {
 	run := func(fragSize int, delay Ms) Ms {
 		cfg := DefaultConfig(4)
 		cfg.LossProb = 0
-		n := NewNetwork(cfg)
+		n := newNetwork(cfg)
 		a := n.AddDevice(Position{X: 1}, newTestAgent(1, 0.8))
 		b := n.AddDevice(Position{X: 2}, newTestAgent(2, 0.8))
 		n.FormPAN()
@@ -150,7 +150,7 @@ func TestSmallFragmentsCostMoreAirtime(t *testing.T) {
 func TestDelegateHonestExchange(t *testing.T) {
 	cfg := DefaultConfig(5)
 	cfg.LossProb = 0
-	n := NewNetwork(cfg)
+	n := newNetwork(cfg)
 	tr := n.AddDevice(Position{X: 1}, newTestAgent(1, 0.4))
 	te := n.AddDevice(Position{X: 2}, newTestAgent(2, 0.95))
 	n.FormPAN()
@@ -171,7 +171,7 @@ func TestDelegateHonestExchange(t *testing.T) {
 func TestDelegateStallerInflatesActiveTime(t *testing.T) {
 	cfg := DefaultConfig(6)
 	cfg.LossProb = 0
-	n := NewNetwork(cfg)
+	n := newNetwork(cfg)
 	tr := n.AddDevice(Position{X: 1}, newTestAgent(1, 0.4))
 	honest := n.AddDevice(Position{X: 2}, newTestAgent(2, 0.9))
 	stallAgent := agent.New(3, agent.KindDishonestTrustee, agent.Behavior{
@@ -197,7 +197,7 @@ func TestDelegateOpticalDarkDegrades(t *testing.T) {
 	count := func(light float64) int {
 		cfg := DefaultConfig(7)
 		cfg.LossProb = 0
-		n := NewNetwork(cfg)
+		n := newNetwork(cfg)
 		tr := n.AddDevice(Position{X: 1}, newTestAgent(1, 0.4))
 		te := n.AddDevice(Position{X: 2}, newTestAgent(2, 0.95))
 		n.FormPAN()
@@ -221,7 +221,7 @@ func TestDelegateOpticalDarkDegrades(t *testing.T) {
 func TestReportsCollected(t *testing.T) {
 	cfg := DefaultConfig(8)
 	cfg.LossProb = 0
-	n := NewNetwork(cfg)
+	n := newNetwork(cfg)
 	d := n.AddDevice(Position{X: 1}, newTestAgent(1, 0.5))
 	n.FormPAN()
 	n.SendReport(d.Addr, true)
@@ -267,7 +267,7 @@ func TestTestbedDeterministic(t *testing.T) {
 func TestEnergyAccounting(t *testing.T) {
 	cfg := DefaultConfig(12)
 	cfg.LossProb = 0
-	n := NewNetwork(cfg)
+	n := newNetwork(cfg)
 	a := n.AddDevice(Position{X: 1}, newTestAgent(1, 0.8))
 	b := n.AddDevice(Position{X: 2}, newTestAgent(2, 0.8))
 	n.FormPAN()

@@ -2,12 +2,16 @@ package siot_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/printer"
 	"go/token"
+	"go/types"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -70,6 +74,244 @@ func TestAPI(t *testing.T) {
 		}
 	}
 	t.Errorf("exported surface differs from %s; run with -update if the change is meant", golden)
+}
+
+// apiSupport lists the exported internal/ names that only tests use, each
+// with the reason it stays exported.
+var apiSupport = map[string]string{
+	"siot/internal/benchnet.Net1M":         "the 1M-node network of BenchmarkSweep1M and the CI scale smoke",
+	"siot/internal/benchnet.Population":    "builds the seeded populations of the root benchmarks",
+	"siot/internal/benchnet.PopulationFor": "builds the 100k-node populations of the root benchmarks",
+	"siot/internal/benchnet.Populate":      "the populate+seed half that BenchmarkSetup100k, BenchmarkSweep1M and the scale smoke time",
+	"siot/internal/task.MustNew":           "builds literal weighted tasks in the tests of task, core and agent",
+}
+
+// TestAPIConsumers asks of every exported top-level name of an internal/
+// package (faultfs, which is test support, aside) that something outside
+// its package needs it. A name passes when
+//   - non-test code of another package of this repository names it: the
+//     root facade, cmd/, examples/ and benchmark/ count;
+//   - it appears in the signature of a passing name: its parameters and
+//     results, a type's underlying type, exported fields and exported
+//     method signatures, a variable's or constant's type (transitively);
+//   - it is an exported error variable, which callers match with errors.Is;
+//   - apiSupport lists it with a reason.
+//
+// It type-checks every package of both modules from source, importing their
+// dependencies from the export data that `go list -export` leaves in the
+// build cache.
+func TestAPIConsumers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks every package of the repository")
+	}
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go is not on PATH")
+	}
+	exports := map[string]string{} // import path → export data file
+	var repo []listedPackage
+	for _, dir := range []string{".", "benchmark"} {
+		for _, p := range goList(t, goBin, dir) {
+			if _, dup := exports[p.ImportPath]; dup {
+				continue
+			}
+			exports[p.ImportPath] = p.Export
+			if p.ImportPath == "siot" || strings.HasPrefix(p.ImportPath, "siot/") {
+				repo = append(repo, p)
+			}
+		}
+	}
+	fset := token.NewFileSet()
+	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		f, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %s", path)
+		}
+		return os.Open(f)
+	})}
+	checked := map[string]types.Object{} // key → exported name of a checked package
+	used := map[string]bool{}            // keys named by another package's non-test code
+	for _, p := range repo {
+		// Read the directory here, so the test cache sees a file added to
+		// or removed from it; the child go list's reads do not count.
+		if _, err := os.ReadDir(p.Dir); err != nil {
+			t.Fatal(err)
+		}
+		var files []*ast.File
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+		pkg, err := conf.Check(p.ImportPath, fset, files, info)
+		if err != nil {
+			t.Fatalf("type-checking %s: %v", p.ImportPath, err)
+		}
+		for _, obj := range info.Uses {
+			if obj.Pkg() != nil && obj.Pkg().Path() != pkg.Path() && topLevel(obj) {
+				used[objKey(obj)] = true
+			}
+		}
+		if !strings.HasPrefix(pkg.Path(), "siot/internal/") || pkg.Path() == "siot/internal/faultfs" {
+			continue
+		}
+		for _, name := range pkg.Scope().Names() {
+			if obj := pkg.Scope().Lookup(name); obj.Exported() {
+				checked[objKey(obj)] = obj
+			}
+		}
+	}
+
+	// Close the passing set over signatures: a passing name's signature
+	// passes every checked name it mentions.
+	errorType := types.Universe.Lookup("error").Type()
+	pass := map[string]bool{}
+	var queue []types.Object
+	mark := func(key string) {
+		if obj, ok := checked[key]; ok && !pass[key] {
+			pass[key] = true
+			queue = append(queue, obj)
+		}
+	}
+	for key, obj := range checked {
+		_, listed := apiSupport[key]
+		if v, ok := obj.(*types.Var); used[key] || listed || ok && types.Identical(v.Type(), errorType) {
+			mark(key)
+		}
+	}
+	for len(queue) > 0 {
+		obj := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		walkSignature(obj.Type(), mark)
+		if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
+			walkSignature(tn.Type().Underlying(), mark)
+			named := tn.Type().(*types.Named)
+			for i := range named.NumMethods() {
+				if m := named.Method(i); m.Exported() {
+					walkSignature(m.Type(), mark)
+				}
+			}
+		}
+	}
+
+	for key, reason := range apiSupport {
+		switch {
+		case checked[key] == nil:
+			t.Errorf("apiSupport lists %s (%s), which is not an exported name of a checked package", key, reason)
+		case used[key]:
+			t.Errorf("apiSupport lists %s, which non-test code of another package uses: drop it from the list", key)
+		}
+	}
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fails []string
+	for key, obj := range checked {
+		if !pass[key] {
+			pos := fset.Position(obj.Pos())
+			if rel, err := filepath.Rel(wd, pos.Filename); err == nil {
+				pos.Filename = rel
+			}
+			fails = append(fails, fmt.Sprintf("%s: %s has no consumer outside its package: unexport it, delete it, or list it with a reason", pos, strings.TrimPrefix(key, "siot/internal/")))
+		}
+	}
+	slices.Sort(fails)
+	for _, f := range fails {
+		t.Error(f)
+	}
+}
+
+// listedPackage is the part of `go list -json` output TestAPIConsumers reads.
+type listedPackage struct {
+	ImportPath, Dir, Export string
+	GoFiles                 []string
+}
+
+// goList lists the packages of the module in dir and their dependencies,
+// with the export data of each.
+func goList(t *testing.T, goBin, dir string) []listedPackage {
+	t.Helper()
+	cmd := exec.Command(goBin, "list", "-export", "-deps", "-json=ImportPath,Dir,Export,GoFiles", "./...")
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), "GOTOOLCHAIN=local", "GOWORK=off")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list in %s: %v\n%s", dir, err, stderr.Bytes())
+	}
+	var pkgs []listedPackage
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var p listedPackage
+		if err := dec.Decode(&p); err != nil {
+			t.Fatal(err)
+		}
+		pkgs = append(pkgs, p)
+	}
+	return pkgs
+}
+
+// topLevel reports whether obj is declared at package scope (not a method,
+// field or local).
+func topLevel(obj types.Object) bool {
+	return obj.Parent() != nil && obj.Parent() == obj.Pkg().Scope()
+}
+
+// objKey names a top-level object by package path and name: the importer
+// builds its own objects for a package, so objects of the same name from
+// two type-checks are not equal.
+func objKey(obj types.Object) string { return obj.Pkg().Path() + "." + obj.Name() }
+
+// walkSignature calls mark for every named type that t mentions through
+// what a caller sees: element, parameter and result types, exported struct
+// fields (embedded ones included), interface methods and type arguments.
+// It stops at named types: mark queues their own signatures.
+func walkSignature(t types.Type, mark func(key string)) {
+	switch t := types.Unalias(t).(type) {
+	case *types.Named:
+		if t.Obj().Pkg() != nil {
+			mark(objKey(t.Obj()))
+		}
+		for i := range t.TypeArgs().Len() {
+			walkSignature(t.TypeArgs().At(i), mark)
+		}
+	case *types.Pointer:
+		walkSignature(t.Elem(), mark)
+	case *types.Slice:
+		walkSignature(t.Elem(), mark)
+	case *types.Array:
+		walkSignature(t.Elem(), mark)
+	case *types.Chan:
+		walkSignature(t.Elem(), mark)
+	case *types.Map:
+		walkSignature(t.Key(), mark)
+		walkSignature(t.Elem(), mark)
+	case *types.Signature:
+		for _, tup := range []*types.Tuple{t.Params(), t.Results()} {
+			for i := range tup.Len() {
+				walkSignature(tup.At(i).Type(), mark)
+			}
+		}
+	case *types.Struct:
+		for i := range t.NumFields() {
+			if f := t.Field(i); f.Exported() {
+				walkSignature(f.Type(), mark)
+			}
+		}
+	case *types.Interface:
+		for i := range t.NumEmbeddeds() {
+			walkSignature(t.EmbeddedType(i), mark)
+		}
+		for i := range t.NumExplicitMethods() {
+			if m := t.ExplicitMethod(i); m.Exported() {
+				walkSignature(m.Type(), mark)
+			}
+		}
+	}
 }
 
 // apiLines renders the exported top-level declarations of f, one line each.
