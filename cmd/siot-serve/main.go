@@ -97,6 +97,9 @@ func main() {
 			cliutil.Usage("siot-serve", err)
 		}
 	}
+	if *ingestTimeout < 0 {
+		cliutil.Usage("siot-serve", fmt.Errorf("-ingest-timeout %v is negative (0 waits indefinitely)", *ingestTimeout))
+	}
 	fsync, err := serve.ParseFsyncMode(*fsyncName)
 	if err != nil {
 		cliutil.Usage("siot-serve", err)

@@ -478,23 +478,33 @@ func TestUnbuildableNetworkIsUsageError(t *testing.T) {
 	}
 }
 
-// TestJournalEntrance: a config serve.New would reject exits 2 before
-// -journal is created, and a journal that fails on a well-formed invocation
-// is a runtime failure, exit 1.
+// TestJournalEntrance: a config serve.New would reject, or a negative
+// -nodes, -epoch-interval or -ingest-timeout (the help text gives meaning
+// only to 0), exits 2 before -journal is created, and a journal that fails
+// on a well-formed invocation is a runtime failure, exit 1.
 func TestJournalEntrance(t *testing.T) {
 	asChild()
-	path := filepath.Join(t.TempDir(), "j.jsonl")
-	code, stderr := runMain(t, "TestJournalEntrance", "-theta", "NaN", "-journal", path, "-addr", "127.0.0.1:0")
-	if code != 2 || !strings.Contains(stderr, "not finite") {
-		t.Fatalf("-theta NaN: exit status %d, want 2; stderr:\n%s", code, stderr)
-	}
-	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("-theta NaN left %s behind (stat: %v)", path, err)
+	for _, tc := range []struct {
+		flag, value, want string
+	}{
+		{"-theta", "NaN", "not finite"},
+		{"-nodes", "-5", "node count -5 is negative"},
+		{"-epoch-interval", "-1s", "epoch interval -1s is negative"},
+		{"-ingest-timeout", "-1s", "-ingest-timeout -1s is negative"},
+	} {
+		path := filepath.Join(t.TempDir(), "j.jsonl")
+		code, stderr := runMain(t, "TestJournalEntrance", tc.flag, tc.value, "-journal", path, "-addr", "127.0.0.1:0")
+		if code != 2 || !strings.Contains(stderr, tc.want) {
+			t.Fatalf("%s %s: exit status %d, want 2; stderr:\n%s", tc.flag, tc.value, code, stderr)
+		}
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%s %s left %s behind (stat: %v)", tc.flag, tc.value, path, err)
+		}
 	}
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("no /dev/full")
 	}
-	code, stderr = runMain(t, "TestJournalEntrance", "-net", "twitter", "-journal", "/dev/full", "-addr", "127.0.0.1:0")
+	code, stderr := runMain(t, "TestJournalEntrance", "-net", "twitter", "-journal", "/dev/full", "-addr", "127.0.0.1:0")
 	if code != 1 || !strings.Contains(stderr, "no space left on device") {
 		t.Fatalf("-journal /dev/full: exit status %d, want 1; stderr:\n%s", code, stderr)
 	}

@@ -2,7 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 
 	"siot/internal/task"
@@ -194,12 +195,7 @@ func ParseModel(s string) (TrustModel, error) {
 func ModelNames() []string {
 	modelRegistry.mu.RLock()
 	defer modelRegistry.mu.RUnlock()
-	names := make([]string, 0, len(modelRegistry.byName))
-	for name := range modelRegistry.byName {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Keys(modelRegistry.byName))
 }
 
 func init() {

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"cmp"
+	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -319,10 +319,10 @@ func (s *Store) usageSorted() []usageSnapshot {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make([]usageSnapshot, 0, len(s.usage))
-	for id, l := range s.usage {
+	for _, id := range slices.Sorted(maps.Keys(s.usage)) {
+		l := s.usage[id]
 		out = append(out, usageSnapshot{Trustor: id, Responsible: l.Responsible, Abusive: l.Abusive})
 	}
-	slices.SortFunc(out, func(a, b usageSnapshot) int { return cmp.Compare(a.Trustor, b.Trustor) })
 	return out
 }
 

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"siot/internal/report"
 	"siot/internal/sim"
@@ -102,7 +104,9 @@ func (r fig7Result) cellsByNetwork() map[string][]fig7Cell {
 // unavailability rises, across all three networks.
 func (r fig7Result) ShapeCheck() []error {
 	c := &shapeCheck{experiment: "fig7"}
-	for network, cells := range r.cellsByNetwork() {
+	byNetwork := r.cellsByNetwork()
+	for _, network := range slices.Sorted(maps.Keys(byNetwork)) {
+		cells := byNetwork[network]
 		for i, cell := range cells {
 			if cell.Theta == 0 {
 				c.expect(cell.Abuse > 0.3, "%s θ=0: abuse %.3f not > 0.3", network, cell.Abuse)

@@ -4,7 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 
 	"siot/internal/adversary"
 	"siot/internal/core"
@@ -199,12 +200,7 @@ var runners = map[string]func(o Options) Result{
 
 // Names lists the registered experiment IDs in sorted order.
 func Names() []string {
-	out := make([]string, 0, len(runners))
-	for name := range runners {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(runners))
 }
 
 // Run executes the named experiment with its paper-scale default

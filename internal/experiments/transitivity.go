@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"siot/internal/core"
@@ -197,11 +199,7 @@ func (r transitivityResult) ShapeCheck() []error {
 	for _, cell := range r.Cells {
 		charSet[cell.NumChars] = true
 	}
-	var chars []int
-	for k := range charSet {
-		chars = append(chars, k)
-	}
-	sort.Ints(chars)
+	chars := slices.Sorted(maps.Keys(charSet))
 	for _, p := range socialgen.Profiles() {
 		for _, k := range chars {
 			aggr := cells[cellKey{p.Name, core.Aggressive.Name(), k}]

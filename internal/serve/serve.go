@@ -125,9 +125,10 @@ type world struct {
 
 // Validate reports whether c describes a world New can build, without
 // building it: Theta must be finite, since the journal header could not
-// record it, and the network profile Net or Nodes selects must exist and be
-// valid. New makes the same checks before it builds or writes anything;
-// siot-serve runs Validate before it opens its journal.
+// record it, Nodes and EpochInterval must not be negative, and the network
+// profile Net or Nodes selects must exist and be valid. New makes the same
+// checks before it builds or writes anything; siot-serve runs Validate
+// before it opens its journal.
 func (c Config) Validate() error {
 	_, err := c.withDefaults().profile()
 	return err
@@ -138,6 +139,12 @@ func (c Config) Validate() error {
 func (c Config) profile() (socialgen.Profile, error) {
 	if math.IsNaN(c.Theta) || math.IsInf(c.Theta, 0) {
 		return socialgen.Profile{}, fmt.Errorf("serve: theta %v is not finite", c.Theta)
+	}
+	if c.Nodes < 0 {
+		return socialgen.Profile{}, fmt.Errorf("serve: node count %d is negative", c.Nodes)
+	}
+	if c.EpochInterval < 0 {
+		return socialgen.Profile{}, fmt.Errorf("serve: epoch interval %v is negative", c.EpochInterval)
 	}
 	var profile socialgen.Profile
 	if c.Nodes > 0 {

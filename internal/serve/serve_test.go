@@ -347,7 +347,7 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("Validate(%+v): %v", cfg, err)
 		}
 	}
-	for _, cfg := range []Config{{Theta: math.NaN()}, {Net: "orkut"}, {Nodes: 3}} {
+	for _, cfg := range []Config{{Theta: math.NaN()}, {Net: "orkut"}, {Nodes: 3}, {Nodes: -5}, {Net: "twitter", Nodes: -1}, {EpochInterval: -time.Second}} {
 		if cfg.Validate() == nil {
 			t.Errorf("Validate accepted %+v", cfg)
 		}

@@ -653,25 +653,34 @@ func assignFeatures(p Profile, assign []int, r *rand.Rand) [][]int {
 		home[c] = []int{a, b}
 	}
 	out := make([][]int, len(assign))
+	has := make([]bool, p.FeatureKinds) // the feature set of node n
 	for n, c := range assign {
-		set := map[int]bool{}
+		clear(has)
+		size := 0
+		add := func(f int) {
+			if !has[f] {
+				has[f] = true
+				size++
+			}
+		}
 		for _, f := range home[c] {
 			if r.Float64() < 0.7 {
-				set[f] = true
+				add(f)
 			}
 		}
 		// Background features to reach the mean.
-		for len(set) < 1 || r.Float64() < (p.FeaturesPerNode-float64(len(set)))/p.FeaturesPerNode {
-			set[r.IntN(p.FeatureKinds)] = true
-			if len(set) >= p.FeatureKinds {
+		for size < 1 || r.Float64() < (p.FeaturesPerNode-float64(size))/p.FeaturesPerNode {
+			add(r.IntN(p.FeatureKinds))
+			if size >= p.FeatureKinds {
 				break
 			}
 		}
-		feats := make([]int, 0, len(set))
-		for f := range set {
-			feats = append(feats, f)
+		feats := make([]int, 0, size)
+		for f, in := range has {
+			if in {
+				feats = append(feats, f)
+			}
 		}
-		sort.Ints(feats)
 		out[n] = feats
 	}
 	return out

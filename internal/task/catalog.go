@@ -2,6 +2,7 @@ package task
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 )
@@ -79,10 +80,7 @@ func (c *Catalog) Intern(t Task) Ref {
 	r := Ref(len(old.tasks))
 	next := &catalogSnap{
 		tasks:  append(old.tasks[:len(old.tasks):len(old.tasks)], t),
-		byType: make(map[Type][]Ref, len(old.byType)+1),
-	}
-	for typ, refs := range old.byType {
-		next.byType[typ] = refs
+		byType: maps.Clone(old.byType),
 	}
 	bucket := next.byType[t.Type()]
 	next.byType[t.Type()] = append(bucket[:len(bucket):len(bucket)], r)

@@ -13,6 +13,7 @@ package task
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -42,11 +43,7 @@ type Task struct {
 // Weights must be positive and finite; they are normalized to sum to 1. At
 // least one characteristic is required.
 func New(typ Type, weighted map[Characteristic]float64) (Task, error) {
-	t := Task{typ: typ, chars: make([]Characteristic, 0, len(weighted))}
-	for c := range weighted {
-		t.chars = append(t.chars, c)
-	}
-	slices.Sort(t.chars)
+	t := Task{typ: typ, chars: slices.Sorted(maps.Keys(weighted))}
 	t.weights = make([]float64, len(t.chars))
 	for i, c := range t.chars {
 		t.weights[i] = weighted[c]

@@ -8,7 +8,6 @@ import (
 	"go/ast"
 	"go/importer"
 	"go/parser"
-	"go/printer"
 	"go/token"
 	"go/types"
 	"io"
@@ -18,31 +17,143 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
 var updateAPI = flag.Bool("update", false, "rewrite testdata/api.txt and testdata/examples/ instead of comparing")
 
+// checkedPackage is one type-checked package of the repository: its
+// non-test files and what go/types recorded about them.
+type checkedPackage struct {
+	*types.Package
+	files []*ast.File
+	info  *types.Info
+}
+
+// source is the one load of both modules that TestAPI, TestAPIConsumers
+// and TestDeterminismRules share.
+var source struct {
+	once sync.Once
+	fset *token.FileSet
+	pkgs []checkedPackage
+	err  error
+}
+
+// loadSource type-checks every package of the root module and of
+// benchmark/ from source, once per test binary, importing their
+// dependencies from the export data that `go list -export` leaves in the
+// build cache. It skips t when go is not on PATH.
+func loadSource(t *testing.T) (*token.FileSet, []checkedPackage) {
+	t.Helper()
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go is not on PATH")
+	}
+	source.once.Do(func() { source.fset, source.pkgs, source.err = typeCheck(goBin) })
+	if source.err != nil {
+		t.Fatal(source.err)
+	}
+	return source.fset, source.pkgs
+}
+
+// typeCheck does loadSource's work, returning its failure so that every
+// test reading the load reports it.
+func typeCheck(goBin string) (*token.FileSet, []checkedPackage, error) {
+	exports := map[string]string{} // import path → export data file
+	var repo []listedPackage
+	for _, dir := range []string{".", "benchmark"} {
+		listed, err := goList(goBin, dir)
+		if err != nil {
+			return nil, nil, err
+		}
+		for _, p := range listed {
+			if _, dup := exports[p.ImportPath]; dup {
+				continue
+			}
+			exports[p.ImportPath] = p.Export
+			if p.ImportPath == "siot" || strings.HasPrefix(p.ImportPath, "siot/") {
+				repo = append(repo, p)
+			}
+		}
+	}
+	fset := token.NewFileSet()
+	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		f, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %s", path)
+		}
+		return os.Open(f)
+	})}
+	var pkgs []checkedPackage
+	for _, p := range repo {
+		// Read the directory here, so the test cache sees a file added to
+		// or removed from it; the child go list's reads do not count.
+		if _, err := os.ReadDir(p.Dir); err != nil {
+			return nil, nil, err
+		}
+		c := checkedPackage{info: &types.Info{
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+		}}
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, 0)
+			if err != nil {
+				return nil, nil, err
+			}
+			c.files = append(c.files, f)
+		}
+		var err error
+		if c.Package, err = conf.Check(p.ImportPath, fset, c.files, c.info); err != nil {
+			return nil, nil, fmt.Errorf("type-checking %s: %v", p.ImportPath, err)
+		}
+		pkgs = append(pkgs, c)
+	}
+	return fset, pkgs, nil
+}
+
+// listedPackage is the part of `go list -json` output typeCheck reads.
+type listedPackage struct {
+	ImportPath, Dir, Export string
+	GoFiles                 []string
+}
+
+// goList lists the packages of the module in dir and their dependencies,
+// with the export data of each.
+func goList(goBin, dir string) ([]listedPackage, error) {
+	cmd := exec.Command(goBin, "list", "-export", "-deps", "-json=ImportPath,Dir,Export,GoFiles", "./...")
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), "GOTOOLCHAIN=local", "GOWORK=off")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list in %s: %v\n%s", dir, err, stderr.Bytes())
+	}
+	var pkgs []listedPackage
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var p listedPackage
+		if err := dec.Decode(&p); err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, p)
+	}
+	return pkgs, nil
+}
+
 // TestAPI pins the exported surface of the root package and every internal/
 // package to testdata/api.txt: one line per exported top-level function,
-// method, type, constant and variable, with its signature. A change to the
-// surface shows as a diff of that file; `go test -run TestAPI . -update`
-// rewrites it.
+// type, constant and variable and per exported method of an exported type,
+// with its type. A change to the surface shows as a diff of that file;
+// `go test -run TestAPI . -update` rewrites it.
 func TestAPI(t *testing.T) {
-	dirs, err := filepath.Glob(filepath.Join("internal", "*"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, pkgs := loadSource(t)
 	var lines []string
-	for _, dir := range append([]string{"."}, dirs...) {
-		pkg := "siot"
-		if dir != "." {
-			pkg += "/" + filepath.ToSlash(dir)
-		}
-		fset, files := parseNonTest(t, dir)
-		for _, f := range files {
-			for _, l := range apiLines(fset, f) {
-				lines = append(lines, pkg+": "+l)
+	for _, p := range pkgs {
+		if p.Path() == "siot" || strings.HasPrefix(p.Path(), "siot/internal/") {
+			for _, l := range apiLines(p.Package) {
+				lines = append(lines, p.Path()+": "+l)
 			}
 		}
 	}
@@ -76,6 +187,107 @@ func TestAPI(t *testing.T) {
 	t.Errorf("exported surface differs from %s; run with -update if the change is meant", golden)
 }
 
+// apiLines renders the exported top-level objects of pkg and the exported
+// methods of its exported types, one line each. Types print relative to
+// pkg; parameter names, unexported struct fields and constant values are
+// left out: they are not part of the surface.
+func apiLines(pkg *types.Package) []string {
+	qual := func(p *types.Package) string {
+		if p == pkg {
+			return ""
+		}
+		return p.Name()
+	}
+	var render func(types.Type) string
+	signature := func(s *types.Signature) string {
+		tuple := func(tup *types.Tuple, variadic bool) []string {
+			var out []string
+			for i := range tup.Len() {
+				if t := tup.At(i).Type(); variadic && i == tup.Len()-1 {
+					out = append(out, "..."+render(t.(*types.Slice).Elem()))
+				} else {
+					out = append(out, render(t))
+				}
+			}
+			return out
+		}
+		out := "(" + strings.Join(tuple(s.Params(), s.Variadic()), ", ") + ")"
+		switch results := tuple(s.Results(), false); len(results) {
+		case 0:
+		case 1:
+			out += " " + results[0]
+		default:
+			out += " (" + strings.Join(results, ", ") + ")"
+		}
+		return out
+	}
+	render = func(t types.Type) string {
+		switch t := t.(type) {
+		case *types.Signature:
+			return "func" + signature(t)
+		case *types.Pointer:
+			return "*" + render(t.Elem())
+		case *types.Slice:
+			return "[]" + render(t.Elem())
+		case *types.Array:
+			return fmt.Sprintf("[%d]%s", t.Len(), render(t.Elem()))
+		case *types.Map:
+			return "map[" + render(t.Key()) + "]" + render(t.Elem())
+		case *types.Struct:
+			var fields []string
+			for f := range t.Fields() {
+				switch {
+				case !f.Exported():
+				case f.Embedded():
+					fields = append(fields, render(f.Type()))
+				default:
+					fields = append(fields, f.Name()+" "+render(f.Type()))
+				}
+			}
+			return "struct{" + strings.Join(fields, "; ") + "}"
+		case *types.Interface:
+			var elems []string
+			for e := range t.EmbeddedTypes() {
+				elems = append(elems, render(e))
+			}
+			for m := range t.ExplicitMethods() {
+				elems = append(elems, m.Name()+signature(m.Signature()))
+			}
+			return "interface{" + strings.Join(elems, "; ") + "}"
+		}
+		return types.TypeString(t, qual)
+	}
+
+	var out []string
+	for _, name := range pkg.Scope().Names() {
+		obj := pkg.Scope().Lookup(name)
+		if !obj.Exported() {
+			continue
+		}
+		switch obj := obj.(type) {
+		case *types.Func:
+			out = append(out, "func "+name+signature(obj.Signature()))
+		case *types.Const:
+			out = append(out, "const "+name+" "+render(obj.Type()))
+		case *types.Var:
+			out = append(out, "var "+name+" "+render(obj.Type()))
+		case *types.TypeName:
+			if alias, ok := obj.Type().(*types.Alias); ok {
+				out = append(out, "type "+name+" = "+render(alias.Rhs()))
+				continue
+			}
+			named := obj.Type().(*types.Named)
+			out = append(out, "type "+name+" "+render(named.Underlying()))
+			for m := range named.Methods() {
+				if m.Exported() {
+					out = append(out, "method ("+render(m.Signature().Recv().Type())+") "+m.Name()+signature(m.Signature()))
+				}
+			}
+		}
+	}
+	return out
+}
+
 // apiSupport lists the exported internal/ names that only tests use, each
 // with the reason it stays exported.
 var apiSupport = map[string]string{
@@ -96,70 +308,21 @@ var apiSupport = map[string]string{
 //     method signatures, a variable's or constant's type (transitively);
 //   - it is an exported error variable, which callers match with errors.Is;
 //   - apiSupport lists it with a reason.
-//
-// It type-checks every package of both modules from source, importing their
-// dependencies from the export data that `go list -export` leaves in the
-// build cache.
 func TestAPIConsumers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks every package of the repository")
-	}
-	goBin, err := exec.LookPath("go")
-	if err != nil {
-		t.Skip("go is not on PATH")
-	}
-	exports := map[string]string{} // import path → export data file
-	var repo []listedPackage
-	for _, dir := range []string{".", "benchmark"} {
-		for _, p := range goList(t, goBin, dir) {
-			if _, dup := exports[p.ImportPath]; dup {
-				continue
-			}
-			exports[p.ImportPath] = p.Export
-			if p.ImportPath == "siot" || strings.HasPrefix(p.ImportPath, "siot/") {
-				repo = append(repo, p)
-			}
-		}
-	}
-	fset := token.NewFileSet()
-	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		f, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %s", path)
-		}
-		return os.Open(f)
-	})}
+	fset, pkgs := loadSource(t)
 	checked := map[string]types.Object{} // key → exported name of a checked package
 	used := map[string]bool{}            // keys named by another package's non-test code
-	for _, p := range repo {
-		// Read the directory here, so the test cache sees a file added to
-		// or removed from it; the child go list's reads do not count.
-		if _, err := os.ReadDir(p.Dir); err != nil {
-			t.Fatal(err)
-		}
-		var files []*ast.File
-		for _, name := range p.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			files = append(files, f)
-		}
-		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
-		pkg, err := conf.Check(p.ImportPath, fset, files, info)
-		if err != nil {
-			t.Fatalf("type-checking %s: %v", p.ImportPath, err)
-		}
-		for _, obj := range info.Uses {
-			if obj.Pkg() != nil && obj.Pkg().Path() != pkg.Path() && topLevel(obj) {
+	for _, p := range pkgs {
+		for _, obj := range p.info.Uses {
+			if obj.Pkg() != p.Package && topLevel(obj) {
 				used[objKey(obj)] = true
 			}
 		}
-		if !strings.HasPrefix(pkg.Path(), "siot/internal/") || pkg.Path() == "siot/internal/faultfs" {
+		if !strings.HasPrefix(p.Path(), "siot/internal/") || p.Path() == "siot/internal/faultfs" {
 			continue
 		}
-		for _, name := range pkg.Scope().Names() {
-			if obj := pkg.Scope().Lookup(name); obj.Exported() {
+		for _, name := range p.Scope().Names() {
+			if obj := p.Scope().Lookup(name); obj.Exported() {
 				checked[objKey(obj)] = obj
 			}
 		}
@@ -205,18 +368,10 @@ func TestAPIConsumers(t *testing.T) {
 			t.Errorf("apiSupport lists %s, which non-test code of another package uses: drop it from the list", key)
 		}
 	}
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
 	var fails []string
 	for key, obj := range checked {
 		if !pass[key] {
-			pos := fset.Position(obj.Pos())
-			if rel, err := filepath.Rel(wd, pos.Filename); err == nil {
-				pos.Filename = rel
-			}
-			fails = append(fails, fmt.Sprintf("%s: %s has no consumer outside its package: unexport it, delete it, or list it with a reason", pos, strings.TrimPrefix(key, "siot/internal/")))
+			fails = append(fails, fmt.Sprintf("%s: %s has no consumer outside its package: unexport it, delete it, or list it with a reason", position(fset, obj.Pos()), strings.TrimPrefix(key, "siot/internal/")))
 		}
 	}
 	slices.Sort(fails)
@@ -225,40 +380,10 @@ func TestAPIConsumers(t *testing.T) {
 	}
 }
 
-// listedPackage is the part of `go list -json` output TestAPIConsumers reads.
-type listedPackage struct {
-	ImportPath, Dir, Export string
-	GoFiles                 []string
-}
-
-// goList lists the packages of the module in dir and their dependencies,
-// with the export data of each.
-func goList(t *testing.T, goBin, dir string) []listedPackage {
-	t.Helper()
-	cmd := exec.Command(goBin, "list", "-export", "-deps", "-json=ImportPath,Dir,Export,GoFiles", "./...")
-	cmd.Dir = dir
-	cmd.Env = append(os.Environ(), "GOTOOLCHAIN=local", "GOWORK=off")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	if err != nil {
-		t.Fatalf("go list in %s: %v\n%s", dir, err, stderr.Bytes())
-	}
-	var pkgs []listedPackage
-	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
-		var p listedPackage
-		if err := dec.Decode(&p); err != nil {
-			t.Fatal(err)
-		}
-		pkgs = append(pkgs, p)
-	}
-	return pkgs
-}
-
 // topLevel reports whether obj is declared at package scope (not a method,
 // field or local).
 func topLevel(obj types.Object) bool {
-	return obj.Parent() != nil && obj.Parent() == obj.Pkg().Scope()
+	return obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope()
 }
 
 // objKey names a top-level object by package path and name: the importer
@@ -314,131 +439,6 @@ func walkSignature(t types.Type, mark func(key string)) {
 	}
 }
 
-// apiLines renders the exported top-level declarations of f, one line each.
-// Parameter names, comments, unexported struct fields and the values of
-// variables and typed constants are left out: they are not part of the
-// surface.
-func apiLines(fset *token.FileSet, f *ast.File) []string {
-	var out []string
-	for _, decl := range f.Decls {
-		switch d := decl.(type) {
-		case *ast.FuncDecl:
-			if !d.Name.IsExported() {
-				continue
-			}
-			if d.Recv == nil {
-				out = append(out, "func "+d.Name.Name+signature(fset, d.Type))
-				continue
-			}
-			recv := nodeString(fset, d.Recv.List[0].Type)
-			out = append(out, "method ("+recv+") "+d.Name.Name+signature(fset, d.Type))
-		case *ast.GenDecl:
-			var typ ast.Expr // a const group repeats the last explicit type
-			for _, spec := range d.Specs {
-				switch sp := spec.(type) {
-				case *ast.TypeSpec:
-					if !sp.Name.IsExported() {
-						continue
-					}
-					eq := " "
-					if sp.Assign.IsValid() {
-						eq = " = "
-					}
-					out = append(out, "type "+sp.Name.Name+eq+typeString(fset, sp.Type))
-				case *ast.ValueSpec:
-					if sp.Type != nil || len(sp.Values) > 0 {
-						typ = sp.Type
-					}
-					for i, name := range sp.Names {
-						if !name.IsExported() {
-							continue
-						}
-						l := d.Tok.String() + " " + name.Name
-						switch {
-						case typ != nil:
-							l += " " + nodeString(fset, typ)
-						case d.Tok == token.CONST && i < len(sp.Values):
-							l += " = " + nodeString(fset, sp.Values[i])
-						}
-						out = append(out, l)
-					}
-				}
-			}
-		}
-	}
-	return out
-}
-
-// signature renders a function type without its parameter names.
-func signature(fset *token.FileSet, ft *ast.FuncType) string {
-	list := func(fl *ast.FieldList) []string {
-		var out []string
-		if fl == nil {
-			return nil
-		}
-		for _, field := range fl.List {
-			for range max(1, len(field.Names)) {
-				out = append(out, nodeString(fset, field.Type))
-			}
-		}
-		return out
-	}
-	s := "(" + strings.Join(list(ft.Params), ", ") + ")"
-	switch res := list(ft.Results); len(res) {
-	case 0:
-	case 1:
-		s += " " + res[0]
-	default:
-		s += " (" + strings.Join(res, ", ") + ")"
-	}
-	return s
-}
-
-// typeString renders a type on one line: a struct lists only its exported
-// fields, an interface its methods.
-func typeString(fset *token.FileSet, e ast.Expr) string {
-	switch t := e.(type) {
-	case *ast.StructType:
-		var fields []string
-		for _, field := range t.Fields.List {
-			typ := nodeString(fset, field.Type)
-			if len(field.Names) == 0 { // embedded
-				if ast.IsExported(strings.TrimLeft(typ[strings.LastIndex(typ, ".")+1:], "*")) {
-					fields = append(fields, typ)
-				}
-				continue
-			}
-			for _, name := range field.Names {
-				if name.IsExported() {
-					fields = append(fields, name.Name+" "+typ)
-				}
-			}
-		}
-		return "struct{" + strings.Join(fields, "; ") + "}"
-	case *ast.InterfaceType:
-		var methods []string
-		for _, m := range t.Methods.List {
-			if ft, ok := m.Type.(*ast.FuncType); ok {
-				methods = append(methods, m.Names[0].Name+signature(fset, ft))
-				continue
-			}
-			methods = append(methods, nodeString(fset, m.Type))
-		}
-		return "interface{" + strings.Join(methods, "; ") + "}"
-	}
-	return nodeString(fset, e)
-}
-
-// nodeString prints an AST node with its whitespace runs collapsed to
-// single spaces, so a multi-line literal or type fits on one line.
-func nodeString(fset *token.FileSet, n ast.Node) string {
-	var buf bytes.Buffer
-	if err := printer.Fprint(&buf, fset, n); err != nil {
-		panic(err)
-	}
-	return strings.Join(strings.Fields(buf.String()), " ")
-}
-
 // TestBenchmarkModule vets and tests the benchmark module, which the
 // repository's own `go test ./...` does not enter. benchmark/run.sh builds
 // it before every run and exits 1 when a workload returns an error or fails
@@ -479,154 +479,128 @@ func TestBenchmarkModule(t *testing.T) {
 // their seeds alone: every figure, golden and replay depends on it.
 var deterministicPackages = []string{
 	"core", "sim", "experiments", "adversary", "socialgen", "zigbee", "agent", "env",
+	"task", "community", "graph",
 }
 
-// globalDraws are the math/rand/v2 functions that draw from the
-// process-wide, randomly seeded source.
-var globalDraws = map[string]bool{
-	"ExpFloat64": true, "Float32": true, "Float64": true, "Int": true,
-	"Int32": true, "Int32N": true, "Int64": true, "Int64N": true, "IntN": true,
-	"N": true, "NormFloat64": true, "Perm": true, "Shuffle": true,
-	"Uint": true, "Uint32": true, "Uint32N": true, "Uint64": true,
-	"Uint64N": true, "UintN": true,
+// orderFree lists the functions of the deterministic packages that iterate
+// a map in its random order, each with the reason that order cannot reach
+// a result.
+var orderFree = map[string]string{
+	"(*core.EdgeMemo).Release": "returns every table to the pool; each give is independent of the others",
+	"(*core.EdgeMemo).Reset":   "refreshes or releases each memo table on its own; no table reads another",
+	"community.localMove":      "sums integer edge weights, exact in any order, and breaks gain ties by the smaller community id",
+	"community.aggregate":      "sums integer edge weights, exact in any order, into per-community maps",
+	"experiments.runFig12":     "sorts each model's counts into a map keyed by model name",
 }
 
-// TestDeterminismRules keeps wall clocks and unseeded or shared random
-// streams out of the deterministic packages. It parses their non-test
-// files and fails on:
+// TestDeterminismRules keeps wall clocks, unseeded or shared random streams
+// and map order out of the deterministic packages. In their non-test files
+// it fails on:
 //   - an import of time or math/rand;
-//   - a call of a package-level math/rand/v2 draw;
-//   - a package-level *rand.Rand variable, declared with that type or
-//     initialized by rand.New or an internal/rng constructor (a stream
-//     shared by every caller draws in call order, not seed order).
+//   - a use of a package-level math/rand/v2 function other than the New*
+//     constructors: each draws from the process-wide, randomly seeded source;
+//   - a package-level *rand.Rand variable (a stream shared by every caller
+//     draws in call order, not seed order);
+//   - a range over a map, or a maps.Keys, maps.Values or maps.All sequence
+//     not passed straight to slices.Sorted or slices.SortedFunc, in a
+//     function orderFree does not list.
 func TestDeterminismRules(t *testing.T) {
-	ctors := map[string]map[string]bool{
-		"math/rand/v2":      {"New": true},
-		"siot/internal/rng": randConstructors(t),
+	fset, pkgs := loadSource(t)
+	var fails []string
+	report := func(pos token.Pos, format string, args ...any) {
+		fails = append(fails, position(fset, pos)+": "+fmt.Sprintf(format, args...))
 	}
-	for _, pkg := range deterministicPackages {
-		fset, files := parseNonTest(t, filepath.Join("internal", pkg))
-		for _, f := range files {
-			for _, v := range determinismViolations(fset, f, ctors) {
-				t.Error(v)
-			}
-		}
-	}
-}
-
-// parseNonTest parses the non-test Go files of dir.
-func parseNonTest(t *testing.T, dir string) (*token.FileSet, []*ast.File) {
-	t.Helper()
-	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("%s: no Go files (%v)", dir, err)
-	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, path := range paths {
-		if strings.HasSuffix(path, "_test.go") {
+	ranged := map[string]bool{} // functions that iterate a map
+	for _, p := range pkgs {
+		if !slices.Contains(deterministicPackages, strings.TrimPrefix(p.Path(), "siot/internal/")) {
 			continue
 		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files = append(files, f)
-	}
-	return fset, files
-}
-
-// determinismViolations reports each rule f breaks.
-func determinismViolations(fset *token.FileSet, f *ast.File, ctors map[string]map[string]bool) []string {
-	var out []string
-	report := func(n ast.Node, format string, args ...any) {
-		out = append(out, fset.Position(n.Pos()).String()+": "+fmt.Sprintf(format, args...))
-	}
-	names := map[string]string{} // local import name → import path
-	for _, imp := range f.Imports {
-		p, _ := strconv.Unquote(imp.Path.Value)
-		if p == "time" || p == "math/rand" {
-			report(imp, "imports %s", p)
-		}
-		name := p[strings.LastIndex(p, "/")+1:]
-		if p == "math/rand/v2" {
-			name = "rand"
-		}
-		if imp.Name != nil {
-			name = imp.Name.Name
-		}
-		names[name] = p
-	}
-	// pkgMember resolves a selector on an imported package to its import
-	// path and member name.
-	pkgMember := func(e ast.Expr) (string, string) {
-		sel, ok := e.(*ast.SelectorExpr)
-		if !ok {
-			return "", ""
-		}
-		id, ok := sel.X.(*ast.Ident)
-		if !ok || id.Obj != nil { // a local name, not a package
-			return "", ""
-		}
-		return names[id.Name], sel.Sel.Name
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if p, fn := pkgMember(call.Fun); p == "math/rand/v2" && globalDraws[fn] {
-				report(call, "draws rand.%s from the process-wide source", fn)
+		for id, obj := range p.info.Uses {
+			if fn, ok := obj.(*types.Func); ok && topLevel(fn) && fn.Pkg().Path() == "math/rand/v2" && !strings.HasPrefix(fn.Name(), "New") {
+				report(id.Pos(), "draws rand.%s from the process-wide source", fn.Name())
 			}
 		}
-		return true
-	})
-	for _, decl := range f.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.VAR {
-			continue
+		for _, name := range p.Scope().Names() {
+			if v, ok := p.Scope().Lookup(name).(*types.Var); ok && types.TypeString(types.Unalias(v.Type()), nil) == "*math/rand/v2.Rand" {
+				report(v.Pos(), "package-level *rand.Rand variable %s", name)
+			}
 		}
-		for _, spec := range gd.Specs {
-			vs := spec.(*ast.ValueSpec)
-			if star, ok := vs.Type.(*ast.StarExpr); ok {
-				if p, typ := pkgMember(star.X); p == "math/rand/v2" && typ == "Rand" {
-					report(vs, "package-level *rand.Rand variable %s", vs.Names[0].Name)
-					continue
+		for _, f := range p.files {
+			for _, imp := range f.Imports {
+				if path, _ := strconv.Unquote(imp.Path.Value); path == "time" || path == "math/rand" {
+					report(imp.Pos(), "imports %s", path)
 				}
 			}
-			for i, v := range vs.Values {
-				if call, ok := v.(*ast.CallExpr); ok {
-					if p, fn := pkgMember(call.Fun); ctors[p][fn] {
-						report(vs, "package-level *rand.Rand variable %s", vs.Names[i].Name)
+			for _, decl := range f.Decls {
+				fn := "package scope"
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					fn = strings.ReplaceAll(p.info.Defs[fd.Name].(*types.Func).FullName(), "siot/internal/", "")
+				}
+				sorted := map[ast.Expr]bool{} // maps.* calls passed straight to a sort
+				unordered := func(pos token.Pos, what string) {
+					ranged[fn] = true
+					if _, ok := orderFree[fn]; !ok {
+						report(pos, "%s %s: iterate slices.Sorted(maps.Keys(m)), or list the function in orderFree with the reason its order cannot reach a result", fn, what)
 					}
 				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.RangeStmt:
+						if _, ok := p.info.TypeOf(n.X).Underlying().(*types.Map); ok {
+							unordered(n.Pos(), "ranges over a map")
+						}
+					case *ast.CallExpr:
+						switch name := callee(p.info, n); name {
+						case "slices.Sorted", "slices.SortedFunc":
+							sorted[ast.Unparen(n.Args[0])] = true
+						case "maps.Keys", "maps.Values", "maps.All":
+							if !sorted[n] {
+								unordered(n.Pos(), "iterates "+name+" unsorted")
+							}
+						}
+					}
+					return true
+				})
 			}
 		}
 	}
-	return out
+	for fn, reason := range orderFree {
+		if !ranged[fn] {
+			t.Errorf("orderFree lists %s (%s), which iterates no map: drop it from the list", fn, reason)
+		}
+	}
+	slices.Sort(fails)
+	for _, f := range fails {
+		t.Error(f)
+	}
 }
 
-// randConstructors lists the top-level functions of internal/rng that
-// return a *rand.Rand.
-func randConstructors(t *testing.T) map[string]bool {
-	_, files := parseNonTest(t, filepath.Join("internal", "rng"))
-	out := map[string]bool{}
-	for _, f := range files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv != nil || fd.Type.Results == nil {
-				continue
-			}
-			for _, res := range fd.Type.Results.List {
-				if star, ok := res.Type.(*ast.StarExpr); ok {
-					if sel, ok := star.X.(*ast.SelectorExpr); ok && sel.Sel.Name == "Rand" {
-						out[fd.Name.Name] = true
-					}
-				}
-			}
+// callee names the package-level function that call calls, as
+// "import/path.Name", or returns "".
+func callee(info *types.Info, call *ast.CallExpr) string {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	}
+	if fn, ok := info.Uses[id].(*types.Func); ok && topLevel(fn) {
+		return fn.Pkg().Path() + "." + fn.Name()
+	}
+	return ""
+}
+
+// position renders pos with its file relative to the repository root, where
+// the tests run.
+func position(fset *token.FileSet, pos token.Pos) string {
+	p := fset.Position(pos)
+	if wd, err := os.Getwd(); err == nil {
+		if rel, err := filepath.Rel(wd, p.Filename); err == nil {
+			p.Filename = rel
 		}
 	}
-	if len(out) == 0 {
-		t.Fatal("internal/rng: no function returns a *rand.Rand")
-	}
-	return out
+	return p.String()
 }
 
 // TestExamplesOutput runs every program under examples/ and compares its
