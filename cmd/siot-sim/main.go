@@ -113,12 +113,12 @@ func main() {
 	switch *mode {
 	case "mutuality":
 		if atk != nil {
-			cfg := experiments.DefaultAttackConfig(*seed, atk)
-			cfg.Network, cfg.Rounds, cfg.Theta, cfg.Parallelism = profile.Name, *rounds, *theta, *parallel
+			cfg := experiments.DefaultAttackConfig(atk)
+			cfg.Network, cfg.Rounds, cfg.Theta = profile.Name, *rounds, *theta
 			if *attackers > 0 {
 				cfg.Attackers = *attackers
 			}
-			res := experiments.RunAttack(cfg)
+			res := experiments.RunAttack(experiments.Options{Seed: *seed, Parallelism: *parallel}, cfg)
 			if err := experiments.Render(os.Stdout, res, true); err != nil {
 				cliutil.Runtime("siot-sim", err)
 			}

@@ -52,10 +52,10 @@ func runSim(t *testing.T, args ...string) (stdout, stderr string, code int) {
 // the ring and wrap it in a collusion, and stdout after the network line is
 // exactly the scenario's rendered result.
 func TestAttackRunsScenario(t *testing.T) {
-	cfg := experiments.DefaultAttackConfig(7, adversary.Collusion{Of: adversary.Whitewashing{}})
+	cfg := experiments.DefaultAttackConfig(adversary.Collusion{Of: adversary.Whitewashing{}})
 	cfg.Rounds = 20
 	cfg.Attackers = 10
-	res := experiments.RunAttack(cfg)
+	res := experiments.RunAttack(experiments.Options{Seed: 7}, cfg)
 	if res.Model != "collusion(whitewashing)" || res.Attackers != 10 {
 		t.Fatalf("scenario model %q with %d attackers, want collusion(whitewashing) with 10", res.Model, res.Attackers)
 	}

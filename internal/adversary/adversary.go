@@ -104,7 +104,7 @@ func sabotage(ctx Context, attacker core.AgentID, out core.Outcome) core.Outcome
 	r := ctx.Rand("sabotage", attacker)
 	out.Success = false
 	out.Gain = 0
-	out.Damage = 0.5 + 0.5*r.Float64()
+	out.Damage = 0.5 + float64(0.5*r.Float64())
 	return out
 }
 

@@ -128,7 +128,7 @@ func (b Behavior) CharCompetence(c task.Characteristic) float64 {
 func (b Behavior) TaskCompetence(t task.Task) float64 {
 	var v float64
 	for _, c := range t.Characteristics() {
-		v += t.Weight(c) * b.CharCompetence(c)
+		v += float64(t.Weight(c) * b.CharCompetence(c))
 	}
 	return clamp01(v)
 }
@@ -189,9 +189,9 @@ func (a *Agent) Act(t task.Task, e env.Environment, r *rand.Rand) core.Outcome {
 	}
 	if r.Float64() < pSuccess {
 		out.Success = true
-		out.Gain = clamp01(comp * (1 - gainSpread/2 + gainSpread*r.Float64()))
+		out.Gain = clamp01(comp * (1 - gainSpread/2 + float64(gainSpread*r.Float64())))
 	} else {
-		out.Damage = clamp01((1 - comp) * (0.5 + 0.5*r.Float64()))
+		out.Damage = clamp01((1 - comp) * (0.5 + float64(0.5*r.Float64())))
 	}
 	return out
 }

@@ -73,7 +73,7 @@ func modularity(g *graph.Graph, p Partition) float64 {
 	}
 	q := intra / m2
 	for _, d := range degSum {
-		q -= (d / m2) * (d / m2)
+		q -= float64((d / m2) * (d / m2))
 	}
 	return q
 }
@@ -215,7 +215,7 @@ func aggregate(w []map[int]float64, selfLoop []float64, part []int) ([]map[int]f
 			cv := part[v]
 			if cu == cv {
 				// Each intra edge visited from both endpoints: wt/2 each.
-				nself[cu] += wt / 2
+				nself[cu] += float64(wt / 2)
 			} else {
 				nw[cu][cv] += wt
 			}

@@ -51,7 +51,7 @@ func charTWCompact(tasks []task.Task, recs []CompactRecord, c task.Characteristi
 	num, den := 0.0, 0.0
 	for _, r := range recs {
 		if w := tasks[r.Ref].Weight(c); w > 0 {
-			num += w * r.TW(n)
+			num += float64(w * r.TW(n))
 			den += w
 		}
 	}
@@ -86,7 +86,7 @@ func inferFromCompact(tasks []task.Task, recs []CompactRecord, t task.Task, n No
 		if !ok {
 			return 0, false
 		}
-		total += weights[i] * est
+		total += float64(weights[i] * est)
 	}
 	return total, true
 }

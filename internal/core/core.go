@@ -63,7 +63,7 @@ type Expectation struct {
 // NetProfit returns the expected net profit Ŝ·Ĝ − (1−Ŝ)·D̂ − Ĉ, the
 // bracketed quantity of eq. 18 and the objective of eq. 23.
 func (e Expectation) NetProfit() float64 {
-	return e.S*e.G - (1-e.S)*e.D - e.C
+	return float64(e.S*e.G) - float64((1-e.S)*e.D) - e.C
 }
 
 // Trustworthiness returns the normalized post-evaluation trustworthiness of
@@ -197,7 +197,7 @@ func DefaultUpdateConfig() UpdateConfig {
 
 // forget applies one exponential-forgetting step: β·hist + (1−β)·obs.
 func forget(beta, hist, obs float64) float64 {
-	return beta*hist + (1-beta)*obs
+	return float64(beta*hist) + float64((1-beta)*obs)
 }
 
 // Update applies the post-evaluation update to an expectation given the

@@ -51,7 +51,7 @@ func (featureWeighted) HopTW(ctx HopContext, recs []CompactRecord, t task.Task) 
 		}
 		w := t.Weight(c)
 		coveredW += w
-		weighted += w * est
+		weighted += float64(w * est)
 	}
 	if coveredW == 0 {
 		return 0, false
@@ -63,7 +63,7 @@ func (featureWeighted) HopTW(ctx HopContext, recs []CompactRecord, t task.Task) 
 	competence := weighted / coveredW
 	coverage := clamp01(coveredW) // task weights sum to 1, so this is the covered fraction
 	saturation := count / (count + fwCountPrior)
-	return clamp01(fwWeightCompetence*competence + fwWeightCoverage*coverage + fwWeightCount*saturation), true
+	return clamp01(float64(fwWeightCompetence*competence) + float64(fwWeightCoverage*coverage) + float64(fwWeightCount*saturation)), true
 }
 
 func init() { RegisterModel(featureWeighted{}) }

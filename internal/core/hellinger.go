@@ -128,8 +128,8 @@ func (hellingerMF) TrainEpoch(view *TrustView, norm Normalizer, workers int, val
 		ur := rng.Split2(hmfSeed, "hellinger-mf-init", i, 0)
 		vr := rng.Split2(hmfSeed, "hellinger-mf-init", i, 1)
 		for k := 0; k < hmfRank; k++ {
-			uFac[i*hmfRank+k] = 0.3 + 0.4*ur.Float64()
-			vFac[i*hmfRank+k] = 0.3 + 0.4*vr.Float64()
+			uFac[i*hmfRank+k] = 0.3 + float64(0.4*ur.Float64())
+			vFac[i*hmfRank+k] = 0.3 + float64(0.4*vr.Float64())
 		}
 	}
 	// Double-buffered Jacobi gradient sweeps: newU/newV are computed from
@@ -150,15 +150,15 @@ func (hellingerMF) TrainEpoch(view *TrustView, norm Normalizer, workers int, val
 					v := int(adjTo[e])
 					pred := 0.0
 					for k := 0; k < hmfRank; k++ {
-						pred += uFac[u*hmfRank+k] * vFac[v*hmfRank+k]
+						pred += float64(uFac[u*hmfRank+k] * vFac[v*hmfRank+k])
 					}
 					err := rating[e] - pred
 					for k := 0; k < hmfRank; k++ {
-						g[k] += err * vFac[v*hmfRank+k]
+						g[k] += float64(err * vFac[v*hmfRank+k])
 					}
 				}
 				for k := 0; k < hmfRank; k++ {
-					newU[u*hmfRank+k] = uFac[u*hmfRank+k] + hmfRate*(g[k]-hmfReg*uFac[u*hmfRank+k])
+					newU[u*hmfRank+k] = uFac[u*hmfRank+k] + float64(hmfRate*(g[k]-float64(hmfReg*uFac[u*hmfRank+k])))
 				}
 			}
 		})
@@ -176,15 +176,15 @@ func (hellingerMF) TrainEpoch(view *TrustView, norm Normalizer, workers int, val
 					u := int(holder[e])
 					pred := 0.0
 					for k := 0; k < hmfRank; k++ {
-						pred += uFac[u*hmfRank+k] * vFac[v*hmfRank+k]
+						pred += float64(uFac[u*hmfRank+k] * vFac[v*hmfRank+k])
 					}
 					err := rating[e] - pred
 					for k := 0; k < hmfRank; k++ {
-						g[k] += err * uFac[u*hmfRank+k]
+						g[k] += float64(err * uFac[u*hmfRank+k])
 					}
 				}
 				for k := 0; k < hmfRank; k++ {
-					newV[v*hmfRank+k] = vFac[v*hmfRank+k] + hmfRate*(g[k]-hmfReg*vFac[v*hmfRank+k])
+					newV[v*hmfRank+k] = vFac[v*hmfRank+k] + float64(hmfRate*(g[k]-float64(hmfReg*vFac[v*hmfRank+k])))
 				}
 			}
 		})
@@ -227,19 +227,19 @@ func (hellingerMF) TrainEpoch(view *TrustView, norm Normalizer, workers int, val
 				v := int(adjTo[e])
 				dot := 0.0
 				for k := 0; k < hmfRank; k++ {
-					dot += uFac[u*hmfRank+k] * vFac[v*hmfRank+k]
+					dot += float64(uFac[u*hmfRank+k] * vFac[v*hmfRank+k])
 				}
 				sim := 0.5 // neutral prior when either endpoint has no rating history
 				if hasHist[u] && hasHist[v] {
 					d2 := 0.0
 					for b := 0; b < hmfBuckets; b++ {
 						diff := histSqrt[u*hmfBuckets+b] - histSqrt[v*hmfBuckets+b]
-						d2 += diff * diff
+						d2 += float64(diff * diff)
 					}
 					// Hellinger distance H = (1/√2)·‖√p−√q‖₂ ∈ [0, 1]; similarity 1−H.
 					sim = 1 - math.Sqrt(d2/2)
 				}
-				vals[e] = clamp01(hmfMFWeight*clamp01(dot) + (1-hmfMFWeight)*sim)
+				vals[e] = clamp01(float64(hmfMFWeight*clamp01(dot)) + float64((1-hmfMFWeight)*sim))
 			}
 		}
 	})

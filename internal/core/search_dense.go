@@ -210,7 +210,7 @@ func (s *Searcher) FindViewModelInto(res *SearchResult, view *TrustView, memo *E
 				ok = false
 				break
 			}
-			tw += w * layer.val[v]
+			tw += float64(w * layer.val[v])
 		}
 		if ok && tw >= r.sumMin {
 			res.Candidates = append(res.Candidates, Candidate{ID: v, TW: tw})
@@ -267,7 +267,7 @@ func (s *Searcher) spread(st *denseState, view *TrustView, vals []float64, trust
 					inqStamp[v] = inqCur
 					inquired++
 				}
-				val := uval*hop + miss*(1-hop)
+				val := float64(uval*hop) + float64(miss*(1-hop))
 				if hop >= mintMin && (mask == nil || mask[v]) {
 					if bStamp[v] != bCur {
 						bStamp[v] = bCur
@@ -313,7 +313,7 @@ func (s *Searcher) TrustInto(view *TrustView, memo *EdgeMemo, trustor, trustee A
 		if v, found = s.point(st, view, vals, trustor, trustee, &r); !found {
 			break
 		}
-		tw += r.weights[li] * v
+		tw += float64(r.weights[li] * v)
 	}
 	st.release()
 	if !found || tw < r.sumMin {
@@ -347,7 +347,7 @@ func (s *Searcher) point(st *denseState, view *TrustView, vals []float64, trusto
 		if !r.product {
 			miss = 1 - uval
 		}
-		if v := uval*hop + miss*(1-hop); !found || v > val {
+		if v := float64(uval*hop) + float64(miss*(1-hop)); !found || v > val {
 			val, found = v, true
 		}
 	}

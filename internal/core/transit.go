@@ -8,7 +8,7 @@ package core
 // intermediate's incorrect judgment — is the correction the paper adds over
 // the plain product of eq. 5.
 func CombinePair(a, b float64) float64 {
-	return a*b + (1-a)*(1-b)
+	return float64(a*b) + float64((1-a)*(1-b))
 }
 
 // CombineSerial folds CombinePair left to right along a chain of hop

@@ -537,7 +537,7 @@ func (m *EdgeMemo) RequireLens(mdl TrustModel, t task.Task) func(e int32) (float
 			if math.IsNaN(v) {
 				return 0, false
 			}
-			tw += weights[l] * v
+			tw += float64(weights[l] * v)
 		}
 		return tw, true
 	}

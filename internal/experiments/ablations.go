@@ -19,17 +19,14 @@ import (
 
 // ablationEq7Config parameterizes the eq. 7 mistrust-term ablation.
 type ablationEq7Config struct {
-	Seed uint64
 	// Pairs is the number of random recommendation chains evaluated.
 	Pairs int
 	// Depth is the chain length.
 	Depth int
 }
 
-// defaultAblationEq7Config returns the default ablation scale.
-func defaultAblationEq7Config(seed uint64) ablationEq7Config {
-	return ablationEq7Config{Seed: seed, Pairs: 20000, Depth: 2}
-}
+// paperAblationEq7 is the default ablation scale.
+var paperAblationEq7 = ablationEq7Config{Pairs: 20000, Depth: 2}
 
 // ablationEq7Result compares eq. 7's combination (with the mistrust-product
 // term) against the plain product of eq. 5 as estimators of end-to-end
@@ -50,8 +47,8 @@ type ablationEq7Result struct {
 // judgment is correct, or every hop errs in a way that cancels — the
 // even-error parity model that motivates eq. 7), and measures how well each
 // combiner predicts it.
-func runAblationEq7(cfg ablationEq7Config) ablationEq7Result {
-	r := rng.New(cfg.Seed, "ablation-eq7")
+func runAblationEq7(o Options, cfg ablationEq7Config) ablationEq7Result {
+	r := rng.New(o.Seed, "ablation-eq7")
 	var seSum7, seSumP float64
 	var hiBias7, hiBiasP float64
 	hiCount := 0
@@ -69,12 +66,12 @@ func runAblationEq7(cfg ablationEq7Config) ablationEq7Result {
 		// p_k = p_{k-1}·h_k + (1−p_{k-1})·(1−h_k) — exactly eq. 7's fold.
 		truth := 1.0
 		for _, h := range hops {
-			truth = truth*h + (1-truth)*(1-h)
+			truth = float64(truth*h) + float64((1-truth)*(1-h))
 		}
 		e7 := core.CombineSerial(hops...)
 		ep := core.ProductSerial(hops...)
-		seSum7 += (e7 - truth) * (e7 - truth)
-		seSumP += (ep - truth) * (ep - truth)
+		seSum7 += float64((e7 - truth) * (e7 - truth))
+		seSumP += float64((ep - truth) * (ep - truth))
 		if allHigh {
 			hiBias7 += e7 - truth
 			hiBiasP += ep - truth
@@ -117,14 +114,11 @@ func (r ablationEq7Result) ShapeCheck() []error {
 // ablationCannikinConfig parameterizes the min-vs-mean environment
 // combination ablation (Fig. 15 rerun with the mean).
 type ablationCannikinConfig struct {
-	Seed uint64
 	Runs int
 }
 
-// defaultAblationCannikinConfig returns the default scale.
-func defaultAblationCannikinConfig(seed uint64) ablationCannikinConfig {
-	return ablationCannikinConfig{Seed: seed, Runs: 60}
-}
+// paperAblationCannikin is the default scale.
+var paperAblationCannikin = ablationCannikinConfig{Runs: 60}
 
 // ablationCannikinResult compares correcting by the Cannikin minimum
 // against correcting by the mean environment when one side of the exchange
@@ -140,7 +134,7 @@ type ablationCannikinResult struct {
 // environment: the trustee sits at E = 0.4 while the trustor and an
 // intermediate are perfect. The Cannikin minimum (0.4) matches the actual
 // degradation; the mean (0.8) under-corrects.
-func runAblationCannikin(cfg ablationCannikinConfig) ablationCannikinResult {
+func runAblationCannikin(o Options, cfg ablationCannikinConfig) ablationCannikinResult {
 	const actual = 0.8
 	const hostile = env.Environment(0.4)
 	iters := 200
@@ -149,7 +143,7 @@ func runAblationCannikin(cfg ablationCannikinConfig) ablationCannikinResult {
 	var sumMin, sumMean float64
 	n := 0
 	for run := 0; run < cfg.Runs; run++ {
-		r := rng.Split(cfg.Seed, "ablation-cannikin", run)
+		r := rng.Split(o.Seed, "ablation-cannikin", run)
 		eMin := core.Expectation{S: 1}
 		eMean := core.Expectation{S: 1}
 		for i := 0; i < iters; i++ {
@@ -165,7 +159,7 @@ func runAblationCannikin(cfg ablationCannikinConfig) ablationCannikinResult {
 			if obs.Success {
 				sVal = 1 / float64(mean)
 			}
-			eMean.S = 0.9*eMean.S + 0.1*sVal
+			eMean.S = float64(0.9*eMean.S) + float64(0.1*sVal)
 			if i > iters/2 {
 				sumMin += eMin.S
 				sumMean += eMean.S
@@ -206,16 +200,11 @@ func (r ablationCannikinResult) ShapeCheck() []error {
 
 // ablationSelfDelegationConfig parameterizes the eq. 24 ablation.
 type ablationSelfDelegationConfig struct {
-	Seed       uint64
 	Iterations int
-	// Parallelism is the engine worker-pool width; results do not depend on it.
-	Parallelism int
 }
 
-// defaultAblationSelfDelegationConfig returns the default scale.
-func defaultAblationSelfDelegationConfig(seed uint64) ablationSelfDelegationConfig {
-	return ablationSelfDelegationConfig{Seed: seed, Iterations: 800}
-}
+// paperAblationSelfDelegation is the default scale.
+var paperAblationSelfDelegation = ablationSelfDelegationConfig{Iterations: 800}
 
 // ablationSelfDelegationResult compares net profit with and without the
 // trustor itself as a candidate (eq. 24) on the Twitter network, where
@@ -227,13 +216,13 @@ type ablationSelfDelegationResult struct {
 
 // runAblationSelfDelegation measures converged net profit when trustors may
 // keep tasks whose expected profit beats every candidate's.
-func runAblationSelfDelegation(cfg ablationSelfDelegationConfig) ablationSelfDelegationResult {
-	net := socialgen.Generate(socialgen.Twitter(), cfg.Seed)
+func runAblationSelfDelegation(o Options, cfg ablationSelfDelegationConfig) ablationSelfDelegationResult {
+	net := socialgen.Generate(socialgen.Twitter(), o.Seed)
 	run := func(withSelf bool) float64 {
-		pcfg := sim.DefaultPopulationConfig(cfg.Seed)
-		pcfg.Parallelism = cfg.Parallelism
+		pcfg := sim.DefaultPopulationConfig(o.Seed)
+		pcfg.Parallelism = o.Parallelism
 		p := sim.NewPopulation(net, pcfg)
-		series := sim.NewEngine(p, "ablation-self").SelfDelegationRun(cfg.Iterations, withSelf, cfg.Seed)
+		series := sim.NewEngine(p, "ablation-self").SelfDelegationRun(cfg.Iterations, withSelf, o.Seed)
 		return stats.Mean(series[len(series)*2/3:])
 	}
 	return ablationSelfDelegationResult{

@@ -17,7 +17,6 @@ import (
 // running an adversary model, against a no-attack baseline of the same
 // population.
 type AttackScenarioConfig struct {
-	Seed uint64
 	// Model is the attack the ring runs (required).
 	Model adversary.Attack
 	// Network selects the social network profile (default "facebook").
@@ -31,15 +30,11 @@ type AttackScenarioConfig struct {
 	// (default 0: keep the mutuality defense out of the way so the trust
 	// model itself does the detecting).
 	Theta float64
-	// Parallelism is the engine worker-pool width (0 = GOMAXPROCS,
-	// 1 = serial). Results are bit-identical across all values.
-	Parallelism int
 }
 
 // DefaultAttackConfig returns the standard scenario for one attack model.
-func DefaultAttackConfig(seed uint64, model adversary.Attack) AttackScenarioConfig {
+func DefaultAttackConfig(model adversary.Attack) AttackScenarioConfig {
 	return AttackScenarioConfig{
-		Seed:      seed,
 		Model:     model,
 		Network:   "facebook",
 		Rounds:    150,
@@ -75,26 +70,26 @@ type AttackResult struct {
 // scenarioTask is the task every attack scenario's rounds and probes use.
 var scenarioTask = task.Uniform(1, task.CharCompute)
 
-// network generates the scenario's social network.
-func (cfg AttackScenarioConfig) network() *socialgen.Network {
+// network generates the scenario's social network under seed.
+func (cfg AttackScenarioConfig) network(seed uint64) *socialgen.Network {
 	profile, err := socialgen.ProfileByName(cfg.Network)
 	if err != nil {
 		panic(err)
 	}
-	return socialgen.Generate(profile, cfg.Seed)
+	return socialgen.Generate(profile, seed)
 }
 
-// play runs the scenario's delegation rounds on a fresh population of net
-// whose ring of cfg.Attackers trustees runs atk, on an engine labelled
+// play runs the scenario's delegation rounds under o on a fresh population
+// of net whose ring of cfg.Attackers trustees runs atk, on an engine labelled
 // label, and returns the cumulative counters. after, when not nil, sees the
 // engine, the round and the counters once each round has merged: the
 // attacked runs probe there. The baselines are not probed; a probe is
 // read-only (sim's TestPerceivedTrustIsReadOnly), so that changes no byte
 // of the run.
-func (cfg AttackScenarioConfig) play(net *socialgen.Network, atk adversary.Attack, label string, after func(eng *sim.Engine, round int, c *sim.MutualityCounters)) sim.MutualityCounters {
-	pcfg := sim.DefaultPopulationConfig(cfg.Seed)
+func (cfg AttackScenarioConfig) play(o Options, net *socialgen.Network, atk adversary.Attack, label string, after func(eng *sim.Engine, round int, c *sim.MutualityCounters)) sim.MutualityCounters {
+	pcfg := sim.DefaultPopulationConfig(o.Seed)
 	pcfg.Theta = cfg.Theta
-	pcfg.Parallelism = cfg.Parallelism
+	pcfg.Parallelism = o.Parallelism
 	pcfg.Attack = sim.AttackConfig{Model: atk, Attackers: cfg.Attackers}
 	eng := sim.NewEngine(sim.NewPopulation(net, pcfg), label)
 	var c sim.MutualityCounters
@@ -107,26 +102,26 @@ func (cfg AttackScenarioConfig) play(net *socialgen.Network, atk adversary.Attac
 	return c
 }
 
-// RunAttack plays the scenario twice — once without the attack (baseline),
-// once with it — and measures the resilience metrics. Both runs share the
-// network, the seed, and the engine label, so every difference is the
-// attack's doing.
-func RunAttack(cfg AttackScenarioConfig) AttackResult {
+// RunAttack plays the scenario twice under o's seed and width — once
+// without the attack (baseline), once with it — and measures the resilience
+// metrics. Both runs share the network, the seed, and the engine label, so
+// every difference is the attack's doing. o.Model is not read.
+func RunAttack(o Options, cfg AttackScenarioConfig) AttackResult {
 	if cfg.Model == nil {
 		panic("experiments: attack scenario needs a model")
 	}
-	net := cfg.network()
+	net := cfg.network(o.Seed)
 	const label = "attack-scenario"
 
 	// The baseline ring runs the null attack: same population, same marked
 	// ring, same recommendation machinery — only the malice is missing, so
 	// the baseline-vs-attacked difference is exactly the attack's effect.
 	baseline := make([]float64, cfg.Rounds)
-	cfg.play(net, adversary.Honest{}, label, func(_ *sim.Engine, round int, c *sim.MutualityCounters) {
+	cfg.play(o, net, adversary.Honest{}, label, func(_ *sim.Engine, round int, c *sim.MutualityCounters) {
 		baseline[round] = c.SuccessRate()
 	})
 	attacked, share, gap := make([]float64, cfg.Rounds), make([]float64, cfg.Rounds), make([]float64, cfg.Rounds)
-	cfg.play(net, cfg.Model, label, func(eng *sim.Engine, round int, c *sim.MutualityCounters) {
+	cfg.play(o, net, cfg.Model, label, func(eng *sim.Engine, round int, c *sim.MutualityCounters) {
 		attacked[round] = c.SuccessRate()
 		if c.Requests > c.Unavailable {
 			share[round] = float64(c.AttackerDelegations) / float64(c.Requests-c.Unavailable)

@@ -11,7 +11,7 @@ import (
 
 // scaledAttackConfig shrinks the default scenario for test speed.
 func scaledAttackConfig(model adversary.Attack) AttackScenarioConfig {
-	cfg := DefaultAttackConfig(7, model)
+	cfg := DefaultAttackConfig(model)
 	cfg.Network = "twitter" // smallest evaluation network
 	cfg.Rounds = 60
 	cfg.Attackers = 20
@@ -28,7 +28,7 @@ func TestAttackScenarioShapes(t *testing.T) {
 		adversary.Collusion{Of: adversary.BadMouthing{}},
 	} {
 		t.Run(model.Name(), func(t *testing.T) {
-			res := RunAttack(scaledAttackConfig(model))
+			res := RunAttack(Options{Seed: 7}, scaledAttackConfig(model))
 			noShapeErrors(t, res.ShapeCheck())
 			if len(res.TrustGap.Y) != 60 || len(res.BaselineSuccess.Y) != 60 {
 				t.Fatalf("series lengths %d/%d, want 60", len(res.TrustGap.Y), len(res.BaselineSuccess.Y))

@@ -7,9 +7,7 @@ import "testing"
 
 func TestFig7ParallelismInvariant(t *testing.T) {
 	run := func(parallelism int) fig7Result {
-		return runFig7(fig7Config{
-			Seed: 5, Thetas: []float64{0, 0.6}, Rounds: 15, Parallelism: parallelism,
-		})
+		return runFig7(Options{Seed: 5, Parallelism: parallelism}, fig7Config{Thetas: []float64{0, 0.6}, Rounds: 15})
 	}
 	a, b := run(1), run(8)
 	if len(a.Cells) != len(b.Cells) {
@@ -25,7 +23,7 @@ func TestFig7ParallelismInvariant(t *testing.T) {
 
 func TestFig13ParallelismInvariant(t *testing.T) {
 	run := func(parallelism int) fig13Result {
-		return runFig13(fig13Config{Seed: 5, Iterations: 150, Smooth: 10, Parallelism: parallelism})
+		return runFig13(Options{Seed: 5, Parallelism: parallelism}, fig13Config{Iterations: 150, Smooth: 10})
 	}
 	a, b := run(1), run(8)
 	if len(a.Series) != len(b.Series) {
@@ -51,9 +49,8 @@ func TestFig13ParallelismInvariant(t *testing.T) {
 
 func TestTransitivitySweepParallelismInvariant(t *testing.T) {
 	run := func(parallelism int) transitivityResult {
-		return runTransitivitySweep(transitivityConfig{
-			Seed: 3, CharCounts: []int{5}, Repeats: 1, MaxDepth: 2, Parallelism: parallelism,
-		})
+		return runTransitivitySweep(Options{Seed: 3, Parallelism: parallelism},
+			transitivityConfig{CharCounts: []int{5}, Repeats: 1, MaxDepth: 2})
 	}
 	a, b := run(1), run(8)
 	for i := range a.Cells {

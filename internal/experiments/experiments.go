@@ -1,13 +1,16 @@
 // Package experiments defines one runner per table and figure of the
-// paper's evaluation (§5). Every runner is deterministic in its seed,
-// returns a typed result that can render itself as a table, ASCII chart, or
-// CSV, and exposes a ShapeCheck that verifies the paper's qualitative
-// claims hold on the reproduction (who wins, in which direction rates move).
+// paper's evaluation (§5). Every runner takes the run context (Options: the
+// seed and the engine's worker-pool width) beside its own scale, is
+// deterministic in the seed and bit-identical at every width, returns a
+// typed result that can render itself as a table, ASCII chart, or CSV, and
+// exposes a ShapeCheck that verifies the paper's qualitative claims hold on
+// the reproduction (who wins, in which direction rates move).
 //
 // The registry (Names, Run, RunOpts, Render) is the package's surface: each
 // experiment runs under its ID with the paper's full-size parameters.
-// MeasureTable1Row and RunAttack stay exported for siot-netgen and
-// siot-sim.
+// MeasureTable1Row stays exported for siot-netgen, and RunAttack with
+// DefaultAttackConfig for siot-sim, which runs the attack scenario at the
+// scale its flags pick under the same Options.
 package experiments
 
 import "fmt"

@@ -20,7 +20,7 @@ func noShapeErrors(t *testing.T, errs []error) {
 }
 
 func TestTable1Shape(t *testing.T) {
-	res := runTable1(1)
+	res := runTable1(Options{Seed: 1})
 	noShapeErrors(t, res.ShapeCheck())
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d", len(res.Rows))
@@ -38,7 +38,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	res := runFig7(defaultFig7Config(1))
+	res := runFig7(Options{Seed: 1}, paperFig7)
 	noShapeErrors(t, res.ShapeCheck())
 	if len(res.Cells) != 9 {
 		t.Fatalf("cells = %d, want 9", len(res.Cells))
@@ -46,14 +46,14 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestTransitivityShape(t *testing.T) {
-	cfg := defaultTransitivityConfig(1)
+	cfg := paperTransitivity
 	cfg.CharCounts = []int{4, 7}
 	// 3 repeats, not 2: the aggressive-vs-conservative success gap the
 	// ShapeCheck tolerates (±0.03) is an averaged, full-scale claim —
 	// two-repeat samples dip below it on many seeds (the full Repeats=5
 	// sweep passes on every seed tried).
 	cfg.Repeats = 3
-	res := runTransitivitySweep(cfg)
+	res := runTransitivitySweep(Options{Seed: 1}, cfg)
 	noShapeErrors(t, res.ShapeCheck())
 	if len(res.Cells) != 3*2*3 {
 		t.Fatalf("cells = %d", len(res.Cells))
@@ -69,7 +69,7 @@ func TestTransitivityShape(t *testing.T) {
 }
 
 func TestFig12Shape(t *testing.T) {
-	res := runFig12(defaultFig12Config(1))
+	res := runFig12(Options{Seed: 1})
 	noShapeErrors(t, res.ShapeCheck())
 	series := res.series()
 	if len(series) != 3 {
@@ -86,9 +86,7 @@ func TestFig12Shape(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
-	cfg := defaultTable2Config(1)
-	cfg.Repeats = 2
-	res := runTable2(cfg)
+	res := runTable2(Options{Seed: 1}, table2Config{Repeats: 2})
 	noShapeErrors(t, res.ShapeCheck())
 	if len(res.Cells) != 9 {
 		t.Fatalf("cells = %d", len(res.Cells))
@@ -96,9 +94,9 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestFig13Shape(t *testing.T) {
-	cfg := defaultFig13Config(1)
+	cfg := paperFig13
 	cfg.Iterations = 900
-	res := runFig13(cfg)
+	res := runFig13(Options{Seed: 1}, cfg)
 	noShapeErrors(t, res.ShapeCheck())
 	if len(res.Series) != 6 {
 		t.Fatalf("series = %d", len(res.Series))
@@ -106,9 +104,7 @@ func TestFig13Shape(t *testing.T) {
 }
 
 func TestFig15Shape(t *testing.T) {
-	cfg := defaultFig15Config(1)
-	cfg.Runs = 40
-	res := runFig15(cfg)
+	res := runFig15(Options{Seed: 1}, fig15Config{Runs: 40})
 	noShapeErrors(t, res.ShapeCheck())
 	if len(res.NoEnv.Y) != 300 {
 		t.Fatalf("series length = %d", len(res.NoEnv.Y))
@@ -116,9 +112,7 @@ func TestFig15Shape(t *testing.T) {
 }
 
 func TestFig8Shape(t *testing.T) {
-	cfg := defaultFig8Config(1)
-	cfg.Experiments = 8
-	res := runFig8(cfg)
+	res := runFig8(Options{Seed: 1}, fig8Config{Experiments: 8})
 	noShapeErrors(t, res.ShapeCheck())
 	if len(res.WithModel.Y) != 8 || len(res.WithoutModel.Y) != 8 {
 		t.Fatal("series lengths wrong")
@@ -131,9 +125,7 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestFig14Shape(t *testing.T) {
-	cfg := defaultFig14Config(1)
-	cfg.TasksPerTrustor = 30
-	res := runFig14(cfg)
+	res := runFig14(Options{Seed: 1}, fig14Config{TasksPerTrustor: 30})
 	noShapeErrors(t, res.ShapeCheck())
 	if len(res.WithModel.Y) != 30 {
 		t.Fatal("series length wrong")
@@ -141,7 +133,7 @@ func TestFig14Shape(t *testing.T) {
 }
 
 func TestFig16Shape(t *testing.T) {
-	res := runFig16(defaultFig16Config(1))
+	res := runFig16(Options{Seed: 1}, paperFig16)
 	noShapeErrors(t, res.ShapeCheck())
 	if len(res.WithModel.Y) != 50 {
 		t.Fatal("series length wrong")
@@ -149,8 +141,8 @@ func TestFig16Shape(t *testing.T) {
 }
 
 func TestExperimentsDeterministic(t *testing.T) {
-	a := runFig7(fig7Config{Seed: 5, Thetas: []float64{0, 0.6}, Rounds: 5})
-	b := runFig7(fig7Config{Seed: 5, Thetas: []float64{0, 0.6}, Rounds: 5})
+	a := runFig7(Options{Seed: 5}, fig7Config{Thetas: []float64{0, 0.6}, Rounds: 5})
+	b := runFig7(Options{Seed: 5}, fig7Config{Thetas: []float64{0, 0.6}, Rounds: 5})
 	for i := range a.Cells {
 		if a.Cells[i] != b.Cells[i] {
 			t.Fatalf("cell %d differs across identical runs", i)
@@ -159,27 +151,23 @@ func TestExperimentsDeterministic(t *testing.T) {
 }
 
 func TestAblationEq7Shape(t *testing.T) {
-	cfg := defaultAblationEq7Config(1)
+	cfg := paperAblationEq7
 	cfg.Pairs = 4000
-	res := runAblationEq7(cfg)
+	res := runAblationEq7(Options{Seed: 1}, cfg)
 	noShapeErrors(t, res.ShapeCheck())
 	// Deeper chains too: eq. 7's fold stays exact at depth 4.
 	cfg.Depth = 4
-	res = runAblationEq7(cfg)
+	res = runAblationEq7(Options{Seed: 1}, cfg)
 	noShapeErrors(t, res.ShapeCheck())
 }
 
 func TestAblationCannikinShape(t *testing.T) {
-	cfg := defaultAblationCannikinConfig(1)
-	cfg.Runs = 20
-	res := runAblationCannikin(cfg)
+	res := runAblationCannikin(Options{Seed: 1}, ablationCannikinConfig{Runs: 20})
 	noShapeErrors(t, res.ShapeCheck())
 }
 
 func TestAblationSelfDelegationShape(t *testing.T) {
-	cfg := defaultAblationSelfDelegationConfig(1)
-	cfg.Iterations = 300
-	res := runAblationSelfDelegation(cfg)
+	res := runAblationSelfDelegation(Options{Seed: 1}, ablationSelfDelegationConfig{Iterations: 300})
 	noShapeErrors(t, res.ShapeCheck())
 }
 
@@ -200,16 +188,11 @@ func TestRegistryRunsEverything(t *testing.T) {
 	// Options.Model narrows model-matrix to one model: its cells and the
 	// success rates match that model's share of the full matrix.
 	t.Run("model-matrix filter", func(t *testing.T) {
-		cfg := defaultModelMatrixConfig(3)
+		cfg := DefaultAttackConfig(nil)
 		cfg.Rounds = 6
-		all := runModelMatrix(cfg)
+		all := runModelMatrix(Options{Seed: 3}, cfg)
 		for _, name := range core.ModelNames() {
-			m, err := core.ParseModel(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Models = []core.TrustModel{m}
-			one := runModelMatrix(cfg)
+			one := runModelMatrix(Options{Seed: 3, Model: name}, cfg)
 			var want []modelMatrixCell
 			for _, c := range all.Cells {
 				if c.Model == name {

@@ -11,21 +11,15 @@ import (
 
 // fig13Config parameterizes the net-profit learning experiment (§5.6).
 type fig13Config struct {
-	Seed uint64
 	// Iterations of continuous task delegations (the paper plots 3000).
 	Iterations int
 	// Smooth applies a trailing moving average to the plotted series (the
 	// paper's curves are visibly smoothed); <= 1 disables.
 	Smooth int
-	// Parallelism is the engine worker-pool width (0 = GOMAXPROCS,
-	// 1 = serial). Results are bit-identical across all values.
-	Parallelism int
 }
 
-// defaultFig13Config mirrors the paper.
-func defaultFig13Config(seed uint64) fig13Config {
-	return fig13Config{Seed: seed, Iterations: 3000, Smooth: 50}
-}
+// paperFig13 mirrors the paper.
+var paperFig13 = fig13Config{Iterations: 3000, Smooth: 50}
 
 // fig13Result reproduces Fig. 13, "Comparison of the net profits with
 // iterative trustworthiness updates": average net profit per iteration for
@@ -39,16 +33,16 @@ type fig13Result struct {
 }
 
 // runFig13 runs both strategies over the three networks on the parallel
-// engine; cfg.Parallelism only changes wall-clock time, never the curves.
-func runFig13(cfg fig13Config) fig13Result {
+// engine; o.Parallelism only changes wall-clock time, never the curves.
+func runFig13(o Options, cfg fig13Config) fig13Result {
 	res := fig13Result{Converged: map[string]float64{}}
 	for _, profile := range socialgen.Profiles() {
-		net := socialgen.Generate(profile, cfg.Seed)
+		net := socialgen.Generate(profile, o.Seed)
 		for _, strategy := range []sim.Strategy{sim.StrategyNetProfit, sim.StrategySuccessRate} {
-			pcfg := sim.DefaultPopulationConfig(cfg.Seed)
-			pcfg.Parallelism = cfg.Parallelism
+			pcfg := sim.DefaultPopulationConfig(o.Seed)
+			pcfg.Parallelism = o.Parallelism
 			p := sim.NewPopulation(net, pcfg)
-			series := sim.NewEngine(p, "fig13").NetProfitRun(cfg.Iterations, strategy, cfg.Seed)
+			series := sim.NewEngine(p, "fig13").NetProfitRun(cfg.Iterations, strategy, o.Seed)
 			name := fmt.Sprintf("%s (%s)", profile.Name, strategy)
 			tail := series[len(series)*2/3:]
 			res.Converged[name] = stats.Mean(tail)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"siot/internal/agent"
 	"siot/internal/core"
@@ -15,16 +16,13 @@ import (
 // fig14Config parameterizes the fragment-stall experiment (§5.6, hardware
 // part).
 type fig14Config struct {
-	Seed uint64
 	// TasksPerTrustor is the number of task requests each trustor issues
 	// (50 in the paper).
 	TasksPerTrustor int
 }
 
-// defaultFig14Config mirrors the paper.
-func defaultFig14Config(seed uint64) fig14Config {
-	return fig14Config{Seed: seed, TasksPerTrustor: 50}
-}
+// paperFig14 mirrors the paper.
+var paperFig14 = fig14Config{TasksPerTrustor: 50}
 
 // fig14Result reproduces Fig. 14, "Comparison of the active time": the
 // trustors' average radio-active time per task index, when trustees are
@@ -39,21 +37,49 @@ type fig14Result struct {
 // model) and once by expected gain only. Dishonest trustees send fragment
 // packages to prolong the interaction; their inflated cost is visible only
 // to the cost-aware trustors.
-func runFig14(cfg fig14Config) fig14Result {
+func runFig14(o Options, cfg fig14Config) fig14Result {
 	return fig14Result{
-		WithModel:    stats.NewSeries("with proposed model", fig14Run(cfg, true)),
-		WithoutModel: stats.NewSeries("without proposed model", fig14Run(cfg, false)),
+		WithModel:    stats.NewSeries("with proposed model", fig14Run(o, cfg, true)),
+		WithoutModel: stats.NewSeries("without proposed model", fig14Run(o, cfg, false)),
 	}
 }
 
-func fig14Run(cfg fig14Config, costAware bool) []float64 {
-	tbCfg := zigbee.DefaultTestbedConfig(cfg.Seed)
+// bestDevice returns the device of group with the highest expected net
+// profit for tk in trustor's store (core.BestByNetProfit), each expectation
+// seen through view when view is not nil. It reports false for an empty
+// group.
+func bestDevice(trustor *zigbee.Device, group []*zigbee.Device, tk task.Task, view func(core.Expectation) core.Expectation) (*zigbee.Device, bool) {
+	cands := make([]core.ExpCandidate, 0, len(group))
+	for _, d := range group {
+		exp := trustor.Agent.Store.Expectation(core.AgentID(d.Addr), tk.Type())
+		if view != nil {
+			exp = view(exp)
+		}
+		cands = append(cands, core.ExpCandidate{ID: core.AgentID(d.Addr), Exp: exp})
+	}
+	best, ok := core.BestByNetProfit(cands)
+	if !ok {
+		return nil, false
+	}
+	return group[slices.IndexFunc(cands, func(c core.ExpCandidate) bool { return c.ID == best.ID })], true
+}
+
+func fig14Run(o Options, cfg fig14Config, costAware bool) []float64 {
+	tbCfg := zigbee.DefaultTestbedConfig(o.Seed)
 	tbCfg.Malice = agent.MaliceFragmentStall
 	tb := zigbee.BuildTestbed(tbCfg)
 	// The stallers bait gain-seeking trustors with top-grade results.
-	r := rng.New(cfg.Seed, "fig14", fmt.Sprint(costAware))
+	r := rng.New(o.Seed, "fig14", fmt.Sprint(costAware))
+	var view func(core.Expectation) core.Expectation
+	if !costAware {
+		// Gain-only evaluation: blind to damage and cost.
+		view = func(e core.Expectation) core.Expectation {
+			e.D, e.C = 0, 0
+			return e
+		}
+	}
 	for _, d := range tb.Dishonest {
-		d.Agent.Behavior.BaseCompetence = 0.93 + 0.05*r.Float64()
+		d.Agent.Behavior.BaseCompetence = 0.93 + float64(0.05*r.Float64())
 	}
 
 	tk := task.Uniform(1, task.CharGPS)
@@ -67,24 +93,9 @@ func fig14Run(cfg fig14Config, costAware bool) []float64 {
 				// Bootstrap: try every group trustee once.
 				trustee = group[i%len(group)]
 			} else {
-				cands := make([]core.ExpCandidate, 0, len(group))
-				for _, d := range group {
-					exp := trustor.Agent.Store.Expectation(core.AgentID(d.Addr), tk.Type())
-					if !costAware {
-						// Gain-only evaluation: blind to damage and cost.
-						exp.D = 0
-						exp.C = 0
-					}
-					cands = append(cands, core.ExpCandidate{ID: core.AgentID(d.Addr), Exp: exp})
-				}
-				best, ok := core.BestByNetProfit(cands)
-				if !ok {
+				var ok bool
+				if trustee, ok = bestDevice(trustor, group, tk, view); !ok {
 					continue
-				}
-				for _, d := range group {
-					if core.AgentID(d.Addr) == best.ID {
-						trustee = d
-					}
 				}
 			}
 			res := tb.Net.Delegate(trustor.Addr, trustee.Addr, tk, zigbee.ExchangeConfig{Light: 1})

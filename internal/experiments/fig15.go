@@ -23,17 +23,12 @@ const (
 // (§5.7, simulation part), which plays the paper's 1 → 0.4 → 0.7
 // three-phase environment schedule.
 type fig15Config struct {
-	Seed uint64
 	// Runs to average (the paper averages 100 independent runs).
 	Runs int
-	// Iterations; 0 plays the whole schedule (300 iterations).
-	Iterations int
 }
 
-// defaultFig15Config mirrors the paper.
-func defaultFig15Config(seed uint64) fig15Config {
-	return fig15Config{Seed: seed, Runs: 100}
-}
+// paperFig15 mirrors the paper.
+var paperFig15 = fig15Config{Runs: 100}
 
 // fig15Result reproduces Fig. 15, "Comparison of the success rates with
 // non-ideal and changing environments": the tracked expected success rate
@@ -50,13 +45,11 @@ type fig15Result struct {
 	Env stats.Series
 }
 
-// runFig15 tracks the expected success rate across the environment steps.
-func runFig15(cfg fig15Config) fig15Result {
+// runFig15 tracks the expected success rate across the whole schedule
+// (300 iterations).
+func runFig15(o Options, cfg fig15Config) fig15Result {
 	sched := env.Fig15Schedule()
-	iters := cfg.Iterations
-	if iters == 0 {
-		iters = sched.TotalLen()
-	}
+	iters := sched.TotalLen()
 	noEnv := make([]float64, iters)
 	trad := make([]float64, iters)
 	prop := make([]float64, iters)
@@ -71,7 +64,7 @@ func runFig15(cfg fig15Config) fig15Result {
 	propCfg.EnvCorrection = true
 
 	for run := 0; run < cfg.Runs; run++ {
-		r := rng.Split(cfg.Seed, "fig15", run)
+		r := rng.Split(o.Seed, "fig15", run)
 		// The trustor initializes the expected success rate as 1.
 		eNo := core.Expectation{S: 1}
 		eTrad := core.Expectation{S: 1}

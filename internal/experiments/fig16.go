@@ -15,16 +15,13 @@ import (
 // fig16Config parameterizes the light-schedule experiment (§5.7, hardware
 // part).
 type fig16Config struct {
-	Seed uint64
 	// Experiments is the number of task indices (50 in the paper, split
 	// into light / dark / light thirds).
 	Experiments int
 }
 
-// defaultFig16Config mirrors the paper.
-func defaultFig16Config(seed uint64) fig16Config {
-	return fig16Config{Seed: seed, Experiments: 50}
-}
+// paperFig16 mirrors the paper.
+var paperFig16 = fig16Config{Experiments: 50}
 
 // fig16ProfitScale multiplies the plotted normalized profit (the paper's
 // y-axis is in arbitrary units around 0–1100).
@@ -47,27 +44,27 @@ type fig16Result struct {
 // misbehave from time to time. Without correction, honest nodes' dark-phase
 // history drags their evaluations below the latecomers'; with correction
 // the trustors re-select honest nodes immediately when light returns.
-func runFig16(cfg fig16Config) fig16Result {
+func runFig16(o Options, cfg fig16Config) fig16Result {
 	sched := env.DefaultLightSchedule(cfg.Experiments)
 	schedY := make([]float64, cfg.Experiments)
 	for i := range schedY {
 		schedY[i] = float64(sched.At(i))
 	}
 	return fig16Result{
-		WithModel:    stats.NewSeries("with proposed model", fig16Run(cfg, sched, true)),
-		WithoutModel: stats.NewSeries("without proposed model", fig16Run(cfg, sched, false)),
+		WithModel:    stats.NewSeries("with proposed model", fig16Run(o, cfg, sched, true)),
+		WithoutModel: stats.NewSeries("without proposed model", fig16Run(o, cfg, sched, false)),
 		Schedule:     stats.NewSeries("light level", schedY),
 	}
 }
 
-func fig16Run(cfg fig16Config, sched env.LightSchedule, corrected bool) []float64 {
+func fig16Run(o Options, cfg fig16Config, sched env.LightSchedule, corrected bool) []float64 {
 	update := core.DefaultUpdateConfig()
 	update.EnvCorrection = corrected
 	// Newcomers get the benefit of the doubt: the optimistic prior is what
 	// lets the late-joining malicious trustees collect "better evaluations"
 	// than the dark-phase-degraded honest nodes, as the paper describes.
 	update.Init = core.Expectation{S: 0.7, G: 0.7, D: 0.3, C: 0.15}
-	tbCfg := zigbee.DefaultTestbedConfig(cfg.Seed)
+	tbCfg := zigbee.DefaultTestbedConfig(o.Seed)
 	tbCfg.Malice = agent.MaliceOpportunist
 	tbCfg.Update = update
 	tb := zigbee.BuildTestbed(tbCfg)
@@ -99,18 +96,9 @@ func fig16Run(cfg fig16Config, sched env.LightSchedule, corrected bool) []float6
 				// Bootstrap over the honest candidates.
 				trustee = avail[i%len(avail)]
 			} else {
-				cands := make([]core.ExpCandidate, 0, len(avail))
-				for _, d := range avail {
-					cands = append(cands, core.ExpCandidate{ID: core.AgentID(d.Addr), Exp: trustor.Agent.Store.Expectation(core.AgentID(d.Addr), tk.Type())})
-				}
-				best, ok := core.BestByNetProfit(cands)
-				if !ok {
+				var ok bool
+				if trustee, ok = bestDevice(trustor, avail, tk, nil); !ok {
 					continue
-				}
-				for _, d := range avail {
-					if core.AgentID(d.Addr) == best.ID {
-						trustee = d
-					}
 				}
 			}
 			res := tb.Net.Delegate(trustor.Addr, trustee.Addr, tk, zigbee.ExchangeConfig{Light: light, UseOptical: true})

@@ -13,22 +13,16 @@ import (
 
 // fig7Config parameterizes the mutuality experiment (§5.3).
 type fig7Config struct {
-	Seed uint64
 	// Thetas are the reverse-evaluation thresholds swept; the paper uses
 	// {0, 0.3, 0.6} where 0 reproduces unilateral evaluation.
 	Thetas []float64
 	// Rounds is the number of delegation rounds per (network, θ) cell;
 	// rates are measured over all rounds.
 	Rounds int
-	// Parallelism is the engine worker-pool width (0 = GOMAXPROCS,
-	// 1 = serial). Results are bit-identical across all values.
-	Parallelism int
 }
 
-// defaultFig7Config returns the paper's sweep.
-func defaultFig7Config(seed uint64) fig7Config {
-	return fig7Config{Seed: seed, Thetas: []float64{0, 0.3, 0.6}, Rounds: 150}
-}
+// paperFig7 is the paper's sweep.
+var paperFig7 = fig7Config{Thetas: []float64{0, 0.3, 0.6}, Rounds: 150}
 
 // fig7Cell is one bar triple of Fig. 7.
 type fig7Cell struct {
@@ -47,17 +41,17 @@ type fig7Result struct {
 }
 
 // runFig7 sweeps the reverse-evaluation threshold over the three networks.
-// The delegation rounds run on the parallel engine, so cfg.Parallelism only
+// The delegation rounds run on the parallel engine, so o.Parallelism only
 // changes wall-clock time, never the cells.
-func runFig7(cfg fig7Config) fig7Result {
+func runFig7(o Options, cfg fig7Config) fig7Result {
 	var res fig7Result
 	tk := task.Uniform(1, task.CharCompute)
 	for _, profile := range socialgen.Profiles() {
-		net := socialgen.Generate(profile, cfg.Seed)
+		net := socialgen.Generate(profile, o.Seed)
 		for _, theta := range cfg.Thetas {
-			pcfg := sim.DefaultPopulationConfig(cfg.Seed)
+			pcfg := sim.DefaultPopulationConfig(o.Seed)
 			pcfg.Theta = theta
-			pcfg.Parallelism = cfg.Parallelism
+			pcfg.Parallelism = o.Parallelism
 			p := sim.NewPopulation(net, pcfg)
 			eng := sim.NewEngine(p, fmt.Sprintf("fig7-theta-%v", theta))
 			var c sim.MutualityCounters

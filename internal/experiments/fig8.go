@@ -15,15 +15,12 @@ import (
 // fig8Config parameterizes the inference experiment on the IoT testbed
 // (§5.4).
 type fig8Config struct {
-	Seed uint64
 	// Experiments is the number of independent runs (the paper runs 50).
 	Experiments int
 }
 
-// defaultFig8Config mirrors the paper.
-func defaultFig8Config(seed uint64) fig8Config {
-	return fig8Config{Seed: seed, Experiments: 50}
-}
+// paperFig8 mirrors the paper.
+var paperFig8 = fig8Config{Experiments: 50}
 
 // fig8WarmupPerTask is how many previous delegations of each prior task
 // every trustor has with every group trustee.
@@ -44,7 +41,7 @@ type fig8Result struct {
 // proposed model the trustor infers trustworthiness from those analogous
 // tasks; without it, the task is treated as completely new and the choice
 // is uninformed.
-func runFig8(cfg fig8Config) fig8Result {
+func runFig8(o Options, cfg fig8Config) fig8Result {
 	// Previous tasks: GPS sampling and image capture; the new task needs
 	// both (the paper's real-time-traffic example).
 	prior1 := task.Uniform(1, task.CharGPS)
@@ -54,7 +51,7 @@ func runFig8(cfg fig8Config) fig8Result {
 	with := make([]float64, cfg.Experiments)
 	without := make([]float64, cfg.Experiments)
 	for e := 0; e < cfg.Experiments; e++ {
-		expSeed := rng.Mix(cfg.Seed, "fig8", fmt.Sprint(e))
+		expSeed := rng.Mix(o.Seed, "fig8", fmt.Sprint(e))
 		tbCfg := zigbee.DefaultTestbedConfig(expSeed)
 		tbCfg.Malice = agent.MaliceCharacteristic
 		tbCfg.MaliceChars = map[task.Characteristic]bool{task.CharImage: true}

@@ -23,26 +23,12 @@ import (
 // survive whitewashing — with the trust gap, detection latency, and
 // success degradation of every (model, attack) cell.
 
-// modelMatrixConfig parameterizes the cross-model resilience matrix: the
-// attack scenario's settings (its Model is unused: the matrix runs every
-// attack of matrixAttacks) plus the models to probe.
-type modelMatrixConfig struct {
-	AttackScenarioConfig
-	// Models are the trust models to evaluate; nil means every registered
-	// model, in sorted-name order.
-	Models []core.TrustModel
-}
-
-// defaultModelMatrixConfig returns the standard matrix configuration: the
-// attack scenarios' network, ring and thresholds over 60 rounds — enough
-// for detection latencies to spread; the matrix runs one baseline plus one
-// run per attack, each attacked run with per-round multi-model probes, so
-// it is deliberately shorter than the single-attack scenarios' 150.
-func defaultModelMatrixConfig(seed uint64) modelMatrixConfig {
-	cfg := modelMatrixConfig{AttackScenarioConfig: DefaultAttackConfig(seed, nil)}
-	cfg.Rounds = 60
-	return cfg
-}
+// matrixRounds is the matrix's round count on the attack scenarios'
+// network, ring and thresholds: enough for detection latencies to spread.
+// The matrix runs one baseline plus one run per attack, each attacked run
+// with per-round multi-model probes, so it is deliberately shorter than the
+// single-attack scenarios' 150.
+const matrixRounds = 60
 
 // matrixAttacks is the fixed attack battery of the matrix: every PR 2
 // attack family (bad-mouthing, ballot-stuffing, on-off, whitewashing, and
@@ -88,23 +74,27 @@ type modelMatrixResult struct {
 	AttackedSuccess []float64
 }
 
-// runModelMatrix plays the matrix: one honest-ring baseline run, then one
-// attacked run per attack with every model probed per round over a shared
-// epoch. All runs share the network, seed, and engine label, so a cell
-// differs from its neighbors only through the attack (rows) or the model's
-// lens (columns).
-func runModelMatrix(cfg modelMatrixConfig) modelMatrixResult {
-	net := cfg.network()
+// runModelMatrix plays the matrix on cfg's network, ring and rounds (its
+// Model is unused: the matrix runs every attack of matrixAttacks): one
+// honest-ring baseline run, then one attacked run per attack with every
+// model probed per round over a shared epoch. The models are o.Model alone,
+// or every registered model in sorted-name order when it is "". All runs
+// share the network, seed, and engine label, so a cell differs from its
+// neighbors only through the attack (rows) or the model's lens (columns).
+func runModelMatrix(o Options, cfg AttackScenarioConfig) modelMatrixResult {
+	net := cfg.network(o.Seed)
 	const label = "model-matrix"
-	models := cfg.Models
-	if models == nil {
-		for _, name := range core.ModelNames() {
-			m, err := core.ParseModel(name)
-			if err != nil {
-				panic(err)
-			}
-			models = append(models, m)
+	names := core.ModelNames()
+	if o.Model != "" {
+		names = []string{o.Model}
+	}
+	var models []core.TrustModel
+	for _, name := range names {
+		m, err := core.ParseModel(name)
+		if err != nil {
+			panic(err)
 		}
+		models = append(models, m)
 	}
 
 	res := modelMatrixResult{
@@ -117,14 +107,14 @@ func runModelMatrix(cfg modelMatrixConfig) modelMatrixResult {
 	}
 	// The baseline ring runs the null attack (same marked ring, no malice),
 	// exactly like the single-attack scenarios.
-	baseline := cfg.play(net, adversary.Honest{}, label, nil).SuccessRate()
+	baseline := cfg.play(o, net, adversary.Honest{}, label, nil).SuccessRate()
 	res.BaselineSuccess = baseline
 	for _, atk := range matrixAttacks() {
 		gaps := make([][]float64, len(models))
 		for mi := range gaps {
 			gaps[mi] = make([]float64, cfg.Rounds)
 		}
-		attacked := cfg.play(net, atk, label, func(eng *sim.Engine, round int, _ *sim.MutualityCounters) {
+		attacked := cfg.play(o, net, atk, label, func(eng *sim.Engine, round int, _ *sim.MutualityCounters) {
 			for mi, pv := range eng.PerceivedTrustModels(round, scenarioTask, models) {
 				gaps[mi][round] = pv.Honest - pv.Attacker
 			}

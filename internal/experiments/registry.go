@@ -114,7 +114,8 @@ func (r fig16Result) Charts() []report.Chart {
 // fig7Result renders its rate triples as one chart per metric-free view;
 // bars do not translate to line charts, so it offers the table only.
 
-// Options tunes an experiment run beyond its default configuration.
+// Options is the run context of an experiment: every runner takes it next
+// to its own scale, and the registry runs each at the paper's scale.
 type Options struct {
 	// Seed drives every random choice of the run.
 	Seed uint64
@@ -131,70 +132,32 @@ type Options struct {
 
 // attackRunner runs the attack scenario of one adversary model.
 func attackRunner(model adversary.Attack) func(o Options) Result {
-	return func(o Options) Result {
-		cfg := DefaultAttackConfig(o.Seed, model)
-		cfg.Parallelism = o.Parallelism
-		return RunAttack(cfg)
-	}
+	return func(o Options) Result { return RunAttack(o, DefaultAttackConfig(model)) }
 }
 
-// runners maps experiment IDs to their default-configuration runners.
+// runners maps experiment IDs to their paper-scale runners.
 var runners = map[string]func(o Options) Result{
-	"table1": func(o Options) Result { return runTable1(o.Seed) },
-	"fig7": func(o Options) Result {
-		cfg := defaultFig7Config(o.Seed)
-		cfg.Parallelism = o.Parallelism
-		return runFig7(cfg)
-	},
-	"fig8": func(o Options) Result { return runFig8(defaultFig8Config(o.Seed)) },
-	"figs9-11": func(o Options) Result {
-		cfg := defaultTransitivityConfig(o.Seed)
-		cfg.Parallelism = o.Parallelism
-		return runTransitivitySweep(cfg)
-	},
-	"fig12": func(o Options) Result {
-		cfg := defaultFig12Config(o.Seed)
-		cfg.Parallelism = o.Parallelism
-		return runFig12(cfg)
-	},
-	"table2": func(o Options) Result {
-		cfg := defaultTable2Config(o.Seed)
-		cfg.Parallelism = o.Parallelism
-		return runTable2(cfg)
-	},
-	"fig13": func(o Options) Result {
-		cfg := defaultFig13Config(o.Seed)
-		cfg.Parallelism = o.Parallelism
-		return runFig13(cfg)
-	},
-	"fig14": func(o Options) Result { return runFig14(defaultFig14Config(o.Seed)) },
-	"fig15": func(o Options) Result { return runFig15(defaultFig15Config(o.Seed)) },
-	"fig16": func(o Options) Result { return runFig16(defaultFig16Config(o.Seed)) },
-	"ablation-eq7": func(o Options) Result {
-		return runAblationEq7(defaultAblationEq7Config(o.Seed))
-	},
-	"ablation-cannikin": func(o Options) Result {
-		return runAblationCannikin(defaultAblationCannikinConfig(o.Seed))
-	},
-	"ablation-self": func(o Options) Result {
-		cfg := defaultAblationSelfDelegationConfig(o.Seed)
-		cfg.Parallelism = o.Parallelism
-		return runAblationSelfDelegation(cfg)
-	},
-	"attack-badmouth":  attackRunner(adversary.BadMouthing{}),
-	"attack-onoff":     attackRunner(adversary.OnOff{Period: 20, Duty: 0.5}),
-	"attack-whitewash": attackRunner(adversary.Whitewashing{}),
-	"attack-collusion": attackRunner(adversary.Collusion{Of: adversary.BadMouthing{}}),
+	"table1":            func(o Options) Result { return runTable1(o) },
+	"fig7":              func(o Options) Result { return runFig7(o, paperFig7) },
+	"fig8":              func(o Options) Result { return runFig8(o, paperFig8) },
+	"figs9-11":          func(o Options) Result { return runTransitivitySweep(o, paperTransitivity) },
+	"fig12":             func(o Options) Result { return runFig12(o) },
+	"table2":            func(o Options) Result { return runTable2(o, paperTable2) },
+	"fig13":             func(o Options) Result { return runFig13(o, paperFig13) },
+	"fig14":             func(o Options) Result { return runFig14(o, paperFig14) },
+	"fig15":             func(o Options) Result { return runFig15(o, paperFig15) },
+	"fig16":             func(o Options) Result { return runFig16(o, paperFig16) },
+	"ablation-eq7":      func(o Options) Result { return runAblationEq7(o, paperAblationEq7) },
+	"ablation-cannikin": func(o Options) Result { return runAblationCannikin(o, paperAblationCannikin) },
+	"ablation-self":     func(o Options) Result { return runAblationSelfDelegation(o, paperAblationSelfDelegation) },
+	"attack-badmouth":   attackRunner(adversary.BadMouthing{}),
+	"attack-onoff":      attackRunner(adversary.OnOff{Period: 20, Duty: 0.5}),
+	"attack-whitewash":  attackRunner(adversary.Whitewashing{}),
+	"attack-collusion":  attackRunner(adversary.Collusion{Of: adversary.BadMouthing{}}),
 	"model-matrix": func(o Options) Result {
-		cfg := defaultModelMatrixConfig(o.Seed)
-		cfg.Parallelism = o.Parallelism
-		if o.Model != "" {
-			// o.Model has been validated by RunOpts.
-			if m, err := core.ParseModel(o.Model); err == nil {
-				cfg.Models = []core.TrustModel{m}
-			}
-		}
-		return runModelMatrix(cfg)
+		cfg := DefaultAttackConfig(nil)
+		cfg.Rounds = matrixRounds
+		return runModelMatrix(o, cfg)
 	},
 }
 

@@ -23,10 +23,10 @@ type Table1Result struct {
 
 // runTable1 generates the three evaluation networks and measures their
 // connectivity characteristics.
-func runTable1(seed uint64) Table1Result {
+func runTable1(o Options) Table1Result {
 	var res Table1Result
 	for _, p := range socialgen.Profiles() {
-		res.Rows = append(res.Rows, MeasureTable1Row(socialgen.Generate(p, seed), seed))
+		res.Rows = append(res.Rows, MeasureTable1Row(socialgen.Generate(p, o.Seed), o.Seed))
 	}
 	return res
 }

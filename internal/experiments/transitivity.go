@@ -24,7 +24,6 @@ const paperMaxDepth = 3
 
 // transitivityConfig parameterizes the §5.5 sweep behind Figs. 9–11.
 type transitivityConfig struct {
-	Seed uint64
 	// CharCounts is the sweep over "the total number of different
 	// characteristics of the tasks in the network" (4–7 in the paper).
 	CharCounts []int
@@ -32,16 +31,10 @@ type transitivityConfig struct {
 	Repeats int
 	// MaxDepth bounds recommendation chains.
 	MaxDepth int
-	// Parallelism is the engine worker-pool width for the per-trustor
-	// searches (0 = GOMAXPROCS, 1 = serial); results are bit-identical
-	// across all values.
-	Parallelism int
 }
 
-// defaultTransitivityConfig returns the paper's sweep.
-func defaultTransitivityConfig(seed uint64) transitivityConfig {
-	return transitivityConfig{Seed: seed, CharCounts: []int{4, 5, 6, 7}, Repeats: 5, MaxDepth: paperMaxDepth}
-}
+// paperTransitivity is the paper's sweep.
+var paperTransitivity = transitivityConfig{CharCounts: []int{4, 5, 6, 7}, Repeats: 5, MaxDepth: paperMaxDepth}
 
 // transitivityCell is one (network, model, alphabet-size) measurement.
 // Table 2 draws its characteristics from node features, so its cells leave
@@ -62,18 +55,19 @@ type transitivityResult struct {
 }
 
 // runTransitivitySweep measures the three trust-transfer methods over the
-// three networks and the characteristic-count sweep.
-func runTransitivitySweep(cfg transitivityConfig) transitivityResult {
+// three networks and the characteristic-count sweep. o.Parallelism is the
+// width of the per-trustor searches and never changes a cell.
+func runTransitivitySweep(o Options, cfg transitivityConfig) transitivityResult {
 	var res transitivityResult
 	for _, profile := range socialgen.Profiles() {
-		net := socialgen.Generate(profile, cfg.Seed)
+		net := socialgen.Generate(profile, o.Seed)
 		for _, numChars := range cfg.CharCounts {
 			agg := map[string]sim.TransitivityStats{}
 			for rep := 0; rep < cfg.Repeats; rep++ {
-				repSeed := rng.Mix(cfg.Seed, "transitivity", profile.Name, fmt.Sprint(numChars), fmt.Sprint(rep))
+				repSeed := rng.Mix(o.Seed, "transitivity", profile.Name, fmt.Sprint(numChars), fmt.Sprint(rep))
 				setup := sim.DefaultTransitivitySetup(numChars, rng.New(repSeed, "setup"))
 				setup.MaxDepth = cfg.MaxDepth
-				runModels(agg, net, repSeed, cfg.Parallelism, setup, sim.SeedExperience, "figs9-11")
+				runModels(agg, net, repSeed, o.Parallelism, setup, sim.SeedExperience, "figs9-11")
 			}
 			res.Cells = appendCells(res.Cells, profile.Name, numChars, agg)
 		}
@@ -233,19 +227,6 @@ func (r transitivityResult) ShapeCheck() []error {
 	return c.errs
 }
 
-// fig12Config parameterizes the search-overhead measurement, which runs on
-// the paper's Facebook subnetwork with a 5-characteristic alphabet.
-type fig12Config struct {
-	Seed uint64
-	// Parallelism is the engine worker-pool width (0 = GOMAXPROCS).
-	Parallelism int
-}
-
-// defaultFig12Config mirrors the paper.
-func defaultFig12Config(seed uint64) fig12Config {
-	return fig12Config{Seed: seed}
-}
-
 // fig12Result reproduces Fig. 12, "Comparison of the numbers of inquired
 // nodes with different trust transitivity methods": the per-trustor count
 // of interrogated nodes, sorted ascending per method.
@@ -254,12 +235,13 @@ type fig12Result struct {
 	PerModel map[string][]int
 }
 
-// runFig12 measures search overhead per trustor.
-func runFig12(cfg fig12Config) fig12Result {
-	setup := sim.DefaultTransitivitySetup(5, rng.New(cfg.Seed, "fig12-setup"))
+// runFig12 measures search overhead per trustor on the paper's Facebook
+// subnetwork with a 5-characteristic alphabet.
+func runFig12(o Options) fig12Result {
+	setup := sim.DefaultTransitivitySetup(5, rng.New(o.Seed, "fig12-setup"))
 	setup.MaxDepth = paperMaxDepth
 	agg := map[string]sim.TransitivityStats{}
-	runModels(agg, socialgen.Generate(socialgen.Facebook(), cfg.Seed), cfg.Seed, cfg.Parallelism, setup, sim.SeedExperience, "fig12")
+	runModels(agg, socialgen.Generate(socialgen.Facebook(), o.Seed), o.Seed, o.Parallelism, setup, sim.SeedExperience, "fig12")
 	res := fig12Result{PerModel: map[string][]int{}}
 	for name, st := range agg {
 		sort.Ints(st.InquiredPerTrustor)
@@ -325,17 +307,12 @@ func (r fig12Result) ShapeCheck() []error {
 
 // table2Config parameterizes the real-node-property variant.
 type table2Config struct {
-	Seed uint64
 	// Repeats averages each network over fresh seedings.
 	Repeats int
-	// Parallelism is the engine worker-pool width (0 = GOMAXPROCS).
-	Parallelism int
 }
 
-// defaultTable2Config mirrors the paper.
-func defaultTable2Config(seed uint64) table2Config {
-	return table2Config{Seed: seed, Repeats: 5}
-}
+// paperTable2 mirrors the paper.
+var paperTable2 = table2Config{Repeats: 5}
 
 // table2Result reproduces Table 2, "Comparison of success rates,
 // unavailable rates, and average numbers of potential trustees with
@@ -346,16 +323,16 @@ type table2Result struct {
 
 // runTable2 runs the transitivity comparison with node profile features as
 // task characteristics.
-func runTable2(cfg table2Config) table2Result {
+func runTable2(o Options, cfg table2Config) table2Result {
 	var res table2Result
 	for _, profile := range socialgen.Profiles() {
-		net := socialgen.Generate(profile, cfg.Seed)
+		net := socialgen.Generate(profile, o.Seed)
 		agg := map[string]sim.TransitivityStats{}
 		for rep := 0; rep < cfg.Repeats; rep++ {
-			repSeed := rng.Mix(cfg.Seed, "table2", profile.Name, fmt.Sprint(rep))
+			repSeed := rng.Mix(o.Seed, "table2", profile.Name, fmt.Sprint(rep))
 			setup := sim.DefaultTransitivitySetup(profile.FeatureKinds, rng.New(repSeed, "setup"))
 			setup.MaxDepth = paperMaxDepth
-			runModels(agg, net, repSeed, cfg.Parallelism, setup, sim.SeedExperienceFromFeatures, "table2")
+			runModels(agg, net, repSeed, o.Parallelism, setup, sim.SeedExperienceFromFeatures, "table2")
 		}
 		res.Cells = appendCells(res.Cells, profile.Name, 0, agg)
 	}

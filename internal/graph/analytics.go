@@ -30,9 +30,9 @@ func (g *Graph) DegreeAssortativity() float64 {
 			dv := float64(g.Degree(v))
 			sx += du
 			sy += dv
-			sxy += du * dv
-			sx2 += du * du
-			sy2 += dv * dv
+			sxy += float64(du * dv)
+			sx2 += float64(du * du)
+			sy2 += float64(dv * dv)
 			m++
 		}
 	}
@@ -40,8 +40,8 @@ func (g *Graph) DegreeAssortativity() float64 {
 		return 0
 	}
 	fm := float64(m)
-	num := sxy/fm - (sx/fm)*(sy/fm)
-	den := math.Sqrt(sx2/fm-(sx/fm)*(sx/fm)) * math.Sqrt(sy2/fm-(sy/fm)*(sy/fm))
+	num := sxy/fm - float64((sx/fm)*(sy/fm))
+	den := math.Sqrt(sx2/fm-float64((sx/fm)*(sx/fm))) * math.Sqrt(sy2/fm-float64((sy/fm)*(sy/fm)))
 	if den == 0 {
 		return 0
 	}

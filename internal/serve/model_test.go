@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand/v2"
 	"slices"
+	"strings"
 	"testing"
 
 	"siot/internal/core"
@@ -212,6 +213,33 @@ func TestReplayHeaderRejections(t *testing.T) {
 			f := faultfs.NewFile(tampered)
 			if _, _, err := Recover(f, Config{}); !errors.Is(err, tc.sentinel) {
 				t.Fatalf("recover error %v, want %v", err, tc.sentinel)
+			}
+		})
+	}
+}
+
+// TestReplayHeaderNotWrittenByNew: New journals its defaulted config, so a
+// header with a non-positive alphabet, or with neither a profile name nor a
+// node count, is rejected by Replay and by Recover, never defaulted, and
+// Recover leaves the journal as it was.
+func TestReplayHeaderNotWrittenByNew(t *testing.T) {
+	journal, _ := serveSession(t, Config{Net: "twitter", Seed: 7, Seeded: true, EpochEvery: 8}, 20)
+	for name, mutate := range map[string]func(*headerLine){
+		"zero chars":         func(h *headerLine) { h.Chars = 0 },
+		"negative chars":     func(h *headerLine) { h.Chars = -3 },
+		"no profile or size": func(h *headerLine) { h.Net = "" },
+	} {
+		t.Run(name, func(t *testing.T) {
+			tampered := rewriteHeader(t, journal, mutate)
+			if _, err := Replay(bytes.NewReader(tampered)); err == nil || !strings.Contains(err.Error(), "not one New writes") {
+				t.Fatalf("replay error %v, want the header rejected", err)
+			}
+			f := faultfs.NewFile(bytes.Clone(tampered))
+			if _, _, err := Recover(f, Config{}); err == nil || !strings.Contains(err.Error(), "not one New writes") {
+				t.Fatalf("recover error %v, want the header rejected", err)
+			}
+			if !bytes.Equal(f.Bytes(), tampered) {
+				t.Fatal("the rejected recovery changed the journal")
 			}
 		})
 	}

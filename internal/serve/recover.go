@@ -49,6 +49,9 @@ type RecoverStats struct {
 // fsync) apply. cfg.Journal is ignored — f is the journal.
 func Recover(f RecoverFile, cfg Config) (*Engine, RecoverStats, error) {
 	var stats RecoverStats
+	if err := cfg.checkCounts(); err != nil {
+		return nil, stats, fmt.Errorf("serve: recover: %w", err)
+	}
 	cfg = cfg.withDefaults()
 	cfg.Journal = f
 

@@ -147,6 +147,34 @@ func TestRecoverRejectsMidJournalCorruption(t *testing.T) {
 	}
 }
 
+// TestRecoverRejectsNegativeConfig: a negative operational count is
+// rejected before Recover reads the journal, so neither a torn tail nor an
+// empty journal is truncated or appended to.
+func TestRecoverRejectsNegativeConfig(t *testing.T) {
+	f := faultfs.NewFile(nil)
+	e, err := New(crashCfg(f))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustIngestN(t, e, rand.New(rand.NewPCG(51, 52)), 10)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	torn := f.Bytes()
+	torn = torn[:len(torn)-7]
+	for name, contents := range map[string][]byte{"empty": nil, "torn tail": torn} {
+		img := faultfs.NewFile(bytes.Clone(contents))
+		cfg := crashCfg(img)
+		cfg.QueueSize = -1
+		if _, _, err := Recover(img, cfg); err == nil || !strings.Contains(err.Error(), "QueueSize") {
+			t.Fatalf("%s: recover error %v, want one naming QueueSize", name, err)
+		}
+		if !bytes.Equal(img.Bytes(), contents) {
+			t.Fatalf("%s: the rejected recovery changed the journal", name)
+		}
+	}
+}
+
 // TestRecoverEmptyAndTornHeader pins the fresh-start edge: a zero-byte
 // journal and a journal holding only a torn header both recover to a brand
 // new engine that writes a clean journal.

@@ -65,6 +65,11 @@ func replayHeader(s *journalScanner) (Config, error) {
 	if err != nil {
 		return Config{}, fmt.Errorf("%w: %v", ErrJournalModel, err)
 	}
+	// New writes its defaulted config: a positive alphabet, and a profile
+	// name or a node count.
+	if h.Chars <= 0 || h.Net == "" && h.Nodes == 0 {
+		return Config{}, fmt.Errorf("header (net %q, nodes %d, chars %d) is not one New writes", h.Net, h.Nodes, h.Chars)
+	}
 	return Config{
 		Net: h.Net, Nodes: h.Nodes, Seed: h.Seed, Chars: h.Chars,
 		Model: mdl, Seeded: h.Seeded, Theta: h.Theta,

@@ -87,24 +87,25 @@ type Config struct {
 	Fsync FsyncMode
 }
 
-// withDefaults fills the zero values.
+// withDefaults fills the zero values. Zero is the only value that asks for
+// a default: checkCounts rejects a negative count before this runs.
 func (c Config) withDefaults() Config {
-	if c.Net == "" && c.Nodes <= 0 {
+	if c.Net == "" && c.Nodes == 0 {
 		c.Net = "facebook"
 	}
-	if c.Chars <= 0 {
+	if c.Chars == 0 {
 		c.Chars = 5
 	}
-	if c.EpochEvery <= 0 {
+	if c.EpochEvery == 0 {
 		c.EpochEvery = 256
 	}
-	if c.BatchSize <= 0 {
+	if c.BatchSize == 0 {
 		c.BatchSize = 128
 	}
-	if c.QueueSize <= 0 {
+	if c.QueueSize == 0 {
 		c.QueueSize = 1024
 	}
-	if c.Workers <= 0 {
+	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.Model == nil {
@@ -125,13 +126,30 @@ type world struct {
 
 // Validate reports whether c describes a world New can build, without
 // building it: Theta must be finite, since the journal header could not
-// record it, Nodes and EpochInterval must not be negative, and the network
-// profile Net or Nodes selects must exist and be valid. New makes the same
-// checks before it builds or writes anything; siot-serve runs Validate
-// before it opens its journal.
+// record it, no count or interval may be negative, and the network profile
+// Net or Nodes selects must exist and be valid. New makes the same checks
+// before it builds or writes anything; siot-serve runs Validate before it
+// opens its journal.
 func (c Config) Validate() error {
+	if err := c.checkCounts(); err != nil {
+		return err
+	}
 	_, err := c.withDefaults().profile()
 	return err
+}
+
+// checkCounts rejects a negative Chars, EpochEvery, BatchSize, QueueSize or
+// Workers, naming the field, so that none is taken for its default.
+func (c Config) checkCounts() error {
+	for _, f := range [...]struct {
+		name string
+		v    int
+	}{{"Chars", c.Chars}, {"EpochEvery", c.EpochEvery}, {"BatchSize", c.BatchSize}, {"QueueSize", c.QueueSize}, {"Workers", c.Workers}} {
+		if f.v < 0 {
+			return fmt.Errorf("serve: %s %d is negative", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // profile validates a (defaulted) config and returns the network profile it
@@ -382,6 +400,9 @@ func newEngine(cfg Config, w *world) *Engine {
 // starts the writer goroutine. It rejects a config Validate rejects before
 // it builds or writes anything.
 func New(cfg Config) (*Engine, error) {
+	if err := cfg.checkCounts(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	w, err := buildWorld(cfg)
 	if err != nil {

@@ -340,14 +340,17 @@ func TestNewRejectsNonFiniteTheta(t *testing.T) {
 // TestConfigValidate checks that Validate accepts the default world, a
 // named profile and the 100k-node benchmark world, and rejects what New
 // rejects before writing to the journal: a non-finite theta, an unknown
-// profile name and a node count socialgen cannot build.
+// profile name, a node count socialgen cannot build, and a negative count
+// or interval (zero alone asks for a default).
 func TestConfigValidate(t *testing.T) {
 	for _, cfg := range []Config{{}, {Net: "twitter"}, {Nodes: 100_000, Seeded: true, Theta: 0.3}} {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("Validate(%+v): %v", cfg, err)
 		}
 	}
-	for _, cfg := range []Config{{Theta: math.NaN()}, {Net: "orkut"}, {Nodes: 3}, {Nodes: -5}, {Net: "twitter", Nodes: -1}, {EpochInterval: -time.Second}} {
+	for _, cfg := range []Config{{Theta: math.NaN()}, {Net: "orkut"}, {Nodes: 3}, {Nodes: -5}, {Net: "twitter", Nodes: -1}, {EpochInterval: -time.Second},
+		{Net: "twitter", Chars: -3}, {Net: "twitter", EpochEvery: -1}, {Net: "twitter", BatchSize: -2},
+		{Net: "twitter", QueueSize: -1}, {Net: "twitter", Workers: -4}} {
 		if cfg.Validate() == nil {
 			t.Errorf("Validate accepted %+v", cfg)
 		}

@@ -224,12 +224,12 @@ func emitExperience(a *agentSeedCtx, setup TransitivitySetup, types []int, holde
 		experienced = append(experienced, tk)
 		for _, ch := range tk.Characteristics() {
 			if ag.Behavior.Competence[ch] < 0.55 {
-				ag.Behavior.Competence[ch] = 0.55 + 0.4*a.r.Float64()
+				ag.Behavior.Competence[ch] = 0.55 + float64(0.4*a.r.Float64())
 			}
 		}
 		cap := ag.Behavior.TaskCompetence(tk)
 		for _, u := range holders {
-			a.emit(u, ti, clamp01(cap+recordNoise*(2*a.r.Float64()-1)))
+			a.emit(u, ti, clamp01(cap+float64(recordNoise*(2*float64(a.r.Float64())-1))))
 		}
 	}
 	return experienced
@@ -261,7 +261,7 @@ func seedNodeFromFeatures(a *agentSeedCtx, setup TransitivitySetup, feats [][]in
 	for c := 0; c < setup.Universe.NumCharacteristics; c++ {
 		ch := task.Characteristic(c)
 		if have[ch] {
-			ag.Behavior.Competence[ch] = 0.6 + 0.35*a.r.Float64()
+			ag.Behavior.Competence[ch] = 0.6 + float64(0.35*a.r.Float64())
 		} else {
 			ag.Behavior.Competence[ch] = 0.3 * a.r.Float64()
 		}

@@ -299,7 +299,7 @@ func placeIntraEdges(g *graph.Graph, members [][]graph.NodeID, budget int, fof f
 	var total float64
 	for c, m := range members {
 		s := float64(len(m))
-		weights[c] = s * math.Sqrt(s) // ∝ s^1.5
+		weights[c] = float64(s * math.Sqrt(s)) // ∝ s^1.5
 		total += weights[c]
 	}
 	placed := 0

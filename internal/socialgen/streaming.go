@@ -142,7 +142,7 @@ func generateStreaming(p Profile, seed uint64) *Network {
 		weights := make([]float64, len(sizes))
 		var total float64
 		for c, s := range sizes {
-			weights[c] = float64(s) * math.Sqrt(float64(s))
+			weights[c] = float64(float64(s) * math.Sqrt(float64(s)))
 			total += weights[c]
 		}
 		budget := targetIntra

@@ -52,13 +52,13 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
-	pos := q * float64(len(s)-1)
+	pos := float64(q * float64(len(s)-1))
 	i := int(pos)
 	if i >= len(s)-1 {
 		return s[len(s)-1]
 	}
 	frac := pos - float64(i)
-	return s[i]*(1-frac) + s[i+1]*frac
+	return float64(s[i]*(1-frac)) + float64(s[i+1]*frac)
 }
 
 // MovingAvg returns the trailing moving average of window w (w <= 1 returns

@@ -210,7 +210,7 @@ func NewUniverse(numTypes, numChars int, r *rand.Rand) Universe {
 		}
 		m := make(map[Characteristic]float64, n)
 		for len(m) < n {
-			m[Characteristic(r.IntN(numChars))] = 0.25 + 0.75*r.Float64()
+			m[Characteristic(r.IntN(numChars))] = 0.25 + float64(0.75*r.Float64())
 		}
 		t, err := New(Type(len(u.Tasks)), m)
 		if err != nil {

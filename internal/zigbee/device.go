@@ -11,7 +11,7 @@ type Position struct{ X, Y float64 }
 // dist2 returns the squared distance between two positions.
 func dist2(a, b Position) float64 {
 	dx, dy := a.X-b.X, a.Y-b.Y
-	return dx*dx + dy*dy
+	return float64(dx*dx) + float64(dy*dy)
 }
 
 // Device is one node of the experimental network.
@@ -61,7 +61,7 @@ const darkFloor = 0.1
 // sensors, the performance of the trustee node is affected by the lighting
 // condition."
 func opticalQuality(light env.Environment) float64 {
-	q := darkFloor + (1-darkFloor)*float64(light.Clamp())
+	q := darkFloor + float64((1-darkFloor)*float64(light.Clamp()))
 	if q > 1 {
 		return 1
 	}

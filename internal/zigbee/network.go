@@ -118,7 +118,7 @@ func (n *Network) airMs(f frame) Ms {
 
 // backoff draws one CSMA backoff.
 func (n *Network) backoff() Ms {
-	return csmaMinMs + (csmaMaxMs-csmaMinMs)*n.r.Float64()
+	return csmaMinMs + float64((csmaMaxMs-csmaMinMs)*n.r.Float64())
 }
 
 // transmit sends one MAC frame with CSMA backoff, loss, acknowledgment, and

@@ -101,15 +101,15 @@ func BuildTestbed(cfg TestbedConfig) *Testbed {
 
 	for g := 0; g < cfg.Groups; g++ {
 		angle := 2 * math.Pi * float64(g) / float64(max(cfg.Groups, 1))
-		base := Position{X: 60 * math.Cos(angle), Y: 60 * math.Sin(angle)}
+		base := Position{X: float64(60 * math.Cos(angle)), Y: float64(60 * math.Sin(angle))}
 		place := func(i int) Position {
-			return Position{X: base.X + 3*float64(i), Y: base.Y + 2*float64(i%3)}
+			return Position{X: base.X + float64(3*float64(i)), Y: base.Y + float64(2*float64(i%3))}
 		}
 		slot := 0
 		for i := 0; i < cfg.TrustorsPerGroup; i++ {
 			b := agent.Behavior{
-				BaseCompetence: 0.3 + 0.2*r.Float64(),
-				Responsibility: 0.8 + 0.2*r.Float64(),
+				BaseCompetence: 0.3 + float64(0.2*r.Float64()),
+				Responsibility: 0.8 + float64(0.2*r.Float64()),
 			}
 			ag := agent.New(0, agent.KindTrustor, b, cfg.Update)
 			d := n.AddDevice(place(slot), ag)
@@ -119,7 +119,7 @@ func BuildTestbed(cfg TestbedConfig) *Testbed {
 			slot++
 		}
 		for i := 0; i < cfg.HonestPerGroup; i++ {
-			b := agent.Behavior{BaseCompetence: 0.75 + 0.2*r.Float64()}
+			b := agent.Behavior{BaseCompetence: 0.75 + float64(0.2*r.Float64())}
 			ag := agent.New(0, agent.KindTrustee, b, cfg.Update)
 			d := n.AddDevice(place(slot), ag)
 			ag.ID = core.AgentID(d.Addr)
@@ -129,7 +129,7 @@ func BuildTestbed(cfg TestbedConfig) *Testbed {
 		}
 		for i := 0; i < cfg.DishonestPerGroup; i++ {
 			b := agent.Behavior{
-				BaseCompetence: 0.75 + 0.2*r.Float64(),
+				BaseCompetence: 0.75 + float64(0.2*r.Float64()),
 				Malice:         cfg.Malice,
 				MaliceChars:    cfg.MaliceChars,
 				StallCost:      0.6,

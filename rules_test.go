@@ -14,6 +14,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strconv"
 	"strings"
@@ -575,6 +576,61 @@ func TestDeterminismRules(t *testing.T) {
 	}
 }
 
+// fusedOp matches an instruction line of `go build -gcflags=-S` output
+// whose opcode is a fused multiply-add: FMADDD, FMSUBD, FNMADDD or FNMSUBD
+// on arm64 and riscv64, FMADD, FMSUB, FNMADD or FNMSUB on ppc64le and
+// s390x, and their single-precision forms. It captures the source position
+// and the opcode.
+var fusedOp = regexp.MustCompile(`^\s+0x[0-9a-f]+ \d+ \(([^)]+)\)\s+(FN?M(?:ADD|SUB)[DS]?)\s`)
+
+// TestNoFusedFloat keeps the deterministic packages bit-exact on every
+// architecture. The Go spec lets a compiler fuse x*y + z into one
+// multiply-add, which rounds once where the separate operations round
+// twice. amd64 never fuses, but arm64, ppc64le, s390x and riscv64 do, so a
+// golden or a journal written on amd64 would not reproduce there. An
+// explicit float64(x*y) rounds the product and forbids the fusion. The
+// test cross-compiles deterministicPackages, and the siot/ packages they
+// import, with -S for each of those architectures and fails on every fused
+// opcode, naming its line and function.
+func TestNoFusedFloat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cross-compiles the deterministic packages for four architectures")
+	}
+	// loadSource parses every source file in this process, so the test
+	// cache sees an edit; the child go builds' reads do not count.
+	loadSource(t)
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go is not on PATH")
+	}
+	args := []string{"build", "-gcflags=siot/...=-S"}
+	for _, p := range deterministicPackages {
+		args = append(args, "siot/internal/"+p)
+	}
+	for _, arch := range []string{"arm64", "ppc64le", "s390x", "riscv64"} {
+		t.Run(arch, func(t *testing.T) {
+			t.Parallel()
+			cmd := exec.Command(goBin, args...)
+			cmd.Env = append(os.Environ(), "GOOS=linux", "GOARCH="+arch, "CGO_ENABLED=0", "GOTOOLCHAIN=local", "GOWORK=off")
+			out, err := cmd.CombinedOutput()
+			if err != nil {
+				t.Fatalf("go %s for %s: %v\n%s", strings.Join(args, " "), arch, err, out)
+			}
+			fn, seen := "", map[string]bool{} // an inlined site repeats in its caller
+			for _, line := range strings.Split(string(out), "\n") {
+				if name, _, ok := strings.Cut(line, " STEXT "); ok && !strings.HasPrefix(line, "\t") {
+					fn = name
+				} else if m := fusedOp.FindStringSubmatch(line); m != nil {
+					if msg := fmt.Sprintf("%s: %s fuses a multiply-add (%s): round the product with float64(…)", relative(m[1]), fn, m[2]); !seen[msg] {
+						seen[msg] = true
+						t.Error(msg)
+					}
+				}
+			}
+		})
+	}
+}
+
 // callee names the package-level function that call calls, as
 // "import/path.Name", or returns "".
 func callee(info *types.Info, call *ast.CallExpr) string {
@@ -591,16 +647,22 @@ func callee(info *types.Info, call *ast.CallExpr) string {
 	return ""
 }
 
-// position renders pos with its file relative to the repository root, where
-// the tests run.
+// position renders pos with its file relative to the repository root.
 func position(fset *token.FileSet, pos token.Pos) string {
 	p := fset.Position(pos)
+	p.Filename = relative(p.Filename)
+	return p.String()
+}
+
+// relative returns path relative to the repository root, where the tests
+// run, or path itself when it has no such form.
+func relative(path string) string {
 	if wd, err := os.Getwd(); err == nil {
-		if rel, err := filepath.Rel(wd, p.Filename); err == nil {
-			p.Filename = rel
+		if rel, err := filepath.Rel(wd, path); err == nil {
+			return rel
 		}
 	}
-	return p.String()
+	return path
 }
 
 // TestExamplesOutput runs every program under examples/ and compares its
